@@ -21,11 +21,11 @@ import (
 // as duplicate, like a kernel without reassembly for a lossless
 // tunnel), so any reordering introduced by the scatter path, the rings,
 // or the batched writer surfaces as a corrupted or stalled stream. The
-// grid covers the paper-faithful core, the ring path with batching
-// disabled, two burst sizes, the AIMD-governed adaptive burst, and the
-// legacy shared-dispatcher topology; a ring smaller than the in-flight
-// packet count forces the reader's backpressure path too (including
-// the adaptive governor's worst case, a burst larger than the ring).
+// grid covers the paper-faithful core, the batched path with batching
+// disabled, two burst sizes, and the AIMD-governed adaptive burst; a
+// ring smaller than the in-flight packet count forces each reader's
+// backpressure path too (including the adaptive governor's worst case,
+// a burst larger than the ring).
 func TestPerFlowOrderingAcrossConfigs(t *testing.T) {
 	configs := []struct {
 		name      string
@@ -33,17 +33,15 @@ func TestPerFlowOrderingAcrossConfigs(t *testing.T) {
 		readBatch int
 		ringSize  int
 		auto      bool
-		shared    bool
 	}{
 		{name: "workers=1", workers: 1},
+		{name: "workers=1/tiny-ring", workers: 1, ringSize: 8},
 		{name: "workers=4/readbatch=1", workers: 4, readBatch: 1},
 		{name: "workers=4/readbatch=8", workers: 4, readBatch: 8},
 		{name: "workers=4/readbatch=64", workers: 4, readBatch: 64},
 		{name: "workers=2/tiny-ring", workers: 2, readBatch: 64, ringSize: 8},
 		{name: "workers=4/readbatch=auto", workers: 4, auto: true},
 		{name: "workers=4/readbatch=auto/tiny-ring", workers: 4, ringSize: 8, auto: true},
-		{name: "workers=4/shared-dispatcher", workers: 4, readBatch: 64, shared: true},
-		{name: "workers=2/shared-dispatcher/auto", workers: 2, auto: true, shared: true},
 	}
 	const (
 		flows   = 6
@@ -57,7 +55,6 @@ func TestPerFlowOrderingAcrossConfigs(t *testing.T) {
 			cfg.ReadBatch = tc.readBatch
 			cfg.RingSize = tc.ringSize
 			cfg.ReadBatchAuto = tc.auto
-			cfg.SharedDispatcher = tc.shared
 			tb := newTestbed(t, cfg)
 
 			errs := make(chan error, flows)

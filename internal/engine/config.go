@@ -4,11 +4,12 @@
 // optimisations can be measured as ablations (Tables 1–4, Figure 5).
 //
 // Architecture (Figure 4 of the paper): a TunReader thread retrieves
-// raw IP packets from the TUN device into a read queue; a single
-// MainWorker thread multiplexes the read queue and all socket events on
-// one selector; temporary socket-connect threads perform the blocking
-// external connect() that yields the RTT measurement; a TunWriter
-// thread drains a write queue into the tunnel.
+// raw IP packets from the TUN device into a read queue; a MainWorker
+// thread multiplexes the read queue and all socket events on one
+// selector (Config.Workers of them, each with its own queue and
+// selector; the paper runs one); temporary socket-connect threads
+// perform the blocking external connect() that yields the RTT
+// measurement; a TunWriter thread drains a write queue into the tunnel.
 package engine
 
 import (
@@ -113,31 +114,22 @@ type Config struct {
 	// observable as Stats.ReadBatchLimit. Ignored at Workers=1.
 	ReadBatchAuto bool
 
-	// RingSize is the per-worker SPSC ring capacity on the multi-worker
-	// path, rounded up to a power of two; zero selects 1024. When a
+	// RingSize is the per-worker SPSC ring capacity (the read queue of
+	// §3.2), rounded up to a power of two; zero selects 1024. When a
 	// worker's ring is full the reader blocks, pushing backpressure to
 	// the TUN queue, which drops on overflow like a real device.
 	RingSize int
 
-	// Workers selects how many packet-processing workers run. The
-	// paper-faithful default is 1: the single MainWorker thread of
-	// Figure 4, which is what every ablation (Tables 1–4) measures.
-	// With N > 1 the engine runs the shared-nothing sharded pipeline:
-	// every worker owns its own selector and its own SPSC packet ring,
-	// each flow pinned (and its socket registered) to the worker owning
-	// its flow-table shard, so neither packets nor readiness events
-	// ever cross a shared stage. MainLoopPoll > 0 (the Haystack-style
+	// Workers selects how many packet-processing workers run. Every
+	// worker owns its own selector and its own SPSC packet ring, each
+	// flow pinned (and its socket registered) to the worker owning its
+	// flow-table shard, so neither packets nor readiness events ever
+	// cross a shared stage. The paper-faithful default is 1: the single
+	// MainWorker thread of Figure 4, fed by the per-packet reader and
+	// writer every ablation (Tables 1–4) measures; N > 1 switches both
+	// to their batched forms. MainLoopPoll > 0 (the Haystack-style
 	// polled loop) always runs single-worker.
 	Workers int
-
-	// SharedDispatcher reverts the multi-worker engine to its pre-
-	// shared-nothing shape: one selector for all sockets, drained by a
-	// dedicated dispatcher goroutine that claims each readiness event
-	// and routes it to the owning worker's event lane. Kept as the
-	// ablation arm that prices the shared stage (`paperbench -exp
-	// dispatch -dispatcher shared`); per-worker selectors are the
-	// default. Ignored at Workers=1.
-	SharedDispatcher bool
 
 	// FlowShards is the flow-table shard count (rounded up to a power
 	// of two); zero selects flowtable.DefaultShards. More shards than

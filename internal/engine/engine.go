@@ -19,12 +19,11 @@ import (
 
 // Engine is one running MopEye instance (the MopEyeService of Figure 4).
 //
-// The packet-processing core comes in two shapes selected by
-// Config.Workers: the paper-faithful single MainWorker loop (worker.go)
-// and, for Workers > 1, a sharded pipeline in which a dispatcher fans
-// selector events and tunnel packets out to N workers, each flow pinned
-// to the worker that owns its flow-table shard. Per-flow state lives in
-// the sharded flowtable; hot counters are atomics (stats.go) so workers
+// The packet-processing core is Config.Workers copies of the paper's
+// MainWorker (worker.go), each owning one selector and one packet ring
+// and each flow pinned to the worker that owns its flow-table shard;
+// Workers=1 is the paper's single thread. Per-flow state lives in the
+// sharded flowtable; hot counters are atomics (stats.go) so workers
 // never contend on a global engine lock.
 type Engine struct {
 	cfg    Config
@@ -35,15 +34,6 @@ type Engine struct {
 	meter  *resource.Meter
 	mapper *mapper
 
-	// sel is the shared selector: the MainWorker's single wait point at
-	// Workers=1, and the dispatcher's at Workers>1 with
-	// Config.SharedDispatcher. On the default shared-nothing path each
-	// worker owns sels[i] instead, and sockets register with the
-	// selector of the worker that owns their flow's shard, so readiness
-	// events are born on the thread that will consume them.
-	sel    *sockets.Selector
-	sels   []*sockets.Selector // per-worker; non-nil only on the sharded-selector path
-	readQ  *readQueue
 	writeQ *packetQueue // nil for DirectWrite
 	rngMu  sync.Mutex
 	rng    *rand.Rand
@@ -51,9 +41,12 @@ type Engine struct {
 	traffic *trafficBook
 
 	// flows is the sharded flow table. The shard index of a flow also
-	// pins it to a worker in multi-worker mode.
-	flows   *flowtable.Table[*relay.TCPClient]
-	workers []*worker // non-nil only when the sharded pipeline runs
+	// pins it to a worker.
+	flows *flowtable.Table[*relay.TCPClient]
+	// workers holds the engine's only selectors and packet rings, one
+	// of each per worker; built in New so sockets can register and a
+	// metrics scrape can read them before Start.
+	workers []*worker
 
 	// udp is the pooled UDP relay: NAT-style session table plus a
 	// bounded worker pool (udprelay.go).
@@ -105,7 +98,8 @@ func New(cfg Config, d Deps) *Engine {
 	if cfg.UDPSessionIdle <= 0 {
 		cfg.UDPSessionIdle = defaultUDPSessionIdle
 	}
-	if cfg.Workers <= 0 {
+	// The Haystack-style polled main loop is inherently single-threaded.
+	if cfg.Workers <= 0 || cfg.MainLoopPoll > 0 {
 		cfg.Workers = 1
 	}
 	if cfg.ReadBatch <= 0 {
@@ -129,16 +123,13 @@ func New(cfg Config, d Deps) *Engine {
 		meter:   d.Meter,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		traffic: newTrafficBook(),
-		readQ:   &readQueue{},
 		flows:   flowtable.New[*relay.TCPClient](cfg.FlowShards),
 		stopped: make(chan struct{}),
 	}
-	e.sel = e.prov.NewSelector()
-	if e.multiWorker() && !cfg.SharedDispatcher {
-		e.sels = make([]*sockets.Selector, cfg.Workers)
-		for i := range e.sels {
-			e.sels[i] = e.prov.NewSelector()
-		}
+	e.workers = make([]*worker, cfg.Workers)
+	for i := range e.workers {
+		sel := e.prov.NewSelector()
+		e.workers[i] = &worker{id: i, sel: sel, q: newRingQ(cfg.RingSize, sel.Wakeup)}
 	}
 	e.udp = newUDPRelay(e)
 	e.mapper = newMapper(d.ProcNet, d.Packages, cfg.Mapping, cfg.MapWait, d.Clock)
@@ -149,16 +140,11 @@ func New(cfg Config, d Deps) *Engine {
 }
 
 // selectorFor returns the selector a flow on the given shard registers
-// with: the owning worker's own selector on the shared-nothing path,
-// the one shared selector otherwise. Pinning the registration at
-// connect time is what lets readiness skip any dispatcher — the event
-// is enqueued directly on the consuming worker's selector and can
-// never be claimed by another thread.
+// with: the owning worker's. Pinning the registration at connect time
+// means the readiness event is enqueued directly on the consuming
+// worker's selector and can never be claimed by another thread.
 func (e *Engine) selectorFor(shard int) *sockets.Selector {
-	if e.sels != nil {
-		return e.sels[shard%len(e.sels)]
-	}
-	return e.sel
+	return e.workers[shard%len(e.workers)].sel
 }
 
 // Store returns the measurement store.

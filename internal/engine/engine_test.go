@@ -1,7 +1,9 @@
 package engine_test
 
 import (
+	"fmt"
 	"net/netip"
+	"syscall"
 	"testing"
 	"time"
 
@@ -44,6 +46,13 @@ const (
 
 func newTestbed(t *testing.T, cfg engine.Config) *testbed {
 	t.Helper()
+	return newTestbedOn(t, cfg, func(d *tun.Device) tun.Interface { return d })
+}
+
+// newTestbedOn is newTestbed with the engine's view of the TUN device
+// wrapped, so a test can substitute a faulty backend.
+func newTestbedOn(t *testing.T, cfg engine.Config, wrap func(*tun.Device) tun.Interface) *testbed {
+	t.Helper()
 	clk := clock.NewReal()
 	net := netsim.New(clk, netsim.LinkParams{Delay: linkRTT / 2}, 1)
 	net.HandleTCP(serverAddr, netsim.EchoHandler())
@@ -61,7 +70,7 @@ func newTestbed(t *testing.T, cfg engine.Config) *testbed {
 	reader := procnet.NewReader(table, clk, procnet.ZeroParseCost(), 4)
 	eng := engine.New(cfg, engine.Deps{
 		Clock:    clk,
-		Device:   dev,
+		Device:   wrap(dev),
 		Sockets:  prov,
 		ProcNet:  reader,
 		Packages: pm,
@@ -342,5 +351,54 @@ func TestEventDrivenMeasurementHasDispatchBias(t *testing.T) {
 	r := eng.Store().Snapshot()[0]
 	if r.RTT < linkRTT {
 		t.Errorf("event-driven RTT %v below path RTT %v", r.RTT, linkRTT)
+	}
+}
+
+// TestStopWithoutTrafficCountsNoDecodeError pins the fate of Stop's
+// wake-up dummy packet (§3.1): the reader discards it instead of
+// relaying a malformed packet into the decode-error count.
+func TestStopWithoutTrafficCountsNoDecodeError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := engine.Default()
+			cfg.Workers = workers
+			tb := newTestbed(t, cfg)
+			tb.eng.Stop()
+			if st := tb.eng.Stats(); st.DecodeErrors != 0 || st.PacketsFromTun != 0 {
+				t.Errorf("after Start→Stop with no traffic: DecodeErrors=%d PacketsFromTun=%d, want 0 and 0",
+					st.DecodeErrors, st.PacketsFromTun)
+			}
+		})
+	}
+}
+
+// eioTun is a TUN backend whose reads fail the way a broken descriptor
+// does.
+type eioTun struct{ *tun.Device }
+
+func (eioTun) Read() ([]byte, error)           { return nil, syscall.EIO }
+func (eioTun) ReadBatch([][]byte) (int, error) { return 0, syscall.EIO }
+
+// TestTunReadErrorIsCounted: an unexpected device error ends the reader
+// (and, lanes closed behind it, the workers), which must be visible
+// from the outside — and Stop must still return.
+func TestTunReadErrorIsCounted(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := engine.Default()
+			cfg.Workers = workers
+			tb := newTestbedOn(t, cfg, func(d *tun.Device) tun.Interface { return eioTun{d} })
+			waitFor(t, 5*time.Second, func() bool { return tb.eng.Stats().TunReadErrors == 1 }, "the read error to be counted")
+			stopped := make(chan struct{})
+			go func() {
+				tb.eng.Stop()
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Stop hung after the reader died")
+			}
+		})
 	}
 }

@@ -2,12 +2,10 @@ package engine
 
 // Engine lifecycle: thread startup and teardown.
 
-// Start launches the engine threads: TunReader, the packet-processing
-// core (one MainWorker, or a dispatcher plus N pinned workers when
-// Config.Workers > 1), and (for queueWrite schemes) TunWriter. It also
-// performs the one-time addDisallowedApplication when configured
-// (§3.5.2: "the call is best invoked during the initialization of
-// MopEye").
+// Start launches the engine threads: the workers, the TunReader, and
+// (for queueWrite schemes) the TunWriter. It also performs the
+// one-time addDisallowedApplication when configured (§3.5.2: "the call
+// is best invoked during the initialization of MopEye").
 func (e *Engine) Start() {
 	e.mu.Lock()
 	if e.running {
@@ -24,65 +22,29 @@ func (e *Engine) Start() {
 	e.dev.SetBlocking(e.cfg.ReadMode == ReadBlocking)
 
 	e.udp.start()
-	// The Haystack-style polled main loop is inherently single-threaded;
-	// the sharded pipeline only replaces the event-driven loop.
-	if e.multiWorker() {
-		// Batched pipeline: workers first (the reader scatters into
-		// their rings), then the scattering reader, then the batched
-		// writer. On the default shared-nothing path each worker runs a
-		// private MainWorker-shaped loop over its own selector and
-		// ring; under SharedDispatcher the workers drain event lanes
-		// fed by a dispatcher goroutine owning the one shared selector.
-		e.workers = make([]*worker, e.cfg.Workers)
-		for i := range e.workers {
-			w := &worker{id: i, q: newRingQ(e.cfg.RingSize)}
-			if e.sels != nil {
-				w.sel = e.sels[i]
-				w.q.wake = w.sel.Wakeup
-			}
-			e.workers[i] = w
-		}
-		for _, w := range e.workers {
-			e.wg.Add(1)
-			if w.sel != nil {
-				go e.workerLoopSharded(w)
-			} else {
-				go e.workerLoop(w)
-			}
-		}
-		e.wg.Add(1)
-		go e.tunReaderBatched()
-		if e.sels == nil {
-			e.wg.Add(1)
-			go e.dispatcher()
-		}
-	} else {
-		// Paper-faithful Figure 4: per-packet TunReader + MainWorker.
-		e.wg.Add(1)
-		go e.tunReader()
-		e.wg.Add(1)
-		go e.mainWorker()
+	// Workers=1 runs the paper's per-packet reader and writer (§3.1,
+	// §3.5.1 — what Tables 1–2 measure); more workers run the batched
+	// pair.
+	reader, writer := e.tunReader, e.tunWriter
+	if len(e.workers) > 1 {
+		reader, writer = e.tunReaderBatched, e.tunWriterBatched
 	}
+	for _, w := range e.workers {
+		e.wg.Add(1)
+		go e.runWorker(w)
+	}
+	e.wg.Add(1)
+	go reader()
 	if e.writeQ != nil {
 		e.wg.Add(1)
-		if e.multiWorker() {
-			go e.tunWriterBatched()
-		} else {
-			go e.tunWriter()
-		}
+		go writer()
 	}
-}
-
-// multiWorker reports whether the sharded batched pipeline runs (as
-// opposed to the paper-faithful single MainWorker, which every ablation
-// measures and which stays bit-identical to the seed's behaviour).
-func (e *Engine) multiWorker() bool {
-	return e.cfg.Workers > 1 && e.cfg.MainLoopPoll <= 0
 }
 
 // Stop shuts the engine down. A dummy packet releases the blocked
-// tunnel read (§3.1), the selector is closed to release the processing
-// core, worker queues drain, and all external sockets are closed.
+// tunnel read (§3.1); the reader discards it, closes the packet lanes,
+// the workers drain their rings and exit, and all selectors and
+// external sockets are closed.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if !e.running {
@@ -96,12 +58,9 @@ func (e *Engine) Stop() {
 	// Release a TunReader blocked in read() by injecting a dummy packet
 	// — MopEye's own trick (self-sent below 5.0, DownloadManager-
 	// triggered on 5.0+; the bytes are identical from the reader's
-	// perspective).
+	// perspective). The inject fails only on a full or closed device,
+	// and neither leaves a read blocked.
 	_ = e.dev.InjectOutbound([]byte{0})
-	e.sel.Wakeup()
-	for _, s := range e.sels {
-		s.Wakeup()
-	}
 	if e.writeQ != nil {
 		e.writeQ.close()
 	}
@@ -109,9 +68,8 @@ func (e *Engine) Stop() {
 	// The packet-processing threads are gone, so no new UDP jobs can be
 	// enqueued; stopping the relay closes its sessions and pool.
 	e.udp.stop()
-	e.sel.Close()
-	for _, s := range e.sels {
-		s.Close()
+	for _, w := range e.workers {
+		w.sel.Close()
 	}
 
 	for _, c := range e.flows.Drain() {

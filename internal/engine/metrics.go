@@ -30,6 +30,7 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	ctr("dns_timeouts_total", "Relayed DNS transactions that timed out.", &e.ctr.dnsTimeouts)
 	ctr("pure_acks_total", "Pure ACK segments observed.", &e.ctr.pureACKs)
 	ctr("decode_errors_total", "Tunnel packets that failed to decode.", &e.ctr.decodeErrors)
+	ctr("tun_read_errors_total", "Unexpected tunnel read errors; the first one ends the reader and with it the relay.", &e.ctr.tunReadErrors)
 	ctr("udp_relayed_total", "Non-DNS UDP transactions relayed with a response.", &e.ctr.udpRelayed)
 	ctr("udp_dropped_total", "UDP datagrams shed without a delivery attempt.", &e.ctr.udpDropped)
 	ctr("udp_no_response_total", "Relayed UDP requests whose receive window closed empty.", &e.ctr.udpNoResponse)
@@ -58,83 +59,34 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("mopeye_engine_workers", "Configured packet-processing workers.",
 		func() float64 { return float64(e.Workers()) })
 
-	// Per-worker ring occupancy: tail-head over the SPSC atomics, so a
-	// scrape sees each lane's backlog without touching the lane.
-	r.CollectGauges("mopeye_engine_ring_occupancy",
-		"Packets queued in each worker's input ring.",
-		func() []metrics.Sample {
-			out := make([]metrics.Sample, 0, len(e.workers))
-			for _, w := range e.workers {
-				occ := w.q.tail.Load() - w.q.head.Load()
-				out = append(out, metrics.Sample{
-					Labels: []metrics.Label{metrics.L("worker", strconv.Itoa(w.id))},
-					Value:  float64(occ),
-				})
-			}
-			return out
-		})
-	r.CollectGauges("mopeye_engine_ring_capacity",
-		"Capacity of each worker's input ring.",
-		func() []metrics.Sample {
+	// One sample per worker, labeled by the worker index. Ring
+	// occupancy is tail-head over the SPSC atomics, so a scrape sees
+	// each lane's backlog without touching the lane.
+	perWorker := func(label string, pick func(*worker) float64) func() []metrics.Sample {
+		return func() []metrics.Sample {
 			out := make([]metrics.Sample, 0, len(e.workers))
 			for _, w := range e.workers {
 				out = append(out, metrics.Sample{
-					Labels: []metrics.Label{metrics.L("worker", strconv.Itoa(w.id))},
-					Value:  float64(w.q.capacity()),
+					Labels: []metrics.Label{metrics.L(label, strconv.Itoa(w.id))},
+					Value:  pick(w),
 				})
-			}
-			return out
-		})
-
-	// Selector state, one sample per selector: the per-worker selectors
-	// on the shared-nothing path, or the single shared selector
-	// (labeled "shared") on the Workers=1 / SharedDispatcher paths.
-	type labeledSelector struct {
-		label string
-		sel   *sockets.Selector
-	}
-	selectors := func() []labeledSelector {
-		if len(e.sels) > 0 {
-			out := make([]labeledSelector, len(e.sels))
-			for i, s := range e.sels {
-				out[i] = labeledSelector{label: strconv.Itoa(i), sel: s}
 			}
 			return out
 		}
-		return []labeledSelector{{label: "shared", sel: e.sel}}
 	}
-	selGauge := func(name, help string, pick func(sockets.SelectorStats) float64) {
-		r.CollectGauges("mopeye_engine_"+name, help, func() []metrics.Sample {
-			ls := selectors()
-			out := make([]metrics.Sample, 0, len(ls))
-			for _, s := range ls {
-				out = append(out, metrics.Sample{
-					Labels: []metrics.Label{metrics.L("selector", s.label)},
-					Value:  pick(s.sel.Stats()),
-				})
-			}
-			return out
-		})
+	perSelector := func(pick func(sockets.SelectorStats) float64) func() []metrics.Sample {
+		return perWorker("selector", func(w *worker) float64 { return pick(w.sel.Stats()) })
 	}
-	selCounter := func(name, help string, pick func(sockets.SelectorStats) float64) {
-		r.CollectCounters("mopeye_engine_"+name, help, func() []metrics.Sample {
-			ls := selectors()
-			out := make([]metrics.Sample, 0, len(ls))
-			for _, s := range ls {
-				out = append(out, metrics.Sample{
-					Labels: []metrics.Label{metrics.L("selector", s.label)},
-					Value:  pick(s.sel.Stats()),
-				})
-			}
-			return out
-		})
-	}
-	selCounter("selector_selects_total", "Select returns per selector.",
-		func(st sockets.SelectorStats) float64 { return float64(st.Selects) })
-	selCounter("selector_wakeups_total", "Explicit selector wakeups.",
-		func(st sockets.SelectorStats) float64 { return float64(st.Wakeups) })
-	selGauge("selector_ready_depth", "Keys queued ready on each selector right now.",
-		func(st sockets.SelectorStats) float64 { return float64(st.ReadyDepth) })
-	selGauge("selector_keys", "Keys registered on each selector.",
-		func(st sockets.SelectorStats) float64 { return float64(st.Keys) })
+	r.CollectGauges("mopeye_engine_ring_occupancy", "Packets queued in each worker's input ring.",
+		perWorker("worker", func(w *worker) float64 { return float64(w.q.tail.Load() - w.q.head.Load()) }))
+	r.CollectGauges("mopeye_engine_ring_capacity", "Capacity of each worker's input ring.",
+		perWorker("worker", func(w *worker) float64 { return float64(w.q.capacity()) }))
+	r.CollectCounters("mopeye_engine_selector_selects_total", "Select returns per selector.",
+		perSelector(func(st sockets.SelectorStats) float64 { return float64(st.Selects) }))
+	r.CollectCounters("mopeye_engine_selector_wakeups_total", "Explicit selector wakeups.",
+		perSelector(func(st sockets.SelectorStats) float64 { return float64(st.Wakeups) }))
+	r.CollectGauges("mopeye_engine_selector_ready_depth", "Keys queued ready on each selector right now.",
+		perSelector(func(st sockets.SelectorStats) float64 { return float64(st.ReadyDepth) }))
+	r.CollectGauges("mopeye_engine_selector_keys", "Keys registered on each selector.",
+		perSelector(func(st sockets.SelectorStats) float64 { return float64(st.Keys) }))
 }

@@ -59,8 +59,8 @@ func TestEngineMetricsTrackStats(t *testing.T) {
 		t.Errorf("packets_from_tun_total = %v ok=%v, want nonzero", v, ok)
 	}
 
-	// Structural checks: 4 workers means 4 ring samples and 4 per-worker
-	// selector samples on the shared-nothing path.
+	// Structural checks: 4 workers means 4 ring samples and 4 selector
+	// samples.
 	var expo strings.Builder
 	if err := r.WritePrometheus(&expo); err != nil {
 		t.Fatalf("render: %v", err)
@@ -75,20 +75,26 @@ func TestEngineMetricsTrackStats(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsSingleWorker pins the selector labeling on the
-// paper-faithful path: one shared selector, no rings.
+// TestEngineMetricsSingleWorker pins the labeling at Workers=1: the one
+// worker is worker 0 like any other, with its selector and its ring.
 func TestEngineMetricsSingleWorker(t *testing.T) {
 	tb := newTestbed(t, engine.Default())
 	r := metrics.NewRegistry()
 	tb.eng.RegisterMetrics(r)
 
 	snap := r.Gather()
-	if _, ok := snap.Get("mopeye_engine_selector_keys", metrics.L("selector", "shared")); !ok {
-		t.Error("single-worker engine should expose selector_keys{selector=\"shared\"}")
+	if _, ok := snap.Get("mopeye_engine_selector_keys", metrics.L("selector", "0")); !ok {
+		t.Error("single-worker engine should expose selector_keys{selector=\"0\"}")
+	}
+	if v, ok := snap.Get("mopeye_engine_ring_capacity", metrics.L("worker", "0")); !ok || v == 0 {
+		t.Errorf("ring_capacity{worker=0} = %v ok=%v, want nonzero", v, ok)
 	}
 	for _, f := range snap {
-		if f.Name == "mopeye_engine_ring_occupancy" && len(f.Samples) != 0 {
-			t.Errorf("single-worker engine has %d ring samples, want 0", len(f.Samples))
+		switch f.Name {
+		case "mopeye_engine_ring_occupancy", "mopeye_engine_selector_keys":
+			if len(f.Samples) != 1 {
+				t.Errorf("single-worker engine has %d %s samples, want 1", len(f.Samples), f.Name)
+			}
 		}
 	}
 }

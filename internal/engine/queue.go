@@ -9,8 +9,9 @@ import (
 	"repro/internal/stats"
 )
 
-// This file implements the tunnel write path of §3.5.1 and the read
-// queue of §3.2.
+// This file implements the write queue of the tunnel write path
+// (§3.5.1). The read-side queue of §3.2 is the per-worker ring in
+// ringq.go.
 //
 // Table 1 compares four schemes. directWrite has every producer thread
 // write to the (single, serialised) tunnel itself, so producers observe
@@ -249,35 +250,3 @@ func (q *packetQueue) putHistogram() stats.DelayHistogram {
 	defer q.mu.Unlock()
 	return q.putHist
 }
-
-// readQueue receives tunnel packets from TunReader for MainWorker
-// (§3.2). TunReader wakes the selector after each push, so MainWorker's
-// single Select point monitors both event sources.
-type readQueue struct {
-	mu    sync.Mutex
-	items [][]byte
-}
-
-func (q *readQueue) push(raw []byte) {
-	q.mu.Lock()
-	q.items = append(q.items, raw)
-	q.mu.Unlock()
-}
-
-func (q *readQueue) pop() ([]byte, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	raw := q.items[0]
-	q.items = q.items[1:]
-	return raw, true
-}
-
-// The per-worker input queues of the sharded pipeline live in ringq.go:
-// a bounded SPSC ring for tunnel packets (fed by the batched reader)
-// plus a low-rate event lane for socket readiness (fed by the
-// dispatcher). They replaced the shared-mutex workQueue this file used
-// to define — the PR 2 loopback-ceiling profile showed that queue's
-// locks as the top engine hotspot.

@@ -86,39 +86,70 @@ func (e *Engine) readSleep() time.Duration {
 	return 100 * time.Millisecond
 }
 
-// tunReader is the dedicated tunnel read thread (§3.1). In blocking
-// mode each read parks until a packet arrives: zero retrieval delay and
-// zero empty wakeups. In poll modes it mirrors ToyVpn: non-blocking
-// reads with sleeps between failures, and in adaptive mode the
-// burst-then-back-off schedule of pollPolicy. This is the paper's
-// per-packet loop, used whenever the engine runs single-worker; the
-// multi-worker pipeline runs tunReaderBatched instead.
+// readFailed handles a tunnel read that returned an error, for both
+// read loops: an empty poll sleeps out the read-mode schedule (§3.1), a
+// closed device ends the reader quietly, and anything else ends it
+// loudly — counted in TunReadErrors, because the lanes close behind the
+// reader and the engine relays nothing from then on. It reports whether
+// the reader should read again.
+func (e *Engine) readFailed(err error, policy *pollPolicy) bool {
+	if errors.Is(err, tun.ErrWouldBlock) {
+		e.meter.AddWakeups(1)
+		if e.cfg.ReadMode == ReadPollAdaptive {
+			e.clk.Sleep(policy.onEmpty())
+		} else {
+			e.clk.Sleep(policy.long)
+		}
+		return true
+	}
+	if !errors.Is(err, tun.ErrClosed) {
+		e.ctr.tunReadErrors.Add(1)
+	}
+	return false
+}
+
+// closeLanes is the reader's final act. It is the packet lanes' only
+// producer, so it closes them; each worker then drains its ring and
+// exits.
+func (e *Engine) closeLanes() {
+	for _, w := range e.workers {
+		w.q.closePackets()
+	}
+}
+
+// tunReader is the paper's dedicated tunnel read thread (§3.1), run at
+// Workers=1: one Read, one push, one selector Wakeup per packet (§3.2),
+// no flow-key peek. In blocking mode each read parks until a packet
+// arrives: zero retrieval delay and zero empty wakeups. In poll modes
+// it mirrors ToyVpn: non-blocking reads with sleeps between failures,
+// and in adaptive mode the burst-then-back-off schedule of pollPolicy.
+// Tables 1–2 are measured on this loop; the multi-worker pipeline runs
+// tunReaderBatched instead.
+//
+// Both read loops test the running flag after the read, not before it:
+// the read that Stop's dummy packet releases (§3.1) must be discarded,
+// not relayed as a malformed packet.
 func (e *Engine) tunReader() {
 	defer e.wg.Done()
-	sleeping := e.readSleep()
-	policy := newPollPolicy(adaptiveShortPoll, sleeping, e.pollBurst())
-	for e.isRunning() {
+	defer e.closeLanes()
+	w := e.workers[0]
+	policy := newPollPolicy(adaptiveShortPoll, e.readSleep(), e.pollBurst())
+	for {
 		raw, err := e.dev.Read()
-		switch {
-		case err == nil:
-			// A successful read loops again immediately: bursts are
-			// drained without sleeping at all.
-			policy.onSuccess()
-			e.readQ.push(raw)
-			e.sel.Wakeup()
-		case errors.Is(err, tun.ErrWouldBlock):
-			e.meter.AddWakeups(1)
-			switch e.cfg.ReadMode {
-			case ReadPollAdaptive:
-				e.clk.Sleep(policy.onEmpty())
-			default:
-				e.clk.Sleep(sleeping)
-			}
-		case errors.Is(err, tun.ErrClosed):
-			return
-		default:
+		if !e.isRunning() {
 			return
 		}
+		if err != nil {
+			if !e.readFailed(err, policy) {
+				return
+			}
+			continue
+		}
+		// A successful read loops again immediately: bursts are
+		// drained without sleeping at all.
+		policy.onSuccess()
+		w.q.pushPacket(raw)
+		w.sel.Wakeup()
 	}
 }
 
@@ -134,42 +165,27 @@ func (e *Engine) tunReader() {
 // schedule (§3.1) is unchanged, applied per burst.
 func (e *Engine) tunReaderBatched() {
 	defer e.wg.Done()
-	// The reader is the packet lanes' only producer, so it closes them:
-	// after this, each worker drains its ring and exits (the sharded-
-	// selector worker on this signal alone; the dispatcher-path worker
-	// once the dispatcher has closed the event lanes too).
-	defer func() {
-		for _, w := range e.workers {
-			w.q.closePackets()
-		}
-	}()
-	sleeping := e.readSleep()
-	policy := newPollPolicy(adaptiveShortPoll, sleeping, e.pollBurst())
+	defer e.closeLanes()
+	policy := newPollPolicy(adaptiveShortPoll, e.readSleep(), e.pollBurst())
 	gov := newBurstGovernor(e.cfg)
 	batch := make([][]byte, gov.ceil)
 	touched := make([]bool, len(e.workers))
 	e.ctr.readBatchLimit.Store(int64(gov.limit()))
-	for e.isRunning() {
+	for {
 		n, err := e.dev.ReadBatch(batch[:gov.limit()])
-		switch {
-		case err == nil:
-			policy.onSuccess()
-			e.scatter(batch[:n], touched)
-			if gov.observe(n); int64(gov.limit()) != e.ctr.readBatchLimit.Load() {
-				e.ctr.readBatchLimit.Store(int64(gov.limit()))
-			}
-		case errors.Is(err, tun.ErrWouldBlock):
-			e.meter.AddWakeups(1)
-			switch e.cfg.ReadMode {
-			case ReadPollAdaptive:
-				e.clk.Sleep(policy.onEmpty())
-			default:
-				e.clk.Sleep(sleeping)
-			}
-		case errors.Is(err, tun.ErrClosed):
+		if !e.isRunning() {
 			return
-		default:
-			return
+		}
+		if err != nil {
+			if !e.readFailed(err, policy) {
+				return
+			}
+			continue
+		}
+		policy.onSuccess()
+		e.scatter(batch[:n], touched)
+		if gov.observe(n); int64(gov.limit()) != e.ctr.readBatchLimit.Load() {
+			e.ctr.readBatchLimit.Store(int64(gov.limit()))
 		}
 	}
 }
@@ -177,11 +193,10 @@ func (e *Engine) tunReaderBatched() {
 // scatter routes one burst of raw tunnel packets to their pinned
 // workers. PeekFlowKey applies exactly Decode's structural validation,
 // so a packet rejected here (counted as a decode error) is one the
-// worker would have rejected anyway. On the sharded-selector path the
-// workers that received packets are woken once each, after the whole
-// burst is ringed — the per-burst amortisation of the per-packet
-// Wakeup the single-worker reader pays (§3.2); on the dispatcher path
-// pushPacket's parked-consumer flag does the waking instead.
+// worker would have rejected anyway. The workers that received packets
+// are woken once each, after the whole burst is ringed — the per-burst
+// amortisation of the per-packet Wakeup the single-worker reader pays
+// (§3.2).
 func (e *Engine) scatter(burst [][]byte, touched []bool) {
 	for i, raw := range burst {
 		burst[i] = nil // the ring owns the reference now
@@ -199,9 +214,7 @@ func (e *Engine) scatter(burst [][]byte, touched []bool) {
 	for i, t := range touched {
 		if t {
 			touched[i] = false
-			if e.sels != nil {
-				e.workers[i].sel.Wakeup()
-			}
+			e.workers[i].sel.Wakeup()
 		}
 	}
 }

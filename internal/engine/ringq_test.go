@@ -10,15 +10,50 @@ import (
 
 // Unit and property tests for the per-worker SPSC ring queue: FIFO
 // order under concurrency (the invariant per-flow ordering rests on),
-// producer backpressure when the ring is full, event-lane fairness
-// under a packet flood, close semantics, and the allocation-free
-// steady state.
+// producer backpressure when the ring is full, close semantics, and
+// the allocation-free steady state.
+
+// testConsumer stands in for a worker: it parks on a channel the way a
+// worker parks in its selector, and the ring's wake callback is that
+// channel's Wakeup.
+type testConsumer struct {
+	q      *ringQ
+	wakeCh chan struct{}
+}
+
+func newTestConsumer(size int) *testConsumer {
+	c := &testConsumer{wakeCh: make(chan struct{}, 1)}
+	c.q = newRingQ(size, c.wake)
+	return c
+}
+
+func (c *testConsumer) wake() {
+	select {
+	case c.wakeCh <- struct{}{}:
+	default:
+	}
+}
+
+// take returns the next packet, parking between the producer's wakes;
+// ok is false once the lane is closed and drained. The producer side of
+// a test calls wake after its pushes, as the reader does.
+func (c *testConsumer) take() ([]byte, bool) {
+	for {
+		if raw, ok := c.q.popPacket(); ok {
+			return raw, true
+		}
+		if c.q.drained() {
+			return nil, false
+		}
+		<-c.wakeCh
+	}
+}
 
 func TestRingQRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, defaultRingSize}, {-1, defaultRingSize}, {1, 1}, {2, 2}, {3, 4}, {1000, 1024},
 	} {
-		if got := newRingQ(tc.in).capacity(); got != tc.want {
+		if got := newRingQ(tc.in, func() {}).capacity(); got != tc.want {
 			t.Errorf("newRingQ(%d) capacity = %d, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -28,17 +63,17 @@ func TestRingQRoundsToPowerOfTwo(t *testing.T) {
 // through a concurrent producer/consumer pair and asserts strict FIFO —
 // the wraparound indices must never skip or duplicate a slot.
 func TestRingQFIFOAcrossWrap(t *testing.T) {
-	q := newRingQ(16)
+	c := newTestConsumer(16)
 	const n = 5000
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
-			it, ok := q.take()
+			raw, ok := c.take()
 			if !ok {
 				done <- errf("queue closed at %d", i)
 				return
 			}
-			if got := binary.BigEndian.Uint32(it.raw); got != uint32(i) {
+			if got := binary.BigEndian.Uint32(raw); got != uint32(i) {
 				done <- errf("pop %d returned %d: FIFO violated", i, got)
 				return
 			}
@@ -48,7 +83,8 @@ func TestRingQFIFOAcrossWrap(t *testing.T) {
 	for i := 0; i < n; i++ {
 		raw := make([]byte, 4)
 		binary.BigEndian.PutUint32(raw, uint32(i))
-		q.pushPacket(raw)
+		c.q.pushPacket(raw)
+		c.wake()
 	}
 	select {
 	case err := <-done:
@@ -71,32 +107,32 @@ func TestRingQPerFlowOrderAcrossRings(t *testing.T) {
 		flows = 32
 		perFl = 400
 	)
-	qs := make([]*ringQ, rings)
-	for i := range qs {
-		qs[i] = newRingQ(64) // small: exercises full-ring backpressure
+	cs := make([]*testConsumer, rings)
+	for i := range cs {
+		cs[i] = newTestConsumer(64) // small: exercises full-ring backpressure
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, rings)
-	for _, q := range qs {
+	for _, c := range cs {
 		wg.Add(1)
-		go func(q *ringQ) {
+		go func(c *testConsumer) {
 			defer wg.Done()
 			last := make(map[uint32]uint32)
 			for {
-				it, ok := q.take()
+				raw, ok := c.take()
 				if !ok {
 					errs <- nil
 					return
 				}
-				flow := binary.BigEndian.Uint32(it.raw[0:])
-				seq := binary.BigEndian.Uint32(it.raw[4:])
+				flow := binary.BigEndian.Uint32(raw[0:])
+				seq := binary.BigEndian.Uint32(raw[4:])
 				if prev, seen := last[flow]; seen && seq != prev+1 {
 					errs <- errf("flow %d: seq %d after %d", flow, seq, prev)
 					return
 				}
 				last[flow] = seq
 			}
-		}(q)
+		}(c)
 	}
 	// Interleave flows the way a real tunnel does: round-robin over
 	// flows, sequence numbers per flow.
@@ -105,12 +141,16 @@ func TestRingQPerFlowOrderAcrossRings(t *testing.T) {
 			raw := make([]byte, 8)
 			binary.BigEndian.PutUint32(raw[0:], flow)
 			binary.BigEndian.PutUint32(raw[4:], seq)
-			qs[flow%rings].pushPacket(raw)
+			cs[flow%rings].q.pushPacket(raw)
+		}
+		// One wake per consumer per round, like the reader's per-burst
+		// wake.
+		for _, c := range cs {
+			c.wake()
 		}
 	}
-	for _, q := range qs {
-		q.closePackets()
-		q.closeEvents()
+	for _, c := range cs {
+		c.q.closePackets()
 	}
 	wg.Wait()
 	close(errs)
@@ -121,32 +161,20 @@ func TestRingQPerFlowOrderAcrossRings(t *testing.T) {
 	}
 }
 
-// TestRingQEventsNotStarvedByPacketFlood fills the packet lane, then
-// pushes one event: the consumer must receive the event on its next
-// take even though packets are still pending (the event lane is checked
-// first, for the price of one atomic load).
-func TestRingQEventsNotStarvedByPacketFlood(t *testing.T) {
-	q := newRingQ(64)
-	for i := 0; i < 64; i++ {
-		q.pushPacket([]byte{byte(i)})
-	}
-	q.pushEvent(workItem{ready: 1})
-	it, ok := q.take()
-	if !ok {
-		t.Fatal("take failed")
-	}
-	if it.raw != nil || it.ready != 1 {
-		t.Fatalf("take under flood returned a packet before the pending event: %+v", it)
-	}
-}
-
 // TestRingQFullBlocksProducerUntilDrain verifies bounded-queue
-// backpressure: a push beyond capacity parks the producer until the
-// consumer pops.
+// backpressure: a push beyond capacity wakes the consumer (which may be
+// parked having last seen an empty ring) and parks the producer until
+// the consumer pops.
 func TestRingQFullBlocksProducerUntilDrain(t *testing.T) {
-	q := newRingQ(4)
+	c := newTestConsumer(4)
+	q := c.q
 	for i := 0; i < 4; i++ {
 		q.pushPacket([]byte{byte(i)})
+	}
+	select {
+	case <-c.wakeCh:
+		t.Fatal("push into a ring with space woke the consumer")
+	default:
 	}
 	pushed := make(chan struct{})
 	go func() {
@@ -158,6 +186,11 @@ func TestRingQFullBlocksProducerUntilDrain(t *testing.T) {
 		t.Fatal("push into a full ring returned without a pop")
 	case <-time.After(20 * time.Millisecond):
 	}
+	select {
+	case <-c.wakeCh:
+	default:
+		t.Fatal("producer parked on a full ring without waking the consumer")
+	}
 	if raw, ok := q.popPacket(); !ok || raw[0] != 0 {
 		t.Fatalf("pop = %v, %v", raw, ok)
 	}
@@ -168,18 +201,18 @@ func TestRingQFullBlocksProducerUntilDrain(t *testing.T) {
 	}
 }
 
-// TestRingQCloseReleasesConsumer parks a consumer on an empty queue and
-// closes both lanes: take must return ok=false.
+// TestRingQCloseReleasesConsumer parks a consumer on an empty ring and
+// closes the lane: the close must wake it, and it must then see the
+// lane closed and drained.
 func TestRingQCloseReleasesConsumer(t *testing.T) {
-	q := newRingQ(8)
+	c := newTestConsumer(8)
 	got := make(chan bool, 1)
 	go func() {
-		_, ok := q.take()
+		_, ok := c.take()
 		got <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
-	q.closePackets()
-	q.closeEvents()
+	c.q.closePackets()
 	select {
 	case ok := <-got:
 		if ok {
@@ -191,37 +224,30 @@ func TestRingQCloseReleasesConsumer(t *testing.T) {
 }
 
 // TestRingQDrainsBacklogAfterClose ensures close-then-drain semantics:
-// items pushed before close are all delivered before take reports
-// closed.
+// packets pushed before close are all delivered before the consumer
+// sees the lane closed and drained.
 func TestRingQDrainsBacklogAfterClose(t *testing.T) {
-	q := newRingQ(8)
+	c := newTestConsumer(8)
 	for i := 0; i < 5; i++ {
-		q.pushPacket([]byte{byte(i)})
+		c.q.pushPacket([]byte{byte(i)})
 	}
-	q.pushEvent(workItem{ready: 2})
-	q.closePackets()
-	q.closeEvents()
-	var pkts, evs int
+	c.q.closePackets()
+	pkts := 0
 	for {
-		it, ok := q.take()
-		if !ok {
+		if _, ok := c.take(); !ok {
 			break
 		}
-		if it.raw != nil {
-			pkts++
-		} else {
-			evs++
-		}
+		pkts++
 	}
-	if pkts != 5 || evs != 1 {
-		t.Fatalf("drained %d packets, %d events; want 5, 1", pkts, evs)
+	if pkts != 5 {
+		t.Fatalf("drained %d packets, want 5", pkts)
 	}
 }
 
 // TestRingQSteadyStateAllocFree pins the allocation-free claim: a
 // push/pop pair on a non-contended ring performs zero allocations.
 func TestRingQSteadyStateAllocFree(t *testing.T) {
-	q := newRingQ(64)
+	q := newRingQ(64, func() {})
 	raw := []byte{1, 2, 3}
 	allocs := testing.AllocsPerRun(1000, func() {
 		q.pushPacket(raw)

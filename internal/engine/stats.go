@@ -21,6 +21,12 @@ type Stats struct {
 	UDPRelayed      int
 	DecodeErrors    int
 
+	// TunReadErrors counts tunnel reads that failed with anything other
+	// than would-block or closed. The reader exits on the first one and
+	// the workers follow, so a nonzero value on a running engine means
+	// it has stopped relaying.
+	TunReadErrors int
+
 	// DNSTimeouts counts relayed DNS transactions whose blocking
 	// receive expired (§2.4 leaves retries to the app's resolver; the
 	// failure is still worth surfacing).
@@ -91,6 +97,7 @@ type counters struct {
 	pureACKs        atomic.Int64
 	udpRelayed      atomic.Int64
 	decodeErrors    atomic.Int64
+	tunReadErrors   atomic.Int64
 	dnsTimeouts     atomic.Int64
 	udpDropped      atomic.Int64
 	udpNoResponse   atomic.Int64
@@ -122,6 +129,7 @@ func (e *Engine) Stats() Stats {
 		PureACKs:        int(e.ctr.pureACKs.Load()),
 		UDPRelayed:      int(e.ctr.udpRelayed.Load()),
 		DecodeErrors:    int(e.ctr.decodeErrors.Load()),
+		TunReadErrors:   int(e.ctr.tunReadErrors.Load()),
 		DNSTimeouts:     int(e.ctr.dnsTimeouts.Load()),
 		UDPDropped:      int(e.ctr.udpDropped.Load()),
 		UDPNoResponse:   int(e.ctr.udpNoResponse.Load()),
@@ -151,7 +159,8 @@ func (e *Engine) ActiveClients() int {
 }
 
 // Workers reports how many packet-processing workers the engine runs
-// (1 for the paper-faithful MainWorker loop).
+// (1 for the paper's single MainWorker, and always for the polled
+// main loop).
 func (e *Engine) Workers() int {
 	return e.cfg.Workers
 }

@@ -15,16 +15,16 @@ import (
 // `go test -race`: multiple injector goroutines flood the engine with
 // connections and data while other goroutines hammer the snapshot APIs
 // (Stats, ActiveClients, AppTraffic) and Stop lands mid-flood. Run for
-// the paper-faithful single worker and every multi-worker topology:
-// the default per-worker selectors (fixed and AIMD-governed bursts,
-// plus a ring smaller than the burst to stress the wake-before-park
-// backpressure path) and the legacy shared-dispatcher ablation arm.
+// the paper-faithful single worker (on a tiny ring, so Stop can land
+// while the per-packet reader is parked on a full one) and for the
+// batched multi-worker pipeline: fixed and AIMD-governed bursts, plus a
+// ring smaller than the burst to stress the wake-before-park
+// backpressure path.
 
-func TestEngineStressSingleWorker(t *testing.T) { stressEngine(t, 1, nil) }
-func TestEngineStressFourWorkers(t *testing.T)  { stressEngine(t, 4, nil) }
-func TestEngineStressSharedDispatcher(t *testing.T) {
-	stressEngine(t, 4, func(cfg *engine.Config) { cfg.SharedDispatcher = true })
+func TestEngineStressSingleWorker(t *testing.T) {
+	stressEngine(t, 1, func(cfg *engine.Config) { cfg.RingSize = 8 })
 }
+func TestEngineStressFourWorkers(t *testing.T) { stressEngine(t, 4, nil) }
 func TestEngineStressAdaptiveBatch(t *testing.T) {
 	stressEngine(t, 4, func(cfg *engine.Config) { cfg.ReadBatchAuto = true })
 }
@@ -206,8 +206,7 @@ func TestWorkersRelayCorrectly(t *testing.T) {
 // TestWorkersEventDrivenConnect runs the sharded pipeline with the
 // pre-§2.4 non-blocking connect: OpConnect completion is observed
 // through the selector and routed to the flow's pinned worker, which
-// swaps the key attachment from eventConnect to the client — the
-// handoff that must be synchronised against the dispatcher's reads.
+// swaps the key attachment from eventConnect to the client.
 func TestWorkersEventDrivenConnect(t *testing.T) {
 	cfg := engine.Default()
 	cfg.Workers = 4

@@ -267,15 +267,9 @@ func (e *Engine) recordTCP(cl *relay.TCPClient, rtt time.Duration) {
 }
 
 // handleSocketKey processes §2.3's socket events on the calling
-// (single-worker) thread, claiming the key's readiness itself.
+// worker, claiming the key's readiness (ReadyOps is consume-once).
 func (e *Engine) handleSocketKey(k *sockets.SelectionKey) {
-	e.handleSocketOps(k, k.ReadyOps())
-}
-
-// handleSocketOps processes the given ready set for a key. In the
-// multi-worker pipeline the dispatcher claims ReadyOps (it is
-// consume-once) and passes it here on the pinned worker.
-func (e *Engine) handleSocketOps(k *sockets.SelectionKey, ready sockets.Ops) {
+	ready := k.ReadyOps()
 	if ready == 0 {
 		return
 	}

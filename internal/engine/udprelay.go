@@ -64,6 +64,12 @@ type udpSession struct {
 	dns       bool
 	createdAt int64
 	lastUsed  atomic.Int64
+	// inflight counts pool workers mid-transaction on sock. A flow's
+	// datagrams can occupy several workers at once, and only the first
+	// may drain stale responses: to a second, the first's in-flight
+	// response looks stale, and stealing it leaves the first to time
+	// out on a datagram that was in fact answered.
+	inflight atomic.Int32
 
 	// initOnce runs on a pool worker before the first relay: the
 	// per-socket protect cost (when configured) and the app attribution
@@ -283,7 +289,10 @@ func (r *udpRelay) process(j udpJob) {
 		}
 	}
 	s.init(r.e)
-	r.drainStale(s)
+	if s.inflight.Add(1) == 1 {
+		r.drainStale(s)
+	}
+	defer s.inflight.Add(-1)
 	if s.dns {
 		if r.dnsLimit > 0 && r.dnsInflight.Add(1) > int64(r.dnsLimit) {
 			// Too many workers already parked in blocking DNS receives

@@ -34,11 +34,6 @@ type Table1Options struct {
 	// not change with the worker count; the golden determinism test
 	// pins that, guarding every dispatch/queue refactor.
 	Workers int
-	// SharedDispatcher runs the multi-worker pipeline on the legacy
-	// shared-selector + dispatcher topology instead of per-worker
-	// selectors. Only meaningful with Workers > 1; the golden test's
-	// third arm uses it to pin both topologies to the same totals.
-	SharedDispatcher bool
 }
 
 // DefaultTable1Options mirrors a browsing session long enough for the
@@ -60,7 +55,6 @@ func RunTable1(o Table1Options) (*Table1Result, error) {
 		cfg.Seed = seed
 		if o.Workers > 1 {
 			cfg.Workers = o.Workers
-			cfg.SharedDispatcher = o.SharedDispatcher
 		}
 		bed, err := testbed.New(testbed.Options{
 			Engine:       cfg,

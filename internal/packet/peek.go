@@ -10,9 +10,9 @@ import (
 // are read, nothing is copied, and nothing is allocated (FlowKey and the
 // netip types are plain values).
 //
-// This is the multi-worker dispatcher's fast path. Routing a tunnel
-// packet to its pinned worker needs only the flow key, so the dispatcher
-// peeks here and defers the full Decode — options, payload copy, header
+// This is the multi-worker reader's fast path. Routing a tunnel packet
+// to its pinned worker needs only the flow key, so the reader peeks
+// here and defers the full Decode — options, payload copy, header
 // structs — to the worker that owns the flow's shard. The peek applies
 // exactly the structural validation Decode applies to the fields it
 // reads, so for every input the two agree: Decode succeeds if and only

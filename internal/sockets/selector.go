@@ -140,9 +140,8 @@ func (k *SelectionKey) Canceled() bool {
 // Selector multiplexes channel readiness, mirroring
 // java.nio.channels.Selector including Wakeup — which MopEye's TunReader
 // uses to make a packet-processing thread monitor its tunnel packet
-// queue and its socket events simultaneously (§3.2). In the sharded
-// multi-worker engine each worker owns one Selector, so readiness never
-// crosses a shared dispatcher.
+// queue and its socket events simultaneously (§3.2). Each engine worker
+// owns one Selector, so readiness never crosses a shared stage.
 //
 // Select is O(ready), not O(registered): markReady pushes interested
 // keys onto a ready queue, and Select drains the queue instead of

@@ -50,11 +50,6 @@ type DispatchBenchOptions struct {
 	// auto` arm, proving the governor converges near the best fixed
 	// batch.
 	ReadBatchAuto bool
-	// SharedDispatcher runs the legacy shared-selector + dispatcher
-	// topology instead of the default per-worker selectors — the
-	// ablation baseline quantifying what the shared-nothing hot path
-	// buys (`paperbench -exp dispatch -dispatcher shared`).
-	SharedDispatcher bool
 	// Subscribers attaches this many live measurement subscribers
 	// (Phone.Subscribe draining concurrently) for the duration of the
 	// flood — the BenchmarkSubscribeOverhead knob proving the
@@ -183,12 +178,11 @@ func runDispatchOnce(o DispatchBenchOptions, workers int) (DispatchBenchRow, err
 		}
 	}
 	phone, err := New(Options{
-		Servers:          servers,
-		Workers:          workers,
-		ReadBatch:        o.ReadBatch,
-		ReadBatchAuto:    o.ReadBatchAuto,
-		SharedDispatcher: o.SharedDispatcher,
-		Loopback:         true,
+		Servers:       servers,
+		Workers:       workers,
+		ReadBatch:     o.ReadBatch,
+		ReadBatchAuto: o.ReadBatchAuto,
+		Loopback:      true,
 	})
 	if err != nil {
 		return DispatchBenchRow{}, err

@@ -3,6 +3,7 @@ package mopeye
 import (
 	"context"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -22,44 +23,33 @@ func table1Totals(r *Table1Result) string {
 // TestGoldenTable1DeterministicAcrossWorkers is the golden determinism
 // guard: the full Table 1 ablation scenario (three engine runs across
 // the write schemes, browsing workload, Android write-cost model) run
-// at Workers=1 (the paper-faithful MainWorker) and at Workers=4 (the
-// sharded pipeline with batched reads, per-worker SPSC rings, and
-// batched writes) must produce byte-identical deterministic columns.
-// Any future dispatch or queue refactor that drops, duplicates, or
-// reorders per-flow packets shifts these totals and fails here.
+// at Workers=1 (the paper's per-packet reader and writer) and at
+// Workers=4 (batched reads scattered over four rings, batched writes)
+// must produce byte-identical deterministic columns — and both must
+// equal testdata/table1_totals.golden, captured at Workers=1 from the
+// commit before the engine cores were unified (e8de0ad), so a refactor
+// cannot drift both arms together unnoticed. Any dispatch or queue
+// change that drops, duplicates, or reorders per-flow packets shifts
+// these totals and fails here.
 func TestGoldenTable1DeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int, sharedDispatcher bool) string {
-		t.Helper()
+	golden, err := os.ReadFile("testdata/table1_totals.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(golden))
+	for _, workers := range []int{1, 4} {
 		o := DefaultTable1Options()
 		o.Pages = 4
 		o.ConnsPerPage = 6
 		o.Workers = workers
-		o.SharedDispatcher = sharedDispatcher
 		res, err := RunTable1(o)
 		if err != nil {
-			t.Fatalf("table1 at workers=%d shared=%v: %v", workers, sharedDispatcher, err)
+			t.Fatalf("table1 at workers=%d: %v", workers, err)
 		}
-		return table1Totals(res)
-	}
-
-	single := run(1, false)
-	sharded := run(4, false)
-	if single != sharded {
-		t.Errorf("Table 1 deterministic columns diverge across engine cores:\n workers=1: %s\n workers=4: %s",
-			single, sharded)
-	}
-	// Third arm: the legacy shared-selector + dispatcher topology must
-	// relay the exact same packets as both the per-worker-selector
-	// pipeline and the single MainWorker.
-	if legacy := run(4, true); legacy != single {
-		t.Errorf("Table 1 deterministic columns diverge on the shared-dispatcher path:\n workers=1:          %s\n workers=4 (shared): %s",
-			single, legacy)
-	}
-
-	// The guard is only as good as the workload's own determinism: a
-	// second single-worker run must reproduce the first bit for bit.
-	if again := run(1, false); again != single {
-		t.Errorf("Table 1 totals not reproducible at workers=1:\n first:  %s\n second: %s", single, again)
+		if got := table1Totals(res); got != want {
+			t.Errorf("Table 1 deterministic columns at workers=%d drifted from the golden capture:\n got:  %s\n want: %s",
+				workers, got, want)
+		}
 	}
 }
 
