@@ -492,34 +492,6 @@ func BenchmarkSubscribeOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetFanIn prices the crowdsourcing wire: an 8-phone fleet
-// runs the same echo workload with its Collectors uploading in-process
-// (PR 4's ceiling — no wire at all) and over HTTP into a local
-// collector server (batch encoding, idempotency keys, bounded upload
-// queue, server-side dedup and spool-less accept path). The custom
-// metrics carry records/sec per mode; the http/inproc gap is what the
-// wire protocol costs at fan-in. The run fails if the server's record
-// count ever diverges from what the fleet uploaded.
-func BenchmarkFleetFanIn(b *testing.B) {
-	for _, mode := range []string{"inproc", "http"} {
-		b.Run(mode, func(b *testing.B) {
-			o := mopeye.DefaultFleetBenchOptions()
-			o.Modes = []string{mode}
-			var row *mopeye.FleetBenchRow
-			for i := 0; i < b.N; i++ {
-				res, err := mopeye.RunFleetBench(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row = res.Row(mode)
-			}
-			b.ReportMetric(row.RecordsPerSec, "recs/sec")
-			b.ReportMetric(float64(row.Records), "recs/run")
-			b.ReportMetric(float64(row.Uploads), "batches/run")
-		})
-	}
-}
-
 // BenchmarkAblationConnectLatency compares the app-observed connect
 // latency across engine variants — the ablation DESIGN.md calls out:
 // MopEye's defaults vs the ToyVpn-style unoptimised relay vs the

@@ -11,22 +11,25 @@
 // (sketched aggregates, O(1) in dataset size), GET /healthz, and —
 // with -metrics — GET /metrics (Prometheus text exposition: upload
 // counters, dedup hits, spool segments and bytes, per-shard record
-// skew, sketched per-network RTT summaries; with -shards N>1 the
-// default view is the exact fan-in merge and ?shard=i drills into one
-// collector shard).
+// skew, sketched per-network RTT summaries).
 //
 // Usage:
 //
 //	collectord [-addr 127.0.0.1:8477] [-spool DIR] [-token T]
-//	           [-shards N] [-retain-records=BOOL] [-spool-segment-bytes N]
-//	           [-metrics]
+//	           [-retain-records=BOOL] [-spool-segment-bytes N] [-metrics]
 //
-// -shards 1 (the default) runs a single collector; -shards N>1 runs a
-// crowd.ShardedServer — N full collectors, each spooling under
-// DIR/shard-00i, merged behind one /v1/stats. Feed it from a phone
+// It is one crowd.Server: ingest is sharded 16 ways by device-stamp
+// hash inside the process, over one spool. Feed it from a phone
 // (`mopeye -upload http://127.0.0.1:8477`) or a fleet, then analyse
 // with `crowdstudy -serve http://127.0.0.1:8477` (live) or
-// `crowdstudy -spool DIR` (offline).
+// `crowdstudy -spool DIR` (offline). A DIR written by an earlier
+// `collectord -shards N` (only shard-NNN/ subdirectories) is refused
+// with the one-line merge that flattens it.
+//
+// A connection that does not deliver its request headers within
+// readHeaderTimeout, or its whole request within readTimeout, is
+// closed, and an idle keep-alive connection after idleTimeout — a
+// slow client cannot pin a goroutine and a descriptor.
 //
 // SIGINT/SIGTERM shut the collector down gracefully: the listener
 // stops accepting, in-flight uploads drain (their commits and spool
@@ -55,7 +58,6 @@ type config struct {
 	addr              string
 	spool             string
 	token             string
-	shards            int
 	retainRecords     bool
 	spoolSegmentBytes int64
 	metrics           bool
@@ -69,15 +71,11 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:8477", "listen address")
 	fs.StringVar(&c.spool, "spool", "", "durable spool directory (empty = memory only)")
 	fs.StringVar(&c.token, "token", "", "shared bearer token required on every request (empty = open)")
-	fs.IntVar(&c.shards, "shards", 1, "collector shards: 1 = single server, N>1 = sharded ingest with per-shard spools")
 	fs.BoolVar(&c.retainRecords, "retain-records", true, "keep raw records in memory and serve /v1/records (false = sketched aggregates only, bounded memory)")
 	fs.Int64Var(&c.spoolSegmentBytes, "spool-segment-bytes", 0, "spool segment size cap in bytes (0 = 64 MiB default)")
 	fs.BoolVar(&c.metrics, "metrics", false, "serve GET /metrics (Prometheus text exposition; token-exempt like /healthz)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
-	}
-	if c.shards < 1 {
-		return config{}, fmt.Errorf("collectord: -shards %d (want >= 1)", c.shards)
 	}
 	if c.spoolSegmentBytes < 0 {
 		return config{}, fmt.Errorf("collectord: -spool-segment-bytes %d (want >= 0)", c.spoolSegmentBytes)
@@ -87,7 +85,7 @@ func parseFlags(args []string) (config, error) {
 
 // serverOptions maps the command line onto crowd.ServerOptions.
 func (c config) serverOptions() crowd.ServerOptions {
-	retain := crowd.RetainOn
+	retain := crowd.RetainDefault
 	if !c.retainRecords {
 		retain = crowd.RetainOff
 	}
@@ -100,26 +98,19 @@ func (c config) serverOptions() crowd.ServerOptions {
 	}
 }
 
-// collector is what main needs from either server shape.
-type collector interface {
-	http.Handler
-	Stats() crowd.ServerStats
-	Close() error
-}
-
-// newCollector builds the configured collector: one crowd.Server, or a
-// crowd.ShardedServer when -shards asks for more.
-func newCollector(c config) (collector, error) {
-	if c.shards == 1 {
-		return crowd.NewServer(c.serverOptions())
-	}
-	return crowd.NewShardedServer(c.serverOptions(), c.shards)
-}
-
 // drainTimeout bounds the graceful-shutdown drain; connections still
 // alive after it are cut (their senders retry with the same
 // idempotency key, so nothing is lost).
 const drainTimeout = 5 * time.Second
+
+// Connection timeouts. Variables only so a test can shorten them;
+// nothing else writes them. readTimeout covers a whole request, so it
+// must outlast the largest body (8 MiB) on the slowest link served.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // serve runs the collector on ln until ctx is cancelled, then shuts
 // down gracefully: stop accepting, drain in-flight uploads (commits
@@ -127,17 +118,22 @@ const drainTimeout = 5 * time.Second
 // and print the final tally to out. Factored out of main so the
 // interrupted-restart path is testable in-process.
 func serve(ctx context.Context, c config, ln net.Listener, out io.Writer) error {
-	srv, err := newCollector(c)
+	srv, err := crowd.NewServer(c.serverOptions())
 	if err != nil {
 		return err
 	}
 	if st := srv.Stats(); st.Batches > 0 {
 		log.Printf("replayed spool: %d batches, %d records", st.Batches, st.Records)
 	}
-	log.Printf("collectord listening on http://%s (spool %q, shards %d, retain-records %v, metrics %v)",
-		ln.Addr(), c.spool, c.shards, c.retainRecords, c.metrics)
+	log.Printf("collectord listening on http://%s (spool %q, retain-records %v, metrics %v)",
+		ln.Addr(), c.spool, c.retainRecords, c.metrics)
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -22,11 +22,11 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.addr != "127.0.0.1:8477" || c.shards != 1 || !c.retainRecords || c.spoolSegmentBytes != 0 {
+	if c.addr != "127.0.0.1:8477" || !c.retainRecords || c.spoolSegmentBytes != 0 {
 		t.Errorf("defaults: %+v", c)
 	}
 	o := c.serverOptions()
-	if o.RetainRecords != crowd.RetainOn || o.SpoolSegmentBytes != 0 {
+	if o.RetainRecords != crowd.RetainDefault || o.SpoolSegmentBytes != 0 {
 		t.Errorf("default options: %+v", o)
 	}
 }
@@ -36,7 +36,6 @@ func TestParseFlagsAll(t *testing.T) {
 		"-addr", "0.0.0.0:9999",
 		"-spool", "/tmp/spool",
 		"-token", "secret",
-		"-shards", "8",
 		"-retain-records=false",
 		"-spool-segment-bytes", "1048576",
 	})
@@ -46,7 +45,7 @@ func TestParseFlagsAll(t *testing.T) {
 	if c.addr != "0.0.0.0:9999" || c.spool != "/tmp/spool" || c.token != "secret" {
 		t.Errorf("parsed: %+v", c)
 	}
-	if c.shards != 8 || c.retainRecords || c.spoolSegmentBytes != 1<<20 {
+	if c.retainRecords || c.spoolSegmentBytes != 1<<20 {
 		t.Errorf("parsed scale flags: %+v", c)
 	}
 	o := c.serverOptions()
@@ -58,47 +57,13 @@ func TestParseFlagsAll(t *testing.T) {
 
 func TestParseFlagsRejects(t *testing.T) {
 	for _, args := range [][]string{
-		{"-shards", "0"},
-		{"-shards", "-2"},
+		{"-shards", "4"}, // the second sharding layer is gone: an unknown flag
 		{"-spool-segment-bytes", "-1"},
 		{"-no-such-flag"},
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("accepted %v", args)
 		}
-	}
-}
-
-// The parsed config builds the advertised server shapes.
-func TestNewCollectorShapes(t *testing.T) {
-	c, err := parseFlags([]string{"-shards", "1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := newCollector(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	if _, ok := single.(*crowd.Server); !ok {
-		t.Errorf("-shards 1 built %T", single)
-	}
-
-	c, err = parseFlags([]string{"-shards", "4", "-spool", t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := newCollector(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	ss, ok := sharded.(*crowd.ShardedServer)
-	if !ok {
-		t.Fatalf("-shards 4 built %T", sharded)
-	}
-	if len(ss.Servers()) != 4 {
-		t.Errorf("shard count: %d", len(ss.Servers()))
 	}
 }
 
@@ -270,46 +235,44 @@ func TestServeGracefulShutdownDrainsAndHeals(t *testing.T) {
 	}
 }
 
-// TestServeMetricsFlag: -metrics exposes the live exposition on both
-// server shapes, and the counters move with traffic.
+// TestServeMetricsFlag: -metrics exposes the live exposition, and the
+// counters move with traffic.
 func TestServeMetricsFlag(t *testing.T) {
-	for _, shards := range []string{"1", "2"} {
-		c, err := parseFlags([]string{"-metrics", "-shards", shards})
-		if err != nil {
-			t.Fatal(err)
+	c, err := parseFlags([]string{"-metrics"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	url, cancel, done := startServe(t, c, &out)
+	for d := 0; d < 4; d++ {
+		dev := fmt.Sprintf("dev-%d", d)
+		b := encodeBatch(t, testBatch(dev, dev+"/k", float64(10+d)))
+		if resp := upload(t, url, dev, bytes.NewReader(b)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload: %s", resp.Status)
 		}
-		var out bytes.Buffer
-		url, cancel, done := startServe(t, c, &out)
-		for d := 0; d < 4; d++ {
-			dev := fmt.Sprintf("dev-%d", d)
-			b := encodeBatch(t, testBatch(dev, dev+"/k", float64(10+d)))
-			if resp := upload(t, url, dev, bytes.NewReader(b)); resp.StatusCode != http.StatusOK {
-				t.Fatalf("upload: %s", resp.Status)
-			}
+	}
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %s", resp.Status)
+	}
+	expo := string(raw)
+	for _, want := range []string{
+		"mopeye_collector_uploads_total 4",
+		"mopeye_collector_records_total 4",
+		"mopeye_collector_shard_records{shard=",
+	} {
+		if !strings.Contains(expo, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, expo)
 		}
-		resp, err := http.Get(url + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("shards=%s GET /metrics: %s", shards, resp.Status)
-		}
-		expo := string(raw)
-		for _, want := range []string{
-			"mopeye_collector_uploads_total 4",
-			"mopeye_collector_records_total 4",
-			"mopeye_collector_shard_records{shard=",
-		} {
-			if !strings.Contains(expo, want) {
-				t.Errorf("shards=%s /metrics missing %q:\n%s", shards, want, expo)
-			}
-		}
-		cancel()
-		if err := <-done; err != nil {
-			t.Fatalf("serve: %v", err)
-		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
 	}
 }
 
@@ -332,5 +295,53 @@ func TestServeMetricsOffByDefault(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeDisconnectsSlowClient: a client that stalls half way through
+// its request line is cut off once readHeaderTimeout passes, instead of
+// holding a goroutine and a descriptor forever, while uploads on other
+// connections succeed before and after.
+func TestServeDisconnectsSlowClient(t *testing.T) {
+	defer func(h, r, i time.Duration) {
+		readHeaderTimeout, readTimeout, idleTimeout = h, r, i
+	}(readHeaderTimeout, readTimeout, idleTimeout)
+	readHeaderTimeout, readTimeout, idleTimeout = 250*time.Millisecond, 2*time.Second, 2*time.Second
+
+	c, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	url, cancel, done := startServe(t, c, &out)
+
+	slow, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := slow.Write([]byte("POST /v1/up")); err != nil {
+		t.Fatal(err)
+	}
+	if resp := upload(t, url, "p1", bytes.NewReader(encodeBatch(t, testBatch("p1", "p1/k/1", 12)))); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload beside the slow client: %s", resp.Status)
+	}
+
+	// The server closes the stalled connection without a reply; a read
+	// that runs into the deadline instead means it was left open.
+	slow.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(slow); err != nil {
+		t.Fatalf("slow client was not disconnected: %v", err)
+	}
+	if resp := upload(t, url, "p2", bytes.NewReader(encodeBatch(t, testBatch("p2", "p2/k/1", 34)))); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload after the disconnect: %s", resp.Status)
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if !strings.Contains(out.String(), "collected 2 records in 2 batches") {
+		t.Fatalf("final tally = %q", out.String())
 	}
 }

@@ -4,9 +4,10 @@
 // worker counts under a multi-app packet flood (a workload the
 // single-phone paper never exercises), -exp dispatch runs the same
 // sweep over a zero-delay loopback network so the result is the engine
-// ceiling rather than the simulated wire, and -exp fleet runs N phones
-// fanning their Collector uploads into one collector server, in
-// process and over HTTP, to price the wire.
+// ceiling rather than the simulated wire. The collector path has no
+// experiment here: its one load harness is the collector_ingest
+// workload of the benchmark (`go run -C bench . -workload
+// collector_ingest`).
 //
 // The sweeps take one ablation knob: -readbatch sweeps burst sizes
 // (explicit N pins, "auto" or 0 runs the AIMD governor).
@@ -22,16 +23,6 @@
 // -cell-ms and -cell-phones size the cells; -workers, when given,
 // sweeps the engine worker count as a third axis.
 //
-// Usage:
-//
-// -exp ingest is the collector load harness: N simulated devices (no
-// engine) push synthesized batches through real HTTPTransports into a
-// sharded retain-off collector, reporting records/sec, upload-latency
-// quantiles, dedup-map size and heap growth. It is deliberately not
-// part of -exp all — it is a load test, sized by -devices (100k
-// default, 1M for the fleet-scale ceiling), with -ingest-floor as the
-// CI records/sec gate and -ingest-verify for sketch-vs-exact checking.
-//
 // -exp ceiling compares the engine's device-read ceiling across data
 // planes: with -tun sim (the default) it reruns the zero-delay netsim
 // dispatch sweep; with -tun real it opens a kernel TUN device (build
@@ -39,11 +30,11 @@
 // it, and floods it with kernel UDP while the engine drains it. The
 // real arm skips cleanly — exit 0, with a reason — when the build,
 // privileges or /dev/net/tun are missing, so it can sit in CI behind
-// the privileged gate. Like ingest, ceiling is not part of -exp all.
+// the privileged gate. It is not part of -exp all.
 //
 // Usage:
 //
-//	paperbench [-exp all|table1|table2|table3|table4|fig5|overhead|parallel|dispatch|fleet|ingest|scenarios|ceiling] [-fast] [-workers 1,2,4] [-readbatch auto,64] [-subs 0] [-metrics] [-phones 8] [-devices 100000] [-ingest-shards 4] [-ingest-floor 0] [-ingest-verify] [-metrics-addr 127.0.0.1:9137] [-profiles a,b] [-workloads web,video] [-cell-ms 2000] [-cell-phones 3] [-tun sim|real] [-tun-name pbench0] [-upstream direct|socks5://host:port] [-cpuprofile f] [-memprofile f]
+//	paperbench [-exp all|table1|table2|table3|table4|fig5|overhead|parallel|dispatch|scenarios|ceiling] [-fast] [-workers 1,2,4] [-readbatch auto,64] [-subs 0] [-metrics] [-profiles a,b] [-workloads web,video] [-cell-ms 2000] [-cell-phones 3] [-tun sim|real] [-tun-name pbench0] [-upstream direct|socks5://host:port] [-cpuprofile f] [-memprofile f]
 package main
 
 import (
@@ -129,18 +120,12 @@ func parseWorkers(s string) ([]int, error) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, table2, table3, table4, fig5, overhead, parallel, dispatch, fleet, ingest, scenarios, ceiling")
+	exp := flag.String("exp", "all", "experiment: all, table1, table2, table3, table4, fig5, overhead, parallel, dispatch, scenarios, ceiling")
 	fast := flag.Bool("fast", false, "smaller workloads / shorter runs")
 	workers := flag.String("workers", "1,2,4", "worker counts swept by -exp parallel/dispatch")
 	readbatch := flag.String("readbatch", "64", "read/write burst sizes swept by -exp parallel/dispatch (comma list; explicit N pins it, 1 = batching off; 0 or auto = AIMD self-tuning)")
 	subs := flag.Int("subs", 0, "live measurement subscribers attached during -exp dispatch (streaming-pipeline overhead)")
 	metricsFlag := flag.Bool("metrics", false, "arm the phone observability registry during -exp dispatch and scrape it through the flood (the instrumentation-cost arm; compare against a run without it)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the collector's /metrics on this address during -exp ingest, scrapeable live mid-load (e.g. 127.0.0.1:9137)")
-	phones := flag.Int("phones", 8, "fleet size for -exp fleet")
-	devices := flag.Int("devices", 100_000, "simulated device count for -exp ingest")
-	ingestShards := flag.Int("ingest-shards", 4, "collector shards for -exp ingest")
-	ingestFloor := flag.Float64("ingest-floor", 0, "minimum records/sec for -exp ingest; below it the run exits nonzero (CI smoke gate)")
-	ingestVerify := flag.Bool("ingest-verify", false, "verify sketched medians against exact client-side medians during -exp ingest (costs O(records) memory)")
 	profiles := flag.String("profiles", "", "comma list of condition profiles for -exp scenarios (empty = all)")
 	workloadsList := flag.String("workloads", "", "comma list of workload generators for -exp scenarios (empty = all)")
 	cellMS := flag.Int("cell-ms", 0, "per-cell workload duration in ms for -exp scenarios (0 = default)")
@@ -319,38 +304,6 @@ func main() {
 					rb.label(), *subs, *metricsFlag)
 				fmt.Println(res)
 			}
-		case "fleet":
-			o := mopeye.DefaultFleetBenchOptions()
-			o.Phones = *phones
-			if *fast {
-				o.ConnsPerPhone = 6
-				o.EchoesPerConn = 4
-			}
-			res, err := mopeye.RunFleetBench(o)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("Fleet fan-in — %d phones into one collector, in-process vs HTTP upload:\n", o.Phones)
-			fmt.Println(res)
-		case "ingest":
-			o := mopeye.DefaultIngestBenchOptions()
-			o.Devices = *devices
-			o.ServerShards = *ingestShards
-			o.VerifyExact = *ingestVerify
-			o.MetricsAddr = *metricsAddr
-			if *fast {
-				o.Devices = min(o.Devices, 10_000)
-			}
-			res, err := mopeye.RunIngestBench(o)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("Collector ingest — %d simulated devices through the HTTP upload path into a %d-shard collector (retain-records off):\n",
-				res.Devices, o.ServerShards)
-			fmt.Println(res)
-			if *ingestFloor > 0 && res.RecordsPerSec < *ingestFloor {
-				log.Fatalf("ingest throughput %.0f records/sec below floor %.0f", res.RecordsPerSec, *ingestFloor)
-			}
 		case "scenarios":
 			o := mopeye.ScenarioMatrixOptions{
 				PhonesPerCell: *cellPhones,
@@ -442,7 +395,7 @@ func main() {
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"table1", "table2", "table3", "table4", "fig5", "overhead", "parallel", "dispatch", "fleet", "scenarios"} {
+		for _, name := range []string{"table1", "table2", "table3", "table4", "fig5", "overhead", "parallel", "dispatch", "scenarios"} {
 			run(name)
 		}
 		return

@@ -73,8 +73,8 @@ func TestServerMetricsExposition(t *testing.T) {
 		if f.Name != "mopeye_collector_shard_records" {
 			continue
 		}
-		if len(f.Samples) != DefaultIngestShards {
-			t.Errorf("shard_records has %d samples, want %d", len(f.Samples), DefaultIngestShards)
+		if len(f.Samples) != ingestShards {
+			t.Errorf("shard_records has %d samples, want %d", len(f.Samples), ingestShards)
 		}
 		for _, sm := range f.Samples {
 			sum += sm.Value
@@ -85,113 +85,31 @@ func TestServerMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestShardedMetricsEquivalence is the sharded-vs-unsharded
-// merged-view property end to end: the same uploads through one
-// Server and through a 4-shard ShardedServer must render
-// byte-identical /metrics (after the non-additive retain flag is
-// re-stamped).
-func TestShardedMetricsEquivalence(t *testing.T) {
-	one, err := NewServer(ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewShardedServer(ServerOptions{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsOne := httptest.NewServer(one)
-	defer tsOne.Close()
-	tsSharded := httptest.NewServer(sharded)
-	defer tsSharded.Close()
-
-	for d := 0; d < 40; d++ {
-		dev := fmt.Sprintf("phone-%02d", d)
-		b := srvBatch(dev, dev+"/k/1", 1,
-			srvRec("", fmt.Sprintf("com.app%d", d%5), float64(10+d)),
-			srvRec("", "com.common", float64(5+d%7)))
-		if resp := postBatch(t, tsOne, "", b, dev); resp.StatusCode != http.StatusOK {
-			t.Fatalf("unsharded upload %s: %s", dev, resp.Status)
-		}
-		if resp := postBatch(t, tsSharded, "", b, dev); resp.StatusCode != http.StatusOK {
-			t.Fatalf("sharded upload %s: %s", dev, resp.Status)
-		}
-		if d%3 == 0 { // sprinkle duplicates on both sides
-			postBatch(t, tsOne, "", b, dev)
-			postBatch(t, tsSharded, "", b, dev)
-		}
-	}
-
-	var ob, sb strings.Builder
-	if err := one.WriteMetrics(&ob); err != nil {
-		t.Fatal(err)
-	}
-	if err := sharded.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if ob.String() != sb.String() {
-		t.Fatalf("sharded merged view differs from unsharded:\n--- unsharded ---\n%s--- sharded ---\n%s", ob.String(), sb.String())
-	}
-
-	// The per-shard drill-down serves one shard's own registry, whose
-	// totals are a strict subset of the merged view's.
-	h := sharded.MetricsHandler()
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics?shard=1", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("?shard=1: %d", rr.Code)
-	}
-	shardExpo := rr.Body.String()
-	if !strings.Contains(shardExpo, "mopeye_collector_records_total ") {
-		t.Fatalf("per-shard view missing records_total:\n%s", shardExpo)
-	}
-	if shardExpo == sb.String() {
-		t.Error("per-shard view unexpectedly identical to the merged view")
-	}
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics?shard=99", nil))
-	if rr.Code != http.StatusBadRequest {
-		t.Errorf("?shard=99: %d, want 400", rr.Code)
-	}
-}
-
 // TestMetricsTokenExemption: with a token configured, /metrics (like
 // /healthz) answers unauthenticated scrapers while the data plane
 // stays gated.
 func TestMetricsTokenExemption(t *testing.T) {
-	for _, shape := range []string{"server", "sharded"} {
-		var h http.Handler
-		o := ServerOptions{Token: "sesame", ExposeMetrics: true}
-		if shape == "server" {
-			s, err := NewServer(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h = s
-		} else {
-			ss, err := NewShardedServer(o, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h = ss
-		}
-		ts := httptest.NewServer(h)
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: unauthenticated /metrics = %s, want 200", shape, resp.Status)
-		}
-		resp, err = http.Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnauthorized {
-			t.Errorf("%s: unauthenticated /v1/stats = %s, want 401", shape, resp.Status)
-		}
-		ts.Close()
+	s, err := NewServer(ServerOptions{Token: "sesame", ExposeMetrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("unauthenticated /metrics = %s, want 200", resp.Status)
+	}
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Errorf("unauthenticated /v1/stats = %s, want 401", resp.Status)
 	}
 }
 

@@ -1,13 +1,15 @@
 package crowd
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/measure"
@@ -193,6 +195,9 @@ func TestServerRetainOff(t *testing.T) {
 	if sum.RetainRecords {
 		t.Error("summary claims retention")
 	}
+	if sum.Shards != 16 {
+		t.Errorf("summary shards: %d, want 16", sum.Shards)
+	}
 	if sum.Stats.Records != 50 || sum.TCPRecords != 50 {
 		t.Errorf("summary counts: %+v", sum.Stats)
 	}
@@ -259,215 +264,6 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Abs(want)
 }
 
-// --- ShardedServer ---
-
-func shardedUpload(t *testing.T, ts *httptest.Server, token string, n int) []measure.Batch {
-	t.Helper()
-	var batches []measure.Batch
-	for i := 0; i < n; i++ {
-		dev := fmt.Sprintf("phone-%02d", i%13)
-		b := srvBatch(dev, fmt.Sprintf("%s/k%d", dev, i), i,
-			srvRec("", fmt.Sprintf("com.app%d", i%4), 5+float64(i%50)*2.5))
-		batches = append(batches, b)
-		if resp := postBatch(t, ts, token, b, dev); resp.StatusCode != http.StatusOK {
-			t.Fatalf("upload %d: %s", i, resp.Status)
-		}
-	}
-	return batches
-}
-
-// The sharded collector accepts, dedups, and its merged Summary is
-// identical to an unsharded Server fed the same batches — the fan-in
-// is exact.
-func TestShardedServerMatchesUnsharded(t *testing.T) {
-	ss, err := NewShardedServer(ServerOptions{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(ss)
-	defer ts.Close()
-	batches := shardedUpload(t, ts, "", 60)
-	// Redeliver everything: all absorbed, none double-counted.
-	for _, b := range batches {
-		if resp := postBatch(t, ts, "", b, b.Device); resp.StatusCode != http.StatusOK {
-			t.Fatalf("redelivery: %s", resp.Status)
-		}
-	}
-	st := ss.Stats()
-	if st.Batches != 60 || st.Duplicates != 60 || st.Records != 60 {
-		t.Fatalf("sharded stats: %+v", st)
-	}
-
-	// Feed the identical batches to one Server and compare summaries.
-	ref, err := NewServer(ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsRef := httptest.NewServer(ref)
-	defer tsRef.Close()
-	for _, b := range batches {
-		postBatch(t, tsRef, "", b, b.Device)
-	}
-	got, want := ss.Summary(), ref.Summary()
-	if got.TCPRecords != want.TCPRecords || got.DNSRecords != want.DNSRecords {
-		t.Errorf("kind counts: %+v vs %+v", got, want)
-	}
-	for app, w := range want.PerApp {
-		g, ok := got.PerApp[app]
-		if !ok {
-			t.Fatalf("app %s missing from sharded summary", app)
-		}
-		// Bin-wise merge is exact: counts, quantiles, min and max are
-		// bit-identical however the shards split; only the mean's
-		// float additions reassociate.
-		if g.N != w.N || g.P50MS != w.P50MS || g.P90MS != w.P90MS || g.P99MS != w.P99MS ||
-			g.MinMS != w.MinMS || g.MaxMS != w.MaxMS {
-			t.Errorf("app %s: sharded %+v vs unsharded %+v", app, g, w)
-		}
-		if relErr(g.MeanMS, w.MeanMS) > 1e-9 {
-			t.Errorf("app %s mean: %g vs %g", app, g.MeanMS, w.MeanMS)
-		}
-	}
-
-	// The merged record stream carries the full dataset (order is
-	// shard-dependent; compare as sets).
-	resp, err := ts.Client().Get(ts.URL + "/v1/records")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	streamed, err := measure.ReadJSONL(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRecordSet(streamed, ref.Records()) {
-		t.Error("sharded record stream diverges from the accepted dataset")
-	}
-	if !sameRecordSet(ss.Records(), ref.Records()) {
-		t.Error("sharded Records() diverges from the accepted dataset")
-	}
-	if ds := ss.Ingest(); len(ds.Records) != 60 {
-		t.Error("sharded ingest lost records")
-	}
-	if _, ok := ss.AppMedianMS("com.app1"); !ok {
-		t.Error("AppMedianMS found nothing")
-	}
-	if ss.DedupKeys() != 60 {
-		t.Errorf("dedup keys: %d", ss.DedupKeys())
-	}
-}
-
-func sameRecordSet(a, b []measure.Record) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ka, kb := recordKeys(a), recordKeys(b)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func recordKeys(recs []measure.Record) []string {
-	out := make([]string, len(recs))
-	for i, r := range recs {
-		out[i] = fmt.Sprintf("%s|%s|%s|%d", r.Device, r.App, r.RTT, r.UID)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Sharded spools live in per-shard subdirectories and replay on
-// restart with dedup intact.
-func TestShardedServerSpoolRestart(t *testing.T) {
-	dir := t.TempDir()
-	ss1, err := NewShardedServer(ServerOptions{SpoolDir: dir}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(ss1)
-	batches := shardedUpload(t, ts1, "", 20)
-	ts1.Close()
-	if err := ss1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Shards that accepted batches spooled into their own subdirs.
-	subdirs, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
-	if len(subdirs) != 4 {
-		t.Fatalf("shard spool dirs: %v", subdirs)
-	}
-
-	ss2, err := NewShardedServer(ServerOptions{SpoolDir: dir}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss2.Close()
-	if st := ss2.Stats(); st.Batches != 20 || st.Records != 20 {
-		t.Fatalf("replayed sharded stats: %+v", st)
-	}
-	ts2 := httptest.NewServer(ss2)
-	defer ts2.Close()
-	for _, b := range batches[:5] {
-		if resp := postBatch(t, ts2, "", b, b.Device); resp.StatusCode != http.StatusOK {
-			t.Fatalf("redelivery: %s", resp.Status)
-		}
-	}
-	if st := ss2.Stats(); st.Duplicates != 5 || st.Batches != 20 {
-		t.Errorf("post-restart sharded dedup: %+v", st)
-	}
-	// Compaction sweeps every shard without error.
-	if _, _, err := ss2.CompactSpools(); err != nil {
-		t.Errorf("sharded compact: %v", err)
-	}
-}
-
-func TestShardedServerAuthAndRetainOff(t *testing.T) {
-	ss, err := NewShardedServer(ServerOptions{Token: "tok", RetainRecords: RetainOff}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(ss)
-	defer ts.Close()
-
-	b := srvBatch("p1", "k1", 1, srvRec("", "a", 7))
-	if resp := postBatch(t, ts, "wrong", b, "p1"); resp.StatusCode != http.StatusUnauthorized {
-		t.Errorf("bad token upload: %s", resp.Status)
-	}
-	if resp := postBatch(t, ts, "tok", b, "p1"); resp.StatusCode != http.StatusOK {
-		t.Errorf("honest upload: %s", resp.Status)
-	}
-	// Merged reads sit behind the token too.
-	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Errorf("tokenless stats: %s", resp.Status)
-	}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/records", nil)
-	req.Header.Set("Authorization", "Bearer tok")
-	resp, err = ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("retain-off sharded records: %s", resp.Status)
-	}
-	// Health stays open.
-	resp, err = ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("health: %s", resp.Status)
-	}
-}
-
 // Device-stamp hashing spreads a fleet roster across shards instead of
 // piling onto a few.
 func TestHashDeviceSpread(t *testing.T) {
@@ -508,5 +304,103 @@ func TestSpoolLegacyLayout(t *testing.T) {
 	}
 	if len(rep.Batches) != 3 || rep.Segments != 1 {
 		t.Errorf("legacy replay: %d batches, %d segments", len(rep.Batches), rep.Segments)
+	}
+}
+
+// A spool dir written by the removed `collectord -shards N` holds only
+// shard-NNN/ subdirectories. Opening it flat would start empty and
+// forget every dedup key, so both entry points refuse it, naming the
+// merge; after the merge, replay yields every batch exactly once and
+// the compacted keys still dedup.
+func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
+	dir := t.TempDir()
+	writeSeg := func(shard, name string, keys ...string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(dir, shard), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for i, k := range keys {
+			if err := measure.EncodeBatch(&buf, srvBatch("dev-"+shard, k, i, srvRec("", "app", float64(i+1)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, shard, name), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeSeg("shard-000", segName(0), "a0", "a1")
+	writeSeg("shard-000", segName(1), "a2")
+	writeSeg("shard-001", segName(0), "b0", "b1", "b2")
+	manifest, err := json.Marshal(SpoolKey{Device: "dev-shard-001", Key: "b-compacted"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shard-001", manifestFile), append(manifest, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, err := OpenSpool(dir); err == nil || !strings.Contains(err.Error(), "shard-*/batches*.jsonl") {
+		t.Fatalf("OpenSpool on a sharded layout: %v", err)
+	}
+	if _, err := ReadSpool(dir); err == nil || !strings.Contains(err.Error(), "shard-*/batches*.jsonl") {
+		t.Fatalf("ReadSpool on a sharded layout: %v", err)
+	}
+	if _, err := NewServer(ServerOptions{SpoolDir: dir}); err == nil {
+		t.Fatal("NewServer opened a sharded layout as an empty spool")
+	}
+	if _, err := os.Stat(filepath.Join(dir, spoolFile)); !os.IsNotExist(err) {
+		t.Fatalf("refusal left a segment behind: %v", err)
+	}
+
+	// The merge the error names: cat DIR/shard-*/X >> DIR/X.
+	merge := func(pattern, dst string) {
+		t.Helper()
+		srcs, err := filepath.Glob(filepath.Join(dir, "shard-*", pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []byte
+		for _, src := range srcs {
+			raw, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, raw...)
+		}
+		if err := os.WriteFile(filepath.Join(dir, dst), all, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merge("batches*.jsonl", spoolFile)
+	merge(manifestFile, manifestFile)
+
+	recs, err := ReadSpool(dir)
+	if err != nil || len(recs) != 6 {
+		t.Fatalf("ReadSpool after merge: %d records, err %v", len(recs), err)
+	}
+	s, err := NewServer(ServerOptions{SpoolDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Batches != 6 || st.Records != 6 {
+		t.Errorf("replay after merge: %+v", st)
+	}
+	if got := s.DedupKeys(); got != 7 {
+		t.Errorf("dedup keys after merge: %d, want 6 replayed + 1 compacted", got)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for _, b := range []measure.Batch{
+		srvBatch("dev-shard-000", "a2", 0, srvRec("", "app", 1)),
+		srvBatch("dev-shard-001", "b-compacted", 0, srvRec("", "app", 1)),
+	} {
+		if resp := postBatch(t, ts, "", b, b.Device); resp.StatusCode != http.StatusOK {
+			t.Fatalf("redelivery of %s: %s", b.Key, resp.Status)
+		}
+	}
+	if st := s.Stats(); st.Duplicates != 2 || st.Batches != 6 {
+		t.Errorf("redelivery after merge not absorbed: %+v", st)
 	}
 }

@@ -3,6 +3,7 @@ package crowd
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -39,9 +40,17 @@ const (
 	DeviceHeader = "X-Mopeye-Device"
 )
 
-// DefaultIngestShards is the internal lock-shard count used when
-// ServerOptions.IngestShards <= 0.
-const DefaultIngestShards = 16
+// Fixed collector parameters: one value each has ever been used, so
+// they are constants, not options.
+const (
+	// ingestShards is the internal lock-shard count.
+	ingestShards = 16
+	// maxBatchBytes bounds one upload body; a larger one is answered
+	// 413 and nothing of it is committed or spooled.
+	maxBatchBytes = 8 << 20
+	// sketchAlpha is the aggregation sketches' relative accuracy.
+	sketchAlpha = sketch.DefaultAlpha
+)
 
 // RetainMode selects whether the server keeps raw records in memory.
 type RetainMode int
@@ -55,8 +64,6 @@ const (
 	// 404, and only the sketched aggregates remain queryable. The load
 	// harness and fleet-scale deployments run here.
 	RetainOff
-	// RetainOn is RetainDefault, spelled explicitly.
-	RetainOn
 )
 
 // ServerOptions configures a collector server.
@@ -69,20 +76,12 @@ type ServerOptions struct {
 	// Token, when non-empty, is the shared bearer token every request
 	// must present ("Authorization: Bearer <token>").
 	Token string
-	// MaxBatchBytes bounds one upload body. Default 8 MiB.
-	MaxBatchBytes int64
-	// IngestShards is the internal lock-shard count (rounded up to a
-	// power of two). <= 0 selects DefaultIngestShards.
-	IngestShards int
 	// RetainRecords controls raw-record retention; the default retains
 	// (see RetainMode).
 	RetainRecords RetainMode
 	// SpoolSegmentBytes caps one spool segment file; <= 0 selects
 	// DefaultSegmentBytes.
 	SpoolSegmentBytes int64
-	// SketchAlpha is the aggregation sketches' relative accuracy;
-	// <= 0 selects sketch.DefaultAlpha.
-	SketchAlpha float64
 	// ExposeMetrics registers GET /metrics (Prometheus text exposition)
 	// on the server. The endpoint is exempt from the token gate, like
 	// /healthz: scrapers are part of the ops plane, and the exposition
@@ -91,13 +90,6 @@ type ServerOptions struct {
 }
 
 func (o *ServerOptions) retain() bool { return o.RetainRecords != RetainOff }
-
-func (o *ServerOptions) alpha() float64 {
-	if o.SketchAlpha <= 0 {
-		return sketch.DefaultAlpha
-	}
-	return o.SketchAlpha
-}
 
 // ServerStats counts what the server has seen.
 type ServerStats struct {
@@ -175,8 +167,7 @@ type Server struct {
 	o   ServerOptions
 	mux *http.ServeMux
 
-	shards []ingestShard
-	mask   uint64
+	shards [ingestShards]ingestShard
 	c      serverCounters
 
 	// spool is immutable after construction (nil when memory-only); it
@@ -192,21 +183,10 @@ type Server struct {
 // NewServer builds a collector server, replaying the spool when one is
 // configured.
 func NewServer(o ServerOptions) (*Server, error) {
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 8 << 20
-	}
-	n := o.IngestShards
-	if n <= 0 {
-		n = DefaultIngestShards
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	s := &Server{o: o, shards: make([]ingestShard, size), mask: uint64(size - 1)}
+	s := &Server{o: o}
 	for i := range s.shards {
 		s.shards[i].keys = make(map[string]struct{})
-		s.shards[i].agg = newAgg(o.alpha())
+		s.shards[i].agg = newAgg()
 	}
 	if o.SpoolDir != "" {
 		spool, replay, err := OpenSpoolOptions(o.SpoolDir, SpoolOptions{SegmentBytes: o.SpoolSegmentBytes})
@@ -237,7 +217,7 @@ func NewServer(o ServerOptions) (*Server, error) {
 
 // shard returns the ingest shard owning a device stamp.
 func (s *Server) shard(device string) *ingestShard {
-	return &s.shards[hashDevice(device)&s.mask]
+	return &s.shards[hashDevice(device)%ingestShards]
 }
 
 // commit folds one accepted batch into a shard's state. The caller
@@ -292,10 +272,15 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing "+DeviceHeader, http.StatusForbidden)
 		return
 	}
-	b, err := measure.DecodeBatch(http.MaxBytesReader(w, r.Body, s.o.MaxBatchBytes))
+	b, err := measure.DecodeBatch(http.MaxBytesReader(w, r.Body, maxBatchBytes))
 	if err != nil {
 		s.c.badRequests.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	if b.Device != device {
@@ -406,7 +391,7 @@ func (s *Server) Stats() ServerStats {
 // mergedAgg folds every shard's aggregation state into one, shard
 // locks taken one at a time. O(shards × apps × sketch bins).
 func (s *Server) mergedAgg() *agg {
-	dst := newAgg(s.o.alpha())
+	dst := newAgg()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -425,7 +410,7 @@ func (s *Server) Summary() Summary {
 		Stats:            s.Stats(),
 		TCPRecords:       a.tcp,
 		DNSRecords:       a.dns,
-		RelativeAccuracy: s.o.alpha(),
+		RelativeAccuracy: sketchAlpha,
 		Shards:           len(s.shards),
 		RetainRecords:    s.o.retain(),
 		PerApp:           perApp,
@@ -438,7 +423,7 @@ func (s *Server) Summary() Summary {
 // O(shards × sketch bins), no dataset scan. ok reports whether the
 // app has any measurements.
 func (s *Server) AppMedianMS(app string) (ms float64, ok bool) {
-	merged := sketch.New(s.o.alpha())
+	merged := sketch.New(sketchAlpha)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()

@@ -159,6 +159,63 @@ func TestServerBadBatch(t *testing.T) {
 	}
 }
 
+// The upload body bound is forced: a well-formed batch one byte over
+// maxBatchBytes is answered 413, counts one bad request, commits
+// nothing and spools nothing; the same batch one byte shorter is
+// accepted, so the bound is exactly where the constant says.
+func TestServerUploadBodyCap(t *testing.T) {
+	s, err := NewServer(ServerOptions{SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// body encodes one single-record batch of exactly n bytes, padded
+	// through the record's app name.
+	body := func(n int) []byte {
+		t.Helper()
+		var probe bytes.Buffer
+		if err := measure.EncodeBatch(&probe, srvBatch("p1", "big", 1, srvRec("", "", 1))); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		b := srvBatch("p1", "big", 1, srvRec("", strings.Repeat("x", n-probe.Len()), 1))
+		if err := measure.EncodeBatch(&buf, b); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != n {
+			t.Fatalf("built a %d-byte body, want %d", buf.Len(), n)
+		}
+		return buf.Bytes()
+	}
+	post := func(raw []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(raw))
+		req.Header.Set(DeviceHeader, "p1")
+		rr := httptest.NewRecorder()
+		s.ServeHTTP(rr, req)
+		return rr
+	}
+
+	if rr := post(body(maxBatchBytes + 1)); rr.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body one byte over the cap: %d, want 413", rr.Code)
+	}
+	if st := s.Stats(); st.BadRequests != 1 || st.Batches != 0 || st.Records != 0 {
+		t.Errorf("stats after oversize upload: %+v", st)
+	}
+	if s.DedupKeys() != 0 {
+		t.Error("oversize upload left a dedup key")
+	}
+	if sp := s.spool.Stats(); sp.Bytes != 0 {
+		t.Errorf("oversize upload reached the spool: %+v", sp)
+	}
+
+	if rr := post(body(maxBatchBytes)); rr.Code != http.StatusOK {
+		t.Fatalf("body exactly at the cap: %d: %s", rr.Code, rr.Body)
+	}
+	if st := s.Stats(); st.BadRequests != 1 || st.Batches != 1 {
+		t.Errorf("stats after at-cap upload: %+v", st)
+	}
+}
+
 // The records endpoint serves exactly the accepted dataset as JSONL.
 func TestServerRecordsEndpoint(t *testing.T) {
 	s, err := NewServer(ServerOptions{})

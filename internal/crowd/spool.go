@@ -83,14 +83,23 @@ func segName(n int) string {
 }
 
 // listSegments returns the segment indexes present in dir, ascending.
+// A dir with no segment of its own but with shard-NNN/ subdirectories
+// is the layout the removed `collectord -shards N` wrote; treating it
+// as an empty spool would silently forget every dedup key, so it is an
+// error that names the merge.
 func listSegments(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var segs []int
+	sharded := false
 	for _, e := range entries {
 		name := e.Name()
+		if e.IsDir() {
+			sharded = sharded || strings.HasPrefix(name, "shard-")
+			continue
+		}
 		if name == spoolFile {
 			segs = append(segs, 0)
 			continue
@@ -99,6 +108,12 @@ func listSegments(dir string) ([]int, error) {
 		if _, err := fmt.Sscanf(name, spoolSegFmt, &n); err == nil && strings.HasSuffix(name, ".jsonl") && n > 0 {
 			segs = append(segs, n)
 		}
+	}
+	if len(segs) == 0 && sharded {
+		return nil, fmt.Errorf("%[1]s holds only shard-NNN/ spools (written by the removed collectord -shards N); "+
+			"merge them into one flat spool after a clean shutdown: "+
+			"cat %[1]s/shard-*/batches*.jsonl >> %[1]s/%[2]s; cat %[1]s/shard-*/%[3]s >> %[1]s/%[3]s",
+			dir, spoolFile, manifestFile)
 	}
 	sort.Ints(segs)
 	return segs, nil

@@ -12,15 +12,14 @@ import (
 // are maintained incrementally on each accepted batch, so that
 // /v1/stats and per-app median queries are O(sketch) instead of
 // O(dataset). Sketches merge exactly (bin-wise), which is what lets
-// the per-shard states inside one Server — and the per-Server states
-// inside a ShardedServer — fan into a single truthful Summary.
+// the per-shard states inside one Server fan into a single truthful
+// Summary.
 
 // agg is one ingest shard's aggregation state. It is guarded by the
 // owning shard's mutex; merging reads it without mutating.
 type agg struct {
-	alpha float64
-	tcp   uint64
-	dns   uint64
+	tcp uint64
+	dns uint64
 	// perApp sketches TCP connect RTTs (ms) by app package — the
 	// figure 9(b)/Table 5 dimension.
 	perApp map[string]*sketch.Sketch
@@ -29,9 +28,8 @@ type agg struct {
 	perNet map[string]*sketch.Sketch
 }
 
-func newAgg(alpha float64) *agg {
+func newAgg() *agg {
 	return &agg{
-		alpha:  alpha,
 		perApp: make(map[string]*sketch.Sketch),
 		perNet: make(map[string]*sketch.Sketch),
 	}
@@ -44,7 +42,7 @@ func (a *agg) observe(r measure.Record) {
 		a.tcp++
 		sk := a.perApp[r.App]
 		if sk == nil {
-			sk = sketch.New(a.alpha)
+			sk = sketch.New(sketchAlpha)
 			a.perApp[r.App] = sk
 		}
 		sk.Add(ms)
@@ -54,7 +52,7 @@ func (a *agg) observe(r measure.Record) {
 	key := r.NetKey()
 	sk := a.perNet[key]
 	if sk == nil {
-		sk = sketch.New(a.alpha)
+		sk = sketch.New(sketchAlpha)
 		a.perNet[key] = sk
 	}
 	sk.Add(ms)
@@ -67,7 +65,7 @@ func (a *agg) merge(o *agg) {
 	for app, sk := range o.perApp {
 		dst := a.perApp[app]
 		if dst == nil {
-			dst = sketch.New(a.alpha)
+			dst = sketch.New(sketchAlpha)
 			a.perApp[app] = dst
 		}
 		dst.Merge(sk)
@@ -75,7 +73,7 @@ func (a *agg) merge(o *agg) {
 	for key, sk := range o.perNet {
 		dst := a.perNet[key]
 		if dst == nil {
-			dst = sketch.New(a.alpha)
+			dst = sketch.New(sketchAlpha)
 			a.perNet[key] = dst
 		}
 		dst.Merge(sk)
@@ -117,8 +115,8 @@ type Summary struct {
 	// RelativeAccuracy is the sketches' alpha: every quantile below is
 	// within this relative error of the exact dataset quantile.
 	RelativeAccuracy float64 `json:"relative_accuracy"`
-	// Shards is the ingest parallelism behind this summary (internal
-	// lock shards for a Server; collector shards for a ShardedServer).
+	// Shards is the ingest parallelism behind this summary: the
+	// server's internal lock shards.
 	Shards int `json:"shards"`
 	// RetainRecords reports whether /v1/records can serve the raw
 	// dataset, or only these aggregates exist.

@@ -139,10 +139,16 @@ func DecodeBatch(r io.Reader) (Batch, error) {
 		}
 		return Batch{}, err
 	}
-	if _, err := d.Next(); err != io.EOF {
-		return Batch{}, fmt.Errorf("measure: trailing content after batch %q", b.Key)
+	_, err = d.Next()
+	if err == io.EOF {
+		return b, nil
 	}
-	return b, nil
+	if err == nil {
+		err = errors.New("a second batch")
+	}
+	// Wrapped, so a caller can tell its own reader's failure (a body
+	// cap hit in the tail) from garbage.
+	return Batch{}, fmt.Errorf("measure: trailing content after batch %q: %w", b.Key, err)
 }
 
 // SortCanonical orders records deterministically by (device, time,

@@ -17,9 +17,7 @@
 //   - Quantile instruments wrap internal/sketch (the DDSketch-style
 //     mergeable sketch the collector already aggregates with), so the
 //     p50/p95/p99 a scrape exposes carry the same ±alpha relative-error
-//     guarantee as /v1/stats, and per-shard snapshots merge exactly
-//     (bin-wise) into one truthful combined view — the property the
-//     sharded collector's merged /metrics relies on.
+//     guarantee as /v1/stats.
 //
 // Rendering is deterministic: families sort by name, samples by label
 // signature, and no timestamps are emitted — the golden-output tests

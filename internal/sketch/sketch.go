@@ -12,8 +12,8 @@
 //   - Merge is exact bin-wise addition, so it is associative and
 //     commutative to the bit: per-shard sketches fanned into a central
 //     view give the same answers regardless of shard count or merge
-//     order. This is what lets crowd.ShardedServer split ingest across
-//     N spools and still serve one truthful /v1/stats.
+//     order. This is what lets crowd.Server split ingest across lock
+//     shards and still serve one truthful /v1/stats.
 //
 //   - Memory is O(log(max/min)/alpha) bins regardless of how many
 //     values stream through — a sketch of a million RTTs and a sketch

@@ -35,9 +35,4 @@ func TestDefaultBenchOptions(t *testing.T) {
 		d.EchoesPerConn <= 0 || d.PayloadBytes <= 0 {
 		t.Fatalf("dispatch preset not runnable: %+v", d)
 	}
-	i := DefaultIngestBenchOptions()
-	if i.Devices <= 0 || i.BatchesPerDevice <= 0 || i.RecordsPerBatch <= 0 ||
-		i.ServerShards <= 0 {
-		t.Fatalf("ingest preset not runnable: %+v", i)
-	}
 }

@@ -280,3 +280,25 @@ func TestFleetDeviceStampCollision(t *testing.T) {
 		t.Errorf("shared device not merged: %+v", d)
 	}
 }
+
+// Fleet.Study feeds the merged mirrors into the analysis pipeline.
+func TestFleetStudySmoke(t *testing.T) {
+	fleet, err := NewFleet(FleetOptions{Phones: fleetRoster(t, 2), Collector: CollectorOptions{BatchSize: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.Run(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	st := fleet.Study()
+	// fleetRoster gives phone i 2+i%3 connections, one TCP RTT each.
+	if got := len(st.Dataset().Records); got != 5 {
+		t.Fatalf("study records: %d", got)
+	}
+	if len(st.Dataset().Devices) != 2 {
+		t.Errorf("study devices: %d", len(st.Dataset().Devices))
+	}
+	if st.Summary() == "" {
+		t.Error("empty summary")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,4 +301,108 @@ func TestCollectorBatchKeys(t *testing.T) {
 		})})
 	c2.Accept(sinkRec("a", 1))
 	c2.Close()
+}
+
+// BlockOnFull converts queue overflow from drops into backpressure:
+// a slow collector with a 1-slot queue still receives every batch.
+func TestHTTPTransportBlockOnFull(t *testing.T) {
+	srv, err := crowd.NewServer(crowd.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served atomic.Int64
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(5 * time.Millisecond)
+		served.Add(1)
+		srv.ServeHTTP(w, r)
+	})
+	ts := httptest.NewServer(slow)
+	defer ts.Close()
+	tr := NewHTTPTransport(ts.URL, HTTPTransportOptions{QueueSize: 1, BlockOnFull: true})
+	for i := 0; i < 8; i++ {
+		b := Batch{Device: "p1", Key: string(rune('a' + i)), Seq: i, Records: uploadRecs(1, "com.app")}
+		if err := tr.Upload(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := tr.Stats()
+	if st.Dropped != 0 || st.Uploaded != 8 {
+		t.Errorf("blocking transport stats: %+v", st)
+	}
+	if ss := srv.Stats(); ss.Batches != 8 {
+		t.Errorf("server got %d batches", ss.Batches)
+	}
+	// A cancelled context unblocks a waiting Upload.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := tr.Upload(ctx, Batch{}); err == nil {
+		t.Error("upload on cancelled context accepted")
+	}
+}
+
+// OnAttempt observes every delivery attempt — failures with their
+// errors, then the success — in order.
+func TestHTTPTransportOnAttempt(t *testing.T) {
+	var durs []time.Duration
+	var errs []error
+	srv, _, tr := flakyCollectord(t, []string{"503", "503"}, HTTPTransportOptions{
+		OnAttempt: func(d time.Duration, err error) {
+			durs = append(durs, d)
+			errs = append(errs, err)
+		},
+	})
+	b := Batch{Device: "p1", Key: "p1/k/1", Seq: 1, Records: uploadRecs(2, "com.app")}
+	if err := tr.Upload(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) != 3 || errs[0] == nil || errs[1] == nil || errs[2] != nil {
+		t.Fatalf("attempt errors: %v", errs)
+	}
+	for i, d := range durs {
+		if d <= 0 {
+			t.Errorf("attempt %d duration: %v", i, d)
+		}
+	}
+	if ss := srv.Stats(); ss.Batches != 1 {
+		t.Errorf("server stats: %+v", ss)
+	}
+}
+
+// The stats client reads the sketched aggregates over the wire.
+func TestFetchCollectorStats(t *testing.T) {
+	srv, err := crowd.NewServer(crowd.ServerOptions{Token: "tok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	tr := NewHTTPTransport(ts.URL, HTTPTransportOptions{Token: "tok"})
+	b := Batch{Device: "p1", Key: "p1/k/1", Seq: 1, Records: uploadRecs(5, "com.app")}
+	if err := tr.Upload(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sum, err := FetchCollectorStats(ts.Client(), ts.URL, "tok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Stats.Records != 5 || sum.TCPRecords != 5 {
+		t.Errorf("summary: %+v", sum)
+	}
+	qs, ok := sum.PerApp["com.app"]
+	if !ok || qs.N != 5 {
+		t.Errorf("per-app summary: %+v", sum.PerApp)
+	}
+	if _, err := FetchCollectorStats(ts.Client(), ts.URL, "wrong"); err == nil {
+		t.Error("bad token accepted")
+	}
 }
