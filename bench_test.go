@@ -6,7 +6,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -278,217 +277,6 @@ func BenchmarkCrowdGenerate(b *testing.B) {
 		if len(ds.Records) == 0 {
 			b.Fatal("empty dataset")
 		}
-	}
-}
-
-// BenchmarkRelayConnect measures the per-connection cost of the full
-// relay path: SYN through the tunnel, user-space handshake, external
-// connect, measurement.
-func BenchmarkRelayConnect(b *testing.B) {
-	phone, err := mopeye.New(mopeye.Options{
-		Servers: []mopeye.Server{{Domain: "bench.example", Addr: "203.0.113.50:80", RTTMillis: 1}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer phone.Close()
-	phone.InstallApp(1, "bench.app")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conn, err := phone.Connect(1, "203.0.113.50:80")
-		if err != nil {
-			b.Fatal(err)
-		}
-		conn.Close()
-	}
-}
-
-// BenchmarkRelayEcho measures a small request/response exchange through
-// the relay.
-func BenchmarkRelayEcho(b *testing.B) {
-	phone, err := mopeye.New(mopeye.Options{
-		Servers: []mopeye.Server{{Domain: "bench.example", Addr: "203.0.113.51:80", RTTMillis: 1}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer phone.Close()
-	phone.InstallApp(1, "bench.app")
-	conn, err := phone.Connect(1, "203.0.113.51:80")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	msg := []byte("0123456789abcdef")
-	buf := make([]byte, len(msg))
-	b.SetBytes(int64(len(msg)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conn.Write(msg); err != nil {
-			b.Fatal(err)
-		}
-		if err := conn.ReadFull(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineParallel sweeps the engine's worker counts under a
-// multi-app packet flood — the scaling workload the single-phone paper
-// never exercises. The custom metrics carry relay throughput per
-// worker count; on a multi-core host Workers=4 should clearly beat
-// Workers=1, while Workers=1 is the paper-faithful MainWorker loop.
-func BenchmarkEngineParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			o := mopeye.DefaultParallelBenchOptions()
-			o.WorkerCounts = []int{w}
-			var pktsPerSec float64
-			var pkts int
-			for i := 0; i < b.N; i++ {
-				res, err := mopeye.RunParallelBench(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row := res.Rows[0]
-				if row.Errors > 0 {
-					b.Fatalf("flood errors: %d", row.Errors)
-				}
-				pktsPerSec = row.PacketsPerSec
-				pkts = row.Packets
-			}
-			b.ReportMetric(pktsPerSec, "pkts/sec")
-			b.ReportMetric(float64(pkts), "pkts/run")
-		})
-	}
-}
-
-// BenchmarkEngineCeiling sweeps worker counts over a zero-delay
-// loopback network (netsim.SetLoopback): no simulated wire delay
-// anywhere, so pkts/sec is the engine's own ceiling — dispatch (the
-// PeekFlowKey fast path), flow table, relay handlers, pooled UDP —
-// rather than the path. Compare with BenchmarkEngineParallel, which
-// runs the same flood over a 1 ms simulated RTT.
-func BenchmarkEngineCeiling(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			o := mopeye.DefaultDispatchBenchOptions()
-			o.WorkerCounts = []int{w}
-			var pktsPerSec float64
-			var udpRelayed int
-			for i := 0; i < b.N; i++ {
-				res, err := mopeye.RunDispatchBench(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row := res.Rows[0]
-				if row.Errors > 0 {
-					b.Fatalf("flood errors: %d", row.Errors)
-				}
-				pktsPerSec = row.PacketsPerSec
-				udpRelayed = row.UDPRelayed
-			}
-			b.ReportMetric(pktsPerSec, "pkts/sec")
-			b.ReportMetric(float64(udpRelayed), "udp/run")
-		})
-	}
-}
-
-// BenchmarkEngineCeilingReadBatch ablates the batched TUN read path at
-// Workers=4: readbatch=1 is the PR 2 behaviour (per-packet retrieval,
-// per-packet queue locks), larger bursts amortise the TUN queue, the
-// per-worker ring pushes, and the batched tunnel writes. The pkts/sec
-// gap is what the batching layer itself buys at the engine ceiling.
-func BenchmarkEngineCeilingReadBatch(b *testing.B) {
-	for _, rb := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("readbatch=%d", rb), func(b *testing.B) {
-			o := mopeye.DefaultDispatchBenchOptions()
-			o.WorkerCounts = []int{4}
-			o.ReadBatch = rb
-			var pktsPerSec float64
-			for i := 0; i < b.N; i++ {
-				res, err := mopeye.RunDispatchBench(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row := res.Rows[0]
-				if row.Errors > 0 {
-					b.Fatalf("flood errors: %d", row.Errors)
-				}
-				pktsPerSec = row.PacketsPerSec
-			}
-			b.ReportMetric(pktsPerSec, "pkts/sec")
-		})
-	}
-}
-
-// BenchmarkEngineCeilingAdaptiveBatch races the AIMD burst governor
-// against pinned burst sizes at Workers=4. Under the sustained
-// loopback flood the governor should converge to the ceiling within
-// the first bursts, so "auto" must land within noise of the best fixed
-// batch; the avg-batch metric shows where it settled.
-func BenchmarkEngineCeilingAdaptiveBatch(b *testing.B) {
-	for _, arm := range []struct {
-		name string
-		rb   int
-		auto bool
-	}{{"fixed=4", 4, false}, {"fixed=64", 64, false}, {"auto", 0, true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			o := mopeye.DefaultDispatchBenchOptions()
-			o.WorkerCounts = []int{4}
-			o.ReadBatch = arm.rb
-			o.ReadBatchAuto = arm.auto
-			var pktsPerSec, avgBatch float64
-			for i := 0; i < b.N; i++ {
-				res, err := mopeye.RunDispatchBench(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row := res.Rows[0]
-				if row.Errors > 0 {
-					b.Fatalf("flood errors: %d", row.Errors)
-				}
-				pktsPerSec = row.PacketsPerSec
-				avgBatch = row.AvgReadBatch
-			}
-			b.ReportMetric(pktsPerSec, "pkts/sec")
-			b.ReportMetric(avgBatch, "avg-batch")
-		})
-	}
-}
-
-// BenchmarkSubscribeOverhead is the streaming pipeline's ceiling
-// guard: the Workers=4 loopback flood with 0, 1 and 8 live
-// measurement subscribers attached. subs=0 is the zero-subscriber
-// publish path (allocation-free, pinned by measure's 0-allocs test)
-// and must sit within noise of BenchmarkEngineCeiling/workers=4 — the
-// broadcast layer may not tax an engine nobody is listening to. The
-// subs=1/8 rows record what bounded fan-out costs when someone is.
-func BenchmarkSubscribeOverhead(b *testing.B) {
-	for _, subs := range []int{0, 1, 8} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			o := mopeye.DefaultDispatchBenchOptions()
-			o.WorkerCounts = []int{4}
-			o.Subscribers = subs
-			var pktsPerSec float64
-			var streamed, dropped int
-			for i := 0; i < b.N; i++ {
-				res, err := mopeye.RunDispatchBench(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row := res.Rows[0]
-				if row.Errors > 0 {
-					b.Fatalf("flood errors: %d", row.Errors)
-				}
-				pktsPerSec = row.PacketsPerSec
-				streamed = row.Streamed
-				dropped = row.StreamDropped
-			}
-			b.ReportMetric(pktsPerSec, "pkts/sec")
-			b.ReportMetric(float64(streamed), "streamed/run")
-			b.ReportMetric(float64(dropped), "stream-drops/run")
-		})
 	}
 }
 

@@ -28,7 +28,7 @@
 //
 // Usage:
 //
-//	mopeye [-apps N] [-conns N] [-pages N] [-realistic] [-variant mopeye|toyvpn|haystack] [-workers N] [-readbatch N|auto] [-follow] [-jsonl] [-dash [-dash-addr HOST:PORT]] [-upload URL [-device D] [-token T]]
+//	mopeye [-apps N] [-conns N] [-pages N] [-realistic] [-variant mopeye|toyvpn|haystack] [-workers N] [-readbatch N] [-follow] [-jsonl] [-dash [-dash-addr HOST:PORT]] [-upload URL [-device D] [-token T]]
 //	mopeye -tun real [-tun-name mopeye0] [-upstream socks5://host:port] [-duration 30s] [-jsonl] [-dash [-dash-addr HOST:PORT]]
 package main
 
@@ -41,7 +41,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -60,7 +59,6 @@ type config struct {
 	variant   string
 	workers   int
 	readBatch int
-	readAuto  bool
 	follow    bool
 	jsonl     bool
 	dash      bool
@@ -80,7 +78,6 @@ type config struct {
 // anything), so flag handling is unit-testable.
 func parseFlags(args []string) (config, error) {
 	var c config
-	var readbatch string
 	fs := flag.NewFlagSet("mopeye", flag.ContinueOnError)
 	fs.IntVar(&c.apps, "apps", 4, "number of simulated apps")
 	fs.IntVar(&c.pages, "pages", 6, "workload rounds per app")
@@ -88,7 +85,7 @@ func parseFlags(args []string) (config, error) {
 	fs.BoolVar(&c.realistic, "realistic", true, "enable Android-like cost models")
 	fs.StringVar(&c.variant, "variant", "mopeye", "engine variant: mopeye, toyvpn or haystack")
 	fs.IntVar(&c.workers, "workers", 1, "packet-processing workers (1 = paper-faithful MainWorker)")
-	fs.StringVar(&readbatch, "readbatch", "auto", "multi-worker read burst size: explicit N pins it (1 = batching off), 0 or auto self-tunes (AIMD up to the default ceiling of 64)")
+	fs.IntVar(&c.readBatch, "readbatch", 0, "multi-worker read burst size (1 = batching off, 0 = the engine default of 64)")
 	fs.BoolVar(&c.follow, "follow", false, "print each measurement live as the engine records it")
 	fs.BoolVar(&c.jsonl, "jsonl", false, "stream measurements to stdout as JSON Lines (report moves to stderr)")
 	fs.BoolVar(&c.dash, "dash", false, "render a live per-app RTT dashboard (sparklines, engine gauges) refreshing on the phone's clock")
@@ -104,20 +101,9 @@ func parseFlags(args []string) (config, error) {
 		return config{}, err
 	}
 
-	// The -readbatch spelling: an explicit N pins the burst size, "0" or
-	// "auto" selects the AIMD governor (ReadBatch stays 0, so the engine
-	// default becomes the governor's ceiling). Either way the knob only
-	// matters at -workers > 1.
-	if readbatch == "auto" || readbatch == "0" {
-		c.readAuto = true
-	} else {
-		n, err := strconv.Atoi(readbatch)
-		if err != nil || n < 0 {
-			return config{}, fmt.Errorf("mopeye: bad -readbatch %q (want N or auto)", readbatch)
-		}
-		c.readBatch = n
+	if c.readBatch < 0 {
+		return config{}, fmt.Errorf("mopeye: bad -readbatch %d (want N >= 0)", c.readBatch)
 	}
-
 	switch c.variant {
 	case "mopeye", "toyvpn", "haystack":
 	default:
@@ -188,12 +174,11 @@ func main() {
 func runReal(cfg config) error {
 	ecfg := cfg.engineConfig()
 	phone, err := mopeye.NewReal(mopeye.RealOptions{
-		TunName:       cfg.tunName,
-		Upstream:      cfg.upstream,
-		Engine:        &ecfg,
-		Workers:       cfg.workers,
-		ReadBatch:     cfg.readBatch,
-		ReadBatchAuto: cfg.readAuto,
+		TunName:   cfg.tunName,
+		Upstream:  cfg.upstream,
+		Engine:    &ecfg,
+		Workers:   cfg.workers,
+		ReadBatch: cfg.readBatch,
 	})
 	if err != nil {
 		return err
@@ -317,7 +302,6 @@ func runSim(cfg config, stdout, stderr io.Writer) error {
 		Engine:         &ecfg,
 		Workers:        cfg.workers,
 		ReadBatch:      cfg.readBatch,
-		ReadBatchAuto:  cfg.readAuto,
 		RealisticCosts: cfg.realistic,
 	})
 	if err != nil {

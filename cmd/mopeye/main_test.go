@@ -14,8 +14,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if c.tun != "sim" || c.tunName != "" || c.upstream != "" {
 		t.Fatalf("defaults: %+v", c)
 	}
-	if !c.readAuto || c.readBatch != 0 {
-		t.Fatalf("readbatch default should be auto: %+v", c)
+	if c.readBatch != 0 {
+		t.Fatalf("readbatch default should be 0 (engine default): %+v", c)
 	}
 	if c.variant != "mopeye" || c.workers != 1 {
 		t.Fatalf("defaults: %+v", c)
@@ -37,7 +37,7 @@ func TestParseFlagsRealPlane(t *testing.T) {
 	if c.upstream != "socks5://user:pw@127.0.0.1:1080" {
 		t.Fatalf("upstream: %q", c.upstream)
 	}
-	if c.duration != 5*time.Second || c.workers != 4 || c.readBatch != 16 || c.readAuto {
+	if c.duration != 5*time.Second || c.workers != 4 || c.readBatch != 16 {
 		t.Fatalf("parsed: %+v", c)
 	}
 }
@@ -54,6 +54,7 @@ func TestParseFlagsRejects(t *testing.T) {
 		{[]string{"-tun", "real", "-upstream", "socks5://hostonly"}, "host:port"},
 		{[]string{"-readbatch", "-3"}, "-readbatch"},
 		{[]string{"-readbatch", "lots"}, "-readbatch"},
+		{[]string{"-readbatch", "auto"}, "-readbatch"},
 		{[]string{"-variant", "vpnservice"}, "-variant"},
 		{[]string{"-dash", "-follow"}, "-dash"},
 		{[]string{"-dash", "-jsonl"}, "-dash"},

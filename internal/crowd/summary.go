@@ -1,8 +1,6 @@
 package crowd
 
 import (
-	"sort"
-
 	"repro/internal/measure"
 	"repro/internal/sketch"
 )
@@ -151,24 +149,4 @@ func (s Summary) AppMedians(minN int) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// TopApps returns the n busiest apps by TCP measurement count, ties
-// broken lexicographically — a stable shortlist for dashboards.
-func (s Summary) TopApps(n int) []string {
-	apps := make([]string, 0, len(s.PerApp))
-	for app := range s.PerApp {
-		apps = append(apps, app)
-	}
-	sort.Slice(apps, func(i, j int) bool {
-		ni, nj := s.PerApp[apps[i]].N, s.PerApp[apps[j]].N
-		if ni != nj {
-			return ni > nj
-		}
-		return apps[i] < apps[j]
-	})
-	if len(apps) > n {
-		apps = apps[:n]
-	}
-	return apps
 }

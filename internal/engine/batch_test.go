@@ -22,17 +22,15 @@ import (
 // tunnel), so any reordering introduced by the scatter path, the rings,
 // or the batched writer surfaces as a corrupted or stalled stream. The
 // grid covers the paper-faithful core, the batched path with batching
-// disabled, two burst sizes, and the AIMD-governed adaptive burst; a
-// ring smaller than the in-flight packet count forces each reader's
-// backpressure path too (including the adaptive governor's worst case,
-// a burst larger than the ring).
+// disabled and two burst sizes; a ring smaller than the in-flight
+// packet count forces each reader's backpressure path too (for the
+// batched reader, a burst larger than the ring).
 func TestPerFlowOrderingAcrossConfigs(t *testing.T) {
 	configs := []struct {
 		name      string
 		workers   int
 		readBatch int
 		ringSize  int
-		auto      bool
 	}{
 		{name: "workers=1", workers: 1},
 		{name: "workers=1/tiny-ring", workers: 1, ringSize: 8},
@@ -40,8 +38,6 @@ func TestPerFlowOrderingAcrossConfigs(t *testing.T) {
 		{name: "workers=4/readbatch=8", workers: 4, readBatch: 8},
 		{name: "workers=4/readbatch=64", workers: 4, readBatch: 64},
 		{name: "workers=2/tiny-ring", workers: 2, readBatch: 64, ringSize: 8},
-		{name: "workers=4/readbatch=auto", workers: 4, auto: true},
-		{name: "workers=4/readbatch=auto/tiny-ring", workers: 4, ringSize: 8, auto: true},
 	}
 	const (
 		flows   = 6
@@ -54,7 +50,6 @@ func TestPerFlowOrderingAcrossConfigs(t *testing.T) {
 			cfg.Workers = tc.workers
 			cfg.ReadBatch = tc.readBatch
 			cfg.RingSize = tc.ringSize
-			cfg.ReadBatchAuto = tc.auto
 			tb := newTestbed(t, cfg)
 
 			errs := make(chan error, flows)
@@ -124,25 +119,9 @@ func TestPerFlowOrderingAcrossConfigs(t *testing.T) {
 // path both counters stay zero.
 func TestBatchCountersAccounted(t *testing.T) {
 	run := func(workers int) engine.Stats {
-		t.Helper()
 		cfg := engine.Default()
 		cfg.Workers = workers
-		tb := newTestbed(t, cfg)
-		conn, err := tb.phone.Connect(uidApp, tb.server, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		msg := []byte("batch accounting probe")
-		if _, err := conn.Write(msg); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, len(msg))
-		if err := conn.ReadFull(buf); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, 3*time.Second, func() bool { return tb.eng.Store().Len() >= 1 }, "record")
-		return tb.eng.Stats()
+		return statsAfterEcho(t, cfg)
 	}
 
 	single := run(1)
@@ -164,48 +143,36 @@ func TestBatchCountersAccounted(t *testing.T) {
 	}
 }
 
-// TestReadBatchStatsObservable pins the new burst observability: on the
-// batched path Stats must expose the reader's live burst limit and the
-// realised batch size, with the limit pinned at Config.ReadBatch in
-// fixed mode and confined to [floor, ceiling] under ReadBatchAuto.
+// TestReadBatchStatsObservable pins the burst observability: on the
+// batched path Stats must expose the realised batch size.
 func TestReadBatchStatsObservable(t *testing.T) {
-	run := func(auto bool) engine.Stats {
-		t.Helper()
-		cfg := engine.Default()
-		cfg.Workers = 4
-		cfg.ReadBatch = 32
-		cfg.ReadBatchAuto = auto
-		tb := newTestbed(t, cfg)
-		conn, err := tb.phone.Connect(uidApp, tb.server, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		msg := []byte("burst gauge probe")
-		if _, err := conn.Write(msg); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, len(msg))
-		if err := conn.ReadFull(buf); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, 3*time.Second, func() bool { return tb.eng.Store().Len() >= 1 }, "record")
-		return tb.eng.Stats()
+	cfg := engine.Default()
+	cfg.Workers = 4
+	cfg.ReadBatch = 32
+	st := statsAfterEcho(t, cfg)
+	if st.ReadBatches > 0 && st.AvgReadBatch <= 0 {
+		t.Errorf("AvgReadBatch = %v with %d batches", st.AvgReadBatch, st.ReadBatches)
 	}
+}
 
-	fixed := run(false)
-	if fixed.ReadBatchLimit != 32 {
-		t.Errorf("fixed mode: ReadBatchLimit = %d, want the pinned 32", fixed.ReadBatchLimit)
+// statsAfterEcho relays one connection's echo through an engine built
+// from cfg and returns the counters once its record has landed.
+func statsAfterEcho(t *testing.T, cfg engine.Config) engine.Stats {
+	t.Helper()
+	tb := newTestbed(t, cfg)
+	conn, err := tb.phone.Connect(uidApp, tb.server, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fixed.ReadBatches > 0 && fixed.AvgReadBatch <= 0 {
-		t.Errorf("fixed mode: AvgReadBatch = %v with %d batches", fixed.AvgReadBatch, fixed.ReadBatches)
+	defer conn.Close()
+	msg := []byte("batch accounting probe")
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
 	}
-
-	adaptive := run(true)
-	if adaptive.ReadBatchLimit < 1 || adaptive.ReadBatchLimit > 32 {
-		t.Errorf("adaptive mode: ReadBatchLimit = %d, want within [floor, 32]", adaptive.ReadBatchLimit)
+	buf := make([]byte, len(msg))
+	if err := conn.ReadFull(buf); err != nil {
+		t.Fatal(err)
 	}
-	if adaptive.ReadBatches > 0 && adaptive.AvgReadBatch <= 0 {
-		t.Errorf("adaptive mode: AvgReadBatch = %v with %d batches", adaptive.AvgReadBatch, adaptive.ReadBatches)
-	}
+	waitFor(t, 3*time.Second, func() bool { return tb.eng.Store().Len() >= 1 }, "record")
+	return tb.eng.Stats()
 }

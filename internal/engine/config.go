@@ -89,30 +89,14 @@ type Config struct {
 	ReadMode     ReadMode
 	PollInterval time.Duration // sleep between empty polls for ReadPoll*
 
-	// PollBurst is ReadPollAdaptive's burst budget: how many empty
-	// polls after a successful read stay on the short interval before
-	// the poller backs off to PollInterval. Zero selects the ToyVpn
-	// default of 8; negative disables the burst window (every empty
-	// poll sleeps the long interval).
-	PollBurst int
-
 	// ReadBatch bounds how many tunnel packets the reader retrieves per
 	// burst on the multi-worker path: tun.ReadBatch amortises the TUN
 	// queue lock across the burst the way readv/recvmmsg amortise
 	// syscalls, and the emit side batches tunnel writes at the same
 	// grain. Zero selects the default of 64; 1 degenerates to
 	// packet-at-a-time (the batching ablation). Workers=1 always runs
-	// the paper's per-packet §3.1 read loop regardless. With
-	// ReadBatchAuto set this is the adaptive governor's ceiling.
+	// the paper's per-packet §3.1 read loop regardless.
 	ReadBatch int
-
-	// ReadBatchAuto replaces the fixed burst size with an AIMD governor
-	// (readbatch.go): the reader grows its burst limit additively while
-	// bursts come back full (the tunnel has a backlog worth amortising)
-	// and halves it when bursts come back mostly empty, between a small
-	// floor and ReadBatch as the ceiling. The realised limit is
-	// observable as Stats.ReadBatchLimit. Ignored at Workers=1.
-	ReadBatchAuto bool
 
 	// RingSize is the per-worker SPSC ring capacity (the read queue of
 	// §3.2), rounded up to a power of two; zero selects 1024. When a

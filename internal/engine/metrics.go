@@ -40,9 +40,6 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	ctr("read_batches_total", "Burst reads completed on the batched TUN path.", &e.ctr.readBatches)
 	ctr("batched_packets_total", "Packets carried by completed burst reads.", &e.ctr.batchedPackets)
 
-	r.GaugeFunc("mopeye_engine_read_batch_limit",
-		"Current reader burst limit (fixed ReadBatch, or the AIMD governor's live value).",
-		func() float64 { return float64(e.ctr.readBatchLimit.Load()) })
 	r.GaugeFunc("mopeye_engine_avg_read_batch",
 		"Realised burst size: batched packets per completed burst read.",
 		func() float64 {

@@ -10,8 +10,7 @@ import (
 
 // adaptiveBurstPolls is how many empty polls after activity keep the
 // short poll interval before the reader backs off to the configured
-// sleep — ToyVpn's "intelligent sleeping" burst window. Config.PollBurst
-// overrides it.
+// sleep — ToyVpn's "intelligent sleeping" burst window.
 const adaptiveBurstPolls = 8
 
 // adaptiveShortPoll is the burst-phase poll interval.
@@ -63,19 +62,6 @@ func (p *pollPolicy) onEmpty() time.Duration {
 		return p.short
 	}
 	return p.long
-}
-
-// pollBurst resolves Config.PollBurst: zero selects the ToyVpn default,
-// negative disables the burst window entirely.
-func (e *Engine) pollBurst() int {
-	switch {
-	case e.cfg.PollBurst == 0:
-		return adaptiveBurstPolls
-	case e.cfg.PollBurst < 0:
-		return 0
-	default:
-		return e.cfg.PollBurst
-	}
 }
 
 // readSleep resolves the configured poll interval.
@@ -133,7 +119,7 @@ func (e *Engine) tunReader() {
 	defer e.wg.Done()
 	defer e.closeLanes()
 	w := e.workers[0]
-	policy := newPollPolicy(adaptiveShortPoll, e.readSleep(), e.pollBurst())
+	policy := newPollPolicy(adaptiveShortPoll, e.readSleep(), adaptiveBurstPolls)
 	for {
 		raw, err := e.dev.Read()
 		if !e.isRunning() {
@@ -154,25 +140,20 @@ func (e *Engine) tunReader() {
 }
 
 // tunReaderBatched is the multi-worker tunnel read thread: it retrieves
-// packets in bursts of up to the governed burst limit (tun.ReadBatch
-// pays the queue lock once per burst), peeks each packet's flow key
-// straight out of the header bytes (packet.PeekFlowKey — no decode, no
-// allocation), and scatters the burst into the per-worker SPSC rings.
-// Routing on the reader removes any shared queue from the packet hot
-// path. The burst limit is pinned at Config.ReadBatch, or self-tuned by
-// the AIMD governor (readbatch.go) under ReadBatchAuto; either way the
-// live limit is published to the ReadBatchLimit gauge. The read-mode
-// schedule (§3.1) is unchanged, applied per burst.
+// packets in bursts of up to Config.ReadBatch (tun.ReadBatch pays the
+// queue lock once per burst), peeks each packet's flow key straight out
+// of the header bytes (packet.PeekFlowKey — no decode, no allocation),
+// and scatters the burst into the per-worker SPSC rings. Routing on the
+// reader removes any shared queue from the packet hot path. The
+// read-mode schedule (§3.1) is unchanged, applied per burst.
 func (e *Engine) tunReaderBatched() {
 	defer e.wg.Done()
 	defer e.closeLanes()
-	policy := newPollPolicy(adaptiveShortPoll, e.readSleep(), e.pollBurst())
-	gov := newBurstGovernor(e.cfg)
-	batch := make([][]byte, gov.ceil)
+	policy := newPollPolicy(adaptiveShortPoll, e.readSleep(), adaptiveBurstPolls)
+	batch := make([][]byte, e.cfg.ReadBatch)
 	touched := make([]bool, len(e.workers))
-	e.ctr.readBatchLimit.Store(int64(gov.limit()))
 	for {
-		n, err := e.dev.ReadBatch(batch[:gov.limit()])
+		n, err := e.dev.ReadBatch(batch)
 		if !e.isRunning() {
 			return
 		}
@@ -184,9 +165,6 @@ func (e *Engine) tunReaderBatched() {
 		}
 		policy.onSuccess()
 		e.scatter(batch[:n], touched)
-		if gov.observe(n); int64(gov.limit()) != e.ctr.readBatchLimit.Load() {
-			e.ctr.readBatchLimit.Store(int64(gov.limit()))
-		}
 	}
 }
 

@@ -64,8 +64,7 @@ func TestPollPolicyZeroBurstNeverSpinsShort(t *testing.T) {
 }
 
 // TestPollPolicyNegativeBurstNormalised pins the constructor guard:
-// negative budgets (Config.PollBurst < 0 disables bursting) behave like
-// zero.
+// negative budgets behave like zero.
 func TestPollPolicyNegativeBurstNormalised(t *testing.T) {
 	p := newPollPolicy(time.Millisecond, 50*time.Millisecond, -3)
 	p.onSuccess()

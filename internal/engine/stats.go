@@ -61,12 +61,6 @@ type Stats struct {
 	ReadBatches    int
 	BatchedPackets int
 
-	// ReadBatchLimit is the reader's current burst limit: the fixed
-	// Config.ReadBatch normally, or the AIMD governor's live value
-	// under ReadBatchAuto — watching it against AvgReadBatch shows
-	// whether the governor has converged on the workload. Zero on the
-	// single-worker path.
-	ReadBatchLimit int
 	// AvgReadBatch is the realised burst size,
 	// BatchedPackets/ReadBatches (0 when no burst has completed).
 	AvgReadBatch float64
@@ -106,7 +100,6 @@ type counters struct {
 	udpBytesDown    atomic.Int64
 	readBatches     atomic.Int64
 	batchedPackets  atomic.Int64
-	readBatchLimit  atomic.Int64 // gauge: the reader's current burst limit
 }
 
 // Stats snapshots the engine counters, folding in mapper and queue
@@ -138,7 +131,6 @@ func (e *Engine) Stats() Stats {
 		UDPBytesDown:    e.ctr.udpBytesDown.Load(),
 		ReadBatches:     int(e.ctr.readBatches.Load()),
 		BatchedPackets:  int(e.ctr.batchedPackets.Load()),
-		ReadBatchLimit:  int(e.ctr.readBatchLimit.Load()),
 	}
 	if s.ReadBatches > 0 {
 		s.AvgReadBatch = float64(s.BatchedPackets) / float64(s.ReadBatches)

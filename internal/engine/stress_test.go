@@ -17,22 +17,15 @@ import (
 // (Stats, ActiveClients, AppTraffic) and Stop lands mid-flood. Run for
 // the paper-faithful single worker (on a tiny ring, so Stop can land
 // while the per-packet reader is parked on a full one) and for the
-// batched multi-worker pipeline: fixed and AIMD-governed bursts, plus a
-// ring smaller than the burst to stress the wake-before-park
-// backpressure path.
+// batched multi-worker pipeline, the latter also on a ring smaller than
+// the burst to stress the wake-before-park backpressure path.
 
 func TestEngineStressSingleWorker(t *testing.T) {
 	stressEngine(t, 1, func(cfg *engine.Config) { cfg.RingSize = 8 })
 }
 func TestEngineStressFourWorkers(t *testing.T) { stressEngine(t, 4, nil) }
-func TestEngineStressAdaptiveBatch(t *testing.T) {
-	stressEngine(t, 4, func(cfg *engine.Config) { cfg.ReadBatchAuto = true })
-}
-func TestEngineStressAdaptiveTinyRing(t *testing.T) {
-	stressEngine(t, 2, func(cfg *engine.Config) {
-		cfg.ReadBatchAuto = true
-		cfg.RingSize = 8
-	})
+func TestEngineStressTinyRing(t *testing.T) {
+	stressEngine(t, 2, func(cfg *engine.Config) { cfg.RingSize = 8 })
 }
 
 func stressEngine(t *testing.T, workers int, tweak func(*engine.Config)) {

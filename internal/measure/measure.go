@@ -69,24 +69,6 @@ func (r Record) NetKey() string {
 	return r.Kind.String() + "/" + nt
 }
 
-// ByDevice groups records by device.
-func ByDevice(recs []Record) map[string][]Record {
-	m := make(map[string][]Record)
-	for _, r := range recs {
-		m[r.Device] = append(m[r.Device], r)
-	}
-	return m
-}
-
-// ByNetType groups records by network type.
-func ByNetType(recs []Record) map[string][]Record {
-	m := make(map[string][]Record)
-	for _, r := range recs {
-		m[r.NetType] = append(m[r.NetType], r)
-	}
-	return m
-}
-
 // Store collects records and broadcasts each one, at Add time, to any
 // live subscriptions (broadcast.go). The snapshot accessors and the
 // subscription stream observe the same records in the same order; the
@@ -173,15 +155,6 @@ func ByDomain(recs []Record) map[string][]Record {
 		if r.Domain != "" {
 			m[r.Domain] = append(m[r.Domain], r)
 		}
-	}
-	return m
-}
-
-// ByISP groups records by ISP.
-func ByISP(recs []Record) map[string][]Record {
-	m := make(map[string][]Record)
-	for _, r := range recs {
-		m[r.ISP] = append(m[r.ISP], r)
 	}
 	return m
 }

@@ -58,15 +58,6 @@ func TestGroupings(t *testing.T) {
 	if got := len(ByApp(recs)["app1"]); got != 2 {
 		t.Errorf("ByApp: %d", got)
 	}
-	if got := len(ByISP(recs)["ispA"]); got != 2 {
-		t.Errorf("ByISP: %d", got)
-	}
-	if got := len(ByDevice(recs)["d1"]); got != 2 {
-		t.Errorf("ByDevice: %d", got)
-	}
-	if got := len(ByNetType(recs)["LTE"]); got != 2 {
-		t.Errorf("ByNetType: %d", got)
-	}
 }
 
 func TestByDomainSkipsEmpty(t *testing.T) {

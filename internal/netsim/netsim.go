@@ -245,7 +245,7 @@ func New(clk clock.Clock, def LinkParams, seed int64) *Network {
 // This is the engine-ceiling mode: benchmarks that want to measure the
 // relay engine rather than the simulated wire run against a loopback
 // network, the way a loopback iperf measures a host's stack rather
-// than a path (`paperbench -exp dispatch`). Flow control is still
+// than a path (the `bench/` relay workloads). Flow control is still
 // real — a sender blocks when the peer's receive buffer is full — so
 // it is meant for request/response workloads, not one-directional
 // firehoses against a stalled reader.

@@ -150,36 +150,6 @@ func (c *CDF) Quantile(q float64) float64 {
 // Median returns the 0.5-quantile.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// Series samples the CDF at evenly spaced x values between lo and hi
-// inclusive and returns (x, P(X<=x)) pairs. This is how the paper's CDF
-// figures are regenerated as printable series.
-func (c *CDF) Series(lo, hi float64, points int) []Point {
-	if points < 2 {
-		points = 2
-	}
-	out := make([]Point, 0, points)
-	step := (hi - lo) / float64(points-1)
-	for i := 0; i < points; i++ {
-		x := lo + float64(i)*step
-		out = append(out, Point{X: x, Y: c.At(x)})
-	}
-	return out
-}
-
-// Point is one (x, y) sample of a plotted series.
-type Point struct {
-	X, Y float64
-}
-
-// FractionBelow returns the fraction of samples strictly below x.
-func (c *CDF) FractionBelow(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	return float64(i) / float64(len(c.sorted))
-}
-
 // DelayHistogram buckets durations using the boundaries of Table 1:
 // 0–1 ms, 1–2 ms, 2–5 ms, 5–10 ms, > 10 ms.
 type DelayHistogram struct {
@@ -240,37 +210,4 @@ func DurationsToMillis(ds []time.Duration) []float64 {
 		out[i] = d.Seconds() * 1000
 	}
 	return out
-}
-
-// Histogram counts samples into caller-defined right-open buckets
-// [bounds[i], bounds[i+1]). Samples below bounds[0] fall into the first
-// bucket; samples at or above the last bound fall into the last.
-type Histogram struct {
-	Bounds []float64
-	Counts []int
-}
-
-// NewHistogram creates a histogram with len(bounds)+1 buckets.
-func NewHistogram(bounds ...float64) *Histogram {
-	return &Histogram{Bounds: bounds, Counts: make([]int, len(bounds)+1)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	i := sort.SearchFloat64s(h.Bounds, x)
-	// SearchFloat64s returns the insertion index, which is exactly the
-	// bucket: x < Bounds[0] -> 0, x >= Bounds[last] -> len(Bounds).
-	if i < len(h.Bounds) && h.Bounds[i] == x {
-		i++
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }

@@ -4,9 +4,9 @@ package tun
 // backend. Two implementations exist: the emulated *Device in this
 // package (the default test substrate — deterministic, no privileges)
 // and lintun.TUN (build tag "realtun"), which wraps a real Linux
-// /dev/net/tun descriptor. The engine's reader/writer loops, the
-// batching machinery, and the AIMD read governor all speak this
-// interface, so they carry over to a real device unchanged.
+// /dev/net/tun descriptor. The engine's reader/writer loops and the
+// batching machinery speak this interface, so they carry over to a real
+// device unchanged.
 type Interface interface {
 	// Read retrieves the next outgoing IP packet from the device. In
 	// blocking mode it waits; in non-blocking mode an empty device

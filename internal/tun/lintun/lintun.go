@@ -190,8 +190,7 @@ func (t *TUN) readNonblock(buf []byte) (int, error) {
 // ReadBatch retrieves up to len(dst) packets: the first under the
 // configured blocking mode (one park or one ErrWouldBlock), the rest by
 // draining whatever the fd has ready without waiting — the same
-// burst-without-extra-wait contract as the emulated device, so the
-// AIMD governor's full-burst/half-burst signals keep their meaning.
+// burst-without-extra-wait contract as the emulated device.
 func (t *TUN) ReadBatch(dst [][]byte) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil

@@ -119,14 +119,14 @@ func TestGoldenStreamMatchesSnapshot(t *testing.T) {
 				conn.Close()
 			}
 		}
-		// 8 TCP records plus one DNS record per domain's first resolution.
-		want := 10
+		// 8 TCP records plus one DNS record per connect's resolution.
+		want := 16
 		for deadline := time.Now().Add(5 * time.Second); len(p.Measurements()) < want &&
 			time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
-		snap := p.Measurements()
 		p.Close()
+		snap := p.Measurements()
 		stream := <-streamed
 
 		if len(stream) != len(snap) {

@@ -117,21 +117,14 @@ type Options struct {
 	// disables batching (the ablation value). Ignored at Workers=1,
 	// which always runs the paper's per-packet read loop.
 	ReadBatch int
-	// ReadBatchAuto lets the reader self-tune its burst size with an
-	// AIMD governor instead of pinning it: ReadBatch (or the engine
-	// default) becomes the ceiling, and the realised burst fill drives
-	// the live limit between a small floor and that ceiling. The
-	// CLI spelling is `-readbatch auto`. Ignored at Workers=1.
-	ReadBatchAuto bool
 	// RealisticCosts enables the Android cost models (protect/register/
 	// dispatch latency, proc parse cost, tunnel write cost). Off by
 	// default for deterministic behaviour.
 	RealisticCosts bool
 	// Loopback runs the network in zero-delay loopback server mode:
 	// connects, byte streams, and UDP services complete with no
-	// simulated wire delay at all, so benchmarks measure the engine
-	// ceiling rather than the path (`paperbench -exp dispatch`). RTT
-	// options are ignored when set.
+	// simulated wire delay at all, so a load test measures the engine
+	// rather than the path. RTT options are ignored when set.
 	Loopback bool
 	// Seed drives all randomness.
 	Seed int64
@@ -195,9 +188,6 @@ func New(o Options) (*Phone, error) {
 	}
 	if o.ReadBatch > 0 {
 		cfg.ReadBatch = o.ReadBatch
-	}
-	if o.ReadBatchAuto {
-		cfg.ReadBatchAuto = true
 	}
 	opts := testbed.Options{
 		Engine:     cfg,

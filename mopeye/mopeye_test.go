@@ -2,11 +2,18 @@ package mopeye
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/netip"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/measure"
+	"repro/internal/netsim"
 )
 
 func newPhone(t *testing.T) *Phone {
@@ -305,74 +312,156 @@ func TestAppTrafficViaFacade(t *testing.T) {
 	t.Fatalf("traffic not attributed: %+v", p.AppTraffic())
 }
 
-// TestDispatchBenchLoopback runs a miniature engine-ceiling sweep:
-// the zero-delay loopback network must relay the full TCP flood and
-// the UDP datagrams through the pooled relay, at one worker and at
-// several.
-func TestDispatchBenchLoopback(t *testing.T) {
-	o := DispatchBenchOptions{
-		WorkerCounts:  []int{1, 4},
-		Apps:          2,
-		ConnsPerApp:   2,
-		EchoesPerConn: 5,
-		PayloadBytes:  256,
-		UDPPerConn:    3,
-	}
-	res, err := RunDispatchBench(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows: %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Errors != 0 {
-			t.Errorf("workers=%d: %d flood errors", row.Workers, row.Errors)
-		}
-		if row.Packets == 0 || row.PacketsPerSec <= 0 {
-			t.Errorf("workers=%d: no packets relayed: %+v", row.Workers, row)
-		}
-		// Loopback UDP cannot lose datagrams in transit; every one is
-		// either relayed or accounted as a queue drop.
-		if row.UDPRelayed+row.UDPDropped < o.Apps*o.ConnsPerApp*o.UDPPerConn {
-			t.Errorf("workers=%d: udp relayed %d + dropped %d < sent %d",
-				row.Workers, row.UDPRelayed, row.UDPDropped, o.Apps*o.ConnsPerApp*o.UDPPerConn)
-		}
-	}
-	if res.String() == "" {
-		t.Error("empty render")
-	}
-}
+// TestLoopbackFlood floods a zero-delay loopback phone, at one worker
+// and at several, with three live subscribers attached and the metrics
+// registry scraped throughout. Every TCP echo must complete, every UDP
+// datagram must be relayed or accounted as a drop, every subscriber must
+// see every record, and observing the flood must not disturb it.
+func TestLoopbackFlood(t *testing.T) {
+	const (
+		apps        = 2
+		connsPerApp = 2
+		echoes      = 5
+		udpPerConn  = 3
+		subscribers = 3
+		conns       = apps * connsPerApp
+	)
+	udpEcho := netip.MustParseAddrPort("203.0.113.200:7777")
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			servers := make([]Server, apps)
+			for a := range servers {
+				servers[a] = Server{
+					Domain: fmt.Sprintf("flood%d.example", a),
+					Addr:   fmt.Sprintf("203.0.113.%d:80", 10+a),
+				}
+			}
+			p, err := New(Options{Servers: servers, Workers: workers, Loopback: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			for a := range servers {
+				p.InstallApp(20001+a, fmt.Sprintf("flood.app%d", a))
+			}
+			p.bed.Net.HandleUDP(udpEcho, 0, netsim.EchoUDPHandler())
 
-// TestDispatchBenchSubscribers runs the ceiling flood with live
-// measurement subscribers attached: the stream must observe every
-// record (or account the difference as ring drops), and the flood
-// itself must be unaffected.
-func TestDispatchBenchSubscribers(t *testing.T) {
-	o := DispatchBenchOptions{
-		WorkerCounts:  []int{4},
-		Apps:          2,
-		ConnsPerApp:   2,
-		EchoesPerConn: 5,
-		PayloadBytes:  256,
-		Subscribers:   3,
-	}
-	res, err := RunDispatchBench(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := res.Rows[0]
-	if row.Errors != 0 {
-		t.Fatalf("flood errors with subscribers attached: %d", row.Errors)
-	}
-	// Each connection records one measurement; all three subscribers
-	// see each of them, minus bounded drops.
-	conns := o.Apps * o.ConnsPerApp
-	if row.Streamed+row.StreamDropped != o.Subscribers*conns {
-		t.Errorf("streamed %d + dropped %d != subscribers %d x records %d",
-			row.Streamed, row.StreamDropped, o.Subscribers, conns)
-	}
-	if row.StreamDropped != 0 {
-		t.Errorf("drops at measurement rates: %d", row.StreamDropped)
+			// Subscribe registers synchronously, so every stream sees the
+			// flood from its first record and ends when the phone closes.
+			var streamed atomic.Int64
+			var subWG sync.WaitGroup
+			for i := 0; i < subscribers; i++ {
+				stream := p.Subscribe(context.Background(), Filter{})
+				subWG.Add(1)
+				go func() {
+					defer subWG.Done()
+					for range stream {
+						streamed.Add(1)
+					}
+				}()
+			}
+
+			// Arm the registry before the flood, then scrape it until the
+			// flood is over.
+			if err := p.WriteMetrics(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			floodDone := make(chan struct{})
+			scrapeDone := make(chan struct{})
+			go func() {
+				defer close(scrapeDone)
+				for {
+					select {
+					case <-floodDone:
+						return
+					default:
+					}
+					if err := p.WriteMetrics(io.Discard); err != nil {
+						t.Errorf("scrape during flood: %v", err)
+						return
+					}
+				}
+			}()
+
+			var floodWG sync.WaitGroup
+			for a := 0; a < apps; a++ {
+				for c := 0; c < connsPerApp; c++ {
+					floodWG.Add(1)
+					go func(a int) {
+						defer floodWG.Done()
+						conn, err := p.Connect(20001+a, servers[a].Addr)
+						if err != nil {
+							t.Errorf("connect: %v", err)
+							return
+						}
+						defer conn.Close()
+						msg := make([]byte, 256)
+						buf := make([]byte, len(msg))
+						for i := 0; i < echoes; i++ {
+							if _, err := conn.Write(msg); err != nil {
+								t.Errorf("write: %v", err)
+								return
+							}
+							if err := conn.ReadFull(buf); err != nil {
+								t.Errorf("echo: %v", err)
+								return
+							}
+						}
+						u, err := p.bed.Phone.OpenUDP(20001 + a)
+						if err != nil {
+							t.Errorf("open udp: %v", err)
+							return
+						}
+						defer u.Close()
+						for i := 0; i < udpPerConn; i++ {
+							if err := u.SendTo(udpEcho, msg[:64]); err != nil {
+								t.Errorf("udp send: %v", err)
+								return
+							}
+						}
+						// The relay may shed under overload, so a missing
+						// response is not an error; the accounting below
+						// is the check.
+						for i := 0; i < udpPerConn; i++ {
+							if _, _, err := u.Recv(200 * time.Millisecond); err != nil {
+								break
+							}
+						}
+					}(a)
+				}
+			}
+			floodWG.Wait()
+			close(floodDone)
+			<-scrapeDone
+
+			// Loopback UDP cannot lose datagrams in transit; every one is
+			// either relayed or accounted as a queue drop.
+			st := p.EngineStats()
+			if sent := conns * udpPerConn; st.UDPRelayed+st.UDPDropped < sent {
+				t.Errorf("udp relayed %d + dropped %d < sent %d", st.UDPRelayed, st.UDPDropped, sent)
+			}
+
+			// Literal destinations skip DNS, so each connection is one
+			// record — landed by its socket-connect thread after the lazy
+			// mapping, possibly later than the app's last echo. Close ends
+			// the streams after delivering what is ringed; only then are
+			// the stream counters complete.
+			deadline := time.Now().Add(3 * time.Second)
+			for len(p.Measurements()) < conns && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			p.Close()
+			subWG.Wait()
+			if n := len(p.Measurements()); n != conns {
+				t.Errorf("records: %d, want one per connection (%d)", n, conns)
+			}
+			if got := streamed.Load() + int64(p.StreamDrops()); got != subscribers*conns {
+				t.Errorf("streamed %d + dropped %d != subscribers %d x records %d",
+					streamed.Load(), p.StreamDrops(), subscribers, conns)
+			}
+			if d := p.StreamDrops(); d != 0 {
+				t.Errorf("drops at measurement rates: %d", d)
+			}
+		})
 	}
 }

@@ -49,18 +49,13 @@ type RealOptions struct {
 	// Engine overrides the engine configuration; nil means the paper's
 	// shipped configuration.
 	Engine *engine.Config
-	// Workers, ReadBatch and ReadBatchAuto mirror Options: worker count
-	// and read-burst tuning for the multi-worker pipeline.
-	Workers       int
-	ReadBatch     int
-	ReadBatchAuto bool
+	// Workers and ReadBatch mirror Options: worker count and read-burst
+	// size for the multi-worker pipeline.
+	Workers   int
+	ReadBatch int
 	// ProcRoot is the proc mount to attribute flows from; empty means
 	// "/proc".
 	ProcRoot string
-	// UDPTransport overrides the UDP exit (the real ceiling bench
-	// counts-and-drops instead of re-emitting kernel datagrams); nil
-	// means per-datagram kernel sockets.
-	UDPTransport func(local, dst netip.AddrPort, payload []byte, deliver func([]byte))
 }
 
 // RealPhone is MopEye attached to a real TUN device. The measurement
@@ -114,11 +109,7 @@ func NewReal(o RealOptions) (*RealPhone, error) {
 	// the upstream dialer (TCP) and the kernel UDP transport.
 	prov := sockets.NewProvider(nil, clk, netip.IPv4Unspecified(), sockets.CostModel{}, 1)
 	prov.SetDialer(dialer)
-	if o.UDPTransport != nil {
-		prov.SetUDPTransport(sockets.UDPTransport(o.UDPTransport))
-	} else {
-		prov.SetUDPTransport(upstream.KernelUDP(o.UDPTimeout))
-	}
+	prov.SetUDPTransport(upstream.KernelUDP(o.UDPTimeout))
 
 	cfg := engine.Default()
 	if o.Engine != nil {
@@ -129,9 +120,6 @@ func NewReal(o RealOptions) (*RealPhone, error) {
 	}
 	if o.ReadBatch > 0 {
 		cfg.ReadBatch = o.ReadBatch
-	}
-	if o.ReadBatchAuto {
-		cfg.ReadBatchAuto = true
 	}
 
 	store := measure.NewStore()

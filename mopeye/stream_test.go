@@ -49,8 +49,10 @@ func runWorkload(t *testing.T, p *Phone, conns int) {
 		conn.Close()
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	// conns TCP records plus one DNS record for the first resolution.
-	for len(p.Measurements()) < conns+1 && time.Now().Before(deadline) {
+	// One TCP record per connect plus one DNS record for its resolution:
+	// waiting for all of them means no record can land after the caller
+	// closes the phone.
+	for len(p.Measurements()) < 2*conns && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 }
@@ -61,8 +63,8 @@ func runWorkload(t *testing.T, p *Phone, conns int) {
 func TestSubscribeMatchesSnapshot(t *testing.T) {
 	p, drained := streamPhone(t, Filter{})
 	runWorkload(t, p, 3)
-	snap := p.Measurements()
 	p.Close()
+	snap := p.Measurements()
 	got := drained()
 	if len(got) != len(snap) {
 		t.Fatalf("streamed %d, snapshot %d", len(got), len(snap))
@@ -164,12 +166,12 @@ func TestAttachSinksCaptureEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWorkload(t, p, 3)
+	p.Close()
 	snap := p.Measurements()
 	var want bytes.Buffer
 	if err := p.ExportCSV(&want); err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
 
 	if csvBuf.String() != want.String() {
 		t.Error("CSVSink output diverges from ExportCSV of the same records")
