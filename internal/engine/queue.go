@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/fifoq"
 	"repro/internal/stats"
 )
 
@@ -54,7 +55,7 @@ type packetQueue struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	items   []outPacket
+	items   fifoq.Queue[outPacket]
 	waiting bool // the TunWriter is parked in wait()
 	closed  bool
 	rng     *rand.Rand
@@ -92,7 +93,7 @@ func (q *packetQueue) put(raw []byte, buf *[]byte) {
 		}
 		return
 	}
-	q.items = append(q.items, outPacket{raw: raw, buf: buf})
+	q.items.Push(outPacket{raw: raw, buf: buf})
 	mustWake := q.waiting
 	if mustWake {
 		q.cond.Signal()
@@ -124,7 +125,7 @@ func (q *packetQueue) take() (raw []byte, buf *[]byte, ok bool) {
 func (q *packetQueue) takeOldPut() ([]byte, *[]byte, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 {
+	for q.items.Len() == 0 {
 		if q.closed {
 			return nil, nil, false
 		}
@@ -132,8 +133,7 @@ func (q *packetQueue) takeOldPut() ([]byte, *[]byte, bool) {
 		q.cond.Wait()
 		q.waiting = false
 	}
-	out := q.items[0]
-	q.items = q.items[1:]
+	out, _ := q.items.Pop()
 	return out.raw, out.buf, true
 }
 
@@ -146,9 +146,8 @@ func (q *packetQueue) takeNewPut() ([]byte, *[]byte, bool) {
 	counter := 0
 	for {
 		q.mu.Lock()
-		if len(q.items) > 0 {
-			out := q.items[0]
-			q.items = q.items[1:]
+		if q.items.Len() > 0 {
+			out, _ := q.items.Pop()
 			q.mu.Unlock()
 			counter /= 2
 			return out.raw, out.buf, true
@@ -186,20 +185,10 @@ func (q *packetQueue) takeBatch(dst []outPacket) (int, bool) {
 	return q.takeBatchOldPut(dst)
 }
 
-// drainLocked moves up to len(dst) items out. Caller holds q.mu.
-func (q *packetQueue) drainLocked(dst []outPacket) int {
-	n := copy(dst, q.items)
-	for i := 0; i < n; i++ {
-		q.items[i] = outPacket{}
-	}
-	q.items = q.items[n:]
-	return n
-}
-
 func (q *packetQueue) takeBatchOldPut(dst []outPacket) (int, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 {
+	for q.items.Len() == 0 {
 		if q.closed {
 			return 0, false
 		}
@@ -207,15 +196,15 @@ func (q *packetQueue) takeBatchOldPut(dst []outPacket) (int, bool) {
 		q.cond.Wait()
 		q.waiting = false
 	}
-	return q.drainLocked(dst), true
+	return q.items.PopInto(dst), true
 }
 
 func (q *packetQueue) takeBatchNewPut(dst []outPacket) (int, bool) {
 	counter := 0
 	for {
 		q.mu.Lock()
-		if len(q.items) > 0 {
-			n := q.drainLocked(dst)
+		if q.items.Len() > 0 {
+			n := q.items.PopInto(dst)
 			q.mu.Unlock()
 			counter /= 2
 			return n, true

@@ -18,15 +18,18 @@ import (
 // the counters, the traffic book, the stores — is individually
 // synchronised.
 
-// handleTunnelPacket decodes and processes one tunnel packet on the
-// calling (single-worker) thread.
-func (e *Engine) handleTunnelPacket(raw []byte) {
-	pkt, err := packet.Decode(raw)
-	if err != nil {
+// handleTunnelPacket decodes one tunnel packet into the calling
+// worker's Packet and processes it. Reusing the Packet is safe because
+// no handler keeps it past the call: tcpsm.New copies the fields it
+// needs, and OnData, OnFIN and the UDP relay keep only Payload, which
+// aliases the single-owner raw (DESIGN.md, "Buffer ownership on the
+// relay path").
+func (e *Engine) handleTunnelPacket(w *worker, raw []byte) {
+	if err := packet.DecodeInto(&w.pkt, raw); err != nil {
 		e.ctr.decodeErrors.Add(1)
 		return
 	}
-	e.processPacket(pkt, len(raw))
+	e.processPacket(&w.pkt, len(raw))
 }
 
 // processPacket implements §2.3's tunnel-packet processing for an
@@ -268,7 +271,7 @@ func (e *Engine) recordTCP(cl *relay.TCPClient, rtt time.Duration) {
 
 // handleSocketKey processes §2.3's socket events on the calling
 // worker, claiming the key's readiness (ReadyOps is consume-once).
-func (e *Engine) handleSocketKey(k *sockets.SelectionKey) {
+func (e *Engine) handleSocketKey(w *worker, k *sockets.SelectionKey) {
 	ready := k.ReadyOps()
 	if ready == 0 {
 		return
@@ -290,7 +293,7 @@ func (e *Engine) handleSocketKey(k *sockets.SelectionKey) {
 		return
 	}
 	if ready&sockets.OpRead != 0 {
-		e.socketRead(cl)
+		e.socketRead(w, cl)
 	}
 	if ready&sockets.OpWrite != 0 {
 		e.socketWrite(cl)
@@ -333,10 +336,12 @@ func (e *Engine) finishEventConnect(k *sockets.SelectionKey, ec *eventConnect) {
 
 // socketRead handles §2.3 Socket Read: drain incoming server data into
 // internal-connection data packets; on EOF generate FIN; on reset
-// generate RST.
-func (e *Engine) socketRead(cl *relay.TCPClient) {
+// generate RST. Every flow of the worker reads into the worker's one
+// buffer: SendData lends it to emit, which has encoded the bytes into a
+// pooled buffer of their own before the next Read overwrites them.
+func (e *Engine) socketRead(w *worker, cl *relay.TCPClient) {
 	ch := cl.Ch()
-	buf := make([]byte, 16*1024)
+	buf := w.readBuf[:]
 	for {
 		n, err := ch.Read(buf)
 		if n > 0 {
@@ -383,6 +388,7 @@ func (e *Engine) socketWrite(cl *relay.TCPClient) {
 		}
 		wrote = true
 	}
+	cl.ReleaseWrites(bufs)
 	if wrote {
 		_ = cl.SM.AckApp()
 	}

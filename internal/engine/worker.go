@@ -1,6 +1,9 @@
 package engine
 
-import "repro/internal/sockets"
+import (
+	"repro/internal/packet"
+	"repro/internal/sockets"
+)
 
 // The packet-processing core: Config.Workers copies of the paper's
 // Figure-4 MainWorker. Each worker owns one selector and one packet
@@ -21,6 +24,13 @@ type worker struct {
 	id  int
 	q   *ringQ
 	sel *sockets.Selector
+
+	// Scratch only this worker's thread touches, reused for every
+	// event so the relay path allocates neither: the Packet each
+	// tunnel packet is decoded into, and the buffer each socket read
+	// lands in.
+	pkt     packet.Packet
+	readBuf [16 * 1024]byte
 }
 
 // runWorker is the MainWorker loop: block in Select, then drain socket
@@ -41,7 +51,7 @@ func (e *Engine) runWorker(w *worker) {
 		for {
 			progress := false
 			for _, k := range keys {
-				e.handleSocketKey(k)
+				e.handleSocketKey(w, k)
 				progress = true
 			}
 			for i := 0; i < 64; i++ {
@@ -49,7 +59,7 @@ func (e *Engine) runWorker(w *worker) {
 				if !ok {
 					break
 				}
-				e.handleTunnelPacket(raw)
+				e.handleTunnelPacket(w, raw)
 				progress = true
 			}
 			if !progress {
@@ -71,7 +81,7 @@ func (e *Engine) runWorkerPolled(w *worker) {
 		for {
 			progress := false
 			for _, k := range w.sel.SelectTimeout(0) {
-				e.handleSocketKey(k)
+				e.handleSocketKey(w, k)
 				progress = true
 			}
 			for {
@@ -79,7 +89,7 @@ func (e *Engine) runWorkerPolled(w *worker) {
 				if !ok {
 					break
 				}
-				e.handleTunnelPacket(raw)
+				e.handleTunnelPacket(w, raw)
 				progress = true
 			}
 			if !progress {

@@ -11,7 +11,12 @@ import (
 // The tunnel write path of §3.5.1, with buffer pooling: every
 // synthesised packet is encoded into an MTU-sized buffer drawn from a
 // sync.Pool and recycled once the tunnel write has copied it out, so
-// the encode hot path allocates nothing in steady state.
+// the encode hot path allocates nothing in steady state. That copy is
+// also what lets the hops before it reuse their buffers: emit only
+// borrows the packet's Payload (the worker's socket read buffer) and
+// is done with it once AppendEncode returns. DESIGN.md, "Buffer
+// ownership on the relay path", has the whole chain, one row per hop
+// from the TUN read to the TUN write.
 
 // encodeBufPool recycles encode buffers on the emit path.
 var encodeBufPool = sync.Pool{
@@ -64,6 +69,7 @@ func (e *Engine) tunWriterBatched() {
 		start := e.clk.Nanos()
 		written, _ := e.dev.WriteBatch(raws)
 		d := time.Duration(e.clk.Nanos() - start)
+		clear(raws) // or the last burst's pooled buffers stay pinned after Put
 		for i := 0; i < n; i++ {
 			if batch[i].buf != nil {
 				encodeBufPool.Put(batch[i].buf)
@@ -75,7 +81,8 @@ func (e *Engine) tunWriterBatched() {
 }
 
 // emit sends one synthesised packet toward the app, through the
-// configured write scheme. This is the state machines' emit hook.
+// configured write scheme. This is the state machines' emit hook; it
+// keeps neither p nor p.Payload past its return.
 func (e *Engine) emit(p *packet.Packet) {
 	buf := encodeBufPool.Get().(*[]byte)
 	raw, err := p.AppendEncode((*buf)[:0])

@@ -72,38 +72,40 @@ func PadOptions(options []byte) []byte {
 // construct packets constantly; these helpers keep call sites compact.
 
 // TCPPacket builds an IPv4 or IPv6 TCP packet between two AddrPorts.
+// Like every constructor here it is one allocation: the headers live
+// in the packet's own storage. payload is referenced, not copied.
 func TCPPacket(src, dst netip.AddrPort, flags uint8, seq, ack uint32, window uint16, options, payload []byte) *Packet {
-	p := &Packet{
-		TCP: &TCPHeader{
-			SrcPort: src.Port(),
-			DstPort: dst.Port(),
-			Seq:     seq,
-			Ack:     ack,
-			Flags:   flags,
-			Window:  window,
-			Options: PadOptions(options),
-		},
-		Payload: payload,
+	p := &Packet{Payload: payload}
+	p.hdr.tcp = TCPHeader{
+		SrcPort: src.Port(),
+		DstPort: dst.Port(),
+		Seq:     seq,
+		Ack:     ack,
+		Flags:   flags,
+		Window:  window,
+		Options: PadOptions(options),
 	}
-	setIPHeaders(p, src.Addr(), dst.Addr())
+	p.TCP = &p.hdr.tcp
+	p.setIPHeader(src.Addr(), dst.Addr())
 	return p
 }
 
 // UDPPacket builds an IPv4 or IPv6 UDP packet between two AddrPorts.
 func UDPPacket(src, dst netip.AddrPort, payload []byte) *Packet {
-	p := &Packet{
-		UDP:     &UDPHeader{SrcPort: src.Port(), DstPort: dst.Port()},
-		Payload: payload,
-	}
-	setIPHeaders(p, src.Addr(), dst.Addr())
+	p := &Packet{Payload: payload}
+	p.hdr.udp = UDPHeader{SrcPort: src.Port(), DstPort: dst.Port()}
+	p.UDP = &p.hdr.udp
+	p.setIPHeader(src.Addr(), dst.Addr())
 	return p
 }
 
-func setIPHeaders(p *Packet, src, dst netip.Addr) {
+func (p *Packet) setIPHeader(src, dst netip.Addr) {
 	if src.Is4() && dst.Is4() {
-		p.IPv4 = &IPv4Header{TTL: 64, ID: uint16(rand.Uint32()), Src: src, Dst: dst}
+		p.hdr.ip4 = IPv4Header{TTL: 64, ID: uint16(rand.Uint32()), Src: src, Dst: dst}
+		p.IPv4 = &p.hdr.ip4
 	} else {
-		p.IPv6 = &IPv6Header{HopLimit: 64, Src: src.Unmap(), Dst: dst.Unmap()}
+		p.hdr.ip6 = IPv6Header{HopLimit: 64, Src: src.Unmap(), Dst: dst.Unmap()}
+		p.IPv6 = &p.hdr.ip6
 	}
 }
 

@@ -124,6 +124,18 @@ type Packet struct {
 	TCP     *TCPHeader
 	UDP     *UDPHeader
 	Payload []byte
+
+	// hdr is the storage the header pointers above point into when the
+	// packet comes from DecodeInto or a constructor, so a packet is one
+	// allocation, not one per header. A Packet is therefore not
+	// copyable by value: the copy's pointers would still name the
+	// original's storage.
+	hdr struct {
+		ip4 IPv4Header
+		ip6 IPv6Header
+		tcp TCPHeader
+		udp UDPHeader
+	}
 }
 
 // Src returns the source address and transport port.
@@ -192,95 +204,120 @@ func (p *Packet) String() string {
 	}
 }
 
-// Decode parses a raw IP packet as read from the TUN device.
-// It validates structural invariants (lengths, header sizes) but does not
-// verify checksums; VerifyChecksums does that separately because packets
-// synthesised inside the phone never traverse hardware that could corrupt
-// them, mirroring how real TUN stacks skip validation.
-//
-// The returned packet is zero-copy: Payload and the header Options
-// slices alias raw, so ownership of raw moves to the packet and the
-// caller must not modify or reuse the buffer afterwards. Every producer
-// feeding Decode already satisfies this — the TUN device copies packets
-// into its queues on enqueue, making each dequeued buffer single-owner.
-// (Payload copying was the top entry of the loopback ceiling allocation
-// profile: one full payload copy per relayed packet, all GC pressure.)
+// Decode parses a raw IP packet as read from the TUN device into a new
+// Packet. See DecodeInto for the validation and aliasing rules.
 func Decode(raw []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := DecodeInto(p, raw); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto parses a raw IP packet as read from the TUN device into p,
+// whose previous contents are discarded whole: no header pointer,
+// option slice or payload of an earlier decode survives, and on error p
+// is left zero. Decoding into a reused Packet allocates nothing.
+//
+// It validates structural invariants (lengths, header sizes) but does
+// not verify checksums; VerifyChecksums does that separately because
+// packets synthesised inside the phone never traverse hardware that
+// could corrupt them, mirroring how real TUN stacks skip validation.
+//
+// The decoded packet is zero-copy: Payload and the header Options
+// slices alias raw, so ownership of raw moves to the packet and the
+// caller must not modify or reuse the buffer while they are in use.
+// Every producer feeding the decoder already satisfies this — the TUN
+// device copies packets into its queues on enqueue, making each
+// dequeued buffer single-owner. (Payload copying was the top entry of
+// the loopback ceiling allocation profile: one full payload copy per
+// relayed packet, all GC pressure.)
+func DecodeInto(p *Packet, raw []byte) error {
+	*p = Packet{}
+	err := p.decode(raw)
+	if err != nil {
+		*p = Packet{}
+	}
+	return err
+}
+
+func (p *Packet) decode(raw []byte) error {
 	if len(raw) < 1 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	switch raw[0] >> 4 {
 	case 4:
-		return decodeIPv4(raw)
+		return p.decodeIPv4(raw)
 	case 6:
-		return decodeIPv6(raw)
+		return p.decodeIPv6(raw)
 	default:
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 }
 
-func decodeIPv4(raw []byte) (*Packet, error) {
+func (p *Packet) decodeIPv4(raw []byte) error {
 	if len(raw) < 20 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	ihl := int(raw[0]&0x0f) * 4
 	if ihl < 20 || len(raw) < ihl {
-		return nil, ErrBadHeader
+		return ErrBadHeader
 	}
 	totalLen := int(binary.BigEndian.Uint16(raw[2:4]))
 	if totalLen < ihl || totalLen > len(raw) {
-		return nil, ErrBadHeader
+		return ErrBadHeader
 	}
-	h := &IPv4Header{
+	h := &p.hdr.ip4
+	*h = IPv4Header{
 		TOS:      raw[1],
 		ID:       binary.BigEndian.Uint16(raw[4:6]),
 		Flags:    raw[6] >> 5,
 		FragOff:  binary.BigEndian.Uint16(raw[6:8]) & 0x1fff,
 		TTL:      raw[8],
 		Protocol: raw[9],
+		Src:      netip.AddrFrom4([4]byte(raw[12:16])),
+		Dst:      netip.AddrFrom4([4]byte(raw[16:20])),
 	}
-	src, _ := netip.AddrFromSlice(raw[12:16])
-	dst, _ := netip.AddrFromSlice(raw[16:20])
-	h.Src, h.Dst = src, dst
 	if ihl > 20 {
 		h.Options = raw[20:ihl:ihl]
 	}
-	p := &Packet{IPv4: h}
-	return decodeTransport(p, h.Protocol, raw[ihl:totalLen])
+	p.IPv4 = h
+	return p.decodeTransport(h.Protocol, raw[ihl:totalLen])
 }
 
-func decodeIPv6(raw []byte) (*Packet, error) {
+func (p *Packet) decodeIPv6(raw []byte) error {
 	if len(raw) < 40 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	payloadLen := int(binary.BigEndian.Uint16(raw[4:6]))
 	if 40+payloadLen > len(raw) {
-		return nil, ErrBadHeader
+		return ErrBadHeader
 	}
-	h := &IPv6Header{
+	h := &p.hdr.ip6
+	*h = IPv6Header{
 		TrafficClass: (raw[0]&0x0f)<<4 | raw[1]>>4,
 		FlowLabel:    binary.BigEndian.Uint32(raw[0:4]) & 0x000fffff,
 		NextHeader:   raw[6],
 		HopLimit:     raw[7],
+		Src:          netip.AddrFrom16([16]byte(raw[8:24])),
+		Dst:          netip.AddrFrom16([16]byte(raw[24:40])),
 	}
-	src, _ := netip.AddrFromSlice(raw[8:24])
-	dst, _ := netip.AddrFromSlice(raw[24:40])
-	h.Src, h.Dst = src, dst
-	p := &Packet{IPv6: h}
-	return decodeTransport(p, h.NextHeader, raw[40:40+payloadLen])
+	p.IPv6 = h
+	return p.decodeTransport(h.NextHeader, raw[40:40+payloadLen])
 }
 
-func decodeTransport(p *Packet, proto uint8, seg []byte) (*Packet, error) {
+func (p *Packet) decodeTransport(proto uint8, seg []byte) error {
 	switch proto {
 	case ProtoTCP:
 		if len(seg) < 20 {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		dataOff := int(seg[12]>>4) * 4
 		if dataOff < 20 || dataOff > len(seg) {
-			return nil, ErrBadHeader
+			return ErrBadHeader
 		}
-		t := &TCPHeader{
+		t := &p.hdr.tcp
+		*t = TCPHeader{
 			SrcPort: binary.BigEndian.Uint16(seg[0:2]),
 			DstPort: binary.BigEndian.Uint16(seg[2:4]),
 			Seq:     binary.BigEndian.Uint32(seg[4:8]),
@@ -296,21 +333,22 @@ func decodeTransport(p *Packet, proto uint8, seg []byte) (*Packet, error) {
 		p.Payload = seg[dataOff:]
 	case ProtoUDP:
 		if len(seg) < 8 {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		udpLen := int(binary.BigEndian.Uint16(seg[4:6]))
 		if udpLen < 8 || udpLen > len(seg) {
-			return nil, ErrBadHeader
+			return ErrBadHeader
 		}
-		p.UDP = &UDPHeader{
+		p.hdr.udp = UDPHeader{
 			SrcPort: binary.BigEndian.Uint16(seg[0:2]),
 			DstPort: binary.BigEndian.Uint16(seg[2:4]),
 		}
+		p.UDP = &p.hdr.udp
 		p.Payload = seg[8:udpLen:udpLen]
 	default:
 		p.Payload = seg
 	}
-	return p, nil
+	return nil
 }
 
 // Encode serialises the packet to raw bytes with correct lengths and

@@ -115,7 +115,9 @@ func (c *TCPClient) EnqueueWrite(data []byte) {
 	c.mu.Unlock()
 }
 
-// TakeWrites drains the write buffer for the socket write event handler.
+// TakeWrites drains the write buffer for the socket write event
+// handler, which returns the slice through ReleaseWrites once the data
+// is on the socket.
 func (c *TCPClient) TakeWrites() [][]byte {
 	c.mu.Lock()
 	bufs := c.writeBuf
@@ -123,6 +125,20 @@ func (c *TCPClient) TakeWrites() [][]byte {
 	c.bufBytes = 0
 	c.mu.Unlock()
 	return bufs
+}
+
+// ReleaseWrites hands a written-out TakeWrites slice back to become
+// the write buffer again, so a flow in steady state keeps one backing
+// array instead of allocating one per flush. Its references are
+// dropped first, so an idle flow pins no tunnel buffer. (Data enqueued
+// since the take already has a new buffer; the old one is then let go.)
+func (c *TCPClient) ReleaseWrites(bufs [][]byte) {
+	clear(bufs)
+	c.mu.Lock()
+	if c.writeBuf == nil {
+		c.writeBuf = bufs[:0]
+	}
+	c.mu.Unlock()
 }
 
 // PendingWrites reports whether data awaits a socket write.
@@ -165,6 +181,8 @@ func (c *TCPClient) MarkRemoved() bool {
 		return false
 	}
 	c.removed = true
+	// Nothing flushes a removed client, so it keeps no buffer either.
+	c.writeBuf, c.bufBytes = nil, 0
 	return true
 }
 

@@ -111,3 +111,26 @@ func TestConcurrentEnqueueAndTake(t *testing.T) {
 		t.Errorf("bytes accounted: %d", total)
 	}
 }
+
+// TestWriteBufferSteadyStateAllocFree pins the flush cycle every echo
+// runs — enqueue, take, write, release — at zero allocations once the
+// backing slice exists, and checks a released slice pins no payload.
+func TestWriteBufferSteadyStateAllocFree(t *testing.T) {
+	c := newClient(t)
+	data := []byte("tunnel payload")
+	cycle := func() [][]byte {
+		c.EnqueueWrite(data)
+		bufs := c.TakeWrites()
+		if len(bufs) != 1 || &bufs[0][0] != &data[0] {
+			t.Fatalf("took %q", bufs)
+		}
+		c.ReleaseWrites(bufs)
+		return bufs
+	}
+	if released := cycle(); released[0] != nil {
+		t.Error("released slice still references its payload")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { cycle() }); allocs != 0 {
+		t.Errorf("enqueue/take/release allocs/op = %v, want 0", allocs)
+	}
+}

@@ -15,7 +15,11 @@
 //     waiting for ACKs, and pure ACKs from the app are discarded.
 //
 // The machine emits packets through a caller-supplied function; the
-// engine points it at the TunWriter queue.
+// engine points it at the TunWriter queue. The function owns the
+// *packet.Packet it is handed but only borrows its Payload, which may
+// alias the buffer a SendData caller reuses as soon as the call
+// returns: an emit that needs the bytes later encodes or copies them
+// before returning.
 package tcpsm
 
 import (
@@ -99,7 +103,8 @@ type Machine struct {
 
 // New creates a machine for an app SYN packet. The machine assumes the
 // SYN has been validated as such by the caller (MainWorker dispatches on
-// flags). iss is the initial send sequence; the engine draws it.
+// flags). iss is the initial send sequence; the engine draws it. emit
+// follows the borrow rule in the package comment.
 func New(syn *packet.Packet, iss uint32, emit func(*packet.Packet)) (*Machine, error) {
 	if syn.TCP == nil || !syn.TCP.Has(packet.FlagSYN) || syn.TCP.Has(packet.FlagACK) {
 		return nil, ErrNotSYN
@@ -231,6 +236,8 @@ func (m *Machine) OnPureACK() {
 
 // SendData forwards server bytes to the app, segmenting at the MSS. Per
 // §3.4 there is no window pacing: everything is emitted immediately.
+// Each segment's Payload is a slice of b, lent to emit for the call;
+// b is the caller's again when SendData returns.
 func (m *Machine) SendData(b []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -242,7 +249,7 @@ func (m *Machine) SendData(b []byte) error {
 		if end > len(b) {
 			end = len(b)
 		}
-		seg := append([]byte(nil), b[off:end]...)
+		seg := b[off:end]
 		m.sendLocked(packet.FlagACK|packet.FlagPSH, m.sndNxt, m.rcvNxt, nil, seg)
 		m.sndNxt += uint32(len(seg))
 		m.stats.BytesToApp += int64(len(seg))

@@ -446,3 +446,37 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateAllocs pins the per-segment cost of the two calls the
+// relay makes for every echo: one allocation each, the Packet handed
+// to emit. The emit here does what the engine's does — encode into a
+// buffer it already owns — so the count is the machine's alone.
+func TestSteadyStateAllocs(t *testing.T) {
+	scratch := make([]byte, 0, 1500)
+	m, err := New(synPacket(1000), 5000, func(p *packet.Packet) {
+		if _, err := p.AppendEncode(scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CompleteHandshake(); err != nil {
+		t.Fatal(err)
+	}
+	seg := make([]byte, DefaultMSS)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := m.SendData(seg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("SendData of one MSS allocs/op = %v, want <= 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := m.AckApp(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("AckApp allocs/op = %v, want <= 1", allocs)
+	}
+}

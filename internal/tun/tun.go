@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/fifoq"
 )
 
 // DefaultMTU is the MTU a device starts with when the backend has no
@@ -47,7 +48,7 @@ type queued struct {
 type fifo struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []queued
+	items  fifoq.Queue[queued]
 	closed bool
 	max    int
 	drops  int
@@ -65,13 +66,13 @@ func (f *fifo) put(q queued) error {
 	if f.closed {
 		return ErrClosed
 	}
-	if len(f.items) >= f.max {
+	if f.items.Len() >= f.max {
 		// Real TUN queues drop on overflow rather than blocking the
 		// kernel.
 		f.drops++
 		return nil
 	}
-	f.items = append(f.items, q)
+	f.items.Push(q)
 	f.cond.Signal()
 	return nil
 }
@@ -81,7 +82,7 @@ func (f *fifo) put(q queued) error {
 func (f *fifo) take(block bool) (queued, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for len(f.items) == 0 {
+	for f.items.Len() == 0 {
 		if f.closed {
 			return queued{}, ErrClosed
 		}
@@ -90,8 +91,7 @@ func (f *fifo) take(block bool) (queued, error) {
 		}
 		f.cond.Wait()
 	}
-	q := f.items[0]
-	f.items = f.items[1:]
+	q, _ := f.items.Pop()
 	return q, nil
 }
 
@@ -101,7 +101,7 @@ func (f *fifo) take(block bool) (queued, error) {
 func (f *fifo) takeBatch(dst []queued, block bool) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for len(f.items) == 0 {
+	for f.items.Len() == 0 {
 		if f.closed {
 			return 0, ErrClosed
 		}
@@ -110,9 +110,7 @@ func (f *fifo) takeBatch(dst []queued, block bool) (int, error) {
 		}
 		f.cond.Wait()
 	}
-	n := copy(dst, f.items)
-	f.items = f.items[n:]
-	return n, nil
+	return f.items.PopInto(dst), nil
 }
 
 // putBatch appends a burst under one lock, dropping on overflow exactly
@@ -124,11 +122,11 @@ func (f *fifo) putBatch(qs []queued) error {
 		return ErrClosed
 	}
 	for _, q := range qs {
-		if len(f.items) >= f.max {
+		if f.items.Len() >= f.max {
 			f.drops++
 			continue
 		}
-		f.items = append(f.items, q)
+		f.items.Push(q)
 	}
 	f.cond.Broadcast()
 	return nil
@@ -137,7 +135,7 @@ func (f *fifo) putBatch(qs []queued) error {
 func (f *fifo) len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.items)
+	return f.items.Len()
 }
 
 func (f *fifo) close() {
