@@ -82,7 +82,7 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 				out := make([]metrics.Sample, 0, len(a.perNet))
 				for key, sk := range a.perNet {
 					out = append(out, metrics.Sample{
-						Labels: []metrics.Label{metrics.L("net", key)},
+						Labels: []metrics.Label{metrics.L("net", key.String())},
 						Sketch: sk,
 					})
 				}

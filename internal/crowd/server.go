@@ -1,11 +1,14 @@
 package crowd
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -224,12 +227,14 @@ func (s *Server) shard(device string) *ingestShard {
 // holds sh.mu (or, during construction, has exclusive access).
 func (s *Server) commit(sh *ingestShard, b measure.Batch) {
 	sh.keys[b.Key] = struct{}{}
-	stamped := stampRecords(b)
-	for _, r := range stamped {
-		sh.agg.observe(r)
+	// The sketches do not look at the device stamp, so the records are
+	// observed as decoded; only a retaining server pays for stamped
+	// copies.
+	for i := range b.Records {
+		sh.agg.observe(&b.Records[i])
 	}
 	if s.o.retain() {
-		sh.recs = append(sh.recs, stamped...)
+		sh.recs = append(sh.recs, stampRecords(b)...)
 	}
 	sh.recCount.Add(int64(len(b.Records)))
 	s.c.batches.Add(1)
@@ -256,10 +261,51 @@ func authorized(r *http.Request, token string) bool {
 	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(token)) == 1
 }
 
-// uploadReply is the /v1/upload response body.
-type uploadReply struct {
-	Status  string `json:"status"` // "accepted" or "duplicate"
-	Records int    `json:"records"`
+// bufPool holds the buffers of the upload path: a request body while it
+// is decoded, a batch's spool encoding while it is written. Neither
+// outlives its call — a decoded Batch copies its strings out of the
+// body — so a buffer goes back as soon as the call is done.
+var bufPool = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, 4<<10)) }}
+
+// maxPooledBuf is the largest buffer the pool takes back; the rare big
+// batch's buffer is left to the collector rather than pinned.
+const maxPooledBuf = 64 << 10
+
+func getBuf() *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		bufPool.Put(buf)
+	}
+}
+
+// failAfter is a reader that has only its failure left.
+type failAfter struct{ err error }
+
+func (f failAfter) Read([]byte) (int, error) { return 0, f.err }
+
+// decodeUpload reads the capped request body into a pooled buffer and
+// decodes its one batch from there.
+func decodeUpload(w http.ResponseWriter, r *http.Request) (measure.Batch, error) {
+	buf := getBuf()
+	defer putBuf(buf)
+	// Room for the declared length up front, so the usual body is read
+	// without growing — but no more than a pooled buffer's worth: the
+	// header is only the sender's claim, and a sender that stalls after it
+	// must not hold megabytes. Past that the buffer grows with the bytes
+	// that actually arrive.
+	buf.Grow(int(min(max(r.ContentLength, 0), maxPooledBuf)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBytes)); err != nil {
+		// The body broke off (the cap, or the connection): decode what
+		// arrived followed by that failure, so the answer is the one a
+		// decoder reading the body directly gives.
+		return measure.DecodeBatch(io.MultiReader(bytes.NewReader(buf.Bytes()), failAfter{err}))
+	}
+	return measure.DecodeBatchBytes(buf.Bytes())
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
@@ -272,7 +318,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing "+DeviceHeader, http.StatusForbidden)
 		return
 	}
-	b, err := measure.DecodeBatch(http.MaxBytesReader(w, r.Body, maxBatchBytes))
+	b, err := decodeUpload(w, r)
 	if err != nil {
 		s.c.badRequests.Add(1)
 		status := http.StatusBadRequest
@@ -298,7 +344,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if _, dup := sh.keys[b.Key]; dup {
 		sh.mu.Unlock()
 		s.c.duplicates.Add(1)
-		writeJSON(w, uploadReply{Status: "duplicate"})
+		writeUploadReply(w, "duplicate", 0)
 		return
 	}
 	// Spool first, then commit: a failed append leaves the key unseen,
@@ -314,7 +360,20 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.commit(sh, b)
 	sh.mu.Unlock()
-	writeJSON(w, uploadReply{Status: "accepted", Records: len(b.Records)})
+	writeUploadReply(w, "accepted", len(b.Records))
+}
+
+// writeUploadReply answers /v1/upload with
+// {"status":"<status>","records":<n>} and a newline.
+func writeUploadReply(w http.ResponseWriter, status string, records int) {
+	w.Header().Set("Content-Type", "application/json")
+	reply := make([]byte, 0, 48)
+	reply = append(reply, `{"status":"`...)
+	reply = append(reply, status...)
+	reply = append(reply, `","records":`...)
+	reply = strconv.AppendInt(reply, int64(records), 10)
+	reply = append(reply, '}', '\n')
+	_, _ = w.Write(reply) // a failed write means the client went away
 }
 
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {

@@ -15,7 +15,7 @@ import (
 )
 
 // The spool is the collector server's durable store: every accepted
-// batch is appended in the batch wire format (measure.EncodeBatch), so
+// batch is appended in the batch wire format (measure.AppendBatch), so
 // the log is simultaneously the dedup journal (keys replay with the
 // batches) and the dataset (records replay in arrival order).
 //
@@ -268,21 +268,21 @@ func replaySpool(r io.Reader, seen map[string]struct{}) ([]measure.Batch, int64)
 // Durability is the OS page cache's (no fsync per batch — see DESIGN.md
 // for the crash window contract).
 func (s *Spool) Append(b measure.Batch) error {
-	var buf bytes.Buffer
-	if err := measure.EncodeBatch(&buf, b); err != nil {
-		return err
-	}
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.Write(measure.AppendBatch(buf.AvailableBuffer(), b))
+	enc := buf.Bytes()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return fmt.Errorf("crowd: append on closed spool")
 	}
-	if s.fsize > 0 && s.fsize+int64(buf.Len()) > s.o.SegmentBytes {
+	if s.fsize > 0 && s.fsize+int64(len(enc)) > s.o.SegmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	if _, err := s.f.Write(buf.Bytes()); err != nil {
+	if _, err := s.f.Write(enc); err != nil {
 		// Heal in place: drop whatever partial bytes made it out so the
 		// next append starts at a batch boundary. The batch's key was
 		// never committed; the sender's retry redelivers it.
@@ -290,7 +290,7 @@ func (s *Spool) Append(b measure.Batch) error {
 		s.f.Seek(s.fsize, io.SeekStart)
 		return fmt.Errorf("crowd: spool append: %w", err)
 	}
-	s.fsize += int64(buf.Len())
+	s.fsize += int64(len(enc))
 	return nil
 }
 

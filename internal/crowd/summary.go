@@ -21,20 +21,33 @@ type agg struct {
 	// perApp sketches TCP connect RTTs (ms) by app package — the
 	// figure 9(b)/Table 5 dimension.
 	perApp map[string]*sketch.Sketch
-	// perNet sketches RTTs (ms) by measure.Record.NetKey()
-	// ("TCP/WiFi", "DNS/LTE", ...) — the figure 9(a)/10 dimension.
-	perNet map[string]*sketch.Sketch
+	// perNet sketches RTTs (ms) by kind and network type — the figure
+	// 9(a)/10 dimension.
+	perNet map[netKey]*sketch.Sketch
+}
+
+// netKey is a record's perNet dimension. It is spelled
+// measure.Record.NetKey() ("TCP/WiFi", "DNS/LTE", ...) wherever it is
+// shown; keeping the two parts apart spares observe a string
+// concatenation per record.
+type netKey struct {
+	kind    measure.Kind
+	netType string
+}
+
+func (k netKey) String() string {
+	return measure.Record{Kind: k.kind, NetType: k.netType}.NetKey()
 }
 
 func newAgg() *agg {
 	return &agg{
 		perApp: make(map[string]*sketch.Sketch),
-		perNet: make(map[string]*sketch.Sketch),
+		perNet: make(map[netKey]*sketch.Sketch),
 	}
 }
 
 // observe folds one accepted record into the shard's sketches.
-func (a *agg) observe(r measure.Record) {
+func (a *agg) observe(r *measure.Record) {
 	ms := r.Millis()
 	if r.Kind == measure.KindTCP {
 		a.tcp++
@@ -47,7 +60,7 @@ func (a *agg) observe(r measure.Record) {
 	} else {
 		a.dns++
 	}
-	key := r.NetKey()
+	key := netKey{r.Kind, r.NetType}
 	sk := a.perNet[key]
 	if sk == nil {
 		sk = sketch.New(sketchAlpha)
@@ -133,7 +146,7 @@ func (a *agg) render() (perApp, perNet map[string]QuantileSummary) {
 	}
 	perNet = make(map[string]QuantileSummary, len(a.perNet))
 	for key, sk := range a.perNet {
-		perNet[key] = quantileSummary(sk)
+		perNet[key.String()] = quantileSummary(sk)
 	}
 	return perApp, perNet
 }

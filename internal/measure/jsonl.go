@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"strconv"
 	"time"
+	"unicode/utf8"
 )
 
 // JSON Lines is the streaming sibling of the CSV export: one record
@@ -15,7 +17,11 @@ import (
 // where a reader may join mid-file. The field layout mirrors the CSV
 // columns so the two exports stay interconvertible.
 
-// jsonRecord is the wire form of one Record.
+// jsonRecord is the wire form of one Record: the struct tags are the
+// definition of the format. appendRecord writes exactly what
+// encoding/json writes for it, and the fast scanner (scan.go) reads a
+// subset of what encoding/json reads into it; everything outside that
+// subset is decoded through this type.
 type jsonRecord struct {
 	Kind     string `json:"kind"`
 	App      string `json:"app"`
@@ -28,25 +34,6 @@ type jsonRecord struct {
 	ISP      string `json:"isp,omitempty"`
 	Country  string `json:"country,omitempty"`
 	Device   string `json:"device,omitempty"`
-}
-
-func toJSONRecord(r Record) jsonRecord {
-	j := jsonRecord{
-		Kind:     r.Kind.String(),
-		App:      r.App,
-		UID:      r.UID,
-		Domain:   r.Domain,
-		RTTNanos: int64(r.RTT),
-		AtNanos:  r.At.UnixNano(),
-		NetType:  r.NetType,
-		ISP:      r.ISP,
-		Country:  r.Country,
-		Device:   r.Device,
-	}
-	if r.Dst.IsValid() {
-		j.Dst = r.Dst.String()
-	}
-	return j
 }
 
 func (j jsonRecord) record() (Record, error) {
@@ -78,21 +65,116 @@ func (j jsonRecord) record() (Record, error) {
 	return r, nil
 }
 
+// appendRecord appends r's JSONL line (newline included) to dst,
+// byte for byte what json.Encoder writes for its jsonRecord.
+func appendRecord(dst []byte, r Record) []byte {
+	dst = append(dst, `{"kind":"`...)
+	dst = append(dst, r.Kind.String()...)
+	dst = append(dst, `","app":`...)
+	dst = appendString(dst, r.App)
+	if r.UID != 0 {
+		dst = append(dst, `,"uid":`...)
+		dst = strconv.AppendInt(dst, int64(r.UID), 10)
+	}
+	if r.Dst.IsValid() {
+		dst = append(dst, `,"dst":`...)
+		if r.Dst.Addr().Zone() != "" {
+			dst = appendString(dst, r.Dst.String()) // only a zone can need escaping
+		} else {
+			dst = append(dst, '"')
+			dst = r.Dst.AppendTo(dst)
+			dst = append(dst, '"')
+		}
+	}
+	dst = appendOptional(dst, `,"domain":`, r.Domain)
+	dst = append(dst, `,"rtt_ns":`...)
+	dst = strconv.AppendInt(dst, int64(r.RTT), 10)
+	dst = append(dst, `,"at_unix_ns":`...)
+	dst = strconv.AppendInt(dst, r.At.UnixNano(), 10)
+	dst = appendOptional(dst, `,"net_type":`, r.NetType)
+	dst = appendOptional(dst, `,"isp":`, r.ISP)
+	dst = appendOptional(dst, `,"country":`, r.Country)
+	dst = appendOptional(dst, `,"device":`, r.Device)
+	return append(dst, '}', '\n')
+}
+
+// appendOptional appends an omitempty string member.
+func appendOptional(dst []byte, name, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	dst = append(dst, name...)
+	return appendString(dst, s)
+}
+
+// appendString appends s as a JSON string with json.Encoder's default
+// escaping: quote, backslash and control bytes, the HTML-sensitive
+// <, > and &, U+2028/U+2029, and U+FFFD for invalid UTF-8.
+func appendString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
 // JSONLEncoder streams records as JSON Lines, one object per line.
 type JSONLEncoder struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
+	bw   *bufio.Writer
+	line []byte // the record being written, reused
 }
 
 // NewJSONLEncoder wraps w for incremental JSONL encoding.
 func NewJSONLEncoder(w io.Writer) *JSONLEncoder {
-	bw := bufio.NewWriter(w)
-	return &JSONLEncoder{bw: bw, enc: json.NewEncoder(bw)}
+	return &JSONLEncoder{bw: bufio.NewWriter(w)}
 }
 
 // Write encodes one record as one line.
 func (e *JSONLEncoder) Write(r Record) error {
-	return e.enc.Encode(toJSONRecord(r)) // Encode appends the newline
+	e.line = appendRecord(e.line[:0], r)
+	_, err := e.bw.Write(e.line)
+	return err
 }
 
 // Flush pushes buffered lines through to the underlying writer.
@@ -112,17 +194,24 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 // ReadJSONL loads records written by WriteJSONL (or a JSONLSink),
 // tolerating blank lines.
 func ReadJSONL(r io.Reader) ([]Record, error) {
-	dec := json.NewDecoder(r)
+	w := wireBuf{r: r}
 	var out []Record
+	var prev recordCache
 	for line := 1; ; line++ {
-		var j jsonRecord
-		if err := dec.Decode(&j); err == io.EOF {
+		var rec Record
+		err := w.next(
+			func(s *scanner) bool { return s.record(&rec, &prev) },
+			func(dec *json.Decoder) error {
+				var j jsonRecord
+				err := dec.Decode(&j)
+				if err == nil {
+					rec, err = j.record()
+				}
+				return err
+			})
+		if err == io.EOF {
 			return out, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("measure: jsonl record %d: %w", line, err)
-		}
-		rec, err := j.record()
-		if err != nil {
 			return nil, fmt.Errorf("measure: jsonl record %d: %w", line, err)
 		}
 		out = append(out, rec)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 )
 
 // This file is the batch wire encoding behind the crowdsourcing
@@ -47,20 +48,40 @@ type batchHeader struct {
 	N      int    `json:"n"`
 }
 
-// EncodeBatch writes one batch: the header line, then one JSONL record
-// per line.
+// AppendBatch appends b's wire encoding to dst: the header line, then
+// one JSONL record per line — byte for byte what json.Encoder writes
+// for batchHeader and jsonRecord. With room in dst it does not
+// allocate, which is what lets the upload transport and the spool
+// reuse one buffer across batches.
+func AppendBatch(dst []byte, b Batch) []byte {
+	dst = append(dst, `{"mopeye_batch":`...)
+	dst = strconv.AppendInt(dst, wireVersion, 10)
+	dst = append(dst, `,"device":`...)
+	dst = appendString(dst, b.Device)
+	dst = append(dst, `,"key":`...)
+	dst = appendString(dst, b.Key)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendInt(dst, int64(b.Seq), 10)
+	dst = append(dst, `,"n":`...)
+	dst = strconv.AppendInt(dst, int64(len(b.Records)), 10)
+	dst = append(dst, '}', '\n')
+	for i := range b.Records {
+		dst = appendRecord(dst, b.Records[i])
+	}
+	return dst
+}
+
+// EncodeBatch writes one batch (see AppendBatch) in a single Write.
 func EncodeBatch(w io.Writer, b Batch) error {
-	enc := json.NewEncoder(w)
-	h := batchHeader{V: wireVersion, Device: b.Device, Key: b.Key, Seq: b.Seq, N: len(b.Records)}
-	if err := enc.Encode(h); err != nil {
-		return err
+	// Sized for escape-free strings so the usual batch is one
+	// allocation; anything longer just grows.
+	size := 96 + len(b.Device) + len(b.Key)
+	for i := range b.Records {
+		r := &b.Records[i]
+		size += 176 + len(r.App) + len(r.Domain) + len(r.NetType) + len(r.ISP) + len(r.Country) + len(r.Device)
 	}
-	for _, r := range b.Records {
-		if err := enc.Encode(toJSONRecord(r)); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(AppendBatch(make([]byte, 0, size), b))
+	return err
 }
 
 // ErrTruncatedBatch marks a batch whose stream ended mid-records — the
@@ -69,51 +90,123 @@ func EncodeBatch(w io.Writer, b Batch) error {
 var ErrTruncatedBatch = errors.New("measure: truncated batch")
 
 // BatchDecoder decodes a stream of encoded batches (an upload body
-// holds one; a spool file holds many).
+// holds one; a spool file holds many). A batch in the scanner's subset
+// of the format (scan.go), which holds whatever AppendBatch writes, is
+// read straight out of the input; any other is decoded by
+// encoding/json, whose reading of batchHeader and jsonRecord is the
+// definition of the format. The strings of a returned Batch are copies,
+// never views of the input.
 type BatchDecoder struct {
-	dec *json.Decoder
+	w    wireBuf
+	prev recordCache
+	recs []Record // the batch being scanned, kept across refills
+	err  error    // first failure, which every later Next repeats
 }
 
 // NewBatchDecoder wraps r for batch decoding.
 func NewBatchDecoder(r io.Reader) *BatchDecoder {
-	return &BatchDecoder{dec: json.NewDecoder(r)}
+	return &BatchDecoder{w: wireBuf{r: r}}
 }
 
 // InputOffset reports the byte offset after the last decoded value —
-// the durable prefix a spool replay can truncate back to.
-func (d *BatchDecoder) InputOffset() int64 { return d.dec.InputOffset() }
+// the durable prefix a spool replay can truncate back to. After an
+// error it is the offset of the batch that failed.
+func (d *BatchDecoder) InputOffset() int64 { return d.w.offset() }
 
 // Next decodes one batch. It returns io.EOF at a clean end of stream,
 // and an error wrapping ErrTruncatedBatch when the stream ends between
-// a header and its last record.
+// a header and its last record. After any error, io.EOF included, the
+// decoder is done: later calls return the same error. An Offset inside
+// a wrapped encoding/json error counts from the start of the failed
+// batch (InputOffset), not of the stream.
 func (d *BatchDecoder) Next() (Batch, error) {
+	if d.err != nil {
+		return Batch{}, d.err
+	}
+	var b Batch
+	d.err = d.w.next(
+		func(s *scanner) bool { return d.scan(s, &b) },
+		func(dec *json.Decoder) (err error) {
+			b, err = d.decode(dec)
+			return err
+		})
+	if d.err != nil {
+		return Batch{}, d.err
+	}
+	return b, nil
+}
+
+// checkHeader applies the header rules; both decoders go through it.
+func checkHeader(h batchHeader) error {
+	if h.V != wireVersion {
+		return fmt.Errorf("measure: batch version %d, want %d", h.V, wireVersion)
+	}
+	if h.Key == "" {
+		return fmt.Errorf("measure: batch without idempotency key")
+	}
+	if h.N < 0 {
+		return fmt.Errorf("measure: batch record count %d", h.N)
+	}
+	return nil
+}
+
+// records returns an empty slice for a batch announcing n records,
+// reusing the one a declined scan of the same batch left behind.
+func (d *BatchDecoder) records(n int) []Record {
+	// Cap the pre-allocation: n is attacker-controlled on the upload
+	// path, and a lying header must not cost more memory than the body
+	// it actually ships (decoding fails at the first missing record).
+	n = min(n, 1024)
+	if d.recs == nil || cap(d.recs) < n {
+		d.recs = make([]Record, 0, n)
+	}
+	return d.recs[:0]
+}
+
+// scan is the fast path: the whole batch out of the buffered bytes, or
+// nothing.
+func (d *BatchDecoder) scan(s *scanner, b *Batch) bool {
 	var h batchHeader
-	if err := d.dec.Decode(&h); err != nil {
+	if !s.header(&h) {
+		return false
+	}
+	if checkHeader(h) != nil {
+		return s.fail(declineGrammar) // decode reports it
+	}
+	recs := d.records(h.N)
+	for i := 0; i < h.N; i++ {
+		recs = append(recs, Record{})
+		if !s.record(&recs[i], &d.prev) {
+			if s.why == declineEmpty {
+				s.why = declineShort // the batch has begun: not a clean end
+			}
+			d.recs = recs // grown, perhaps; the rescan starts from it
+			return false
+		}
+	}
+	*b = Batch{Device: h.Device, Key: h.Key, Seq: h.Seq, Records: recs}
+	d.recs = nil // the caller's now
+	return true
+}
+
+// decode is the slow path, and the format's definition: one batch
+// through encoding/json.
+func (d *BatchDecoder) decode(dec *json.Decoder) (Batch, error) {
+	var h batchHeader
+	if err := dec.Decode(&h); err != nil {
 		if err == io.EOF {
 			return Batch{}, io.EOF
 		}
 		return Batch{}, fmt.Errorf("measure: batch header: %w", err)
 	}
-	if h.V != wireVersion {
-		return Batch{}, fmt.Errorf("measure: batch version %d, want %d", h.V, wireVersion)
+	if err := checkHeader(h); err != nil {
+		return Batch{}, err
 	}
-	if h.Key == "" {
-		return Batch{}, fmt.Errorf("measure: batch without idempotency key")
-	}
-	if h.N < 0 {
-		return Batch{}, fmt.Errorf("measure: batch record count %d", h.N)
-	}
-	// Cap the pre-allocation: h.N is attacker-controlled on the upload
-	// path, and a lying header must not cost more memory than the body
-	// it actually ships (decoding fails at the first missing record).
-	preAlloc := h.N
-	if preAlloc > 1024 {
-		preAlloc = 1024
-	}
-	b := Batch{Device: h.Device, Key: h.Key, Seq: h.Seq, Records: make([]Record, 0, preAlloc)}
+	b := Batch{Device: h.Device, Key: h.Key, Seq: h.Seq, Records: d.records(h.N)}
+	d.recs = nil
 	for i := 0; i < h.N; i++ {
 		var j jsonRecord
-		if err := d.dec.Decode(&j); err != nil {
+		if err := dec.Decode(&j); err != nil {
 			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 				return Batch{}, fmt.Errorf("measure: batch %q record %d/%d: %w", h.Key, i+1, h.N, ErrTruncatedBatch)
 			}
@@ -131,7 +224,18 @@ func (d *BatchDecoder) Next() (Batch, error) {
 // DecodeBatch decodes exactly one batch from r (an upload request
 // body); trailing content is an error.
 func DecodeBatch(r io.Reader) (Batch, error) {
-	d := NewBatchDecoder(r)
+	return NewBatchDecoder(r).only()
+}
+
+// DecodeBatchBytes is DecodeBatch over a body already in memory. It
+// only reads data, and the Batch keeps no reference to it.
+func DecodeBatchBytes(data []byte) (Batch, error) {
+	d := BatchDecoder{w: wireBuf{buf: data}}
+	return d.only()
+}
+
+// only decodes the stream's one batch.
+func (d *BatchDecoder) only() (Batch, error) {
 	b, err := d.Next()
 	if err != nil {
 		if err == io.EOF {

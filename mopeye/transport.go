@@ -123,6 +123,9 @@ type HTTPTransport struct {
 
 	queue chan Batch
 	wg    sync.WaitGroup
+	// enc is the uploader goroutine's encode buffer, reused from one
+	// acknowledged batch to the next (see send).
+	enc []byte
 
 	mu      sync.Mutex
 	closing bool
@@ -205,12 +208,15 @@ func (t *HTTPTransport) Upload(ctx context.Context, b Batch) error {
 // send delivers one batch with retries; terminal failures are counted
 // and recorded as the transport's first error.
 func (t *HTTPTransport) send(b Batch) {
-	var body bytes.Buffer
-	if err := measure.EncodeBatch(&body, b); err != nil {
-		t.fail(fmt.Errorf("mopeye: encoding batch %q: %w", b.Key, err))
-		return
-	}
-	raw := body.Bytes()
+	// While a batch is in flight its encoding is not in t.enc: net/http
+	// may still be writing a request body after a failed attempt has
+	// returned (a server can answer before it has read everything), so
+	// the buffer is only taken back below, when the collector
+	// acknowledged the first attempt — which it does after reading the
+	// whole body. Any other batch's buffer is left to the garbage
+	// collector.
+	raw := measure.AppendBatch(t.enc[:0], b)
+	t.enc = nil
 	backoff := t.o.BackoffBase
 	var lastErr error
 	for attempt := 0; attempt < t.o.MaxAttempts; attempt++ {
@@ -229,6 +235,9 @@ func (t *HTTPTransport) send(b Batch) {
 		}
 		if err == nil {
 			t.uploaded.Add(1)
+			if attempt == 0 {
+				t.enc = raw
+			}
 			return
 		}
 		lastErr = err
