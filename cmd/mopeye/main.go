@@ -9,27 +9,29 @@
 // SOCKS5 proxy with -upstream — and every relayed connection yields a
 // per-UID measurement, exactly as on the simulated plane.
 //
-// With -follow each measurement is printed live as the engine records
-// it (the streaming Subscribe API); with -jsonl the measurement
-// stream goes to stdout as JSON Lines — one object per record, ready
-// to pipe into jq or a collector — and the human-readable report
-// moves to stderr. The two compose: `mopeye -follow -jsonl | jq .rtt_ns`.
+// The live surfaces are wired once (monitor) and work identically on
+// both data planes. With -follow each measurement is printed live as
+// the engine records it (the streaming Subscribe API); with -jsonl the
+// measurement stream goes to stdout as JSON Lines as it is recorded —
+// one object per record, ready to pipe into jq or a collector — and the
+// human-readable report moves to stderr. The two compose:
+// `mopeye -follow -jsonl | jq .rtt_ns`.
 //
 // With -upload the phone runs the paper's §4 crowdsourcing loop for
 // real: a Collector batches the measurements and ships them to a
 // collector server (cmd/collectord) over HTTP with retry and
-// idempotency-keyed dedup.
+// idempotency-keyed dedup; the final partial batch is flushed when the
+// run ends, by -duration or ctrl-c alike.
 //
 // With -dash the terminal becomes a live per-app dashboard — RTT
 // sparklines, DNS/UDP drop counters, engine gauges — refreshing on the
-// phone's clock, on the simulated and real data planes alike;
-// -dash-addr additionally serves the same frame (and the phone's
-// Prometheus /metrics exposition) over HTTP.
+// phone's clock; -dash-addr additionally serves the same frame (and
+// the phone's Prometheus /metrics exposition) over HTTP.
 //
 // Usage:
 //
 //	mopeye [-apps N] [-conns N] [-pages N] [-realistic] [-variant mopeye|toyvpn|haystack] [-workers N] [-readbatch N] [-follow] [-jsonl] [-dash [-dash-addr HOST:PORT]] [-upload URL [-device D] [-token T]]
-//	mopeye -tun real [-tun-name mopeye0] [-upstream socks5://host:port] [-duration 30s] [-jsonl] [-dash [-dash-addr HOST:PORT]]
+//	mopeye -tun real [-tun-name mopeye0] [-upstream socks5://host:port] [-duration 30s] [-follow] [-jsonl] [-dash [-dash-addr HOST:PORT]] [-upload URL [-device D] [-token T]]
 package main
 
 import (
@@ -158,20 +160,118 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	run := runSim
 	if cfg.tun == "real" {
-		if err := runReal(cfg); err != nil {
-			log.Fatal(err)
-		}
-		return
+		run = runReal
 	}
-	if err := runSim(cfg, os.Stdout, os.Stderr); err != nil {
+	if err := run(cfg, os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
 }
 
+// livePhone is what the shared wiring drives: the simulated Phone and
+// the real-plane RealPhone alike.
+type livePhone interface {
+	mopeye.DashPhone
+	Attach(mopeye.Sink) (*mopeye.Attached, error)
+	Close()
+}
+
+// reportWriter picks where the human-readable report goes: stdout
+// normally, stderr when stdout carries the JSONL measurement stream.
+func reportWriter(cfg config, stdout, stderr io.Writer) io.Writer {
+	if cfg.jsonl {
+		return stderr
+	}
+	return stdout
+}
+
+// monitor is the one place the live surfaces are wired, whichever data
+// plane the phone runs on: -jsonl and -upload are attached sinks, -dash
+// and -follow ordinary subscribers. It then runs work — the simulated
+// workload, or the real plane's wait for -duration or ctrl-c — and the
+// one closing sequence: close the phone (which drains the streams and
+// flushes the sinks, the collector's final partial batch included),
+// wait for the printers, drain the transport, report the uploads.
+func monitor(cfg config, phone livePhone, stdout, out io.Writer, work func()) error {
+	if cfg.jsonl {
+		if _, err := phone.Attach(mopeye.NewJSONLSink(stdout)); err != nil {
+			return err
+		}
+	}
+
+	// printers are the subscriber goroutines; each ends when the phone
+	// closes, after delivering every measurement already recorded.
+	var printers sync.WaitGroup
+	if cfg.dash {
+		d, err := mopeye.NewDash(phone, mopeye.DashOptions{
+			Interval: 500 * time.Millisecond,
+			Out:      out,
+			Addr:     cfg.dashAddr,
+		})
+		if err != nil {
+			return err
+		}
+		if d.Addr() != "" {
+			fmt.Fprintf(out, "dash: http://%s (GET / text frame, GET /metrics exposition)\n", d.Addr())
+		}
+		printers.Add(1)
+		go func() {
+			defer printers.Done()
+			_ = d.Run(context.Background())
+		}()
+	}
+	if cfg.follow {
+		// Subscribe registers before returning, so every measurement
+		// recorded from here on is observed — no startup race.
+		stream := phone.Subscribe(context.Background(), mopeye.Filter{})
+		printers.Add(1)
+		go func() {
+			defer printers.Done()
+			for m := range stream {
+				fmt.Fprintf(out, "%s %-4s %-36s -> %-21s %8.1f ms\n",
+					m.At.Format("15:04:05.000"), m.Kind, m.App, m.Dst, m.RTT.Seconds()*1000)
+			}
+		}()
+	}
+
+	// The crowdsourcing upload path: a Collector batches measurements
+	// and ships them to the collector server over HTTP, retries and
+	// idempotency keys included — the deployed app's §4 loop.
+	var transport *mopeye.HTTPTransport
+	if cfg.upload != "" {
+		transport = mopeye.NewHTTPTransport(cfg.upload, mopeye.HTTPTransportOptions{Token: cfg.token})
+		collector := mopeye.NewCollector(mopeye.CollectorOptions{
+			BatchSize: 64,
+			Device:    cfg.device,
+			Transport: transport,
+		})
+		if _, err := phone.Attach(collector); err != nil {
+			transport.Close()
+			return err
+		}
+	}
+
+	work()
+
+	phone.Close()
+	printers.Wait()
+	if transport != nil {
+		// Close drains the queued batches (the final flush included)
+		// before the stats are read.
+		if err := transport.Close(); err != nil {
+			fmt.Fprintf(out, "upload: %v\n", err)
+		}
+		ts := transport.Stats()
+		fmt.Fprintf(out, "uploaded %d batches to %s (%d retries, %d dropped, %d failed)\n",
+			ts.Uploaded, cfg.upload, ts.Retried, ts.Dropped, ts.Failed)
+	}
+	return nil
+}
+
 // runReal attaches the engine to a kernel TUN device and reports what
 // the host's routed traffic measures.
-func runReal(cfg config) error {
+func runReal(cfg config, stdout, stderr io.Writer) error {
 	ecfg := cfg.engineConfig()
 	phone, err := mopeye.NewReal(mopeye.RealOptions{
 		TunName:   cfg.tunName,
@@ -185,10 +285,7 @@ func runReal(cfg config) error {
 	}
 	defer phone.Close()
 
-	out := io.Writer(os.Stdout)
-	if cfg.jsonl {
-		out = os.Stderr
-	}
+	out := reportWriter(cfg, stdout, stderr)
 	fmt.Fprintf(out, "mopeye on %s (mtu %d), upstream %s — route traffic into the device to measure it\n",
 		phone.Device(), phone.MTU(), upstreamLabel(cfg.upstream))
 	if cfg.duration > 0 {
@@ -197,85 +294,24 @@ func runReal(cfg config) error {
 		fmt.Fprintln(out, "monitoring until interrupted (ctrl-c)...")
 	}
 
-	// The dashboard works on the real plane unchanged: RealPhone
-	// satisfies DashPhone, so the same subscriber-fed frames render
-	// over kernel-TUN traffic.
-	dashDone := make(chan struct{})
-	close(dashDone)
-	if cfg.dash {
-		d, err := mopeye.NewDash(phone, mopeye.DashOptions{
-			Interval: time.Second,
-			Out:      out,
-			Addr:     cfg.dashAddr,
-		})
-		if err != nil {
-			return err
-		}
-		if d.Addr() != "" {
-			fmt.Fprintf(out, "dash: http://%s (GET / text frame, GET /metrics exposition)\n", d.Addr())
-		}
-		dashDone = make(chan struct{})
-		go func() {
-			defer close(dashDone)
-			_ = d.Run(context.Background())
-		}()
+	// ctrl-c and -duration both just end the wait; the closing sequence
+	// is the same either way.
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer cancel()
+	if cfg.duration > 0 {
+		ctx, cancel = context.WithTimeout(ctx, cfg.duration)
+		defer cancel()
+	}
+	if err := monitor(cfg, phone, stdout, out, func() { <-ctx.Done() }); err != nil {
+		return err
 	}
 
-	// Poll-and-print: the real plane reports live without the simulated
-	// Phone's subscription plumbing.
-	stop := time.After(cfg.duration)
-	if cfg.duration <= 0 {
-		stop = nil
-	}
-	interrupted := interruptCh()
-	seen := 0
-	tick := time.NewTicker(200 * time.Millisecond)
-	defer tick.Stop()
-loop:
-	for {
-		select {
-		case <-stop:
-			break loop
-		case <-interrupted:
-			break loop
-		case <-tick.C:
-			recs := phone.Measurements()
-			if cfg.follow {
-				for _, m := range recs[seen:] {
-					fmt.Fprintf(out, "%s %-4s %-24s -> %-21s %8.1f ms\n",
-						m.At.Format("15:04:05.000"), m.Kind, m.App, m.Dst, m.RTT.Seconds()*1000)
-				}
-			}
-			seen = len(recs)
-		}
-	}
-
-	if cfg.dash {
-		// Close ends the dashboard's stream; its final frame lands
-		// before the closing report below. The deferred Close is then a
-		// no-op.
-		phone.Close()
-		<-dashDone
-	}
-
-	if cfg.jsonl {
-		if err := phone.ExportJSONL(os.Stdout); err != nil {
-			return err
-		}
-	}
 	st := phone.EngineStats()
 	ts := phone.TunStats()
 	fmt.Fprintf(out, "tun: %d packets in, %d out; engine: %d SYNs, %d established, %d failures\n",
 		ts.PacketsOut, ts.PacketsIn, st.SYNs, st.Established, st.ConnectFailures)
 	printAppReport(out, phone.TCPMeasurements(), phone.AppMedians(1))
 	return nil
-}
-
-// interruptCh delivers one value on ctrl-c.
-func interruptCh() <-chan os.Signal {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	return ch
 }
 
 func upstreamLabel(s string) string {
@@ -309,70 +345,6 @@ func runSim(cfg config, stdout, stderr io.Writer) error {
 	}
 	defer phone.Close()
 
-	// The human-readable report: stdout normally, stderr when stdout
-	// carries the JSONL measurement stream.
-	var out io.Writer = stdout
-	if cfg.jsonl {
-		out = stderr
-		if _, err := phone.Attach(mopeye.NewJSONLSink(stdout)); err != nil {
-			return err
-		}
-	}
-
-	// The crowdsourcing upload path: a Collector batches measurements
-	// and ships them to the collector server over HTTP, retries and
-	// idempotency keys included — the deployed app's §4 loop.
-	var transport *mopeye.HTTPTransport
-	if cfg.upload != "" {
-		transport = mopeye.NewHTTPTransport(cfg.upload, mopeye.HTTPTransportOptions{Token: cfg.token})
-		collector := mopeye.NewCollector(mopeye.CollectorOptions{
-			BatchSize: 64,
-			Device:    cfg.device,
-			Transport: transport,
-		})
-		if _, err := phone.Attach(collector); err != nil {
-			return err
-		}
-	}
-	// The live dashboard is an ordinary subscriber; its Run ends when
-	// the phone closes, after the final frame.
-	dashDone := make(chan struct{})
-	close(dashDone)
-	if cfg.dash {
-		d, err := mopeye.NewDash(phone, mopeye.DashOptions{
-			Interval: 500 * time.Millisecond,
-			Out:      out,
-			Addr:     cfg.dashAddr,
-		})
-		if err != nil {
-			return err
-		}
-		if d.Addr() != "" {
-			fmt.Fprintf(out, "dash: http://%s (GET / text frame, GET /metrics exposition)\n", d.Addr())
-		}
-		dashDone = make(chan struct{})
-		go func() {
-			defer close(dashDone)
-			_ = d.Run(context.Background())
-		}()
-	}
-
-	followDone := make(chan struct{})
-	close(followDone)
-	if cfg.follow {
-		// Subscribe registers before returning, so every measurement
-		// the workload produces is observed — no startup race.
-		stream := phone.Subscribe(context.Background(), mopeye.Filter{})
-		followDone = make(chan struct{})
-		go func() {
-			defer close(followDone)
-			for m := range stream {
-				fmt.Fprintf(out, "%s %-4s %-36s -> %-21s %8.1f ms\n",
-					m.At.Format("15:04:05.000"), m.Kind, m.App, m.Dst, m.RTT.Seconds()*1000)
-			}
-		}()
-	}
-
 	pkgs := []string{
 		"com.facebook.katana", "com.google.android.youtube",
 		"com.whatsapp", "com.amazon.shopping", "com.google.android.apps.maps",
@@ -385,9 +357,31 @@ func runSim(cfg config, stdout, stderr io.Writer) error {
 		phone.InstallApp(10001+i, pkgs[i])
 	}
 
+	out := reportWriter(cfg, stdout, stderr)
 	fmt.Fprintf(out, "running %s engine (%d workers): %d apps x %d rounds x %d connections...\n",
 		cfg.variant, cfg.workers, apps, cfg.pages, cfg.conns)
 	start := time.Now()
+	if err := monitor(cfg, phone, stdout, out, func() { browse(cfg, phone, servers, apps) }); err != nil {
+		return err
+	}
+
+	// The snapshot accessors keep working on the closed phone.
+	st := phone.EngineStats()
+	fmt.Fprintf(out, "done in %v: %d SYNs, %d established, %d failures, %d pure ACKs discarded\n",
+		time.Since(start).Round(time.Millisecond), st.SYNs, st.Established,
+		st.ConnectFailures, st.PureACKs)
+	fmt.Fprintf(out, "mapping: %d resolutions, %d parses, mitigation %.0f%%\n\n",
+		st.Mapping.Resolutions, st.Mapping.Parses, st.Mapping.MitigationRate()*100)
+
+	printAppReport(out, phone.TCPMeasurements(), phone.AppMedians(1))
+	fmt.Fprintf(out, "\nDNS: %d measurements, median %.1f ms\n",
+		len(phone.DNSMeasurements()), medianMS(phone.DNSMeasurements()))
+	return nil
+}
+
+// browse is the simulated workload: each app fetches pages rounds of
+// conns concurrent connections from its server.
+func browse(cfg config, phone *mopeye.Phone, servers []mopeye.Server, apps int) {
 	var wg sync.WaitGroup
 	for a := 0; a < apps; a++ {
 		wg.Add(1)
@@ -419,35 +413,6 @@ func runSim(cfg config, stdout, stderr io.Writer) error {
 	}
 	wg.Wait()
 	time.Sleep(200 * time.Millisecond)
-
-	// Close ends the live streams (follow printer, JSONL sink) after
-	// they have delivered every measurement; the snapshot accessors
-	// below keep working on the closed phone.
-	phone.Close()
-	<-followDone
-	<-dashDone
-	if transport != nil {
-		// Close drains the queued batches (the final flush included)
-		// before the stats below are read.
-		if err := transport.Close(); err != nil {
-			fmt.Fprintf(out, "upload: %v\n", err)
-		}
-		ts := transport.Stats()
-		fmt.Fprintf(out, "uploaded %d batches to %s (%d retries, %d dropped, %d failed)\n",
-			ts.Uploaded, cfg.upload, ts.Retried, ts.Dropped, ts.Failed)
-	}
-
-	st := phone.EngineStats()
-	fmt.Fprintf(out, "done in %v: %d SYNs, %d established, %d failures, %d pure ACKs discarded\n",
-		time.Since(start).Round(time.Millisecond), st.SYNs, st.Established,
-		st.ConnectFailures, st.PureACKs)
-	fmt.Fprintf(out, "mapping: %d resolutions, %d parses, mitigation %.0f%%\n\n",
-		st.Mapping.Resolutions, st.Mapping.Parses, st.Mapping.MitigationRate()*100)
-
-	printAppReport(out, phone.TCPMeasurements(), phone.AppMedians(1))
-	fmt.Fprintf(out, "\nDNS: %d measurements, median %.1f ms\n",
-		len(phone.DNSMeasurements()), medianMS(phone.DNSMeasurements()))
-	return nil
 }
 
 // printAppReport renders the per-app median view (Figure 1a).

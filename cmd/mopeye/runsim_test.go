@@ -6,8 +6,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/crowd"
+	"repro/mopeye"
 )
 
 // syncWriter guards a buffer against the concurrent writers a run
@@ -72,9 +74,89 @@ func TestRunSimFollowJSONLUpload(t *testing.T) {
 		}
 	}
 
-	// The collector actually received the uploaded records.
-	if got := srv.Stats().Records; got == 0 {
-		t.Fatal("collector received no records")
+	// The collector actually received the uploaded records: every JSONL
+	// line is one of them.
+	lines := strings.Count(stdout.String(), "\n")
+	if got := srv.Stats().Records; got == 0 || got != lines {
+		t.Fatalf("collector received %d records, stdout carries %d JSONL lines", got, lines)
+	}
+}
+
+// TestMonitorRealPlaneFlags pins that the wiring runReal shares with
+// runSim honours every live flag: a `-tun real -follow -jsonl -upload
+// -device -token` command line, driven through monitor over a
+// simulated phone (no TUN needed — monitor never learns the plane),
+// streams JSONL, prints live and uploads to a token-gated collector.
+// work returns with far fewer than one batch recorded, as a ctrl-c
+// would, so everything uploaded is the final partial batch the closing
+// sequence flushed: uploaded records == JSONL lines == store length.
+func TestMonitorRealPlaneFlags(t *testing.T) {
+	srv, err := crowd.NewServer(crowd.ServerOptions{Token: "s3cret"})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	cfg, err := parseFlags([]string{
+		"-tun", "real", "-follow", "-jsonl",
+		"-upload", ts.URL, "-device", "real-phone", "-token", "s3cret",
+	})
+	if err != nil {
+		t.Fatalf("parseFlags: %v", err)
+	}
+	phone, err := mopeye.New(mopeye.Options{
+		Servers: []mopeye.Server{{Domain: "api.example.com", RTTMillis: 5}},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer phone.Close()
+	phone.InstallApp(10001, "com.example.app")
+
+	const conns = 3
+	var stdout, stderr syncWriter
+	err = monitor(cfg, phone, &stdout, reportWriter(cfg, &stdout, &stderr), func() {
+		for i := 0; i < conns; i++ {
+			conn, err := phone.Connect(10001, "api.example.com:443")
+			if err != nil {
+				t.Errorf("Connect: %v", err)
+				return
+			}
+			conn.Close()
+		}
+		// A record lands on its connect thread after the lazy mapping,
+		// later than Connect returns: wait for one TCP and one DNS
+		// record per connect so the store is final before the close.
+		for deadline := time.Now().Add(10 * time.Second); len(phone.Measurements()) < 2*conns && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+	if err != nil {
+		t.Fatalf("monitor: %v", err)
+	}
+
+	stored := len(phone.Measurements())
+	lines := strings.Count(stdout.String(), "\n")
+	st := srv.Stats()
+	if stored != 2*conns || lines != stored || st.Records != stored {
+		t.Fatalf("store %d records (want %d), JSONL %d lines, collector %d records (%d auth failures)",
+			stored, 2*conns, lines, st.Records, st.AuthFailures)
+	}
+	if st.Batches != 1 {
+		t.Errorf("collector accepted %d batches, want the one final partial batch", st.Batches)
+	}
+	for _, r := range srv.Records() {
+		if r.Device != "real-phone" {
+			t.Fatalf("uploaded record stamped %q, want real-phone", r.Device)
+		}
+	}
+	// -follow printed each record live, on stderr beside the upload line.
+	if got := strings.Count(stderr.String(), "com.example.app"); got < conns {
+		t.Errorf("follow printer showed %d app lines, want >= %d:\n%s", got, conns, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "uploaded 1 batches") {
+		t.Errorf("stderr missing the upload report:\n%s", stderr.String())
 	}
 }
 

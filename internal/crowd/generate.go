@@ -21,10 +21,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig generates a tenth-scale dataset, large enough for every
-// analysis to be stable.
-func DefaultConfig() Config { return Config{Scale: 0.1, Seed: 2016} }
-
 // Dataset is one generated crowdsourced dataset.
 type Dataset struct {
 	Records []measure.Record
@@ -258,16 +254,6 @@ func filterKind(recs []measure.Record, k measure.Kind) []measure.Record {
 		}
 	}
 	return out
-}
-
-// AppLabel resolves a package name to its human label.
-func (ds *Dataset) AppLabel(pkg string) string {
-	for _, a := range ds.apps {
-		if a.Package == pkg {
-			return a.Label
-		}
-	}
-	return pkg
 }
 
 // ScaledThreshold converts a full-scale count threshold (e.g. Figure

@@ -168,12 +168,6 @@ func (m *mailbox) read(buf []byte, block bool) (int, error) {
 	return n, nil
 }
 
-func (m *mailbox) readable() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes > 0 || m.eof || m.rst || m.closed
-}
-
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
@@ -520,10 +514,6 @@ func (c *Conn) TryRead(buf []byte) (int, error) {
 	}
 	return n, err
 }
-
-// Readable reports whether a TryRead would make progress (data, EOF or
-// reset pending).
-func (c *Conn) Readable() bool { return c.rx.readable() }
 
 // SetOnReadable installs a callback fired when the connection becomes
 // readable. The selector uses this for event notification.

@@ -41,7 +41,6 @@ type SelectionKey struct {
 	attachment atomic.Pointer[any]
 	interest   atomic.Int32
 	ready      atomic.Int32
-	readyAt    atomic.Int64 // clock nanos when readiness was signalled
 	canceled   atomic.Bool
 
 	// queued marks membership in the selector's ready queue; guarded by
@@ -68,11 +67,6 @@ func (k *SelectionKey) Attach(a interface{}) {
 	k.attachment.Store(&a)
 }
 
-// InterestOps returns the current interest set.
-func (k *SelectionKey) InterestOps() Ops {
-	return Ops(k.interest.Load())
-}
-
 // SetInterestOps replaces the interest set. Adding OpWrite immediately
 // marks the key write-ready (the simulated socket is always writable;
 // the send path applies flow control inside Write itself).
@@ -86,19 +80,7 @@ func (k *SelectionKey) SetInterestOps(ops Ops) {
 // ReadyOps returns and clears the ready set; the selected-key consumer
 // calls this once per selected key (consume-once semantics).
 func (k *SelectionKey) ReadyOps() Ops {
-	r := Ops(k.ready.Swap(0))
-	if r == 0 {
-		return 0
-	}
-	k.readyAt.Store(0)
-	return r & Ops(k.interest.Load())
-}
-
-// ReadySince returns the clock nanos at which the oldest pending
-// readiness was signalled; 0 when none. Experiments use it to quantify
-// notification latency.
-func (k *SelectionKey) ReadySince() int64 {
-	return k.readyAt.Load()
+	return Ops(k.ready.Swap(0)) & Ops(k.interest.Load())
 }
 
 // markReady records readiness and, when the key is interested, hands it
@@ -115,9 +97,6 @@ func (k *SelectionKey) markReady(op Ops) {
 			break
 		}
 		if k.ready.CompareAndSwap(old, old|int32(op)) {
-			if old == 0 {
-				k.readyAt.Store(k.sel.clkNanos())
-			}
 			break
 		}
 	}
@@ -169,8 +148,6 @@ func (p *Provider) NewSelector() *Selector {
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
-
-func (s *Selector) clkNanos() int64 { return s.p.Clk.Nanos() }
 
 // Register attaches a channel with an interest set, paying the
 // register() cost (§3.4: MopEye defers this call to the socket-connect

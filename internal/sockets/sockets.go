@@ -179,9 +179,6 @@ func NewProvider(net *netsim.Network, clk clock.Clock, addr netip.Addr, costs Co
 	}
 }
 
-// PhoneAddr returns the phone's network address.
-func (p *Provider) PhoneAddr() netip.Addr { return p.phoneAddr }
-
 // EphemeralPort allocates a local port.
 func (p *Provider) EphemeralPort() uint16 {
 	p.mu.Lock()

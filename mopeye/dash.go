@@ -47,9 +47,6 @@ type DashPhone interface {
 	dashClock() clock.Clock
 }
 
-func (p *Phone) dashClock() clock.Clock     { return p.bed.Clk }
-func (p *RealPhone) dashClock() clock.Clock { return p.clk }
-
 // DashOptions configures a dashboard.
 type DashOptions struct {
 	// Interval is the refresh period, measured on the phone's clock.

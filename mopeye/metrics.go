@@ -23,8 +23,7 @@ import (
 // scrape pay nothing. Arm it before the workload when the quantiles
 // matter: the subscription observes records from that point on.
 
-// registerStoreMetrics adds the streaming pipeline's instruments,
-// shared by Phone and RealPhone.
+// registerStoreMetrics adds the streaming pipeline's instruments.
 func registerStoreMetrics(r *metrics.Registry, st *measure.Store) {
 	r.CounterFunc("mopeye_stream_dropped_total",
 		"Measurements dropped across subscriber rings (bounded-drop contract; zero when healthy).",
@@ -54,11 +53,11 @@ func rttQuantileFeed(r *metrics.Registry) func(measure.Record) {
 
 // metricsRegistry builds (once) the phone's registry and starts the
 // quantile drain.
-func (p *Phone) metricsRegistry() *metrics.Registry {
+func (p *core) metricsRegistry() *metrics.Registry {
 	p.metricsOnce.Do(func() {
 		r := metrics.NewRegistry()
-		p.bed.Eng.RegisterMetrics(r)
-		registerStoreMetrics(r, p.bed.Store)
+		p.eng.RegisterMetrics(r)
+		registerStoreMetrics(r, p.store)
 		observe := rttQuantileFeed(r)
 		p.metricsReg = r
 
@@ -71,7 +70,7 @@ func (p *Phone) metricsRegistry() *metrics.Registry {
 			p.mu.Unlock()
 			return
 		}
-		sub := p.bed.Store.Subscribe(0, nil)
+		sub := p.store.Subscribe(0, nil)
 		p.sinkWG.Add(1)
 		p.mu.Unlock()
 		go func() {
@@ -91,54 +90,19 @@ func (p *Phone) metricsRegistry() *metrics.Registry {
 // Metrics snapshots the phone's observability state: engine counters
 // and gauges, streaming-pipeline accounting, and the sketched RTT
 // summaries.
-func (p *Phone) Metrics() metrics.Snapshot { return p.metricsRegistry().Gather() }
+func (p *core) Metrics() metrics.Snapshot { return p.metricsRegistry().Gather() }
 
 // WriteMetrics renders the phone's metrics in Prometheus text
 // exposition format. The first call arms the registry (and the RTT
 // quantile feed); arm it before the workload when the quantiles should
 // cover it.
-func (p *Phone) WriteMetrics(w io.Writer) error {
+func (p *core) WriteMetrics(w io.Writer) error {
 	return p.metricsRegistry().WritePrometheus(w)
 }
 
 // MetricsHandler serves the phone's metrics over HTTP — GET /metrics
 // for a live phone, the same exposition WriteMetrics renders.
-func (p *Phone) MetricsHandler() http.Handler { return p.metricsRegistry().Handler() }
-
-// metricsRegistry is the real-plane twin of Phone.metricsRegistry.
-func (p *RealPhone) metricsRegistry() *metrics.Registry {
-	p.metricsOnce.Do(func() {
-		r := metrics.NewRegistry()
-		p.eng.RegisterMetrics(r)
-		registerStoreMetrics(r, p.store)
-		observe := rttQuantileFeed(r)
-		p.metricsReg = r
-
-		sub := p.store.Subscribe(0, nil)
-		go func() {
-			for {
-				rec, ok := sub.Next(nil)
-				if !ok {
-					return
-				}
-				observe(rec)
-			}
-		}()
-	})
-	return p.metricsReg
-}
-
-// Metrics snapshots the real phone's observability state.
-func (p *RealPhone) Metrics() metrics.Snapshot { return p.metricsRegistry().Gather() }
-
-// WriteMetrics renders the real phone's metrics in Prometheus text
-// exposition format.
-func (p *RealPhone) WriteMetrics(w io.Writer) error {
-	return p.metricsRegistry().WritePrometheus(w)
-}
-
-// MetricsHandler serves the real phone's metrics over HTTP.
-func (p *RealPhone) MetricsHandler() http.Handler { return p.metricsRegistry().Handler() }
+func (p *core) MetricsHandler() http.Handler { return p.metricsRegistry().Handler() }
 
 // metricsRegistry builds (once) the fleet's registry: aggregate
 // counters plus per-phone status labeled by device stamp. Meaningful

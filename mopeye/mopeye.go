@@ -45,17 +45,14 @@ package mopeye
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/netip"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/engine"
 	"repro/internal/measure"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/phonestack"
 	"repro/internal/procnet"
@@ -147,25 +144,8 @@ type Measurement = measure.Record
 // Collector — that consumes every measurement for the rest of the
 // engine's lifetime. See stream.go and sink.go.
 type Phone struct {
+	core
 	bed *testbed.Bed
-
-	// done is closed once Close has fully torn the phone down; Run
-	// waits on it.
-	done chan struct{}
-	// closeOnce makes Close idempotent and safe against concurrent
-	// Subscribe/Attach/Close callers.
-	closeOnce sync.Once
-
-	// mu guards the attach bookkeeping below.
-	mu     sync.Mutex
-	closed bool
-	sinks  []*attachedSink
-	sinkWG sync.WaitGroup
-
-	// metricsOnce builds the lazy observability registry; see
-	// metrics.go.
-	metricsOnce sync.Once
-	metricsReg  *metrics.Registry
 }
 
 // New builds a phone, its network, and starts the engine.
@@ -179,18 +159,8 @@ func New(o Options) (*Phone, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	cfg := engine.Default()
-	if o.Engine != nil {
-		cfg = *o.Engine
-	}
-	if o.Workers > 0 {
-		cfg.Workers = o.Workers
-	}
-	if o.ReadBatch > 0 {
-		cfg.ReadBatch = o.ReadBatch
-	}
 	opts := testbed.Options{
-		Engine:     cfg,
+		Engine:     engineConfig(o.Engine, o.Workers, o.ReadBatch),
 		EngineSet:  true,
 		Link:       netsim.LinkParams{Delay: msToDelay(o.DefaultRTTMillis) / 2},
 		DNSLink:    netsim.LinkParams{Delay: msToDelay(o.DNSRTTMillis) / 2},
@@ -216,7 +186,11 @@ func New(o Options) (*Phone, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Phone{bed: bed, done: make(chan struct{})}, nil
+	p := &Phone{bed: bed}
+	// bed.Close is the teardown: its own engine stop and subscriber
+	// shutdown are no-ops by the time the core runs it.
+	p.init(bed.Eng, bed.Clk, bed.Close)
+	return p, nil
 }
 
 func msToDelay(ms float64) time.Duration {
@@ -338,58 +312,6 @@ func (c *Conn) Close() error { return c.c.Close() }
 // through the relay.
 func (c *Conn) ConnectLatency() time.Duration { return c.c.ConnectElapsed }
 
-// Measurements returns every opportunistic measurement collected so
-// far — the pull-style snapshot of the same stream Subscribe delivers
-// push-style, in the same order. Copies the whole store on every
-// call; continuous consumers should prefer Subscribe or Attach.
-func (p *Phone) Measurements() []Measurement { return p.bed.Store.Snapshot() }
-
-// ExportCSV writes a snapshot of the phone's measurements as CSV —
-// the batch form of what MopEye uploads to the crowdsourcing
-// collector. For continuous export, Attach a CSVSink (byte-identical
-// output) or a Collector instead.
-func (p *Phone) ExportCSV(w io.Writer) error {
-	return measure.WriteCSV(w, p.bed.Store.Snapshot())
-}
-
-// ExportJSONL writes a snapshot of the phone's measurements as JSON
-// Lines, the streaming-friendly export (`mopeye -jsonl`). For
-// continuous export, Attach a JSONLSink instead.
-func (p *Phone) ExportJSONL(w io.Writer) error {
-	return measure.WriteJSONL(w, p.bed.Store.Snapshot())
-}
-
-// TCPMeasurements returns a snapshot of the per-app TCP RTTs — the
-// pull form of Subscribe(ctx, Filter{Kind: TCPOnly}).
-func (p *Phone) TCPMeasurements() []Measurement {
-	return p.bed.Store.Kind(measure.KindTCP)
-}
-
-// DNSMeasurements returns a snapshot of the DNS RTTs — the pull form
-// of Subscribe(ctx, Filter{Kind: DNSOnly}).
-func (p *Phone) DNSMeasurements() []Measurement {
-	return p.bed.Store.Kind(measure.KindDNS)
-}
-
-// AppMedians returns each app's median RTT in milliseconds over apps
-// with at least minN measurements. The Collector sink maintains the
-// same aggregate continuously on its upload schedule.
-func (p *Phone) AppMedians(minN int) map[string]float64 {
-	return measure.AppMedians(p.TCPMeasurements(), minN)
-}
-
-// EngineStats exposes the engine's internal counters.
-func (p *Phone) EngineStats() engine.Stats { return p.bed.Eng.Stats() }
-
-// AppTraffic is one app's relayed-volume report — the beyond-RTT
-// metric extension the paper's conclusion proposes.
-type AppTraffic = engine.AppTraffic
-
-// AppTraffic returns per-app traffic volumes, largest first. Like the
-// RTT measurement, this is opportunistic: it costs nothing beyond the
-// relaying MopEye already does.
-func (p *Phone) AppTraffic() []AppTraffic { return p.bed.Eng.AppTraffic() }
-
 // GroundTruthRTTs returns the wire-level (tcpdump-equivalent) handshake
 // RTTs in milliseconds observed toward dst, for validating measurement
 // accuracy.
@@ -399,30 +321,4 @@ func (p *Phone) GroundTruthRTTs(dst string) ([]float64, error) {
 		return nil, fmt.Errorf("mopeye: GroundTruthRTTs wants ip:port, got %q: %w", dst, err)
 	}
 	return p.bed.Sniffer.RTTsTo(ap), nil
-}
-
-// Close stops the engine, ends every live Subscribe stream and
-// attached Sink (delivering the records already in flight, then
-// flushing and closing the sinks), and tears the simulation down.
-// Close is idempotent and safe to call concurrently with Subscribe,
-// Attach, and other Close calls; every call returns only after the
-// teardown has completed.
-func (p *Phone) Close() {
-	p.closeOnce.Do(func() {
-		p.mu.Lock()
-		p.closed = true
-		sinks := p.sinks
-		p.mu.Unlock()
-
-		// Stop the engine first: after bed.Close no worker can record,
-		// so ending the subscriptions cannot truncate the stream —
-		// subscribers drain what is already ringed, then see the end.
-		p.bed.Close()
-		p.sinkWG.Wait()
-		for _, as := range sinks {
-			as.finish()
-		}
-		close(p.done)
-	})
-	<-p.done
 }

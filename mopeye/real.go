@@ -1,22 +1,15 @@
 package mopeye
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"iter"
 	"net/netip"
 	"os/user"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/engine"
-	"repro/internal/measure"
-	"repro/internal/metrics"
 	"repro/internal/procnet"
-	"repro/internal/resource"
 	"repro/internal/sockets"
 	"repro/internal/tun"
 	"repro/internal/tun/lintun"
@@ -62,18 +55,9 @@ type RealOptions struct {
 // pipeline is the same one the simulated Phone drives — same engine,
 // same store, same export formats — only the substrate differs.
 type RealPhone struct {
-	dev   *lintun.TUN
-	eng   *engine.Engine
-	store *measure.Store
-	pm    *procnet.PackageManager
-	clk   clock.Clock
-
-	closeOnce sync.Once
-
-	// metricsOnce builds the lazy observability registry; see
-	// metrics.go.
-	metricsOnce sync.Once
-	metricsReg  *metrics.Registry
+	core
+	dev *lintun.TUN
+	pm  *procnet.PackageManager
 }
 
 // NewReal opens the TUN device and starts the engine against the real
@@ -111,29 +95,17 @@ func NewReal(o RealOptions) (*RealPhone, error) {
 	prov.SetDialer(dialer)
 	prov.SetUDPTransport(upstream.KernelUDP(o.UDPTimeout))
 
-	cfg := engine.Default()
-	if o.Engine != nil {
-		cfg = *o.Engine
-	}
-	if o.Workers > 0 {
-		cfg.Workers = o.Workers
-	}
-	if o.ReadBatch > 0 {
-		cfg.ReadBatch = o.ReadBatch
-	}
-
-	store := measure.NewStore()
-	eng := engine.New(cfg, engine.Deps{
+	eng := engine.New(engineConfig(o.Engine, o.Workers, o.ReadBatch), engine.Deps{
 		Clock:    clk,
 		Device:   dev,
 		Sockets:  prov,
 		ProcNet:  reader,
 		Packages: pm,
-		Store:    store,
-		Meter:    resource.NewMeter(resource.DefaultCosts(), 12),
 	})
 	eng.Start()
-	return &RealPhone{dev: dev, eng: eng, store: store, pm: pm, clk: clk}, nil
+	p := &RealPhone{dev: dev, pm: pm}
+	p.init(eng, clk, dev.Close)
+	return p, nil
 }
 
 // userName maps a host UID to its account name, the closest Linux
@@ -157,60 +129,5 @@ func (p *RealPhone) MTU() int { return p.dev.MTU() }
 // handy for pinning test traffic to a recognizable name.
 func (p *RealPhone) InstallApp(uid int, name string) { p.pm.Install(uid, name) }
 
-// Measurements returns every opportunistic measurement collected so
-// far.
-func (p *RealPhone) Measurements() []Measurement { return p.store.Snapshot() }
-
-// TCPMeasurements returns the per-app TCP connect RTTs.
-func (p *RealPhone) TCPMeasurements() []Measurement { return p.store.Kind(measure.KindTCP) }
-
-// DNSMeasurements returns the DNS transaction RTTs.
-func (p *RealPhone) DNSMeasurements() []Measurement { return p.store.Kind(measure.KindDNS) }
-
-// ExportCSV writes a snapshot of the measurements as CSV.
-func (p *RealPhone) ExportCSV(w io.Writer) error {
-	return measure.WriteCSV(w, p.store.Snapshot())
-}
-
-// ExportJSONL writes a snapshot of the measurements as JSON Lines.
-func (p *RealPhone) ExportJSONL(w io.Writer) error {
-	return measure.WriteJSONL(w, p.store.Snapshot())
-}
-
-// AppMedians returns each app's median RTT in milliseconds over apps
-// with at least minN measurements.
-func (p *RealPhone) AppMedians(minN int) map[string]float64 {
-	return measure.AppMedians(p.TCPMeasurements(), minN)
-}
-
-// EngineStats exposes the engine's internal counters.
-func (p *RealPhone) EngineStats() engine.Stats { return p.eng.Stats() }
-
-// Subscribe streams measurements as they are recorded, with the same
-// contract as Phone.Subscribe: registered before returning, bounded
-// ring, drops counted in StreamDrops, stream ends on ctx cancellation
-// or Close.
-func (p *RealPhone) Subscribe(ctx context.Context, f Filter) iter.Seq[Measurement] {
-	sub := p.store.Subscribe(0, f.predicate())
-	if ctx != nil {
-		context.AfterFunc(ctx, sub.Close)
-	}
-	return sub.Seq(ctx)
-}
-
-// StreamDrops reports the total measurements dropped across all
-// subscribers because a ring was full. Zero in any healthy deployment.
-func (p *RealPhone) StreamDrops() uint64 { return p.store.DroppedRecords() }
-
 // TunStats exposes the device's packet counters.
 func (p *RealPhone) TunStats() tun.Stats { return p.dev.Stats() }
-
-// Close stops the engine, ends every live Subscribe stream (delivering
-// the records already ringed), and closes the TUN device. Idempotent.
-func (p *RealPhone) Close() {
-	p.closeOnce.Do(func() {
-		p.eng.Stop()
-		p.store.CloseSubscribers()
-		p.dev.Close()
-	})
-}

@@ -3,6 +3,7 @@
 package mopeye
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/measure"
 	"repro/internal/upstream"
 )
 
@@ -103,6 +105,28 @@ func TestRealTunSocksSmoke(t *testing.T) {
 	defer phone.Close()
 	phone.InstallApp(os.Getuid(), "smoketest")
 
+	// The streaming half of the one core, on the kernel plane: a JSONL
+	// sink and a Collector attached before the flow. The default batch
+	// size (256) is far above what the smoke records, so whatever the
+	// transport receives is the final flush Close performs.
+	var jsonl bytes.Buffer
+	var uploaded []Measurement // written on the sink drain, read after Close
+	jsonlSink, err := phone.Attach(NewJSONLSink(&jsonl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	collector := NewCollector(CollectorOptions{
+		Device: "smoke-device",
+		Transport: FuncTransport(func(ms []Measurement) error {
+			uploaded = append(uploaded, ms...)
+			return nil
+		}),
+	})
+	collectorSink, err := phone.Attach(collector)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// TEST-NET-2, disjoint from netsim's TEST-NET-1 and from any real
 	// container network.
 	runIP(t, "addr", "add", "198.51.100.1/24", "dev", phone.Device())
@@ -161,6 +185,42 @@ func TestRealTunSocksSmoke(t *testing.T) {
 	}
 	if ts := phone.TunStats(); ts.PacketsOut == 0 || ts.PacketsIn == 0 {
 		t.Errorf("tun stats show no traffic: %+v", ts)
+	}
+
+	// Close drains both sinks and flushes them before the device goes
+	// away: each holds the smoke flow's record, the collector's only via
+	// that final flush.
+	if collector.Uploads() != 0 {
+		t.Errorf("collector uploaded %d batches before Close; the flush assertion below needs 0", collector.Uploads())
+	}
+	phone.Close()
+	if err := jsonlSink.Err(); err != nil {
+		t.Errorf("JSONL sink: %v", err)
+	}
+	if err := collectorSink.Err(); err != nil {
+		t.Errorf("collector sink: %v", err)
+	}
+	lines, err := measure.ReadJSONL(&jsonl)
+	if err != nil {
+		t.Fatalf("JSONL sink output does not parse: %v", err)
+	}
+	sawSmokeFlow := func(ms []Measurement) bool {
+		for _, m := range ms {
+			if m.Kind == measure.KindTCP && m.Dst.String() == dst && m.App == "smoketest" {
+				return true
+			}
+		}
+		return false
+	}
+	if !sawSmokeFlow(lines) {
+		t.Errorf("JSONL sink missed the smoke flow's TCP record; got %d lines", len(lines))
+	}
+	if !sawSmokeFlow(uploaded) || collector.Pending() != 0 || collector.Uploads() != 1 {
+		t.Errorf("collector: %d records uploaded in %d batches, %d still pending; want the smoke flow's TCP record flushed in one",
+			len(uploaded), collector.Uploads(), collector.Pending())
+	}
+	if n := len(phone.Measurements()); len(lines) != n || len(uploaded) != n {
+		t.Errorf("store holds %d records, JSONL sink %d, collector %d; want all equal", n, len(lines), len(uploaded))
 	}
 }
 

@@ -96,8 +96,8 @@ func (f Filter) predicate() func(measure.Record) bool {
 //	for m := range phone.Subscribe(ctx, mopeye.Filter{Kind: mopeye.TCPOnly}) {
 //		fmt.Printf("%s -> %s: %v\n", m.App, m.Dst, m.RTT)
 //	}
-func (p *Phone) Subscribe(ctx context.Context, f Filter) iter.Seq[Measurement] {
-	sub := p.bed.Store.Subscribe(0, f.predicate())
+func (p *core) Subscribe(ctx context.Context, f Filter) iter.Seq[Measurement] {
+	sub := p.store.Subscribe(0, f.predicate())
 	if ctx != nil {
 		// Detach on cancellation even if the iterator is never ranged
 		// (or abandoned between Subscribe and range): an un-ranged
@@ -112,7 +112,7 @@ func (p *Phone) Subscribe(ctx context.Context, f Filter) iter.Seq[Measurement] {
 // subscribers (live and closed) because a ring was full — the
 // observable half of the pipeline's bounded-drop contract. Zero in
 // any healthy deployment.
-func (p *Phone) StreamDrops() uint64 { return p.bed.Store.DroppedRecords() }
+func (p *core) StreamDrops() uint64 { return p.store.DroppedRecords() }
 
 // attachedSink is one engine-lifetime sink with its drain state.
 type attachedSink struct {
@@ -146,13 +146,13 @@ func (as *attachedSink) finish() {
 // and closes the sink after the final measurement. If Accept returns
 // an error the sink stops receiving; the error is reported by the
 // returned handle's Err after close.
-func (p *Phone) Attach(sink Sink) (*Attached, error) {
+func (p *core) Attach(sink Sink) (*Attached, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("mopeye: Attach on a closed phone")
 	}
-	sub := p.bed.Store.Subscribe(0, nil)
+	sub := p.store.Subscribe(0, nil)
 	as := &attachedSink{sink: sink}
 	p.sinks = append(p.sinks, as)
 	p.sinkWG.Add(1)
@@ -193,7 +193,7 @@ func (a *Attached) Err() error {
 // context-driven lifecycle for engine-as-a-service deployments:
 //
 //	go phone.Run(ctx) // phone lives exactly as long as ctx
-func (p *Phone) Run(ctx context.Context) error {
+func (p *core) Run(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 		p.Close()
