@@ -30,7 +30,7 @@
 //
 // Usage:
 //
-//	mopeye [-apps N] [-conns N] [-pages N] [-realistic] [-variant mopeye|toyvpn|haystack] [-workers N] [-readbatch N] [-follow] [-jsonl] [-dash [-dash-addr HOST:PORT]] [-upload URL [-device D] [-token T]]
+//	mopeye [-apps N] [-conns N] [-pages N] [-realistic] [-variant mopeye|toyvpn|haystack] [-workers N] [-follow] [-jsonl] [-dash [-dash-addr HOST:PORT]] [-upload URL [-device D] [-token T]]
 //	mopeye -tun real [-tun-name mopeye0] [-upstream socks5://host:port] [-duration 30s] [-follow] [-jsonl] [-dash [-dash-addr HOST:PORT]] [-upload URL [-device D] [-token T]]
 package main
 
@@ -60,7 +60,6 @@ type config struct {
 	realistic bool
 	variant   string
 	workers   int
-	readBatch int
 	follow    bool
 	jsonl     bool
 	dash      bool
@@ -87,7 +86,6 @@ func parseFlags(args []string) (config, error) {
 	fs.BoolVar(&c.realistic, "realistic", true, "enable Android-like cost models")
 	fs.StringVar(&c.variant, "variant", "mopeye", "engine variant: mopeye, toyvpn or haystack")
 	fs.IntVar(&c.workers, "workers", 1, "packet-processing workers (1 = paper-faithful MainWorker)")
-	fs.IntVar(&c.readBatch, "readbatch", 0, "multi-worker read burst size (1 = batching off, 0 = the engine default of 64)")
 	fs.BoolVar(&c.follow, "follow", false, "print each measurement live as the engine records it")
 	fs.BoolVar(&c.jsonl, "jsonl", false, "stream measurements to stdout as JSON Lines (report moves to stderr)")
 	fs.BoolVar(&c.dash, "dash", false, "render a live per-app RTT dashboard (sparklines, engine gauges) refreshing on the phone's clock")
@@ -103,8 +101,8 @@ func parseFlags(args []string) (config, error) {
 		return config{}, err
 	}
 
-	if c.readBatch < 0 {
-		return config{}, fmt.Errorf("mopeye: bad -readbatch %d (want N >= 0)", c.readBatch)
+	if c.workers < 1 {
+		return config{}, fmt.Errorf("mopeye: bad -workers %d (want N >= 1)", c.workers)
 	}
 	switch c.variant {
 	case "mopeye", "toyvpn", "haystack":
@@ -274,11 +272,10 @@ func monitor(cfg config, phone livePhone, stdout, out io.Writer, work func()) er
 func runReal(cfg config, stdout, stderr io.Writer) error {
 	ecfg := cfg.engineConfig()
 	phone, err := mopeye.NewReal(mopeye.RealOptions{
-		TunName:   cfg.tunName,
-		Upstream:  cfg.upstream,
-		Engine:    &ecfg,
-		Workers:   cfg.workers,
-		ReadBatch: cfg.readBatch,
+		TunName:  cfg.tunName,
+		Upstream: cfg.upstream,
+		Engine:   &ecfg,
+		Workers:  cfg.workers,
 	})
 	if err != nil {
 		return err
@@ -337,7 +334,6 @@ func runSim(cfg config, stdout, stderr io.Writer) error {
 		Servers:        servers,
 		Engine:         &ecfg,
 		Workers:        cfg.workers,
-		ReadBatch:      cfg.readBatch,
 		RealisticCosts: cfg.realistic,
 	})
 	if err != nil {

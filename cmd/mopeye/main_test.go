@@ -14,9 +14,6 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if c.tun != "sim" || c.tunName != "" || c.upstream != "" {
 		t.Fatalf("defaults: %+v", c)
 	}
-	if c.readBatch != 0 {
-		t.Fatalf("readbatch default should be 0 (engine default): %+v", c)
-	}
 	if c.variant != "mopeye" || c.workers != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}
@@ -26,7 +23,7 @@ func TestParseFlagsRealPlane(t *testing.T) {
 	c, err := parseFlags([]string{
 		"-tun", "real", "-tun-name", "mopeye0",
 		"-upstream", "socks5://user:pw@127.0.0.1:1080",
-		"-duration", "5s", "-workers", "4", "-readbatch", "16",
+		"-duration", "5s", "-workers", "4",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +34,7 @@ func TestParseFlagsRealPlane(t *testing.T) {
 	if c.upstream != "socks5://user:pw@127.0.0.1:1080" {
 		t.Fatalf("upstream: %q", c.upstream)
 	}
-	if c.duration != 5*time.Second || c.workers != 4 || c.readBatch != 16 {
+	if c.duration != 5*time.Second || c.workers != 4 {
 		t.Fatalf("parsed: %+v", c)
 	}
 }
@@ -52,9 +49,9 @@ func TestParseFlagsRejects(t *testing.T) {
 		{[]string{"-upstream", "socks5://1.2.3.4:1080"}, "-upstream needs -tun real"},
 		{[]string{"-tun", "real", "-upstream", "http://1.2.3.4:8080"}, "unsupported scheme"},
 		{[]string{"-tun", "real", "-upstream", "socks5://hostonly"}, "host:port"},
-		{[]string{"-readbatch", "-3"}, "-readbatch"},
-		{[]string{"-readbatch", "lots"}, "-readbatch"},
-		{[]string{"-readbatch", "auto"}, "-readbatch"},
+		{[]string{"-workers", "0"}, "-workers"},
+		{[]string{"-workers", "-3"}, "-workers"},
+		{[]string{"-readbatch", "16"}, "-readbatch"}, // not a flag
 		{[]string{"-variant", "vpnservice"}, "-variant"},
 		{[]string{"-dash", "-follow"}, "-dash"},
 		{[]string{"-dash", "-jsonl"}, "-dash"},

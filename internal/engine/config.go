@@ -89,15 +89,6 @@ type Config struct {
 	ReadMode     ReadMode
 	PollInterval time.Duration // sleep between empty polls for ReadPoll*
 
-	// ReadBatch bounds how many tunnel packets the reader retrieves per
-	// burst on the multi-worker path: tun.ReadBatch amortises the TUN
-	// queue lock across the burst the way readv/recvmmsg amortise
-	// syscalls, and the emit side batches tunnel writes at the same
-	// grain. Zero selects the default of 64; 1 degenerates to
-	// packet-at-a-time (the batching ablation). Workers=1 always runs
-	// the paper's per-packet §3.1 read loop regardless.
-	ReadBatch int
-
 	// RingSize is the per-worker SPSC ring capacity (the read queue of
 	// §3.2), rounded up to a power of two; zero selects 1024. When a
 	// worker's ring is full the reader blocks, pushing backpressure to
@@ -109,10 +100,11 @@ type Config struct {
 	// flow pinned (and its socket registered) to the worker owning its
 	// flow-table shard, so neither packets nor readiness events ever
 	// cross a shared stage. The paper-faithful default is 1: the single
-	// MainWorker thread of Figure 4, fed by the per-packet reader and
-	// writer every ablation (Tables 1–4) measures; N > 1 switches both
-	// to their batched forms. MainLoopPoll > 0 (the Haystack-style
-	// polled loop) always runs single-worker.
+	// MainWorker thread of Figure 4 that every ablation (Tables 1–4)
+	// measures. The reader and writer are the same per-packet loops at
+	// every worker count; N > 1 only routes each packet to its flow's
+	// worker. MainLoopPoll > 0 (the Haystack-style polled loop) always
+	// runs single-worker.
 	Workers int
 
 	// FlowShards is the flow-table shard count (rounded up to a power
@@ -194,12 +186,6 @@ type Config struct {
 	// Seed makes the engine's random choices reproducible.
 	Seed int64
 }
-
-// defaultReadBatch is the burst size used when Config.ReadBatch is
-// zero: large enough to amortise the TUN queue lock across a flood's
-// bursts, small enough that a burst fits comfortably in every worker's
-// ring.
-const defaultReadBatch = 64
 
 // Default returns MopEye's shipped configuration: every §3 optimisation
 // on.

@@ -102,9 +102,6 @@ func New(cfg Config, d Deps) *Engine {
 	if cfg.Workers <= 0 || cfg.MainLoopPoll > 0 {
 		cfg.Workers = 1
 	}
-	if cfg.ReadBatch <= 0 {
-		cfg.ReadBatch = defaultReadBatch
-	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = defaultRingSize
 	}

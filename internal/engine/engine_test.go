@@ -372,12 +372,50 @@ func TestStopWithoutTrafficCountsNoDecodeError(t *testing.T) {
 	}
 }
 
+// TestMalformedTunnelPacketCountedOnce: a packet too short to carry an
+// IPv4 header is one decode error at every worker count — rejected by
+// the worker's decode at Workers=1 and by the reader's flow-key peek
+// above that, never by both — and the flow behind it relays as if it
+// had not been there.
+func TestMalformedTunnelPacketCountedOnce(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := engine.Default()
+			cfg.Workers = workers
+			tb := newTestbed(t, cfg)
+			// Version 4, IHL 5 (20 bytes), cut off after 6.
+			if err := tb.dev.InjectOutbound([]byte{0x45, 0, 0, 20, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			conn, err := tb.phone.Connect(uidApp, tb.server, 5*time.Second)
+			if err != nil {
+				t.Fatalf("connect behind a malformed packet: %v", err)
+			}
+			defer conn.Close()
+			msg := []byte("after the malformed packet")
+			if _, err := conn.Write(msg); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(msg))
+			if err := conn.ReadFull(got); err != nil {
+				t.Fatalf("read echo: %v", err)
+			}
+			if string(got) != string(msg) {
+				t.Fatalf("echo mismatch: got %q want %q", got, msg)
+			}
+			waitFor(t, 3*time.Second, func() bool { return tb.eng.Store().Len() >= 1 }, "the flow's record")
+			if st := tb.eng.Stats(); st.DecodeErrors != 1 {
+				t.Errorf("DecodeErrors = %d, want 1", st.DecodeErrors)
+			}
+		})
+	}
+}
+
 // eioTun is a TUN backend whose reads fail the way a broken descriptor
 // does.
 type eioTun struct{ *tun.Device }
 
-func (eioTun) Read() ([]byte, error)           { return nil, syscall.EIO }
-func (eioTun) ReadBatch([][]byte) (int, error) { return 0, syscall.EIO }
+func (eioTun) Read() ([]byte, error) { return nil, syscall.EIO }
 
 // TestTunReadErrorIsCounted: an unexpected device error ends the reader
 // (and, lanes closed behind it, the workers), which must be visible

@@ -22,22 +22,15 @@ func (e *Engine) Start() {
 	e.dev.SetBlocking(e.cfg.ReadMode == ReadBlocking)
 
 	e.udp.start()
-	// Workers=1 runs the paper's per-packet reader and writer (§3.1,
-	// §3.5.1 — what Tables 1–2 measure); more workers run the batched
-	// pair.
-	reader, writer := e.tunReader, e.tunWriter
-	if len(e.workers) > 1 {
-		reader, writer = e.tunReaderBatched, e.tunWriterBatched
-	}
 	for _, w := range e.workers {
 		e.wg.Add(1)
 		go e.runWorker(w)
 	}
 	e.wg.Add(1)
-	go reader()
+	go e.tunReader()
 	if e.writeQ != nil {
 		e.wg.Add(1)
-		go writer()
+		go e.tunWriter()
 	}
 }
 

@@ -37,18 +37,7 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	ctr("udp_late_relayed_total", "Late UDP responses forwarded by a stale drain.", &e.ctr.udpLate)
 	ctr("udp_bytes_up_total", "UDP payload bytes relayed app->server.", &e.ctr.udpBytesUp)
 	ctr("udp_bytes_down_total", "UDP payload bytes relayed server->app.", &e.ctr.udpBytesDown)
-	ctr("read_batches_total", "Burst reads completed on the batched TUN path.", &e.ctr.readBatches)
-	ctr("batched_packets_total", "Packets carried by completed burst reads.", &e.ctr.batchedPackets)
 
-	r.GaugeFunc("mopeye_engine_avg_read_batch",
-		"Realised burst size: batched packets per completed burst read.",
-		func() float64 {
-			b := e.ctr.readBatches.Load()
-			if b == 0 {
-				return 0
-			}
-			return float64(e.ctr.batchedPackets.Load()) / float64(b)
-		})
 	r.GaugeFunc("mopeye_engine_active_flows", "Live spliced TCP connections.",
 		func() float64 { return float64(e.flows.Len()) })
 	r.GaugeFunc("mopeye_engine_active_udp_sessions", "Live NAT-style UDP sessions.",

@@ -170,63 +170,6 @@ func (q *packetQueue) takeNewPut() ([]byte, *[]byte, bool) {
 	}
 }
 
-// takeBatch dequeues up to len(dst) packets for the batched TunWriter
-// (the multi-worker emit path): the whole backlog moves in one lock
-// acquisition, so the queue lock is paid once per burst the way the
-// tunnel's WriteBatch pays its locks once per burst. Blocking follows
-// the configured put algorithm — the newPut sleep counter keeps
-// `waiting` false through traffic bursts so producers keep skipping the
-// notify handoff (§3.5.1); oldPut parks in wait() directly. ok is false
-// once the queue is closed and fully drained.
-func (q *packetQueue) takeBatch(dst []outPacket) (int, bool) {
-	if q.newPut {
-		return q.takeBatchNewPut(dst)
-	}
-	return q.takeBatchOldPut(dst)
-}
-
-func (q *packetQueue) takeBatchOldPut(dst []outPacket) (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.items.Len() == 0 {
-		if q.closed {
-			return 0, false
-		}
-		q.waiting = true
-		q.cond.Wait()
-		q.waiting = false
-	}
-	return q.items.PopInto(dst), true
-}
-
-func (q *packetQueue) takeBatchNewPut(dst []outPacket) (int, bool) {
-	counter := 0
-	for {
-		q.mu.Lock()
-		if q.items.Len() > 0 {
-			n := q.items.PopInto(dst)
-			q.mu.Unlock()
-			counter /= 2
-			return n, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return 0, false
-		}
-		if counter >= q.spinMax {
-			q.waiting = true
-			q.cond.Wait()
-			q.waiting = false
-			counter = 0
-			q.mu.Unlock()
-			continue
-		}
-		q.mu.Unlock()
-		counter++
-		q.clk.SleepFine(q.spinWait)
-	}
-}
-
 func (q *packetQueue) close() {
 	q.mu.Lock()
 	q.closed = true

@@ -72,12 +72,12 @@ func (e *Engine) readSleep() time.Duration {
 	return 100 * time.Millisecond
 }
 
-// readFailed handles a tunnel read that returned an error, for both
-// read loops: an empty poll sleeps out the read-mode schedule (§3.1), a
-// closed device ends the reader quietly, and anything else ends it
-// loudly — counted in TunReadErrors, because the lanes close behind the
-// reader and the engine relays nothing from then on. It reports whether
-// the reader should read again.
+// readFailed handles a tunnel read that returned an error: an empty
+// poll sleeps out the read-mode schedule (§3.1), a closed device ends
+// the reader quietly, and anything else ends it loudly — counted in
+// TunReadErrors, because the lanes close behind the reader and the
+// engine relays nothing from then on. It reports whether the reader
+// should read again.
 func (e *Engine) readFailed(err error, policy *pollPolicy) bool {
 	if errors.Is(err, tun.ErrWouldBlock) {
 		e.meter.AddWakeups(1)
@@ -103,18 +103,26 @@ func (e *Engine) closeLanes() {
 	}
 }
 
-// tunReader is the paper's dedicated tunnel read thread (§3.1), run at
-// Workers=1: one Read, one push, one selector Wakeup per packet (§3.2),
-// no flow-key peek. In blocking mode each read parks until a packet
-// arrives: zero retrieval delay and zero empty wakeups. In poll modes
-// it mirrors ToyVpn: non-blocking reads with sleeps between failures,
-// and in adaptive mode the burst-then-back-off schedule of pollPolicy.
-// Tables 1–2 are measured on this loop; the multi-worker pipeline runs
-// tunReaderBatched instead.
+// tunReader is the paper's dedicated tunnel read thread (§3.1): one
+// Read, one push, one selector Wakeup per packet (§3.2). In blocking
+// mode each read parks until a packet arrives: zero retrieval delay and
+// zero empty wakeups. In poll modes it mirrors ToyVpn: non-blocking
+// reads with sleeps between failures, and in adaptive mode the
+// burst-then-back-off schedule of pollPolicy. Tables 1–2 are measured
+// on this loop at Workers=1.
 //
-// Both read loops test the running flag after the read, not before it:
-// the read that Stop's dummy packet releases (§3.1) must be discarded,
-// not relayed as a malformed packet.
+// With more than one worker the loop adds one routing step: it peeks
+// the packet's flow key straight out of the header bytes
+// (packet.PeekFlowKey — no decode, no allocation) and hands the packet
+// to the worker owning that flow's shard, so a flow's packets all land
+// in one ring, in order. PeekFlowKey applies exactly Decode's
+// structural validation, so a packet it rejects is counted as one
+// decode error and dropped here, where the worker would have dropped
+// it.
+//
+// The loop tests the running flag after the read, not before it: the
+// read that Stop's dummy packet releases (§3.1) must be discarded, not
+// relayed as a malformed packet.
 func (e *Engine) tunReader() {
 	defer e.wg.Done()
 	defer e.closeLanes()
@@ -134,65 +142,15 @@ func (e *Engine) tunReader() {
 		// A successful read loops again immediately: bursts are
 		// drained without sleeping at all.
 		policy.onSuccess()
+		if len(e.workers) > 1 {
+			key, err := packet.PeekFlowKey(raw)
+			if err != nil {
+				e.ctr.decodeErrors.Add(1)
+				continue
+			}
+			w = e.workers[e.flows.Shard(key)%len(e.workers)]
+		}
 		w.q.pushPacket(raw)
 		w.sel.Wakeup()
-	}
-}
-
-// tunReaderBatched is the multi-worker tunnel read thread: it retrieves
-// packets in bursts of up to Config.ReadBatch (tun.ReadBatch pays the
-// queue lock once per burst), peeks each packet's flow key straight out
-// of the header bytes (packet.PeekFlowKey — no decode, no allocation),
-// and scatters the burst into the per-worker SPSC rings. Routing on the
-// reader removes any shared queue from the packet hot path. The
-// read-mode schedule (§3.1) is unchanged, applied per burst.
-func (e *Engine) tunReaderBatched() {
-	defer e.wg.Done()
-	defer e.closeLanes()
-	policy := newPollPolicy(adaptiveShortPoll, e.readSleep(), adaptiveBurstPolls)
-	batch := make([][]byte, e.cfg.ReadBatch)
-	touched := make([]bool, len(e.workers))
-	for {
-		n, err := e.dev.ReadBatch(batch)
-		if !e.isRunning() {
-			return
-		}
-		if err != nil {
-			if !e.readFailed(err, policy) {
-				return
-			}
-			continue
-		}
-		policy.onSuccess()
-		e.scatter(batch[:n], touched)
-	}
-}
-
-// scatter routes one burst of raw tunnel packets to their pinned
-// workers. PeekFlowKey applies exactly Decode's structural validation,
-// so a packet rejected here (counted as a decode error) is one the
-// worker would have rejected anyway. The workers that received packets
-// are woken once each, after the whole burst is ringed — the per-burst
-// amortisation of the per-packet Wakeup the single-worker reader pays
-// (§3.2).
-func (e *Engine) scatter(burst [][]byte, touched []bool) {
-	for i, raw := range burst {
-		burst[i] = nil // the ring owns the reference now
-		key, err := packet.PeekFlowKey(raw)
-		if err != nil {
-			e.ctr.decodeErrors.Add(1)
-			continue
-		}
-		shard := e.flows.Shard(key) % len(e.workers)
-		e.workers[shard].q.pushPacket(raw)
-		touched[shard] = true
-	}
-	e.ctr.readBatches.Add(1)
-	e.ctr.batchedPackets.Add(int64(len(burst)))
-	for i, t := range touched {
-		if t {
-			touched[i] = false
-			e.workers[i].sel.Wakeup()
-		}
 	}
 }

@@ -36,8 +36,7 @@ type ringQ struct {
 	// consumer could otherwise sleep through a state change it must
 	// see: a producer about to park on a full ring, and the packet
 	// lane's close. The per-push consumer wakeup is NOT routed through
-	// it — the reader decides whether to wake per packet (§3.2) or once
-	// per burst.
+	// it — the reader pays that Wakeup itself, once per packet (§3.2).
 	wake func()
 
 	mu       sync.Mutex

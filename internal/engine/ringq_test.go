@@ -96,7 +96,7 @@ func TestRingQFIFOAcrossWrap(t *testing.T) {
 	}
 }
 
-// TestRingQPerFlowOrderAcrossRings mimics the reader's scatter: one
+// TestRingQPerFlowOrderAcrossRings mimics the reader's routing: one
 // producer distributes sequence-numbered packets of many flows across
 // several rings by flow hash (every packet of a flow lands in the same
 // ring), and each ring's consumer asserts per-flow sequence numbers
@@ -141,12 +141,9 @@ func TestRingQPerFlowOrderAcrossRings(t *testing.T) {
 			raw := make([]byte, 8)
 			binary.BigEndian.PutUint32(raw[0:], flow)
 			binary.BigEndian.PutUint32(raw[4:], seq)
-			cs[flow%rings].q.pushPacket(raw)
-		}
-		// One wake per consumer per round, like the reader's per-burst
-		// wake.
-		for _, c := range cs {
-			c.wake()
+			c := cs[flow%rings]
+			c.q.pushPacket(raw)
+			c.wake() // one wake per push, like the reader's
 		}
 	}
 	for _, c := range cs {

@@ -53,17 +53,11 @@ type Stats struct {
 	UDPBytesUp   int64
 	UDPBytesDown int64
 
-	// ReadBatches counts burst reads on the multi-worker batched read
-	// path; BatchedPackets is the packets those bursts carried, so
-	// BatchedPackets/ReadBatches is the realised burst size (1.0 means
-	// batching bought nothing). Both stay zero on the paper-faithful
-	// single-worker path.
+	// ReadBatches and BatchedPackets are always zero: the engine reads
+	// the tunnel one packet at a time at every worker count. They
+	// remain only because the benchmark module still reads them.
 	ReadBatches    int
 	BatchedPackets int
-
-	// AvgReadBatch is the realised burst size,
-	// BatchedPackets/ReadBatches (0 when no burst has completed).
-	AvgReadBatch float64
 
 	// WriteHist is the tunnel-write delay as observed by the writing
 	// thread; PutHist is the enqueue delay (Table 1).
@@ -98,8 +92,6 @@ type counters struct {
 	udpLate         atomic.Int64
 	udpBytesUp      atomic.Int64
 	udpBytesDown    atomic.Int64
-	readBatches     atomic.Int64
-	batchedPackets  atomic.Int64
 }
 
 // Stats snapshots the engine counters, folding in mapper and queue
@@ -129,11 +121,6 @@ func (e *Engine) Stats() Stats {
 		UDPLateRelayed:  int(e.ctr.udpLate.Load()),
 		UDPBytesUp:      e.ctr.udpBytesUp.Load(),
 		UDPBytesDown:    e.ctr.udpBytesDown.Load(),
-		ReadBatches:     int(e.ctr.readBatches.Load()),
-		BatchedPackets:  int(e.ctr.batchedPackets.Load()),
-	}
-	if s.ReadBatches > 0 {
-		s.AvgReadBatch = float64(s.BatchedPackets) / float64(s.ReadBatches)
 	}
 	e.histMu.Lock()
 	s.WriteHist = e.writeHist

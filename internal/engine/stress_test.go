@@ -14,11 +14,11 @@ import (
 // Concurrency stress for the sharded engine core, meant to run under
 // `go test -race`: multiple injector goroutines flood the engine with
 // connections and data while other goroutines hammer the snapshot APIs
-// (Stats, ActiveClients, AppTraffic) and Stop lands mid-flood. Run for
-// the paper-faithful single worker (on a tiny ring, so Stop can land
-// while the per-packet reader is parked on a full one) and for the
-// batched multi-worker pipeline, the latter also on a ring smaller than
-// the burst to stress the wake-before-park backpressure path.
+// (Stats, ActiveClients, AppTraffic) and Stop lands mid-flood. Run at
+// one worker and at two on a tiny ring — in-flight packets outnumber
+// its slots, so the per-packet reader parks on a full ring (the
+// wake-before-park backpressure path) and Stop can land while it is
+// parked — and at four workers on the default ring.
 
 func TestEngineStressSingleWorker(t *testing.T) {
 	stressEngine(t, 1, func(cfg *engine.Config) { cfg.RingSize = 8 })

@@ -26,9 +26,8 @@ var encodeBufPool = sync.Pool{
 	},
 }
 
-// tunWriter drains the write queue into the tunnel (§3.5.1). This is
-// the paper's per-packet writer, used whenever the engine runs
-// single-worker; the multi-worker pipeline runs tunWriterBatched.
+// tunWriter drains the write queue into the tunnel (§3.5.1), one
+// tunnel write per packet, at every worker count.
 func (e *Engine) tunWriter() {
 	defer e.wg.Done()
 	for {
@@ -43,40 +42,6 @@ func (e *Engine) tunWriter() {
 			encodeBufPool.Put(buf)
 		}
 		e.recordWrite(d, err == nil)
-	}
-}
-
-// tunWriterBatched drains the write queue in bursts: the queue's
-// backlog moves out under one lock (packetQueue.takeBatch), the whole
-// burst goes through one tun.WriteBatch (one tunnel serialisation, one
-// inbound-queue lock), and every pooled encode buffer is recycled to
-// encodeBufPool afterwards — the emit side's counterpart of the batched
-// read path. Burst size tracks Config.ReadBatch so the two ends of the
-// engine amortise at the same grain.
-func (e *Engine) tunWriterBatched() {
-	defer e.wg.Done()
-	batch := make([]outPacket, e.cfg.ReadBatch)
-	raws := make([][]byte, 0, len(batch))
-	for {
-		n, ok := e.writeQ.takeBatch(batch)
-		if !ok {
-			return
-		}
-		raws = raws[:0]
-		for i := 0; i < n; i++ {
-			raws = append(raws, batch[i].raw)
-		}
-		start := e.clk.Nanos()
-		written, _ := e.dev.WriteBatch(raws)
-		d := time.Duration(e.clk.Nanos() - start)
-		clear(raws) // or the last burst's pooled buffers stay pinned after Put
-		for i := 0; i < n; i++ {
-			if batch[i].buf != nil {
-				encodeBufPool.Put(batch[i].buf)
-			}
-			batch[i] = outPacket{}
-		}
-		e.recordWriteBatch(d, n, written)
 	}
 }
 
@@ -117,23 +82,4 @@ func (e *Engine) recordWrite(d time.Duration, ok bool) {
 	if ok {
 		e.ctr.packetsToTun.Add(1)
 	}
-}
-
-// recordWriteBatch folds one burst into the accounting: the histogram
-// receives the per-packet mean of the burst's elapsed time (the
-// histogram's Total keeps counting packets; the batched path is never
-// what Table 1 measures — that runs Workers=1 on the per-packet
-// writer), and the packet counter advances by the packets the device
-// accepted.
-func (e *Engine) recordWriteBatch(d time.Duration, attempted, written int) {
-	if attempted <= 0 {
-		return
-	}
-	per := d / time.Duration(attempted)
-	e.histMu.Lock()
-	for i := 0; i < attempted; i++ {
-		e.writeHist.Add(per)
-	}
-	e.histMu.Unlock()
-	e.ctr.packetsToTun.Add(int64(written))
 }

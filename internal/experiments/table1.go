@@ -29,7 +29,7 @@ type Table1Options struct {
 	Seed         int64
 	// Workers selects the engine core: 0/1 is the paper-faithful
 	// MainWorker every recorded ablation uses; N > 1 runs the browsing
-	// workload through the sharded batched pipeline. The deterministic
+	// workload through the sharded pipeline. The deterministic
 	// Table 1 columns (the Total row — packet counts, not delays) must
 	// not change with the worker count; the golden determinism test
 	// pins that, guarding every dispatch/queue refactor.

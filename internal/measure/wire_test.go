@@ -97,13 +97,13 @@ func TestDecodeBatchRejects(t *testing.T) {
 	}
 
 	cases := map[string]string{
-		"empty body":       "",
-		"bad version":      `{"mopeye_batch":2,"device":"d","key":"k","seq":1,"n":0}` + "\n",
-		"missing key":      `{"mopeye_batch":1,"device":"d","seq":1,"n":0}` + "\n",
-		"count undershoot": `{"mopeye_batch":1,"device":"d","key":"k","seq":1,"n":2}` + "\n" + `{"kind":"TCP","app":"a","rtt_ns":1,"at_unix_ns":1}` + "\n",
+		"empty body":        "",
+		"bad version":       `{"mopeye_batch":2,"device":"d","key":"k","seq":1,"n":0}` + "\n",
+		"missing key":       `{"mopeye_batch":1,"device":"d","seq":1,"n":0}` + "\n",
+		"count undershoot":  `{"mopeye_batch":1,"device":"d","key":"k","seq":1,"n":2}` + "\n" + `{"kind":"TCP","app":"a","rtt_ns":1,"at_unix_ns":1}` + "\n",
 		"lying giant count": `{"mopeye_batch":1,"device":"d","key":"k","seq":1,"n":1000000000000}` + "\n",
-		"trailing content": one.String() + one.String(),
-		"not a batch":      "garbage\n",
+		"trailing content":  one.String() + one.String(),
+		"not a batch":       "garbage\n",
 	}
 	for name, body := range cases {
 		if _, err := DecodeBatch(strings.NewReader(body)); err == nil {

@@ -200,8 +200,8 @@ func (s *Selector) enqueueReady(k *SelectionKey) {
 
 // Wakeup unblocks a pending or the next Select call, like
 // java.nio.channels.Selector.wakeup(). TunReader calls this after
-// enqueuing a tunnel packet (§3.2); the batched reader calls it once
-// per burst per touched worker.
+// enqueuing a tunnel packet (§3.2), on the selector of the worker it
+// enqueued to.
 func (s *Selector) Wakeup() {
 	s.mu.Lock()
 	s.Wakeups++

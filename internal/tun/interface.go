@@ -4,27 +4,17 @@ package tun
 // backend. Two implementations exist: the emulated *Device in this
 // package (the default test substrate — deterministic, no privileges)
 // and lintun.TUN (build tag "realtun"), which wraps a real Linux
-// /dev/net/tun descriptor. The engine's reader/writer loops and the
-// batching machinery speak this interface, so they carry over to a real
-// device unchanged.
+// /dev/net/tun descriptor. The engine's reader and writer loops speak
+// this interface, so they carry over to a real device unchanged.
 type Interface interface {
 	// Read retrieves the next outgoing IP packet from the device. In
 	// blocking mode it waits; in non-blocking mode an empty device
 	// returns ErrWouldBlock. A closed device returns ErrClosed.
 	Read() ([]byte, error)
 
-	// ReadBatch retrieves up to len(dst) packets in one call. Blocking
-	// semantics match Read for the first packet; the rest of the burst
-	// is whatever is immediately available, never an extra wait.
-	ReadBatch(dst [][]byte) (int, error)
-
 	// Write sends one IP packet to the device (engine → app direction).
 	// Packets over the device MTU return ErrTooBig.
 	Write(pkt []byte) error
-
-	// WriteBatch sends a burst. Packets fail independently: it returns
-	// how many were delivered and the first per-packet error.
-	WriteBatch(pkts [][]byte) (int, error)
 
 	// InjectOutbound pushes a packet into the device's outbound (read)
 	// side. The engine uses it to release a blocked Read during

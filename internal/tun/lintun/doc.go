@@ -1,7 +1,7 @@
 // Package lintun is the real-device TUN backend: it opens a Linux
 // /dev/net/tun descriptor (IFF_TUN|IFF_NO_PI) and adapts it to
-// tun.Interface, so the relay engine's reader/writer loops and batching
-// run unchanged against live traffic.
+// tun.Interface, so the relay engine's reader/writer loops run
+// unchanged against live traffic.
 //
 // The backend compiles only with `-tags realtun` on linux; every other
 // build gets a stub whose Open returns ErrUnsupported, which keeps the

@@ -187,34 +187,6 @@ func (t *TUN) readNonblock(buf []byte) (int, error) {
 	return n, nil
 }
 
-// ReadBatch retrieves up to len(dst) packets: the first under the
-// configured blocking mode (one park or one ErrWouldBlock), the rest by
-// draining whatever the fd has ready without waiting — the same
-// burst-without-extra-wait contract as the emulated device.
-func (t *TUN) ReadBatch(dst [][]byte) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	first, err := t.Read()
-	if err != nil {
-		return 0, err
-	}
-	dst[0] = first
-	n := 1
-	for n < len(dst) {
-		buf := make([]byte, t.mtu)
-		m, rerr := t.readNonblock(buf)
-		if rerr != nil || m <= 0 {
-			break
-		}
-		dst[n] = buf[:m]
-		n++
-		t.packetsOut.Add(1)
-		t.bytesOut.Add(int64(m))
-	}
-	return n, nil
-}
-
 // Write sends one IP packet to the device. The poller handles a full
 // qdisc (EAGAIN) by parking until writable, which is the single-tunnel
 // serialisation §3.5.1 describes.
@@ -228,28 +200,6 @@ func (t *TUN) Write(pkt []byte) error {
 	t.packetsIn.Add(1)
 	t.bytesIn.Add(int64(len(pkt)))
 	return nil
-}
-
-// WriteBatch writes a burst with independent per-packet failures,
-// matching the emulated device: an oversized packet is skipped and
-// reported while the rest of the burst is still delivered. A closed
-// device aborts the burst.
-func (t *TUN) WriteBatch(pkts [][]byte) (int, error) {
-	var n int
-	var ferr error
-	for _, pkt := range pkts {
-		if err := t.Write(pkt); err != nil {
-			if errors.Is(err, tun.ErrClosed) {
-				return n, err
-			}
-			if ferr == nil {
-				ferr = err
-			}
-			continue
-		}
-		n++
-	}
-	return n, ferr
 }
 
 // InjectOutbound is the engine's shutdown wakeup (the emulated device

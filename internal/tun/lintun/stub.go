@@ -17,13 +17,11 @@ var _ tun.Interface = (*TUN)(nil)
 // Open always fails: the real backend needs `-tags realtun` on linux.
 func Open(string) (*TUN, error) { return nil, ErrUnsupported }
 
-func (*TUN) Name() string                     { return "" }
-func (*TUN) MTU() int                         { return tun.DefaultMTU }
-func (*TUN) SetBlocking(bool)                 {}
-func (*TUN) Read() ([]byte, error)            { return nil, ErrUnsupported }
-func (*TUN) ReadBatch([][]byte) (int, error)  { return 0, ErrUnsupported }
-func (*TUN) Write([]byte) error               { return ErrUnsupported }
-func (*TUN) WriteBatch([][]byte) (int, error) { return 0, ErrUnsupported }
-func (*TUN) InjectOutbound([]byte) error      { return ErrUnsupported }
-func (*TUN) Close()                           {}
-func (*TUN) Stats() tun.Stats                 { return tun.Stats{} }
+func (*TUN) Name() string                { return "" }
+func (*TUN) MTU() int                    { return tun.DefaultMTU }
+func (*TUN) SetBlocking(bool)            {}
+func (*TUN) Read() ([]byte, error)       { return nil, ErrUnsupported }
+func (*TUN) Write([]byte) error          { return ErrUnsupported }
+func (*TUN) InjectOutbound([]byte) error { return ErrUnsupported }
+func (*TUN) Close()                      {}
+func (*TUN) Stats() tun.Stats            { return tun.Stats{} }

@@ -52,19 +52,16 @@ func (p *core) init(eng *engine.Engine, clk clock.Clock, teardown func()) {
 	p.done = make(chan struct{})
 }
 
-// engineConfig resolves the Engine/Workers/ReadBatch overrides Options
-// and RealOptions share: nil means the paper's shipped configuration,
-// and a positive Workers or ReadBatch wins over whatever it says.
-func engineConfig(base *engine.Config, workers, readBatch int) engine.Config {
+// engineConfig resolves the Engine/Workers overrides Options and
+// RealOptions share: nil means the paper's shipped configuration, and a
+// positive Workers wins over whatever it says.
+func engineConfig(base *engine.Config, workers int) engine.Config {
 	cfg := engine.Default()
 	if base != nil {
 		cfg = *base
 	}
 	if workers > 0 {
 		cfg.Workers = workers
-	}
-	if readBatch > 0 {
-		cfg.ReadBatch = readBatch
 	}
 	return cfg
 }

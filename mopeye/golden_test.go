@@ -23,12 +23,12 @@ func table1Totals(r *Table1Result) string {
 // TestGoldenTable1DeterministicAcrossWorkers is the golden determinism
 // guard: the full Table 1 ablation scenario (three engine runs across
 // the write schemes, browsing workload, Android write-cost model) run
-// at Workers=1 (the paper's per-packet reader and writer) and at
-// Workers=4 (batched reads scattered over four rings, batched writes)
-// must produce byte-identical deterministic columns — and both must
-// equal testdata/table1_totals.golden, captured at Workers=1 from the
-// commit before the engine cores were unified (e8de0ad), so a refactor
-// cannot drift both arms together unnoticed. Any dispatch or queue
+// at Workers=1 (the paper's single MainWorker) and at Workers=4 (the
+// same per-packet reader routing over four rings) must produce
+// byte-identical deterministic columns — and both must equal
+// testdata/table1_totals.golden, captured at Workers=1 from the commit
+// before the engine cores were unified (e8de0ad), so a refactor cannot
+// drift both arms together unnoticed. Any dispatch or queue
 // change that drops, duplicates, or reorders per-flow packets shifts
 // these totals and fails here.
 func TestGoldenTable1DeterministicAcrossWorkers(t *testing.T) {
@@ -77,8 +77,8 @@ func measurementTotals(recs []Measurement) string {
 
 // TestGoldenStreamMatchesSnapshot is the streaming half of the golden
 // determinism guard: a fixed workload run at Workers=1 (the
-// paper-faithful MainWorker) and Workers=4 (the sharded batched
-// pipeline) must produce identical measurement totals, and within each
+// paper-faithful MainWorker) and Workers=4 (the sharded pipeline)
+// must produce identical measurement totals, and within each
 // run the drained Subscribe stream must be record-for-record identical
 // to the Measurements() snapshot — the push pipeline may never drop,
 // duplicate, or reorder what the pull view reports.

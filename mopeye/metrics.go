@@ -128,12 +128,14 @@ func (f *Fleet) metricsRegistry() *metrics.Registry {
 			func() float64 { return f.Stats().PhoneTime.Seconds() })
 		r.CollectGauges("mopeye_fleet_phone_up",
 			"Per-phone outcome: 1 succeeded, 0 failed.",
-			func() []metrics.Sample { return f.phoneSamples(func(st FleetPhoneStatus) float64 {
-				if st.Err != nil {
-					return 0
-				}
-				return 1
-			}) })
+			func() []metrics.Sample {
+				return f.phoneSamples(func(st FleetPhoneStatus) float64 {
+					if st.Err != nil {
+						return 0
+					}
+					return 1
+				})
+			})
 		r.CollectGauges("mopeye_fleet_phone_records",
 			"Records shipped per phone.",
 			func() []metrics.Sample {

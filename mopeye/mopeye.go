@@ -108,12 +108,6 @@ type Options struct {
 	// default); N > 1 runs the sharded multi-worker pipeline with each
 	// flow pinned to one worker.
 	Workers int
-	// ReadBatch overrides the multi-worker burst size: how many tunnel
-	// packets the reader retrieves per batched read and the writer
-	// flushes per batched write. 0 keeps the engine default (64); 1
-	// disables batching (the ablation value). Ignored at Workers=1,
-	// which always runs the paper's per-packet read loop.
-	ReadBatch int
 	// RealisticCosts enables the Android cost models (protect/register/
 	// dispatch latency, proc parse cost, tunnel write cost). Off by
 	// default for deterministic behaviour.
@@ -160,7 +154,7 @@ func New(o Options) (*Phone, error) {
 		o.Seed = 1
 	}
 	opts := testbed.Options{
-		Engine:     engineConfig(o.Engine, o.Workers, o.ReadBatch),
+		Engine:     engineConfig(o.Engine, o.Workers),
 		EngineSet:  true,
 		Link:       netsim.LinkParams{Delay: msToDelay(o.DefaultRTTMillis) / 2},
 		DNSLink:    netsim.LinkParams{Delay: msToDelay(o.DNSRTTMillis) / 2},

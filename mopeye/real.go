@@ -42,10 +42,8 @@ type RealOptions struct {
 	// Engine overrides the engine configuration; nil means the paper's
 	// shipped configuration.
 	Engine *engine.Config
-	// Workers and ReadBatch mirror Options: worker count and read-burst
-	// size for the multi-worker pipeline.
-	Workers   int
-	ReadBatch int
+	// Workers mirrors Options: the packet-processing worker count.
+	Workers int
 	// ProcRoot is the proc mount to attribute flows from; empty means
 	// "/proc".
 	ProcRoot string
@@ -95,7 +93,7 @@ func NewReal(o RealOptions) (*RealPhone, error) {
 	prov.SetDialer(dialer)
 	prov.SetUDPTransport(upstream.KernelUDP(o.UDPTimeout))
 
-	eng := engine.New(engineConfig(o.Engine, o.Workers, o.ReadBatch), engine.Deps{
+	eng := engine.New(engineConfig(o.Engine, o.Workers), engine.Deps{
 		Clock:    clk,
 		Device:   dev,
 		Sockets:  prov,

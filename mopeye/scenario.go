@@ -102,12 +102,12 @@ type ScenarioCell struct {
 	// Planted-phone truth: measured medians against the profile's
 	// envelope (milliseconds). DNS fields are zero when the profile
 	// carries no DNS envelope.
-	TCPMedianMS        float64
-	TCPSamples         int
-	TCPLoMS, TCPHiMS   float64
-	DNSMedianMS        float64
-	DNSSamples         int
-	DNSLoMS, DNSHiMS   float64
+	TCPMedianMS      float64
+	TCPSamples       int
+	TCPLoMS, TCPHiMS float64
+	DNSMedianMS      float64
+	DNSSamples       int
+	DNSLoMS, DNSHiMS float64
 
 	// Datagram accounting on the planted phone: Sent is the phone
 	// stack's ground truth, Accounted the sum of the engine's terminal
