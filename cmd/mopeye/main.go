@@ -408,7 +408,6 @@ func browse(cfg config, phone *mopeye.Phone, servers []mopeye.Server, apps int) 
 		}(a)
 	}
 	wg.Wait()
-	time.Sleep(200 * time.Millisecond)
 }
 
 // printAppReport renders the per-app median view (Figure 1a).

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/mopeye"
 )
@@ -57,8 +56,7 @@ func main() {
 		}
 	}
 	chat.Close()
-
-	time.Sleep(150 * time.Millisecond)
+	phone.Close() // the accessors below report on the closed phone
 
 	fmt.Println("per-app traffic (opportunistic, zero probe overhead):")
 	fmt.Printf("  %-22s %6s %12s %12s %6s\n", "app", "conns", "up", "down", "dns")

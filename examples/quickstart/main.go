@@ -52,8 +52,9 @@ func main() {
 		conn.Close()
 	}
 
-	// Give the asynchronous measurement records a moment to land.
-	time.Sleep(100 * time.Millisecond)
+	// Closing stops the engine, which waits for the measurements still
+	// in flight; the snapshot accessors keep working afterwards.
+	phone.Close()
 
 	fmt.Println("\nPer-app opportunistic measurements:")
 	for _, m := range phone.TCPMeasurements() {

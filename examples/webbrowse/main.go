@@ -59,7 +59,7 @@ func main() {
 		wg.Wait()
 	}
 	elapsed := time.Since(start)
-	time.Sleep(150 * time.Millisecond)
+	phone.Close() // the accessors below report on the closed phone
 
 	st := phone.EngineStats()
 	fmt.Printf("browsed %d pages (%d connections) in %v\n", pages, pages*perPage, elapsed.Round(time.Millisecond))

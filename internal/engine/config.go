@@ -107,11 +107,6 @@ type Config struct {
 	// runs single-worker.
 	Workers int
 
-	// FlowShards is the flow-table shard count (rounded up to a power
-	// of two); zero selects flowtable.DefaultShards. More shards than
-	// workers keeps the shard → worker assignment even.
-	FlowShards int
-
 	// MainLoopPoll, when positive, replaces the event-driven MainWorker
 	// (Select + Wakeup, §3.2) with a fixed-interval poll-process cycle:
 	// sleep, then drain whatever sockets and tunnel packets have
@@ -121,15 +116,8 @@ type Config struct {
 	MainLoopPoll time.Duration
 
 	WriteScheme WriteScheme
-	// SpinThreshold is newPut's sleep-counter threshold (§3.5.1).
-	SpinThreshold int
-
-	Mapping MappingMode
-	// MapWait is the lazy mapper's sleep while another thread parses;
-	// the paper chose 50 ms.
-	MapWait time.Duration
-
-	Protect ProtectMode
+	Mapping     MappingMode
+	Protect     ProtectMode
 
 	// BlockingConnectMeasure runs connect() in a temporary blocking
 	// thread and timestamps around it (§2.4). When false, the engine
@@ -168,16 +156,6 @@ type Config struct {
 	// sweeper expires it. Zero selects the default of one minute.
 	UDPSessionIdle time.Duration
 
-	// DNSInflightLimit caps how many pooled relay workers may sit in a
-	// blocking DNS receive at once. Each DNS transaction parks its
-	// worker for up to DNSTimeout, so against a dead (100%-timeout)
-	// resolver an unbounded burst of queries wedges the entire pool for
-	// seconds and starves relayed UDP. Queries beyond the cap are shed
-	// and counted in UDPDropped — the bounded-resolver-queue behaviour
-	// a stub resolver's retry logic expects. Zero selects
-	// max(1, UDPPoolSize/2); negative disables the cap.
-	DNSInflightLimit int
-
 	// Record tagging for the crowd dataset dimensions.
 	NetType string
 	ISP     string
@@ -194,9 +172,7 @@ func Default() Config {
 		ReadMode:               ReadBlocking,
 		Workers:                1,
 		WriteScheme:            QueueWriteNewPut,
-		SpinThreshold:          512,
 		Mapping:                MapLazy,
-		MapWait:                50 * time.Millisecond,
 		Protect:                ProtectDisallowed,
 		BlockingConnectMeasure: true,
 		DeferRegister:          true,

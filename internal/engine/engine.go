@@ -59,9 +59,8 @@ type Engine struct {
 
 	mu      sync.Mutex // lifecycle state only
 	running bool
-	stopped chan struct{}
 	wg      sync.WaitGroup
-	started time.Time
+	connect sync.WaitGroup // socket-connect threads Stop waits for
 }
 
 // Deps bundles the engine's substrate handles.
@@ -120,8 +119,7 @@ func New(cfg Config, d Deps) *Engine {
 		meter:   d.Meter,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		traffic: newTrafficBook(),
-		flows:   flowtable.New[*relay.TCPClient](cfg.FlowShards),
-		stopped: make(chan struct{}),
+		flows:   flowtable.New[*relay.TCPClient](0),
 	}
 	e.workers = make([]*worker, cfg.Workers)
 	for i := range e.workers {
@@ -129,9 +127,9 @@ func New(cfg Config, d Deps) *Engine {
 		e.workers[i] = &worker{id: i, sel: sel, q: newRingQ(cfg.RingSize, sel.Wakeup)}
 	}
 	e.udp = newUDPRelay(e)
-	e.mapper = newMapper(d.ProcNet, d.Packages, cfg.Mapping, cfg.MapWait, d.Clock)
+	e.mapper = newMapper(d.ProcNet, d.Packages, cfg.Mapping, d.Clock)
 	if cfg.WriteScheme != DirectWrite {
-		e.writeQ = newPacketQueue(d.Clock, cfg.WriteScheme == QueueWriteNewPut, cfg.SpinThreshold, cfg.Seed+1)
+		e.writeQ = newPacketQueue(d.Clock, cfg.WriteScheme == QueueWriteNewPut, cfg.Seed+1)
 	}
 	return e
 }

@@ -13,7 +13,6 @@ func (e *Engine) Start() {
 		return
 	}
 	e.running = true
-	e.started = e.clk.Now()
 	e.mu.Unlock()
 
 	if e.cfg.Protect == ProtectDisallowed {
@@ -38,6 +37,11 @@ func (e *Engine) Start() {
 // tunnel read (§3.1); the reader discards it, closes the packet lanes,
 // the workers drain their rings and exit, and all selectors and
 // external sockets are closed.
+//
+// It also waits for every socket-connect thread admitted past its
+// connect() (admitConnect), so the store then holds the record of every
+// connect the app saw succeed. It never waits on a dial in progress:
+// closing the flows below closes its channel.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if !e.running {
@@ -45,7 +49,6 @@ func (e *Engine) Stop() {
 		return
 	}
 	e.running = false
-	close(e.stopped)
 	e.mu.Unlock()
 
 	// Release a TunReader blocked in read() by injecting a dummy packet
@@ -58,6 +61,7 @@ func (e *Engine) Stop() {
 		e.writeQ.close()
 	}
 	e.wg.Wait()
+	e.connect.Wait()
 	// The packet-processing threads are gone, so no new UDP jobs can be
 	// enqueued; stopping the relay closes its sessions and pool.
 	e.udp.stop()
@@ -66,10 +70,23 @@ func (e *Engine) Stop() {
 	}
 
 	for _, c := range e.flows.Drain() {
+		e.removeClient(c)
 		if ch := c.Ch(); ch != nil {
 			ch.Close()
 		}
 	}
+}
+
+// admitConnect admits a socket-connect thread whose connect() returned
+// to the rest of its work, or reports false once Stop has begun; an
+// admitted thread calls e.connect.Done when it finishes.
+func (e *Engine) admitConnect() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.running {
+		e.connect.Add(1)
+	}
+	return e.running
 }
 
 func (e *Engine) isRunning() bool {

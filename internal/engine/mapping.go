@@ -16,10 +16,10 @@ import (
 // Parsing them is expensive (Figure 5(a)), so MopEye (a) defers the
 // mapping off the main thread into the socket-connect thread, after the
 // external connect has finished, and (b) elects a single parser among
-// concurrent socket-connect threads; the rest sleep briefly and read the
-// elected thread's result. Unlike a remote-endpoint cache (Haystack),
-// the result is always derived from the kernel's own table, so two apps
-// sharing a server endpoint can never be confused.
+// concurrent socket-connect threads; the rest wait for the elected
+// thread's parse and read its result. Unlike a remote-endpoint cache
+// (Haystack), the result is always derived from the kernel's own table,
+// so two apps sharing a server endpoint can never be confused.
 
 // appInfo is a resolved attribution.
 type appInfo struct {
@@ -29,54 +29,104 @@ type appInfo struct {
 
 var unknownApp = appInfo{UID: -1, Name: "unknown"}
 
+// procParse is one parse of a family of proc tables, indexed by local
+// port (nil if the parse failed). It never changes once done is closed,
+// so a caller reads exactly the table it waited for.
+type procParse struct {
+	began  int64 // clock time at which the parse started
+	done   chan struct{}
+	byPort map[uint16]procnet.Entry
+}
+
+// procTable parses one family of proc tables (tcp+tcp6 or udp+udp6) and
+// makes the §3.3 election: at most one lazy parse is in flight, and
+// every other lazy caller waits for a parse instead of running its own.
+type procTable struct {
+	parse func() ([]procnet.Entry, error)
+	clk   interface{ Nanos() int64 }
+
+	mu   sync.Mutex
+	cur  *procParse // the parse in flight, or nil
+	last *procParse // the latest successful parse, or nil
+}
+
+// index runs one parse and indexes it by local port; nil on error.
+func (pt *procTable) index() map[uint16]procnet.Entry {
+	entries, err := pt.parse()
+	if err != nil {
+		return nil
+	}
+	byPort := make(map[uint16]procnet.Entry, len(entries))
+	for _, e := range entries {
+		byPort[e.Local.Port()] = e
+	}
+	return byPort
+}
+
+// now parses for the caller alone, outside the election: MapEager's
+// per-SYN parse and a MapCache miss.
+func (pt *procTable) now() *procParse { return &procParse{byPort: pt.index()} }
+
+// since returns a finished parse that began at or after t (so it lists
+// every socket registered before t) and whether the caller ran it. It
+// takes the latest parse if that qualifies, else joins the one in
+// flight; if that began too early, it waits and starts or joins the next.
+func (pt *procTable) since(t int64) (*procParse, bool) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	for {
+		if p := pt.last; p != nil && p.began >= t {
+			return p, false
+		}
+		if p := pt.cur; p != nil {
+			pt.mu.Unlock()
+			<-p.done
+			pt.mu.Lock()
+			if p.began >= t {
+				return p, false
+			}
+			continue
+		}
+		p := &procParse{began: pt.clk.Nanos(), done: make(chan struct{})}
+		pt.cur = p
+		pt.mu.Unlock()
+		p.byPort = pt.index()
+		pt.mu.Lock()
+		pt.cur = nil
+		if p.byPort != nil {
+			pt.last = p
+		}
+		close(p.done)
+		return p, true
+	}
+}
+
 // mapper resolves a local port to the owning app.
 type mapper struct {
-	reader *procnet.Reader
-	pm     *procnet.PackageManager
-	mode   MappingMode
-	wait   time.Duration
-	clk    interface {
-		Nanos() int64
-		Sleep(time.Duration)
-	}
+	pm   *procnet.PackageManager
+	mode MappingMode
+	clk  interface{ Nanos() int64 }
+	tcp  *procTable
+	udp  *procTable
 
-	mu      sync.Mutex
-	parsing bool
-	// byPort is the latest parse result, keyed by local port.
-	byPort map[uint16]procnet.Entry
-	// version is the clock time at which the latest parse *started*: a
-	// parse that began after a connection was registered is guaranteed
-	// to include it.
-	version int64
+	mu sync.Mutex
 	// byRemote is the MapCache-mode cache keyed by remote endpoint.
 	byRemote map[netip.AddrPort]appInfo
-	// udpByPort/udpVersion mirror byPort/version for the udp/udp6
-	// tables, used by the pooled UDP relay's attribution.
-	udpByPort  map[uint16]procnet.Entry
-	udpVersion int64
 
 	parses   int             // parses performed
 	avoided  int             // resolutions that needed no parse of their own
-	misses   int             // resolutions that gave up
+	misses   int             // resolutions that found no app
 	overhead []time.Duration // per-resolution mapping work (Figure 5)
 }
 
-func newMapper(reader *procnet.Reader, pm *procnet.PackageManager, mode MappingMode, wait time.Duration, clk interface {
-	Nanos() int64
-	Sleep(time.Duration)
-}) *mapper {
-	if wait <= 0 {
-		wait = 50 * time.Millisecond
-	}
+func newMapper(reader *procnet.Reader, pm *procnet.PackageManager, mode MappingMode, clk interface{ Nanos() int64 }) *mapper {
 	return &mapper{
-		reader:    reader,
-		pm:        pm,
-		mode:      mode,
-		wait:      wait,
-		clk:       clk,
-		byPort:    make(map[uint16]procnet.Entry),
-		byRemote:  make(map[netip.AddrPort]appInfo),
-		udpByPort: make(map[uint16]procnet.Entry),
+		pm:       pm,
+		mode:     mode,
+		clk:      clk,
+		tcp:      &procTable{parse: reader.ParseAll, clk: clk},
+		udp:      &procTable{parse: reader.ParseAllUDP, clk: clk},
+		byRemote: make(map[netip.AddrPort]appInfo),
 	}
 }
 
@@ -87,173 +137,77 @@ func newMapper(reader *procnet.Reader, pm *procnet.PackageManager, mode MappingM
 // quantity plotted in Figure 5.
 func (m *mapper) resolve(local netip.AddrPort, remote netip.AddrPort, synAt int64) (appInfo, time.Duration) {
 	start := m.clk.Nanos()
-	var info appInfo
+	info, cached := unknownApp, false
+	var p *procParse // the parse that answers; nil for MapOff and cache hits
+	parsed := true
 	switch m.mode {
-	case MapOff:
-		info = unknownApp
+	case MapLazy:
+		p, parsed = m.tcp.since(synAt)
 	case MapEager:
-		info = m.parseAndFind(local)
+		p = m.tcp.now()
 	case MapCache:
-		info = m.resolveCache(local, remote)
-	default:
-		info = m.resolveLazy(local, synAt)
+		// The Haystack-style remote-endpoint cache. Its accuracy hazard is
+		// inherent: the first app to reach a remote endpoint claims every
+		// later flow to it (§3.3's Facebook-app vs Facebook-in-Chrome
+		// example), and shared libraries and ad modules make that common.
+		m.mu.Lock()
+		info, cached = m.byRemote[remote]
+		m.mu.Unlock()
+		if !cached {
+			p = m.tcp.now()
+		}
+	}
+	if p != nil {
+		info = m.find(local, p)
 	}
 	d := time.Duration(m.clk.Nanos() - start)
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case cached:
+		m.avoided++
+	case p == nil || p.byPort == nil: // MapOff, or a failed parse
+	case parsed:
+		m.parses++
+	default:
+		m.avoided++
+	}
+	if m.mode == MapCache {
+		m.byRemote[remote] = info
+	}
 	m.overhead = append(m.overhead, d)
 	if info == unknownApp {
 		m.misses++
 	}
-	m.mu.Unlock()
 	return info, d
-}
-
-// parseAndFind performs one full parse and looks the port up.
-func (m *mapper) parseAndFind(local netip.AddrPort) appInfo {
-	began := m.clk.Nanos()
-	entries, err := m.reader.ParseAll()
-	if err != nil {
-		return unknownApp
-	}
-	m.mu.Lock()
-	m.parses++
-	byPort := make(map[uint16]procnet.Entry, len(entries))
-	for _, e := range entries {
-		byPort[e.Local.Port()] = e
-	}
-	m.byPort = byPort
-	m.version = began
-	e, ok := m.byPort[local.Port()]
-	m.mu.Unlock()
-	if !ok {
-		return unknownApp
-	}
-	return m.lookupUID(e.UID)
-}
-
-// resolveLazy implements the §3.3 algorithm.
-func (m *mapper) resolveLazy(local netip.AddrPort, synAt int64) appInfo {
-	port := local.Port()
-	parsedMyself := false
-	deadline := m.clk.Nanos() + int64(time.Second)
-	for {
-		m.mu.Lock()
-		if e, ok := m.byPort[port]; ok && m.version >= synAt {
-			if !parsedMyself {
-				m.avoided++
-			}
-			m.mu.Unlock()
-			return m.lookupUID(e.UID)
-		}
-		fresh := m.version >= synAt
-		if fresh {
-			// A sufficiently recent parse exists but lacks the port:
-			// the connection is already gone from the kernel table.
-			if !parsedMyself {
-				m.avoided++
-			}
-			m.mu.Unlock()
-			return unknownApp
-		}
-		if m.parsing {
-			// Another socket-connect thread is parsing on our behalf;
-			// sleep the paper's 50 ms and re-check (§3.3).
-			m.mu.Unlock()
-			if m.clk.Nanos() > deadline {
-				return unknownApp
-			}
-			m.clk.Sleep(m.wait)
-			continue
-		}
-		m.parsing = true
-		m.mu.Unlock()
-
-		began := m.clk.Nanos()
-		entries, err := m.reader.ParseAll()
-
-		m.mu.Lock()
-		m.parsing = false
-		if err == nil {
-			m.parses++
-			parsedMyself = true
-			byPort := make(map[uint16]procnet.Entry, len(entries))
-			for _, e := range entries {
-				byPort[e.Local.Port()] = e
-			}
-			m.byPort = byPort
-			m.version = began
-		}
-		m.mu.Unlock()
-		if err != nil {
-			return unknownApp
-		}
-	}
-}
-
-// resolveCache implements the Haystack-style remote-endpoint cache. The
-// accuracy hazard is inherent: the first app to reach a remote endpoint
-// claims every later flow to it (§3.3's Facebook-app vs
-// Facebook-in-Chrome example); the shared-library/ad-module case makes
-// this common in practice.
-func (m *mapper) resolveCache(local, remote netip.AddrPort) appInfo {
-	m.mu.Lock()
-	if info, ok := m.byRemote[remote]; ok {
-		m.avoided++
-		m.mu.Unlock()
-		return info
-	}
-	m.mu.Unlock()
-	info := m.parseAndFind(local)
-	m.mu.Lock()
-	m.byRemote[remote] = info
-	m.mu.Unlock()
-	return info
 }
 
 // resolveUDP maps a datagram socket's local port to its owning app via
 // the udp/udp6 proc tables. It runs once per UDP relay session, always
 // on a pooled relay worker — never the packet path — with the same
-// freshness rule as the TCP path: only a parse begun at or after the
-// session's first datagram is trusted to contain the socket. It keeps
-// its own cache and deliberately leaves the §3.3 lazy-mapping stats
-// untouched; those feed Figure 5, which measures the TCP SYN path.
+// freshness and election rules as the TCP path: only a parse begun at
+// or after the session's first datagram is trusted to contain the
+// socket. It deliberately leaves the §3.3 lazy-mapping stats untouched;
+// those feed Figure 5, which measures the TCP SYN path.
 func (m *mapper) resolveUDP(local netip.AddrPort, at int64) appInfo {
 	if m.mode == MapOff {
 		return unknownApp
 	}
-	port := local.Port()
-	m.mu.Lock()
-	if e, ok := m.udpByPort[port]; ok && m.udpVersion >= at {
-		m.mu.Unlock()
-		return m.lookupUID(e.UID)
-	}
-	m.mu.Unlock()
-	began := m.clk.Nanos()
-	entries, err := m.reader.ParseAllUDP()
-	if err != nil {
-		return unknownApp
-	}
-	m.mu.Lock()
-	byPort := make(map[uint16]procnet.Entry, len(entries))
-	for _, e := range entries {
-		byPort[e.Local.Port()] = e
-	}
-	m.udpByPort = byPort
-	m.udpVersion = began
-	e, ok := byPort[port]
-	m.mu.Unlock()
-	if !ok {
-		return unknownApp
-	}
-	return m.lookupUID(e.UID)
+	p, _ := m.udp.since(at)
+	return m.find(local, p)
 }
 
-func (m *mapper) lookupUID(uid int) appInfo {
-	name, ok := m.pm.NameForUID(uid)
+// find looks local's port up in p and names the owning UID.
+func (m *mapper) find(local netip.AddrPort, p *procParse) appInfo {
+	e, ok := p.byPort[local.Port()]
 	if !ok {
-		return appInfo{UID: uid, Name: "uid:unknown"}
+		return unknownApp
 	}
-	return appInfo{UID: uid, Name: name}
+	name, ok := m.pm.NameForUID(e.UID)
+	if !ok {
+		return appInfo{UID: e.UID, Name: "uid:unknown"}
+	}
+	return appInfo{UID: e.UID, Name: name}
 }
 
 // MappingStats summarises mapper behaviour for §3.3's evaluation: total

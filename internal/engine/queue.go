@@ -38,6 +38,9 @@ func notifyHandoff(r *rand.Rand) time.Duration {
 	}
 }
 
+// spinMax is newPut's sleep-counter threshold (§3.5.1).
+const spinMax = 512
+
 // outPacket is one queued tunnel write: the encoded bytes plus the
 // pool token of the buffer backing them, recycled by TunWriter after
 // the tunnel write copies the bytes out.
@@ -50,7 +53,6 @@ type outPacket struct {
 type packetQueue struct {
 	clk      clock.Clock
 	newPut   bool
-	spinMax  int
 	spinWait time.Duration
 
 	mu      sync.Mutex
@@ -63,16 +65,12 @@ type packetQueue struct {
 	putHist stats.DelayHistogram
 }
 
-func newPacketQueue(clk clock.Clock, newPut bool, spinMax int, seed int64) *packetQueue {
+func newPacketQueue(clk clock.Clock, newPut bool, seed int64) *packetQueue {
 	q := &packetQueue{
 		clk:      clk,
 		newPut:   newPut,
-		spinMax:  spinMax,
 		spinWait: 100 * time.Microsecond,
 		rng:      rand.New(rand.NewSource(seed)),
-	}
-	if q.spinMax <= 0 {
-		q.spinMax = 512
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
@@ -156,7 +154,7 @@ func (q *packetQueue) takeNewPut() ([]byte, *[]byte, bool) {
 			q.mu.Unlock()
 			return nil, nil, false
 		}
-		if counter >= q.spinMax {
+		if counter >= spinMax {
 			q.waiting = true
 			q.cond.Wait()
 			q.waiting = false

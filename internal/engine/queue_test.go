@@ -21,7 +21,7 @@ import (
 func TestPacketQueueSteadyStateAllocFree(t *testing.T) {
 	raw := []byte{1, 2, 3}
 	for _, newPut := range []bool{false, true} {
-		q := newPacketQueue(clock.NewReal(), newPut, 0, 1)
+		q := newPacketQueue(clock.NewReal(), newPut, 1)
 		if allocs := testing.AllocsPerRun(1000, func() {
 			q.put(raw, nil)
 			if _, _, ok := q.take(); !ok {

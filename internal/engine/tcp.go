@@ -176,6 +176,11 @@ func (e *Engine) socketConnectBlocking(cl *relay.TCPClient) {
 	t0 := e.clk.Nanos()
 	err := ch.Connect(cl.Flow.Dst)
 	t1 := e.clk.Nanos()
+	if !e.admitConnect() {
+		ch.Close()
+		return
+	}
+	defer e.connect.Done()
 	if err != nil {
 		cl.SM.Refuse()
 		e.connectFailed(cl)

@@ -105,8 +105,10 @@ type udpRelay struct {
 	idle     time.Duration
 	pool     int
 
-	// dnsLimit caps workers parked in a blocking DNS receive; see
-	// Config.DNSInflightLimit. Zero disables the cap.
+	// dnsLimit, max(1, pool/2), caps the workers parked in a blocking
+	// DNS receive: a dead resolver would otherwise wedge the whole pool
+	// for DNSTimeout and starve relayed UDP. Queries over the cap are
+	// shed and counted in UDPDropped, as a stub resolver's retry expects.
 	dnsLimit    int
 	dnsInflight atomic.Int64
 
@@ -118,24 +120,12 @@ type udpRelay struct {
 }
 
 func newUDPRelay(e *Engine) *udpRelay {
-	limit := e.cfg.DNSInflightLimit
-	switch {
-	case limit == 0:
-		// Default: at most half the pool may be waiting out a dead
-		// resolver, so relayed UDP always has workers left.
-		limit = e.cfg.UDPPoolSize / 2
-		if limit < 1 {
-			limit = 1
-		}
-	case limit < 0:
-		limit = 0
-	}
 	return &udpRelay{
 		e:        e,
-		sessions: flowtable.New[*udpSession](e.cfg.FlowShards),
+		sessions: flowtable.New[*udpSession](0),
 		idle:     e.cfg.UDPSessionIdle,
 		pool:     e.cfg.UDPPoolSize,
-		dnsLimit: limit,
+		dnsLimit: max(1, e.cfg.UDPPoolSize/2),
 		jobs:     make(chan udpJob, udpJobQueueDepth),
 	}
 }
@@ -294,7 +284,7 @@ func (r *udpRelay) process(j udpJob) {
 	}
 	defer s.inflight.Add(-1)
 	if s.dns {
-		if r.dnsLimit > 0 && r.dnsInflight.Add(1) > int64(r.dnsLimit) {
+		if r.dnsInflight.Add(1) > int64(r.dnsLimit) {
 			// Too many workers already parked in blocking DNS receives
 			// (a dead resolver regime): shed this query instead of
 			// wedging another worker for the full DNSTimeout. The stub
@@ -304,9 +294,7 @@ func (r *udpRelay) process(j udpJob) {
 			return
 		}
 		r.e.dnsTransaction(s, j.payload)
-		if r.dnsLimit > 0 {
-			r.dnsInflight.Add(-1)
-		}
+		r.dnsInflight.Add(-1)
 	} else {
 		r.e.udpForward(s, j.payload)
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"repro/internal/phonestack"
 )
 
 // These tests run the paper's evaluation experiments at reduced scale
@@ -91,7 +93,16 @@ func TestTable3Shape(t *testing.T) {
 	if res.HaystackUp > res.MopEyeUp*0.8 {
 		t.Errorf("Haystack upload %.1f not clearly below MopEye %.1f", res.HaystackUp, res.MopEyeUp)
 	}
-	if res.HaystackDown > res.MopEyeDown {
+	// Downstream both relays run at the line rate, and two artefacts of
+	// the drain can put Haystack ahead without it being faster. Its
+	// polled loop sends the app's SYN-ACK at its next tick, when the
+	// server is already streaming, so up to one receive window sits at
+	// the phone before the drain's clock starts (its first read returns
+	// 48 KiB where MopEye's returns 16 KiB). And the count moves in the
+	// server's 16 KiB writes, one of which can land either side of the
+	// deadline. A lead beyond those two is a real inversion.
+	slack := mbps(phonestack.DefaultWindow+16<<10, o.Duration)
+	if res.HaystackDown > res.MopEyeDown+slack {
 		t.Errorf("Haystack download %.1f above MopEye %.1f", res.HaystackDown, res.MopEyeDown)
 	}
 }

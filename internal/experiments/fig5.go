@@ -54,13 +54,12 @@ func RunFig5(o Fig5Options) (*Fig5Result, error) {
 		if err != nil {
 			return engine.MappingStats{}, err
 		}
-		defer bed.Close()
 		bed.InstallApp(uidBrowser, "com.android.chrome")
 		server := netip.MustParseAddrPort("203.0.113.20:80")
 		browse(bed, o.Pages, o.ConnsPerPage, "pages.example", server)
-		// Mapping resolutions run in socket-connect threads; give
-		// stragglers a moment.
-		time.Sleep(100 * time.Millisecond)
+		// Stop joins the socket-connect threads that run the lazy
+		// resolutions, so the stats are complete once the bed is closed.
+		bed.Close()
 		return bed.Eng.Stats().Mapping, nil
 	}
 

@@ -339,7 +339,9 @@ func procTCPProto(a netip.Addr) procnet.Proto {
 
 func (c *Conn) unregister() {
 	c.phone.mu.Lock()
-	delete(c.phone.tcp, c.local.Port())
+	if c.phone.tcp[c.local.Port()] == c {
+		delete(c.phone.tcp, c.local.Port())
+	}
 	c.phone.mu.Unlock()
 	c.phone.table.Remove(c.inode)
 }
@@ -357,6 +359,15 @@ func (c *Conn) UID() int { return c.uid }
 func (c *Conn) handleSegment(pkt *packet.Packet) {
 	t := pkt.TCP
 	c.mu.Lock()
+	if c.state == stateClosed {
+		// Only an app-closed conn is still registered here (Close): its
+		// segments are dropped, and the peer's FIN or an RST ends it.
+		c.mu.Unlock()
+		if t.Has(packet.FlagFIN) || t.Has(packet.FlagRST) {
+			c.unregister()
+		}
+		return
+	}
 	switch {
 	case t.Has(packet.FlagRST):
 		c.rxErr = ErrReset
@@ -531,10 +542,10 @@ func (c *Conn) ReadFull(buf []byte) error {
 	return nil
 }
 
-// Close sends a FIN and tears the connection down. The kernel would
-// linger in TIME_WAIT; the proc entry is removed immediately, which only
-// shortens the table — MopEye tolerates missing entries by retrying
-// (§3.3).
+// Close sends a FIN and closes the connection for the app. As in a
+// kernel, an established socket stays listed in /proc/net — FIN_WAIT,
+// under its owner's UID — until the peer's FIN or an RST arrives, so a
+// mapper that parses after the app closed still finds it.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.state == stateClosed {
@@ -542,6 +553,7 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	wasEstablished := c.state == stateEstablished
+	lingers := wasEstablished && !c.rxEOF
 	fin := packet.TCPPacket(c.local, c.remote,
 		packet.FlagFIN|packet.FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow, nil, nil)
 	c.sndNxt++
@@ -549,9 +561,12 @@ func (c *Conn) Close() error {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if wasEstablished {
+		c.phone.table.SetState(c.inode, procnet.StateFinWait1)
 		_ = c.phone.inject(fin)
 	}
-	c.unregister()
+	if !lingers {
+		c.unregister()
+	}
 	return nil
 }
 

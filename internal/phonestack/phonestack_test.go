@@ -314,9 +314,12 @@ func TestWindowLimitsInflight(t *testing.T) {
 	}
 }
 
+// Like a kernel, Close leaves the socket listed as FIN_WAIT under its
+// owner's UID — a lazy mapper may still be about to read it — and the
+// peer's FIN removes it.
 func TestCloseRemovesProcEntry(t *testing.T) {
 	p, dev, table := newPhone(t)
-	acceptingEngine(dev)
+	fe := acceptingEngine(dev)
 	c, err := p.Connect(10001, serverAP, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -325,8 +328,17 @@ func TestCloseRemovesProcEntry(t *testing.T) {
 		t.Fatalf("table len: %d", table.Len())
 	}
 	c.Close()
-	if table.Len() != 0 {
-		t.Errorf("table len after close: %d", table.Len())
+	entries, _ := procnet.ParseFile(table.Render(procnet.TCP), procnet.TCP)
+	if len(entries) != 1 || entries[0].UID != 10001 || entries[0].State != procnet.StateFinWait1 {
+		t.Fatalf("proc entries after close: %+v, want one FIN_WAIT entry for uid 10001", entries)
+	}
+	fe.send(packet.TCPPacket(serverAP, c.LocalAddr(), packet.FlagFIN|packet.FlagACK, 9001, 0, 65535, nil, nil))
+	deadline := time.Now().Add(2 * time.Second)
+	for table.Len() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("table len after the peer's FIN: %d", table.Len())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -134,9 +134,11 @@ func TestCostGrowsWithEntries(t *testing.T) {
 			tbl.Add(Entry{Proto: TCP, Local: ap("10.0.0.2:1"), Remote: ap("1.1.1.1:1"), UID: i})
 		}
 		r := NewReader(tbl, clock.NewReal(), CostModel{PerEntry: 50 * time.Microsecond}, 1)
-		start := time.Now()
 		_, _ = r.Parse(TCP)
-		return time.Since(start)
+		// The charged cost, not the wall time: a sleep on a loaded host
+		// can overshoot a 250 µs charge many times over.
+		_, spent, _ := r.Stats()
+		return spent
 	}
 	small, large := mk(5), mk(200)
 	if large < 2*small {

@@ -37,11 +37,10 @@ func TestDashRendersFrames(t *testing.T) {
 		}
 		conn.Close()
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for len(p.TCPMeasurements()) < 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	p.Close() // ends the dashboard's subscription, and so Run
+	if n := len(p.TCPMeasurements()); n != 4 {
+		t.Fatalf("%d TCP records after Close, want 4", n)
+	}
 	if err := <-done; err != nil {
 		t.Fatalf("dash run: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // table1Totals projects the deterministic columns out of a Table 1 run:
@@ -119,16 +118,16 @@ func TestGoldenStreamMatchesSnapshot(t *testing.T) {
 				conn.Close()
 			}
 		}
-		// 8 TCP records plus one DNS record per connect's resolution.
-		want := 16
-		for deadline := time.Now().Add(5 * time.Second); len(p.Measurements()) < want &&
-			time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
+		// Close waits for the socket-connect threads, so every record is
+		// in: 8 TCP plus one DNS per connect's resolution.
 		p.Close()
 		snap := p.Measurements()
 		stream := <-streamed
 
+		if len(snap) != 16 {
+			t.Fatalf("workers=%d: %d records after Close, want 16:\n%s",
+				workers, len(snap), measurementTotals(snap))
+		}
 		if len(stream) != len(snap) {
 			t.Fatalf("workers=%d: streamed %d records, snapshot has %d",
 				workers, len(stream), len(snap))

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -30,12 +29,11 @@ func TestPhoneMetricsExposition(t *testing.T) {
 		}
 		conn.Close()
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for len(p.TCPMeasurements()) < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	tcp, dns := len(p.TCPMeasurements()), len(p.DNSMeasurements())
 	p.Close()
+	tcp, dns := len(p.TCPMeasurements()), len(p.DNSMeasurements())
+	if tcp != 3 || dns != 3 {
+		t.Fatalf("%d TCP and %d DNS records after Close, want 3 each", tcp, dns)
+	}
 
 	var buf bytes.Buffer
 	if err := p.WriteMetrics(&buf); err != nil {

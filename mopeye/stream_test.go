@@ -39,6 +39,9 @@ func streamPhone(t *testing.T, f Filter) (*Phone, func() []Measurement) {
 	}
 }
 
+// runWorkload makes conns connections and closes the phone, which waits
+// for their records: one TCP record per connect plus one DNS record for
+// its resolution.
 func runWorkload(t *testing.T, p *Phone, conns int) {
 	t.Helper()
 	for i := 0; i < conns; i++ {
@@ -48,12 +51,9 @@ func runWorkload(t *testing.T, p *Phone, conns int) {
 		}
 		conn.Close()
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	// One TCP record per connect plus one DNS record for its resolution:
-	// waiting for all of them means no record can land after the caller
-	// closes the phone.
-	for len(p.Measurements()) < 2*conns && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	p.Close()
+	if n := len(p.Measurements()); n != 2*conns {
+		t.Fatalf("%d records after Close, want %d", n, 2*conns)
 	}
 }
 
@@ -63,7 +63,6 @@ func runWorkload(t *testing.T, p *Phone, conns int) {
 func TestSubscribeMatchesSnapshot(t *testing.T) {
 	p, drained := streamPhone(t, Filter{})
 	runWorkload(t, p, 3)
-	p.Close()
 	snap := p.Measurements()
 	got := drained()
 	if len(got) != len(snap) {
@@ -82,7 +81,6 @@ func TestSubscribeMatchesSnapshot(t *testing.T) {
 func TestSubscribeKindAndAppFilters(t *testing.T) {
 	p, drained := streamPhone(t, Filter{Kind: DNSOnly})
 	runWorkload(t, p, 2)
-	p.Close()
 	for _, m := range drained() {
 		if m.Kind != measure.KindDNS {
 			t.Errorf("DNSOnly leaked %v", m.Kind)
@@ -91,7 +89,6 @@ func TestSubscribeKindAndAppFilters(t *testing.T) {
 
 	p2, drained2 := streamPhone(t, Filter{Kind: TCPOnly, App: "com.example.app", UID: 10001})
 	runWorkload(t, p2, 2)
-	p2.Close()
 	got := drained2()
 	if len(got) != 2 {
 		t.Fatalf("filtered stream: %d records, want 2", len(got))
@@ -166,7 +163,6 @@ func TestAttachSinksCaptureEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWorkload(t, p, 3)
-	p.Close()
 	snap := p.Measurements()
 	var want bytes.Buffer
 	if err := p.ExportCSV(&want); err != nil {
@@ -306,7 +302,6 @@ func TestCollectorStreamsIntoStudy(t *testing.T) {
 	}
 	runWorkload(t, p, 6)
 	snap := p.Measurements()
-	p.Close()
 
 	// Batch policy: 7 records at batch size 4 is at least one
 	// size-triggered upload plus the final flush.
