@@ -20,8 +20,11 @@ import (
 // a dedicated TunWriter thread; the producer cost becomes the enqueue.
 // With a plain wait/notify queue (oldPut), enqueuing while the writer
 // sleeps pays the notify handoff, which is where the 1–5 ms overheads
-// come from. newPut keeps the writer spinning through a sleep counter
-// so the handoff almost never happens.
+// come from. The paper's newPut writer polls through a sleep counter
+// and parks only after a run of empty checks, so the handoff almost
+// never happens. Here both schemes share one writer, which blocks
+// whenever the queue is empty; only put differs (see parkAfter), so a
+// waiting writer costs no CPU.
 
 // notifyHandoff models the java wait/notify wakeup cost paid by the
 // notifier: usually sub-millisecond, with a 1–5 ms tail that dominates
@@ -38,8 +41,10 @@ func notifyHandoff(r *rand.Rand) time.Duration {
 	}
 }
 
-// spinMax is newPut's sleep-counter threshold (§3.5.1).
-const spinMax = 512
+// parkAfter is how long the paper's newPut writer polls an empty queue
+// before it parks (§3.5.1): the sleep counter's threshold of 512 empty
+// checks, each followed by a 100 µs sleep.
+const parkAfter = 512 * 100 * time.Microsecond
 
 // outPacket is one queued tunnel write: the encoded bytes plus the
 // pool token of the buffer backing them, recycled by TunWriter after
@@ -51,33 +56,33 @@ type outPacket struct {
 
 // packetQueue is the TunWriter's input queue with both put algorithms.
 type packetQueue struct {
-	clk      clock.Clock
-	newPut   bool
-	spinWait time.Duration
+	clk    clock.Clock
+	newPut bool
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	items   fifoq.Queue[outPacket]
-	waiting bool // the TunWriter is parked in wait()
-	closed  bool
-	rng     *rand.Rand
+	mu        sync.Mutex
+	cond      *sync.Cond
+	items     fifoq.Queue[outPacket]
+	waiting   bool  // the TunWriter is blocked in take
+	idleSince int64 // clk.Nanos() when the TunWriter began waiting
+	closed    bool
+	rng       *rand.Rand
 
 	putHist stats.DelayHistogram
 }
 
 func newPacketQueue(clk clock.Clock, newPut bool, seed int64) *packetQueue {
 	q := &packetQueue{
-		clk:      clk,
-		newPut:   newPut,
-		spinWait: 100 * time.Microsecond,
-		rng:      rand.New(rand.NewSource(seed)),
+		clk:    clk,
+		newPut: newPut,
+		rng:    rand.New(rand.NewSource(seed)),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
 // put enqueues one packet, charging the notify handoff when the writer
-// thread must be woken from wait(). The enqueue duration is recorded in
+// must be woken from wait(): always under oldPut, under newPut only
+// once it has waited parkAfter. The enqueue duration is recorded in
 // the put histogram (the oldPut/newPut columns of Table 1). buf is the
 // pool token for raw's backing buffer (may be nil); ownership moves to
 // the queue and then to TunWriter.
@@ -92,13 +97,12 @@ func (q *packetQueue) put(raw []byte, buf *[]byte) {
 		return
 	}
 	q.items.Push(outPacket{raw: raw, buf: buf})
-	mustWake := q.waiting
-	if mustWake {
-		q.cond.Signal()
-	}
 	var handoff time.Duration
-	if mustWake {
-		handoff = notifyHandoff(q.rng)
+	if q.waiting {
+		q.cond.Signal()
+		if !q.newPut || start-q.idleSince >= int64(parkAfter) {
+			handoff = notifyHandoff(q.rng)
+		}
 	}
 	q.mu.Unlock()
 	if handoff > 0 {
@@ -110,17 +114,9 @@ func (q *packetQueue) put(raw []byte, buf *[]byte) {
 	q.mu.Unlock()
 }
 
-// take dequeues the next packet for TunWriter, blocking according to the
-// configured algorithm. ok is false when the queue is closed and empty.
+// take dequeues the next packet for TunWriter, blocking while the queue
+// is empty. ok is false when the queue is closed and empty.
 func (q *packetQueue) take() (raw []byte, buf *[]byte, ok bool) {
-	if q.newPut {
-		return q.takeNewPut()
-	}
-	return q.takeOldPut()
-}
-
-// takeOldPut is the traditional scheme: park in wait() whenever empty.
-func (q *packetQueue) takeOldPut() ([]byte, *[]byte, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.items.Len() == 0 {
@@ -128,44 +124,12 @@ func (q *packetQueue) takeOldPut() ([]byte, *[]byte, bool) {
 			return nil, nil, false
 		}
 		q.waiting = true
+		q.idleSince = q.clk.Nanos()
 		q.cond.Wait()
 		q.waiting = false
 	}
 	out, _ := q.items.Pop()
 	return out.raw, out.buf, true
-}
-
-// takeNewPut implements §3.5.1's sleep counter: keep checking (with a
-// tiny sleep per round) while the counter is below the threshold;
-// decrement (halve) the counter whenever the queue is found non-empty;
-// only park in wait() when the counter reaches the threshold. The
-// counter resets on wakeup.
-func (q *packetQueue) takeNewPut() ([]byte, *[]byte, bool) {
-	counter := 0
-	for {
-		q.mu.Lock()
-		if q.items.Len() > 0 {
-			out, _ := q.items.Pop()
-			q.mu.Unlock()
-			counter /= 2
-			return out.raw, out.buf, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil, nil, false
-		}
-		if counter >= spinMax {
-			q.waiting = true
-			q.cond.Wait()
-			q.waiting = false
-			counter = 0
-			q.mu.Unlock()
-			continue
-		}
-		q.mu.Unlock()
-		counter++
-		q.clk.SleepFine(q.spinWait)
-	}
 }
 
 func (q *packetQueue) close() {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/netsim"
@@ -30,6 +32,68 @@ func TestPacketQueueSteadyStateAllocFree(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("newPut=%v: put/take allocates %.1f per op, want 0", newPut, allocs)
 		}
+	}
+}
+
+// TestPutHandoffRule pins what put charges when the TunWriter is
+// blocked in take: oldPut pays the notify handoff every time, newPut
+// only once the writer has been idle for parkAfter. On the virtual
+// clock the handoff is a sleep that holds put until the clock moves, so
+// a charged put shows as a pending timer.
+func TestPutHandoffRule(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		newPut  bool
+		idle    time.Duration
+		charged bool
+	}{
+		{"oldPut", false, 0, true},
+		{"newPut idle under parkAfter", true, parkAfter - time.Microsecond, false},
+		{"newPut idle parkAfter", true, parkAfter, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clk := clock.NewVirtual(time.Unix(0, 0))
+			q := newPacketQueue(clk, c.newPut, 1)
+			taken := make(chan struct{})
+			go func() {
+				if _, _, ok := q.take(); ok {
+					close(taken)
+				}
+			}()
+			for waiting := false; !waiting; runtime.Gosched() {
+				q.mu.Lock()
+				waiting = q.waiting
+				q.mu.Unlock()
+			}
+			clk.Advance(c.idle)
+
+			put := make(chan struct{})
+			go func() {
+				q.put([]byte{1}, nil)
+				close(put)
+			}()
+			returned := func() bool {
+				select {
+				case <-put:
+					return true
+				default:
+					return false
+				}
+			}
+			for clk.Pending() == 0 && !returned() {
+				runtime.Gosched()
+			}
+			charged := clk.Pending() > 0
+			clk.Advance(5 * time.Millisecond) // past notifyHandoff's longest draw
+			<-put
+			<-taken
+			if charged != c.charged {
+				t.Errorf("handoff charged = %v, want %v", charged, c.charged)
+			}
+			if h := q.putHistogram(); h.Total != 1 {
+				t.Errorf("put histogram holds %d samples, want 1", h.Total)
+			}
+		})
 	}
 }
 

@@ -65,7 +65,7 @@ func (e *Engine) runWorker(w *worker) {
 			if !progress {
 				break
 			}
-			keys = w.sel.SelectTimeout(0)
+			keys = w.sel.SelectNow()
 		}
 	}
 }
@@ -80,7 +80,7 @@ func (e *Engine) runWorkerPolled(w *worker) {
 		e.meter.AddWakeups(1)
 		for {
 			progress := false
-			for _, k := range w.sel.SelectTimeout(0) {
+			for _, k := range w.sel.SelectNow() {
 				e.handleSocketKey(w, k)
 				progress = true
 			}

@@ -125,11 +125,9 @@ func runMopEyeAccuracy(dst Table2Destination, delay time.Duration, probes int, s
 		}
 		conn.Close()
 	}
-	// Wait for the asynchronous measurement records.
-	deadline := time.Now().Add(5 * time.Second)
-	for bed.Store.Len() < probes && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Stop joins the socket-connect threads that write the records, so
+	// the store is complete once the bed is closed.
+	bed.Close()
 	recs := bed.Store.Kind(measure.KindTCP)
 	if len(recs) < probes {
 		return 0, 0, fmt.Errorf("only %d/%d measurements", len(recs), probes)

@@ -3,13 +3,16 @@ package phonestack
 import (
 	"errors"
 	"net/netip"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/packet"
 	"repro/internal/procnet"
+	"repro/internal/stats"
 	"repro/internal/tun"
 )
 
@@ -415,6 +418,71 @@ func TestUDPRecvTimeout(t *testing.T) {
 	defer u.Close()
 	if _, _, err := u.Recv(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Errorf("got %v", err)
+	}
+}
+
+// TestUDPRecvWakesOnDelivery pins the app-side resolver's half of the
+// DNS timing: Recv returns on the datagram, not on the next poll of its
+// inbox. On a virtual clock that stands still, a delivery must wake it.
+// On the real clock, with a goroutine delivering each response 1 ms
+// after SendTo, the median lag from delivery to Recv returning must
+// stay under 200 µs.
+func TestUDPRecvWakesOnDelivery(t *testing.T) {
+	dnsServer := netip.MustParseAddrPort("8.8.8.8:53")
+	vclk := clock.NewVirtual(time.Unix(0, 0))
+	vdev := tun.New(vclk, 64)
+	vp := New(vclk, vdev, phoneAddr, procnet.NewTable(), 1)
+	defer func() {
+		vp.Close()
+		vdev.Close()
+	}()
+	vu, err := vp.OpenUDP(10002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, _, err := vu.Recv(time.Second)
+		got <- err
+	}()
+	for vclk.Pending() == 0 { // Recv has armed its timeout and is waiting
+		runtime.Gosched()
+	}
+	vu.deliver(packet.UDPPacket(dnsServer, vu.LocalAddr(), []byte("ok")))
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("virtual clock: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("virtual clock: Recv did not wake on the datagram while the clock stood still")
+	}
+
+	p, _, _ := newPhone(t)
+	u, err := p.OpenUDP(10002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	resp := packet.UDPPacket(dnsServer, u.LocalAddr(), []byte("ok"))
+	var delivered atomic.Int64
+	lags := make([]float64, 0, 50)
+	for i := 0; i < cap(lags); i++ {
+		if err := u.SendTo(dnsServer, []byte("hi")); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			time.Sleep(time.Millisecond)
+			delivered.Store(p.clk.Nanos())
+			u.deliver(resp)
+		}()
+		if _, _, err := u.Recv(time.Second); err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		lags = append(lags, float64(p.clk.Nanos()-delivered.Load()))
+	}
+	if med := time.Duration(stats.Median(lags)); med >= 200*time.Microsecond {
+		t.Errorf("median delivery-to-Recv lag %v, want under 200µs", med)
 	}
 }
 

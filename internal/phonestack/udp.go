@@ -18,10 +18,10 @@ type UDPConn struct {
 	local netip.AddrPort
 	inode uint64
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	inbox  []*packet.Packet
-	closed bool
+	mu      sync.Mutex
+	inbox   []*packet.Packet
+	closed  bool
+	arrived chan struct{} // signalled by deliver and Close; Recv blocks on it
 }
 
 // OpenUDP creates a UDP socket for the app with the given UID.
@@ -31,11 +31,11 @@ func (p *Phone) OpenUDP(uid int) (*UDPConn, error) {
 	}
 	port := p.allocPort()
 	u := &UDPConn{
-		phone: p,
-		uid:   uid,
-		local: netip.AddrPortFrom(p.addr, port),
+		phone:   p,
+		uid:     uid,
+		local:   netip.AddrPortFrom(p.addr, port),
+		arrived: make(chan struct{}, 1),
 	}
-	u.cond = sync.NewCond(&u.mu)
 	p.mu.Lock()
 	p.udp[port] = u
 	p.mu.Unlock()
@@ -77,31 +77,33 @@ func (u *UDPConn) deliver(pkt *packet.Packet) {
 	u.mu.Lock()
 	if !u.closed {
 		u.inbox = append(u.inbox, pkt)
-		u.cond.Broadcast()
+		u.wake()
 	}
 	u.mu.Unlock()
 }
 
 // Recv blocks until a datagram arrives or the timeout elapses. It
-// returns the payload and the sender.
+// returns the payload and the sender. One goroutine receives.
 func (u *UDPConn) Recv(timeout time.Duration) ([]byte, netip.AddrPort, error) {
-	deadline := u.phone.clk.Nanos() + int64(timeout)
+	var expired <-chan time.Time
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	for len(u.inbox) == 0 {
 		if u.closed {
 			return nil, netip.AddrPort{}, ErrClosed
 		}
-		remaining := time.Duration(deadline - u.phone.clk.Nanos())
-		if remaining <= 0 {
+		if timeout <= 0 {
 			return nil, netip.AddrPort{}, ErrTimeout
 		}
-		slice := 200 * time.Microsecond
-		if remaining < slice {
-			slice = remaining
+		if expired == nil {
+			expired = u.phone.clk.After(timeout)
 		}
 		u.mu.Unlock()
-		u.phone.clk.Sleep(slice)
+		select {
+		case <-u.arrived:
+		case <-expired:
+			timeout = 0 // one last look at the inbox, then time out
+		}
 		u.mu.Lock()
 	}
 	pkt := u.inbox[0]
@@ -117,12 +119,20 @@ func (u *UDPConn) Close() {
 		return
 	}
 	u.closed = true
-	u.cond.Broadcast()
+	u.wake()
 	u.mu.Unlock()
 	u.phone.mu.Lock()
 	delete(u.phone.udp, u.local.Port())
 	u.phone.mu.Unlock()
 	u.phone.table.Remove(u.inode)
+}
+
+// wake leaves Recv a token; one is enough, as Recv re-checks on waking.
+func (u *UDPConn) wake() {
+	select {
+	case u.arrived <- struct{}{}:
+	default:
+	}
 }
 
 // ResolveResult reports one DNS transaction as the app experienced it.

@@ -3,7 +3,6 @@ package sockets
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Ops is a bit set of selectable operations, mirroring java.nio
@@ -215,69 +214,39 @@ func (s *Selector) Wakeup() {
 // ready∩interest sets. The dispatch cost is applied once per readiness-
 // driven return, modelling the notification latency of challenge C2.
 func (s *Selector) Select() []*SelectionKey {
-	return s.selectImpl(-1)
+	return s.selectImpl(true)
 }
 
-// SelectTimeout is Select with an upper bound on blocking; zero means
-// poll without blocking. Poll-mode relays (the Haystack baseline) use
-// it.
-func (s *Selector) SelectTimeout(d time.Duration) []*SelectionKey {
-	return s.selectImpl(d)
+// SelectNow is Select without blocking, like
+// java.nio.channels.Selector.selectNow(); it clears a pending Wakeup.
+// The worker loops drain readiness with it between tunnel packets.
+func (s *Selector) SelectNow() []*SelectionKey {
+	return s.selectImpl(false)
 }
 
-func (s *Selector) selectImpl(timeout time.Duration) []*SelectionKey {
-	var timer <-chan time.Time
-	if timeout > 0 {
-		timer = s.p.Clk.After(timeout)
-	}
+func (s *Selector) selectImpl(block bool) []*SelectionKey {
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
-		for {
-			if s.closed {
-				s.mu.Unlock()
-				return nil
-			}
-			ready := s.collectLocked()
-			if len(ready) > 0 {
-				s.wakeup = false
-				s.Selects++
-				s.mu.Unlock()
-				if c := drawCost(s.p.Costs.Dispatch, s.p.rng, &s.p.mu); c > 0 {
-					s.p.Clk.SleepFine(c)
-				}
-				return ready
-			}
-			if s.wakeup {
-				s.wakeup = false
-				s.Selects++
-				s.mu.Unlock()
-				return nil
-			}
-			if timeout == 0 {
-				s.Selects++
-				s.mu.Unlock()
-				return nil
-			}
-			if timer != nil {
-				// Blocking with timeout: wait in small slices so the
-				// timer is honoured without a second goroutine.
-				s.mu.Unlock()
-				select {
-				case <-timer:
-					s.mu.Lock()
-					s.Selects++
-					ready := s.collectLocked()
-					s.wakeup = false
-					s.mu.Unlock()
-					return ready
-				default:
-				}
-				s.p.Clk.Sleep(200 * time.Microsecond)
-				s.mu.Lock()
-				continue
-			}
-			s.cond.Wait()
+		if s.closed {
+			s.mu.Unlock()
+			return nil
 		}
+		if ready := s.collectLocked(); len(ready) > 0 {
+			s.wakeup = false
+			s.Selects++
+			s.mu.Unlock()
+			if c := drawCost(s.p.Costs.Dispatch, s.p.rng, &s.p.mu); c > 0 {
+				s.p.Clk.SleepFine(c)
+			}
+			return ready
+		}
+		if s.wakeup || !block {
+			s.wakeup = false
+			s.Selects++
+			s.mu.Unlock()
+			return nil
+		}
+		s.cond.Wait()
 	}
 }
 

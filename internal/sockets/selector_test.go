@@ -85,7 +85,7 @@ func TestReadyQueueSingleSlot(t *testing.T) {
 	key.markReady(OpWrite)
 	key.markReady(OpRead)
 
-	keys := sel.SelectTimeout(0)
+	keys := sel.SelectNow()
 	if len(keys) != 1 || keys[0] != key {
 		t.Fatalf("selected %d keys, want the one key once", len(keys))
 	}
@@ -97,7 +97,7 @@ func TestReadyQueueSingleSlot(t *testing.T) {
 	if got := key.ReadyOps(); got != 0 {
 		t.Errorf("second ReadyOps = %v, want 0", got)
 	}
-	if keys = sel.SelectTimeout(0); len(keys) != 0 {
+	if keys = sel.SelectNow(); len(keys) != 0 {
 		t.Errorf("emptied key was re-selected: %v", keys)
 	}
 }
@@ -112,12 +112,12 @@ func TestReadyReEnqueueAfterConsume(t *testing.T) {
 	key := connectedKey(t, p, sel, OpRead)
 
 	key.markReady(OpRead)
-	if keys := sel.SelectTimeout(0); len(keys) != 1 {
+	if keys := sel.SelectNow(); len(keys) != 1 {
 		t.Fatalf("first readiness not selected")
 	}
 	key.ReadyOps()
 	key.markReady(OpRead)
-	keys := sel.SelectTimeout(0)
+	keys := sel.SelectNow()
 	if len(keys) != 1 || keys[0] != key {
 		t.Fatalf("re-armed key not re-selected: %v", keys)
 	}
@@ -139,7 +139,7 @@ func TestCancelWhileQueuedDropped(t *testing.T) {
 	if !key.Canceled() {
 		t.Fatal("close did not cancel the key")
 	}
-	if keys := sel.SelectTimeout(0); len(keys) != 0 {
+	if keys := sel.SelectNow(); len(keys) != 0 {
 		t.Errorf("canceled key delivered: %v", keys)
 	}
 }
@@ -155,13 +155,13 @@ func TestUninterestedReadinessNotQueued(t *testing.T) {
 	key := connectedKey(t, p, sel, OpRead)
 
 	key.markReady(OpWrite) // not interested: must not enqueue
-	if keys := sel.SelectTimeout(0); len(keys) != 0 {
+	if keys := sel.SelectNow(); len(keys) != 0 {
 		t.Fatalf("uninterested readiness selected: %v", keys)
 	}
 	// SetInterestOps(OpRead|OpWrite) marks write-ready itself (the
 	// simulated socket is always writable) and enqueues.
 	key.SetInterestOps(OpRead | OpWrite)
-	keys := sel.SelectTimeout(0)
+	keys := sel.SelectNow()
 	if len(keys) != 1 || keys[0].ReadyOps()&OpWrite == 0 {
 		t.Fatalf("widened interest did not surface readiness: %v", keys)
 	}
@@ -193,7 +193,7 @@ func TestMarkReadySelectRace(t *testing.T) {
 
 	deadline := time.After(10 * time.Second)
 	for {
-		keys := sel.SelectTimeout(time.Millisecond)
+		keys := sel.SelectNow()
 		for _, k := range keys {
 			k.ReadyOps()
 		}
@@ -201,7 +201,7 @@ func TestMarkReadySelectRace(t *testing.T) {
 		case <-done:
 			// All markReady calls issued; one final drain must leave the
 			// key consumable and the queue empty.
-			for _, k := range sel.SelectTimeout(0) {
+			for _, k := range sel.SelectNow() {
 				k.ReadyOps()
 			}
 			if got := key.ReadyOps(); got != 0 {

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/netsim"
+	"repro/internal/stats"
 )
 
 var (
@@ -182,7 +185,7 @@ func TestSelectorWriteInterestImmediatelyReady(t *testing.T) {
 	}
 	key := sel.Register(ch, OpRead, nil)
 	key.SetInterestOps(OpRead | OpWrite)
-	keys := sel.SelectTimeout(100 * time.Millisecond)
+	keys := sel.Select()
 	found := false
 	for _, k := range keys {
 		if k == key && k.ReadyOps()&OpWrite != 0 {
@@ -194,29 +197,17 @@ func TestSelectorWriteInterestImmediatelyReady(t *testing.T) {
 	}
 }
 
-func TestSelectTimeoutZeroPolls(t *testing.T) {
+func TestSelectNowPolls(t *testing.T) {
 	p, _ := newProvider(t, ZeroCosts())
 	sel := p.NewSelector()
 	defer sel.Close()
 	start := time.Now()
-	keys := sel.SelectTimeout(0)
+	keys := sel.SelectNow()
 	if time.Since(start) > 50*time.Millisecond {
-		t.Error("SelectTimeout(0) blocked")
+		t.Error("SelectNow blocked")
 	}
 	if len(keys) != 0 {
 		t.Errorf("keys: %v", keys)
-	}
-}
-
-func TestSelectTimeoutExpires(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
-	sel := p.NewSelector()
-	defer sel.Close()
-	start := time.Now()
-	sel.SelectTimeout(10 * time.Millisecond)
-	elapsed := time.Since(start)
-	if elapsed < 9*time.Millisecond {
-		t.Errorf("returned after %v, timeout 10ms", elapsed)
 	}
 }
 
@@ -343,6 +334,65 @@ func TestUDPRecvTimeout(t *testing.T) {
 	}
 	if time.Since(start) < 9*time.Millisecond {
 		t.Error("timeout returned early")
+	}
+}
+
+// TestUDPRecvWakesOnDelivery pins the §2.4 DNS timestamp: Recv returns
+// on the datagram, not on the next poll of its inbox. On a virtual
+// clock that stands still, a delivery must wake it; a poll loop would
+// sleep out its slice until the clock moved. On the real clock, with a
+// goroutine delivering each response 1 ms after SendTo, the median lag
+// from delivery to Recv returning must stay under 200 µs. A Recv that
+// polls in 200 µs slices can lag by about 1 ms there, since on an
+// otherwise idle process a sub-ms sleep rounds up to about 1 ms.
+func TestUDPRecvWakesOnDelivery(t *testing.T) {
+	vclk := clock.NewVirtual(time.Unix(0, 0))
+	vp := NewProvider(nil, vclk, phoneAddr, ZeroCosts(), 2)
+	var respond func([]byte)
+	vp.SetUDPTransport(func(_, _ netip.AddrPort, _ []byte, deliver func([]byte)) { respond = deliver })
+	vu := vp.OpenUDP()
+	defer vu.Close()
+	vu.SendTo(dnsAP, []byte("q"))
+	got := make(chan error, 1)
+	go func() {
+		_, err := vu.Recv(time.Second)
+		got <- err
+	}()
+	for vclk.Pending() == 0 { // Recv has armed its timeout and is waiting
+		runtime.Gosched()
+	}
+	respond([]byte("r"))
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("virtual clock: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("virtual clock: Recv did not wake on the datagram while the clock stood still")
+	}
+
+	p, _ := newProvider(t, ZeroCosts())
+	clk := p.Clk
+	var delivered atomic.Int64
+	p.SetUDPTransport(func(_, _ netip.AddrPort, payload []byte, deliver func([]byte)) {
+		go func() {
+			time.Sleep(time.Millisecond)
+			delivered.Store(clk.Nanos())
+			deliver(payload)
+		}()
+	})
+	u := p.OpenUDP()
+	defer u.Close()
+	lags := make([]float64, 0, 50)
+	for i := 0; i < cap(lags); i++ {
+		u.SendTo(dnsAP, []byte("q"))
+		if _, err := u.Recv(time.Second); err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		lags = append(lags, float64(clk.Nanos()-delivered.Load()))
+	}
+	if med := time.Duration(stats.Median(lags)); med >= 200*time.Microsecond {
+		t.Errorf("median delivery-to-Recv lag %v, want under 200µs", med)
 	}
 }
 

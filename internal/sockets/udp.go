@@ -13,20 +13,19 @@ type UDPSocket struct {
 	p     *Provider
 	local netip.AddrPort
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	inbox  [][]byte
-	closed bool
+	mu      sync.Mutex
+	inbox   [][]byte
+	closed  bool
+	arrived chan struct{} // signalled by deliver and Close; Recv blocks on it
 }
 
 // OpenUDP creates a UDP socket with an ephemeral local port.
 func (p *Provider) OpenUDP() *UDPSocket {
-	u := &UDPSocket{
-		p:     p,
-		local: netip.AddrPortFrom(p.phoneAddr, p.EphemeralPort()),
+	return &UDPSocket{
+		p:       p,
+		local:   netip.AddrPortFrom(p.phoneAddr, p.EphemeralPort()),
+		arrived: make(chan struct{}, 1),
 	}
-	u.cond = sync.NewCond(&u.mu)
-	return u
 }
 
 // LocalAddr returns the socket's local address.
@@ -56,7 +55,7 @@ func (u *UDPSocket) SendTo(dst netip.AddrPort, payload []byte) {
 		u.mu.Lock()
 		if !u.closed {
 			u.inbox = append(u.inbox, resp)
-			u.cond.Broadcast()
+			u.wake()
 		}
 		u.mu.Unlock()
 	}
@@ -73,9 +72,10 @@ func (u *UDPSocket) SendTo(dst netip.AddrPort, payload []byte) {
 	u.p.Net.SendUDP(u.local, dst, payload, deliver)
 }
 
-// Recv blocks until a datagram arrives or the timeout elapses.
+// Recv blocks until a datagram arrives or the timeout elapses, waking
+// on the datagram itself (§2.4's timestamp). One goroutine receives.
 func (u *UDPSocket) Recv(timeout time.Duration) ([]byte, error) {
-	deadline := u.p.Clk.Nanos() + int64(timeout)
+	var expired <-chan time.Time
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	for len(u.inbox) == 0 {
@@ -85,17 +85,15 @@ func (u *UDPSocket) Recv(timeout time.Duration) ([]byte, error) {
 		if timeout <= 0 {
 			return nil, ErrRecvTimeout
 		}
-		remaining := time.Duration(deadline - u.p.Clk.Nanos())
-		if remaining <= 0 {
-			return nil, ErrRecvTimeout
+		if expired == nil {
+			expired = u.p.Clk.After(timeout)
 		}
-		// Wait in slices; the simulated clock has no cond-with-deadline.
 		u.mu.Unlock()
-		slice := 200 * time.Microsecond
-		if remaining < slice {
-			slice = remaining
+		select {
+		case <-u.arrived:
+		case <-expired:
+			timeout = 0 // one last look at the inbox, then time out
 		}
-		u.p.Clk.Sleep(slice)
 		u.mu.Lock()
 	}
 	msg := u.inbox[0]
@@ -128,6 +126,14 @@ func (u *UDPSocket) Closed() bool {
 func (u *UDPSocket) Close() {
 	u.mu.Lock()
 	u.closed = true
-	u.cond.Broadcast()
+	u.wake()
 	u.mu.Unlock()
+}
+
+// wake leaves Recv a token; one is enough, as Recv re-checks on waking.
+func (u *UDPSocket) wake() {
+	select {
+	case u.arrived <- struct{}{}:
+	default:
+	}
 }
