@@ -3,6 +3,7 @@ package engine_test
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -153,6 +154,87 @@ func TestRelayProducesPerAppMeasurement(t *testing.T) {
 	if r.RTT < linkRTT || r.RTT > linkRTT+25*time.Millisecond {
 		t.Errorf("measured RTT %v not within [%v, %v]", r.RTT, linkRTT, linkRTT+25*time.Millisecond)
 	}
+}
+
+// gatedSource renders the emulated proc tables only once gate is
+// closed, so a test decides when the mapper reads them.
+type gatedSource struct {
+	*procnet.Table
+	gate chan struct{}
+}
+
+func (g gatedSource) Render(p procnet.Proto) string {
+	<-g.gate
+	return g.Table.Render(p)
+}
+
+// Lazy mapping runs after the app's handshake (§3.3), so a short flow
+// can end while its socket-connect thread still waits for a parse. The
+// engine holds the server's FIN toward the app until the flow is
+// attributed, which keeps the app's socket listed in /proc/net for the
+// parse. Here the parse may read the table only after the app has
+// closed and the server has hung up.
+func TestFlowThatEndsBeforeItsParseIsAttributed(t *testing.T) {
+	clk := clock.NewReal()
+	net := netsim.New(clk, netsim.LinkParams{Delay: time.Millisecond}, 1)
+	hungUp := make(chan struct{})
+	echo := netsim.EchoHandler()
+	net.HandleTCP(serverAddr, func(c *netsim.Conn) { echo(c); close(hungUp) })
+	dev := tun.New(clk, 4096)
+	table := procnet.NewTable()
+	pm := procnet.NewPackageManager()
+	pm.Install(uidApp, appName)
+	phone := phonestack.New(clk, dev, phoneVPNAddr, table, 2)
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	eng := engine.New(engine.Default(), engine.Deps{
+		Clock:    clk,
+		Device:   dev,
+		Sockets:  sockets.NewProvider(net, clk, phoneWANAddr, sockets.ZeroCosts(), 3),
+		ProcNet:  procnet.NewReaderFrom(gatedSource{table, gate}, clk, procnet.ZeroParseCost(), 4),
+		Packages: pm,
+		Store:    measure.NewStore(),
+	})
+	eng.Start()
+	defer func() {
+		openGate() // Stop joins the socket-connect thread parked on it
+		eng.Stop()
+		phone.Close()
+		dev.Close()
+		net.Close()
+	}()
+
+	conn, err := phone.Connect(uidApp, serverAddr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	msg := []byte("a flow shorter than its mapping")
+	got := make([]byte, len(msg))
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := conn.ReadFull(got); err != nil {
+		t.Fatalf("read echo: %v", err)
+	}
+	conn.Close()
+	select {
+	case <-hungUp:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never saw the app's close")
+	}
+	// Time for the server's FIN to cross the link and the relay; it must
+	// wait for the attribution instead of reaching the app.
+	time.Sleep(20 * time.Millisecond)
+	if n := table.Len(); n != 1 {
+		t.Fatalf("%d sockets listed before the flow was attributed, want the app's one", n)
+	}
+
+	openGate()
+	waitFor(t, 3*time.Second, func() bool { return eng.Store().Len() >= 1 }, "measurement record")
+	if r := eng.Store().Kind(measure.KindTCP)[0]; r.App != appName || r.UID != uidApp {
+		t.Errorf("record attributed to %q (uid %d), want %q (uid %d)", r.App, r.UID, appName, uidApp)
+	}
+	waitFor(t, 3*time.Second, func() bool { return table.Len() == 0 }, "the held FIN to reach the app")
 }
 
 func TestAppObservedConnectTracksPathRTT(t *testing.T) {

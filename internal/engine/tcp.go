@@ -136,8 +136,7 @@ func (e *Engine) onSYN(pkt *packet.Packet, flow packet.FlowKey) {
 
 	if e.cfg.Mapping == MapEager {
 		// Pre-§3.3 behaviour: parse on the main thread, per SYN.
-		info, _ := e.mapper.resolve(flow.Src, flow.Dst, cl.SYNAt)
-		cl.SetApp(info.UID, info.Name)
+		e.attribute(cl)
 	}
 	if e.cfg.Protect == ProtectPerSocketMainThread {
 		// Naive placement: the protect cost lands on MainWorker,
@@ -209,8 +208,7 @@ func (e *Engine) socketConnectBlocking(cl *relay.TCPClient) {
 	// Lazy mapping: after the connection is established or failed, so
 	// the app-side handshake is never delayed (§3.3).
 	if e.cfg.Mapping != MapEager {
-		info, _ := e.mapper.resolve(cl.Flow.Src, cl.Flow.Dst, cl.SYNAt)
-		cl.SetApp(info.UID, info.Name)
+		e.attribute(cl)
 	}
 	e.recordTCP(cl, time.Duration(t1-t0))
 }
@@ -331,8 +329,7 @@ func (e *Engine) finishEventConnect(k *sockets.SelectionKey, ec *eventConnect) {
 		k.SetInterestOps(sockets.OpRead | sockets.OpWrite)
 	}
 	if e.cfg.Mapping != MapEager {
-		info, _ := e.mapper.resolve(cl.Flow.Src, cl.Flow.Dst, cl.SYNAt)
-		cl.SetApp(info.UID, info.Name)
+		e.attribute(cl)
 	}
 	// The RTT includes selector dispatch latency — the inaccuracy the
 	// blocking socket-connect thread eliminates.
@@ -340,10 +337,11 @@ func (e *Engine) finishEventConnect(k *sockets.SelectionKey, ec *eventConnect) {
 }
 
 // socketRead handles §2.3 Socket Read: drain incoming server data into
-// internal-connection data packets; on EOF generate FIN; on reset
-// generate RST. Every flow of the worker reads into the worker's one
-// buffer: SendData lends it to emit, which has encoded the bytes into a
-// pooled buffer of their own before the next Read overwrites them.
+// internal-connection data packets; on EOF generate FIN, once the flow
+// is attributed (HoldFIN); on reset generate RST. Every flow of the
+// worker reads into the worker's one buffer: SendData lends it to emit,
+// which has encoded the bytes into a pooled buffer of their own before
+// the next Read overwrites them.
 func (e *Engine) socketRead(w *worker, cl *relay.TCPClient) {
 	ch := cl.Ch()
 	buf := w.readBuf[:]
@@ -364,8 +362,9 @@ func (e *Engine) socketRead(w *worker, cl *relay.TCPClient) {
 		case err == nil:
 			return // would block; wait for the next read event
 		case errors.Is(err, sockets.ErrEOF):
-			_ = cl.SM.SendFIN()
-			e.maybeFinish(cl)
+			if !cl.HoldFIN() {
+				e.sendFIN(cl)
+			}
 			return
 		default:
 			cl.SM.SendRST()
@@ -404,6 +403,21 @@ func (e *Engine) socketWrite(cl *relay.TCPClient) {
 	if k := cl.Key(); k != nil {
 		k.SetInterestOps(sockets.OpRead)
 	}
+}
+
+// attribute maps the flow to its app (§3.3), then sends the FIN toward
+// the app if the server's EOF came first and it was held for this.
+func (e *Engine) attribute(cl *relay.TCPClient) {
+	info, _ := e.mapper.resolve(cl.Flow.Src, cl.Flow.Dst, cl.SYNAt)
+	if cl.SetApp(info.UID, info.Name) {
+		e.sendFIN(cl)
+	}
+}
+
+// sendFIN relays the server's EOF to the app (§2.3 Socket Read).
+func (e *Engine) sendFIN(cl *relay.TCPClient) {
+	_ = cl.SM.SendFIN()
+	e.maybeFinish(cl)
 }
 
 // maybeFinish removes clients whose both directions have finished.

@@ -1,6 +1,12 @@
 package fifoq
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+)
 
 // TestSteadyStateAllocFree pins the reason the type exists: once the
 // backing array is there, a push/pop pair reuses it.
@@ -71,5 +77,54 @@ func TestPopEmpty(t *testing.T) {
 	q.Push(7)
 	if v, ok := q.Pop(); !ok || v != 7 || q.Len() != 0 {
 		t.Fatalf("got %d, %v, len %d", v, ok, q.Len())
+	}
+}
+
+// TestInboxWakesEveryReceiver blocks several receivers on a virtual
+// clock that stands still, so only Push and Close can wake them: two
+// pushes must reach two receivers, and Close must release the rest.
+func TestInboxWakesEveryReceiver(t *testing.T) {
+	const receivers = 4
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	var in Inbox[int]
+	got := make(chan bool, receivers)
+	for i := 0; i < receivers; i++ {
+		go func() {
+			_, ok := in.Recv(clk, 5*time.Second)
+			got <- ok
+		}()
+	}
+	for clk.Pending() < receivers { // every receiver has armed its timeout
+		runtime.Gosched()
+	}
+	in.Push(1)
+	in.Push(2)
+	delivered := 0
+	for i := 0; i < 2; i++ {
+		select {
+		case ok := <-got:
+			if !ok {
+				t.Fatal("a receiver returned empty-handed with items queued")
+			}
+			delivered++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 2 pushes reached a receiver while the clock stood still", delivered)
+		}
+	}
+	if !in.Close() || in.Close() {
+		t.Error("Close did not report the first close alone")
+	}
+	for i := 2; i < receivers; i++ {
+		select {
+		case ok := <-got:
+			if ok {
+				t.Fatal("a receiver got an item after the queue was drained")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Close released %d of %d blocked receivers", i-2, receivers-2)
+		}
+	}
+	if _, ok := in.Recv(clk, time.Second); ok || !in.Closed() {
+		t.Error("Recv on a closed, drained inbox did not return at once")
 	}
 }

@@ -3,10 +3,10 @@ package phonestack
 import (
 	"errors"
 	"net/netip"
-	"sync"
 	"time"
 
 	"repro/internal/dnsmsg"
+	"repro/internal/fifoq"
 	"repro/internal/packet"
 	"repro/internal/procnet"
 )
@@ -17,11 +17,7 @@ type UDPConn struct {
 	uid   int
 	local netip.AddrPort
 	inode uint64
-
-	mu      sync.Mutex
-	inbox   []*packet.Packet
-	closed  bool
-	arrived chan struct{} // signalled by deliver and Close; Recv blocks on it
+	inbox fifoq.Inbox[*packet.Packet]
 }
 
 // OpenUDP creates a UDP socket for the app with the given UID.
@@ -30,12 +26,7 @@ func (p *Phone) OpenUDP(uid int) (*UDPConn, error) {
 		return nil, ErrPhoneDown
 	}
 	port := p.allocPort()
-	u := &UDPConn{
-		phone:   p,
-		uid:     uid,
-		local:   netip.AddrPortFrom(p.addr, port),
-		arrived: make(chan struct{}, 1),
-	}
+	u := &UDPConn{phone: p, uid: uid, local: netip.AddrPortFrom(p.addr, port)}
 	p.mu.Lock()
 	p.udp[port] = u
 	p.mu.Unlock()
@@ -59,12 +50,9 @@ func (u *UDPConn) LocalAddr() netip.AddrPort { return u.local }
 
 // SendTo injects one datagram into the TUN.
 func (u *UDPConn) SendTo(dst netip.AddrPort, payload []byte) error {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
+	if u.inbox.Closed() {
 		return ErrClosed
 	}
-	u.mu.Unlock()
 	if err := u.phone.inject(packet.UDPPacket(u.local, dst, payload)); err != nil {
 		return err
 	}
@@ -73,66 +61,29 @@ func (u *UDPConn) SendTo(dst netip.AddrPort, payload []byte) error {
 }
 
 // deliver queues an inbound datagram (called by the demultiplexer).
-func (u *UDPConn) deliver(pkt *packet.Packet) {
-	u.mu.Lock()
-	if !u.closed {
-		u.inbox = append(u.inbox, pkt)
-		u.wake()
-	}
-	u.mu.Unlock()
-}
+func (u *UDPConn) deliver(pkt *packet.Packet) { u.inbox.Push(pkt) }
 
 // Recv blocks until a datagram arrives or the timeout elapses. It
-// returns the payload and the sender. One goroutine receives.
+// returns the payload and the sender.
 func (u *UDPConn) Recv(timeout time.Duration) ([]byte, netip.AddrPort, error) {
-	var expired <-chan time.Time
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	for len(u.inbox) == 0 {
-		if u.closed {
-			return nil, netip.AddrPort{}, ErrClosed
-		}
-		if timeout <= 0 {
-			return nil, netip.AddrPort{}, ErrTimeout
-		}
-		if expired == nil {
-			expired = u.phone.clk.After(timeout)
-		}
-		u.mu.Unlock()
-		select {
-		case <-u.arrived:
-		case <-expired:
-			timeout = 0 // one last look at the inbox, then time out
-		}
-		u.mu.Lock()
+	if pkt, ok := u.inbox.Recv(u.phone.clk, timeout); ok {
+		return pkt.Payload, pkt.Src(), nil
 	}
-	pkt := u.inbox[0]
-	u.inbox = u.inbox[1:]
-	return pkt.Payload, pkt.Src(), nil
+	if u.inbox.Closed() {
+		return nil, netip.AddrPort{}, ErrClosed
+	}
+	return nil, netip.AddrPort{}, ErrTimeout
 }
 
-// Close releases the socket.
+// Close releases the socket, waking every receiver.
 func (u *UDPConn) Close() {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
+	if !u.inbox.Close() {
 		return
 	}
-	u.closed = true
-	u.wake()
-	u.mu.Unlock()
 	u.phone.mu.Lock()
 	delete(u.phone.udp, u.local.Port())
 	u.phone.mu.Unlock()
 	u.phone.table.Remove(u.inode)
-}
-
-// wake leaves Recv a token; one is enough, as Recv re-checks on waking.
-func (u *UDPConn) wake() {
-	select {
-	case u.arrived <- struct{}{}:
-	default:
-	}
 }
 
 // ResolveResult reports one DNS transaction as the app experienced it.

@@ -33,9 +33,13 @@ type TCPClient struct {
 	// App attribution, filled by the packet-to-app mapping (§3.3).
 	// Written by the socket-connect thread and read by the engine's
 	// teardown/record paths and traffic snapshots, so access goes
-	// through SetApp/AppInfo under the client mutex.
-	uid int
-	app string
+	// through SetApp/AppInfo under the client mutex. mapped is set
+	// once it is final; finHeld marks a FIN toward the app that waits
+	// for it (HoldFIN).
+	uid     int
+	app     string
+	mapped  bool
+	finHeld bool
 
 	// SYNAt is the engine clock when the SYN was processed; the lazy
 	// mapper uses it to know how fresh a proc parse must be.
@@ -89,12 +93,26 @@ func (c *TCPClient) SetKey(k *sockets.SelectionKey) {
 }
 
 // SetApp records the resolved attribution (§3.3). Called from the
-// socket-connect thread once the mapping completes.
-func (c *TCPClient) SetApp(uid int, app string) {
+// socket-connect thread once the mapping completes. It reports whether
+// a FIN toward the app was held for it (HoldFIN); the caller sends it.
+func (c *TCPClient) SetApp(uid int, app string) (finHeld bool) {
 	c.mu.Lock()
-	c.uid = uid
-	c.app = app
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	c.uid, c.app, c.mapped = uid, app, true
+	finHeld, c.finHeld = c.finHeld, false
+	return finHeld
+}
+
+// HoldFIN reports whether the FIN toward the app must wait for the
+// attribution, and if so leaves it to SetApp's caller. The app's
+// kernel lists its socket in /proc/net under the app's UID until that
+// FIN arrives, so holding it keeps a flow that ends within the mapper's
+// wait visible to the parse that attributes it.
+func (c *TCPClient) HoldFIN() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.finHeld = !c.mapped
+	return c.finHeld
 }
 
 // AppInfo returns the current attribution ("unknown"/-1 until the

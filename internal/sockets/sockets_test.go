@@ -185,7 +185,7 @@ func TestSelectorWriteInterestImmediatelyReady(t *testing.T) {
 	}
 	key := sel.Register(ch, OpRead, nil)
 	key.SetInterestOps(OpRead | OpWrite)
-	keys := sel.Select()
+	keys := sel.SelectNow()
 	found := false
 	for _, k := range keys {
 		if k == key && k.ReadyOps()&OpWrite != 0 {
@@ -334,6 +334,37 @@ func TestUDPRecvTimeout(t *testing.T) {
 	}
 	if time.Since(start) < 9*time.Millisecond {
 		t.Error("timeout returned early")
+	}
+}
+
+// TestUDPCloseReleasesEveryReceiver: the pooled UDP relay can have
+// several workers blocked in Recv on one session socket (an A and an
+// AAAA query from one port), and its stop relies on Close releasing
+// all of them. On a virtual clock that stands still only Close can.
+func TestUDPCloseReleasesEveryReceiver(t *testing.T) {
+	const receivers = 2
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	u := NewProvider(nil, clk, phoneAddr, ZeroCosts(), 2).OpenUDP()
+	errs := make(chan error, receivers)
+	for i := 0; i < receivers; i++ {
+		go func() {
+			_, err := u.Recv(5 * time.Second)
+			errs <- err
+		}()
+	}
+	for clk.Pending() < receivers { // both have armed their timeouts
+		runtime.Gosched()
+	}
+	u.Close()
+	for i := 0; i < receivers; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClosedChannel) {
+				t.Fatalf("receiver %d: %v, want ErrClosedChannel", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Close released %d of %d blocked receivers", i, receivers)
+		}
 	}
 }
 

@@ -2,8 +2,9 @@ package sockets
 
 import (
 	"net/netip"
-	"sync"
 	"time"
+
+	"repro/internal/fifoq"
 )
 
 // UDPSocket is a blocking-mode UDP socket. MopEye's DNS relay runs each
@@ -12,20 +13,12 @@ import (
 type UDPSocket struct {
 	p     *Provider
 	local netip.AddrPort
-
-	mu      sync.Mutex
-	inbox   [][]byte
-	closed  bool
-	arrived chan struct{} // signalled by deliver and Close; Recv blocks on it
+	inbox fifoq.Inbox[[]byte]
 }
 
 // OpenUDP creates a UDP socket with an ephemeral local port.
 func (p *Provider) OpenUDP() *UDPSocket {
-	return &UDPSocket{
-		p:       p,
-		local:   netip.AddrPortFrom(p.phoneAddr, p.EphemeralPort()),
-		arrived: make(chan struct{}, 1),
-	}
+	return &UDPSocket{p: p, local: netip.AddrPortFrom(p.phoneAddr, p.EphemeralPort())}
 }
 
 // LocalAddr returns the socket's local address.
@@ -51,89 +44,38 @@ func (u *UDPSocket) Protect() {
 // SendTo transmits one datagram through whichever UDP exit is
 // installed. Responses from the network are queued for Recv.
 func (u *UDPSocket) SendTo(dst netip.AddrPort, payload []byte) {
-	deliver := func(resp []byte) {
-		u.mu.Lock()
-		if !u.closed {
-			u.inbox = append(u.inbox, resp)
-			u.wake()
-		}
-		u.mu.Unlock()
-	}
 	u.p.mu.Lock()
 	send := u.p.sendUDP
 	u.p.mu.Unlock()
 	if send != nil {
-		send(u.local, dst, payload, deliver)
+		send(u.local, dst, payload, u.inbox.Push)
 		return
 	}
 	if u.p.Net == nil {
 		return // no substrate and no transport: datagram is dropped
 	}
-	u.p.Net.SendUDP(u.local, dst, payload, deliver)
+	u.p.Net.SendUDP(u.local, dst, payload, u.inbox.Push)
 }
 
 // Recv blocks until a datagram arrives or the timeout elapses, waking
-// on the datagram itself (§2.4's timestamp). One goroutine receives.
+// on the datagram itself (§2.4's timestamp).
 func (u *UDPSocket) Recv(timeout time.Duration) ([]byte, error) {
-	var expired <-chan time.Time
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	for len(u.inbox) == 0 {
-		if u.closed {
-			return nil, ErrClosedChannel
-		}
-		if timeout <= 0 {
-			return nil, ErrRecvTimeout
-		}
-		if expired == nil {
-			expired = u.p.Clk.After(timeout)
-		}
-		u.mu.Unlock()
-		select {
-		case <-u.arrived:
-		case <-expired:
-			timeout = 0 // one last look at the inbox, then time out
-		}
-		u.mu.Lock()
+	if msg, ok := u.inbox.Recv(u.p.Clk, timeout); ok {
+		return msg, nil
 	}
-	msg := u.inbox[0]
-	u.inbox = u.inbox[1:]
-	return msg, nil
+	if u.inbox.Closed() {
+		return nil, ErrClosedChannel
+	}
+	return nil, ErrRecvTimeout
 }
 
 // TryRecv returns a queued datagram without blocking.
-func (u *UDPSocket) TryRecv() ([]byte, bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if len(u.inbox) == 0 {
-		return nil, false
-	}
-	msg := u.inbox[0]
-	u.inbox = u.inbox[1:]
-	return msg, true
-}
+func (u *UDPSocket) TryRecv() ([]byte, bool) { return u.inbox.TryRecv() }
 
 // Closed reports whether the socket has been released. The pooled UDP
 // relay checks this after a session-table hit so a session the idle
 // sweeper just expired is replaced instead of reused.
-func (u *UDPSocket) Closed() bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.closed
-}
+func (u *UDPSocket) Closed() bool { return u.inbox.Closed() }
 
-// Close releases the socket.
-func (u *UDPSocket) Close() {
-	u.mu.Lock()
-	u.closed = true
-	u.wake()
-	u.mu.Unlock()
-}
-
-// wake leaves Recv a token; one is enough, as Recv re-checks on waking.
-func (u *UDPSocket) wake() {
-	select {
-	case u.arrived <- struct{}{}:
-	default:
-	}
-}
+// Close releases the socket, waking every receiver.
+func (u *UDPSocket) Close() { u.inbox.Close() }
