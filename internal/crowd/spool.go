@@ -3,6 +3,7 @@ package crowd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -63,16 +64,30 @@ type SpoolReplay struct {
 	Segments int
 }
 
+// segmentFile is what Append needs of the current segment. *os.File
+// is the only implementation outside tests, which inject write,
+// truncate and seek failures through it.
+type segmentFile interface {
+	io.Writer
+	io.Seeker
+	Truncate(size int64) error
+	Close() error
+}
+
 // Spool is an append-only, segment-rotating batch log rooted at a
 // directory.
 type Spool struct {
 	mu     sync.Mutex
 	dir    string
 	o      SpoolOptions
-	f      *os.File // current segment, nil after Close
+	f      segmentFile // current segment, nil after Close
 	fsize  int64
 	seg    int   // current segment index
 	sealed []int // immutable earlier segments still on disk, ascending
+	// broken is set when a failed append could not be healed: the
+	// segment may hold torn bytes, and a batch appended after them
+	// would be lost at the next replay, so every later Append fails.
+	broken error
 }
 
 func segName(n int) string {
@@ -127,8 +142,6 @@ type SpoolKey struct {
 }
 
 // readManifest loads the dedup keys preserved by previous Compacts.
-// Each line is one JSON-encoded SpoolKey (keys are sender-controlled,
-// so they cannot be trusted to stay on one line raw).
 func readManifest(dir string) ([]SpoolKey, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if os.IsNotExist(err) {
@@ -137,6 +150,13 @@ func readManifest(dir string) ([]SpoolKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crowd: spool manifest: %w", err)
 	}
+	return parseManifest(raw), nil
+}
+
+// parseManifest decodes a manifest: each line is one JSON-encoded
+// SpoolKey (keys are sender-controlled, so they cannot be trusted to
+// stay on one line raw).
+func parseManifest(raw []byte) []SpoolKey {
 	var keys []SpoolKey
 	for _, line := range bytes.Split(raw, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -151,7 +171,7 @@ func readManifest(dir string) ([]SpoolKey, error) {
 		}
 		keys = append(keys, k)
 	}
-	return keys, nil
+	return keys
 }
 
 // OpenSpool opens (creating if needed) the spool in dir with default
@@ -264,7 +284,9 @@ func replaySpool(r io.Reader, seen map[string]struct{}) ([]measure.Batch, int64)
 // lands in one file write, and a failed or short write truncates the
 // segment back to its pre-append length — the log never holds a
 // partial entry in the middle, so the "at most one partial batch, at
-// the tail, from a crash" replay contract survives IO errors too.
+// the tail, from a crash" replay contract survives IO errors too. If
+// that heal fails, the segment is closed and every later Append
+// returns an error, so no batch is acknowledged after torn bytes.
 // Durability is the OS page cache's (no fsync per batch — see DESIGN.md
 // for the crash window contract).
 func (s *Spool) Append(b measure.Batch) error {
@@ -274,6 +296,9 @@ func (s *Spool) Append(b measure.Batch) error {
 	enc := buf.Bytes()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.broken != nil {
+		return s.broken
+	}
 	if s.f == nil {
 		return fmt.Errorf("crowd: append on closed spool")
 	}
@@ -286,9 +311,16 @@ func (s *Spool) Append(b measure.Batch) error {
 		// Heal in place: drop whatever partial bytes made it out so the
 		// next append starts at a batch boundary. The batch's key was
 		// never committed; the sender's retry redelivers it.
-		s.f.Truncate(s.fsize)
-		s.f.Seek(s.fsize, io.SeekStart)
-		return fmt.Errorf("crowd: spool append: %w", err)
+		herr := s.f.Truncate(s.fsize)
+		if herr == nil {
+			_, herr = s.f.Seek(s.fsize, io.SeekStart)
+		}
+		if herr != nil {
+			s.f.Close()
+			s.f = nil
+			s.broken = fmt.Errorf("crowd: spool closed after an append it could not heal: %w", herr)
+		}
+		return errors.Join(fmt.Errorf("crowd: spool append: %w", err), s.broken)
 	}
 	s.fsize += int64(len(enc))
 	return nil

@@ -12,11 +12,7 @@
 // measurement; a TunWriter thread drains a write queue into the tunnel.
 package engine
 
-import (
-	"time"
-
-	"repro/internal/tcpsm"
-)
+import "time"
 
 // ReadMode selects how TunReader retrieves packets (§3.1).
 type ReadMode int
@@ -89,12 +85,6 @@ type Config struct {
 	ReadMode     ReadMode
 	PollInterval time.Duration // sleep between empty polls for ReadPoll*
 
-	// RingSize is the per-worker SPSC ring capacity (the read queue of
-	// §3.2), rounded up to a power of two; zero selects 1024. When a
-	// worker's ring is full the reader blocks, pushing backpressure to
-	// the TUN queue, which drops on overflow like a real device.
-	RingSize int
-
 	// Workers selects how many packet-processing workers run. Every
 	// worker owns its own selector and its own SPSC packet ring, each
 	// flow pinned (and its socket registered) to the worker owning its
@@ -107,12 +97,12 @@ type Config struct {
 	// runs single-worker.
 	Workers int
 
-	// MainLoopPoll, when positive, replaces the event-driven MainWorker
-	// (Select + Wakeup, §3.2) with a fixed-interval poll-process cycle:
-	// sleep, then drain whatever sockets and tunnel packets have
-	// accumulated. This is the single-threaded loop structure of
-	// poll-based relays like Haystack; it batches both directions and
-	// is the mechanism behind their throughput collapse (Table 3).
+	// MainLoopPoll, when positive, makes the MainWorker wait out a
+	// fixed sleep where it would block in Select (§3.2), then drain
+	// whatever sockets and tunnel packets have accumulated. This is the
+	// single-threaded loop structure of poll-based relays like
+	// Haystack; it batches both directions and is the mechanism behind
+	// their throughput collapse (Table 3).
 	MainLoopPoll time.Duration
 
 	WriteScheme WriteScheme
@@ -132,29 +122,14 @@ type Config struct {
 
 	// PerPacketCost charges extra main-thread work per relayed data
 	// packet (zero for MopEye; the Haystack baseline uses it to model
-	// traffic content inspection).
+	// traffic content inspection). When positive, every relayed packet
+	// also counts as inspected on the resource meter.
 	PerPacketCost time.Duration
-	// InspectPackets feeds the resource meter's inspection counter.
-	InspectPackets bool
-
-	MSS    int
-	Window int
 
 	// DNSTimeout bounds each relayed DNS transaction (§2.4).
 	DNSTimeout time.Duration
 	// UDPTimeout bounds generic (non-DNS) UDP associations.
 	UDPTimeout time.Duration
-
-	// UDPPoolSize bounds the pooled UDP relay workers performing the
-	// blocking per-datagram send/receive (the §2.4 temporary-thread
-	// work, now bounded — a datagram flood reuses these workers instead
-	// of spawning one goroutine per packet). Zero selects the default
-	// of 8.
-	UDPPoolSize int
-	// UDPSessionIdle is how long a NAT-style UDP session (one external
-	// socket per app flow) survives without traffic before the idle
-	// sweeper expires it. Zero selects the default of one minute.
-	UDPSessionIdle time.Duration
 
 	// Record tagging for the crowd dataset dimensions.
 	NetType string
@@ -176,8 +151,6 @@ func Default() Config {
 		Protect:                ProtectDisallowed,
 		BlockingConnectMeasure: true,
 		DeferRegister:          true,
-		MSS:                    tcpsm.DefaultMSS,
-		Window:                 tcpsm.DefaultWindow,
 		DNSTimeout:             5 * time.Second,
 		UDPTimeout:             2 * time.Second,
 		NetType:                "WiFi",

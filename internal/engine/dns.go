@@ -21,7 +21,7 @@ func newMachine(syn *packet.Packet, iss uint32, emit func(*packet.Packet)) (*tcp
 // (§2.4). The pooled relay (udprelay.go) keeps that property — this
 // call is a session lookup plus a non-blocking enqueue — while bounding
 // goroutines and sockets under flood: the blocking send/receive now
-// runs on one of UDPPoolSize pooled workers against the flow's
+// runs on one of udpPoolSize pooled workers against the flow's
 // NAT-style session socket.
 func (e *Engine) handleTunnelUDP(pkt *packet.Packet) {
 	// pkt.Payload aliases the single-owner raw buffer Decode consumed,

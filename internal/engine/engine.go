@@ -13,7 +13,6 @@ import (
 	"repro/internal/resource"
 	"repro/internal/sockets"
 	"repro/internal/stats"
-	"repro/internal/tcpsm"
 	"repro/internal/tun"
 )
 
@@ -79,30 +78,15 @@ type Deps struct {
 // New assembles an engine. Store and Meter may be nil, in which case
 // fresh ones are created and exposed via accessors.
 func New(cfg Config, d Deps) *Engine {
-	if cfg.MSS <= 0 {
-		cfg.MSS = tcpsm.DefaultMSS
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = tcpsm.DefaultWindow
-	}
 	if cfg.DNSTimeout <= 0 {
 		cfg.DNSTimeout = 5 * time.Second
 	}
 	if cfg.UDPTimeout <= 0 {
 		cfg.UDPTimeout = 2 * time.Second
 	}
-	if cfg.UDPPoolSize <= 0 {
-		cfg.UDPPoolSize = defaultUDPPoolSize
-	}
-	if cfg.UDPSessionIdle <= 0 {
-		cfg.UDPSessionIdle = defaultUDPSessionIdle
-	}
 	// The Haystack-style polled main loop is inherently single-threaded.
 	if cfg.Workers <= 0 || cfg.MainLoopPoll > 0 {
 		cfg.Workers = 1
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = defaultRingSize
 	}
 	if d.Store == nil {
 		d.Store = measure.NewStore()
@@ -124,7 +108,7 @@ func New(cfg Config, d Deps) *Engine {
 	e.workers = make([]*worker, cfg.Workers)
 	for i := range e.workers {
 		sel := e.prov.NewSelector()
-		e.workers[i] = &worker{id: i, sel: sel, q: newRingQ(cfg.RingSize, sel.Wakeup)}
+		e.workers[i] = &worker{id: i, sel: sel, q: newRingQ(ringSize, sel.Wakeup)}
 	}
 	e.udp = newUDPRelay(e)
 	e.mapper = newMapper(d.ProcNet, d.Packages, cfg.Mapping, d.Clock)

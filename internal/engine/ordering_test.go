@@ -40,7 +40,9 @@ func TestPerFlowOrderingAcrossConfigs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := engine.Default()
 			cfg.Workers = tc.workers
-			cfg.RingSize = tc.ringSize
+			if tc.ringSize > 0 {
+				engine.SetRingSize(t, tc.ringSize)
+			}
 			tb := newTestbed(t, cfg)
 
 			errs := make(chan error, flows)

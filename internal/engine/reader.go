@@ -30,33 +30,16 @@ type pollPolicy struct {
 }
 
 func newPollPolicy(short, long time.Duration, burstMax int) *pollPolicy {
-	if burstMax < 0 {
-		burstMax = 0
-	}
 	return &pollPolicy{short: short, long: long, burstMax: burstMax}
 }
 
 // onSuccess records a successful read: the tunnel is active, so refill
-// the burst budget. With no burst window configured (burstMax == 0)
-// there is nothing to refill — the policy is a fixed long-interval
-// poller.
-func (p *pollPolicy) onSuccess() {
-	if p.burstMax > 0 {
-		p.burst = p.burstMax
-	}
-}
+// the burst budget.
+func (p *pollPolicy) onSuccess() { p.burst = p.burstMax }
 
 // onEmpty records an empty poll and returns how long to sleep before
-// the next one. The burstMax == 0 guard matters: without it a stale
-// positive budget (possible when the burst window is reconfigured to
-// zero) would never decay past the `burst > 0` branch's refills and the
-// poller would spin at the short interval forever; a zero budget must
-// always degrade to plain long-interval polling.
+// the next one.
 func (p *pollPolicy) onEmpty() time.Duration {
-	if p.burstMax <= 0 {
-		p.burst = 0
-		return p.long
-	}
 	if p.burst > 0 {
 		p.burst--
 		return p.short

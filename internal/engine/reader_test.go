@@ -37,34 +37,8 @@ func TestPollPolicyBurstsAfterActivity(t *testing.T) {
 	}
 }
 
-// TestPollPolicyZeroBurstNeverSpinsShort pins the burstMax == 0 fix: a
-// zero burst budget must behave as plain long-interval polling — in
-// particular onSuccess must not hand out short-interval credit that
-// nothing would ever decay, which would pin a misconfigured adaptive
-// poller to the short interval forever.
-func TestPollPolicyZeroBurstNeverSpinsShort(t *testing.T) {
-	p := newPollPolicy(time.Millisecond, 100*time.Millisecond, 0)
-	for round := 0; round < 3; round++ {
-		p.onSuccess()
-		for i := 0; i < 5; i++ {
-			if d := p.onEmpty(); d != 100*time.Millisecond {
-				t.Fatalf("round %d empty poll %d slept %v, want the long interval", round, i, d)
-			}
-		}
-	}
-	// Even a stale positive budget (a burst window reconfigured away
-	// mid-flight) must decay instantly to the long interval.
-	p.burst = 7
-	if d := p.onEmpty(); d != 100*time.Millisecond {
-		t.Fatalf("stale budget with burstMax=0 slept %v, want the long interval", d)
-	}
-	if p.burst != 0 {
-		t.Fatalf("stale budget not cleared: %d", p.burst)
-	}
-}
-
-// TestPollPolicyNegativeBurstNormalised pins the constructor guard:
-// negative budgets behave like zero.
+// TestPollPolicyNegativeBurstNormalised: a negative budget grants no
+// short polls, like a zero one.
 func TestPollPolicyNegativeBurstNormalised(t *testing.T) {
 	p := newPollPolicy(time.Millisecond, 50*time.Millisecond, -3)
 	p.onSuccess()

@@ -44,16 +44,15 @@ type ringQ struct {
 	prodWait atomic.Bool
 }
 
-// defaultRingSize is the per-worker ring capacity when Config.RingSize
-// is zero: deep enough that a worker absorbing a burst of its own flows
-// never stalls the reader, small enough that backpressure reaches the
-// TUN queue before unbounded memory does.
-const defaultRingSize = 1024
+// ringSize is the per-worker ring capacity (the read queue of §3.2):
+// deep enough that a worker absorbing a burst of its own flows never
+// stalls the reader, small enough that backpressure reaches the TUN
+// queue before unbounded memory does. A variable only so a test can
+// shorten it; nothing else writes it.
+var ringSize = 1024
 
+// newRingQ builds a ring of size rounded up to a power of two.
 func newRingQ(size int, wake func()) *ringQ {
-	if size <= 0 {
-		size = defaultRingSize
-	}
 	n := 1
 	for n < size {
 		n <<= 1

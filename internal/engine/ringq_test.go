@@ -51,7 +51,7 @@ func (c *testConsumer) take() ([]byte, bool) {
 
 func TestRingQRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
-		{0, defaultRingSize}, {-1, defaultRingSize}, {1, 1}, {2, 2}, {3, 4}, {1000, 1024},
+		{1, 1}, {2, 2}, {3, 4}, {1000, 1024},
 	} {
 		if got := newRingQ(tc.in, func() {}).capacity(); got != tc.want {
 			t.Errorf("newRingQ(%d) capacity = %d, want %d", tc.in, got, tc.want)

@@ -21,19 +21,18 @@ import (
 // parked — and at four workers on the default ring.
 
 func TestEngineStressSingleWorker(t *testing.T) {
-	stressEngine(t, 1, func(cfg *engine.Config) { cfg.RingSize = 8 })
+	engine.SetRingSize(t, 8)
+	stressEngine(t, 1)
 }
-func TestEngineStressFourWorkers(t *testing.T) { stressEngine(t, 4, nil) }
+func TestEngineStressFourWorkers(t *testing.T) { stressEngine(t, 4) }
 func TestEngineStressTinyRing(t *testing.T) {
-	stressEngine(t, 2, func(cfg *engine.Config) { cfg.RingSize = 8 })
+	engine.SetRingSize(t, 8)
+	stressEngine(t, 2)
 }
 
-func stressEngine(t *testing.T, workers int, tweak func(*engine.Config)) {
+func stressEngine(t *testing.T, workers int) {
 	cfg := engine.Default()
 	cfg.Workers = workers
-	if tweak != nil {
-		tweak(&cfg)
-	}
 	tb := newTestbed(t, cfg)
 	if got := tb.eng.Workers(); got != workers {
 		t.Fatalf("Workers() = %d, want %d", got, workers)

@@ -38,8 +38,6 @@ func (e *Engine) processPacket(pkt *packet.Packet, rawLen int) {
 	e.ctr.packetsFromTun.Add(1)
 	if e.cfg.PerPacketCost > 0 {
 		e.clk.SleepFine(e.cfg.PerPacketCost)
-	}
-	if e.cfg.InspectPackets {
 		e.meter.AddInspected(1)
 	}
 	e.meter.AddPackets(1, int64(rawLen))
@@ -349,9 +347,10 @@ func (e *Engine) socketRead(w *worker, cl *relay.TCPClient) {
 		n, err := ch.Read(buf)
 		if n > 0 {
 			e.ctr.bytesDown.Add(int64(n))
-			e.meter.AddPackets(int64((n+e.cfg.MSS-1)/e.cfg.MSS), int64(n))
-			if e.cfg.InspectPackets {
-				e.meter.AddInspected(int64((n + e.cfg.MSS - 1) / e.cfg.MSS))
+			segs := int64((n + tcpsm.DefaultMSS - 1) / tcpsm.DefaultMSS)
+			e.meter.AddPackets(segs, int64(n))
+			if e.cfg.PerPacketCost > 0 {
+				e.meter.AddInspected(segs)
 			}
 			if serr := cl.SM.SendData(buf[:n]); serr != nil {
 				return

@@ -23,8 +23,8 @@ import (
 //   - a NAT-style session table (flowtable.Table keyed by the flow key)
 //     maps each app flow to one external socket, created on first
 //     datagram, reused for every subsequent one, and expired after
-//     Config.UDPSessionIdle without traffic;
-//   - a bounded worker pool (Config.UDPPoolSize goroutines) performs
+//     udpSessionIdle without traffic;
+//   - a bounded worker pool (udpPoolSize goroutines) performs
 //     the blocking relay work, fed by a bounded queue. When the queue
 //     is full the datagram is dropped — UDP's contract — and counted.
 //
@@ -35,16 +35,19 @@ import (
 // Idle expiry runs as an ordinary pool job: the enqueue path
 // occasionally (every idle/2) schedules a sweep instead of a dedicated
 // janitor goroutine, keeping the subsystem's goroutine count exactly
-// UDPPoolSize.
+// udpPoolSize.
 
-// defaultUDPPoolSize is the relay pool used when Config.UDPPoolSize is
-// zero: enough for several concurrent blocked transactions without
-// approaching goroutine-per-datagram under flood.
-const defaultUDPPoolSize = 8
-
-// defaultUDPSessionIdle expires NAT sessions after a minute without
-// traffic, the magnitude home-router UDP conntrack entries use.
-const defaultUDPSessionIdle = time.Minute
+// The pool and the session lifetime. Variables only so a test can
+// shorten them; nothing else writes them.
+var (
+	// udpPoolSize is enough for several concurrent blocked
+	// transactions without approaching goroutine-per-datagram under
+	// flood.
+	udpPoolSize = 8
+	// udpSessionIdle expires NAT sessions after a minute without
+	// traffic, the magnitude home-router UDP conntrack entries use.
+	udpSessionIdle = time.Minute
+)
 
 // udpJobQueueDepth bounds datagrams waiting for a pool worker; beyond
 // it the relay drops, as a full NIC ring would.
@@ -123,9 +126,9 @@ func newUDPRelay(e *Engine) *udpRelay {
 	return &udpRelay{
 		e:        e,
 		sessions: flowtable.New[*udpSession](0),
-		idle:     e.cfg.UDPSessionIdle,
-		pool:     e.cfg.UDPPoolSize,
-		dnsLimit: max(1, e.cfg.UDPPoolSize/2),
+		idle:     udpSessionIdle,
+		pool:     udpPoolSize,
+		dnsLimit: max(1, udpPoolSize/2),
 		jobs:     make(chan udpJob, udpJobQueueDepth),
 	}
 }

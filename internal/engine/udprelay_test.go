@@ -88,9 +88,9 @@ func TestUDPTrafficAttribution(t *testing.T) {
 // lifecycle: one flow maps to one session no matter how many datagrams
 // it sends, and an idle session is expired by the sweeper.
 func TestUDPSessionReuseAndExpiry(t *testing.T) {
-	cfg := engine.Default()
-	cfg.UDPSessionIdle = 60 * time.Millisecond
-	tb := newTestbed(t, cfg)
+	const idle = 60 * time.Millisecond
+	engine.SetUDPSessionIdle(t, idle)
+	tb := newTestbed(t, engine.Default())
 	echoPort := netip.MustParseAddrPort("203.0.113.77:9999")
 	tb.net.HandleUDP(echoPort, 0, func(req []byte, from netip.AddrPort) []byte { return req })
 
@@ -113,7 +113,7 @@ func TestUDPSessionReuseAndExpiry(t *testing.T) {
 
 	// Let the session go idle past the deadline, then poke the relay
 	// from a different flow so the enqueue path schedules a sweep.
-	time.Sleep(2 * cfg.UDPSessionIdle)
+	time.Sleep(2 * idle)
 	u2, err := tb.phone.OpenUDP(uidApp)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestUDPRelaySameFlowDropAccountingExact(t *testing.T) {
 
 	cfg := engine.Default()
 	cfg.Workers = 4
-	cfg.UDPPoolSize = 2
+	engine.SetUDPPoolSize(t, 2)
 	eng := engine.New(cfg, engine.Deps{
 		Clock: clk, Device: dev, Sockets: prov, ProcNet: reader, Packages: pm,
 	})
@@ -400,7 +400,7 @@ func TestDNSBlackholeDoesNotStarvePool(t *testing.T) {
 		t.Error("blackholed resolver produced no DNSTimeouts")
 	}
 	if st.UDPDropped == 0 {
-		t.Errorf("no shed DNS queries counted: %d queries against an inflight cap of %d should shed", dnsQueries, cfg.UDPPoolSize)
+		t.Errorf("no shed DNS queries counted: %d queries against the default pool's inflight cap should shed", dnsQueries)
 	}
 	if st.DNSMeasurements != 0 {
 		t.Errorf("blackholed resolver produced %d DNS measurements", st.DNSMeasurements)

@@ -33,21 +33,28 @@ type worker struct {
 	readBuf [16 * 1024]byte
 }
 
-// runWorker is the MainWorker loop: block in Select, then drain socket
+// runWorker is the MainWorker loop: wait for work, then drain socket
 // events and tunnel packets in interleaved batches (so a packet flood
 // cannot starve socket events) until neither source makes progress.
-// The worker exits only once the reader has closed the packet lane
-// (its final act, after which no push can follow) and the ring is
+// The MopEye loop waits by blocking in Select (§3.2). The
+// Haystack-style arm (Config.MainLoopPoll > 0, Table 3) waits out a
+// fixed sleep instead, so events arriving just after a drain wait out
+// the entire next sleep, which batches the relay in poll-interval
+// cycles. The worker exits only once the reader has closed the packet
+// lane (its final act, after which no push can follow) and the ring is
 // drained — exiting on the running flag alone could strand a reader
 // blocked in a full-ring push with nobody left to make space.
 func (e *Engine) runWorker(w *worker) {
 	defer e.wg.Done()
-	if e.cfg.MainLoopPoll > 0 {
-		e.runWorkerPolled(w)
-		return
-	}
 	for !w.q.drained() {
-		keys := w.sel.Select()
+		var keys []*sockets.SelectionKey
+		if e.cfg.MainLoopPoll > 0 {
+			e.clk.Sleep(e.cfg.MainLoopPoll)
+			e.meter.AddWakeups(1)
+			keys = w.sel.SelectNow()
+		} else {
+			keys = w.sel.Select()
+		}
 		for {
 			progress := false
 			for _, k := range keys {
@@ -66,35 +73,6 @@ func (e *Engine) runWorker(w *worker) {
 				break
 			}
 			keys = w.sel.SelectNow()
-		}
-	}
-}
-
-// runWorkerPolled is the poll-based main loop of the Haystack-style
-// baseline (Table 3): a fixed sleep, then a drain of both event
-// sources. Events arriving just after a drain wait out the entire next
-// sleep, which batches the relay in poll-interval cycles.
-func (e *Engine) runWorkerPolled(w *worker) {
-	for !w.q.drained() {
-		e.clk.Sleep(e.cfg.MainLoopPoll)
-		e.meter.AddWakeups(1)
-		for {
-			progress := false
-			for _, k := range w.sel.SelectNow() {
-				e.handleSocketKey(w, k)
-				progress = true
-			}
-			for {
-				raw, ok := w.q.popPacket()
-				if !ok {
-					break
-				}
-				e.handleTunnelPacket(w, raw)
-				progress = true
-			}
-			if !progress {
-				break
-			}
 		}
 	}
 }

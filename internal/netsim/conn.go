@@ -91,47 +91,6 @@ func (m *mailbox) deliver(c chunk) {
 	}
 }
 
-// deliverBatch appends several data chunks under one lock session —
-// the loopback-mode counterpart of a batched device write, so the
-// engine-ceiling benchmarks exercise lock amortisation end to end
-// instead of paying one mailbox lock per chunk. The single-lock fast
-// path applies only when the whole batch fits in the buffer: a batch
-// that would engage flow control must deliver chunk by chunk, because
-// the reader that frees space is woken by per-chunk signals and the
-// readability callback — holding the batch back until all chunks fit
-// would deadlock writer and reader against each other. Control chunks
-// (eof/rst) are not accepted here; they travel through deliver's
-// out-of-band paths.
-func (m *mailbox) deliverBatch(cs []chunk) {
-	total := 0
-	for _, c := range cs {
-		total += len(c.data)
-	}
-	m.mu.Lock()
-	if m.closed || m.rst {
-		m.mu.Unlock()
-		return
-	}
-	if m.bytes+total > m.capBytes {
-		m.mu.Unlock()
-		for _, c := range cs {
-			m.deliver(c)
-		}
-		return
-	}
-	wasEmpty := m.bytes == 0
-	for _, c := range cs {
-		m.chunks = append(m.chunks, c.data)
-		m.bytes += len(c.data)
-	}
-	m.cond.Broadcast()
-	cb := m.onReadable
-	m.mu.Unlock()
-	if wasEmpty && cb != nil {
-		cb()
-	}
-}
-
 // read copies up to len(buf) bytes out. block selects blocking
 // behaviour; non-blocking empty reads return ErrWouldBlock.
 func (m *mailbox) read(buf []byte, block bool) (int, error) {
@@ -291,33 +250,6 @@ func (s *scheduler) send(c chunk) error {
 	}
 }
 
-// sendBatch delivers several data chunks as one batch. In loopback
-// mode (sync delivery) the whole batch lands in the peer's mailbox
-// under one lock session; on the simulated wire it falls back to
-// per-chunk send, which is where the serialisation and propagation
-// model lives. Like send, delivery to a peer that closed mid-batch is
-// silently dropped — matching a kernel discarding bytes for a dead
-// socket.
-func (s *scheduler) sendBatch(cs []chunk) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.sync {
-		s.mu.Unlock()
-		s.dst.deliverBatch(cs)
-		return nil
-	}
-	s.mu.Unlock()
-	for _, c := range cs {
-		if err := s.send(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // closeWithEOF asks the run loop to deliver an EOF after draining queued
 // data, then exit. Never blocks.
 func (s *scheduler) closeWithEOF() {
@@ -464,30 +396,14 @@ func (c *Conn) Write(b []byte) (int, error) {
 	// can exceed the peer's window — a write larger than the buffer
 	// must trickle through flow control, not wedge behind it.
 	const maxChunk = DefaultRecvBuffer / 4
-	if c.tx.sync && len(b) > maxChunk {
-		// Loopback: hand the whole segmented write over as one batch so
-		// the peer's mailbox lock is paid once, not once per chunk.
-		chunks := make([]chunk, 0, (len(b)+maxChunk-1)/maxChunk)
-		for off := 0; off < len(b); off += maxChunk {
-			end := off + maxChunk
-			if end > len(b) {
-				end = len(b)
-			}
-			chunks = append(chunks, chunk{data: append([]byte(nil), b[off:end]...)})
+	for off := 0; off < len(b); off += maxChunk {
+		end := off + maxChunk
+		if end > len(b) {
+			end = len(b)
 		}
-		if err := c.tx.sendBatch(chunks); err != nil {
-			return 0, err
-		}
-	} else {
-		for off := 0; off < len(b); off += maxChunk {
-			end := off + maxChunk
-			if end > len(b) {
-				end = len(b)
-			}
-			cp := append([]byte(nil), b[off:end]...)
-			if err := c.tx.send(chunk{data: cp}); err != nil {
-				return off, err
-			}
+		cp := append([]byte(nil), b[off:end]...)
+		if err := c.tx.send(chunk{data: cp}); err != nil {
+			return off, err
 		}
 	}
 	if !c.clientSide {

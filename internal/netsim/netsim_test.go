@@ -542,12 +542,11 @@ func TestConcurrentDials(t *testing.T) {
 	}
 }
 
-// TestLoopbackBatchWriteIntegrity drives the loopback batch-delivery
-// path: a write spanning many chunks (well past both the segmentation
-// grain and the peer's receive buffer) must arrive intact and in order
-// through mailbox.deliverBatch, with flow control still backpressuring
-// inside the batch (the reader drains concurrently, or the write could
-// never finish).
+// TestLoopbackBatchWriteIntegrity drives a loopback write spanning many
+// chunks (well past both the segmentation grain and the peer's receive
+// buffer): it must arrive intact and in order, with flow control still
+// backpressuring between chunks (the reader drains concurrently, or the
+// write could never finish).
 func TestLoopbackBatchWriteIntegrity(t *testing.T) {
 	n := newNet(0)
 	n.SetLoopback(true)
@@ -565,7 +564,7 @@ func TestLoopbackBatchWriteIntegrity(t *testing.T) {
 	}
 	go func() {
 		if _, werr := c.Write(payload); werr != nil {
-			t.Errorf("batched write: %v", werr)
+			t.Errorf("write: %v", werr)
 		}
 	}()
 	got := make([]byte, 0, len(payload))
@@ -585,8 +584,8 @@ func TestLoopbackBatchWriteIntegrity(t *testing.T) {
 }
 
 // TestLoopbackBatchFiresReadableCallback checks the selector contract
-// survives batching: a batched delivery into an empty mailbox fires the
-// readability callback exactly like per-chunk delivery does.
+// for a multi-chunk loopback write: its first chunk into an empty
+// mailbox fires the readability callback.
 func TestLoopbackBatchFiresReadableCallback(t *testing.T) {
 	n := newNet(0)
 	n.SetLoopback(true)
@@ -617,7 +616,7 @@ func TestLoopbackBatchFiresReadableCallback(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	if _, err := c.Write(make([]byte, 40*1024)); err != nil { // multi-chunk batch
+	if _, err := c.Write(make([]byte, 40*1024)); err != nil { // multi-chunk write
 		t.Fatalf("write: %v", err)
 	}
 }
