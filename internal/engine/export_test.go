@@ -3,6 +3,10 @@ package engine
 import (
 	"testing"
 	"time"
+	"weak"
+
+	"repro/internal/packet"
+	"repro/internal/relay"
 )
 
 // SetRingSize shrinks every worker ring built during t, so in-flight
@@ -24,4 +28,14 @@ func setForTest[T any](t testing.TB, p *T, v T) {
 	old := *p
 	*p = v
 	t.Cleanup(func() { *p = old })
+}
+
+// WeakFlows returns a weak pointer to every TCP client in e's flow
+// table, so a test can check that a finished flow's state is freed.
+func WeakFlows(e *Engine) []weak.Pointer[relay.TCPClient] {
+	var out []weak.Pointer[relay.TCPClient]
+	e.flows.ForEach(func(_ packet.FlowKey, cl *relay.TCPClient) {
+		out = append(out, weak.Make(cl))
+	})
+	return out
 }

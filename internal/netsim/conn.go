@@ -38,6 +38,9 @@ type mailbox struct {
 	rst        bool
 	closed     bool
 	onReadable func()
+	// prev and next link the network's live list; guarded by the
+	// network's mu.
+	prev, next *mailbox
 }
 
 func newMailbox(capBytes int) *mailbox {
@@ -207,7 +210,15 @@ func (s *scheduler) send(c chunk) error {
 	if s.sync {
 		s.mu.Unlock()
 		s.dst.deliver(c)
-		return nil
+		// Network.Close releases a deliver blocked on flow control by
+		// closing the mailbox, which drops the chunk: report it as the
+		// queued path does.
+		select {
+		case <-s.net.done:
+			return ErrNetDown
+		default:
+			return nil
+		}
 	}
 	now := s.net.clk.Nanos()
 	// Live link read: a SetLink between writes moves every chunk
@@ -464,6 +475,7 @@ func (c *Conn) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	c.rx.close()
+	c.net.unlink(c.rx)
 	return nil
 }
 
@@ -483,6 +495,7 @@ func (c *Conn) Reset() error {
 	}
 	c.tx.abort()
 	c.rx.close()
+	c.net.unlink(c.rx)
 	return nil
 }
 

@@ -201,9 +201,12 @@ type Network struct {
 	// done is closed by Close; schedulers and blocked senders select on
 	// it so network teardown releases everything.
 	done chan struct{}
-	// boxes registers every live mailbox so Close can unblock readers
-	// and flow-control waiters.
-	boxes []*mailbox
+	// boxes heads the list of live mailboxes (linked through their
+	// prev/next fields) that Close releases: blocked readers and
+	// flow-control waiters. A closed mailbox needs nothing from Close,
+	// so Conn.Close and Conn.Reset unlink their own; the list holds the
+	// open connections only, and a finished one leaves nothing behind.
+	boxes *mailbox
 	// synRTO is the retransmission timeout applied when a SYN is lost.
 	synRTO time.Duration
 	// maxSYN is how many SYNs are sent before giving up with ErrTimeout.
@@ -353,9 +356,40 @@ func (n *Network) Close() {
 	n.boxes = nil
 	close(n.done)
 	n.mu.Unlock()
-	for _, b := range boxes {
+	// The list is frozen: unlink returns early once closed is set.
+	for b := boxes; b != nil; b = b.next {
 		b.close()
 	}
+}
+
+// link adds a new connection's mailbox to the live list. Caller holds
+// n.mu; a mailbox made after Close is never linked.
+func (n *Network) link(m *mailbox) {
+	m.next = n.boxes
+	if n.boxes != nil {
+		n.boxes.prev = m
+	}
+	n.boxes = m
+}
+
+// unlink removes a closed connection's mailbox from the live list.
+// Every mailbox made before Close was linked, so while the network is
+// open m is on the list.
+func (n *Network) unlink(m *mailbox) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return
+	}
+	if m.prev != nil {
+		m.prev.next = m.next
+	} else {
+		n.boxes = m.next
+	}
+	if m.next != nil {
+		m.next.prev = m.prev
+	}
+	m.prev, m.next = nil, nil
 }
 
 func (n *Network) isClosed() bool {
@@ -460,7 +494,8 @@ func (n *Network) newConnPair(src, dst netip.AddrPort, ls *linkState) (client, s
 	server.rx = newMailbox(DefaultRecvBuffer)
 	n.mu.Lock()
 	if !n.closed {
-		n.boxes = append(n.boxes, client.rx, server.rx)
+		n.link(client.rx)
+		n.link(server.rx)
 	}
 	n.mu.Unlock()
 	// Up direction: client -> server.

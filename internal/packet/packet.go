@@ -521,33 +521,63 @@ func headerChecksum(hdr []byte) uint16 {
 // transportChecksum computes the TCP/UDP checksum including the
 // IPv4/IPv6 pseudo-header. The checksum field inside seg must be zero.
 func transportChecksum(proto uint8, src, dst netip.Addr, seg []byte) uint16 {
-	var sum uint32
-	addAddr := func(a netip.Addr) {
-		if a.Is4() {
-			b := a.As4()
-			sum += uint32(binary.BigEndian.Uint16(b[0:2]))
-			sum += uint32(binary.BigEndian.Uint16(b[2:4]))
-		} else {
-			b := a.As16()
-			for i := 0; i < 16; i += 2 {
-				sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-			}
-		}
+	return ^fold(transportSum(proto, src, dst, seg))
+}
+
+// transportSum is the unfolded one's-complement sum of the pseudo-header
+// and seg, checksum field included as it stands.
+func transportSum(proto uint8, src, dst netip.Addr, seg []byte) uint64 {
+	sum := addrSum(uint64(proto)+uint64(len(seg)), src)
+	return onesSum(addrSum(sum, dst), seg)
+}
+
+func addrSum(sum uint64, a netip.Addr) uint64 {
+	if a.Is4() {
+		b := a.As4()
+		return sum + uint64(binary.BigEndian.Uint32(b[:]))
 	}
-	addAddr(src)
-	addAddr(dst)
-	sum += uint32(proto)
-	sum += uint32(len(seg))
-	for i := 0; i+1 < len(seg); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(seg[i : i+2]))
+	b := a.As16()
+	return onesSum(sum, b[:])
+}
+
+// onesSum adds b to sum as big-endian 16-bit words (RFC 1071). Since
+// 2^16 ≡ 1 mod 0xffff, a big-endian 32-bit word contributes the same as
+// its two halves, so the loop takes 32-bit words, 32 bytes per
+// iteration; a uint64 cannot overflow on any segment an IP length field
+// can describe. A trailing odd byte is the high byte of a zero-padded
+// word.
+func onesSum(sum uint64, b []byte) uint64 {
+	for len(b) >= 32 {
+		sum += uint64(binary.BigEndian.Uint32(b[0:4])) +
+			uint64(binary.BigEndian.Uint32(b[4:8])) +
+			uint64(binary.BigEndian.Uint32(b[8:12])) +
+			uint64(binary.BigEndian.Uint32(b[12:16])) +
+			uint64(binary.BigEndian.Uint32(b[16:20])) +
+			uint64(binary.BigEndian.Uint32(b[20:24])) +
+			uint64(binary.BigEndian.Uint32(b[24:28])) +
+			uint64(binary.BigEndian.Uint32(b[28:32]))
+		b = b[32:]
 	}
-	if len(seg)%2 == 1 {
-		sum += uint32(seg[len(seg)-1]) << 8
+	for len(b) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
 	}
+	if len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
+	}
+	return sum
+}
+
+// fold reduces a one's-complement sum to 16 bits.
+func fold(sum uint64) uint16 {
 	for sum > 0xffff {
 		sum = sum&0xffff + sum>>16
 	}
-	return ^uint16(sum)
+	return uint16(sum)
 }
 
 // VerifyChecksums checks the IPv4 header checksum and the transport
@@ -594,32 +624,24 @@ func VerifyChecksums(raw []byte) error {
 }
 
 func verifyTransport(proto uint8, src, dst netip.Addr, seg []byte) error {
-	var off int
 	switch proto {
 	case ProtoTCP:
 		if len(seg) < 20 {
 			return ErrTruncated
 		}
-		off = 16
 	case ProtoUDP:
 		if len(seg) < 8 {
 			return ErrTruncated
 		}
-		off = 6
 		if binary.BigEndian.Uint16(seg[6:8]) == 0 {
 			return nil // checksum disabled
 		}
 	default:
 		return nil
 	}
-	cp := append([]byte(nil), seg...)
-	got := binary.BigEndian.Uint16(cp[off : off+2])
-	binary.BigEndian.PutUint16(cp[off:off+2], 0)
-	want := transportChecksum(proto, src, dst, cp)
-	if proto == ProtoUDP && want == 0 {
-		want = 0xffff
-	}
-	if want != got {
+	// Summed with the transmitted checksum in place, a valid segment
+	// folds to 0xffff (RFC 1071), so nothing is copied or zeroed.
+	if fold(transportSum(proto, src, dst, seg)) != 0xffff {
 		return fmt.Errorf("%w: transport", ErrBadChecksum)
 	}
 	return nil

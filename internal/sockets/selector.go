@@ -104,10 +104,11 @@ func (k *SelectionKey) markReady(op Ops) {
 	}
 }
 
-// cancel removes the key from its selector.
+// cancel removes the key from its selector; a second call is a no-op.
 func (k *SelectionKey) cancel() {
-	k.canceled.Store(true)
-	k.sel.remove(k)
+	if !k.canceled.Swap(true) {
+		k.sel.remove()
+	}
 }
 
 // Canceled reports whether the key was canceled.
@@ -129,9 +130,12 @@ func (k *SelectionKey) Canceled() bool {
 type Selector struct {
 	p *Provider
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	keys   map[*SelectionKey]struct{}
+	mu   sync.Mutex
+	cond *sync.Cond
+	// keys counts the registered keys. Nothing iterates them (Select
+	// drains readyQ), so the selector holds no reference to an idle or
+	// canceled key.
+	keys   int
 	readyQ []*SelectionKey
 	wakeup bool
 	closed bool
@@ -143,7 +147,7 @@ type Selector struct {
 
 // NewSelector creates a selector.
 func (p *Provider) NewSelector() *Selector {
-	s := &Selector{p: p, keys: make(map[*SelectionKey]struct{})}
+	s := &Selector{p: p}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -161,7 +165,7 @@ func (s *Selector) Register(ch *Channel, ops Ops, attachment interface{}) *Selec
 		key.Attach(attachment)
 	}
 	s.mu.Lock()
-	s.keys[key] = struct{}{}
+	s.keys++
 	s.mu.Unlock()
 
 	ch.mu.Lock()
@@ -176,9 +180,9 @@ func (s *Selector) Register(ch *Channel, ops Ops, attachment interface{}) *Selec
 	return key
 }
 
-func (s *Selector) remove(k *SelectionKey) {
+func (s *Selector) remove() {
 	s.mu.Lock()
-	delete(s.keys, k)
+	s.keys--
 	// A queued canceled key is left in readyQ; collectLocked drops it.
 	s.mu.Unlock()
 }
@@ -266,6 +270,10 @@ func (s *Selector) collectLocked() []*SelectionKey {
 			out = append(out, k)
 		}
 	}
+	// Clear before truncating: the backing array would otherwise keep
+	// the drained keys, and through their attachments whole finished
+	// flows, reachable until the slots are overwritten.
+	clear(s.readyQ)
 	s.readyQ = s.readyQ[:0]
 	return out
 }
@@ -282,7 +290,7 @@ func (s *Selector) Close() {
 func (s *Selector) KeyCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.keys)
+	return s.keys
 }
 
 // SelectorStats is a consistent point-in-time view of one selector,
@@ -303,6 +311,6 @@ func (s *Selector) Stats() SelectorStats {
 		Selects:    s.Selects,
 		Wakeups:    s.Wakeups,
 		ReadyDepth: len(s.readyQ),
-		Keys:       len(s.keys),
+		Keys:       s.keys,
 	}
 }
