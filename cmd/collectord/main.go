@@ -2,29 +2,31 @@
 // endpoint MopEye phones upload their measurement batches to (§4
 // deployment shape). It authenticates device stamps (and a shared
 // token when configured), deduplicates batches on their idempotency
-// keys, appends accepted batches to a durable segment-rotating spool,
-// maintains streaming per-app/per-network quantile sketches, and
-// serves the assembled dataset back as JSONL.
+// keys, appends accepted batches to a durable spool (one append-only
+// file, DIR/batches.jsonl), maintains streaming per-app/per-network
+// quantile sketches, and serves the assembled dataset back as JSONL.
 //
 // Endpoints: POST /v1/upload (batch wire encoding), GET /v1/records
 // (JSONL dump; 404 with -retain-records=false), GET /v1/stats
 // (sketched aggregates, O(1) in dataset size), GET /healthz, and —
 // with -metrics — GET /metrics (Prometheus text exposition: upload
-// counters, dedup hits, spool segments and bytes, per-shard record
-// skew, sketched per-network RTT summaries).
+// counters, dedup hits, spool bytes, per-shard record skew, sketched
+// per-network RTT summaries).
 //
 // Usage:
 //
 //	collectord [-addr 127.0.0.1:8477] [-spool DIR] [-token T]
-//	           [-retain-records=BOOL] [-spool-segment-bytes N] [-metrics]
+//	           [-retain-records=BOOL] [-metrics]
 //
 // It is one crowd.Server: ingest is sharded 16 ways by device-stamp
 // hash inside the process, over one spool. Feed it from a phone
 // (`mopeye -upload http://127.0.0.1:8477`) or a fleet, then analyse
 // with `crowdstudy -serve http://127.0.0.1:8477` (live) or
-// `crowdstudy -spool DIR` (offline). A DIR written by an earlier
-// `collectord -shards N` (only shard-NNN/ subdirectories) is refused
-// with the one-line merge that flattens it.
+// `crowdstudy -spool DIR` (offline). A DIR in a layout only removed
+// code wrote — shard-NNN/ subdirectories (`collectord -shards N`),
+// batches-NNNNNN.jsonl segments, or a compacted.keys file — is refused
+// with the fix in the error, never opened empty or partial. So is a
+// spool file whose middle does not decode: only a torn tail is healed.
 //
 // A connection that does not deliver its request headers within
 // readHeaderTimeout, or its whole request within readTimeout, is
@@ -55,12 +57,11 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	addr              string
-	spool             string
-	token             string
-	retainRecords     bool
-	spoolSegmentBytes int64
-	metrics           bool
+	addr          string
+	spool         string
+	token         string
+	retainRecords bool
+	metrics       bool
 }
 
 // parseFlags parses the command line (without running anything), so
@@ -72,13 +73,9 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&c.spool, "spool", "", "durable spool directory (empty = memory only)")
 	fs.StringVar(&c.token, "token", "", "shared bearer token required on every request (empty = open)")
 	fs.BoolVar(&c.retainRecords, "retain-records", true, "keep raw records in memory and serve /v1/records (false = sketched aggregates only, bounded memory)")
-	fs.Int64Var(&c.spoolSegmentBytes, "spool-segment-bytes", 0, "spool segment size cap in bytes (0 = 64 MiB default)")
 	fs.BoolVar(&c.metrics, "metrics", false, "serve GET /metrics (Prometheus text exposition; token-exempt like /healthz)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
-	}
-	if c.spoolSegmentBytes < 0 {
-		return config{}, fmt.Errorf("collectord: -spool-segment-bytes %d (want >= 0)", c.spoolSegmentBytes)
 	}
 	return c, nil
 }
@@ -90,11 +87,10 @@ func (c config) serverOptions() crowd.ServerOptions {
 		retain = crowd.RetainOff
 	}
 	return crowd.ServerOptions{
-		SpoolDir:          c.spool,
-		Token:             c.token,
-		RetainRecords:     retain,
-		SpoolSegmentBytes: c.spoolSegmentBytes,
-		ExposeMetrics:     c.metrics,
+		SpoolDir:      c.spool,
+		Token:         c.token,
+		RetainRecords: retain,
+		ExposeMetrics: c.metrics,
 	}
 }
 

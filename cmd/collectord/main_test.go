@@ -22,11 +22,11 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.addr != "127.0.0.1:8477" || !c.retainRecords || c.spoolSegmentBytes != 0 {
+	if c.addr != "127.0.0.1:8477" || !c.retainRecords || c.metrics {
 		t.Errorf("defaults: %+v", c)
 	}
 	o := c.serverOptions()
-	if o.RetainRecords != crowd.RetainDefault || o.SpoolSegmentBytes != 0 {
+	if o.RetainRecords != crowd.RetainDefault || o.ExposeMetrics {
 		t.Errorf("default options: %+v", o)
 	}
 }
@@ -37,7 +37,7 @@ func TestParseFlagsAll(t *testing.T) {
 		"-spool", "/tmp/spool",
 		"-token", "secret",
 		"-retain-records=false",
-		"-spool-segment-bytes", "1048576",
+		"-metrics",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +45,11 @@ func TestParseFlagsAll(t *testing.T) {
 	if c.addr != "0.0.0.0:9999" || c.spool != "/tmp/spool" || c.token != "secret" {
 		t.Errorf("parsed: %+v", c)
 	}
-	if c.retainRecords || c.spoolSegmentBytes != 1<<20 {
+	if c.retainRecords || !c.metrics {
 		t.Errorf("parsed scale flags: %+v", c)
 	}
 	o := c.serverOptions()
-	if o.RetainRecords != crowd.RetainOff || o.SpoolSegmentBytes != 1<<20 ||
+	if o.RetainRecords != crowd.RetainOff || !o.ExposeMetrics ||
 		o.SpoolDir != "/tmp/spool" || o.Token != "secret" {
 		t.Errorf("options: %+v", o)
 	}
@@ -57,8 +57,8 @@ func TestParseFlagsAll(t *testing.T) {
 
 func TestParseFlagsRejects(t *testing.T) {
 	for _, args := range [][]string{
-		{"-shards", "4"}, // the second sharding layer is gone: an unknown flag
-		{"-spool-segment-bytes", "-1"},
+		{"-shards", "4"},                    // the second sharding layer is gone: an unknown flag
+		{"-spool-segment-bytes", "1048576"}, // the spool is one file: an unknown flag
 		{"-no-such-flag"},
 	} {
 		if _, err := parseFlags(args); err == nil {
@@ -132,7 +132,7 @@ func upload(t *testing.T, url, dev string, body io.Reader) *http.Response {
 // TestServeGracefulShutdownDrainsAndHeals is the interrupted-restart
 // path end to end, in-process: an upload in flight when the shutdown
 // signal lands must drain to a committed, spooled batch (not die
-// mid-segment), and a restart on the same spool must replay both
+// mid-append), and a restart on the same spool must replay both
 // records and dedup keys.
 func TestServeGracefulShutdownDrainsAndHeals(t *testing.T) {
 	spool := t.TempDir()

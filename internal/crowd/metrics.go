@@ -42,16 +42,8 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 				}
 				return 0
 			})
-		r.GaugeFunc("mopeye_collector_spool_segments",
-			"Spool segment files on disk (0 when memory-only).",
-			func() float64 {
-				if s.spool == nil {
-					return 0
-				}
-				return float64(s.spool.Stats().Segments)
-			})
 		r.GaugeFunc("mopeye_collector_spool_bytes",
-			"Total spool bytes on disk (0 when memory-only).",
+			"Spool file bytes on disk (0 when memory-only).",
 			func() float64 {
 				if s.spool == nil {
 					return 0

@@ -52,7 +52,6 @@ func TestServerMetricsExposition(t *testing.T) {
 		"mopeye_collector_dedup_hits_total 1": "one absorbed redelivery",
 		"mopeye_collector_dedup_keys 2":       "two idempotency keys",
 		"mopeye_collector_retain_records 1":   "retention defaults on",
-		"mopeye_collector_spool_segments 1":   "one spool segment",
 	} {
 		if !strings.Contains(expo, line+"\n") {
 			t.Errorf("missing %q (%s) in:\n%s", line, why, expo)

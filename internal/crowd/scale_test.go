@@ -2,7 +2,6 @@ package crowd
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -14,154 +13,6 @@ import (
 
 	"repro/internal/measure"
 )
-
-// --- spool segment rotation and compaction ---
-
-// A tiny segment cap forces rotation; everything must replay across
-// the resulting segment chain.
-func TestSpoolRotationReplay(t *testing.T) {
-	dir := t.TempDir()
-	spool, rep, err := OpenSpoolOptions(dir, SpoolOptions{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Segments != 1 {
-		t.Fatalf("fresh spool segments: %d", rep.Segments)
-	}
-	for i := 0; i < 10; i++ {
-		b := srvBatch("p1", fmt.Sprintf("k%d", i), i, srvRec("p1", "app", float64(i+1)))
-		if err := spool.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if spool.Segments() < 3 {
-		t.Fatalf("no rotation at 256-byte cap: %d segments", spool.Segments())
-	}
-	spool.Close()
-
-	_, rep2, err := OpenSpool(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep2.Batches) != 10 {
-		t.Errorf("replayed %d of 10 batches across %d segments", len(rep2.Batches), rep2.Segments)
-	}
-	for i, b := range rep2.Batches {
-		if b.Key != fmt.Sprintf("k%d", i) {
-			t.Fatalf("replay order broken at %d: %q", i, b.Key)
-		}
-	}
-	// ReadSpool (offline analysis) sees the same dataset.
-	recs, err := ReadSpool(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 10 {
-		t.Errorf("offline read: %d records", len(recs))
-	}
-}
-
-// Compact drops sealed segments but their keys keep absorbing
-// redelivery — across a restart.
-func TestSpoolCompact(t *testing.T) {
-	dir := t.TempDir()
-	spool, _, err := OpenSpoolOptions(dir, SpoolOptions{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batches []measure.Batch
-	for i := 0; i < 8; i++ {
-		b := srvBatch("p1", fmt.Sprintf("k%d", i), i, srvRec("p1", "app", float64(i+1)))
-		batches = append(batches, b)
-		if err := spool.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := spool.Segments()
-	if before < 2 {
-		t.Fatalf("need sealed segments to compact, have %d", before)
-	}
-	segs, keys, err := spool.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segs != before-1 {
-		t.Errorf("compacted %d of %d sealed segments", segs, before-1)
-	}
-	if keys == 0 {
-		t.Error("compaction preserved no keys")
-	}
-	if spool.Segments() != 1 {
-		t.Errorf("segments after compact: %d", spool.Segments())
-	}
-	// A second compact with nothing sealed is a no-op.
-	if segs, _, err := spool.Compact(); err != nil || segs != 0 {
-		t.Errorf("idle compact: %d, %v", segs, err)
-	}
-	spool.Close()
-
-	// Restart: compacted keys absorb redelivery even though their
-	// records are gone.
-	s, err := NewServer(ServerOptions{SpoolDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got, want := s.DedupKeys(), 8; got != want {
-		t.Errorf("dedup keys after compacted restart: %d, want %d", got, want)
-	}
-	if n := len(s.Records()); n >= 8 {
-		t.Errorf("compacted records still replaying: %d", n)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	for _, b := range batches {
-		if resp := postBatch(t, ts, "", b, "p1"); resp.StatusCode != http.StatusOK {
-			t.Fatalf("redelivery of %s: %s", b.Key, resp.Status)
-		}
-	}
-	if st := s.Stats(); st.Duplicates != 8 {
-		t.Errorf("redelivered compacted keys not absorbed: %+v", st)
-	}
-}
-
-// A server with a small segment cap rotates, compacts via
-// CompactSpool, and still dedups after restart.
-func TestServerSpoolSegmentsAndCompact(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := NewServer(ServerOptions{SpoolDir: dir, SpoolSegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1)
-	for i := 0; i < 8; i++ {
-		b := srvBatch("p1", fmt.Sprintf("k%d", i), i, srvRec("p1", "app", float64(i+1)))
-		if resp := postBatch(t, ts1, "", b, "p1"); resp.StatusCode != http.StatusOK {
-			t.Fatalf("upload %d: %s", i, resp.Status)
-		}
-	}
-	if segs, keys, err := s1.CompactSpool(); err != nil || segs == 0 || keys == 0 {
-		t.Fatalf("server compact: segs=%d keys=%d err=%v", segs, keys, err)
-	}
-	ts1.Close()
-	s1.Close()
-
-	s2, err := NewServer(ServerOptions{SpoolDir: dir, SpoolSegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.DedupKeys(); got != 8 {
-		t.Errorf("keys after restart: %d", got)
-	}
-	ts2 := httptest.NewServer(s2)
-	defer ts2.Close()
-	b := srvBatch("p1", "k0", 0, srvRec("p1", "app", 1))
-	postBatch(t, ts2, "", b, "p1")
-	if st := s2.Stats(); st.Duplicates != 1 {
-		t.Errorf("post-compact post-restart dedup: %+v", st)
-	}
-}
 
 // --- retention modes and sketched aggregates ---
 
@@ -248,9 +99,6 @@ func TestServerSummaryVsExact(t *testing.T) {
 		if relErr(got, want) > 0.12 {
 			t.Errorf("app %s: sketched median %g vs exact %g", app, got, want)
 		}
-		if ms, ok := s.AppMedianMS(app); !ok || ms != got {
-			t.Errorf("AppMedianMS(%s) = %g, %v; summary says %g", app, ms, ok, got)
-		}
 	}
 }
 
@@ -280,35 +128,98 @@ func TestHashDeviceSpread(t *testing.T) {
 	}
 }
 
-// The legacy single-file spool (pre-rotation layout) still opens and
-// replays: segment 0 keeps the old name.
+// A spool written by hand as one file of wire-encoded batches opens
+// and replays. Directories the removed segment rotation and Compact
+// wrote are refused by both entry points, never opened partial; after
+// the merge the refusal names, replay returns every batch once, in
+// append order.
 func TestSpoolLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
-	// Write a legacy spool by hand: one file, wire-encoded batches.
-	f, err := os.Create(filepath.Join(dir, spoolFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := measure.EncodeBatch(f, srvBatch("p1", fmt.Sprintf("k%d", i), i, srvRec("p1", "a", 1))); err != nil {
+	writeFile := func(name string, from, to int) {
+		t.Helper()
+		var buf bytes.Buffer
+		for i := from; i < to; i++ {
+			if err := measure.EncodeBatch(&buf, srvBatch("p1", fmt.Sprintf("k%d", i), i, srvRec("p1", "a", 1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f.Close()
-	_, rep, err := OpenSpool(dir)
+	writeFile(spoolFile, 0, 3)
+	sp, rep, err := OpenSpool(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Batches) != 3 || rep.Segments != 1 {
-		t.Errorf("legacy replay: %d batches, %d segments", len(rep.Batches), rep.Segments)
+	sp.Close()
+	if len(rep.Batches) != 3 {
+		t.Errorf("single-file replay: %d batches", len(rep.Batches))
+	}
+
+	// Segments 1 and 2 beside segment 0, as the rotation left them.
+	writeFile("batches-000001.jsonl", 3, 5)
+	writeFile("batches-000002.jsonl", 5, 6)
+	const merge = "batches-*.jsonl >> "
+	if _, _, err := OpenSpool(dir); err == nil || !strings.Contains(err.Error(), merge) {
+		t.Fatalf("OpenSpool on a segment chain: %v", err)
+	}
+	if _, err := ReadSpool(dir); err == nil || !strings.Contains(err.Error(), merge) {
+		t.Fatalf("ReadSpool on a segment chain: %v", err)
+	}
+	// The merge the error names.
+	segs, err := filepath.Glob(filepath.Join(dir, "batches-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := os.ReadFile(filepath.Join(dir, spoolFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, raw...)
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, spoolFile), all, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sp, rep, err = OpenSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Close()
+	if len(rep.Batches) != 6 {
+		t.Fatalf("replay after merge: %d batches, want 6", len(rep.Batches))
+	}
+	for i, b := range rep.Batches {
+		if b.Key != fmt.Sprintf("k%d", i) {
+			t.Fatalf("replay order after merge broken at %d: %q", i, b.Key)
+		}
+	}
+
+	// A manifest of compacted keys cannot replay: refused, named.
+	manifest := filepath.Join(dir, "compacted.keys")
+	if err := os.WriteFile(manifest, []byte(`{"device":"p1","key":"gone"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenSpool(dir); err == nil || !strings.Contains(err.Error(), manifest) {
+		t.Fatalf("OpenSpool with compacted.keys: %v", err)
+	}
+	if _, err := ReadSpool(dir); err == nil || !strings.Contains(err.Error(), manifest) {
+		t.Fatalf("ReadSpool with compacted.keys: %v", err)
 	}
 }
 
 // A spool dir written by the removed `collectord -shards N` holds only
 // shard-NNN/ subdirectories. Opening it flat would start empty and
 // forget every dedup key, so both entry points refuse it, naming the
-// merge; after the merge, replay yields every batch exactly once and
-// the compacted keys still dedup.
+// merge; after the merge, replay yields every batch exactly once.
 func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
 	dir := t.TempDir()
 	writeSeg := func(shard, name string, keys ...string) {
@@ -326,16 +237,9 @@ func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writeSeg("shard-000", segName(0), "a0", "a1")
-	writeSeg("shard-000", segName(1), "a2")
-	writeSeg("shard-001", segName(0), "b0", "b1", "b2")
-	manifest, err := json.Marshal(SpoolKey{Device: "dev-shard-001", Key: "b-compacted"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "shard-001", manifestFile), append(manifest, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeSeg("shard-000", spoolFile, "a0", "a1")
+	writeSeg("shard-000", "batches-000001.jsonl", "a2")
+	writeSeg("shard-001", spoolFile, "b0", "b1", "b2")
 
 	if _, _, err := OpenSpool(dir); err == nil || !strings.Contains(err.Error(), "shard-*/batches*.jsonl") {
 		t.Fatalf("OpenSpool on a sharded layout: %v", err)
@@ -347,30 +251,26 @@ func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
 		t.Fatal("NewServer opened a sharded layout as an empty spool")
 	}
 	if _, err := os.Stat(filepath.Join(dir, spoolFile)); !os.IsNotExist(err) {
-		t.Fatalf("refusal left a segment behind: %v", err)
+		t.Fatalf("refusal left a spool file behind: %v", err)
 	}
 
-	// The merge the error names: cat DIR/shard-*/X >> DIR/X.
-	merge := func(pattern, dst string) {
-		t.Helper()
-		srcs, err := filepath.Glob(filepath.Join(dir, "shard-*", pattern))
+	// The merge the error names: cat DIR/shard-*/batches*.jsonl >>
+	// DIR/batches.jsonl.
+	srcs, err := filepath.Glob(filepath.Join(dir, "shard-*", "batches*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, src := range srcs {
+		raw, err := os.ReadFile(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var all []byte
-		for _, src := range srcs {
-			raw, err := os.ReadFile(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, raw...)
-		}
-		if err := os.WriteFile(filepath.Join(dir, dst), all, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		all = append(all, raw...)
 	}
-	merge("batches*.jsonl", spoolFile)
-	merge(manifestFile, manifestFile)
+	if err := os.WriteFile(filepath.Join(dir, spoolFile), all, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	recs, err := ReadSpool(dir)
 	if err != nil || len(recs) != 6 {
@@ -384,20 +284,16 @@ func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
 	if st := s.Stats(); st.Batches != 6 || st.Records != 6 {
 		t.Errorf("replay after merge: %+v", st)
 	}
-	if got := s.DedupKeys(); got != 7 {
-		t.Errorf("dedup keys after merge: %d, want 6 replayed + 1 compacted", got)
+	if got := s.DedupKeys(); got != 6 {
+		t.Errorf("dedup keys after merge: %d, want 6", got)
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	for _, b := range []measure.Batch{
-		srvBatch("dev-shard-000", "a2", 0, srvRec("", "app", 1)),
-		srvBatch("dev-shard-001", "b-compacted", 0, srvRec("", "app", 1)),
-	} {
-		if resp := postBatch(t, ts, "", b, b.Device); resp.StatusCode != http.StatusOK {
-			t.Fatalf("redelivery of %s: %s", b.Key, resp.Status)
-		}
+	b := srvBatch("dev-shard-000", "a2", 0, srvRec("", "app", 1))
+	if resp := postBatch(t, ts, "", b, b.Device); resp.StatusCode != http.StatusOK {
+		t.Fatalf("redelivery of %s: %s", b.Key, resp.Status)
 	}
-	if st := s.Stats(); st.Duplicates != 2 || st.Batches != 6 {
+	if st := s.Stats(); st.Duplicates != 1 || st.Batches != 6 {
 		t.Errorf("redelivery after merge not absorbed: %+v", st)
 	}
 }

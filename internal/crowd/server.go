@@ -82,9 +82,6 @@ type ServerOptions struct {
 	// RetainRecords controls raw-record retention; the default retains
 	// (see RetainMode).
 	RetainRecords RetainMode
-	// SpoolSegmentBytes caps one spool segment file; <= 0 selects
-	// DefaultSegmentBytes.
-	SpoolSegmentBytes int64
 	// ExposeMetrics registers GET /metrics (Prometheus text exposition)
 	// on the server. The endpoint is exempt from the token gate, like
 	// /healthz: scrapers are part of the ops plane, and the exposition
@@ -192,14 +189,11 @@ func NewServer(o ServerOptions) (*Server, error) {
 		s.shards[i].agg = newAgg()
 	}
 	if o.SpoolDir != "" {
-		spool, replay, err := OpenSpoolOptions(o.SpoolDir, SpoolOptions{SegmentBytes: o.SpoolSegmentBytes})
+		spool, replay, err := OpenSpool(o.SpoolDir)
 		if err != nil {
 			return nil, err
 		}
 		s.spool = spool
-		for _, k := range replay.CompactedKeys {
-			s.shard(k.Device).keys[k.Key] = struct{}{}
-		}
 		for _, b := range replay.Batches {
 			s.commit(s.shard(b.Device), b)
 		}
@@ -477,26 +471,6 @@ func (s *Server) Summary() Summary {
 	}
 }
 
-// AppMedianMS returns an app's sketched median TCP connect RTT in
-// milliseconds, merging only that app's per-shard sketches —
-// O(shards × sketch bins), no dataset scan. ok reports whether the
-// app has any measurements.
-func (s *Server) AppMedianMS(app string) (ms float64, ok bool) {
-	merged := sketch.New(sketchAlpha)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if sk := sh.agg.perApp[app]; sk != nil {
-			merged.Merge(sk)
-		}
-		sh.mu.Unlock()
-	}
-	if merged.Count() == 0 {
-		return 0, false
-	}
-	return merged.Median(), true
-}
-
 // DedupKeys reports how many idempotency keys the server holds — the
 // dedup-map footprint the load harness tracks.
 func (s *Server) DedupKeys() int {
@@ -508,15 +482,6 @@ func (s *Server) DedupKeys() int {
 		sh.mu.Unlock()
 	}
 	return total
-}
-
-// CompactSpool drops the spool's sealed segments (preserving their
-// dedup keys); see Spool.Compact. A memory-only server reports zeros.
-func (s *Server) CompactSpool() (segments, keys int, err error) {
-	if s.spool == nil {
-		return 0, 0, nil
-	}
-	return s.spool.Compact()
 }
 
 // Close releases the spool (accepted data stays readable in memory).

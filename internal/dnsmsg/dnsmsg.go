@@ -323,10 +323,14 @@ func encodeName(buf []byte, name string) ([]byte, error) {
 // decodeName reads a possibly compressed name starting at off within
 // whole; raw is the slice being walked (equal to whole except in
 // recursion). It returns the dotted name and the offset just past the
-// name in the original (non-pointer) stream.
+// name in the original (non-pointer) stream. However many pointers
+// build it, a name longer than 255 octets on the wire (RFC 1035 §3.1)
+// is ErrTooLong, so one datagram of pointers cannot expand into
+// kilobyte names.
 func decodeName(raw []byte, off int, whole []byte) (string, int, error) {
 	var labels []string
 	jumps := 0
+	wire := 1 // octets the name would take uncompressed, root label included
 	end := -1 // offset after the name in the original stream
 	for {
 		if off >= len(raw) {
@@ -363,10 +367,11 @@ func decodeName(raw []byte, off int, whole []byte) (string, int, error) {
 			if off+1+l > len(raw) {
 				return "", 0, ErrTruncated
 			}
-			labels = append(labels, string(raw[off+1:off+1+l]))
-			if len(labels) > 128 {
+			wire += 1 + l
+			if wire > 255 {
 				return "", 0, ErrTooLong
 			}
+			labels = append(labels, string(raw[off+1:off+1+l]))
 			off += 1 + l
 		}
 	}

@@ -259,3 +259,39 @@ func TestFlagsRoundTrip(t *testing.T) {
 		t.Errorf("flags lost: %+v", got)
 	}
 }
+
+// FuzzDNSDecode feeds Decode the bytes an app can put in a DNS query
+// through the tunnel. It must not panic, every error must be one of
+// the package's sentinels, and every name it returns must fit the
+// 255-octet wire limit (253 dotted characters) however many
+// compression pointers built it. The committed corpus
+// (testdata/fuzz/FuzzDNSDecode) holds a query, a response whose answer
+// name is a compression pointer, a pointer loop, a truncated header,
+// and a name one pointer stretches to 255 characters.
+func FuzzDNSDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := Decode(raw)
+		if err != nil {
+			for _, sentinel := range []error{ErrTruncated, ErrBadName, ErrTooLong, ErrLoop} {
+				if errors.Is(err, sentinel) {
+					return
+				}
+			}
+			t.Fatalf("Decode returned a non-sentinel error: %v", err)
+		}
+		names := []string{}
+		for _, q := range m.Questions {
+			names = append(names, q.Name)
+		}
+		for _, rs := range [][]Resource{m.Answers, m.Authority, m.Additional} {
+			for _, r := range rs {
+				names = append(names, r.Name)
+			}
+		}
+		for _, name := range names {
+			if len(name) > 253 {
+				t.Fatalf("decoded a %d-character name", len(name))
+			}
+		}
+	})
+}
