@@ -1,9 +1,10 @@
 // Command streaming demonstrates the push half of the MopEye API: a
 // live Subscribe stream printing measurements as the engine records
 // them, and a crowdsourcing Collector attached as an engine-lifetime
-// sink — batching uploads the way the deployed app does and feeding
-// the uploaded dataset straight into the §4.2 analysis pipeline.
-// Measure once, analyze with the same code that processes the paper's
+// sink — batching uploads the way the deployed app does, here into an
+// in-process TransportFunc standing in for the collector server, whose
+// dataset feeds straight into the §4.2 analysis pipeline. Measure
+// once, analyze with the same code that processes the paper's
 // 5.25M-record study.
 package main
 
@@ -30,13 +31,19 @@ func main() {
 	phone.InstallApp(10001, "com.example.messenger")
 	phone.InstallApp(10002, "com.example.browser")
 
-	// The Collector is the crowdsourcing server stand-in: it batches
-	// the phone's measurements (here every 5 records) and keeps the
-	// server-side per-app aggregate. Attach ties it to the engine's
-	// lifetime — Close performs the final upload.
+	// The Collector batches the phone's measurements (here every 5
+	// records), stamps them with the device, and ships each batch
+	// through its Transport; this one stands in for the collector
+	// server by keeping what arrives. Attach ties the collector to the
+	// engine's lifetime — Close performs the final upload.
+	var uploaded []mopeye.Measurement // appended on the sink drain, read after Close
 	collector := mopeye.NewCollector(mopeye.CollectorOptions{
 		BatchSize: 5,
 		Device:    "device-demo",
+		Transport: mopeye.TransportFunc(func(_ context.Context, b mopeye.Batch) error {
+			uploaded = append(uploaded, b.Records...)
+			return nil
+		}),
 	})
 	if _, err := phone.Attach(collector); err != nil {
 		log.Fatal(err)
@@ -80,13 +87,13 @@ func main() {
 	tail.Wait()
 
 	fmt.Printf("\ncollector: %d uploads, %d records (dropped in transit: %d)\n",
-		collector.Uploads(), len(collector.Records()), phone.StreamDrops())
-	fmt.Println("server-side per-app medians (ms):")
-	for app, med := range collector.AppMedians() {
+		collector.Uploads(), len(uploaded), phone.StreamDrops())
+	fmt.Println("per-app medians (ms):")
+	for app, med := range phone.AppMedians(1) {
 		fmt.Printf("  %-24s %6.1f\n", app, med)
 	}
 
 	// The uploaded dataset flows into the §4.2 analysis unchanged.
-	study := collector.Study()
+	study := mopeye.NewStudyFrom(uploaded)
 	fmt.Printf("\n%s\n", study.Summary())
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // core is the substrate-independent half of a phone: the engine, the
-// measurement store it records into, the clock both run on, and the
+// measurement store it records into (the phone's one local copy of
+// its records), the clock both run on, and the
 // attach/metrics bookkeeping hanging off the store. Phone and RealPhone
 // embed it, so the snapshot accessors here, Subscribe/Attach/Run
 // (stream.go) and the observability registry (metrics.go) are declared
@@ -74,17 +75,10 @@ func (p *core) Measurements() []Measurement { return p.store.Snapshot() }
 
 // ExportCSV writes a snapshot of the phone's measurements as CSV —
 // the batch form of what MopEye uploads to the crowdsourcing
-// collector. For continuous export, Attach a CSVSink (byte-identical
-// output) or a Collector instead.
+// collector. For continuous export, Attach a JSONLSink or a Collector
+// instead.
 func (p *core) ExportCSV(w io.Writer) error {
 	return measure.WriteCSV(w, p.store.Snapshot())
-}
-
-// ExportJSONL writes a snapshot of the phone's measurements as JSON
-// Lines, the streaming-friendly export (`mopeye -jsonl`). For
-// continuous export, Attach a JSONLSink instead.
-func (p *core) ExportJSONL(w io.Writer) error {
-	return measure.WriteJSONL(w, p.store.Snapshot())
 }
 
 // TCPMeasurements returns a snapshot of the per-app TCP RTTs — the
@@ -100,8 +94,9 @@ func (p *core) DNSMeasurements() []Measurement {
 }
 
 // AppMedians returns each app's median RTT in milliseconds over apps
-// with at least minN measurements. The Collector sink maintains the
-// same aggregate continuously on its upload schedule.
+// with at least minN measurements. A collector server computes the
+// same aggregate, sketched, over every phone's uploads (GET /v1/stats,
+// FetchCollectorStats).
 func (p *core) AppMedians(minN int) map[string]float64 {
 	return measure.AppMedians(p.TCPMeasurements(), minN)
 }

@@ -18,8 +18,9 @@ import (
 // mixes, seeds, worker counts), each running its own workload, all
 // fanning their Collector uploads into one shared Transport. The
 // fleet owns phone lifecycle (construct, attach, run, close — per
-// phone), aggregates stats, and surfaces per-phone errors without
-// letting one phone's failure stop the rest.
+// phone), keeps each closed phone's device-stamped measurements,
+// aggregates stats, and surfaces per-phone errors without letting one
+// phone's failure stop the rest.
 
 // FleetPhone describes one phone of a fleet.
 type FleetPhone struct {
@@ -45,12 +46,13 @@ type FleetOptions struct {
 	Phones []FleetPhone
 	// Transport is the shared upload path every phone's Collector
 	// ships through (one HTTPTransport, one collector server — the
-	// paper's fan-in). nil keeps each phone's uploads in-process; the
-	// merged dataset is still available via Records/Study. The fleet
-	// never closes the Transport — its owner does, after Run returns.
+	// paper's fan-in). nil attaches no Collector: the phones upload
+	// nothing, and their records are still available via
+	// Records/Study. The fleet never closes the Transport — its owner
+	// does, after Run returns.
 	Transport Transport
-	// Collector is the per-phone upload policy template; Device (and
-	// Transport) are overridden per phone.
+	// Collector is the per-phone upload policy template, used only
+	// with a Transport; Device and Transport are overridden per phone.
 	Collector CollectorOptions
 	// Concurrency bounds how many phones run at once; 0 or less runs
 	// the whole fleet concurrently.
@@ -60,7 +62,8 @@ type FleetOptions struct {
 // FleetPhoneStatus is one phone's outcome.
 type FleetPhoneStatus struct {
 	Device string
-	// Records and Uploads are what this phone's collector shipped.
+	// Records is the phone's measurement count; Uploads is the
+	// batches its collector shipped (0 without a Transport).
 	Records int
 	Uploads int
 	// Elapsed is the workload's duration measured on the phone's own
@@ -98,11 +101,12 @@ type FleetStats struct {
 type Fleet struct {
 	o FleetOptions
 
-	mu         sync.Mutex
-	ran        bool
-	status     []FleetPhoneStatus
-	collectors []*Collector
-	dur        time.Duration
+	mu     sync.Mutex
+	ran    bool
+	status []FleetPhoneStatus
+	// records holds each closed phone's measurements, device-stamped.
+	records [][]measure.Record
+	dur     time.Duration
 
 	// metricsOnce builds the lazy observability registry; see
 	// metrics.go.
@@ -127,11 +131,12 @@ func NewFleet(o FleetOptions) (*Fleet, error) {
 }
 
 // Run constructs and runs every phone: build, attach a device-stamped
-// Collector on the shared Transport, install apps, run the workload,
-// close (which flushes the final batch). Phones run concurrently up
-// to Concurrency; one phone's failure never stops another. Run
-// returns the joined per-phone errors (nil when every phone
-// succeeded) and may be called once.
+// Collector when there is a shared Transport, install apps, run the
+// workload, close (which flushes the final batch), and keep the
+// phone's measurements stamped with its Device. Phones run
+// concurrently up to Concurrency; one phone's failure never stops
+// another. Run returns the joined per-phone errors (nil when every
+// phone succeeded) and may be called once.
 func (f *Fleet) Run(ctx context.Context) error {
 	f.mu.Lock()
 	if f.ran {
@@ -140,7 +145,7 @@ func (f *Fleet) Run(ctx context.Context) error {
 	}
 	f.ran = true
 	f.status = make([]FleetPhoneStatus, len(f.o.Phones))
-	f.collectors = make([]*Collector, len(f.o.Phones))
+	f.records = make([][]measure.Record, len(f.o.Phones))
 	f.mu.Unlock()
 
 	sem := make(chan struct{}, f.concurrency())
@@ -197,18 +202,18 @@ func (f *Fleet) runPhone(ctx context.Context, i int) {
 		fail(err)
 		return
 	}
-	colOpts := f.o.Collector
-	colOpts.Device = spec.Device
-	colOpts.Transport = f.o.Transport
-	col := NewCollector(colOpts)
-	f.mu.Lock()
-	f.collectors[i] = col
-	f.mu.Unlock()
-	attached, err := phone.Attach(col)
-	if err != nil {
-		phone.Close()
-		fail(err)
-		return
+	var col *Collector
+	var attached *Attached
+	if f.o.Transport != nil {
+		colOpts := f.o.Collector
+		colOpts.Device = spec.Device
+		colOpts.Transport = f.o.Transport
+		col = NewCollector(colOpts)
+		if attached, err = phone.Attach(col); err != nil {
+			phone.Close()
+			fail(err)
+			return
+		}
 	}
 	for uid, pkg := range spec.Apps {
 		phone.InstallApp(uid, pkg)
@@ -223,9 +228,20 @@ func (f *Fleet) runPhone(ctx context.Context, i int) {
 	// drain before returning.
 	phone.Close()
 	fail(werr)
-	fail(attached.Err())
-	st.Records = len(col.Records())
-	st.Uploads = col.Uploads()
+	recs := phone.Measurements()
+	for j := range recs {
+		if recs[j].Device == "" {
+			recs[j].Device = spec.Device
+		}
+	}
+	f.mu.Lock()
+	f.records[i] = recs
+	f.mu.Unlock()
+	st.Records = len(recs)
+	if col != nil {
+		fail(attached.Err())
+		st.Uploads = col.Uploads()
+	}
 }
 
 // Stats aggregates the run.
@@ -253,19 +269,17 @@ func (f *Fleet) PhoneStatuses() []FleetPhoneStatus {
 	return append([]FleetPhoneStatus(nil), f.status...)
 }
 
-// Records merges every phone's uploaded records (the local mirrors) in
-// canonical order — the fleet-side copy of the dataset the collector
-// server assembled, directly comparable record for record.
+// Records merges every closed phone's device-stamped measurements in
+// canonical order — what a lossless upload delivers, so with a
+// Transport it is directly comparable, record for record, with the
+// dataset the collector server assembled.
 func (f *Fleet) Records() []Measurement {
 	f.mu.Lock()
-	cols := append([]*Collector(nil), f.collectors...)
-	f.mu.Unlock()
 	var recs []measure.Record
-	for _, c := range cols {
-		if c != nil {
-			recs = append(recs, c.Records()...)
-		}
+	for _, r := range f.records {
+		recs = append(recs, r...)
 	}
+	f.mu.Unlock()
 	measure.SortCanonical(recs)
 	return recs
 }

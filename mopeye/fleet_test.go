@@ -75,8 +75,9 @@ func jsonlBytes(t *testing.T, recs []Measurement) []byte {
 
 // The acceptance e2e: 8 phones → HTTPTransport → collector server →
 // Study() is record-identical to in-process crowd.Ingest over the
-// fleet's own mirrors — under injected 503s, a stall, and
-// commit-then-fail duplicate deliveries. Exactly-once after dedup.
+// phones' own device-stamped measurements — under injected 503s, a
+// stall, and commit-then-fail duplicate deliveries. Exactly-once after
+// dedup, and no record lost between a phone's store and its uploads.
 func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 	srv, err := crowd.NewServer(crowd.ServerOptions{Token: "fleet-secret"})
 	if err != nil {
@@ -133,11 +134,11 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 	}
 
 	// Exactly-once: the server's dataset is byte-identical to the
-	// fleet's merged local mirrors under canonical order.
+	// phones' merged measurements under canonical order.
 	local := fleet.Records()
 	remote := srv.Records()
 	if len(remote) != len(local) {
-		t.Fatalf("server holds %d records, fleet uploaded %d", len(remote), len(local))
+		t.Fatalf("server holds %d records, the phones recorded %d", len(remote), len(local))
 	}
 	lb, rb := jsonlBytes(t, local), jsonlBytes(t, remote)
 	if !bytes.Equal(lb, rb) {
@@ -145,7 +146,7 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 	}
 
 	// And the study pipelines agree: Study() over the wire-delivered
-	// dataset ≡ in-process crowd.Ingest over the fleet's mirrors.
+	// dataset ≡ in-process crowd.Ingest over the phones' records.
 	sorted := append([]measure.Record(nil), remote...)
 	measure.SortCanonical(sorted)
 	viaWire := NewStudyFrom(sorted).ReportAll()
@@ -272,7 +273,7 @@ func TestFleetDeviceStampCollision(t *testing.T) {
 	}
 	local := fleet.Records()
 	if ss.Records != len(local) {
-		t.Errorf("server %d records, fleet %d", ss.Records, len(local))
+		t.Errorf("server %d records, phones %d", ss.Records, len(local))
 	}
 	ds := srv.Ingest()
 	d := ds.DeviceByID("shared-stamp")
@@ -281,7 +282,8 @@ func TestFleetDeviceStampCollision(t *testing.T) {
 	}
 }
 
-// Fleet.Study feeds the merged mirrors into the analysis pipeline.
+// Fleet.Study feeds the phones' merged records into the analysis
+// pipeline.
 func TestFleetStudySmoke(t *testing.T) {
 	fleet, err := NewFleet(FleetOptions{Phones: fleetRoster(t, 2), Collector: CollectorOptions{BatchSize: 2}})
 	if err != nil {
@@ -300,5 +302,56 @@ func TestFleetStudySmoke(t *testing.T) {
 	}
 	if st.Summary() == "" {
 		t.Error("empty summary")
+	}
+}
+
+// Without a Transport the fleet attaches no Collector and uploads
+// nothing; its records are the phones' own measurements, each stamped
+// with its phone's Device.
+func TestFleetWithoutTransport(t *testing.T) {
+	roster := fleetRoster(t, 3)
+	phones := make([]*Phone, len(roster))
+	for i := range roster {
+		workload := roster[i].Workload
+		roster[i].Workload = func(ctx context.Context, p *Phone) error {
+			phones[i] = p
+			return workload(ctx, p)
+		}
+	}
+	fleet, err := NewFleet(FleetOptions{Phones: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.Run(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	st := fleet.Stats()
+	if st.Uploads != 0 {
+		t.Errorf("uploads without a transport: %d", st.Uploads)
+	}
+	want := 0
+	for i, ps := range fleet.PhoneStatuses() {
+		n := len(phones[i].Measurements())
+		if ps.Records != n {
+			t.Errorf("phone %s: status %d records, phone %d", ps.Device, ps.Records, n)
+		}
+		if n == 0 {
+			t.Errorf("phone %s recorded nothing", ps.Device)
+		}
+		want += n
+	}
+	recs := fleet.Records()
+	if len(recs) != want || st.Records != want {
+		t.Errorf("fleet records %d, stats %d; the phones hold %d", len(recs), st.Records, want)
+	}
+	perDevice := map[string]int{}
+	for _, r := range recs {
+		perDevice[r.Device]++
+	}
+	for i, ps := range fleet.PhoneStatuses() {
+		if perDevice[ps.Device] != len(phones[i].Measurements()) {
+			t.Errorf("device %s: %d stamped records, phone holds %d",
+				ps.Device, perDevice[ps.Device], len(phones[i].Measurements()))
+		}
 	}
 }

@@ -118,10 +118,10 @@ func (f *Fleet) metricsRegistry() *metrics.Registry {
 			"Phones whose construction, workload, or sink failed.",
 			func() float64 { return float64(f.Stats().Failed) })
 		r.CounterFunc("mopeye_fleet_records_total",
-			"Records the fleet's collectors shipped.",
+			"Measurements the fleet's phones recorded.",
 			func() float64 { return float64(f.Stats().Records) })
 		r.CounterFunc("mopeye_fleet_uploads_total",
-			"Upload batches the fleet's collectors shipped.",
+			"Upload batches the fleet's collectors shipped (0 without a transport).",
 			func() float64 { return float64(f.Stats().Uploads) })
 		r.GaugeFunc("mopeye_fleet_phone_time_seconds",
 			"Longest per-phone workload duration on the phones' own clocks.",
@@ -137,7 +137,7 @@ func (f *Fleet) metricsRegistry() *metrics.Registry {
 				})
 			})
 		r.CollectGauges("mopeye_fleet_phone_records",
-			"Records shipped per phone.",
+			"Measurements recorded per phone.",
 			func() []metrics.Sample {
 				return f.phoneSamples(func(st FleetPhoneStatus) float64 { return float64(st.Records) })
 			})

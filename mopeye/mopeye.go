@@ -24,18 +24,18 @@
 //
 // Because MopEye monitors continuously, the API is push-first: Phone.Subscribe
 // streams measurements live as a context-cancellable iterator, and Phone.Attach
-// drives a Sink — CSVSink, JSONLSink, or the crowdsourcing Collector, whose
-// uploads feed the §4.2 analysis pipeline directly — for the engine's lifetime
-// (stream.go, sink.go). The snapshot accessors above remain as pull-style views
-// over the same pipeline.
+// drives a Sink — JSONLSink, or the crowdsourcing Collector, which batches and
+// uploads — for the engine's lifetime (stream.go, sink.go). The snapshot
+// accessors above remain as pull-style views over the phone's store, the one
+// local copy of its records.
 //
 // The Collector's upload side is a pluggable Transport (transport.go):
 // HTTPTransport ships idempotency-keyed batches to a collector server
 // (cmd/collectord) with retry and a bounded in-flight queue, and the
-// server's dedup makes delivery exactly-once; FuncTransport keeps
-// in-process consumers working. Fleet (fleet.go) runs N heterogeneous
-// phones fanning their uploads into one Transport — the paper's
-// deployment shape as an API.
+// server's dedup makes delivery exactly-once; TransportFunc hands batches
+// to in-process consumers, such as NewStudyFrom for the §4.2 analysis.
+// Fleet (fleet.go) runs N heterogeneous phones fanning their uploads into
+// one Transport — the paper's deployment shape as an API.
 //
 // Beyond the live engine, the package exposes the paper's evaluation
 // (RunTable1 … RunTable4, RunFig5) and the crowdsourcing study
@@ -134,9 +134,10 @@ type Measurement = measure.Record
 // Beyond the pull-style snapshot accessors (Measurements, ExportCSV,
 // AppMedians…), a Phone exposes the streaming pipeline: Subscribe
 // taps the live measurement stream as a range-over-func iterator, and
-// Attach registers a Sink — CSVSink, JSONLSink, or the crowdsourcing
-// Collector — that consumes every measurement for the rest of the
-// engine's lifetime. See stream.go and sink.go.
+// Attach registers a Sink — JSONLSink, or the crowdsourcing Collector
+// — that consumes every measurement for the rest of the engine's
+// lifetime. See stream.go and sink.go. The phone's store is the only
+// local copy of its records: a Collector ships them and keeps none.
 type Phone struct {
 	core
 	bed *testbed.Bed

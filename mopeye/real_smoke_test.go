@@ -4,6 +4,7 @@ package mopeye
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -117,8 +118,8 @@ func TestRealTunSocksSmoke(t *testing.T) {
 	}
 	collector := NewCollector(CollectorOptions{
 		Device: "smoke-device",
-		Transport: FuncTransport(func(ms []Measurement) error {
-			uploaded = append(uploaded, ms...)
+		Transport: TransportFunc(func(_ context.Context, b Batch) error {
+			uploaded = append(uploaded, b.Records...)
 			return nil
 		}),
 	})

@@ -31,42 +31,6 @@ type Sink interface {
 	Close() error
 }
 
-// CSVSink streams measurements as CSV rows — the continuous form of
-// ExportCSV, byte-identical given the same records. The caller keeps
-// ownership of w; Close flushes but does not close it.
-type CSVSink struct {
-	mu  sync.Mutex
-	enc *measure.CSVEncoder
-}
-
-// NewCSVSink builds a CSV sink over w.
-func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{enc: measure.NewCSVEncoder(w)}
-}
-
-// Accept writes one row and flushes it through — measurements arrive
-// at connection rate, not packet rate, so per-record flushing is
-// cheap and keeps a tailing consumer live instead of waiting on a
-// buffer to fill.
-func (s *CSVSink) Accept(m Measurement) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.enc.Write(m); err != nil {
-		return err
-	}
-	return s.enc.Flush()
-}
-
-// Flush writes buffered rows (and the header on an empty stream).
-func (s *CSVSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.enc.Flush()
-}
-
-// Close flushes; the underlying writer stays open.
-func (s *CSVSink) Close() error { return s.Flush() }
-
 // JSONLSink streams measurements as JSON Lines — self-describing,
 // append-friendly, the format behind `mopeye -follow -jsonl`. The
 // caller keeps ownership of w; Close flushes but does not close it.
@@ -119,20 +83,18 @@ type CollectorOptions struct {
 	// identifying this phone in the crowdsourced dataset. Default
 	// "device-live".
 	Device string
-	// MinPerApp is the minimum records per app for the per-app median
-	// aggregate recomputed on each upload. Default 1.
-	MinPerApp int
-	// Transport, when set, ships every batch toward a collector server
-	// — HTTPTransport for the wire, FuncTransport/TransportFunc for
-	// in-process consumers. Each batch carries the device stamp, a
-	// 1-based sequence number, and an idempotency key unique to this
+	// Transport ships every batch toward a collector server —
+	// HTTPTransport for the wire, TransportFunc for in-process
+	// consumers. Each batch carries the device stamp, a 1-based
+	// sequence number, and an idempotency key unique to this
 	// collector, so redelivered batches dedup server-side. Upload is
 	// called with the collector's lock held and must not block on the
 	// network (HTTPTransport enqueues) or call back into the
-	// collector. nil keeps uploads in-process only: the local dataset
-	// (Records, AppMedians, Study) is maintained either way, and the
-	// collector never closes the transport — the owner does, after
-	// every phone sharing it has flushed.
+	// collector. nil discards each batch once it is counted: the
+	// collector keeps no copy of what it uploaded (the phone's own
+	// Measurements are the local record). The collector never closes
+	// the transport — the owner does, after every phone sharing it has
+	// flushed.
 	Transport Transport
 
 	// now is the clock, overridable in tests.
@@ -145,22 +107,13 @@ type CollectorOptions struct {
 // measurements by size/interval the way MopEye's uploader does, stamps
 // them with the device identity, and ships each batch through its
 // Transport — HTTPTransport to a live collector server
-// (cmd/collectord), or in-process when no Transport is set. It also
-// maintains the local mirror of everything uploaded (per-app median
-// RTTs recomputed on every upload, Records, and Study(), which hands
-// the records to the same §4.2 code that analyses the paper's
-// 5.25M-record deployment dataset).
-//
-// Deprecated consumption pattern: reading Collector.Records() from a
-// callback-shaped integration. New code should set
-// CollectorOptions.Transport — FuncTransport adapts a bare
-// func([]Measurement) error during migration — so the upload path is
-// explicit and can move onto the wire without touching the policy.
+// (cmd/collectord), or an in-process TransportFunc. It holds only the
+// pending batch: once shipped, a record lives in the phone's store and
+// on the server, not here.
 type Collector struct {
 	mu         sync.Mutex
 	o          CollectorOptions
 	pending    []measure.Record
-	uploaded   []measure.Record
 	uploads    int
 	lastUpload time.Time
 	// nonce makes this collector's idempotency keys unique even when
@@ -175,9 +128,6 @@ func NewCollector(o CollectorOptions) *Collector {
 	}
 	if o.Device == "" {
 		o.Device = "device-live"
-	}
-	if o.MinPerApp <= 0 {
-		o.MinPerApp = 1
 	}
 	if o.now == nil {
 		o.now = time.Now
@@ -213,35 +163,35 @@ func (c *Collector) Flush() error {
 	return c.upload()
 }
 
-// Close performs the final upload. The collector's uploaded dataset
-// remains readable afterwards; a shared Transport is left open for
+// Close performs the final upload. A shared Transport is left open for
 // its owner to close.
 func (c *Collector) Close() error { return c.Flush() }
 
 // upload moves the pending batch server-side: stamps the device
-// attribution, appends to the local uploaded dataset, and — when a
-// Transport is configured — ships the batch under a fresh idempotency
-// key. An empty pending batch is suppressed entirely: no sequence
-// number is consumed and the transport is not called. Caller holds
-// c.mu.
+// attribution and — when a Transport is configured — ships the batch
+// under a fresh idempotency key. An empty pending batch is suppressed
+// entirely: no sequence number is consumed and the transport is not
+// called. Caller holds c.mu.
 func (c *Collector) upload() error {
 	if len(c.pending) == 0 {
 		return nil
 	}
-	stamped := make([]measure.Record, 0, len(c.pending))
-	for _, r := range c.pending {
-		if r.Device == "" {
-			r.Device = c.o.Device
-		}
-		stamped = append(stamped, r)
-	}
-	c.uploaded = append(c.uploaded, stamped...)
-	c.pending = c.pending[:0]
 	c.uploads++
 	c.lastUpload = c.o.now()
 	if c.o.Transport == nil {
+		c.pending = c.pending[:0]
 		return nil
 	}
+	// The batch gets its own records: a queueing transport still holds
+	// them after pending is reused.
+	stamped := make([]measure.Record, len(c.pending))
+	for i, r := range c.pending {
+		if r.Device == "" {
+			r.Device = c.o.Device
+		}
+		stamped[i] = r
+	}
+	c.pending = c.pending[:0]
 	b := Batch{
 		Device:  c.o.Device,
 		Seq:     c.uploads,
@@ -249,16 +199,6 @@ func (c *Collector) upload() error {
 		Records: stamped,
 	}
 	return c.o.Transport.Upload(context.Background(), b)
-}
-
-func filterTCP(recs []measure.Record) []measure.Record {
-	out := make([]measure.Record, 0, len(recs))
-	for _, r := range recs {
-		if r.Kind == measure.KindTCP {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Uploads reports how many batches have been uploaded.
@@ -273,30 +213,4 @@ func (c *Collector) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pending)
-}
-
-// Records returns a copy of the uploaded dataset, device-stamped, in
-// upload order.
-func (c *Collector) Records() []Measurement {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]measure.Record(nil), c.uploaded...)
-}
-
-// AppMedians returns the server-side aggregate as of the last upload:
-// each app's median TCP RTT in milliseconds over apps with at least
-// MinPerApp uploaded records. Computed on demand — pending records do
-// not move the aggregate, only uploads do.
-func (c *Collector) AppMedians() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return measure.AppMedians(filterTCP(c.uploaded), c.o.MinPerApp)
-}
-
-// Study hands the uploaded records to the §4.2 analysis pipeline: a
-// live phone's stream becomes a Study exactly the way the generated
-// deployment dataset does. Call after Flush/Close (or at any upload
-// boundary).
-func (c *Collector) Study() *Study {
-	return NewStudyFrom(c.Records())
 }

@@ -20,30 +20,30 @@ func sinkRec(app string, ms float64) Measurement {
 	}
 }
 
-// The file sinks must emit exactly what the batch exporters would for
+// batchLog is an in-process Transport that keeps every batch it is
+// handed; read it once the collector has closed.
+type batchLog struct{ batches []Batch }
+
+func (l *batchLog) Upload(_ context.Context, b Batch) error {
+	l.batches = append(l.batches, b)
+	return nil
+}
+
+// records flattens the batches into their records, in upload order.
+func (l *batchLog) records() []Measurement {
+	var recs []Measurement
+	for _, b := range l.batches {
+		recs = append(recs, b.Records...)
+	}
+	return recs
+}
+
+// The file sink must emit exactly what the batch exporter would for
 // the same records.
 func TestFileSinksMatchBatchExports(t *testing.T) {
 	recs := []Measurement{sinkRec("a", 10), sinkRec("b", 20)}
 
 	var sinkOut, batchOut bytes.Buffer
-	cs := NewCSVSink(&sinkOut)
-	for _, r := range recs {
-		if err := cs.Accept(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := measure.WriteCSV(&batchOut, recs); err != nil {
-		t.Fatal(err)
-	}
-	if sinkOut.String() != batchOut.String() {
-		t.Error("CSVSink diverges from WriteCSV")
-	}
-
-	sinkOut.Reset()
-	batchOut.Reset()
 	js := NewJSONLSink(&sinkOut)
 	for _, r := range recs {
 		if err := js.Accept(r); err != nil {
@@ -61,24 +61,9 @@ func TestFileSinksMatchBatchExports(t *testing.T) {
 	}
 }
 
-// An empty CSV sink still produces a parseable header-only file.
-func TestCSVSinkEmptyStream(t *testing.T) {
-	var out bytes.Buffer
-	s := NewCSVSink(&out)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := measure.ReadCSV(&out)
-	if err != nil {
-		t.Fatalf("header-only output unparseable: %v", err)
-	}
-	if len(recs) != 0 {
-		t.Errorf("phantom records: %d", len(recs))
-	}
-}
-
 func TestCollectorBatchSizePolicy(t *testing.T) {
-	c := NewCollector(CollectorOptions{BatchSize: 3})
+	tr := &batchLog{}
+	c := NewCollector(CollectorOptions{BatchSize: 3, Transport: tr})
 	for i := 0; i < 7; i++ {
 		if err := c.Accept(sinkRec("a", float64(i+1))); err != nil {
 			t.Fatal(err)
@@ -96,7 +81,7 @@ func TestCollectorBatchSizePolicy(t *testing.T) {
 	if c.Uploads() != 3 || c.Pending() != 0 {
 		t.Errorf("after close: uploads %d pending %d", c.Uploads(), c.Pending())
 	}
-	if got := len(c.Records()); got != 7 {
+	if got := len(tr.records()); got != 7 {
 		t.Errorf("uploaded records: %d", got)
 	}
 	// Flush with nothing pending is not an upload.
@@ -129,41 +114,31 @@ func TestCollectorIntervalPolicy(t *testing.T) {
 	}
 }
 
-func TestCollectorMediansAndDeviceStamp(t *testing.T) {
-	c := NewCollector(CollectorOptions{BatchSize: 100, Device: "device-test", MinPerApp: 2})
+// Uploaded records carry the collector's device stamp, unless they
+// already carry one of their own.
+func TestCollectorDeviceStamp(t *testing.T) {
+	tr := &batchLog{}
+	c := NewCollector(CollectorOptions{BatchSize: 100, Device: "device-test", Transport: tr})
 	for _, ms := range []float64{10, 30, 20} {
 		c.Accept(sinkRec("com.app.x", ms))
 	}
-	c.Accept(sinkRec("com.app.rare", 99))
-	// DNS records never enter the per-app median aggregate.
-	dns := sinkRec("system.dns", 5)
-	dns.Kind = measure.KindDNS
-	c.Accept(dns)
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	med := c.AppMedians()
-	if got := med["com.app.x"]; got != 20 {
-		t.Errorf("median: %v", got)
-	}
-	if _, ok := med["com.app.rare"]; ok {
-		t.Error("app below MinPerApp aggregated")
-	}
-	if _, ok := med["system.dns"]; ok {
-		t.Error("DNS leaked into the TCP median aggregate")
-	}
-	for _, r := range c.Records() {
+	for _, r := range tr.records() {
 		if r.Device != "device-test" {
 			t.Errorf("unstamped upload: %+v", r)
 		}
 	}
-	// Records that already carry a device attribution keep it.
 	pre := sinkRec("com.app.x", 40)
 	pre.Device = "device-original"
 	c.Accept(pre)
 	c.Flush()
-	recs := c.Records()
-	if got := recs[len(recs)-1].Device; got != "device-original" {
+	recs := tr.records()
+	if len(recs) != 4 {
+		t.Fatalf("uploaded records: %d, want 4", len(recs))
+	}
+	if got := recs[3].Device; got != "device-original" {
 		t.Errorf("pre-attributed device overwritten: %q", got)
 	}
 }
@@ -242,9 +217,6 @@ func TestCollectorCloseDuringInFlightUpload(t *testing.T) {
 	if got := len(batches[0].Records); got != 2 {
 		t.Errorf("in-flight batch records: %d", got)
 	}
-	if got := len(c.Records()); got != 2 {
-		t.Errorf("mirror records: %d", got)
-	}
 }
 
 // Empty batches are suppressed end to end: no upload counted, no
@@ -308,17 +280,18 @@ func TestCollectorTransportErrorPropagates(t *testing.T) {
 	}
 }
 
-// A collector dataset loaded back from a JSONL export analyses the
-// same as the live one: the full export → ingest loop.
+// A collector's uploads loaded back from a JSONL export analyse the
+// same as the live ones: the full export → ingest loop.
 func TestCollectorRoundTripThroughJSONL(t *testing.T) {
-	c := NewCollector(CollectorOptions{BatchSize: 2, Device: "device-rt"})
+	tr := &batchLog{}
+	c := NewCollector(CollectorOptions{BatchSize: 2, Device: "device-rt", Transport: tr})
 	for i := 0; i < 5; i++ {
 		c.Accept(sinkRec("com.app.rt", float64(10*(i+1))))
 	}
 	c.Close()
 
 	var buf bytes.Buffer
-	if err := measure.WriteJSONL(&buf, c.Records()); err != nil {
+	if err := measure.WriteJSONL(&buf, tr.records()); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := measure.ReadJSONL(&buf)

@@ -20,8 +20,8 @@ import (
 // phones batch measurements locally and upload them to the collector
 // server over the network. Transport abstracts that hop so the
 // Collector's policy (when to upload) is independent of the wire (how
-// an upload travels): FuncTransport keeps the PR 4-era in-process
-// hand-off, HTTPTransport is the real wire — JSONL-over-HTTP POST with
+// an upload travels): TransportFunc is an in-process hand-off,
+// HTTPTransport is the real wire — JSONL-over-HTTP POST with
 // exponential-backoff retry, per-batch idempotency keys, and a bounded
 // in-flight queue so a dead collector can never block or OOM the
 // phone (overflow drops are counted, the same contract as the
@@ -33,7 +33,7 @@ type Batch = measure.Batch
 
 // Transport ships one batch toward a collector. Upload must not
 // block on the network: shipped implementations either enqueue
-// (HTTPTransport) or run in-process (FuncTransport). Upload may be
+// (HTTPTransport) or run in-process (TransportFunc). Upload may be
 // called concurrently by independent collectors (a Fleet shares one
 // transport across all phones); retries of a batch reuse its Key, and
 // a receiver deduplicating on Key sees each batch's records exactly
@@ -47,16 +47,6 @@ type TransportFunc func(context.Context, Batch) error
 
 // Upload calls f.
 func (f TransportFunc) Upload(ctx context.Context, b Batch) error { return f(ctx, b) }
-
-// FuncTransport wraps a bare in-process upload function — the
-// migration shim for code that consumed Collector batches as plain
-// record slices before the Transport redesign. New code should accept
-// a Batch (TransportFunc) or speak the wire (HTTPTransport).
-func FuncTransport(fn func([]Measurement) error) Transport {
-	return TransportFunc(func(_ context.Context, b Batch) error {
-		return fn(b.Records)
-	})
-}
 
 // ErrTransportClosed is returned by Upload after Close.
 var ErrTransportClosed = errors.New("mopeye: transport closed")
@@ -127,9 +117,16 @@ type HTTPTransport struct {
 	// acknowledged batch to the next (see send).
 	enc []byte
 
-	mu      sync.Mutex
-	closing bool
-	err     error
+	// Upload sends under closeMu's read lock and Close closes the queue
+	// under its write lock, so a send never races the close. stop,
+	// closed first, releases an Upload waiting on a full queue so that
+	// Close can take the write lock.
+	closeMu   sync.RWMutex
+	stop      chan struct{}
+	closeOnce sync.Once
+
+	mu  sync.Mutex
+	err error
 
 	uploaded atomic.Uint64
 	retried  atomic.Uint64
@@ -159,7 +156,7 @@ func NewHTTPTransport(baseURL string, o HTTPTransportOptions) *HTTPTransport {
 	if o.sleep == nil {
 		o.sleep = time.Sleep
 	}
-	t := &HTTPTransport{url: baseURL, o: o, queue: make(chan Batch, o.QueueSize)}
+	t := &HTTPTransport{url: baseURL, o: o, queue: make(chan Batch, o.QueueSize), stop: make(chan struct{})}
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
@@ -174,34 +171,39 @@ func NewHTTPTransport(baseURL string, o HTTPTransportOptions) *HTTPTransport {
 // queue full the batch is dropped and counted
 // (HTTPTransportStats.Dropped) — the bounded-drop contract that keeps
 // a phone healthy when its collector is not. With BlockOnFull set it
-// waits for queue space instead (checking ctx while it waits).
-// Returns ErrTransportClosed after Close.
+// waits for queue space instead, returning ctx's error if ctx is done
+// first and ErrTransportClosed if Close is called first. Returns
+// ErrTransportClosed after Close.
 func (t *HTTPTransport) Upload(ctx context.Context, b Batch) error {
-	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	var done <-chan struct{}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		// The enqueue happens under mu: Close also takes mu before
-		// closing the queue, so a send can never race the close.
-		t.mu.Lock()
-		if t.closing {
-			t.mu.Unlock()
-			return ErrTransportClosed
-		}
+		done = ctx.Done()
+	}
+	t.closeMu.RLock()
+	defer t.closeMu.RUnlock()
+	select {
+	case <-t.stop:
+		return ErrTransportClosed
+	default:
+	}
+	if !t.o.BlockOnFull {
 		select {
 		case t.queue <- b:
-			t.mu.Unlock()
-			return nil
 		default:
-		}
-		t.mu.Unlock()
-		if !t.o.BlockOnFull {
 			t.dropped.Add(1)
-			return nil
 		}
-		time.Sleep(100 * time.Microsecond)
+		return nil
+	}
+	select {
+	case t.queue <- b:
+		return nil
+	case <-done:
+		return ctx.Err()
+	case <-t.stop:
+		return ErrTransportClosed
 	}
 }
 
@@ -295,16 +297,14 @@ func (t *HTTPTransport) fail(err error) {
 // (retries included), and returns the transport's first terminal
 // error. Safe to call more than once.
 func (t *HTTPTransport) Close() error {
-	t.mu.Lock()
-	if !t.closing {
-		t.closing = true
+	t.closeOnce.Do(func() {
+		close(t.stop)
+		t.closeMu.Lock()
 		close(t.queue)
-	}
-	t.mu.Unlock()
+		t.closeMu.Unlock()
+	})
 	t.wg.Wait()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
+	return t.Err()
 }
 
 // Err reports the transport's first terminal error (nil while

@@ -2,6 +2,7 @@ package mopeye
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -220,41 +221,6 @@ func TestHTTPTransportClosed(t *testing.T) {
 	}
 }
 
-// FuncTransport is the in-process compat shim: a Collector configured
-// with it hands every uploaded batch's records to the bare function,
-// in upload order, identical to the collector's own mirror.
-func TestFuncTransportCompat(t *testing.T) {
-	var got []Measurement
-	c := NewCollector(CollectorOptions{
-		BatchSize: 2,
-		Device:    "compat",
-		Transport: FuncTransport(func(recs []Measurement) error {
-			got = append(got, recs...)
-			return nil
-		}),
-	})
-	for i := 0; i < 5; i++ {
-		if err := c.Accept(sinkRec("com.app", float64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mirror := c.Records()
-	if len(got) != 5 || len(mirror) != 5 {
-		t.Fatalf("func transport got %d records, mirror %d", len(got), len(mirror))
-	}
-	for i := range got {
-		if got[i] != mirror[i] {
-			t.Errorf("record %d diverges from mirror", i)
-		}
-	}
-	if got[0].Device != "compat" {
-		t.Errorf("unstamped record reached the transport: %+v", got[0])
-	}
-}
-
 // Collector batches ship with unique, monotonically-sequenced
 // idempotency keys; an empty flush consumes neither a key nor a
 // transport call.
@@ -340,6 +306,72 @@ func TestHTTPTransportBlockOnFull(t *testing.T) {
 	cancel()
 	if err := tr.Upload(ctx, Batch{}); err == nil {
 		t.Error("upload on cancelled context accepted")
+	}
+}
+
+// An Upload waiting on a full queue is released by its event, not a
+// poll: cancelling its context returns ctx.Err(), and Close returns
+// ErrTransportClosed to one still waiting.
+func TestHTTPTransportBlockedUploadReleased(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		entered <- struct{}{}
+		<-gate
+	}))
+	defer ts.Close()
+	tr := NewHTTPTransport(ts.URL, HTTPTransportOptions{QueueSize: 1, BlockOnFull: true})
+	upload := func(ctx context.Context, seq int) error {
+		return tr.Upload(ctx, Batch{Device: "p1", Key: fmt.Sprint(seq), Seq: seq, Records: uploadRecs(1, "a")})
+	}
+	// Batch 1 wedges the uploader behind the gate; batch 2 fills the
+	// queue.
+	if err := upload(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if err := upload(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+
+	waiting := func(ctx context.Context, seq int) <-chan error {
+		errc := make(chan error, 1)
+		go func() { errc <- upload(ctx, seq) }()
+		select {
+		case err := <-errc:
+			t.Fatalf("Upload %d returned %v with the queue full", seq, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		return errc
+	}
+	released := func(errc <-chan error, want error) {
+		t.Helper()
+		select {
+		case err := <-errc:
+			if err != want {
+				t.Errorf("released Upload returned %v, want %v", err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("blocked Upload was never released")
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := waiting(ctx, 3)
+	cancel()
+	released(errc, context.Canceled)
+
+	errc = waiting(context.Background(), 4)
+	closed := make(chan error, 1)
+	go func() { closed <- tr.Close() }()
+	released(errc, ErrTransportClosed)
+	close(gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); st.Uploaded != 2 || st.Dropped != 0 {
+		t.Errorf("stats: %+v, want the 2 queued batches uploaded", st)
 	}
 }
 
