@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/measure"
 	"repro/internal/netsim"
+	"repro/internal/packet"
 	"repro/internal/phonestack"
 	"repro/internal/procnet"
 	"repro/internal/sockets"
@@ -267,6 +268,50 @@ func TestConnectionRefusedRelaysRST(t *testing.T) {
 	st := tb.eng.Stats()
 	if st.ConnectFailures != 1 {
 		t.Errorf("ConnectFailures = %d, want 1", st.ConnectFailures)
+	}
+}
+
+// rstProbeTun is a TUN backend that reports every RST the engine
+// writes toward the app, at the moment of the write.
+type rstProbeTun struct {
+	*tun.Device
+	onRST func()
+}
+
+func (d *rstProbeTun) Write(pkt []byte) error {
+	if p, err := packet.Decode(pkt); err == nil && p.IsTCP() && p.TCP.Has(packet.FlagRST) {
+		d.onRST()
+	}
+	return d.Device.Write(pkt)
+}
+
+// TestConnectFailureCountedBeforeRST: the engine counts a failed
+// external connect before the RST leaves for the app, so an app whose
+// connect was refused always finds the failure counted. DirectWrite
+// writes the RST on the thread that refuses, so the probe reads the
+// counter exactly when the RST leaves, for the blocking and the
+// event-driven connect alike.
+func TestConnectFailureCountedBeforeRST(t *testing.T) {
+	for _, blocking := range []bool{true, false} {
+		cfg := engine.Default()
+		cfg.WriteScheme = engine.DirectWrite
+		cfg.BlockingConnectMeasure = blocking
+		probe := &rstProbeTun{}
+		tb := newTestbedOn(t, cfg, func(d *tun.Device) tun.Interface {
+			probe.Device = d
+			return probe
+		})
+		var atRST []int
+		probe.onRST = func() { atRST = append(atRST, tb.eng.Stats().ConnectFailures) }
+		noServer := netip.MustParseAddrPort("93.184.216.34:81")
+		for i := 1; i <= 3; i++ {
+			if _, err := tb.phone.Connect(uidApp, noServer, 5*time.Second); err != phonestack.ErrRefused {
+				t.Fatalf("blocking=%v attempt %d: got %v, want ErrRefused", blocking, i, err)
+			}
+			if len(atRST) != i || atRST[i-1] != i {
+				t.Fatalf("blocking=%v attempt %d: ConnectFailures when each RST left = %v, want 1..%d", blocking, i, atRST, i)
+			}
+		}
 	}
 }
 

@@ -179,7 +179,6 @@ func (e *Engine) socketConnectBlocking(cl *relay.TCPClient) {
 	}
 	defer e.connect.Done()
 	if err != nil {
-		cl.SM.Refuse()
 		e.connectFailed(cl)
 		return
 	}
@@ -229,7 +228,6 @@ func (e *Engine) socketConnectEventDriven(cl *relay.TCPClient) {
 	connStart := e.clk.Nanos()
 	key.Attach(&eventConnect{client: cl, start: connStart})
 	if err := ch.ConnectNonBlocking(cl.Flow.Dst); err != nil {
-		cl.SM.Refuse()
 		e.connectFailed(cl)
 	}
 }
@@ -240,12 +238,16 @@ type eventConnect struct {
 	start  int64
 }
 
+// connectFailed counts a failed external connect, tears the relay
+// state down and only then refuses the app, so an app that sees the RST
+// also sees the failure in the engine's counters.
 func (e *Engine) connectFailed(cl *relay.TCPClient) {
 	e.ctr.connectFailures.Add(1)
 	e.removeClient(cl)
 	if ch := cl.Ch(); ch != nil {
 		ch.Close()
 	}
+	cl.SM.Refuse()
 }
 
 func (e *Engine) removeClient(cl *relay.TCPClient) {
@@ -311,7 +313,6 @@ func (e *Engine) finishEventConnect(k *sockets.SelectionKey, ec *eventConnect) {
 		if errors.Is(err, sockets.ErrConnPending) {
 			return
 		}
-		cl.SM.Refuse()
 		e.connectFailed(cl)
 		return
 	}

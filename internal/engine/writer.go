@@ -13,8 +13,9 @@ import (
 // sync.Pool and recycled once the tunnel write has copied it out, so
 // the encode hot path allocates nothing in steady state. That copy is
 // also what lets the hops before it reuse their buffers: emit only
-// borrows the packet's Payload (the worker's socket read buffer) and
-// is done with it once AppendEncode returns. DESIGN.md, "Buffer
+// borrows the packet (tcpsm's pooled segment) and its Payload (the
+// worker's socket read buffer) and is done with both once AppendEncode
+// returns. DESIGN.md, "Buffer
 // ownership on the relay path", has the whole chain, one row per hop
 // from the TUN read to the TUN write.
 

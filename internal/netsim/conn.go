@@ -17,22 +17,38 @@ const DefaultRecvBuffer = 65535
 // (the send buffer analogue). Writers block when it is full.
 const sendQueueDepth = 64
 
-// chunk is one scheduled byte delivery, or a control signal.
+// chunk is one scheduled byte delivery on a delayed link.
 type chunk struct {
 	data    []byte
-	eof     bool
-	rst     bool
 	arrival int64 // target arrival, clock nanos
 }
+
+// pooledRecvBuf is the least capacity a drained receive buffer must
+// have to go back to recvBufs; a smaller one stays with its mailbox.
+const pooledRecvBuf = 4 << 10
+
+// recvBufs recycles the receive buffers bulk transfers grow. A mailbox
+// with no buffer draws from it whatever it is about to receive (the
+// engine writes at most one MSS at a time, so a draw kept for big
+// writes would never happen), and a drained buffer of pooledRecvBuf or
+// more goes back, so a flow that sits drained pins no large buffer. A
+// smaller buffer stays: a flow of small messages reuses its own, which
+// pins a few bytes rather than a pooled page. Get returns nil when the
+// pool is empty, and append then sizes a new buffer to the delivery.
+var recvBufs sync.Pool // of *[]byte
 
 // mailbox is an endpoint receive buffer with blocking and non-blocking
 // reads and an optional readability callback for selector integration.
 type mailbox struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	space      *sync.Cond
-	chunks     [][]byte
-	bytes      int
+	mu    sync.Mutex
+	cond  *sync.Cond
+	space *sync.Cond
+	// buf[off:] are the unread bytes, one contiguous run; tok is the
+	// recvBufs token buf came with, if it came from there. buf is nil
+	// only before the first delivery and after a drain that pooled it.
+	buf        []byte
+	off        int
+	tok        *[]byte
 	capBytes   int
 	eof        bool
 	rst        bool
@@ -50,46 +66,56 @@ func newMailbox(capBytes int) *mailbox {
 	return m
 }
 
-// deliver appends data, blocking while the buffer is full (flow
-// control). Control deliveries (eof/rst) never block, so abort paths
-// cannot deadlock behind a full buffer.
-func (m *mailbox) deliver(c chunk) {
+// unread is how many bytes wait to be read. Caller holds m.mu.
+func (m *mailbox) unread() int { return len(m.buf) - m.off }
+
+// deliver copies data into the receive buffer, blocking while it would
+// overfill it (flow control); data is the caller's again on return.
+// data must not exceed capBytes, or it can never fit.
+func (m *mailbox) deliver(data []byte) {
 	m.mu.Lock()
-	if c.rst {
-		m.rst = true
-		m.cond.Broadcast()
-		m.space.Broadcast()
-		cb := m.onReadable
-		m.mu.Unlock()
-		if cb != nil {
-			cb()
-		}
-		return
-	}
-	if c.eof {
-		m.eof = true
-		m.cond.Broadcast()
-		cb := m.onReadable
-		m.mu.Unlock()
-		if cb != nil {
-			cb()
-		}
-		return
-	}
-	for m.bytes+len(c.data) > m.capBytes && !m.closed && !m.rst {
+	for m.unread()+len(data) > m.capBytes && !m.closed && !m.rst {
 		m.space.Wait()
 	}
 	if m.closed || m.rst {
 		m.mu.Unlock()
 		return
 	}
-	wasEmpty := m.bytes == 0
-	m.chunks = append(m.chunks, c.data)
-	m.bytes += len(c.data)
+	wasEmpty := m.unread() == 0
+	if m.buf == nil {
+		if tok, ok := recvBufs.Get().(*[]byte); ok {
+			m.buf, m.tok = (*tok)[:0], tok
+		}
+	}
+	if len(m.buf)+len(data) > cap(m.buf) && m.off > 0 {
+		// Slide the unread bytes down before append has to grow.
+		n := copy(m.buf, m.buf[m.off:])
+		m.buf, m.off = m.buf[:n], 0
+	}
+	m.buf = append(m.buf, data...)
 	m.cond.Signal()
 	cb := m.onReadable
 	m.mu.Unlock()
 	if wasEmpty && cb != nil {
+		cb()
+	}
+}
+
+// signal ends the stream: with a reset when rst (which also releases a
+// deliver blocked on flow control), else with EOF. It never blocks, so
+// abort paths cannot deadlock behind a full buffer.
+func (m *mailbox) signal(rst bool) {
+	m.mu.Lock()
+	if rst {
+		m.rst = true
+		m.space.Broadcast()
+	} else {
+		m.eof = true
+	}
+	m.cond.Broadcast()
+	cb := m.onReadable
+	m.mu.Unlock()
+	if cb != nil {
 		cb()
 	}
 }
@@ -99,7 +125,7 @@ func (m *mailbox) deliver(c chunk) {
 func (m *mailbox) read(buf []byte, block bool) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.bytes == 0 {
+	for m.unread() == 0 {
 		if m.rst {
 			return 0, ErrReset
 		}
@@ -114,20 +140,29 @@ func (m *mailbox) read(buf []byte, block bool) (int, error) {
 		}
 		m.cond.Wait()
 	}
-	n := 0
-	for n < len(buf) && len(m.chunks) > 0 {
-		c := m.chunks[0]
-		k := copy(buf[n:], c)
-		n += k
-		if k == len(c) {
-			m.chunks = m.chunks[1:]
-		} else {
-			m.chunks[0] = c[k:]
-		}
-		m.bytes -= k
+	n := copy(buf, m.buf[m.off:])
+	m.off += n
+	if m.off == len(m.buf) {
+		m.drainedLocked()
 	}
 	m.space.Broadcast()
 	return n, nil
+}
+
+// drainedLocked rewinds a drained buffer, or hands it back to recvBufs
+// when it is pooledRecvBuf or more. Caller holds m.mu.
+func (m *mailbox) drainedLocked() {
+	m.off = 0
+	if cap(m.buf) < pooledRecvBuf {
+		m.buf = m.buf[:0]
+		return
+	}
+	if m.tok == nil { // grown here, not drawn from the pool
+		m.tok = new([]byte)
+	}
+	*m.tok = m.buf[:0]
+	recvBufs.Put(m.tok)
+	m.buf, m.tok = nil, nil
 }
 
 func (m *mailbox) close() {
@@ -141,7 +176,7 @@ func (m *mailbox) close() {
 func (m *mailbox) setOnReadable(cb func()) {
 	m.mu.Lock()
 	m.onReadable = cb
-	readable := m.bytes > 0 || m.eof || m.rst
+	readable := m.unread() > 0 || m.eof || m.rst
 	m.mu.Unlock()
 	if readable && cb != nil {
 		cb()
@@ -199,9 +234,14 @@ func newScheduler(n *Network, ls *linkState, down bool, dst *mailbox) *scheduler
 	return s
 }
 
-// send enqueues a data delivery; blocks when the send queue is full
-// (send-buffer backpressure), unblocking if the network shuts down.
-func (s *scheduler) send(c chunk) error {
+// send delivers data toward the peer and returns once it is done with
+// data: a loopback send copies it straight into the peer's receive
+// buffer, any other copies it once into the chunk it queues. Either
+// way the caller's slice never outlives the call, so a caller's
+// stack buffer (EchoHandler's) stays on the stack. send blocks when
+// the send queue is full (send-buffer backpressure), unblocking if the
+// network shuts down.
+func (s *scheduler) send(data []byte) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -209,9 +249,9 @@ func (s *scheduler) send(c chunk) error {
 	}
 	if s.sync {
 		s.mu.Unlock()
-		s.dst.deliver(c)
+		s.dst.deliver(data)
 		// Network.Close releases a deliver blocked on flow control by
-		// closing the mailbox, which drops the chunk: report it as the
+		// closing the mailbox, which drops the data: report it as the
 		// queued path does.
 		select {
 		case <-s.net.done:
@@ -229,7 +269,7 @@ func (s *scheduler) send(c chunk) error {
 		// Bufferbloat mode: serialisation is charged against the
 		// destination's shared per-direction queue, so concurrent flows
 		// inflate each other's delivery times.
-		arr = now + int64(s.ls.reserve(now, len(c.data), s.down)) +
+		arr = now + int64(s.ls.reserve(now, len(data), s.down)) +
 			int64(link.Delay) + int64(s.net.jitter(link.Jitter))
 	} else {
 		bw := link.Up
@@ -241,8 +281,8 @@ func (s *scheduler) send(c chunk) error {
 			start = s.nextFree
 		}
 		var tx int64
-		if bw > 0 && len(c.data) > 0 {
-			tx = int64(time.Duration(len(c.data)) * time.Second / time.Duration(bw))
+		if bw > 0 && len(data) > 0 {
+			tx = int64(time.Duration(len(data)) * time.Second / time.Duration(bw))
 		}
 		s.nextFree = start + tx
 		arr = s.nextFree + int64(link.Delay) + int64(s.net.jitter(link.Jitter))
@@ -251,10 +291,9 @@ func (s *scheduler) send(c chunk) error {
 		arr = s.lastArr
 	}
 	s.lastArr = arr
-	c.arrival = arr
 	s.mu.Unlock()
 	select {
-	case s.q <- c:
+	case s.q <- chunk{data: append([]byte(nil), data...), arrival: arr}:
 		return nil
 	case <-s.net.done:
 		return ErrNetDown
@@ -274,7 +313,7 @@ func (s *scheduler) closeWithEOF() {
 	sync := s.sync
 	s.mu.Unlock()
 	if sync {
-		s.dst.deliver(chunk{eof: true})
+		s.dst.signal(false) // EOF
 		return
 	}
 	s.wake()
@@ -293,7 +332,7 @@ func (s *scheduler) abort() {
 	s.eofAfterDrain = false
 	sync := s.sync
 	s.mu.Unlock()
-	s.dst.deliver(chunk{rst: true})
+	s.dst.signal(true)
 	if !sync {
 		s.wake()
 	}
@@ -340,7 +379,7 @@ func (s *scheduler) run() {
 			closed := s.closed
 			s.mu.Unlock()
 			if eof {
-				s.dst.deliver(chunk{eof: true})
+				s.dst.signal(false) // EOF
 			}
 			if closed {
 				return
@@ -356,7 +395,7 @@ func (s *scheduler) deliverAt(c chunk) {
 	if d > 0 {
 		s.net.clk.Sleep(d)
 	}
-	s.dst.deliver(c)
+	s.dst.deliver(c.data)
 }
 
 // Conn is one endpoint of an established simulated TCP connection.
@@ -412,8 +451,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if end > len(b) {
 			end = len(b)
 		}
-		cp := append([]byte(nil), b[off:end]...)
-		if err := c.tx.send(chunk{data: cp}); err != nil {
+		if err := c.tx.send(b[off:end]); err != nil {
 			return off, err
 		}
 	}

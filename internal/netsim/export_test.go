@@ -15,5 +15,5 @@ func (n *Network) liveMailboxes() int {
 func (c *Conn) buffered() int {
 	c.rx.mu.Lock()
 	defer c.rx.mu.Unlock()
-	return c.rx.bytes
+	return c.rx.unread()
 }

@@ -68,14 +68,27 @@ func PadOptions(options []byte) []byte {
 	return padded
 }
 
-// Builder helpers. The user-space stack and the phone-side stack both
-// construct packets constantly; these helpers keep call sites compact.
+// Builder helpers. SetTCP is the in-place builder the relay path uses:
+// the user-space stack and the phone-side stack fill reused Packets
+// with it, so a segment allocates nothing. TCPPacket is its allocating
+// convenience for tests and the benchmark. UDPPacket allocates one
+// packet per datagram; the UDP relay and DNS paths still use it.
 
 // TCPPacket builds an IPv4 or IPv6 TCP packet between two AddrPorts.
 // Like every constructor here it is one allocation: the headers live
 // in the packet's own storage. payload is referenced, not copied.
 func TCPPacket(src, dst netip.AddrPort, flags uint8, seq, ack uint32, window uint16, options, payload []byte) *Packet {
-	p := &Packet{Payload: payload}
+	p := new(Packet)
+	p.SetTCP(src, dst, flags, seq, ack, window, options, payload)
+	return p
+}
+
+// SetTCP fills p in place with what TCPPacket would build, discarding
+// its previous contents whole, so a reused Packet makes a segment
+// without allocating (options already a 4-byte multiple, as MSSOption
+// is). payload and options are referenced, not copied.
+func (p *Packet) SetTCP(src, dst netip.AddrPort, flags uint8, seq, ack uint32, window uint16, options, payload []byte) {
+	*p = Packet{Payload: payload}
 	p.hdr.tcp = TCPHeader{
 		SrcPort: src.Port(),
 		DstPort: dst.Port(),
@@ -87,7 +100,6 @@ func TCPPacket(src, dst netip.AddrPort, flags uint8, seq, ack uint32, window uin
 	}
 	p.TCP = &p.hdr.tcp
 	p.setIPHeader(src.Addr(), dst.Addr())
-	return p
 }
 
 // UDPPacket builds an IPv4 or IPv6 UDP packet between two AddrPorts.

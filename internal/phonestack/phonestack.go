@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/fifoq"
 	"repro/internal/packet"
 	"repro/internal/procnet"
 	"repro/internal/tun"
@@ -154,16 +155,20 @@ func (p *Phone) allocPort() uint16 {
 	}
 }
 
-// demux dispatches engine-written packets to connections.
+// demux dispatches engine-written packets to connections. A TCP
+// segment is decoded into one reused Packet, which handleSegment does
+// not keep (it keeps only the Payload, a slice of the device's
+// single-owner copy); a UDP datagram's Packet moves to the socket's
+// inbox, so the next packet decodes into a fresh one.
 func (p *Phone) demux() {
 	defer p.wg.Done()
+	pkt := new(packet.Packet)
 	for {
 		raw, err := p.dev.ReadInbound()
 		if err != nil {
 			return
 		}
-		pkt, err := packet.Decode(raw)
-		if err != nil {
+		if err := packet.DecodeInto(pkt, raw); err != nil {
 			continue // a malformed packet from the engine is dropped
 		}
 		// Inbound packets are addressed to the phone; the app's local
@@ -183,6 +188,7 @@ func (p *Phone) demux() {
 			p.mu.Unlock()
 			if u != nil {
 				u.deliver(pkt)
+				pkt = new(packet.Packet)
 			}
 		}
 	}
@@ -192,8 +198,41 @@ func (p *Phone) demux() {
 // injected into the TUN (app-side ground truth for relay accounting).
 func (p *Phone) UDPDatagramsSent() int64 { return p.udpSent.Load() }
 
+// txScratch is what the phone encodes one outbound packet in: a
+// Packet for the TCP fields and the wire buffer. InjectOutbound copies
+// the bytes, so both go back to txPool as soon as it returns.
+type txScratch struct {
+	pkt packet.Packet
+	buf []byte
+}
+
+var txPool = sync.Pool{New: func() any {
+	return &txScratch{buf: make([]byte, 0, tun.DefaultMTU)}
+}}
+
+// inject encodes pkt into a pooled buffer and routes it into the TUN.
 func (p *Phone) inject(pkt *packet.Packet) error {
-	raw, err := pkt.Encode()
+	s := txPool.Get().(*txScratch)
+	err := p.injectEncoded(s, pkt)
+	txPool.Put(s)
+	return err
+}
+
+// injectTCP sends one TCP segment from the connection's endpoint. The
+// segment is built in pooled scratch, so options and payload are only
+// borrowed for the call: a Write's payload is the app's own buffer.
+func (c *Conn) injectTCP(flags uint8, seq, ack uint32, window uint16, options, payload []byte) error {
+	s := txPool.Get().(*txScratch)
+	s.pkt.SetTCP(c.local, c.remote, flags, seq, ack, window, options, payload)
+	err := c.phone.injectEncoded(s, &s.pkt)
+	s.pkt.Payload = nil // the pool must not pin the app's buffer
+	txPool.Put(s)
+	return err
+}
+
+func (p *Phone) injectEncoded(s *txScratch, pkt *packet.Packet) error {
+	raw, err := pkt.AppendEncode(s.buf[:0])
+	s.buf = raw[:0] // keep a regrown buffer with the scratch
 	if err != nil {
 		return err
 	}
@@ -219,7 +258,11 @@ type Conn struct {
 	mss    int
 	window int // peer-advertised send window
 
-	rx      [][]byte
+	// rx queues received payloads, each a slice of the device's
+	// single-owner copy of its packet, kept as is; rxHead is the unread
+	// rest of the one Read took from it last.
+	rx      fifoq.Queue[[]byte]
+	rxHead  []byte
 	rxBytes int
 	rxEOF   bool
 	rxErr   error
@@ -260,10 +303,10 @@ func (p *Phone) Connect(uid int, dst netip.AddrPort, timeout time.Duration) (*Co
 	})
 
 	start := p.clk.Nanos()
-	syn := packet.TCPPacket(c.local, dst, packet.FlagSYN, c.sndNxt, 0,
-		DefaultWindow, packet.MSSOption(uint16(p.advMSS())), nil)
+	synOpts := packet.MSSOption(uint16(p.advMSS()))
+	iss := c.sndNxt
 	c.sndNxt++ // SYN consumes one sequence number
-	if err := p.inject(syn); err != nil {
+	if err := c.injectTCP(packet.FlagSYN, iss, 0, DefaultWindow, synOpts, nil); err != nil {
 		c.unregister()
 		return nil, err
 	}
@@ -284,8 +327,7 @@ func (p *Phone) Connect(uid int, dst netip.AddrPort, timeout time.Duration) (*Co
 			if st != stateSynSent {
 				return
 			}
-			_ = p.inject(packet.TCPPacket(c.local, dst, packet.FlagSYN,
-				c.sndNxt-1, 0, DefaultWindow, packet.MSSOption(uint16(p.advMSS())), nil))
+			_ = c.injectTCP(packet.FlagSYN, iss, 0, DefaultWindow, synOpts, nil)
 			rto *= 2
 		}
 		c.mu.Lock()
@@ -394,11 +436,10 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 		}
 		c.state = stateEstablished
 		c.phone.table.SetState(c.inode, procnet.StateEstablished)
-		ack := packet.TCPPacket(c.local, c.remote, packet.FlagACK,
-			c.sndNxt, c.rcvNxt, DefaultWindow, nil, nil)
+		snd, ack := c.sndNxt, c.rcvNxt
 		c.cond.Broadcast()
 		c.mu.Unlock()
-		_ = c.phone.inject(ack)
+		_ = c.injectTCP(packet.FlagACK, snd, ack, DefaultWindow, nil, nil)
 		return
 
 	default:
@@ -423,14 +464,13 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 				}
 			}
 			if len(data) > 0 && seq == c.rcvNxt {
-				c.rx = append(c.rx, append([]byte(nil), data...))
+				c.rx.Push(data)
 				c.rxBytes += len(data)
 				c.rcvNxt += uint32(len(data))
 				c.cond.Broadcast()
-				ack := packet.TCPPacket(c.local, c.remote, packet.FlagACK,
-					c.sndNxt, c.rcvNxt, DefaultWindow, nil, nil)
+				snd, ack := c.sndNxt, c.rcvNxt
 				c.mu.Unlock()
-				_ = c.phone.inject(ack)
+				_ = c.injectTCP(packet.FlagACK, snd, ack, DefaultWindow, nil, nil)
 				return
 			}
 		}
@@ -438,10 +478,9 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 			c.rcvNxt = t.Seq + uint32(len(pkt.Payload)) + 1
 			c.rxEOF = true
 			c.cond.Broadcast()
-			ack := packet.TCPPacket(c.local, c.remote, packet.FlagACK,
-				c.sndNxt, c.rcvNxt, DefaultWindow, nil, nil)
+			snd, ack := c.sndNxt, c.rcvNxt
 			c.mu.Unlock()
-			_ = c.phone.inject(ack)
+			_ = c.injectTCP(packet.FlagACK, snd, ack, DefaultWindow, nil, nil)
 			return
 		}
 	}
@@ -485,12 +524,10 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if room := c.window - int(c.sndNxt-c.sndUna); n > room {
 			n = room
 		}
-		seg := packet.TCPPacket(c.local, c.remote,
-			packet.FlagACK|packet.FlagPSH, c.sndNxt, c.rcvNxt,
-			DefaultWindow, nil, append([]byte(nil), b[sent:sent+n]...))
+		snd, ack := c.sndNxt, c.rcvNxt
 		c.sndNxt += uint32(n)
 		c.mu.Unlock()
-		if err := c.phone.inject(seg); err != nil {
+		if err := c.injectTCP(packet.FlagACK|packet.FlagPSH, snd, ack, DefaultWindow, nil, b[sent:sent+n]); err != nil {
 			return sent, err
 		}
 		sent += n
@@ -515,17 +552,22 @@ func (c *Conn) Read(buf []byte) (int, error) {
 		c.cond.Wait()
 	}
 	n := 0
-	for n < len(buf) && len(c.rx) > 0 {
-		chunk := c.rx[0]
-		k := copy(buf[n:], chunk)
-		n += k
-		if k == len(chunk) {
-			c.rx = c.rx[1:]
-		} else {
-			c.rx[0] = chunk[k:]
+	for n < len(buf) {
+		if len(c.rxHead) == 0 {
+			next, ok := c.rx.Pop() // Pop clears the slot it empties
+			if !ok {
+				break
+			}
+			c.rxHead = next
 		}
-		c.rxBytes -= k
+		k := copy(buf[n:], c.rxHead)
+		c.rxHead = c.rxHead[k:]
+		n += k
 	}
+	if len(c.rxHead) == 0 {
+		c.rxHead = nil // release the consumed packet
+	}
+	c.rxBytes -= n
 	return n, nil
 }
 
@@ -554,15 +596,14 @@ func (c *Conn) Close() error {
 	}
 	wasEstablished := c.state == stateEstablished
 	lingers := wasEstablished && !c.rxEOF
-	fin := packet.TCPPacket(c.local, c.remote,
-		packet.FlagFIN|packet.FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow, nil, nil)
+	snd, ack := c.sndNxt, c.rcvNxt
 	c.sndNxt++
 	c.state = stateClosed
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if wasEstablished {
 		c.phone.table.SetState(c.inode, procnet.StateFinWait1)
-		_ = c.phone.inject(fin)
+		_ = c.injectTCP(packet.FlagFIN|packet.FlagACK, snd, ack, DefaultWindow, nil, nil)
 	}
 	if !lingers {
 		c.unregister()
@@ -578,13 +619,12 @@ func (c *Conn) Abort() {
 		c.mu.Unlock()
 		return
 	}
-	rst := packet.TCPPacket(c.local, c.remote, packet.FlagRST,
-		c.sndNxt, c.rcvNxt, 0, nil, nil)
+	snd, ack := c.sndNxt, c.rcvNxt
 	c.state = stateClosed
 	c.rxErr = ErrReset
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	_ = c.phone.inject(rst)
+	_ = c.injectTCP(packet.FlagRST, snd, ack, 0, nil, nil)
 	c.unregister()
 }
 

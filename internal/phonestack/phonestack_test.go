@@ -530,3 +530,42 @@ func TestConcurrentConnectionsDistinctPorts(t *testing.T) {
 		conns[i].Close()
 	}
 }
+
+// TestWriteSegmentAllocs pins the phone's cost of sending one MSS
+// segment at the one allocation the TUN device makes to copy it in:
+// the segment is encoded into pooled scratch straight from the app's
+// buffer. The handshake is answered by hand and nothing reads the
+// segments afterwards, so the count is Write's alone; 41 segments stay
+// inside the 64 KiB send window, so Write never waits for an ACK.
+func TestWriteSegmentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch at random under the race detector")
+	}
+	p, dev, _ := newPhone(t)
+	dev.SetBlocking(true)
+	go func() {
+		raw, err := dev.Read()
+		if err != nil {
+			return
+		}
+		syn, err := packet.Decode(raw)
+		if err != nil {
+			return
+		}
+		synAck, _ := packet.TCPPacket(syn.Dst(), syn.Src(), packet.FlagSYN|packet.FlagACK,
+			9000, syn.TCP.Seq+1, 65535, packet.MSSOption(1460), nil).Encode()
+		_ = dev.Write(synAck)
+	}()
+	c, err := p.Connect(10001, serverAP, 5*time.Second)
+	if err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	seg := make([]byte, 1460)
+	if allocs := testing.AllocsPerRun(40, func() {
+		if _, err := c.Write(seg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("Write of one MSS segment: %v allocs/op, want <= 1 (the device's copy)", allocs)
+	}
+}

@@ -15,11 +15,13 @@
 //     waiting for ACKs, and pure ACKs from the app are discarded.
 //
 // The machine emits packets through a caller-supplied function; the
-// engine points it at the TunWriter queue. The function owns the
-// *packet.Packet it is handed but only borrows its Payload, which may
-// alias the buffer a SendData caller reuses as soon as the call
-// returns: an emit that needs the bytes later encodes or copies them
-// before returning.
+// engine points it at the TunWriter queue. The function borrows the
+// *packet.Packet it is handed, and its Payload, for the call only: the
+// machine builds every segment in a pooled Packet that it takes back
+// when emit returns, and the Payload may alias the buffer a SendData
+// caller reuses as soon as the call returns. An emit that needs the
+// segment later encodes it (or copies what it needs) before returning;
+// that keeps a relayed segment allocation-free on this side of emit.
 package tcpsm
 
 import (
@@ -143,12 +145,24 @@ func (m *Machine) Stats() Stats {
 	return m.stats
 }
 
+// segPool holds the Packets sendLocked builds segments in. emit only
+// borrows one (package comment), so it goes back as soon as emit
+// returns.
+var segPool = sync.Pool{New: func() any { return new(packet.Packet) }}
+
+// synAckOptions is the MSS option every SYN-ACK carries. Emitted
+// packets only reference their options, and nothing writes to them.
+var synAckOptions = packet.MSSOption(DefaultMSS)
+
 // send emits a packet from the server-side identity toward the app.
 // Caller holds m.mu.
 func (m *Machine) sendLocked(flags uint8, seq, ack uint32, options, payload []byte) {
-	p := packet.TCPPacket(m.server, m.app, flags, seq, ack, m.window, options, payload)
+	p := segPool.Get().(*packet.Packet)
+	p.SetTCP(m.server, m.app, flags, seq, ack, m.window, options, payload)
 	m.stats.SegmentsOut++
 	m.emit(p)
+	p.Payload = nil // the pool must not pin the caller's buffer
+	segPool.Put(p)
 }
 
 // CompleteHandshake sends the SYN-ACK to the app. MopEye calls this only
@@ -163,7 +177,7 @@ func (m *Machine) CompleteHandshake() error {
 		return ErrBadState
 	}
 	m.sendLocked(packet.FlagSYN|packet.FlagACK, m.sndNxt, m.rcvNxt,
-		packet.MSSOption(DefaultMSS), nil)
+		synAckOptions, nil)
 	m.sndNxt++ // our SYN consumes one sequence number
 	m.state = StateEstablished
 	return nil

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -174,11 +175,14 @@ type Device struct {
 	outbound *fifo // phone -> engine
 	inbound  *fifo // engine -> phone
 
-	mu       sync.Mutex
-	blocking bool
-	mtu      int
-	stats    Stats
-	closed   bool
+	// blocking and mtu are read on every Read, Write and
+	// InjectOutbound, so they are atomics rather than fields under mu.
+	blocking atomic.Bool
+	mtu      atomic.Int64
+
+	mu     sync.Mutex
+	stats  Stats
+	closed bool
 
 	// writeMu serialises engine-side writes: the kernel tunnel accepts
 	// one write at a time, which is why multiple writer threads contend
@@ -204,21 +208,18 @@ func New(clk clock.Clock, queueCap int) *Device {
 	if queueCap <= 0 {
 		queueCap = 1024
 	}
-	return &Device{
+	d := &Device{
 		clk:      clk,
-		mtu:      DefaultMTU,
 		outbound: newFIFO(queueCap),
 		inbound:  newFIFO(queueCap),
 	}
+	d.mtu.Store(DefaultMTU)
+	return d
 }
 
 // MTU reports the device MTU. Writes larger than this fail with
 // ErrTooBig.
-func (d *Device) MTU() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mtu
-}
+func (d *Device) MTU() int { return int(d.mtu.Load()) }
 
 // SetMTU overrides the device MTU (DefaultMTU at construction). It
 // emulates configuring the interface before bringing the tunnel up —
@@ -227,26 +228,16 @@ func (d *Device) SetMTU(mtu int) {
 	if mtu <= 0 {
 		return
 	}
-	d.mu.Lock()
-	d.mtu = mtu
-	d.mu.Unlock()
+	d.mtu.Store(int64(mtu))
 }
 
 // SetBlocking switches the read mode of the descriptor, the equivalent of
 // fcntl(F_SETFL) at native level or the hidden
 // libcore.io.IoUtils.setBlocking (§3.1).
-func (d *Device) SetBlocking(b bool) {
-	d.mu.Lock()
-	d.blocking = b
-	d.mu.Unlock()
-}
+func (d *Device) SetBlocking(b bool) { d.blocking.Store(b) }
 
 // Blocking reports the current read mode.
-func (d *Device) Blocking() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.blocking
-}
+func (d *Device) Blocking() bool { return d.blocking.Load() }
 
 // Read retrieves the next outgoing app packet (the engine side of the
 // tunnel input stream). In blocking mode it waits for a packet; in
