@@ -24,9 +24,9 @@ func newMachine(syn *packet.Packet, iss uint32, emit func(*packet.Packet)) (*tcp
 // runs on one of udpPoolSize pooled workers against the flow's
 // NAT-style session socket.
 func (e *Engine) handleTunnelUDP(pkt *packet.Packet) {
-	// pkt.Payload aliases the single-owner raw buffer Decode consumed,
-	// so ownership can move to the pool without a copy.
-	e.udp.relay(packet.Flow(pkt), pkt.Payload)
+	// pkt.Payload aliases raw, which the device gets back when this
+	// returns, so the pool worker gets a copy of its own.
+	e.udp.relay(packet.Flow(pkt), append([]byte(nil), pkt.Payload...))
 }
 
 // dnsTransaction measures one DNS query/response RTT and relays the

@@ -129,6 +129,7 @@ func (e *Engine) tunReader() {
 			key, err := packet.PeekFlowKey(raw)
 			if err != nil {
 				e.ctr.decodeErrors.Add(1)
+				e.dev.Release(raw)
 				continue
 			}
 			w = e.workers[e.flows.Shard(key)%len(e.workers)]

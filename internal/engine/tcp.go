@@ -19,38 +19,44 @@ import (
 // synchronised.
 
 // handleTunnelPacket decodes one tunnel packet into the calling
-// worker's Packet and processes it. Reusing the Packet is safe because
-// no handler keeps it past the call: tcpsm.New copies the fields it
-// needs, and OnData, OnFIN and the UDP relay keep only Payload, which
-// aliases the single-owner raw (DESIGN.md, "Buffer ownership on the
-// relay path").
+// worker's Packet, processes it, and releases raw to the device unless
+// the packet's data now waits in a socket write buffer, which keeps raw
+// until the socket write. Reusing the Packet is safe because no handler
+// keeps it past the call: tcpsm.New copies the fields it needs, OnData
+// and OnFIN return a slice of raw that the write buffer keeps with raw,
+// and the UDP relay copies its payload (DESIGN.md, "Buffer ownership on
+// the relay path").
 func (e *Engine) handleTunnelPacket(w *worker, raw []byte) {
 	if err := packet.DecodeInto(&w.pkt, raw); err != nil {
 		e.ctr.decodeErrors.Add(1)
+		e.dev.Release(raw)
 		return
 	}
-	e.processPacket(&w.pkt, len(raw))
+	if !e.processPacket(&w.pkt, raw) {
+		e.dev.Release(raw)
+	}
 }
 
 // processPacket implements §2.3's tunnel-packet processing for an
-// already-decoded packet.
-func (e *Engine) processPacket(pkt *packet.Packet, rawLen int) {
+// already-decoded packet. It reports whether a write buffer kept raw.
+func (e *Engine) processPacket(pkt *packet.Packet, raw []byte) (kept bool) {
 	e.ctr.packetsFromTun.Add(1)
 	if e.cfg.PerPacketCost > 0 {
 		e.clk.SleepFine(e.cfg.PerPacketCost)
 		e.meter.AddInspected(1)
 	}
-	e.meter.AddPackets(1, int64(rawLen))
+	e.meter.AddPackets(1, int64(len(raw)))
 
 	switch {
 	case pkt.IsTCP():
-		e.handleTunnelTCP(pkt)
+		return e.handleTunnelTCP(pkt, raw)
 	case pkt.IsUDP():
 		e.handleTunnelUDP(pkt)
 	}
+	return false
 }
 
-func (e *Engine) handleTunnelTCP(pkt *packet.Packet) {
+func (e *Engine) handleTunnelTCP(pkt *packet.Packet, raw []byte) (kept bool) {
 	flow := packet.Flow(pkt)
 	t := pkt.TCP
 
@@ -59,13 +65,13 @@ func (e *Engine) handleTunnelTCP(pkt *packet.Packet) {
 	switch {
 	case t.Has(packet.FlagSYN) && !t.Has(packet.FlagACK):
 		if cl != nil {
-			return // SYN retransmission while connect in flight
+			return false // SYN retransmission while connect in flight
 		}
 		e.onSYN(pkt, flow)
 
 	case t.Has(packet.FlagRST):
 		if cl == nil {
-			return
+			return false
 		}
 		// §2.3 TCP RST: close the external connection, drop the client.
 		cl.SM.OnRST()
@@ -76,26 +82,28 @@ func (e *Engine) handleTunnelTCP(pkt *packet.Packet) {
 
 	case t.Has(packet.FlagFIN):
 		if cl == nil {
-			return
+			return false
 		}
 		data, err := cl.SM.OnFIN(pkt)
 		if err == nil && len(data) > 0 {
-			cl.EnqueueWrite(data)
+			cl.EnqueueWrite(data, raw)
+			kept = true
 		}
 		cl.RequestHalfClose()
 		e.triggerWrite(cl)
 
 	case len(pkt.Payload) > 0:
 		if cl == nil {
-			return
+			return false
 		}
 		data, err := cl.SM.OnData(pkt)
 		if err != nil || len(data) == 0 {
-			return
+			return false
 		}
 		e.ctr.bytesUp.Add(int64(len(data)))
-		cl.EnqueueWrite(data)
+		cl.EnqueueWrite(data, raw)
 		e.triggerWrite(cl)
+		return true
 
 	default:
 		// Pure ACK: discarded, nothing to relay (§2.3).
@@ -104,6 +112,7 @@ func (e *Engine) handleTunnelTCP(pkt *packet.Packet) {
 		}
 		e.ctr.pureACKs.Add(1)
 	}
+	return kept
 }
 
 // triggerWrite raises the socket write event for a client whose buffer
@@ -378,18 +387,20 @@ func (e *Engine) socketRead(w *worker, cl *relay.TCPClient) {
 // socketWrite handles §2.3 Socket Write: flush the write buffer to the
 // server, then instruct the state machine to ACK the app; on a pending
 // half close, half-close the external connection and clear write
-// interest.
+// interest. Each write's tunnel buffer goes back to the device once its
+// data is on the socket (the socket copies it).
 func (e *Engine) socketWrite(cl *relay.TCPClient) {
 	ch := cl.Ch()
 	bufs := cl.TakeWrites()
 	wrote := false
 	for _, b := range bufs {
-		if _, err := ch.Write(b); err != nil {
+		if _, err := ch.Write(b.Data); err != nil {
 			cl.SM.SendRST()
 			e.removeClient(cl)
 			ch.Close()
 			return
 		}
+		e.dev.Release(b.Buf)
 		wrote = true
 	}
 	cl.ReleaseWrites(bufs)

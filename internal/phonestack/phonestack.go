@@ -157,9 +157,10 @@ func (p *Phone) allocPort() uint16 {
 
 // demux dispatches engine-written packets to connections. A TCP
 // segment is decoded into one reused Packet, which handleSegment does
-// not keep (it keeps only the Payload, a slice of the device's
-// single-owner copy); a UDP datagram's Packet moves to the socket's
-// inbox, so the next packet decodes into a fresh one.
+// not keep (it keeps only the Payload, a slice of raw, queued with raw);
+// a UDP datagram's Packet moves to the socket's inbox, so the next
+// packet decodes into a fresh one. Every packet whose bytes nobody
+// queued goes back to the device at once.
 func (p *Phone) demux() {
 	defer p.wg.Done()
 	pkt := new(packet.Packet)
@@ -168,30 +169,41 @@ func (p *Phone) demux() {
 		if err != nil {
 			return
 		}
-		if err := packet.DecodeInto(pkt, raw); err != nil {
-			continue // a malformed packet from the engine is dropped
+		if !p.dispatch(pkt, raw) {
+			p.dev.Release(raw)
+			continue
 		}
-		// Inbound packets are addressed to the phone; the app's local
-		// port is the packet's destination port.
-		port := pkt.Dst().Port()
-		switch {
-		case pkt.IsTCP():
-			p.mu.Lock()
-			c := p.tcp[port]
-			p.mu.Unlock()
-			if c != nil {
-				c.handleSegment(pkt)
-			}
-		case pkt.IsUDP():
-			p.mu.Lock()
-			u := p.udp[port]
-			p.mu.Unlock()
-			if u != nil {
-				u.deliver(pkt)
-				pkt = new(packet.Packet)
-			}
+		if pkt.IsUDP() {
+			pkt = new(packet.Packet)
 		}
 	}
+}
+
+// dispatch decodes raw into pkt and hands it to its connection. It
+// reports whether the connection queued bytes of raw.
+func (p *Phone) dispatch(pkt *packet.Packet, raw []byte) (queued bool) {
+	if err := packet.DecodeInto(pkt, raw); err != nil {
+		return false // a malformed packet from the engine is dropped
+	}
+	// Inbound packets are addressed to the phone; the app's local port
+	// is the packet's destination port.
+	port := pkt.Dst().Port()
+	switch {
+	case pkt.IsTCP():
+		p.mu.Lock()
+		c := p.tcp[port]
+		p.mu.Unlock()
+		return c != nil && c.handleSegment(pkt, raw)
+	case pkt.IsUDP():
+		p.mu.Lock()
+		u := p.udp[port]
+		p.mu.Unlock()
+		if u != nil {
+			u.deliver(pkt)
+			return true
+		}
+	}
+	return false
 }
 
 // UDPDatagramsSent reports how many datagrams the phone's apps have
@@ -258,11 +270,12 @@ type Conn struct {
 	mss    int
 	window int // peer-advertised send window
 
-	// rx queues received payloads, each a slice of the device's
-	// single-owner copy of its packet, kept as is; rxHead is the unread
-	// rest of the one Read took from it last.
-	rx      fifoq.Queue[[]byte]
-	rxHead  []byte
+	// rx queues received payloads, each a slice of its packet's device
+	// buffer, kept with that buffer; rxHead is the unread rest of the
+	// one Read took from it last. Read releases a buffer to the device
+	// once its payload is read.
+	rx      fifoq.Queue[rxSegment]
+	rxHead  rxSegment
 	rxBytes int
 	rxEOF   bool
 	rxErr   error
@@ -271,6 +284,12 @@ type Conn struct {
 	// RTT the app itself experiences through the relay. The overhead
 	// experiment (§4.1.2) compares this against the raw path RTT.
 	ConnectElapsed time.Duration
+}
+
+// rxSegment is one received payload and the device buffer it is a
+// slice of.
+type rxSegment struct {
+	data, buf []byte
 }
 
 // Connect opens a TCP connection from the app with the given UID to dst.
@@ -397,8 +416,10 @@ func (c *Conn) RemoteAddr() netip.AddrPort { return c.remote }
 // UID returns the owning app's UID.
 func (c *Conn) UID() int { return c.uid }
 
-// handleSegment processes one engine-written TCP packet.
-func (c *Conn) handleSegment(pkt *packet.Packet) {
+// handleSegment processes one engine-written TCP packet, whose device
+// buffer is raw. It reports whether it queued the payload, and with it
+// raw, for Read.
+func (c *Conn) handleSegment(pkt *packet.Packet, raw []byte) (queued bool) {
 	t := pkt.TCP
 	c.mu.Lock()
 	if c.state == stateClosed {
@@ -408,7 +429,7 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 		if t.Has(packet.FlagFIN) || t.Has(packet.FlagRST) {
 			c.unregister()
 		}
-		return
+		return false
 	}
 	switch {
 	case t.Has(packet.FlagRST):
@@ -420,7 +441,7 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 		c.cond.Broadcast()
 		c.mu.Unlock()
 		c.unregister()
-		return
+		return false
 
 	case t.Has(packet.FlagSYN | packet.FlagACK):
 		if c.state != stateSynSent {
@@ -440,7 +461,7 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 		c.cond.Broadcast()
 		c.mu.Unlock()
 		_ = c.injectTCP(packet.FlagACK, snd, ack, DefaultWindow, nil, nil)
-		return
+		return false
 
 	default:
 		// ACK processing: advance the send window.
@@ -464,14 +485,14 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 				}
 			}
 			if len(data) > 0 && seq == c.rcvNxt {
-				c.rx.Push(data)
+				c.rx.Push(rxSegment{data: data, buf: raw})
 				c.rxBytes += len(data)
 				c.rcvNxt += uint32(len(data))
 				c.cond.Broadcast()
 				snd, ack := c.sndNxt, c.rcvNxt
 				c.mu.Unlock()
 				_ = c.injectTCP(packet.FlagACK, snd, ack, DefaultWindow, nil, nil)
-				return
+				return true
 			}
 		}
 		if t.Has(packet.FlagFIN) {
@@ -481,10 +502,11 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 			snd, ack := c.sndNxt, c.rcvNxt
 			c.mu.Unlock()
 			_ = c.injectTCP(packet.FlagACK, snd, ack, DefaultWindow, nil, nil)
-			return
+			return false
 		}
 	}
 	c.mu.Unlock()
+	return false
 }
 
 // seq comparisons in modular 32-bit arithmetic.
@@ -553,19 +575,20 @@ func (c *Conn) Read(buf []byte) (int, error) {
 	}
 	n := 0
 	for n < len(buf) {
-		if len(c.rxHead) == 0 {
+		if len(c.rxHead.data) == 0 {
 			next, ok := c.rx.Pop() // Pop clears the slot it empties
 			if !ok {
 				break
 			}
 			c.rxHead = next
 		}
-		k := copy(buf[n:], c.rxHead)
-		c.rxHead = c.rxHead[k:]
+		k := copy(buf[n:], c.rxHead.data)
+		c.rxHead.data = c.rxHead.data[k:]
 		n += k
-	}
-	if len(c.rxHead) == 0 {
-		c.rxHead = nil // release the consumed packet
+		if len(c.rxHead.data) == 0 {
+			c.phone.dev.Release(c.rxHead.buf)
+			c.rxHead = rxSegment{}
+		}
 	}
 	c.rxBytes -= n
 	return n, nil

@@ -535,8 +535,10 @@ func TestConcurrentConnectionsDistinctPorts(t *testing.T) {
 // segment at the one allocation the TUN device makes to copy it in:
 // the segment is encoded into pooled scratch straight from the app's
 // buffer. The handshake is answered by hand and nothing reads the
-// segments afterwards, so the count is Write's alone; 41 segments stay
-// inside the 64 KiB send window, so Write never waits for an ACK.
+// segments afterwards, so the count is Write's alone, and since nothing
+// releases the device's buffers either, its pool makes a new one per
+// segment; 41 segments stay inside the 64 KiB send window, so Write
+// never waits for an ACK.
 func TestWriteSegmentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratch at random under the race detector")

@@ -52,10 +52,18 @@ type TCPClient struct {
 	Shard int
 
 	mu        sync.Mutex
-	writeBuf  [][]byte
+	writeBuf  []Write
 	bufBytes  int
 	halfClose bool // app FIN received: flush writes, then CloseWrite
 	removed   bool
+}
+
+// Write is one queued socket write: Data, and Buf, the tunnel buffer
+// Data is a slice of. Buf is released to the TUN device once Data is on
+// the socket; it is nil when Data keeps no tunnel buffer.
+type Write struct {
+	Data []byte
+	Buf  []byte
 }
 
 // NewTCPClient creates a client for a flow with its state machine.
@@ -125,10 +133,12 @@ func (c *TCPClient) AppInfo() (uid int, app string) {
 
 // EnqueueWrite places tunnel data into the socket write buffer (§2.3
 // TCP Data: "places the data from tunnel packets to a socket write
-// buffer and triggers a socket write event").
-func (c *TCPClient) EnqueueWrite(data []byte) {
+// buffer and triggers a socket write event"). data is a slice of buf,
+// the tunnel packet's buffer, which the buffer now keeps until the
+// write.
+func (c *TCPClient) EnqueueWrite(data, buf []byte) {
 	c.mu.Lock()
-	c.writeBuf = append(c.writeBuf, data)
+	c.writeBuf = append(c.writeBuf, Write{Data: data, Buf: buf})
 	c.bufBytes += len(data)
 	c.mu.Unlock()
 }
@@ -136,7 +146,7 @@ func (c *TCPClient) EnqueueWrite(data []byte) {
 // TakeWrites drains the write buffer for the socket write event
 // handler, which returns the slice through ReleaseWrites once the data
 // is on the socket.
-func (c *TCPClient) TakeWrites() [][]byte {
+func (c *TCPClient) TakeWrites() []Write {
 	c.mu.Lock()
 	bufs := c.writeBuf
 	c.writeBuf = nil
@@ -150,7 +160,7 @@ func (c *TCPClient) TakeWrites() [][]byte {
 // array instead of allocating one per flush. Its references are
 // dropped first, so an idle flow pins no tunnel buffer. (Data enqueued
 // since the take already has a new buffer; the old one is then let go.)
-func (c *TCPClient) ReleaseWrites(bufs [][]byte) {
+func (c *TCPClient) ReleaseWrites(bufs []Write) {
 	clear(bufs)
 	c.mu.Lock()
 	if c.writeBuf == nil {

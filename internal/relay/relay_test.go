@@ -23,8 +23,8 @@ func newClient(t *testing.T) *TCPClient {
 
 func TestWriteBufferFIFO(t *testing.T) {
 	c := newClient(t)
-	c.EnqueueWrite([]byte("first"))
-	c.EnqueueWrite([]byte("second"))
+	c.EnqueueWrite([]byte("first"), nil)
+	c.EnqueueWrite([]byte("second"), nil)
 	if !c.PendingWrites() {
 		t.Fatal("no pending writes")
 	}
@@ -32,7 +32,7 @@ func TestWriteBufferFIFO(t *testing.T) {
 		t.Errorf("buffered: %d", c.BufferedBytes())
 	}
 	bufs := c.TakeWrites()
-	if len(bufs) != 2 || string(bufs[0]) != "first" || string(bufs[1]) != "second" {
+	if len(bufs) != 2 || string(bufs[0].Data) != "first" || string(bufs[1].Data) != "second" {
 		t.Errorf("bufs: %q", bufs)
 	}
 	if c.PendingWrites() || c.BufferedBytes() != 0 {
@@ -89,7 +89,7 @@ func TestConcurrentEnqueueAndTake(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			c.EnqueueWrite([]byte{byte(i)})
+			c.EnqueueWrite([]byte{byte(i)}, nil)
 		}
 	}()
 	go func() {
@@ -98,14 +98,14 @@ func TestConcurrentEnqueueAndTake(t *testing.T) {
 			bufs := c.TakeWrites()
 			mu.Lock()
 			for _, b := range bufs {
-				total += len(b)
+				total += len(b.Data)
 			}
 			mu.Unlock()
 		}
 	}()
 	wg.Wait()
 	for _, b := range c.TakeWrites() {
-		total += len(b)
+		total += len(b.Data)
 	}
 	if total != 500 {
 		t.Errorf("bytes accounted: %d", total)
@@ -114,20 +114,22 @@ func TestConcurrentEnqueueAndTake(t *testing.T) {
 
 // TestWriteBufferSteadyStateAllocFree pins the flush cycle every echo
 // runs — enqueue, take, write, release — at zero allocations once the
-// backing slice exists, and checks a released slice pins no payload.
+// backing slice exists, and checks a released slice pins neither the
+// payload nor its tunnel buffer.
 func TestWriteBufferSteadyStateAllocFree(t *testing.T) {
 	c := newClient(t)
-	data := []byte("tunnel payload")
-	cycle := func() [][]byte {
-		c.EnqueueWrite(data)
+	buf := []byte("tunnel payload")
+	data := buf[7:]
+	cycle := func() []Write {
+		c.EnqueueWrite(data, buf)
 		bufs := c.TakeWrites()
-		if len(bufs) != 1 || &bufs[0][0] != &data[0] {
+		if len(bufs) != 1 || &bufs[0].Data[0] != &data[0] || &bufs[0].Buf[0] != &buf[0] {
 			t.Fatalf("took %q", bufs)
 		}
 		c.ReleaseWrites(bufs)
 		return bufs
 	}
-	if released := cycle(); released[0] != nil {
+	if released := cycle(); released[0].Data != nil || released[0].Buf != nil {
 		t.Error("released slice still references its payload")
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { cycle() }); allocs != 0 {

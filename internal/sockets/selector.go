@@ -137,8 +137,12 @@ type Selector struct {
 	// canceled key.
 	keys   int
 	readyQ []*SelectionKey
-	wakeup bool
-	closed bool
+	// selected is the slice Select returns, reused by every select:
+	// collectLocked empties it first, so between selects it holds only
+	// the keys the last one returned.
+	selected []*SelectionKey
+	wakeup   bool
+	closed   bool
 	// Selects counts Select returns; Wakeups counts explicit Wakeup
 	// calls; both feed the CPU accounting.
 	Selects int64
@@ -217,13 +221,19 @@ func (s *Selector) Wakeup() {
 // arrives, or the selector closes. It returns the keys with non-empty
 // ready∩interest sets. The dispatch cost is applied once per readiness-
 // driven return, modelling the notification latency of challenge C2.
+//
+// The returned slice belongs to the selector, like Java's
+// selectedKeys() set: it stays valid until the next Select or
+// SelectNow, which reuses it. A caller that keeps keys past that copies
+// them.
 func (s *Selector) Select() []*SelectionKey {
 	return s.selectImpl(true)
 }
 
 // SelectNow is Select without blocking, like
 // java.nio.channels.Selector.selectNow(); it clears a pending Wakeup.
-// The worker loops drain readiness with it between tunnel packets.
+// The worker loops drain readiness with it between tunnel packets. Its
+// result is reused as Select's is.
 func (s *Selector) SelectNow() []*SelectionKey {
 	return s.selectImpl(false)
 }
@@ -254,28 +264,29 @@ func (s *Selector) selectImpl(block bool) []*SelectionKey {
 	}
 }
 
-// collectLocked drains the ready queue, keeping the keys whose
-// ready∩interest is still non-empty — a key may have been consumed (or
-// canceled) between enqueue and collection, in which case it is
-// dropped; readiness arriving after the drop re-enqueues it. Caller
-// holds s.mu.
+// collectLocked drains the ready queue into s.selected, keeping the
+// keys whose ready∩interest is still non-empty — a key may have been
+// consumed (or canceled) between enqueue and collection, in which case
+// it is dropped; readiness arriving after the drop re-enqueues it.
+// Caller holds s.mu.
+//
+// Both slices are cleared before they are truncated: a backing array
+// would otherwise keep drained keys, and through their attachments
+// whole finished flows, reachable until the slots are overwritten. A
+// select that finds nothing ready therefore also lets go of the last
+// one's keys before it blocks.
 func (s *Selector) collectLocked() []*SelectionKey {
-	if len(s.readyQ) == 0 {
-		return nil
-	}
-	out := make([]*SelectionKey, 0, len(s.readyQ))
+	clear(s.selected)
+	s.selected = s.selected[:0]
 	for _, k := range s.readyQ {
 		k.queued = false
 		if !k.canceled.Load() && Ops(k.ready.Load())&Ops(k.interest.Load()) != 0 {
-			out = append(out, k)
+			s.selected = append(s.selected, k)
 		}
 	}
-	// Clear before truncating: the backing array would otherwise keep
-	// the drained keys, and through their attachments whole finished
-	// flows, reachable until the slots are overwritten.
 	clear(s.readyQ)
 	s.readyQ = s.readyQ[:0]
-	return out
+	return s.selected
 }
 
 // Close releases the selector, unblocking any Select.

@@ -10,7 +10,16 @@ type Interface interface {
 	// Read retrieves the next outgoing IP packet from the device. In
 	// blocking mode it waits; in non-blocking mode an empty device
 	// returns ErrWouldBlock. A closed device returns ErrClosed.
+	//
+	// The returned buffer belongs to the caller until the caller passes
+	// it to Release. A buffer that is never released is left to the GC.
 	Read() ([]byte, error)
+
+	// Release hands a buffer that Read returned back to the device for
+	// reuse. The caller must not touch the buffer, or any slice of it,
+	// afterwards, and must release it at most once. Releasing is
+	// optional: a buffer that is never released is left to the GC.
+	Release(buf []byte)
 
 	// Write sends one IP packet to the device (engine → app direction).
 	// Packets over the device MTU return ErrTooBig.

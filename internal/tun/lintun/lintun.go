@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -50,6 +51,7 @@ type TUN struct {
 
 	blocking atomic.Bool
 	closing  atomic.Bool
+	nb       rawRead
 
 	packetsOut atomic.Int64
 	packetsIn  atomic.Int64
@@ -87,15 +89,26 @@ func Open(name string) (*TUN, error) {
 	// os.NewFile on a non-blocking fd registers it with the runtime
 	// poller, enabling parked reads and deadline-based wakeups.
 	f := os.NewFile(uintptr(fd), "/dev/net/tun:"+got)
-	rc, err := f.SyscallConn()
+	mtu, err := interfaceMTU(got)
+	if err != nil || mtu <= 0 {
+		mtu = tun.DefaultMTU
+	}
+	t, err := newTUN(f, got, mtu)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("lintun: raw conn: %w", err)
 	}
-	t := &TUN{f: f, rc: rc, name: got, mtu: tun.DefaultMTU}
-	if mtu, err := interfaceMTU(got); err == nil && mtu > 0 {
-		t.mtu = mtu
+	return t, nil
+}
+
+// newTUN adapts an open, poller-registered descriptor.
+func newTUN(f *os.File, name string, mtu int) (*TUN, error) {
+	rc, err := f.SyscallConn()
+	if err != nil {
+		return nil, err
 	}
+	t := &TUN{f: f, rc: rc, name: name, mtu: mtu}
+	t.nb.fn = t.nb.read
 	return t, nil
 }
 
@@ -137,44 +150,67 @@ func (t *TUN) MTU() int { return t.mtu }
 // device so the engine's poll schedules apply.
 func (t *TUN) SetBlocking(b bool) { t.blocking.Store(b) }
 
-// Read retrieves the next outbound IP packet. Each packet gets a fresh
-// buffer: the engine's zero-copy decode makes the dequeued buffer
-// single-owner.
+// Read retrieves the next outbound IP packet into a buffer from the
+// tun package's pool (tun.Buffer). A read that fails, including every
+// empty non-blocking poll, puts the buffer straight back; a packet's
+// buffer is the caller's until it passes it to Release.
 func (t *TUN) Read() ([]byte, error) {
-	buf := make([]byte, t.mtu)
+	buf := tun.Buffer(t.mtu)
 	var n int
 	var err error
 	if t.blocking.Load() {
 		n, err = t.f.Read(buf)
 		if err != nil {
-			return nil, t.readErr(err)
+			err = t.readErr(err)
 		}
 	} else {
 		n, err = t.readNonblock(buf)
-		if err != nil {
-			if errors.Is(err, tun.ErrWouldBlock) {
-				t.emptyReads.Add(1)
-			}
-			return nil, err
+		if errors.Is(err, tun.ErrWouldBlock) {
+			t.emptyReads.Add(1)
 		}
 	}
-	if n <= 0 {
-		return nil, tun.ErrClosed
+	if err == nil && n <= 0 {
+		err = tun.ErrClosed
+	}
+	if err != nil {
+		tun.ReleaseBuffer(buf)
+		return nil, err
 	}
 	t.packetsOut.Add(1)
 	t.bytesOut.Add(int64(n))
 	return buf[:n], nil
 }
 
+// Release returns a buffer Read handed out to the pool (see
+// tun.Interface).
+func (t *TUN) Release(buf []byte) { tun.ReleaseBuffer(buf) }
+
+// rawRead is the state of one raw non-blocking read. RawConn.Read takes
+// a callback, and a closure built per call would escape with its
+// captures, three allocations per poll; fn is bound once, in newTUN,
+// and mu keeps concurrent readers from sharing the state.
+type rawRead struct {
+	mu  sync.Mutex
+	buf []byte
+	n   int
+	err error
+	fn  func(fd uintptr) bool
+}
+
+func (r *rawRead) read(fd uintptr) bool {
+	r.n, r.err = syscall.Read(int(fd), r.buf)
+	return true // never wait for readiness; EAGAIN surfaces below
+}
+
 // readNonblock issues one raw non-blocking read, mapping EAGAIN to
 // tun.ErrWouldBlock instead of parking in the poller.
 func (t *TUN) readNonblock(buf []byte) (int, error) {
-	var n int
-	var rerr error
-	cerr := t.rc.Read(func(fd uintptr) bool {
-		n, rerr = syscall.Read(int(fd), buf)
-		return true // never wait for readiness; EAGAIN surfaces below
-	})
+	t.nb.mu.Lock()
+	t.nb.buf = buf
+	cerr := t.rc.Read(t.nb.fn)
+	n, rerr := t.nb.n, t.nb.err
+	t.nb.buf = nil
+	t.nb.mu.Unlock()
 	if cerr != nil {
 		return 0, t.readErr(cerr)
 	}

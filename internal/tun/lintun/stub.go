@@ -21,6 +21,7 @@ func (*TUN) Name() string                { return "" }
 func (*TUN) MTU() int                    { return tun.DefaultMTU }
 func (*TUN) SetBlocking(bool)            {}
 func (*TUN) Read() ([]byte, error)       { return nil, ErrUnsupported }
+func (*TUN) Release([]byte)              {}
 func (*TUN) Write([]byte) error          { return ErrUnsupported }
 func (*TUN) InjectOutbound([]byte) error { return ErrUnsupported }
 func (*TUN) Close()                      {}

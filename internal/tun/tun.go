@@ -37,100 +37,156 @@ var (
 	ErrTooBig     = errors.New("tun: packet exceeds MTU")
 )
 
-// queued is one packet plus the time it entered the queue, used to
-// measure retrieval delay.
+// queued is one packet plus, on the outbound queue, the time it entered
+// the queue, used to measure retrieval delay.
 type queued struct {
 	data     []byte
 	enqueued int64 // clock nanos
 }
 
-// fifo is a blocking-capable packet queue guarded by a condition
-// variable. Closing wakes all waiters.
+// fifo is one direction of the device: a blocking-capable packet queue
+// guarded by a condition variable, and that direction's counters, kept
+// under the lock every packet takes anyway. Closing wakes all waiters.
+//
+// The counters count the engine's side of each hop. The outbound queue
+// has a clock: it stamps each packet on entry and counts what is taken
+// from it, with its queueing delay, and the reads that found it empty.
+// The inbound queue has none and counts what is put into it.
 type fifo struct {
+	clk    clock.Clock // nil on the inbound queue
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  fifoq.Queue[queued]
 	closed bool
 	max    int
-	drops  int
+
+	packets    int
+	bytes      int64
+	drops      int
+	emptyReads int
+	delaySum   time.Duration
+	delayMax   time.Duration
 }
 
-func newFIFO(max int) *fifo {
-	f := &fifo{max: max}
+func newFIFO(max int, clk clock.Clock) *fifo {
+	f := &fifo{max: max, clk: clk}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
 
-func (f *fifo) put(q queued) error {
+// pushLocked queues one packet, or drops it on overflow and releases
+// its buffer: real TUN queues drop rather than block the kernel.
+func (f *fifo) pushLocked(data []byte) {
+	if f.clk == nil {
+		f.packets++
+		f.bytes += int64(len(data))
+	}
+	if f.items.Len() >= f.max {
+		f.drops++
+		ReleaseBuffer(data)
+		return
+	}
+	q := queued{data: data}
+	if f.clk != nil {
+		q.enqueued = f.clk.Nanos()
+	}
+	f.items.Push(q)
+}
+
+func (f *fifo) put(data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return ErrClosed
 	}
-	if f.items.Len() >= f.max {
-		// Real TUN queues drop on overflow rather than blocking the
-		// kernel.
-		f.drops++
-		return nil
-	}
-	f.items.Push(q)
+	f.pushLocked(data)
 	f.cond.Signal()
 	return nil
 }
 
-// take removes the head. If block is false it returns ErrWouldBlock on an
-// empty queue.
-func (f *fifo) take(block bool) (queued, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for f.items.Len() == 0 {
-		if f.closed {
-			return queued{}, ErrClosed
-		}
-		if !block {
-			return queued{}, ErrWouldBlock
-		}
-		f.cond.Wait()
-	}
-	q, _ := f.items.Pop()
-	return q, nil
-}
-
-// takeBatch removes up to len(dst) queued packets in one lock
-// acquisition. Blocking semantics match take for the first packet; the
-// rest of the burst is whatever is already queued, never an extra wait.
-func (f *fifo) takeBatch(dst []queued, block bool) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for f.items.Len() == 0 {
-		if f.closed {
-			return 0, ErrClosed
-		}
-		if !block {
-			return 0, ErrWouldBlock
-		}
-		f.cond.Wait()
-	}
-	return f.items.PopInto(dst), nil
-}
-
-// putBatch appends a burst under one lock, dropping on overflow exactly
+// putBatch queues a burst under one lock, dropping on overflow exactly
 // like per-packet put does.
-func (f *fifo) putBatch(qs []queued) error {
+func (f *fifo) putBatch(pkts [][]byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return ErrClosed
 	}
-	for _, q := range qs {
-		if f.items.Len() >= f.max {
-			f.drops++
-			continue
-		}
-		f.items.Push(q)
+	for _, data := range pkts {
+		f.pushLocked(data)
 	}
 	f.cond.Broadcast()
 	return nil
+}
+
+// waitLocked waits until the queue holds a packet, the way take and
+// takeBatch both do. If block is false an empty queue returns
+// ErrWouldBlock.
+func (f *fifo) waitLocked(block bool) error {
+	for f.items.Len() == 0 {
+		if f.closed {
+			return ErrClosed
+		}
+		if !block {
+			f.emptyReads++
+			return ErrWouldBlock
+		}
+		f.cond.Wait()
+	}
+	return nil
+}
+
+// tookLocked counts one packet the engine read, and its queueing delay
+// as of now.
+func (f *fifo) tookLocked(q queued, now int64) {
+	f.packets++
+	f.bytes += int64(len(q.data))
+	if delay := time.Duration(now - q.enqueued); delay >= 0 {
+		f.delaySum += delay
+		if delay > f.delayMax {
+			f.delayMax = delay
+		}
+	}
+}
+
+// take removes the head. If block is false it returns ErrWouldBlock on
+// an empty queue.
+func (f *fifo) take(block bool) ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.waitLocked(block); err != nil {
+		return nil, err
+	}
+	q, _ := f.items.Pop()
+	if f.clk != nil {
+		f.tookLocked(q, f.clk.Nanos())
+	}
+	return q.data, nil
+}
+
+// takeBatch removes up to len(dst) packets from the outbound queue in
+// one lock acquisition. Blocking semantics match
+// take for the first packet; the rest of the burst is whatever is
+// already queued, never an extra wait. Every packet's delay is measured
+// at the burst's retrieval instant.
+func (f *fifo) takeBatch(dst [][]byte, block bool) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.waitLocked(block); err != nil {
+		return 0, err
+	}
+	now := f.clk.Nanos()
+	n := 0
+	for n < len(dst) {
+		q, ok := f.items.Pop()
+		if !ok {
+			break
+		}
+		f.tookLocked(q, now)
+		dst[n] = q.data
+		n++
+	}
+	return n, nil
 }
 
 func (f *fifo) len() int {
@@ -181,7 +237,6 @@ type Device struct {
 	mtu      atomic.Int64
 
 	mu     sync.Mutex
-	stats  Stats
 	closed bool
 
 	// writeMu serialises engine-side writes: the kernel tunnel accepts
@@ -191,14 +246,8 @@ type Device struct {
 	writeCost func(*rand.Rand) time.Duration
 	writeRng  *rand.Rand
 
-	// batchMu guards the ReadBatch scratch (one reader thread in
-	// practice; the mutex keeps the API safe for concurrent callers
-	// without allocating a scratch per call).
-	batchMu      sync.Mutex
-	batchScratch []queued
-
 	// wbScratch is the WriteBatch staging area, guarded by writeMu.
-	wbScratch []queued
+	wbScratch [][]byte
 }
 
 // New creates a TUN device with the given queue capacity per direction.
@@ -210,8 +259,8 @@ func New(clk clock.Clock, queueCap int) *Device {
 	}
 	d := &Device{
 		clk:      clk,
-		outbound: newFIFO(queueCap),
-		inbound:  newFIFO(queueCap),
+		outbound: newFIFO(queueCap, clk),
+		inbound:  newFIFO(queueCap, nil),
 	}
 	d.mtu.Store(DefaultMTU)
 	return d
@@ -242,28 +291,15 @@ func (d *Device) Blocking() bool { return d.blocking.Load() }
 // Read retrieves the next outgoing app packet (the engine side of the
 // tunnel input stream). In blocking mode it waits for a packet; in
 // non-blocking mode it returns ErrWouldBlock immediately when the queue
-// is empty, and the caller is expected to sleep-poll.
+// is empty, and the caller is expected to sleep-poll. The packet's
+// buffer is the caller's until it passes it to Release.
 func (d *Device) Read() ([]byte, error) {
-	q, err := d.outbound.take(d.Blocking())
-	if err != nil {
-		if errors.Is(err, ErrWouldBlock) {
-			d.mu.Lock()
-			d.stats.EmptyReads++
-			d.mu.Unlock()
-		}
-		return nil, err
-	}
-	delay := time.Duration(d.clk.Nanos() - q.enqueued)
-	d.mu.Lock()
-	d.stats.PacketsOut++
-	d.stats.BytesOut += int64(len(q.data))
-	d.stats.ReadDelaySum += delay
-	if delay > d.stats.ReadDelayMax {
-		d.stats.ReadDelayMax = delay
-	}
-	d.mu.Unlock()
-	return q.data, nil
+	return d.outbound.take(d.Blocking())
 }
+
+// Release returns a buffer that Read or ReadInbound handed out (see
+// Interface).
+func (d *Device) Release(buf []byte) { ReleaseBuffer(buf) }
 
 // ReadBatch retrieves up to len(dst) outgoing app packets in one call —
 // the emulated equivalent of a batched read (readv/recvmmsg): the queue
@@ -279,45 +315,7 @@ func (d *Device) ReadBatch(dst [][]byte) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	d.batchMu.Lock()
-	if cap(d.batchScratch) < len(dst) {
-		d.batchScratch = make([]queued, len(dst))
-	}
-	scratch := d.batchScratch[:len(dst)]
-	n, err := d.outbound.takeBatch(scratch, d.Blocking())
-	if err != nil {
-		d.batchMu.Unlock()
-		if errors.Is(err, ErrWouldBlock) {
-			d.mu.Lock()
-			d.stats.EmptyReads++
-			d.mu.Unlock()
-		}
-		return 0, err
-	}
-	now := d.clk.Nanos()
-	var bytes int64
-	var delaySum, delayMax time.Duration
-	for i := 0; i < n; i++ {
-		dst[i] = scratch[i].data
-		bytes += int64(len(dst[i]))
-		if delay := time.Duration(now - scratch[i].enqueued); delay >= 0 {
-			delaySum += delay
-			if delay > delayMax {
-				delayMax = delay
-			}
-		}
-		scratch[i] = queued{} // drop the reference; ownership moved to dst
-	}
-	d.batchMu.Unlock()
-	d.mu.Lock()
-	d.stats.PacketsOut += n
-	d.stats.BytesOut += bytes
-	d.stats.ReadDelaySum += delaySum
-	if delayMax > d.stats.ReadDelayMax {
-		d.stats.ReadDelayMax = delayMax
-	}
-	d.mu.Unlock()
-	return n, nil
+	return d.outbound.takeBatch(dst, d.Blocking())
 }
 
 // SetWriteCost installs a per-write syscall cost model, drawn once per
@@ -362,17 +360,17 @@ func (d *Device) Write(pkt []byte) error {
 			d.clk.SleepFine(c)
 		}
 	}
-	cp := append([]byte(nil), pkt...)
-	err := d.inbound.put(queued{data: cp, enqueued: d.clk.Nanos()})
+	err := d.inbound.put(copyPacket(pkt))
 	d.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.stats.PacketsIn++
-	d.stats.BytesIn += int64(len(pkt))
-	d.mu.Unlock()
-	return nil
+	return err
+}
+
+// copyPacket copies a packet into a buffer of its own, pooled when it
+// fits bufferSize.
+func copyPacket(pkt []byte) []byte {
+	cp := Buffer(len(pkt))
+	copy(cp, pkt)
+	return cp
 }
 
 // WriteBatch sends a burst of packets to the phone side, serialising
@@ -391,11 +389,7 @@ func (d *Device) WriteBatch(pkts [][]byte) (int, error) {
 	}
 	mtu := d.MTU()
 	d.writeMu.Lock()
-	if cap(d.wbScratch) < len(pkts) {
-		d.wbScratch = make([]queued, len(pkts))
-	}
 	staged := d.wbScratch[:0]
-	var bytes int64
 	var ferr error
 	for _, pkt := range pkts {
 		if len(pkt) > mtu {
@@ -409,23 +403,16 @@ func (d *Device) WriteBatch(pkts [][]byte) (int, error) {
 				d.clk.SleepFine(c)
 			}
 		}
-		cp := append([]byte(nil), pkt...)
-		staged = append(staged, queued{data: cp, enqueued: d.clk.Nanos()})
-		bytes += int64(len(pkt))
+		staged = append(staged, copyPacket(pkt))
 	}
 	n := len(staged)
 	err := d.inbound.putBatch(staged)
-	for i := range staged {
-		staged[i] = queued{}
-	}
+	clear(staged)
+	d.wbScratch = staged[:0]
 	d.writeMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	d.mu.Lock()
-	d.stats.PacketsIn += n
-	d.stats.BytesIn += bytes
-	d.mu.Unlock()
 	return n, ferr
 }
 
@@ -438,18 +425,14 @@ func (d *Device) InjectOutbound(pkt []byte) error {
 	if len(pkt) > d.MTU() {
 		return ErrTooBig
 	}
-	cp := append([]byte(nil), pkt...)
-	return d.outbound.put(queued{data: cp, enqueued: d.clk.Nanos()})
+	return d.outbound.put(copyPacket(pkt))
 }
 
 // ReadInbound delivers the next engine-written packet to the phone side;
-// it always blocks (the phone kernel is always ready to receive).
+// it always blocks (the phone kernel is always ready to receive). As
+// with Read, the buffer is the caller's until it passes it to Release.
 func (d *Device) ReadInbound() ([]byte, error) {
-	q, err := d.inbound.take(true)
-	if err != nil {
-		return nil, err
-	}
-	return q.data, nil
+	return d.inbound.take(true)
 }
 
 // OutboundLen reports how many app packets are waiting for the engine.
@@ -458,18 +441,19 @@ func (d *Device) OutboundLen() int { return d.outbound.len() }
 // InboundLen reports how many engine packets are waiting for the phone.
 func (d *Device) InboundLen() int { return d.inbound.len() }
 
-// Stats returns a snapshot of the device counters, folding in queue drop
-// counts.
+// Stats returns a snapshot of the device counters, one direction's
+// under one lock.
 func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	s := d.stats
-	d.mu.Unlock()
-	d.outbound.mu.Lock()
-	s.Drops = d.outbound.drops
-	d.outbound.mu.Unlock()
-	d.inbound.mu.Lock()
-	s.Drops += d.inbound.drops
-	d.inbound.mu.Unlock()
+	var s Stats
+	out, in := d.outbound, d.inbound
+	out.mu.Lock()
+	s.PacketsOut, s.BytesOut, s.Drops = out.packets, out.bytes, out.drops
+	s.EmptyReads, s.ReadDelaySum, s.ReadDelayMax = out.emptyReads, out.delaySum, out.delayMax
+	out.mu.Unlock()
+	in.mu.Lock()
+	s.PacketsIn, s.BytesIn = in.packets, in.bytes
+	s.Drops += in.drops
+	in.mu.Unlock()
 	return s
 }
 
