@@ -40,8 +40,12 @@ func (e *Engine) dnsTransaction(s *udpSession, query []byte) {
 	}
 	t0 := e.clk.Nanos()
 	s.sock.SendTo(s.flow.Dst, query)
-	resp, err := s.sock.Recv(e.cfg.DNSTimeout)
+	resp, err := e.udp.dnsRecv(s.sock)
 	t1 := e.clk.Nanos()
+	if err == errDNSShed {
+		e.ctr.udpDropped.Add(1)
+		return
+	}
 	if err != nil {
 		// The app's own resolver timeout handles retries; the failure is
 		// still counted so a dying resolver is visible in Stats.

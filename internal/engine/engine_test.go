@@ -164,9 +164,9 @@ type gatedSource struct {
 	gate chan struct{}
 }
 
-func (g gatedSource) Render(p procnet.Proto) string {
+func (g gatedSource) AppendRender(dst []byte, p procnet.Proto) []byte {
 	<-g.gate
-	return g.Table.Render(p)
+	return g.Table.AppendRender(dst, p)
 }
 
 // Lazy mapping runs after the app's handshake (§3.3), so a short flow

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,43 +31,84 @@ type appInfo struct {
 
 var unknownApp = appInfo{UID: -1, Name: "unknown"}
 
+// portOwner is one row of a parse's index: a local port and the UID
+// that owns it.
+type portOwner struct {
+	port uint16
+	uid  int
+}
+
 // procParse is one parse of a family of proc tables, indexed by local
-// port (nil if the parse failed). It never changes once done is closed,
-// so a caller reads exactly the table it waited for.
+// port (ok is false if the parse failed). It never changes once done
+// is closed, so a caller reads exactly the table it waited for.
 type procParse struct {
 	began  int64 // clock time at which the parse started
 	done   chan struct{}
-	byPort map[uint16]procnet.Entry
+	ok     bool
+	owners []portOwner // sorted by port, one per port
+}
+
+// owner returns the UID that owns port in p.
+func (p *procParse) owner(port uint16) (uid int, ok bool) {
+	i, found := slices.BinarySearchFunc(p.owners, port, func(o portOwner, port uint16) int {
+		return cmp.Compare(o.port, port)
+	})
+	if !found {
+		return 0, false
+	}
+	return p.owners[i].uid, true
 }
 
 // procTable parses one family of proc tables (tcp+tcp6 or udp+udp6) and
 // makes the §3.3 election: at most one lazy parse is in flight, and
 // every other lazy caller waits for a parse instead of running its own.
 type procTable struct {
-	parse func() ([]procnet.Entry, error)
+	parse func(dst []procnet.Entry) ([]procnet.Entry, error)
 	clk   interface{ Nanos() int64 }
 
 	mu   sync.Mutex
 	cur  *procParse // the parse in flight, or nil
 	last *procParse // the latest successful parse, or nil
+
+	// rows is the elected parse's scratch, kept at its peak size. Only
+	// the parse in flight (cur) touches it, so it needs no lock.
+	rows []procnet.Entry
 }
 
-// index runs one parse and indexes it by local port; nil on error.
-func (pt *procTable) index() map[uint16]procnet.Entry {
-	entries, err := pt.parse()
+// index runs one parse into rows' storage and indexes it by local
+// port. It returns the rows for reuse and whether the parse succeeded.
+func (pt *procTable) index(p *procParse, rows []procnet.Entry) []procnet.Entry {
+	rows, err := pt.parse(rows[:0])
 	if err != nil {
-		return nil
+		return rows
 	}
-	byPort := make(map[uint16]procnet.Entry, len(entries))
-	for _, e := range entries {
-		byPort[e.Local.Port()] = e
+	owners := make([]portOwner, len(rows))
+	for i, e := range rows {
+		owners[i] = portOwner{port: e.Local.Port(), uid: e.UID}
 	}
-	return byPort
+	slices.SortStableFunc(owners, func(a, b portOwner) int { return cmp.Compare(a.port, b.port) })
+	// A port listed twice belongs to its last row, as in a map filled in
+	// row order.
+	n := 0
+	for i, o := range owners {
+		if i+1 < len(owners) && owners[i+1].port == o.port {
+			continue
+		}
+		owners[n] = o
+		n++
+	}
+	p.owners, p.ok = owners[:n], true
+	return rows
 }
 
 // now parses for the caller alone, outside the election: MapEager's
-// per-SYN parse and a MapCache miss.
-func (pt *procTable) now() *procParse { return &procParse{byPort: pt.index()} }
+// per-SYN parse and a MapCache miss. Such parses run concurrently with
+// each other and with the elected one, so each gets its own rows.
+func (pt *procTable) now() *procParse {
+	p := &procParse{}
+	pt.index(p, nil)
+	return p
+}
 
 // since returns a finished parse that began at or after t (so it lists
 // every socket registered before t) and whether the caller ran it. It
@@ -90,10 +133,10 @@ func (pt *procTable) since(t int64) (*procParse, bool) {
 		p := &procParse{began: pt.clk.Nanos(), done: make(chan struct{})}
 		pt.cur = p
 		pt.mu.Unlock()
-		p.byPort = pt.index()
+		pt.rows = pt.index(p, pt.rows)
 		pt.mu.Lock()
 		pt.cur = nil
-		if p.byPort != nil {
+		if p.ok {
 			pt.last = p
 		}
 		close(p.done)
@@ -124,8 +167,8 @@ func newMapper(reader *procnet.Reader, pm *procnet.PackageManager, mode MappingM
 		pm:       pm,
 		mode:     mode,
 		clk:      clk,
-		tcp:      &procTable{parse: reader.ParseAll, clk: clk},
-		udp:      &procTable{parse: reader.ParseAllUDP, clk: clk},
+		tcp:      &procTable{parse: reader.AppendAll, clk: clk},
+		udp:      &procTable{parse: reader.AppendAllUDP, clk: clk},
 		byRemote: make(map[netip.AddrPort]appInfo),
 	}
 }
@@ -166,7 +209,7 @@ func (m *mapper) resolve(local netip.AddrPort, remote netip.AddrPort, synAt int6
 	switch {
 	case cached:
 		m.avoided++
-	case p == nil || p.byPort == nil: // MapOff, or a failed parse
+	case p == nil || !p.ok: // MapOff, or a failed parse
 	case parsed:
 		m.parses++
 	default:
@@ -199,15 +242,15 @@ func (m *mapper) resolveUDP(local netip.AddrPort, at int64) appInfo {
 
 // find looks local's port up in p and names the owning UID.
 func (m *mapper) find(local netip.AddrPort, p *procParse) appInfo {
-	e, ok := p.byPort[local.Port()]
+	uid, ok := p.owner(local.Port())
 	if !ok {
 		return unknownApp
 	}
-	name, ok := m.pm.NameForUID(e.UID)
+	name, ok := m.pm.NameForUID(uid)
 	if !ok {
-		return appInfo{UID: e.UID, Name: "uid:unknown"}
+		return appInfo{UID: uid, Name: "uid:unknown"}
 	}
-	return appInfo{UID: e.UID, Name: name}
+	return appInfo{UID: uid, Name: name}
 }
 
 // MappingStats summarises mapper behaviour for §3.3's evaluation: total

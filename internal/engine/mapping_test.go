@@ -22,13 +22,13 @@ type gatedParse struct {
 	calls   atomic.Int32
 }
 
-func (g *gatedParse) parse() ([]procnet.Entry, error) {
+func (g *gatedParse) parse(dst []procnet.Entry) ([]procnet.Entry, error) {
 	g.calls.Add(1)
 	g.started <- struct{}{}
 	if entries := <-g.results; entries != nil {
-		return entries, nil
+		return append(dst, entries...), nil
 	}
-	return nil, errors.New("unreadable table")
+	return dst, errors.New("unreadable table")
 }
 
 var (
@@ -240,5 +240,45 @@ func TestProcTableParseErrorReachesEveryWaiter(t *testing.T) {
 	}
 	if c := g.calls.Load(); c != 2 {
 		t.Fatalf("%d parses, want the failed one plus a retry", c)
+	}
+}
+
+// stepClock advances one nanosecond per reading, so every SYN time is
+// later than every parse before it.
+type stepClock struct{ n atomic.Int64 }
+
+func (c *stepClock) Nanos() int64 { return c.n.Add(1) }
+
+// A lazy resolution that runs its own parse allocates only what outlives
+// it — the procParse, its done channel and its index. The rendered
+// text, the table's rows and the parsed entries live in buffers their
+// owners keep.
+func TestLazyResolveAllocs(t *testing.T) {
+	table := procnet.NewTable()
+	pm := procnet.NewPackageManager()
+	for i := 0; i < 15; i++ {
+		uid := 10000 + i
+		pm.Install(uid, "com.example.app")
+		table.Add(procnet.Entry{Proto: procnet.TCP, Local: netip.AddrPortFrom(mapLocal.Addr(), uint16(40000+i)), Remote: mapRemote, State: procnet.StateEstablished, UID: uid})
+		table.Add(procnet.Entry{Proto: procnet.TCP6, Local: netip.MustParseAddrPort("[fd00::2]:1"), Remote: netip.MustParseAddrPort("[2606:2800:220:1::1]:443"), State: procnet.StateEstablished, UID: uid})
+	}
+	clk := &stepClock{}
+	m := newMapper(procnet.NewReader(table, clock.NewReal(), procnet.ZeroParseCost(), 1), pm, MapLazy, clk)
+	local := netip.AddrPortFrom(mapLocal.Addr(), 40007)
+	resolve := func() {
+		if info, _ := m.resolve(local, mapRemote, clk.Nanos()); info.UID != 10007 {
+			t.Fatalf("resolved %+v, want uid 10007", info)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		resolve()
+	}
+	n := testing.AllocsPerRun(100, resolve)
+	t.Logf("%.2f allocations per lazy resolution", n)
+	if n > 4 {
+		t.Errorf("a lazy resolution on 30 rows allocates %.1f objects, want at most 4", n)
+	}
+	if st := m.stats(); st.Parses != st.Resolutions {
+		t.Errorf("%d parses for %d resolutions: each resolution must run its own", st.Parses, st.Resolutions)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,12 +109,14 @@ type udpRelay struct {
 	idle     time.Duration
 	pool     int
 
-	// dnsLimit, max(1, pool/2), caps the workers parked in a blocking
-	// DNS receive: a dead resolver would otherwise wedge the whole pool
-	// for DNSTimeout and starve relayed UDP. Queries over the cap are
-	// shed and counted in UDPDropped, as a stub resolver's retry expects.
-	dnsLimit    int
-	dnsInflight atomic.Int64
+	// dnsLimit, max(1, pool/2), caps the workers stuck in a blocking
+	// DNS receive, those that have waited past DNSTimeout/dnsStuckFraction:
+	// a dead resolver would otherwise wedge the whole pool for DNSTimeout
+	// and starve relayed UDP. A live resolver answers within an RTT, so
+	// its workers never count. Queries over the cap are shed and counted
+	// in UDPDropped.
+	dnsLimit int
+	dnsStuck atomic.Int64
 
 	jobs      chan udpJob
 	stopOnce  sync.Once
@@ -287,21 +290,45 @@ func (r *udpRelay) process(j udpJob) {
 	}
 	defer s.inflight.Add(-1)
 	if s.dns {
-		if r.dnsInflight.Add(1) > int64(r.dnsLimit) {
-			// Too many workers already parked in blocking DNS receives
-			// (a dead resolver regime): shed this query instead of
-			// wedging another worker for the full DNSTimeout. The stub
-			// resolver's retry covers it, and the drop is counted.
-			r.dnsInflight.Add(-1)
+		if r.dnsStuck.Load() >= int64(r.dnsLimit) {
+			// dnsLimit workers already wait on a resolver that does not
+			// answer: shed this query instead of parking another worker
+			// on it. The drop is counted.
 			r.e.ctr.udpDropped.Add(1)
 			return
 		}
 		r.e.dnsTransaction(s, j.payload)
-		r.dnsInflight.Add(-1)
 	} else {
 		r.e.udpForward(s, j.payload)
 	}
 	s.lastUsed.Store(r.e.clk.Nanos())
+}
+
+// dnsStuckFraction sets when a DNS receive counts as stuck: after
+// DNSTimeout/dnsStuckFraction of waiting, 1 s at the default timeout.
+const dnsStuckFraction = 5
+
+// errDNSShed reports a DNS query given up because dnsLimit workers were
+// already stuck when its own wait became stuck.
+var errDNSShed = errors.New("engine: DNS query shed")
+
+// dnsRecv waits up to DNSTimeout for the response to a DNS query sent
+// on sock. A wait that outlasts DNSTimeout/dnsStuckFraction becomes
+// stuck; if dnsLimit waits already are, it ends with errDNSShed, so a
+// dead resolver parks at most dnsLimit workers for the full timeout.
+func (r *udpRelay) dnsRecv(sock *sockets.UDPSocket) ([]byte, error) {
+	timeout := r.e.cfg.DNSTimeout
+	grace := timeout / dnsStuckFraction
+	resp, err := sock.Recv(grace)
+	if !errors.Is(err, sockets.ErrRecvTimeout) {
+		return resp, err
+	}
+	if r.dnsStuck.Add(1) > int64(r.dnsLimit) {
+		r.dnsStuck.Add(-1)
+		return nil, errDNSShed
+	}
+	defer r.dnsStuck.Add(-1)
+	return sock.Recv(timeout - grace)
 }
 
 // drainStale forwards responses that arrived on the session socket

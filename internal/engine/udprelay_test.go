@@ -410,6 +410,37 @@ func TestDNSBlackholeDoesNotStarvePool(t *testing.T) {
 	}
 }
 
+// A live resolver never trips the DNS cap: a burst of lookups twice the
+// pool's size, as a page's concurrent connects make, is answered in
+// full. Only a worker that waits past a fraction of DNSTimeout counts
+// toward the cap.
+func TestDNSBurstAtLiveResolverNotShed(t *testing.T) {
+	tb := newTestbed(t, engine.Default())
+	tb.net.SetLink(tb.dns.Addr(), netsim.LinkParams{Delay: 10 * time.Millisecond})
+	const lookups = 2 * 8 // 2 × the default udpPoolSize
+	var wg sync.WaitGroup
+	errs := make(chan error, lookups)
+	for i := 0; i < lookups; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := tb.phone.Resolve(uidApp, tb.dns, "example.com", 5*time.Second); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("lookup at a live resolver: %v", err)
+	}
+	st := tb.eng.Stats()
+	if st.UDPDropped != 0 || st.DNSTimeouts != 0 {
+		t.Errorf("%d lookups at a live 20 ms resolver: %d shed, %d timed out, want 0 and 0", lookups, st.UDPDropped, st.DNSTimeouts)
+	}
+	waitFor(t, 3*time.Second, func() bool { return tb.eng.Stats().DNSMeasurements == lookups }, "a DNS measurement per lookup")
+}
+
 // A non-DNS request whose response misses the receive window is
 // counted (UDPNoResponse — never silent), and when the response
 // arrives late it is forwarded to the app by the next datagram's stale

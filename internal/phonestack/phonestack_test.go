@@ -136,7 +136,7 @@ func TestConnectHandshake(t *testing.T) {
 	}
 	// The proc table must show the connection as established under the
 	// right UID — that is what MopEye's mapping reads.
-	entries, _ := procnet.ParseFile(table.Render(procnet.TCP), procnet.TCP)
+	entries, _ := procnet.AppendParse(nil, table.AppendRender(nil, procnet.TCP), procnet.TCP)
 	if len(entries) != 1 {
 		t.Fatalf("proc entries: %d", len(entries))
 	}
@@ -331,7 +331,7 @@ func TestCloseRemovesProcEntry(t *testing.T) {
 		t.Fatalf("table len: %d", table.Len())
 	}
 	c.Close()
-	entries, _ := procnet.ParseFile(table.Render(procnet.TCP), procnet.TCP)
+	entries, _ := procnet.AppendParse(nil, table.AppendRender(nil, procnet.TCP), procnet.TCP)
 	if len(entries) != 1 || entries[0].UID != 10001 || entries[0].State != procnet.StateFinWait1 {
 		t.Fatalf("proc entries after close: %+v, want one FIN_WAIT entry for uid 10001", entries)
 	}

@@ -13,17 +13,21 @@
 package procnet
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/clock"
 )
@@ -78,6 +82,9 @@ type Table struct {
 	mu        sync.Mutex
 	entries   map[uint64]Entry // keyed by inode
 	nextInode uint64
+
+	renderMu sync.Mutex
+	rows     []Entry // AppendRender's scratch, kept at its peak size
 }
 
 // NewTable creates an empty table.
@@ -119,105 +126,227 @@ func (t *Table) Len() int {
 	return len(t.entries)
 }
 
-// snapshot returns entries of one proto in stable order.
-func (t *Table) snapshot(p Proto) []Entry {
+// AppendRender appends the authentic text of one proc file to dst.
+// IPv4 addresses are little-endian hex, ports big-endian hex, exactly
+// as the kernel formats them — the parser on the other side must deal
+// with that. The rows are copied into the table's scratch under t.mu
+// and sorted and formatted after it is released, so rendering never
+// blocks the phone's Add and SetState; renderMu serialises renders on
+// the scratch.
+func (t *Table) AppendRender(dst []byte, p Proto) []byte {
+	t.renderMu.Lock()
+	defer t.renderMu.Unlock()
+	rows := t.rows[:0]
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Entry
 	for _, e := range t.entries {
 		if e.Proto == p {
-			out = append(out, e)
+			rows = append(rows, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Inode < out[j].Inode })
-	return out
-}
-
-// Render produces the authentic text of one proc file. IPv4 addresses
-// are little-endian hex, ports big-endian hex, exactly as the kernel
-// formats them — the parser on the other side must deal with that.
-func (t *Table) Render(p Proto) string {
-	var b strings.Builder
-	b.WriteString("  sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode\n")
-	for i, e := range t.snapshot(p) {
-		fmt.Fprintf(&b, "%4d: %s %s %02X 00000000:00000000 00:00000000 00000000 %5d        0 %d 1 0000000000000000 100 0 0 10 0\n",
-			i, hexAddrPort(e.Local, p), hexAddrPort(e.Remote, p), e.State, e.UID, e.Inode)
+	t.mu.Unlock()
+	t.rows = rows
+	slices.SortFunc(rows, func(a, b Entry) int { return cmp.Compare(a.Inode, b.Inode) })
+	dst = append(dst, tableHeader...)
+	for i, e := range rows {
+		dst = appendRow(dst, i, e, p)
 	}
-	return b.String()
+	return dst
 }
 
-func hexAddrPort(ap netip.AddrPort, p Proto) string {
+const tableHeader = "  sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode\n"
+
+// appendRow formats row i as the kernel's
+// "%4d: %s %s %02X 00000000:00000000 00:00000000 00000000 %5d        0 %d 1 0000000000000000 100 0 0 10 0\n".
+func appendRow(dst []byte, i int, e Entry, p Proto) []byte {
+	dst = appendDec(dst, int64(i), 4)
+	dst = append(dst, ": "...)
+	dst = appendHexAddrPort(dst, e.Local, p)
+	dst = append(dst, ' ')
+	dst = appendHexAddrPort(dst, e.Remote, p)
+	dst = append(dst, ' ')
+	dst = appendHex(dst, int64(e.State), 2)
+	dst = append(dst, " 00000000:00000000 00:00000000 00000000 "...)
+	dst = appendDec(dst, int64(e.UID), 5)
+	dst = append(dst, "        0 "...)
+	dst = strconv.AppendUint(dst, e.Inode, 10)
+	return append(dst, " 1 0000000000000000 100 0 0 10 0\n"...)
+}
+
+// appendHexAddrPort formats an endpoint as the kernel does: IPv4 as one
+// little-endian 32-bit hex value, IPv6 as four little-endian 32-bit
+// groups, then the port.
+func appendHexAddrPort(dst []byte, ap netip.AddrPort, p Proto) []byte {
 	if p == TCP || p == UDP {
 		a4 := ap.Addr().As4()
-		// Kernel prints IPv4 as a little-endian 32-bit hex value.
-		v := binary.LittleEndian.Uint32(a4[:])
-		return fmt.Sprintf("%08X:%04X", v, ap.Port())
+		dst = appendHex(dst, int64(binary.LittleEndian.Uint32(a4[:])), 8)
+	} else {
+		a16 := ap.Addr().As16()
+		for g := 0; g < 16; g += 4 {
+			dst = appendHex(dst, int64(binary.LittleEndian.Uint32(a16[g:g+4])), 8)
+		}
 	}
-	a16 := ap.Addr().As16()
-	var b strings.Builder
-	// IPv6 is printed as four little-endian 32-bit groups.
-	for g := 0; g < 4; g++ {
-		v := binary.LittleEndian.Uint32(a16[g*4 : g*4+4])
-		fmt.Fprintf(&b, "%08X", v)
-	}
-	return fmt.Sprintf("%s:%04X", b.String(), ap.Port())
+	dst = append(dst, ':')
+	return appendHex(dst, int64(ap.Port()), 4)
 }
 
-// ParseFile decodes a rendered proc file back into entries. This is the
-// code path MopEye runs for every SYN before lazy mapping, and only in
-// the elected thread after (§3.3).
-func ParseFile(text string, p Proto) ([]Entry, error) {
-	var out []Entry
-	lines := strings.Split(text, "\n")
-	for _, line := range lines[1:] {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 10 {
-			return nil, fmt.Errorf("procnet: short row %q", line)
-		}
-		local, err := parseHexAddrPort(fields[1], p)
-		if err != nil {
-			return nil, err
-		}
-		remote, err := parseHexAddrPort(fields[2], p)
-		if err != nil {
-			return nil, err
-		}
-		st, err := strconv.ParseInt(fields[3], 16, 32)
-		if err != nil {
-			return nil, fmt.Errorf("procnet: bad state %q: %v", fields[3], err)
-		}
-		uid, err := strconv.Atoi(fields[7])
-		if err != nil {
-			return nil, fmt.Errorf("procnet: bad uid %q: %v", fields[7], err)
-		}
-		inode, err := strconv.ParseUint(fields[9], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("procnet: bad inode %q: %v", fields[9], err)
-		}
-		out = append(out, Entry{
-			Proto: p, Local: local, Remote: remote,
-			State: int(st), UID: uid, Inode: inode,
-		})
+// appendHex appends v in upper-case hex, zero-padded to width columns
+// after any sign, as fmt's %0<width>X does.
+func appendHex(dst []byte, v int64, width int) []byte {
+	var buf [24]byte
+	s := strconv.AppendInt(buf[:0], v, 16)
+	if s[0] == '-' {
+		dst = append(dst, '-')
+		s, width = s[1:], width-1
 	}
-	return out, nil
+	for n := len(s); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	for _, c := range s {
+		if c >= 'a' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
-func parseHexAddrPort(s string, p Proto) (netip.AddrPort, error) {
-	colon := strings.LastIndexByte(s, ':')
+// appendDec appends v in decimal, right-aligned in width columns, as
+// fmt's %<width>d does.
+func appendDec(dst []byte, v int64, width int) []byte {
+	var buf [24]byte
+	s := strconv.AppendInt(buf[:0], v, 10)
+	for n := len(s); n < width; n++ {
+		dst = append(dst, ' ')
+	}
+	return append(dst, s...)
+}
+
+// AppendParse decodes the rows of a rendered proc file onto dst and
+// returns the extended slice; on error it returns dst unextended. This
+// is the code path MopEye runs for every SYN before lazy mapping, and
+// only in the elected thread after (§3.3). The first line is the
+// header. A row is split into fields on Unicode white space, as
+// strings.Fields splits it; a blank row is skipped and a row of fewer
+// than ten fields is an error.
+func AppendParse(dst []Entry, text []byte, p Proto) ([]Entry, error) {
+	n0 := len(dst)
+	nl := bytes.IndexByte(text, '\n')
+	if nl < 0 {
+		return dst, nil
+	}
+	rest := text[nl+1:]
+	// A row per remaining line at most, so dst grows once.
+	dst = slices.Grow(dst, bytes.Count(rest, []byte{'\n'})+1)
+	for len(rest) > 0 {
+		line := rest
+		if j := bytes.IndexByte(rest, '\n'); j >= 0 {
+			line, rest = rest[:j], rest[j+1:]
+		} else {
+			rest = nil
+		}
+		e, ok, err := parseRow(line, p)
+		if err != nil {
+			return dst[:n0], err
+		}
+		if ok {
+			dst = append(dst, e)
+		}
+	}
+	return dst, nil
+}
+
+// parseRow decodes one row; ok is false for a blank line.
+func parseRow(line []byte, p Proto) (e Entry, ok bool, err error) {
+	// Only fields 1, 2, 3, 7 and 9 are read; the rest need only exist.
+	var f [10][]byte
+	n := 0
+	for i := 0; n < len(f); n++ {
+		start, end := nextField(line, i)
+		if start == end {
+			break
+		}
+		f[n], i = line[start:end], end
+	}
+	switch {
+	case n == 0:
+		return Entry{}, false, nil
+	case n < len(f):
+		return Entry{}, false, fmt.Errorf("procnet: short row %q", bytes.TrimSpace(line))
+	}
+	local, err := parseHexAddrPort(f[1], p)
+	if err != nil {
+		return Entry{}, false, err
+	}
+	remote, err := parseHexAddrPort(f[2], p)
+	if err != nil {
+		return Entry{}, false, err
+	}
+	st, err := strconv.ParseInt(string(f[3]), 16, 32)
+	if err != nil {
+		return Entry{}, false, fmt.Errorf("procnet: bad state %q: %v", f[3], err)
+	}
+	uid, err := strconv.Atoi(string(f[7]))
+	if err != nil {
+		return Entry{}, false, fmt.Errorf("procnet: bad uid %q: %v", f[7], err)
+	}
+	inode, err := strconv.ParseUint(string(f[9]), 10, 64)
+	if err != nil {
+		return Entry{}, false, fmt.Errorf("procnet: bad inode %q: %v", f[9], err)
+	}
+	return Entry{
+		Proto: p, Local: local, Remote: remote,
+		State: int(st), UID: uid, Inode: inode,
+	}, true, nil
+}
+
+// nextField returns the bounds of the first field of line at or after
+// i; start == end when there is none. Fields are separated by runs of
+// unicode.IsSpace runes, and a byte that is not valid UTF-8 is not
+// space, exactly as in strings.Fields.
+func nextField(line []byte, i int) (start, end int) {
+	for i < len(line) {
+		size, space := spaceAt(line, i)
+		if !space {
+			break
+		}
+		i += size
+	}
+	start = i
+	for i < len(line) {
+		size, space := spaceAt(line, i)
+		if space {
+			break
+		}
+		i += size
+	}
+	return start, i
+}
+
+// spaceAt reports the length of the rune at line[i] and whether it is
+// white space.
+func spaceAt(line []byte, i int) (size int, space bool) {
+	if c := line[i]; c < utf8.RuneSelf {
+		return 1, c == ' ' || c-'\t' <= '\r'-'\t'
+	}
+	r, size := utf8.DecodeRune(line[i:])
+	return size, unicode.IsSpace(r)
+}
+
+// parseHexAddrPort decodes a kernel "ADDR:PORT" field. Each number is
+// converted with string(b) of at most 32 bytes for a well-formed
+// field, which the compiler keeps on the stack.
+func parseHexAddrPort(s []byte, p Proto) (netip.AddrPort, error) {
+	colon := bytes.LastIndexByte(s, ':')
 	if colon < 0 {
 		return netip.AddrPort{}, fmt.Errorf("procnet: bad addr %q", s)
 	}
-	port, err := strconv.ParseUint(s[colon+1:], 16, 16)
+	port, err := strconv.ParseUint(string(s[colon+1:]), 16, 16)
 	if err != nil {
 		return netip.AddrPort{}, fmt.Errorf("procnet: bad port in %q: %v", s, err)
 	}
 	hexIP := s[:colon]
 	if p == TCP || p == UDP {
-		v, err := strconv.ParseUint(hexIP, 16, 32)
+		v, err := strconv.ParseUint(string(hexIP), 16, 32)
 		if err != nil {
 			return netip.AddrPort{}, fmt.Errorf("procnet: bad ip in %q: %v", s, err)
 		}
@@ -229,12 +358,12 @@ func parseHexAddrPort(s string, p Proto) (netip.AddrPort, error) {
 		return netip.AddrPort{}, fmt.Errorf("procnet: bad ipv6 in %q", s)
 	}
 	var b [16]byte
-	for g := 0; g < 4; g++ {
-		v, err := strconv.ParseUint(hexIP[g*8:g*8+8], 16, 32)
+	for g := 0; g < 16; g += 4 {
+		v, err := strconv.ParseUint(string(hexIP[g*2:g*2+8]), 16, 32)
 		if err != nil {
 			return netip.AddrPort{}, fmt.Errorf("procnet: bad ipv6 group in %q: %v", s, err)
 		}
-		binary.LittleEndian.PutUint32(b[g*4:g*4+4], uint32(v))
+		binary.LittleEndian.PutUint32(b[g:g+4], uint32(v))
 	}
 	return netip.AddrPortFrom(netip.AddrFrom16(b), uint16(port)), nil
 }
@@ -264,11 +393,12 @@ func AndroidParseCost() CostModel {
 // ZeroParseCost is free, for deterministic tests.
 func ZeroParseCost() CostModel { return CostModel{} }
 
-// Source supplies the raw text of one proc net table. *Table is the
+// Source supplies the raw text of one proc net table: AppendRender
+// appends it to dst and returns the extended buffer. *Table is the
 // emulated kernel table; ProcFS reads a live proc mount on the real
 // device data plane.
 type Source interface {
-	Render(p Proto) string
+	AppendRender(dst []byte, p Proto) []byte
 }
 
 // ProcFS renders the live kernel tables from a proc mount. An
@@ -280,20 +410,31 @@ type ProcFS struct {
 	Root string
 }
 
-// Render reads /proc/net/<proto>.
-func (f ProcFS) Render(p Proto) string {
+// AppendRender reads /proc/net/<proto> straight into dst.
+func (f ProcFS) AppendRender(dst []byte, p Proto) []byte {
 	root := f.Root
 	if root == "" {
 		root = "/proc"
 	}
-	b, err := os.ReadFile(filepath.Join(root, "net", p.String()))
+	file, err := os.Open(filepath.Join(root, "net", p.String()))
 	if err != nil {
-		return emptyTableHeader
+		return append(dst, tableHeader...)
 	}
-	return string(b)
+	defer file.Close()
+	n0 := len(dst)
+	for {
+		// A proc file reports size 0, so read until EOF.
+		dst = slices.Grow(dst, 4096)
+		n, err := file.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst
+		}
+		if err != nil {
+			return append(dst[:n0], tableHeader...)
+		}
+	}
 }
-
-const emptyTableHeader = "  sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode\n"
 
 // Reader is the engine-side view: it renders, charges the parse cost,
 // and parses. One Reader per engine.
@@ -301,6 +442,11 @@ type Reader struct {
 	src  Source
 	clk  clock.Clock
 	cost CostModel
+
+	// textMu guards text, the rendered file, for one render and parse;
+	// it is never held while the parse cost is charged.
+	textMu sync.Mutex
+	text   []byte // kept at its peak size
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -321,15 +467,18 @@ func NewReaderFrom(src Source, clk clock.Clock, cost CostModel, seed int64) *Rea
 	return &Reader{src: src, clk: clk, cost: cost, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Parse reads one proc file, charging the modelled cost in simulated
-// time.
-func (r *Reader) Parse(p Proto) ([]Entry, error) {
-	text := r.src.Render(p)
-	entries, err := ParseFile(text, p)
+// AppendParse reads one proc file onto dst, charging the modelled cost
+// in simulated time. On error it returns dst unextended.
+func (r *Reader) AppendParse(dst []Entry, p Proto) ([]Entry, error) {
+	n0 := len(dst)
+	r.textMu.Lock()
+	r.text = r.src.AppendRender(r.text[:0], p)
+	dst, err := AppendParse(dst, r.text, p)
+	r.textMu.Unlock()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	cost := r.drawCost(len(entries))
+	cost := r.drawCost(len(dst) - n0)
 	if cost > 0 {
 		r.clk.Sleep(cost)
 	}
@@ -338,36 +487,38 @@ func (r *Reader) Parse(p Proto) ([]Entry, error) {
 	r.spent += cost
 	r.costs = append(r.costs, cost)
 	r.mu.Unlock()
-	return entries, nil
+	return dst, nil
 }
 
-// ParseAll reads tcp and tcp6 (the SYN mapping path parses both, §3.3).
-func (r *Reader) ParseAll() ([]Entry, error) {
-	t4, err := r.Parse(TCP)
-	if err != nil {
-		return nil, err
+// AppendAll reads tcp and tcp6 onto dst (the SYN mapping path parses
+// both, §3.3).
+func (r *Reader) AppendAll(dst []Entry) ([]Entry, error) { return r.appendPair(dst, TCP, TCP6) }
+
+// AppendAllUDP reads udp and udp6 onto dst — the UDP relay's
+// attribution path. DNS and other datagram sockets appear here with
+// their owner UID just as TCP connections appear in tcp/tcp6 (§2.2).
+func (r *Reader) AppendAllUDP(dst []Entry) ([]Entry, error) { return r.appendPair(dst, UDP, UDP6) }
+
+func (r *Reader) appendPair(dst []Entry, v4, v6 Proto) ([]Entry, error) {
+	n0 := len(dst)
+	dst, err := r.AppendParse(dst, v4)
+	if err == nil {
+		dst, err = r.AppendParse(dst, v6)
 	}
-	t6, err := r.Parse(TCP6)
 	if err != nil {
-		return nil, err
+		return dst[:n0], err
 	}
-	return append(t4, t6...), nil
+	return dst, nil
 }
 
-// ParseAllUDP reads udp and udp6 — the UDP relay's attribution path.
-// DNS and other datagram sockets appear here with their owner UID just
-// as TCP connections appear in tcp/tcp6 (§2.2).
-func (r *Reader) ParseAllUDP() ([]Entry, error) {
-	u4, err := r.Parse(UDP)
-	if err != nil {
-		return nil, err
-	}
-	u6, err := r.Parse(UDP6)
-	if err != nil {
-		return nil, err
-	}
-	return append(u4, u6...), nil
-}
+// Parse reads one proc file into a new slice.
+func (r *Reader) Parse(p Proto) ([]Entry, error) { return r.AppendParse(nil, p) }
+
+// ParseAll reads tcp and tcp6 into a new slice.
+func (r *Reader) ParseAll() ([]Entry, error) { return r.AppendAll(nil) }
+
+// ParseAllUDP reads udp and udp6 into a new slice.
+func (r *Reader) ParseAllUDP() ([]Entry, error) { return r.AppendAllUDP(nil) }
 
 func (r *Reader) drawCost(entries int) time.Duration {
 	c := r.cost.Base + time.Duration(entries)*r.cost.PerEntry

@@ -19,8 +19,8 @@ func TestRenderParseRoundTripTCP4(t *testing.T) {
 		State: StateEstablished, UID: 10083,
 	}
 	tbl.Add(e)
-	text := tbl.Render(TCP)
-	got, err := ParseFile(text, TCP)
+	text := tbl.AppendRender(nil, TCP)
+	got, err := AppendParse(nil, text, TCP)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestRenderParseRoundTripTCP6(t *testing.T) {
 		State: StateSynSent, UID: 10090,
 	}
 	tbl.Add(e)
-	got, err := ParseFile(tbl.Render(TCP6), TCP6)
+	got, err := AppendParse(nil, tbl.AppendRender(nil, TCP6), TCP6)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestRenderParseRoundTripTCP6(t *testing.T) {
 func TestRenderKernelHexFormat(t *testing.T) {
 	tbl := NewTable()
 	tbl.Add(Entry{Proto: TCP, Local: ap("10.0.0.2:80"), Remote: ap("1.2.3.4:443"), State: StateEstablished, UID: 1})
-	text := tbl.Render(TCP)
+	text := string(tbl.AppendRender(nil, TCP))
 	// 10.0.0.2 little-endian is 0200000A; port 80 is 0050.
 	if !strings.Contains(text, "0200000A:0050") {
 		t.Errorf("kernel hex format missing:\n%s", text)
@@ -67,8 +67,8 @@ func TestProtoFiltering(t *testing.T) {
 	tbl := NewTable()
 	tbl.Add(Entry{Proto: TCP, Local: ap("10.0.0.2:1"), Remote: ap("1.1.1.1:1"), UID: 1})
 	tbl.Add(Entry{Proto: UDP, Local: ap("10.0.0.2:2"), Remote: ap("0.0.0.0:0"), UID: 2})
-	tcp, _ := ParseFile(tbl.Render(TCP), TCP)
-	udp, _ := ParseFile(tbl.Render(UDP), UDP)
+	tcp, _ := AppendParse(nil, tbl.AppendRender(nil, TCP), TCP)
+	udp, _ := AppendParse(nil, tbl.AppendRender(nil, UDP), UDP)
 	if len(tcp) != 1 || len(udp) != 1 {
 		t.Errorf("tcp=%d udp=%d", len(tcp), len(udp))
 	}
@@ -81,7 +81,7 @@ func TestSetStateAndRemove(t *testing.T) {
 	tbl := NewTable()
 	inode := tbl.Add(Entry{Proto: TCP, Local: ap("10.0.0.2:5"), Remote: ap("1.1.1.1:1"), State: StateSynSent, UID: 7})
 	tbl.SetState(inode, StateEstablished)
-	got, _ := ParseFile(tbl.Render(TCP), TCP)
+	got, _ := AppendParse(nil, tbl.AppendRender(nil, TCP), TCP)
 	if got[0].State != StateEstablished {
 		t.Errorf("state: %02x", got[0].State)
 	}
@@ -97,7 +97,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"header\n0: ZZZZZZZZ:0050 0200000A:0050 01 0:0 00:0 0 5 0 1 x\n",
 	}
 	for i, text := range cases {
-		if _, err := ParseFile(text, TCP); err == nil {
+		if _, err := AppendParse(nil, []byte(text), TCP); err == nil {
 			t.Errorf("case %d parsed", i)
 		}
 	}
@@ -194,7 +194,7 @@ func TestPackageManager(t *testing.T) {
 	}
 }
 
-// Property: any valid entry survives Render/Parse for all four proc
+// Property: any valid entry survives AppendRender/AppendParse for all four proc
 // files.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(a, b, c, d byte, lport, rport uint16, uid uint16, v6 bool, udp bool) bool {
@@ -218,7 +218,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		}
 		tbl := NewTable()
 		tbl.Add(Entry{Proto: proto, Local: local, Remote: remote, State: StateEstablished, UID: int(uid)})
-		got, err := ParseFile(tbl.Render(proto), proto)
+		got, err := AppendParse(nil, tbl.AppendRender(nil, proto), proto)
 		if err != nil || len(got) != 1 {
 			return false
 		}
@@ -234,7 +234,7 @@ func TestStableOrderByInode(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tbl.Add(Entry{Proto: TCP, Local: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, 2}), uint16(1000+i)), Remote: ap("1.1.1.1:1"), UID: i})
 	}
-	got, _ := ParseFile(tbl.Render(TCP), TCP)
+	got, _ := AppendParse(nil, tbl.AppendRender(nil, TCP), TCP)
 	for i := 1; i < len(got); i++ {
 		if got[i].Inode <= got[i-1].Inode {
 			t.Fatal("rows not in inode order")
