@@ -235,8 +235,11 @@ func AppendParse(dst []Entry, text []byte, p Proto) ([]Entry, error) {
 		return dst, nil
 	}
 	rest := text[nl+1:]
-	// A row per remaining line at most, so dst grows once.
-	dst = slices.Grow(dst, bytes.Count(rest, []byte{'\n'})+1)
+	// A row per remaining line at most, so dst grows at most once, by
+	// one allocation (slices.Grow makes two under -race).
+	if n := len(dst) + bytes.Count(rest, []byte{'\n'}) + 1; n > cap(dst) {
+		dst = append(make([]Entry, 0, max(n, cap(dst)*5/4)), dst...)
+	}
 	for len(rest) > 0 {
 		line := rest
 		if j := bytes.IndexByte(rest, '\n'); j >= 0 {
