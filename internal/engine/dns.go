@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+
 	"repro/internal/dnsmsg"
 	"repro/internal/measure"
 	"repro/internal/packet"
@@ -42,7 +44,7 @@ func (e *Engine) dnsTransaction(s *udpSession, query []byte) {
 	s.sock.SendTo(s.flow.Dst, query)
 	resp, err := e.udp.dnsRecv(s.sock)
 	t1 := e.clk.Nanos()
-	if err == errDNSShed {
+	if errors.Is(err, errDNSShed) {
 		e.ctr.udpDropped.Add(1)
 		return
 	}

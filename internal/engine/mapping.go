@@ -75,8 +75,9 @@ type procTable struct {
 	rows []procnet.Entry
 }
 
-// index runs one parse into rows' storage and indexes it by local
-// port. It returns the rows for reuse and whether the parse succeeded.
+// index runs one parse into rows' storage and indexes it by local port
+// into p, setting p.ok if the parse succeeded. It returns the rows for
+// reuse.
 func (pt *procTable) index(p *procParse, rows []procnet.Entry) []procnet.Entry {
 	rows, err := pt.parse(rows[:0])
 	if err != nil {

@@ -138,6 +138,11 @@ func (t *Table) AppendRender(dst []byte, p Proto) []byte {
 	defer t.renderMu.Unlock()
 	rows := t.rows[:0]
 	t.mu.Lock()
+	if n := len(t.entries); n > cap(rows) {
+		// Sized to the whole table, not grown by append's slack: the
+		// scratch is kept at its peak.
+		rows = make([]Entry, 0, n)
+	}
 	for _, e := range t.entries {
 		if e.Proto == p {
 			rows = append(rows, e)
@@ -236,9 +241,10 @@ func AppendParse(dst []Entry, text []byte, p Proto) ([]Entry, error) {
 	}
 	rest := text[nl+1:]
 	// A row per remaining line at most, so dst grows at most once, by
-	// one allocation (slices.Grow makes two under -race).
+	// one allocation (slices.Grow makes two under -race) and to no more
+	// than it needs, since a caller's scratch is kept at its peak.
 	if n := len(dst) + bytes.Count(rest, []byte{'\n'}) + 1; n > cap(dst) {
-		dst = append(make([]Entry, 0, max(n, cap(dst)*5/4)), dst...)
+		dst = append(make([]Entry, 0, n), dst...)
 	}
 	for len(rest) > 0 {
 		line := rest
