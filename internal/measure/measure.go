@@ -72,10 +72,13 @@ func (r Record) NetKey() string {
 // Store collects records and broadcasts each one, at Add time, to any
 // live subscriptions (broadcast.go). The snapshot accessors and the
 // subscription stream observe the same records in the same order; the
-// stream is the push view, the snapshot the pull view.
+// stream is the push view, the snapshot the pull view. Records are
+// held as pointer-free rows over interning tables (rows.go), so At
+// reads back as At.Round(0).
 type Store struct {
 	mu   sync.Mutex
-	recs []Record
+	recs []row
+	tabs tables
 
 	// subs are the live subscriptions; subsClosed marks the broadcast
 	// layer shut down (CloseSubscribers). Both guarded by mu.
@@ -89,12 +92,17 @@ type Store struct {
 func NewStore() *Store { return &Store{} }
 
 // Add appends one record and publishes it to every subscriber. With no
-// subscribers the publish step is a nil-slice range — the engine's
-// record path pays nothing for the broadcast layer it isn't using.
+// subscribers the publish step is a len check — the engine's record
+// path pays nothing for the broadcast layer it isn't using. What is
+// published is the record as stored, read back from its row, so the
+// stream and the snapshot agree record for record.
 func (s *Store) Add(r Record) {
 	s.mu.Lock()
-	s.recs = append(s.recs, r)
-	s.publish(r)
+	w := s.tabs.row(r)
+	s.recs = append(s.recs, w)
+	if len(s.subs) > 0 {
+		s.publish(s.tabs.record(w))
+	}
 	s.mu.Unlock()
 }
 
@@ -105,11 +113,27 @@ func (s *Store) Len() int {
 	return len(s.recs)
 }
 
+// InternedValues returns the number of distinct non-empty strings,
+// destinations and network contexts the store's rows refer to: the part
+// of its memory that grows with distinct values, not with records.
+func (s *Store) InternedValues() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tabs.interned()
+}
+
 // Snapshot copies all records out.
 func (s *Store) Snapshot() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Record(nil), s.recs...)
+	if len(s.recs) == 0 {
+		return nil
+	}
+	out := make([]Record, len(s.recs))
+	for i, w := range s.recs {
+		out[i] = s.tabs.record(w)
+	}
+	return out
 }
 
 // Filter returns the records satisfying keep.
@@ -117,8 +141,8 @@ func (s *Store) Filter(keep func(Record) bool) []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Record
-	for _, r := range s.recs {
-		if keep(r) {
+	for _, w := range s.recs {
+		if r := s.tabs.record(w); keep(r) {
 			out = append(out, r)
 		}
 	}

@@ -54,10 +54,14 @@ func TestNewWiresEverything(t *testing.T) {
 	}
 }
 
+// The resolver sits on its own, shorter path. Nothing here depends on
+// how fast the host runs: the bed installed the DNS link, the lookup
+// took at least its round trip, and the engine measured it.
 func TestDNSPathThroughBed(t *testing.T) {
+	dnsLink := netsim.LinkParams{Delay: time.Millisecond}
 	bed, err := New(Options{
 		Link:       netsim.LinkParams{Delay: 5 * time.Millisecond},
-		DNSLink:    netsim.LinkParams{Delay: time.Millisecond},
+		DNSLink:    dnsLink,
 		DNSLinkSet: true,
 		Servers:    []netsim.ServerSpec{EchoServer("named.example", "203.0.113.3:443", 30*time.Millisecond)},
 	})
@@ -65,6 +69,9 @@ func TestDNSPathThroughBed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bed.Close()
+	if got := bed.Net.Link(DNSAddr.Addr()); got != dnsLink {
+		t.Errorf("DNS path %+v, want %+v", got, dnsLink)
+	}
 	res, err := bed.Phone.Resolve(100, DNSAddr, "named.example", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +79,14 @@ func TestDNSPathThroughBed(t *testing.T) {
 	if res.Addr != netip.MustParseAddr("203.0.113.3") {
 		t.Errorf("resolved %v", res.Addr)
 	}
-	// The DNS link is shorter than the default: RTT ~2 ms + relay.
-	if res.Elapsed > 15*time.Millisecond {
-		t.Errorf("DNS resolve took %v over a 2 ms path", res.Elapsed)
+	rtt := 2 * dnsLink.Delay
+	if res.Elapsed < rtt {
+		t.Errorf("DNS resolve took %v over a %v round trip", res.Elapsed, rtt)
+	}
+	bed.Close() // every record is stored once the phone is closed
+	recs := bed.Store.Kind(measure.KindDNS)
+	if len(recs) != 1 || recs[0].Domain != "named.example" || recs[0].RTT < rtt {
+		t.Errorf("DNS records %+v, want one for named.example with an RTT of at least %v", recs, rtt)
 	}
 }
 

@@ -34,6 +34,9 @@ func registerStoreMetrics(r *metrics.Registry, st *measure.Store) {
 	r.GaugeFunc("mopeye_store_records",
 		"Measurements held in the store.",
 		func() float64 { return float64(st.Len()) })
+	r.GaugeFunc("mopeye_store_interned_values",
+		"Distinct strings, destinations and network contexts the stored measurements refer to.",
+		func() float64 { return float64(st.InternedValues()) })
 }
 
 // rttQuantileFeed registers the per-kind RTT summaries and returns the

@@ -7,9 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/measure"
 	"repro/internal/metrics"
 )
 
@@ -47,6 +50,8 @@ func TestPhoneMetricsExposition(t *testing.T) {
 		fmt.Sprintf(`mopeye_phone_rtt_ms_count{kind="tcp"} %d`+"\n", tcp),
 		fmt.Sprintf(`mopeye_phone_rtt_ms_count{kind="dns"} %d`+"\n", dns),
 		"mopeye_stream_dropped_total 0\n",
+		fmt.Sprintf("mopeye_store_records %d\n", tcp+dns),
+		fmt.Sprintf("mopeye_store_interned_values %d\n", distinctValues(p.Measurements())),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -56,6 +61,32 @@ func TestPhoneMetricsExposition(t *testing.T) {
 	if v, ok := p.Metrics().Get("mopeye_engine_tcp_measurements_total"); !ok || int(v) != tcp {
 		t.Errorf("snapshot tcp measurements = %v, %v; want %d", v, ok, tcp)
 	}
+}
+
+// distinctValues counts what a store's interning tables hold for recs:
+// the distinct non-empty App and Domain strings, the distinct non-zero
+// destinations, and the distinct network and zone contexts.
+func distinctValues(recs []Measurement) int {
+	type netContext struct {
+		kind                          measure.Kind
+		netType, isp, country, device string
+		loc                           *time.Location
+	}
+	strs := map[string]bool{}
+	dsts := map[netip.AddrPort]bool{}
+	ctxs := map[netContext]bool{}
+	for _, r := range recs {
+		for _, v := range []string{r.App, r.Domain} {
+			if v != "" {
+				strs[v] = true
+			}
+		}
+		if r.Dst != (netip.AddrPort{}) {
+			dsts[r.Dst] = true
+		}
+		ctxs[netContext{r.Kind, r.NetType, r.ISP, r.Country, r.Device, r.At.Location()}] = true
+	}
+	return len(strs) + len(dsts) + len(ctxs)
 }
 
 func TestPhoneMetricsHandler(t *testing.T) {
