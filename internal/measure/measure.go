@@ -114,8 +114,9 @@ func (s *Store) Len() int {
 }
 
 // InternedValues returns the number of distinct non-empty strings,
-// destinations and network contexts the store's rows refer to: the part
-// of its memory that grows with distinct values, not with records.
+// non-zero destinations and network contexts the store's rows refer
+// to: the part of its memory that grows with distinct values, not with
+// records.
 func (s *Store) InternedValues() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
