@@ -44,8 +44,7 @@ func RunFig5(o Fig5Options) (*Fig5Result, error) {
 		cfg.Mapping = mode
 		cfg.Seed = seed
 		bed, err := testbed.New(testbed.Options{
-			Engine:    cfg,
-			EngineSet: true,
+			Engine:    &cfg,
 			Link:      netsim.LinkParams{Delay: 15 * time.Millisecond},
 			Servers:   []netsim.ServerSpec{testbed.ChattyServer("pages.example", "203.0.113.20:80", 30*time.Millisecond)},
 			ParseCost: procnet.AndroidParseCost(),

@@ -57,8 +57,7 @@ func RunTable1(o Table1Options) (*Table1Result, error) {
 			cfg.Workers = o.Workers
 		}
 		bed, err := testbed.New(testbed.Options{
-			Engine:       cfg,
-			EngineSet:    true,
+			Engine:       &cfg,
 			Link:         netsim.LinkParams{Delay: 10 * time.Millisecond},
 			Servers:      []netsim.ServerSpec{testbed.ChattyServer("site.example", "203.0.113.10:80", 20*time.Millisecond)},
 			TunWriteCost: tun.AndroidWriteCost(),

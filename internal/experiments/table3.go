@@ -94,9 +94,8 @@ func RunTable3(o Table3Options) (*Table3Result, error) {
 	relayRun := func(cfg engine.Config, seed int64) (down, up float64, err error) {
 		mk := func(handler netsim.TCPHandler, seed int64) (*testbed.Bed, error) {
 			bed, err := testbed.New(testbed.Options{
-				Engine:    cfg,
-				EngineSet: true,
-				Link:      speedtestLink(o),
+				Engine: &cfg,
+				Link:   speedtestLink(o),
 				Servers: []netsim.ServerSpec{{
 					Domain: "speedtest.example", Addr: speedtestAddr,
 					Link: speedtestLink(o), Handler: handler,

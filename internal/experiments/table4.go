@@ -50,9 +50,8 @@ func RunTable4(o Table4Options) (*Table4Result, error) {
 			Up:    netsim.Mbps(o.StreamMbps),
 		}
 		bed, err := testbed.New(testbed.Options{
-			Engine:    cfg,
-			EngineSet: true,
-			Link:      link,
+			Engine: &cfg,
+			Link:   link,
 			Servers: []netsim.ServerSpec{{
 				Domain: "video.example", Addr: videoAddr,
 				Link: link, Handler: netsim.SourceHandler(1 << 40),

@@ -526,9 +526,6 @@ func (r *Reader) Parse(p Proto) ([]Entry, error) { return r.AppendParse(nil, p) 
 // ParseAll reads tcp and tcp6 into a new slice.
 func (r *Reader) ParseAll() ([]Entry, error) { return r.AppendAll(nil) }
 
-// ParseAllUDP reads udp and udp6 into a new slice.
-func (r *Reader) ParseAllUDP() ([]Entry, error) { return r.AppendAllUDP(nil) }
-
 func (r *Reader) drawCost(entries int) time.Duration {
 	c := r.cost.Base + time.Duration(entries)*r.cost.PerEntry
 	if r.cost.SpikeProb > 0 {

@@ -34,19 +34,13 @@ var (
 
 // Options configures a Bed.
 type Options struct {
-	// Engine is the engine configuration; engine.Default() if zero.
-	Engine engine.Config
-	// EngineSet marks Engine as explicitly provided.
-	EngineSet bool
+	// Engine is the engine configuration; nil means engine.Default().
+	Engine *engine.Config
 	// Link is the default path (phone to any unconfigured address).
 	Link netsim.LinkParams
 	// DNSLink is the path to the resolver; resolvers sit in the ISP so
-	// they are usually closer (§4.2.3). Zero means same as Link.
-	DNSLink netsim.LinkParams
-	// DNSLinkSet marks DNSLink as explicitly provided.
-	DNSLinkSet bool
-	// DNSThink is the resolver's processing time per query.
-	DNSThink time.Duration
+	// they are usually closer (§4.2.3). nil means Link.
+	DNSLink *netsim.LinkParams
 	// SocketCosts models the Android socket-layer costs; zero costs if
 	// unset (deterministic tests want that).
 	SocketCosts sockets.CostModel
@@ -91,8 +85,9 @@ type Bed struct {
 
 // New builds and starts a bed.
 func New(o Options) (*Bed, error) {
-	if !o.EngineSet {
-		o.Engine = engine.Default()
+	cfg := engine.Default()
+	if o.Engine != nil {
+		cfg = *o.Engine
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -109,10 +104,10 @@ func New(o Options) (*Bed, error) {
 		net.SetLoopback(true)
 	}
 	dnsLink := o.Link
-	if o.DNSLinkSet {
-		dnsLink = o.DNSLink
+	if o.DNSLink != nil {
+		dnsLink = *o.DNSLink
 	}
-	zone, err := netsim.Install(net, o.Servers, DNSAddr, dnsLink, o.DNSThink)
+	zone, err := netsim.Install(net, o.Servers, DNSAddr, dnsLink, 0)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
@@ -134,7 +129,7 @@ func New(o Options) (*Bed, error) {
 		snf = sniffer.New(net)
 	}
 
-	eng := engine.New(o.Engine, engine.Deps{
+	eng := engine.New(cfg, engine.Deps{
 		Clock:    clk,
 		Device:   dev,
 		Sockets:  prov,

@@ -60,10 +60,9 @@ func TestNewWiresEverything(t *testing.T) {
 func TestDNSPathThroughBed(t *testing.T) {
 	dnsLink := netsim.LinkParams{Delay: time.Millisecond}
 	bed, err := New(Options{
-		Link:       netsim.LinkParams{Delay: 5 * time.Millisecond},
-		DNSLink:    dnsLink,
-		DNSLinkSet: true,
-		Servers:    []netsim.ServerSpec{EchoServer("named.example", "203.0.113.3:443", 30*time.Millisecond)},
+		Link:    netsim.LinkParams{Delay: 5 * time.Millisecond},
+		DNSLink: &dnsLink,
+		Servers: []netsim.ServerSpec{EchoServer("named.example", "203.0.113.3:443", 30*time.Millisecond)},
 	})
 	if err != nil {
 		t.Fatal(err)

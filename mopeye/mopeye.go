@@ -154,16 +154,15 @@ func New(o Options) (*Phone, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
+	cfg := engineConfig(o.Engine, o.Workers)
 	opts := testbed.Options{
-		Engine:     engineConfig(o.Engine, o.Workers),
-		EngineSet:  true,
-		Link:       netsim.LinkParams{Delay: msToDelay(o.DefaultRTTMillis) / 2},
-		DNSLink:    netsim.LinkParams{Delay: msToDelay(o.DNSRTTMillis) / 2},
-		DNSLinkSet: true,
-		Seed:       o.Seed,
-		Sniff:      true,
-		Loopback:   o.Loopback,
-		Clock:      o.clk,
+		Engine:   &cfg,
+		Link:     netsim.LinkParams{Delay: msToDelay(o.DefaultRTTMillis) / 2},
+		DNSLink:  &netsim.LinkParams{Delay: msToDelay(o.DNSRTTMillis) / 2},
+		Seed:     o.Seed,
+		Sniff:    true,
+		Loopback: o.Loopback,
+		Clock:    o.clk,
 	}
 	if o.RealisticCosts {
 		opts.SocketCosts = sockets.AndroidCosts()
