@@ -11,7 +11,10 @@
 //
 // Usage:
 //
-//	crowdstudy [-scale F] [-seed N] [-serve URL | -spool DIR] [-token T] [-section all|stats|contrib|geo|apps|dns|isps|whatsapp|jio]
+//	crowdstudy [-scale F] [-seed N] [-serve URL | -spool DIR] [-token T] [-dump FILE] [-section all|stats|contrib|geo|apps|dns|isps|whatsapp|jio]
+//
+// -dump writes the dataset's records as JSON Lines, the bytes
+// GET /v1/records serves and measure.ReadJSONL loads.
 package main
 
 import (
@@ -30,7 +33,7 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "dataset scale (1.0 = the paper's 5.25M measurements)")
 	seed := flag.Int64("seed", 2016, "generator seed")
 	section := flag.String("section", "all", "which analysis to print")
-	dump := flag.String("dump", "", "also write the raw records as CSV to this file")
+	dump := flag.String("dump", "", "also write the raw records as JSON Lines to this file")
 	serve := flag.String("serve", "", "analyse a live collectord at this base URL instead of generating")
 	spool := flag.String("spool", "", "analyse a collectord spool directory instead of generating")
 	token := flag.String("token", "", "collectord bearer token (with -serve)")
@@ -47,7 +50,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := study.ExportCSV(f); err != nil {
+		if err := measure.WriteJSONL(f, study.Dataset().Records); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

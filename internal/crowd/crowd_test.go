@@ -357,18 +357,26 @@ func TestDNSBeatsAppTraffic(t *testing.T) {
 	}
 }
 
-func TestAnalysisPipelineOnReloadedCSV(t *testing.T) {
-	// The analysis functions must work on records loaded from a CSV
-	// release, not just on freshly generated ones — the pipeline is
-	// supposed to be runnable on the real dataset.
+func TestAnalysisPipelineOnReloadedJSONL(t *testing.T) {
+	// The analysis functions must work on records loaded from a JSON
+	// Lines export, not just on freshly generated ones — the pipeline
+	// is supposed to be runnable on the real dataset.
 	small := Generate(Config{Scale: 0.01, Seed: 77})
 	var buf bytes.Buffer
-	if err := measure.WriteCSV(&buf, small.Records); err != nil {
+	if err := measure.WriteJSONL(&buf, small.Records); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := measure.ReadCSV(&buf)
+	recs, err := measure.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(recs) != len(small.Records) {
+		t.Fatalf("reloaded %d records, want %d", len(recs), len(small.Records))
+	}
+	for i := range recs {
+		if recs[i] != small.Records[i] {
+			t.Fatalf("record %d differs after reload:\n got %+v\nwant %+v", i, recs[i], small.Records[i])
+		}
 	}
 	reloaded := &Dataset{Records: recs, Devices: small.Devices, Scale: small.Scale, apps: small.apps}
 	f1, f2 := Fig9(small), Fig9(reloaded)

@@ -9,7 +9,7 @@ import (
 // This file is the collector-side ingestion path: where the generator
 // (generate.go) stands in for the deployment that cannot be re-run,
 // Ingest builds a Dataset from measurements that actually happened —
-// the batches a live Phone's Collector uploads, or a CSV/JSONL export
+// the batches a live Phone's Collector uploads, or a JSON Lines export
 // loaded back from disk. The analysis pipeline (analyze.go, cases.go)
 // consumes records and device metadata only, so a dataset assembled
 // here flows through every §4.2 table and figure unchanged.

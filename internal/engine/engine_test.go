@@ -11,6 +11,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/engine"
 	"repro/internal/measure"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/phonestack"
@@ -565,5 +566,48 @@ func TestTunReadErrorIsCounted(t *testing.T) {
 				t.Fatal("Stop hung after the reader died")
 			}
 		})
+	}
+}
+
+// TestTunWriteErrorIsCounted: a tunnel write the device refuses loses
+// a packet toward the app, which must be visible from the outside. The
+// flow opens at the default MTU, so both ends agree on a 1,460-byte
+// MSS; the MTU then drops to 576, and the app sends 1,400 bytes in
+// segments that fit it. The server echoes them in one write, so the
+// engine reads them in one piece and emits one 1,440-byte segment,
+// which the device refuses with ErrTooBig.
+func TestTunWriteErrorIsCounted(t *testing.T) {
+	const size = 1400
+	tb := newTestbed(t, engine.Default())
+	r := metrics.NewRegistry()
+	tb.eng.RegisterMetrics(r)
+	server := netip.MustParseAddrPort("93.184.216.35:80")
+	tb.net.HandleTCP(server, func(c *netsim.Conn) {
+		defer c.Close()
+		buf := make([]byte, size)
+		for n := 0; n < size; {
+			m, err := c.Read(buf[n:])
+			if err != nil {
+				return
+			}
+			n += m
+		}
+		c.Write(buf)
+	})
+	conn, err := tb.phone.Connect(uidApp, server, 5*time.Second)
+	if err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	defer conn.Close()
+	tb.dev.SetMTU(576)
+	msg := make([]byte, size)
+	for off := 0; off < size; off += 500 {
+		if _, err := conn.Write(msg[off:min(off+500, size)]); err != nil {
+			t.Fatalf("write at %d: %v", off, err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return tb.eng.Stats().TunWriteErrors > 0 }, "the refused write to be counted")
+	if v, ok := r.Gather().Get("mopeye_engine_tun_write_errors_total"); !ok || v == 0 {
+		t.Errorf("tun_write_errors_total = %v ok=%v, want nonzero", v, ok)
 	}
 }

@@ -31,6 +31,7 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	ctr("pure_acks_total", "Pure ACK segments observed.", &e.ctr.pureACKs)
 	ctr("decode_errors_total", "Tunnel packets that failed to decode.", &e.ctr.decodeErrors)
 	ctr("tun_read_errors_total", "Unexpected tunnel read errors; the first one ends the reader and with it the relay.", &e.ctr.tunReadErrors)
+	ctr("tun_write_errors_total", "Tunnel writes refused by the device; each loses one packet toward the app.", &e.ctr.tunWriteErrors)
 	ctr("udp_relayed_total", "Non-DNS UDP transactions relayed with a response.", &e.ctr.udpRelayed)
 	ctr("udp_dropped_total", "UDP datagrams shed without a delivery attempt.", &e.ctr.udpDropped)
 	ctr("udp_no_response_total", "Relayed UDP requests whose receive window closed empty.", &e.ctr.udpNoResponse)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/fifoq"
 	"repro/internal/stats"
+	"repro/internal/tun"
 )
 
 // This file implements the write queue of the tunnel write path
@@ -46,14 +47,6 @@ func notifyHandoff(r *rand.Rand) time.Duration {
 // checks, each followed by a 100 µs sleep.
 const parkAfter = 512 * 100 * time.Microsecond
 
-// outPacket is one queued tunnel write: the encoded bytes plus the
-// pool token of the buffer backing them, recycled by TunWriter after
-// the tunnel write copies the bytes out.
-type outPacket struct {
-	raw []byte
-	buf *[]byte
-}
-
 // packetQueue is the TunWriter's input queue with both put algorithms.
 type packetQueue struct {
 	clk    clock.Clock
@@ -61,7 +54,7 @@ type packetQueue struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	items     fifoq.Queue[outPacket]
+	items     fifoq.Queue[[]byte]
 	waiting   bool  // the TunWriter is blocked in take
 	idleSince int64 // clk.Nanos() when the TunWriter began waiting
 	closed    bool
@@ -83,20 +76,18 @@ func newPacketQueue(clk clock.Clock, newPut bool, seed int64) *packetQueue {
 // put enqueues one packet, charging the notify handoff when the writer
 // must be woken from wait(): always under oldPut, under newPut only
 // once it has waited parkAfter. The enqueue duration is recorded in
-// the put histogram (the oldPut/newPut columns of Table 1). buf is the
-// pool token for raw's backing buffer (may be nil); ownership moves to
-// the queue and then to TunWriter.
-func (q *packetQueue) put(raw []byte, buf *[]byte) {
+// the put histogram (the oldPut/newPut columns of Table 1). Ownership
+// of raw moves to the queue and then to TunWriter; a closed queue
+// releases it (tun.ReleaseBuffer).
+func (q *packetQueue) put(raw []byte) {
 	start := q.clk.Nanos()
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		if buf != nil {
-			encodeBufPool.Put(buf)
-		}
+		tun.ReleaseBuffer(raw)
 		return
 	}
-	q.items.Push(outPacket{raw: raw, buf: buf})
+	q.items.Push(raw)
 	var handoff time.Duration
 	if q.waiting {
 		q.cond.Signal()
@@ -116,20 +107,19 @@ func (q *packetQueue) put(raw []byte, buf *[]byte) {
 
 // take dequeues the next packet for TunWriter, blocking while the queue
 // is empty. ok is false when the queue is closed and empty.
-func (q *packetQueue) take() (raw []byte, buf *[]byte, ok bool) {
+func (q *packetQueue) take() (raw []byte, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.items.Len() == 0 {
 		if q.closed {
-			return nil, nil, false
+			return nil, false
 		}
 		q.waiting = true
 		q.idleSince = q.clk.Nanos()
 		q.cond.Wait()
 		q.waiting = false
 	}
-	out, _ := q.items.Pop()
-	return out.raw, out.buf, true
+	return q.items.Pop()
 }
 
 func (q *packetQueue) close() {

@@ -21,14 +21,14 @@ func TestNewPutWriterIdleCPU(t *testing.T) {
 	go func() {
 		defer close(done)
 		for {
-			if _, _, ok := q.take(); !ok {
+			if _, ok := q.take(); !ok {
 				return
 			}
 		}
 	}()
 	cpu0, start := processCPU(t), time.Now()
 	for i := 0; i < 16; i++ {
-		q.put([]byte{1}, nil)
+		q.put([]byte{1})
 		time.Sleep(20 * time.Millisecond)
 	}
 	cpu, wall := processCPU(t)-cpu0, time.Since(start)

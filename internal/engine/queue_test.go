@@ -25,8 +25,8 @@ func TestPacketQueueSteadyStateAllocFree(t *testing.T) {
 	for _, newPut := range []bool{false, true} {
 		q := newPacketQueue(clock.NewReal(), newPut, 1)
 		if allocs := testing.AllocsPerRun(1000, func() {
-			q.put(raw, nil)
-			if _, _, ok := q.take(); !ok {
+			q.put(raw)
+			if _, ok := q.take(); !ok {
 				t.Fatal("take missed")
 			}
 		}); allocs != 0 {
@@ -56,7 +56,7 @@ func TestPutHandoffRule(t *testing.T) {
 			q := newPacketQueue(clk, c.newPut, 1)
 			taken := make(chan struct{})
 			go func() {
-				if _, _, ok := q.take(); ok {
+				if _, ok := q.take(); ok {
 					close(taken)
 				}
 			}()
@@ -69,7 +69,7 @@ func TestPutHandoffRule(t *testing.T) {
 
 			put := make(chan struct{})
 			go func() {
-				q.put([]byte{1}, nil)
+				q.put([]byte{1})
 				close(put)
 			}()
 			returned := func() bool {
@@ -142,7 +142,7 @@ func TestEmitCopiesBorrowedPayload(t *testing.T) {
 
 	var got []byte
 	for i := 0; i < 5; i++ { // the SYN-ACK, then four segments
-		raw, _, ok := e.writeQ.take()
+		raw, ok := e.writeQ.take()
 		if !ok {
 			t.Fatal("write queue closed")
 		}

@@ -3,5 +3,5 @@
 package engine_test
 
 // raceEnabled: sync.Pool drops items at random under the race detector,
-// so allocation pins that pass through encodeBufPool are not asserted.
+// so allocation pins that pass through a buffer pool are not asserted.
 const raceEnabled = true

@@ -26,6 +26,11 @@ type Stats struct {
 	// the workers follow, so a nonzero value on a running engine means
 	// it has stopped relaying.
 	TunReadErrors int
+	// TunWriteErrors counts tunnel writes that failed with anything
+	// other than closed — an oversized packet (tun.ErrTooBig), or an
+	// I/O error on a real device. The packet is lost to the app; the
+	// relay carries on.
+	TunWriteErrors int
 
 	// DNSTimeouts counts relayed DNS transactions whose blocking
 	// receive expired (§2.4 leaves retries to the app's resolver; the
@@ -86,6 +91,7 @@ type counters struct {
 	udpRelayed      atomic.Int64
 	decodeErrors    atomic.Int64
 	tunReadErrors   atomic.Int64
+	tunWriteErrors  atomic.Int64
 	dnsTimeouts     atomic.Int64
 	udpDropped      atomic.Int64
 	udpNoResponse   atomic.Int64
@@ -115,6 +121,7 @@ func (e *Engine) Stats() Stats {
 		UDPRelayed:      int(e.ctr.udpRelayed.Load()),
 		DecodeErrors:    int(e.ctr.decodeErrors.Load()),
 		TunReadErrors:   int(e.ctr.tunReadErrors.Load()),
+		TunWriteErrors:  int(e.ctr.tunWriteErrors.Load()),
 		DNSTimeouts:     int(e.ctr.dnsTimeouts.Load()),
 		UDPDropped:      int(e.ctr.udpDropped.Load()),
 		UDPNoResponse:   int(e.ctr.udpNoResponse.Load()),

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sync"
+	"errors"
 	"time"
 
 	"repro/internal/packet"
@@ -9,40 +9,25 @@ import (
 )
 
 // The tunnel write path of §3.5.1, with buffer pooling: every
-// synthesised packet is encoded into an MTU-sized buffer drawn from a
-// sync.Pool and recycled once the tunnel write has copied it out, so
-// the encode hot path allocates nothing in steady state. That copy is
-// also what lets the hops before it reuse their buffers: emit only
+// synthesised packet is encoded into a buffer from the TUN buffer pool
+// (tun.Buffer) and released once the tunnel write has copied it out,
+// so the encode hot path allocates nothing in steady state. That copy
+// is also what lets the hops before it reuse their buffers: emit only
 // borrows the packet (tcpsm's pooled segment) and its Payload (the
 // worker's socket read buffer) and is done with both once AppendEncode
-// returns. DESIGN.md, "Buffer
-// ownership on the relay path", has the whole chain, one row per hop
-// from the TUN read to the TUN write.
-
-// encodeBufPool recycles encode buffers on the emit path.
-var encodeBufPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]byte, 0, tun.DefaultMTU)
-		return &b
-	},
-}
+// returns. DESIGN.md, "Buffer ownership on the relay path", has the
+// whole chain, one row per hop from the TUN read to the TUN write.
 
 // tunWriter drains the write queue into the tunnel (§3.5.1), one
 // tunnel write per packet, at every worker count.
 func (e *Engine) tunWriter() {
 	defer e.wg.Done()
 	for {
-		raw, buf, ok := e.writeQ.take()
+		raw, ok := e.writeQ.take()
 		if !ok {
 			return
 		}
-		start := e.clk.Nanos()
-		err := e.dev.Write(raw)
-		d := time.Duration(e.clk.Nanos() - start)
-		if buf != nil {
-			encodeBufPool.Put(buf)
-		}
-		e.recordWrite(d, err == nil)
+		e.writeTun(raw)
 	}
 }
 
@@ -50,37 +35,39 @@ func (e *Engine) tunWriter() {
 // configured write scheme. This is the state machines' emit hook; it
 // keeps neither p nor p.Payload past its return.
 func (e *Engine) emit(p *packet.Packet) {
-	buf := encodeBufPool.Get().(*[]byte)
-	raw, err := p.AppendEncode((*buf)[:0])
-	// Keep the (possibly regrown) backing array with the pool token so
-	// a reallocation upgrades the pooled buffer instead of leaking it.
-	*buf = raw[:0]
+	buf := tun.Buffer(0)
+	raw, err := p.AppendEncode(buf)
 	if err != nil {
-		encodeBufPool.Put(buf)
+		tun.ReleaseBuffer(buf)
 		return
 	}
 	if e.writeQ != nil {
-		// Ownership of buf moves to TunWriter, which recycles it after
+		// Ownership of raw moves to TunWriter, which releases it after
 		// the tunnel write.
-		e.writeQ.put(raw, buf)
+		e.writeQ.put(raw)
 		return
 	}
 	// directWrite: pay the tunnel write (and its contention) here, on
 	// the producing thread.
-	start := e.clk.Nanos()
-	werr := e.dev.Write(raw)
-	d := time.Duration(e.clk.Nanos() - start)
-	encodeBufPool.Put(buf)
-	e.recordWrite(d, werr == nil)
+	e.writeTun(raw)
 }
 
-// recordWrite folds one tunnel write into the delay histogram and the
-// packet counter.
-func (e *Engine) recordWrite(d time.Duration, ok bool) {
+// writeTun writes one encoded packet to the tunnel, releases its
+// buffer (the device has copied it), and folds the write into the
+// delay histogram and the packet or write-error counter. A write to a
+// closed device is shutdown, not an error.
+func (e *Engine) writeTun(raw []byte) {
+	start := e.clk.Nanos()
+	err := e.dev.Write(raw)
+	d := time.Duration(e.clk.Nanos() - start)
+	tun.ReleaseBuffer(raw)
 	e.histMu.Lock()
 	e.writeHist.Add(d)
 	e.histMu.Unlock()
-	if ok {
+	switch {
+	case err == nil:
 		e.ctr.packetsToTun.Add(1)
+	case !errors.Is(err, tun.ErrClosed):
+		e.ctr.tunWriteErrors.Add(1)
 	}
 }

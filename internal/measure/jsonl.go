@@ -11,11 +11,11 @@ import (
 	"unicode/utf8"
 )
 
-// JSON Lines is the streaming sibling of the CSV export: one record
-// per line, self-describing fields, append-friendly — the natural
-// format for a live Subscribe stream or `mopeye -follow -jsonl`,
-// where a reader may join mid-file. The field layout mirrors the CSV
-// columns so the two exports stay interconvertible.
+// JSON Lines is a record's one text format: one record per line,
+// self-describing fields, append-friendly. The live stream
+// (`mopeye -jsonl`), a snapshot export and GET /v1/records are plain
+// record lines, which ReadJSONL loads back; an upload batch, and so
+// the collector's spool, is the same lines after a header (wire.go).
 
 // jsonRecord is the wire form of one Record: the struct tags are the
 // definition of the format. appendRecord writes exactly what

@@ -358,8 +358,8 @@ func (p *Packet) Encode() ([]byte, error) {
 }
 
 // AppendEncode serialises the packet onto dst and returns the extended
-// slice. When dst has enough spare capacity (an MTU-sized buffer from a
-// sync.Pool, as the engine's emit path uses), encoding performs no
+// slice. When dst has enough spare capacity (a pooled buffer from
+// tun.Buffer, as the engine's emit path uses), encoding performs no
 // allocation at all — the transport segment is written directly into
 // its final position instead of being built separately and copied.
 func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {

@@ -65,13 +65,13 @@ func socksBedOptions(vclk *clock.Virtual) Options {
 }
 
 // runSOCKSWorkload drives the fixed two-app workload through a fresh
-// bed and returns the records plus their CSV serialization. With
+// bed and returns the records plus their JSONL serialization. With
 // viaProxy set, every relay connection exits through the in-process
 // SOCKS5 server (with authentication) instead of dialing the emulated
 // network directly; connectsThroughProxy reports how many CONNECTs the
 // proxy actually served, so the test can prove the proxied run did not
 // silently fall back to the direct path.
-func runSOCKSWorkload(t *testing.T, viaProxy bool, steps int, pumpWall time.Duration) (recs []measure.Record, csv []byte, connectsThroughProxy int64) {
+func runSOCKSWorkload(t *testing.T, viaProxy bool, steps int, pumpWall time.Duration) (recs []measure.Record, jsonl []byte, connectsThroughProxy int64) {
 	t.Helper()
 	vclk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
 	stopPump := startPumpEvery(vclk, pumpWall)
@@ -151,7 +151,7 @@ func runSOCKSWorkload(t *testing.T, viaProxy bool, steps int, pumpWall time.Dura
 
 	recs = bed.Store.Snapshot()
 	var buf bytes.Buffer
-	if err := measure.WriteCSV(&buf, recs); err != nil {
+	if err := measure.WriteJSONL(&buf, recs); err != nil {
 		t.Fatalf("export: %v", err)
 	}
 	return recs, buf.Bytes(), proxyConnects.Load()
@@ -163,7 +163,7 @@ func runSOCKSWorkload(t *testing.T, viaProxy bool, steps int, pumpWall time.Dura
 // through the in-process SOCKS5 proxy, must produce byte-identical
 // measurement records. The proxy sits on a zero-delay link, so a
 // relayed flow pays exactly the destination link's cost and the
-// measured RTTs — ns-precision in the CSV — agree.
+// measured RTTs — ns-precision in the JSONL — agree.
 //
 // Attribution (app, uid, dst, kind, order) must match on every run;
 // that is the semantic guarantee and any mismatch fails immediately.
@@ -180,8 +180,8 @@ func TestSOCKS5RelayByteIdenticalRecords(t *testing.T) {
 	const pumpWall = 2 * time.Millisecond
 	var lastDirect, lastProxied []byte
 	for attempt := 1; attempt <= attempts; attempt++ {
-		direct, directCSV, _ := runSOCKSWorkload(t, false, 4, pumpWall)
-		proxied, proxiedCSV, proxyConnects := runSOCKSWorkload(t, true, 4, pumpWall)
+		direct, directJSONL, _ := runSOCKSWorkload(t, false, 4, pumpWall)
+		proxied, proxiedJSONL, proxyConnects := runSOCKSWorkload(t, true, 4, pumpWall)
 
 		if proxyConnects != int64(len(proxied)) {
 			t.Fatalf("proxy served %d CONNECTs for %d records — proxied run bypassed the proxy",
@@ -197,12 +197,12 @@ func TestSOCKS5RelayByteIdenticalRecords(t *testing.T) {
 			}
 		}
 
-		if bytes.Equal(directCSV, proxiedCSV) {
+		if bytes.Equal(directJSONL, proxiedJSONL) {
 			return
 		}
-		lastDirect, lastProxied = directCSV, proxiedCSV
+		lastDirect, lastProxied = directJSONL, proxiedJSONL
 	}
-	t.Fatalf("CSV never byte-identical over %d attempts\ndirect:\n%s\nproxied:\n%s",
+	t.Fatalf("JSONL never byte-identical over %d attempts\ndirect:\n%s\nproxied:\n%s",
 		attempts, lastDirect, lastProxied)
 }
 

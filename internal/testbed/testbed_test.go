@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -105,4 +106,44 @@ func TestCloseIsIdempotentAndOrdered(t *testing.T) {
 	}
 	bed.Close()
 	bed.Close() // second close must not panic
+}
+
+// TestCloseLeavesNoGoroutines: a closed bed leaves nothing running.
+// Three beds in a row each carry one TCP echo and one DNS lookup, so a
+// goroutine any of them leaked shows as growth over the count taken
+// before the first. Teardown may finish just after Close returns, so
+// the count gets a bounded wait to come back.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	server := netip.MustParseAddrPort("203.0.113.5:80")
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		bed, err := New(Options{Servers: []netsim.ServerSpec{EchoServer("leak.example", server.String(), time.Millisecond)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bed.InstallApp(100, "test.app")
+		conn, err := bed.Phone.Connect(100, server, 5*time.Second)
+		if err != nil {
+			t.Fatalf("bed %d: connect: %v", i, err)
+		}
+		if _, err := conn.Write([]byte("x")); err != nil {
+			t.Fatalf("bed %d: write: %v", i, err)
+		}
+		if err := conn.ReadFull(make([]byte, 1)); err != nil {
+			t.Fatalf("bed %d: echo: %v", i, err)
+		}
+		conn.Close()
+		if _, err := bed.Phone.Resolve(100, DNSAddr, "leak.example", 5*time.Second); err != nil {
+			t.Fatalf("bed %d: resolve: %v", i, err)
+		}
+		bed.Close()
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines after closing three beds, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+	}
 }

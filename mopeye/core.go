@@ -1,7 +1,6 @@
 package mopeye
 
 import (
-	"io"
 	"sync"
 
 	"repro/internal/clock"
@@ -72,14 +71,6 @@ func engineConfig(base *engine.Config, workers int) engine.Config {
 // push-style, in the same order. Copies the whole store on every
 // call; continuous consumers should prefer Subscribe or Attach.
 func (p *core) Measurements() []Measurement { return p.store.Snapshot() }
-
-// ExportCSV writes a snapshot of the phone's measurements as CSV —
-// the batch form of what MopEye uploads to the crowdsourcing
-// collector. For continuous export, Attach a JSONLSink or a Collector
-// instead.
-func (p *core) ExportCSV(w io.Writer) error {
-	return measure.WriteCSV(w, p.store.Snapshot())
-}
 
 // TCPMeasurements returns a snapshot of the per-app TCP RTTs — the
 // pull form of Subscribe(ctx, Filter{Kind: TCPOnly}).

@@ -131,13 +131,15 @@ type Measurement = measure.Record
 
 // Phone is a simulated device with MopEye running.
 //
-// Beyond the pull-style snapshot accessors (Measurements, ExportCSV,
+// Beyond the pull-style snapshot accessors (Measurements,
 // AppMedians…), a Phone exposes the streaming pipeline: Subscribe
 // taps the live measurement stream as a range-over-func iterator, and
 // Attach registers a Sink — JSONLSink, or the crowdsourcing Collector
 // — that consumes every measurement for the rest of the engine's
-// lifetime. See stream.go and sink.go. The phone's store is the only
-// local copy of its records: a Collector ships them and keeps none.
+// lifetime. See stream.go and sink.go. JSON Lines is the one export
+// format: Attach(NewJSONLSink(w)) streams it, and Measurements fed to a
+// JSONLSink writes a snapshot. The phone's store is the only local
+// copy of its records: a Collector ships them and keeps none.
 type Phone struct {
 	core
 	bed *testbed.Bed

@@ -1,7 +1,6 @@
 package mopeye
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/measure"
 	"repro/internal/netsim"
 )
 
@@ -237,52 +235,6 @@ func TestChattyBehaviour(t *testing.T) {
 	buf := make([]byte, 256)
 	if err := conn.ReadFull(buf); err != nil {
 		t.Fatalf("chatty response: %v", err)
-	}
-}
-
-func TestExportCSVRoundTripsThroughStudy(t *testing.T) {
-	s := NewStudy(0.005, 11)
-	var buf bytes.Buffer
-	if err := s.ExportCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := measure.ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := s.Dataset().Records
-	if len(recs) != len(orig) {
-		t.Fatalf("rows: %d want %d", len(recs), len(orig))
-	}
-	// Spot-check exact round trip of a few rows.
-	for _, i := range []int{0, len(recs) / 2, len(recs) - 1} {
-		if recs[i] != orig[i] {
-			t.Errorf("row %d differs:\n got %+v\nwant %+v", i, recs[i], orig[i])
-		}
-	}
-}
-
-func TestPhoneExportCSV(t *testing.T) {
-	p := newPhone(t)
-	conn, err := p.Connect(10001, "api.example.com:443")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for len(p.Measurements()) < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	var buf bytes.Buffer
-	if err := p.ExportCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := measure.ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(p.Measurements()) {
-		t.Errorf("exported %d of %d", len(recs), len(p.Measurements()))
 	}
 }
 

@@ -152,7 +152,8 @@ func TestSubscribeCancelWithoutRangeDetaches(t *testing.T) {
 }
 
 // An attached JSONL sink must capture the complete stream, parse
-// back, and match the snapshot record for record.
+// back, and match the snapshot record for record; a snapshot export
+// (Measurements fed to a JSONLSink) must write the same bytes.
 func TestAttachSinksCaptureEverything(t *testing.T) {
 	p := newPhone(t)
 	var jsonlBuf bytes.Buffer
@@ -161,6 +162,16 @@ func TestAttachSinksCaptureEverything(t *testing.T) {
 	}
 	runWorkload(t, p, 3)
 	snap := p.Measurements()
+	var snapBuf bytes.Buffer
+	snapSink := NewJSONLSink(&snapBuf)
+	for _, m := range snap {
+		if err := snapSink.Accept(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snapBuf.Bytes(), jsonlBuf.Bytes()) {
+		t.Errorf("snapshot export differs from the attached stream:\n%s\nvs\n%s", snapBuf.Bytes(), jsonlBuf.Bytes())
+	}
 	got, err := measure.ReadJSONL(&jsonlBuf)
 	if err != nil {
 		t.Fatal(err)

@@ -2,18 +2,17 @@ package mopeye
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
 	"repro/internal/crowd"
-	"repro/internal/measure"
 	"repro/internal/stats"
 )
 
-// Study is a generated crowdsourcing dataset (§4.2) with the analysis
-// pipeline attached. It stands in for the paper's ten-month Google Play
-// deployment; see DESIGN.md for the substitution rationale.
+// Study is a crowdsourcing dataset (§4.2) with the analysis pipeline
+// attached: generated by NewStudy, standing in for the paper's
+// ten-month Google Play deployment (see DESIGN.md for the substitution
+// rationale), or built by NewStudyFrom over records actually collected.
 type Study struct {
 	ds *crowd.Dataset
 }
@@ -26,22 +25,18 @@ func NewStudy(scale float64, seed int64) *Study {
 }
 
 // NewStudyFrom builds a Study over already-collected measurement
-// records — a Collector's uploads, or a CSV/JSONL export loaded back
-// with measure.ReadCSV/ReadJSONL — instead of the statistical
-// generator. Device metadata is reconstructed from the records; the
-// analysis pipeline is identical.
+// records — a Collector's uploads, or a JSON Lines export loaded back
+// with measure.ReadJSONL — instead of the statistical generator.
+// Device metadata is reconstructed from the records; the analysis
+// pipeline is identical.
 func NewStudyFrom(records []Measurement) *Study {
 	return &Study{ds: crowd.Ingest(records)}
 }
 
-// Dataset exposes the underlying dataset for custom analysis.
+// Dataset exposes the underlying dataset for custom analysis. Its
+// Records export as JSON Lines through a JSONLSink (or
+// measure.WriteJSONL, which `crowdstudy -dump` uses).
 func (s *Study) Dataset() *crowd.Dataset { return s.ds }
-
-// ExportCSV writes the dataset's measurement records as CSV, the
-// release format for the crowdsourced data.
-func (s *Study) ExportCSV(w io.Writer) error {
-	return measure.WriteCSV(w, s.ds.Records)
-}
 
 // Summary is the §4.2.1 dataset statistics line.
 func (s *Study) Summary() string { return s.ds.Summary() }
