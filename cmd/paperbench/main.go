@@ -8,16 +8,15 @@
 // runs (workflow in EXPERIMENTS.md).
 //
 // -exp scenarios runs the scenario matrix: adverse network-condition
-// profiles (-profiles) crossed with trace-driven fleet workloads
-// (-workloads), each cell a mini-fleet with one planted adverse phone
-// whose measurements are checked for truthfulness against the
+// profiles (-profiles) crossed with trace-driven workloads
+// (-workloads), each cell a few clean phones and one planted adverse
+// phone whose measurements are checked for truthfulness against the
 // injected conditions. Any violation exits nonzero (the CI gate).
-// -cell-ms and -cell-phones size the cells; -workers, when given,
-// sweeps the engine worker count as a third axis.
+// -cell-ms and -cell-phones size the cells.
 //
 // Usage:
 //
-//	paperbench [-exp all|table1|table2|table3|table4|fig5|overhead|scenarios] [-fast] [-workers 1,4] [-profiles a,b] [-workloads web,video] [-cell-ms 2000] [-cell-phones 3] [-cpuprofile f] [-memprofile f]
+//	paperbench [-exp all|table1|table2|table3|table4|fig5|overhead|scenarios] [-fast] [-profiles a,b] [-workloads web,video] [-cell-ms 2000] [-cell-phones 3] [-cpuprofile f] [-memprofile f]
 package main
 
 import (
@@ -28,34 +27,15 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
-	"repro/mopeye"
+	"repro/internal/experiments"
 )
-
-// parseWorkers turns "1,2,4" into a sweep list; empty means one arm at
-// the engine default (0).
-func parseWorkers(s string) ([]int, error) {
-	if s == "" {
-		return []int{0}, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad worker count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: all, table1, table2, table3, table4, fig5, overhead, scenarios")
 	fast := flag.Bool("fast", false, "smaller workloads / shorter runs")
-	workers := flag.String("workers", "", "comma list of engine worker counts swept by -exp scenarios (empty = engine default)")
 	profiles := flag.String("profiles", "", "comma list of condition profiles for -exp scenarios (empty = all)")
 	workloadsList := flag.String("workloads", "", "comma list of workload generators for -exp scenarios (empty = all)")
 	cellMS := flag.Int("cell-ms", 0, "per-cell workload duration in ms for -exp scenarios (0 = default)")
@@ -94,71 +74,71 @@ func main() {
 	run := func(name string) {
 		switch name {
 		case "table1":
-			o := mopeye.DefaultTable1Options()
+			o := experiments.DefaultTable1Options()
 			if *fast {
 				o.Pages = 6
 			}
-			res, err := mopeye.RunTable1(o)
+			res, err := experiments.RunTable1(o)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println("Table 1 — delay of writing packets to the VPN tunnel:")
 			fmt.Println(res)
 		case "table2":
-			o := mopeye.DefaultTable2Options()
+			o := experiments.DefaultTable2Options()
 			if *fast {
 				o.RunsPerDest = 1
 			}
-			rows, err := mopeye.RunTable2(o)
+			rows, err := experiments.RunTable2(o)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println("Table 2 — measurement accuracy of MopEye and MobiPerf (ms):")
-			fmt.Println(mopeye.RenderTable2(rows))
+			fmt.Println(experiments.RenderTable2(rows))
 		case "table3":
-			o := mopeye.DefaultTable3Options()
+			o := experiments.DefaultTable3Options()
 			if *fast {
 				o.Duration = time.Second
 			}
-			res, err := mopeye.RunTable3(o)
+			res, err := experiments.RunTable3(o)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println("Table 3 — download and upload throughput overhead (Mbps):")
 			fmt.Println(res)
 		case "table4":
-			o := mopeye.DefaultTable4Options()
+			o := experiments.DefaultTable4Options()
 			if *fast {
 				o.Duration = 1500 * time.Millisecond
 			}
-			res, err := mopeye.RunTable4(o)
+			res, err := experiments.RunTable4(o)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println("Table 4 — resource overhead during a streamed video:")
 			fmt.Println(res)
 		case "overhead":
-			o := mopeye.DefaultLatencyOverheadOptions()
+			o := experiments.DefaultLatencyOverheadOptions()
 			if *fast {
 				o.Rounds = 12
 			}
-			res, err := mopeye.RunLatencyOverhead(o)
+			res, err := experiments.RunLatencyOverhead(o)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println(res)
 		case "fig5":
-			o := mopeye.DefaultFig5Options()
+			o := experiments.DefaultFig5Options()
 			if *fast {
 				o.Pages = 10
 			}
-			res, err := mopeye.RunFig5(o)
+			res, err := experiments.RunFig5(o)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println(res)
 		case "scenarios":
-			o := mopeye.ScenarioMatrixOptions{
+			o := experiments.ScenarioMatrixOptions{
 				PhonesPerCell: *cellPhones,
 				CellDuration:  time.Duration(*cellMS) * time.Millisecond,
 				Seed:          1,
@@ -177,28 +157,18 @@ func main() {
 			if *fast && *workloadsList == "" {
 				o.Workloads = []string{"web"}
 			}
-			// -workers sweeps the engine worker count as a third matrix
-			// axis.
-			sweep, err := parseWorkers(*workers)
+			res, err := experiments.RunScenarioMatrix(context.Background(), o)
 			if err != nil {
 				log.Fatal(err)
 			}
-			violations := 0
-			for _, w := range sweep {
-				o.Workers = w
-				res, err := mopeye.RunScenarioMatrix(context.Background(), o)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("Scenario matrix — condition profiles x workloads, truthfulness-checked (workers=%s):\n", workersLabel(w))
-				fmt.Println(res)
-				for _, f := range res.Failures() {
-					fmt.Println("VIOLATION:", f)
-					violations++
-				}
+			fmt.Println("Scenario matrix — condition profiles x workloads, truthfulness-checked:")
+			fmt.Println(res)
+			violations := res.Failures()
+			for _, f := range violations {
+				fmt.Println("VIOLATION:", f)
 			}
-			if violations > 0 {
-				log.Fatalf("scenario matrix: %d truthfulness violations", violations)
+			if len(violations) > 0 {
+				log.Fatalf("scenario matrix: %d truthfulness violations", len(violations))
 			}
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
@@ -225,12 +195,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// workersLabel renders a scenario worker-count arm (0 = engine default).
-func workersLabel(w int) string {
-	if w == 0 {
-		return "default"
-	}
-	return strconv.Itoa(w)
 }

@@ -1,7 +1,8 @@
-package mopeye
+package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -17,7 +18,7 @@ import (
 )
 
 // This file is the scenario matrix: adverse network-condition profiles
-// crossed with trace-driven workloads, each cell a mini-fleet whose
+// crossed with trace-driven workloads, each cell a few phones whose
 // measurements are checked for truthfulness against the injected
 // physics. It answers the question the paper's deployment could only
 // assume away: when the network misbehaves — loss, bufferbloat,
@@ -25,8 +26,8 @@ import (
 // still report what the network actually did?
 //
 // Per cell, a handful of clean-baseline phones and one planted phone
-// on the adverse profile run the same workload into one fleet. The
-// cell then asserts:
+// on the adverse profile run the same workload concurrently, each on
+// its own testbed.Bed. The cell then asserts:
 //
 //   - the planted phone's measured TCP RTT median lands inside the
 //     profile's truthfulness envelope (injected RTT + jitter + slack);
@@ -41,47 +42,44 @@ import (
 
 // ScenarioMatrixOptions configures RunScenarioMatrix.
 type ScenarioMatrixOptions struct {
-	// Profiles are condition-profile names (ScenarioProfileNames);
+	// Profiles are condition-profile names (scenarioProfileNames);
 	// empty means all.
 	Profiles []string
-	// Workloads are workload-generator names (WorkloadNames); empty
+	// Workloads are workload-generator names (workloadNames); empty
 	// means all.
 	Workloads []string
-	// PhonesPerCell is the mini-fleet size per cell: PhonesPerCell-1
+	// PhonesPerCell is the phone count per cell: PhonesPerCell-1
 	// clean phones plus one planted on the adverse profile. Default 3,
 	// minimum 2.
 	PhonesPerCell int
-	// CellDuration bounds each phone's workload. Default 1500ms.
+	// CellDuration bounds each phone's workload. Default 2s.
 	CellDuration time.Duration
-	// Workers is the per-phone engine worker count; 0 keeps the engine
-	// default.
-	Workers int
 	// Seed drives all randomness. Default 1.
 	Seed int64
 }
 
 func (o ScenarioMatrixOptions) withDefaults() (ScenarioMatrixOptions, error) {
 	if len(o.Profiles) == 0 {
-		o.Profiles = ScenarioProfileNames()
+		o.Profiles = scenarioProfileNames()
 	}
 	if len(o.Workloads) == 0 {
-		o.Workloads = WorkloadNames()
+		o.Workloads = workloadNames()
 	}
 	for _, p := range o.Profiles {
 		if _, ok := scenarioProfiles[p]; !ok {
-			return o, fmt.Errorf("mopeye: unknown profile %q (have %v)", p, ScenarioProfileNames())
+			return o, fmt.Errorf("experiments: unknown profile %q (have %v)", p, scenarioProfileNames())
 		}
 	}
 	for _, w := range o.Workloads {
 		if _, ok := workloadRegistry[w]; !ok {
-			return o, fmt.Errorf("mopeye: unknown workload %q (have %v)", w, WorkloadNames())
+			return o, fmt.Errorf("experiments: unknown workload %q (have %v)", w, workloadNames())
 		}
 	}
 	if o.PhonesPerCell == 0 {
 		o.PhonesPerCell = 3
 	}
 	if o.PhonesPerCell < 2 {
-		return o, fmt.Errorf("mopeye: PhonesPerCell %d, need >= 2 (clean baseline + planted)", o.PhonesPerCell)
+		return o, fmt.Errorf("experiments: PhonesPerCell %d, need >= 2 (clean baseline + planted)", o.PhonesPerCell)
 	}
 	if o.CellDuration <= 0 {
 		o.CellDuration = 2 * time.Second
@@ -214,9 +212,9 @@ var scenarioProfiles = map[string]scenarioSpec{
 // that a small-sample median is still a meaningful truthfulness check.
 const defaultMinTCPSamples = 2
 
-// ScenarioProfileNames lists the condition profiles the matrix knows,
+// scenarioProfileNames lists the condition profiles the matrix knows,
 // sorted.
-func ScenarioProfileNames() []string {
+func scenarioProfileNames() []string {
 	names := make([]string, 0, len(scenarioProfiles))
 	for n := range scenarioProfiles {
 		names = append(names, n)
@@ -233,11 +231,11 @@ var (
 	cellSites       = []string{"web.cell.test:443", "api.cell.test:443", "203.0.113.12:443"}
 )
 
-func cellServers() []Server {
-	return []Server{
-		{Domain: "web.cell.test", Addr: cellServerAddrs[0], RTTMillis: 10},
-		{Domain: "api.cell.test", Addr: cellServerAddrs[1], RTTMillis: 10},
-		{Domain: "raw.cell.test", Addr: cellServerAddrs[2], RTTMillis: 10},
+func cellServers() []netsim.ServerSpec {
+	return []netsim.ServerSpec{
+		testbed.EchoServer("web.cell.test", cellServerAddrs[0], 10*time.Millisecond),
+		testbed.EchoServer("api.cell.test", cellServerAddrs[1], 10*time.Millisecond),
+		testbed.EchoServer("raw.cell.test", cellServerAddrs[2], 10*time.Millisecond),
 	}
 }
 
@@ -258,14 +256,16 @@ const (
 )
 
 // phoneCapture is the truth read off one phone after its workload,
-// while the engine is still attached and before Fleet closes it.
+// while the engine still runs, plus the records its store holds once
+// the bed is closed.
 type phoneCapture struct {
-	planted bool
+	device  string
 	settled bool
 	sent    int64
 	stats   engine.Stats
-	tcp     []Measurement
-	dns     []Measurement
+	tcp     []measure.Record
+	dns     []measure.Record
+	records []measure.Record
 }
 
 // RunScenarioMatrix runs profiles x workloads and checks each cell's
@@ -323,47 +323,34 @@ func runScenarioCell(ctx context.Context, o ScenarioMatrixOptions, pname, wname 
 	cfg.UDPTimeout = 250 * time.Millisecond
 
 	captures := make([]*phoneCapture, o.PhonesPerCell)
-	var capMu sync.Mutex
-	phones := make([]FleetPhone, o.PhonesPerCell)
-	for i := range phones {
-		i := i
-		planted := i == o.PhonesPerCell-1
+	errs := make([]error, o.PhonesPerCell)
+	var wg sync.WaitGroup
+	for i := range captures {
 		prof := clean
-		if planted {
+		if i == o.PhonesPerCell-1 {
 			prof = adverse
 		}
-		wl, err := WorkloadByName(wname, WorkloadOptions{
+		seed := o.Seed + int64(cellIdx)*100 + int64(i)
+		wl, err := workloadByName(wname, workloadOptions{
 			Sites:    cellSites,
 			UID:      cellUID,
 			Duration: o.CellDuration,
-			Seed:     o.Seed + int64(cellIdx)*100 + int64(i),
+			Seed:     seed,
 		})
 		if err != nil {
+			wg.Wait()
 			return cell, err
 		}
-		phones[i] = FleetPhone{
-			Device:  fmt.Sprintf("cell%d-%s-%s-%d", cellIdx, pname, wname, i),
-			Options: Options{Servers: cellServers(), Engine: &cfg, Workers: o.Workers, Seed: o.Seed + int64(cellIdx)*100 + int64(i)},
-			Apps:    map[int]string{cellUID: cellApp},
-			Workload: func(ctx context.Context, p *Phone) error {
-				stop := netsim.ApplyProfile(p.bed.Net, prof, cellServerIPs(), testbed.DNSAddr.Addr())
-				defer stop()
-				werr := wl(ctx, p)
-				pc := capturePhone(p, planted)
-				capMu.Lock()
-				captures[i] = pc
-				capMu.Unlock()
-				return werr
-			},
-		}
+		device := fmt.Sprintf("cell%d-%s-%s-%d", cellIdx, pname, wname, i)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			captures[i], errs[i] = runCellPhone(ctx, device, &cfg, seed, prof, wl)
+		}(i)
 	}
-
-	fleet, err := NewFleet(FleetOptions{Phones: phones})
-	if err != nil {
-		return cell, err
-	}
-	if err := fleet.Run(ctx); err != nil {
-		fail("fleet: %v", err)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		fail("phones: %v", err)
 	}
 
 	// Planted-phone truthfulness.
@@ -430,9 +417,8 @@ func runScenarioCell(ctx context.Context, o ScenarioMatrixOptions, pname, wname 
 
 	// §4.2 crowd view: stamp each phone's records with its network
 	// metadata and rank ISPs by the cell's metric.
-	recs := fleet.Records()
-	cell.Records = len(recs)
-	stamped := stampRecords(recs, phones, spec)
+	stamped := stampRecords(captures, spec)
+	cell.Records = len(stamped)
 	if spec.rankable {
 		cell.Ranked = true
 		rows := crowd.ISPMedians(crowd.Ingest(stamped), spec.rankKind)
@@ -448,16 +434,46 @@ func runScenarioCell(ctx context.Context, o ScenarioMatrixOptions, pname, wname 
 	return cell, nil
 }
 
-// capturePhone reads one phone's ground truth after its workload: the
+// runCellPhone is one phone of a cell on its own bed, built with the
+// links and seeds of a default simulated phone (30 ms default path,
+// 15 ms to the resolver): apply the profile, run the workload, capture
+// the ground truth, and keep the records the closed bed's store holds.
+func runCellPhone(ctx context.Context, device string, cfg *engine.Config, seed int64,
+	prof netsim.ConditionProfile, wl func(context.Context, *testbed.Bed) error) (*phoneCapture, error) {
+	bed, err := testbed.New(testbed.Options{
+		Engine:  cfg,
+		Link:    netsim.LinkParams{Delay: 15 * time.Millisecond},
+		DNSLink: &netsim.LinkParams{Delay: 7500 * time.Microsecond},
+		Servers: cellServers(),
+		Seed:    seed,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("phone %q: %w", device, err)
+	}
+	bed.InstallApp(cellUID, cellApp)
+	stop := netsim.ApplyProfile(bed.Net, prof, cellServerIPs(), testbed.DNSAddr.Addr())
+	werr := wl(ctx, bed)
+	c := capturePhone(bed)
+	stop()
+	bed.Close()
+	c.device = device
+	c.records = bed.Store.Snapshot()
+	if werr != nil {
+		return c, fmt.Errorf("phone %q: %w", device, werr)
+	}
+	return c, nil
+}
+
+// capturePhone reads one bed's ground truth after its workload: the
 // phone-stack datagram counter, the engine counters (polled until the
 // accounting identity settles — in-flight relays need their timeout to
 // land in a terminal counter), and the measurement snapshots.
-func capturePhone(p *Phone, planted bool) *phoneCapture {
-	c := &phoneCapture{planted: planted}
+func capturePhone(bed *testbed.Bed) *phoneCapture {
+	c := &phoneCapture{}
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		c.sent = p.bed.Phone.UDPDatagramsSent()
-		c.stats = p.EngineStats()
+		c.sent = bed.Phone.UDPDatagramsSent()
+		c.stats = bed.Eng.Stats()
 		if accounted(c.stats) == c.sent {
 			c.settled = true
 			break
@@ -467,8 +483,8 @@ func capturePhone(p *Phone, planted bool) *phoneCapture {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	c.tcp = p.TCPMeasurements()
-	c.dns = p.DNSMeasurements()
+	c.tcp = bed.Store.Kind(measure.KindTCP)
+	c.dns = bed.Store.Kind(measure.KindDNS)
 	return c
 }
 
@@ -478,20 +494,25 @@ func accounted(s engine.Stats) int64 {
 	return int64(s.DNSMeasurements + s.DNSTimeouts + s.UDPRelayed + s.UDPNoResponse + s.UDPDropped)
 }
 
-// stampRecords fills in the crowd metadata the live engine does not
-// know (a real deployment reads it off the modem): clean phones report
-// the clean baseline network, the planted phone its adverse one.
-func stampRecords(recs []Measurement, phones []FleetPhone, spec scenarioSpec) []Measurement {
-	plantedDevice := phones[len(phones)-1].Device
-	out := make([]Measurement, len(recs))
-	for i, r := range recs {
-		if r.Device == plantedDevice {
-			r.NetType, r.ISP = spec.netType, spec.isp
-		} else {
-			r.NetType, r.ISP = cleanNetType, cleanISP
+// stampRecords merges the phones' records and fills in the crowd
+// metadata the live engine does not know (a real deployment reads it
+// off the modem): each record's device, then the clean baseline
+// network for clean phones and the adverse one for the planted phone
+// (the last capture).
+func stampRecords(captures []*phoneCapture, spec scenarioSpec) []measure.Record {
+	var out []measure.Record
+	for i, c := range captures {
+		if c == nil {
+			continue
 		}
-		r.Country = "Simland"
-		out[i] = r
+		netType, isp := cleanNetType, cleanISP
+		if i == len(captures)-1 {
+			netType, isp = spec.netType, spec.isp
+		}
+		for _, r := range c.records {
+			r.Device, r.NetType, r.ISP, r.Country = c.device, netType, isp, "Simland"
+			out = append(out, r)
+		}
 	}
 	return out
 }

@@ -1,4 +1,4 @@
-package mopeye
+package experiments
 
 import (
 	"context"

@@ -1,27 +1,31 @@
-package mopeye
+package experiments
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/netip"
 	"sort"
+	"strconv"
 	"time"
 
+	"repro/internal/phonestack"
 	"repro/internal/testbed"
 )
 
 // This file is the trace-driven workload layer: canned, seeded traffic
 // generators shaped like the app behaviours MopEye's deployment saw —
 // web-browse bursts, chat keepalives, video buffering, background
-// sync. Each generator returns a FleetPhone.Workload, paces itself on
-// the phone's own clock (so it runs correctly under simulated time),
-// and tolerates connect/resolve failures: under an adverse network
-// profile the point is to keep generating traffic while the engine
-// counts what the network did to it, not to abort the phone.
+// sync. Each generator returns a function that drives one testbed.Bed,
+// paces itself on the bed's own clock (so it runs correctly under
+// simulated time), and tolerates connect/resolve failures: under an
+// adverse network profile the point is to keep generating traffic
+// while the engine counts what the network did to it, not to abort
+// the phone.
 
-// WorkloadOptions parameterises the canned workload generators.
-type WorkloadOptions struct {
+// workloadOptions parameterises the canned workload generators.
+type workloadOptions struct {
 	// Sites are the destinations the workload visits — "domain:port"
 	// (resolved through the phone's DNS, producing DNS measurements) or
 	// literal "ip:port" (no DNS dependency; keeps TCP traffic flowing
@@ -30,7 +34,7 @@ type WorkloadOptions struct {
 	// UID is the app identity the traffic is attributed to (default
 	// 10001; install the matching package first).
 	UID int
-	// Duration bounds the workload, measured on the phone's clock
+	// Duration bounds the workload, measured on the bed's clock
 	// (default 2s).
 	Duration time.Duration
 	// Seed drives the generator's randomness — site choice, sizes,
@@ -38,7 +42,7 @@ type WorkloadOptions struct {
 	Seed int64
 }
 
-func (o WorkloadOptions) withDefaults() WorkloadOptions {
+func (o workloadOptions) withDefaults() workloadOptions {
 	if o.UID == 0 {
 		o.UID = 10001
 	}
@@ -60,13 +64,13 @@ const workloadResolveTimeout = 600 * time.Millisecond
 // workloadConnectTimeout bounds one workload-side TCP connect.
 const workloadConnectTimeout = 5 * time.Second
 
-// WebBrowseWorkload models page loads: bursts of 2–4 short
+// webBrowseWorkload models page loads: bursts of 2–4 short
 // connections (a page and its subresources), each a small
 // request/response exchange, separated by think time.
-func WebBrowseWorkload(o WorkloadOptions) func(context.Context, *Phone) error {
+func webBrowseWorkload(o workloadOptions) func(context.Context, *testbed.Bed) error {
 	o = o.withDefaults()
-	return func(ctx context.Context, p *Phone) error {
-		w := newWalker(o, p)
+	return func(ctx context.Context, bed *testbed.Bed) error {
+		w := newWalker(o, bed)
 		for w.more(ctx) {
 			burst := 2 + w.rng.Intn(3)
 			for i := 0; i < burst && w.more(ctx); i++ {
@@ -78,14 +82,14 @@ func WebBrowseWorkload(o WorkloadOptions) func(context.Context, *Phone) error {
 	}
 }
 
-// ChatKeepaliveWorkload models a messaging app: a long-lived
+// chatKeepaliveWorkload models a messaging app: a long-lived
 // connection carrying small periodic keepalives, reconnecting every
 // few beats (and on error) so the opportunistic measurement keeps
 // sampling the path.
-func ChatKeepaliveWorkload(o WorkloadOptions) func(context.Context, *Phone) error {
+func chatKeepaliveWorkload(o workloadOptions) func(context.Context, *testbed.Bed) error {
 	o = o.withDefaults()
-	return func(ctx context.Context, p *Phone) error {
-		w := newWalker(o, p)
+	return func(ctx context.Context, bed *testbed.Bed) error {
+		w := newWalker(o, bed)
 		for w.more(ctx) {
 			c := w.connect(w.site())
 			beats := 2 + w.rng.Intn(3)
@@ -106,13 +110,13 @@ func ChatKeepaliveWorkload(o WorkloadOptions) func(context.Context, *Phone) erro
 	}
 }
 
-// VideoBufferWorkload models streaming playback: fetch a few large
+// videoBufferWorkload models streaming playback: fetch a few large
 // chunks back to back (buffering), then idle while the buffer drains,
 // on a fresh connection per buffering cycle.
-func VideoBufferWorkload(o WorkloadOptions) func(context.Context, *Phone) error {
+func videoBufferWorkload(o workloadOptions) func(context.Context, *testbed.Bed) error {
 	o = o.withDefaults()
-	return func(ctx context.Context, p *Phone) error {
-		w := newWalker(o, p)
+	return func(ctx context.Context, bed *testbed.Bed) error {
+		w := newWalker(o, bed)
 		for w.more(ctx) {
 			chunks := 2 + w.rng.Intn(2)
 			w.exchange(w.site(), 8<<10, chunks)
@@ -122,12 +126,12 @@ func VideoBufferWorkload(o WorkloadOptions) func(context.Context, *Phone) error 
 	}
 }
 
-// BackgroundSyncWorkload models periodic app sync: long idle, then a
+// backgroundSyncWorkload models periodic app sync: long idle, then a
 // DNS lookup and one bulk upload-ish exchange.
-func BackgroundSyncWorkload(o WorkloadOptions) func(context.Context, *Phone) error {
+func backgroundSyncWorkload(o workloadOptions) func(context.Context, *testbed.Bed) error {
 	o = o.withDefaults()
-	return func(ctx context.Context, p *Phone) error {
-		w := newWalker(o, p)
+	return func(ctx context.Context, bed *testbed.Bed) error {
+		w := newWalker(o, bed)
 		for w.more(ctx) {
 			w.exchange(w.site(), 4<<10, 1)
 			w.pause(ctx, 250*time.Millisecond, 500*time.Millisecond)
@@ -138,15 +142,15 @@ func BackgroundSyncWorkload(o WorkloadOptions) func(context.Context, *Phone) err
 
 // workloadRegistry maps CLI names to generators, the spelling
 // `paperbench -exp scenarios -workloads web,video` uses.
-var workloadRegistry = map[string]func(WorkloadOptions) func(context.Context, *Phone) error{
-	"web":   WebBrowseWorkload,
-	"chat":  ChatKeepaliveWorkload,
-	"video": VideoBufferWorkload,
-	"sync":  BackgroundSyncWorkload,
+var workloadRegistry = map[string]func(workloadOptions) func(context.Context, *testbed.Bed) error{
+	"web":   webBrowseWorkload,
+	"chat":  chatKeepaliveWorkload,
+	"video": videoBufferWorkload,
+	"sync":  backgroundSyncWorkload,
 }
 
-// WorkloadNames lists the canned workload generators, sorted.
-func WorkloadNames() []string {
+// workloadNames lists the canned workload generators, sorted.
+func workloadNames() []string {
 	names := make([]string, 0, len(workloadRegistry))
 	for n := range workloadRegistry {
 		names = append(names, n)
@@ -155,40 +159,40 @@ func WorkloadNames() []string {
 	return names
 }
 
-// WorkloadByName returns the named canned generator applied to o.
-func WorkloadByName(name string, o WorkloadOptions) (func(context.Context, *Phone) error, error) {
+// workloadByName returns the named canned generator applied to o.
+func workloadByName(name string, o workloadOptions) (func(context.Context, *testbed.Bed) error, error) {
 	gen, ok := workloadRegistry[name]
 	if !ok {
-		return nil, fmt.Errorf("mopeye: unknown workload %q (have %v)", name, WorkloadNames())
+		return nil, fmt.Errorf("experiments: unknown workload %q (have %v)", name, workloadNames())
 	}
 	return gen(o), nil
 }
 
 // walker is the shared machinery under every generator: a seeded RNG,
-// a phone-clock deadline, a round-robin site picker, and exchange
-// helpers that swallow (but count) network failures.
+// a deadline on the bed's clock, a round-robin site picker, and
+// exchange helpers that swallow network failures (the engine counts
+// what each failure did to the traffic).
 type walker struct {
-	o    WorkloadOptions
-	p    *Phone
+	o    workloadOptions
+	bed  *testbed.Bed
 	rng  *rand.Rand
-	end  int64 // phone-clock nanos
+	end  int64 // bed-clock nanos
 	next int
-	errs int
 }
 
-func newWalker(o WorkloadOptions, p *Phone) *walker {
+func newWalker(o workloadOptions, bed *testbed.Bed) *walker {
 	w := &walker{
 		o:   o,
-		p:   p,
+		bed: bed,
 		rng: rand.New(rand.NewSource(o.Seed)),
-		end: p.bed.Clk.Nanos() + int64(o.Duration),
+		end: bed.Clk.Nanos() + int64(o.Duration),
 	}
 	w.next = w.rng.Intn(len(o.Sites))
 	return w
 }
 
 func (w *walker) more(ctx context.Context) bool {
-	return ctx.Err() == nil && w.p.bed.Clk.Nanos() < w.end
+	return ctx.Err() == nil && w.bed.Clk.Nanos() < w.end
 }
 
 // site cycles through the configured sites from a seeded starting
@@ -201,15 +205,15 @@ func (w *walker) site() string {
 	return s
 }
 
-// pause sleeps a uniform duration in [lo, hi] on the phone's clock,
-// cut short by context cancellation.
+// pause sleeps a uniform duration in [lo, hi] on the bed's clock, cut
+// short by context cancellation.
 func (w *walker) pause(ctx context.Context, lo, hi time.Duration) {
 	d := lo
 	if hi > lo {
 		d += time.Duration(w.rng.Int63n(int64(hi - lo)))
 	}
 	select {
-	case <-w.p.bed.Clk.After(d):
+	case <-w.bed.Clk.After(d):
 	case <-ctx.Done():
 	}
 }
@@ -218,51 +222,49 @@ func (w *walker) pause(ctx context.Context, lo, hi time.Duration) {
 // "domain:port" through the phone's DNS with a bounded timeout. Every
 // visit resolves afresh — no app-side cache — so DNS-regime scenarios
 // keep sampling the resolver path. ok=false means the visit is
-// abandoned — counted here, and the failure's datagrams are counted by
-// the engine.
+// abandoned; the failure's datagrams are counted by the engine.
 func (w *walker) dst(site string) (netip.AddrPort, bool) {
 	if ap, err := netip.ParseAddrPort(site); err == nil {
 		return ap, true
 	}
-	host, port, err := splitHostPort(site)
+	host, portStr, err := net.SplitHostPort(site)
 	if err != nil {
-		w.errs++
 		return netip.AddrPort{}, false
 	}
-	res, err := w.p.bed.Phone.Resolve(w.o.UID, testbed.DNSAddr, host, workloadResolveTimeout)
+	port, err := strconv.ParseUint(portStr, 10, 16)
 	if err != nil {
-		w.errs++
 		return netip.AddrPort{}, false
 	}
-	return netip.AddrPortFrom(res.Addr, port), true
+	res, err := w.bed.Phone.Resolve(w.o.UID, testbed.DNSAddr, host, workloadResolveTimeout)
+	if err != nil {
+		return netip.AddrPort{}, false
+	}
+	return netip.AddrPortFrom(res.Addr, uint16(port)), true
 }
 
 // connect opens a TCP connection to the site, nil on failure.
-func (w *walker) connect(site string) *Conn {
+func (w *walker) connect(site string) *phonestack.Conn {
 	ap, ok := w.dst(site)
 	if !ok {
 		return nil
 	}
-	c, err := w.p.bed.Phone.Connect(w.o.UID, ap, workloadConnectTimeout)
+	c, err := w.bed.Phone.Connect(w.o.UID, ap, workloadConnectTimeout)
 	if err != nil {
-		w.errs++
 		return nil
 	}
-	return &Conn{c: c}
+	return c
 }
 
 // roundTrip writes size random bytes and reads the echo back,
 // reporting success. On failure the connection is closed.
-func (w *walker) roundTrip(c *Conn, size int) bool {
+func (w *walker) roundTrip(c *phonestack.Conn, size int) bool {
 	buf := make([]byte, size)
 	w.rng.Read(buf)
 	if _, err := c.Write(buf); err != nil {
-		w.errs++
 		c.Close()
 		return false
 	}
 	if err := c.ReadFull(make([]byte, size)); err != nil {
-		w.errs++
 		c.Close()
 		return false
 	}

@@ -26,8 +26,8 @@ type TimelineStep struct {
 // report under the profile: they are derived from the injected physics
 // (base RTT through worst timeline phase, plus jitter) widened by
 // sketch error and real-clock scheduling slack. The scenario matrix
-// (mopeye.RunScenarioMatrix) asserts measured medians land inside
-// them.
+// (experiments.RunScenarioMatrix, run by `paperbench -exp scenarios`)
+// asserts measured medians land inside them.
 type ConditionProfile struct {
 	Name string
 	// Link shapes every phone <-> app-server path in the scenario.

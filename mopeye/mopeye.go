@@ -36,11 +36,6 @@
 // to in-process consumers, such as NewStudyFrom for the §4.2 analysis.
 // Fleet (fleet.go) runs N heterogeneous phones fanning their uploads into
 // one Transport — the paper's deployment shape as an API.
-//
-// Beyond the live engine, the package exposes the paper's evaluation
-// (RunTable1 … RunTable4, RunFig5) and the crowdsourcing study
-// (NewStudy, and NewStudyFrom for collected records), which regenerate
-// every table and figure of the paper.
 package mopeye
 
 import (
@@ -121,8 +116,8 @@ type Options struct {
 	Seed int64
 
 	// clk injects the phone's time source (network, TUN, stack, engine);
-	// nil means the wall clock. Unexported: in-package tests and the
-	// scenario runner use it to run phones on simulated time.
+	// nil means the wall clock. Unexported: only fleet_clock_test.go sets
+	// it, to run phones on simulated time.
 	clk clock.Clock
 }
 
