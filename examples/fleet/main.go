@@ -1,12 +1,12 @@
 // Example fleet runs the paper's deployment shape end to end, in one
 // process: a collector server (the same handler cmd/collectord
-// serves), a fleet of phones with heterogeneous network profiles
-// uploading over HTTP — batched, idempotency-keyed, retried — and the
-// §4.2 analysis run against what the server actually received.
+// serves), several phones with heterogeneous network profiles, each
+// with its own Collector uploading over one shared HTTP transport —
+// batched, idempotency-keyed, retried — and the §4.2 analysis run
+// against what the server actually received.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	phones := flag.Int("phones", 4, "fleet size")
+	phones := flag.Int("phones", 4, "number of phones")
 	conns := flag.Int("conns", 6, "connections per phone")
 	flag.Parse()
 
@@ -30,57 +30,60 @@ func main() {
 	defer ts.Close()
 	transport := mopeye.NewHTTPTransport(ts.URL, mopeye.HTTPTransportOptions{})
 
-	// The phone side: each phone has its own RTT profile and seed.
-	roster := make([]mopeye.FleetPhone, *phones)
-	for i := range roster {
-		i := i
+	// The phone side: each phone has its own RTT profile and seed, and
+	// its own Collector shipping through the shared transport.
+	records, uploads := 0, 0
+	for i := 0; i < *phones; i++ {
 		addr := fmt.Sprintf("203.0.113.%d:443", 100+i)
 		uid := 10001 + i
-		roster[i] = mopeye.FleetPhone{
-			Device: fmt.Sprintf("example-phone-%d", i+1),
-			Options: mopeye.Options{
-				Servers: []mopeye.Server{{
-					Domain:    fmt.Sprintf("api%d.example.com", i),
-					Addr:      addr,
-					RTTMillis: float64(20 + 15*i),
-				}},
-				Seed: int64(i + 1),
-			},
-			Apps: map[int]string{uid: fmt.Sprintf("com.example.app%d", i)},
-			Workload: func(ctx context.Context, p *mopeye.Phone) error {
-				for c := 0; c < *conns; c++ {
-					conn, err := p.Connect(uid, addr)
-					if err != nil {
-						return err
-					}
-					conn.Write([]byte("hello"))
-					conn.Close()
-				}
-				return nil
-			},
+		phone, err := mopeye.New(mopeye.Options{
+			Servers: []mopeye.Server{{
+				Domain:    fmt.Sprintf("api%d.example.com", i),
+				Addr:      addr,
+				RTTMillis: float64(20 + 15*i),
+			}},
+			Seed: int64(i + 1),
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
-	}
-
-	fleet, err := mopeye.NewFleet(mopeye.FleetOptions{
-		Phones:    roster,
-		Transport: transport,
-		Collector: mopeye.CollectorOptions{BatchSize: 8},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := fleet.Run(context.Background()); err != nil {
-		log.Fatal(err)
+		col := mopeye.NewCollector(mopeye.CollectorOptions{
+			Device:    fmt.Sprintf("example-phone-%d", i+1),
+			Transport: transport,
+			BatchSize: 8,
+		})
+		attached, err := phone.Attach(col)
+		if err != nil {
+			log.Fatal(err)
+		}
+		phone.InstallApp(uid, fmt.Sprintf("com.example.app%d", i))
+		for c := 0; c < *conns; c++ {
+			conn, err := phone.Connect(uid, addr)
+			if err != nil {
+				log.Fatal(err)
+			}
+			conn.Write([]byte("hello"))
+			conn.Close()
+		}
+		// Close flushes the collector's final batch.
+		phone.Close()
+		if err := attached.Err(); err != nil {
+			log.Fatal(err)
+		}
+		records += len(phone.Measurements())
+		uploads += col.Uploads()
 	}
 	if err := transport.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	st := fleet.Stats()
 	ss := srv.Stats()
-	fmt.Printf("fleet: %d phones uploaded %d records in %d batches over HTTP (%v)\n",
-		st.Phones, st.Records, st.Uploads, st.Duration.Round(1e6))
+	fmt.Printf("phones: %d uploaded %d records in %d batches over HTTP\n",
+		*phones, records, uploads)
 	fmt.Printf("collector server: %d records in %d batches (%d duplicates absorbed)\n\n",
 		ss.Records, ss.Batches, ss.Duplicates)
+	if ss.Records != records {
+		log.Fatalf("server holds %d records, the phones uploaded %d", ss.Records, records)
+	}
 	fmt.Println(mopeye.NewStudyFrom(srv.Records()).Summary())
 }

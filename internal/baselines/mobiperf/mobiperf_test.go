@@ -21,7 +21,7 @@ func setup(t *testing.T) (*Pinger, *sniffer.Sniffer) {
 	t.Cleanup(net.Close)
 	net.HandleTCP(target, netsim.HTTPPingHandler())
 	snf := sniffer.New(net)
-	prov := sockets.NewProvider(net, clk, netip.MustParseAddr("100.64.0.5"), sockets.ZeroCosts(), 2)
+	prov := sockets.NewProvider(net, clk, netip.MustParseAddr("100.64.0.5"), sockets.CostModel{}, 2)
 	return New(prov, clk, V340(), 3), snf
 }
 
@@ -48,7 +48,7 @@ func TestQuantization(t *testing.T) {
 	net := netsim.New(clk, netsim.LinkParams{Delay: 2 * time.Millisecond}, 1)
 	defer net.Close()
 	net.HandleTCP(target, netsim.HTTPPingHandler())
-	prov := sockets.NewProvider(net, clk, netip.MustParseAddr("100.64.0.5"), sockets.ZeroCosts(), 2)
+	prov := sockets.NewProvider(net, clk, netip.MustParseAddr("100.64.0.5"), sockets.CostModel{}, 2)
 	// Zero costs, only quantisation: results must be whole milliseconds.
 	m := Model{Quantum: time.Millisecond}
 	p := New(prov, clk, m, 3)
@@ -65,7 +65,7 @@ func TestPingFailurePropagates(t *testing.T) {
 	clk := clock.NewReal()
 	net := netsim.New(clk, netsim.LinkParams{Delay: time.Millisecond}, 1)
 	defer net.Close()
-	prov := sockets.NewProvider(net, clk, netip.MustParseAddr("100.64.0.5"), sockets.ZeroCosts(), 2)
+	prov := sockets.NewProvider(net, clk, netip.MustParseAddr("100.64.0.5"), sockets.CostModel{}, 2)
 	p := New(prov, clk, V340(), 3)
 	if _, err := p.Ping(target); err == nil {
 		t.Error("ping to refused port succeeded")

@@ -12,7 +12,6 @@ package dnsmsg
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net/netip"
 	"strings"
 )
@@ -374,29 +373,5 @@ func decodeName(raw []byte, off int, whole []byte) (string, int, error) {
 			labels = append(labels, string(raw[off+1:off+1+l]))
 			off += 1 + l
 		}
-	}
-}
-
-// TypeString names a record type for logs and reports.
-func TypeString(t uint16) string {
-	switch t {
-	case TypeA:
-		return "A"
-	case TypeNS:
-		return "NS"
-	case TypeCNAME:
-		return "CNAME"
-	case TypeSOA:
-		return "SOA"
-	case TypePTR:
-		return "PTR"
-	case TypeMX:
-		return "MX"
-	case TypeTXT:
-		return "TXT"
-	case TypeAAAA:
-		return "AAAA"
-	default:
-		return fmt.Sprintf("TYPE%d", t)
 	}
 }

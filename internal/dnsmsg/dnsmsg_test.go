@@ -231,15 +231,6 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-func TestTypeString(t *testing.T) {
-	if TypeString(TypeA) != "A" || TypeString(TypeAAAA) != "AAAA" {
-		t.Error("known types misnamed")
-	}
-	if TypeString(999) != "TYPE999" {
-		t.Errorf("unknown type: %q", TypeString(999))
-	}
-}
-
 func TestFlagsRoundTrip(t *testing.T) {
 	m := &Message{
 		ID: 42, Response: true, OpCode: 2, Authoritative: true,

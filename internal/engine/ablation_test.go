@@ -59,7 +59,7 @@ func TestCacheMappingMisattributes(t *testing.T) {
 	run := func(mode engine.MappingMode) []measure.Record {
 		cfg := engine.Default()
 		cfg.Mapping = mode
-		tb := newAblationBed(t, cfg, sockets.ZeroCosts(), procnet.ZeroParseCost())
+		tb := newAblationBed(t, cfg, sockets.CostModel{}, procnet.ZeroParseCost())
 		// App 1 (the "Facebook app") connects first.
 		c1, err := tb.phone.Connect(uidApp, tb.server, 5*time.Second)
 		if err != nil {
@@ -99,7 +99,7 @@ func TestPollReadDelaysRelay(t *testing.T) {
 	cfg := engine.Default()
 	cfg.ReadMode = engine.ReadPoll
 	cfg.PollInterval = 60 * time.Millisecond
-	tb := newAblationBed(t, cfg, sockets.ZeroCosts(), procnet.ZeroParseCost())
+	tb := newAblationBed(t, cfg, sockets.CostModel{}, procnet.ZeroParseCost())
 	var worst time.Duration
 	for i := 0; i < 3; i++ {
 		conn, err := tb.phone.Connect(uidApp, tb.server, 10*time.Second)
@@ -117,7 +117,7 @@ func TestPollReadDelaysRelay(t *testing.T) {
 		t.Errorf("worst connect %v through a 60ms poller; retrieval delay missing", worst)
 	}
 
-	tbFast := newAblationBed(t, engine.Default(), sockets.ZeroCosts(), procnet.ZeroParseCost())
+	tbFast := newAblationBed(t, engine.Default(), sockets.CostModel{}, procnet.ZeroParseCost())
 	conn, err := tbFast.phone.Connect(uidApp, tbFast.server, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestPerSocketProtectPenalisesSYN(t *testing.T) {
 func TestMapOffLabelsUnknown(t *testing.T) {
 	cfg := engine.Default()
 	cfg.Mapping = engine.MapOff
-	tb := newAblationBed(t, cfg, sockets.ZeroCosts(), procnet.ZeroParseCost())
+	tb := newAblationBed(t, cfg, sockets.CostModel{}, procnet.ZeroParseCost())
 	conn, err := tb.phone.Connect(uidApp, tb.server, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestMapOffLabelsUnknown(t *testing.T) {
 // TestHaystackConfigRelaysCorrectly runs the poll-based baseline end to
 // end: slower, but correct.
 func TestHaystackConfigRelaysCorrectly(t *testing.T) {
-	tb := newAblationBed(t, haystack.Config(), sockets.ZeroCosts(), procnet.ZeroParseCost())
+	tb := newAblationBed(t, haystack.Config(), sockets.CostModel{}, procnet.ZeroParseCost())
 	conn, err := tb.phone.Connect(uidApp, tb.server, 15*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestGenericUDPRelay(t *testing.T) {
 func TestToyVpnConfigEndToEnd(t *testing.T) {
 	cfg := engine.ToyVpn()
 	cfg.PollInterval = 20 * time.Millisecond // keep the test quick
-	tb := newAblationBed(t, cfg, sockets.ZeroCosts(), procnet.ZeroParseCost())
+	tb := newAblationBed(t, cfg, sockets.CostModel{}, procnet.ZeroParseCost())
 	conn, err := tb.phone.Connect(uidApp, tb.server, 15*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestAppTrafficAccounting(t *testing.T) {
 func TestDNSTimeoutHandledSilently(t *testing.T) {
 	cfg := engine.Default()
 	cfg.DNSTimeout = 50 * time.Millisecond
-	tb := newAblationBed(t, cfg, sockets.ZeroCosts(), procnet.ZeroParseCost())
+	tb := newAblationBed(t, cfg, sockets.CostModel{}, procnet.ZeroParseCost())
 	deadDNS := netip.MustParseAddrPort("9.9.9.9:53")
 	_, err := tb.phone.Resolve(uidApp, deadDNS, "example.com", 200*time.Millisecond)
 	if err == nil {

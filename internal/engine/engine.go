@@ -52,6 +52,9 @@ type Engine struct {
 	udp *udpRelay
 
 	ctr counters // hot counters, all atomic (stats.go)
+	// countEstablished is the hook CompleteHandshake runs before the
+	// SYN-ACK leaves; built once in New, so no connection allocates it.
+	countEstablished func()
 
 	histMu    sync.Mutex
 	writeHist stats.DelayHistogram
@@ -105,6 +108,7 @@ func New(cfg Config, d Deps) *Engine {
 		traffic: newTrafficBook(),
 		flows:   flowtable.New[*relay.TCPClient](0),
 	}
+	e.countEstablished = func() { e.ctr.established.Add(1) }
 	e.workers = make([]*worker, cfg.Workers)
 	for i := range e.workers {
 		sel := e.prov.NewSelector()

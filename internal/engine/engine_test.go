@@ -69,7 +69,7 @@ func newTestbedOn(t *testing.T, cfg engine.Config, wrap func(*tun.Device) tun.In
 	pm.Install(uidApp, appName)
 	phone := phonestack.New(clk, dev, phoneVPNAddr, table, 2)
 
-	prov := sockets.NewProvider(net, clk, phoneWANAddr, sockets.ZeroCosts(), 3)
+	prov := sockets.NewProvider(net, clk, phoneWANAddr, sockets.CostModel{}, 3)
 	reader := procnet.NewReader(table, clk, procnet.ZeroParseCost(), 4)
 	eng := engine.New(cfg, engine.Deps{
 		Clock:    clk,
@@ -192,7 +192,7 @@ func TestFlowThatEndsBeforeItsParseIsAttributed(t *testing.T) {
 	eng := engine.New(engine.Default(), engine.Deps{
 		Clock:    clk,
 		Device:   dev,
-		Sockets:  sockets.NewProvider(net, clk, phoneWANAddr, sockets.ZeroCosts(), 3),
+		Sockets:  sockets.NewProvider(net, clk, phoneWANAddr, sockets.CostModel{}, 3),
 		ProcNet:  procnet.NewReaderFrom(gatedSource{table, gate}, clk, procnet.ZeroParseCost(), 4),
 		Packages: pm,
 		Store:    measure.NewStore(),
@@ -272,25 +272,31 @@ func TestConnectionRefusedRelaysRST(t *testing.T) {
 	}
 }
 
-// rstProbeTun is a TUN backend that reports every RST the engine
-// writes toward the app, at the moment of the write.
+// rstProbeTun is a TUN backend that reports every RST and every
+// SYN-ACK the engine writes toward the app, at the moment of the write.
 type rstProbeTun struct {
 	*tun.Device
-	onRST func()
+	onRST, onSynAck func()
 }
 
 func (d *rstProbeTun) Write(pkt []byte) error {
-	if p, err := packet.Decode(pkt); err == nil && p.IsTCP() && p.TCP.Has(packet.FlagRST) {
-		d.onRST()
+	if p, err := packet.Decode(pkt); err == nil && p.IsTCP() {
+		switch {
+		case p.TCP.Has(packet.FlagRST):
+			d.onRST()
+		case p.TCP.Has(packet.FlagSYN | packet.FlagACK):
+			d.onSynAck()
+		}
 	}
 	return d.Device.Write(pkt)
 }
 
 // TestConnectFailureCountedBeforeRST: the engine counts a failed
-// external connect before the RST leaves for the app, so an app whose
-// connect was refused always finds the failure counted. DirectWrite
-// writes the RST on the thread that refuses, so the probe reads the
-// counter exactly when the RST leaves, for the blocking and the
+// external connect before the RST leaves for the app, and an
+// established one before the SYN-ACK leaves, so an app whose connect
+// returned always finds its outcome counted. DirectWrite writes the
+// packet on the thread that completes or refuses, so the probe reads
+// the counter exactly when the packet leaves, for the blocking and the
 // event-driven connect alike.
 func TestConnectFailureCountedBeforeRST(t *testing.T) {
 	for _, blocking := range []bool{true, false} {
@@ -302,8 +308,9 @@ func TestConnectFailureCountedBeforeRST(t *testing.T) {
 			probe.Device = d
 			return probe
 		})
-		var atRST []int
+		var atRST, atSynAck []int
 		probe.onRST = func() { atRST = append(atRST, tb.eng.Stats().ConnectFailures) }
+		probe.onSynAck = func() { atSynAck = append(atSynAck, tb.eng.Stats().Established) }
 		noServer := netip.MustParseAddrPort("93.184.216.34:81")
 		for i := 1; i <= 3; i++ {
 			if _, err := tb.phone.Connect(uidApp, noServer, 5*time.Second); err != phonestack.ErrRefused {
@@ -312,6 +319,16 @@ func TestConnectFailureCountedBeforeRST(t *testing.T) {
 			if len(atRST) != i || atRST[i-1] != i {
 				t.Fatalf("blocking=%v attempt %d: ConnectFailures when each RST left = %v, want 1..%d", blocking, i, atRST, i)
 			}
+		}
+		for i := 1; i <= 3; i++ {
+			conn, err := tb.phone.Connect(uidApp, tb.server, 5*time.Second)
+			if err != nil {
+				t.Fatalf("blocking=%v connect %d: %v", blocking, i, err)
+			}
+			if len(atSynAck) != i || atSynAck[i-1] != i {
+				t.Fatalf("blocking=%v connect %d: Established when each SYN-ACK left = %v, want 1..%d", blocking, i, atSynAck, i)
+			}
+			conn.Close()
 		}
 	}
 }

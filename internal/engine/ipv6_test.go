@@ -35,7 +35,7 @@ func TestIPv6EndToEnd(t *testing.T) {
 	pm.Install(10066, "com.example.v6app")
 	phone := phonestack.New(clk, dev, phoneV6, table, 2)
 	defer phone.Close()
-	prov := sockets.NewProvider(net, clk, wanV6, sockets.ZeroCosts(), 3)
+	prov := sockets.NewProvider(net, clk, wanV6, sockets.CostModel{}, 3)
 	reader := procnet.NewReader(table, clk, procnet.ZeroParseCost(), 4)
 	eng := engine.New(engine.Default(), engine.Deps{
 		Clock: clk, Device: dev, Sockets: prov, ProcNet: reader, Packages: pm,

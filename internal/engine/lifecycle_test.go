@@ -25,7 +25,7 @@ func TestStopCompletesRecords(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := engine.Default()
 			cfg.Workers = workers
-			tb := newAblationBed(t, cfg, sockets.ZeroCosts(), procnet.CostModel{Base: 5 * time.Millisecond})
+			tb := newAblationBed(t, cfg, sockets.CostModel{}, procnet.CostModel{Base: 5 * time.Millisecond})
 			const n = 12
 			var wg sync.WaitGroup
 			for i := 0; i < n; i++ {

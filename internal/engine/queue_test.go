@@ -113,7 +113,7 @@ func TestEmitCopiesBorrowedPayload(t *testing.T) {
 	e := New(Default(), Deps{
 		Clock:    clk,
 		Device:   dev,
-		Sockets:  sockets.NewProvider(net, clk, netip.MustParseAddr("100.64.0.5"), sockets.ZeroCosts(), 3),
+		Sockets:  sockets.NewProvider(net, clk, netip.MustParseAddr("100.64.0.5"), sockets.CostModel{}, 3),
 		ProcNet:  procnet.NewReader(table, clk, procnet.ZeroParseCost(), 4),
 		Packages: procnet.NewPackageManager(),
 	})

@@ -193,12 +193,11 @@ func (e *Engine) socketConnectBlocking(cl *relay.TCPClient) {
 	}
 	// Only after establishing the external connection is the handshake
 	// with the app completed (§2.3).
-	if err := cl.SM.CompleteHandshake(); err != nil {
+	if err := cl.SM.CompleteHandshake(e.countEstablished); err != nil {
 		e.removeClient(cl)
 		ch.Close()
 		return
 	}
-	e.ctr.established.Add(1)
 
 	// DeferRegister or not, registration happens here in blocking mode;
 	// the §3.4 cost model is identical either way. The key lands on the
@@ -325,12 +324,11 @@ func (e *Engine) finishEventConnect(k *sockets.SelectionKey, ec *eventConnect) {
 		e.connectFailed(cl)
 		return
 	}
-	if err := cl.SM.CompleteHandshake(); err != nil {
+	if err := cl.SM.CompleteHandshake(e.countEstablished); err != nil {
 		e.removeClient(cl)
 		ch.Close()
 		return
 	}
-	e.ctr.established.Add(1)
 	k.Attach(cl)
 	k.SetInterestOps(sockets.OpRead)
 	if cl.PendingWrites() || cl.HalfCloseRequested() {

@@ -27,7 +27,7 @@ import (
 func TestDNSTimeoutCounted(t *testing.T) {
 	cfg := engine.Default()
 	cfg.DNSTimeout = 50 * time.Millisecond
-	tb := newAblationBed(t, cfg, sockets.ZeroCosts(), procnet.ZeroParseCost())
+	tb := newAblationBed(t, cfg, sockets.CostModel{}, procnet.ZeroParseCost())
 	deadDNS := netip.MustParseAddrPort("9.9.9.9:53")
 	if _, err := tb.phone.Resolve(uidApp, deadDNS, "example.com", 200*time.Millisecond); err == nil {
 		t.Fatal("resolve against dead server succeeded")
@@ -173,7 +173,7 @@ func TestUDPRelaySameFlowDropAccountingExact(t *testing.T) {
 	pm.Install(uidApp, appName)
 	phone := phonestack.New(clk, dev, phoneVPNAddr, table, 2)
 	defer phone.Close()
-	prov := sockets.NewProvider(net, clk, phoneWANAddr, sockets.ZeroCosts(), 3)
+	prov := sockets.NewProvider(net, clk, phoneWANAddr, sockets.CostModel{}, 3)
 	reader := procnet.NewReader(table, clk, procnet.ZeroParseCost(), 4)
 
 	cfg := engine.Default()
@@ -271,7 +271,7 @@ func TestUDPFloodBoundedGoroutines(t *testing.T) {
 	pm.Install(uidApp, appName)
 	phone := phonestack.New(clk, dev, phoneVPNAddr, table, 2)
 	defer phone.Close()
-	prov := sockets.NewProvider(net, clk, phoneWANAddr, sockets.ZeroCosts(), 3)
+	prov := sockets.NewProvider(net, clk, phoneWANAddr, sockets.CostModel{}, 3)
 	reader := procnet.NewReader(table, clk, procnet.ZeroParseCost(), 4)
 
 	cfg := engine.Default()

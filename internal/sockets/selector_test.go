@@ -31,7 +31,7 @@ func connectedKey(t *testing.T, p *Provider, sel *Selector, ops Ops) *SelectionK
 // readers hammer Attachment. Run under -race this proves the lock-free
 // swap; single-threaded it still pins last-write-wins visibility.
 func TestAttachmentSwapUnderConcurrentReads(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	key := connectedKey(t, p, sel, OpRead)
@@ -76,7 +76,7 @@ func TestAttachmentSwapUnderConcurrentReads(t *testing.T) {
 // TestReadyQueueSingleSlot: however many ops fire before the key is
 // selected, it occupies one queue slot and is returned once.
 func TestReadyQueueSingleSlot(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	key := connectedKey(t, p, sel, OpRead|OpWrite)
@@ -106,7 +106,7 @@ func TestReadyQueueSingleSlot(t *testing.T) {
 // re-queues the key — the drop-then-requeue path collectLocked relies
 // on.
 func TestReadyReEnqueueAfterConsume(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	key := connectedKey(t, p, sel, OpRead)
@@ -126,7 +126,7 @@ func TestReadyReEnqueueAfterConsume(t *testing.T) {
 // TestCancelWhileQueuedDropped: a key canceled between enqueue and
 // collection is dropped, not delivered to the worker.
 func TestCancelWhileQueuedDropped(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	ch := p.Open()
@@ -149,7 +149,7 @@ func TestCancelWhileQueuedDropped(t *testing.T) {
 // the interest later (the engine's OpWrite backpressure toggle)
 // surfaces it.
 func TestUninterestedReadinessNotQueued(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	key := connectedKey(t, p, sel, OpRead)
@@ -172,7 +172,7 @@ func TestUninterestedReadinessNotQueued(t *testing.T) {
 // or-loop against the Swap-consume, and the accounting below catches a
 // lost wakeup (a marked key never delivered).
 func TestMarkReadySelectRace(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	key := connectedKey(t, p, sel, OpRead)

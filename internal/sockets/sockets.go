@@ -93,9 +93,6 @@ func AndroidCosts() CostModel {
 	}
 }
 
-// ZeroCosts returns a free cost model for deterministic tests.
-func ZeroCosts() CostModel { return CostModel{} }
-
 func drawCost(f func(*rand.Rand) time.Duration, rng *rand.Rand, mu *sync.Mutex) time.Duration {
 	if f == nil {
 		return 0

@@ -33,7 +33,7 @@ func newProvider(t *testing.T, costs CostModel) (*Provider, *netsim.Network) {
 }
 
 func TestBlockingConnectTiming(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	ch := p.Open()
 	defer ch.Close()
 	start := time.Now()
@@ -50,7 +50,7 @@ func TestBlockingConnectTiming(t *testing.T) {
 }
 
 func TestConnectRefused(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	ch := p.Open()
 	defer ch.Close()
 	err := ch.Connect(netip.MustParseAddrPort("93.184.216.34:81"))
@@ -60,7 +60,7 @@ func TestConnectRefused(t *testing.T) {
 }
 
 func TestDoubleConnectRejected(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	ch := p.Open()
 	defer ch.Close()
 	if err := ch.Connect(serverAP); err != nil {
@@ -72,7 +72,7 @@ func TestDoubleConnectRejected(t *testing.T) {
 }
 
 func TestNonBlockingReadWriteEcho(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	ch := p.Open()
 	defer ch.Close()
 	if err := ch.Connect(serverAP); err != nil {
@@ -103,7 +103,7 @@ func TestNonBlockingReadWriteEcho(t *testing.T) {
 }
 
 func TestReadBeforeConnect(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	ch := p.Open()
 	defer ch.Close()
 	if _, err := ch.Read(make([]byte, 4)); !errors.Is(err, ErrNotConnected) {
@@ -112,7 +112,7 @@ func TestReadBeforeConnect(t *testing.T) {
 }
 
 func TestSelectorReadEvent(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	ch := p.Open()
@@ -143,7 +143,7 @@ func TestSelectorReadEvent(t *testing.T) {
 }
 
 func TestSelectorWakeup(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	done := make(chan []*SelectionKey, 1)
@@ -161,7 +161,7 @@ func TestSelectorWakeup(t *testing.T) {
 }
 
 func TestSelectorWakeupBeforeSelect(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	sel.Wakeup() // arrives first; the next Select must not block
@@ -175,7 +175,7 @@ func TestSelectorWakeupBeforeSelect(t *testing.T) {
 }
 
 func TestSelectorWriteInterestImmediatelyReady(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	ch := p.Open()
@@ -198,7 +198,7 @@ func TestSelectorWriteInterestImmediatelyReady(t *testing.T) {
 }
 
 func TestSelectNowPolls(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	start := time.Now()
@@ -212,7 +212,7 @@ func TestSelectNowPolls(t *testing.T) {
 }
 
 func TestNonBlockingConnectEvent(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	ch := p.Open()
@@ -237,7 +237,7 @@ func TestNonBlockingConnectEvent(t *testing.T) {
 }
 
 func TestFinishConnectPendingThenError(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	ch := p.Open()
 	defer ch.Close()
 	if err := ch.ConnectNonBlocking(netip.MustParseAddrPort("93.184.216.34:81")); err != nil {
@@ -310,7 +310,7 @@ func TestRegisterCostCharged(t *testing.T) {
 }
 
 func TestUDPSendRecv(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	u := p.OpenUDP()
 	defer u.Close()
 	u.SendTo(dnsAP, []byte("q"))
@@ -324,7 +324,7 @@ func TestUDPSendRecv(t *testing.T) {
 }
 
 func TestUDPRecvTimeout(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	u := p.OpenUDP()
 	defer u.Close()
 	start := time.Now()
@@ -344,7 +344,7 @@ func TestUDPRecvTimeout(t *testing.T) {
 func TestUDPCloseReleasesEveryReceiver(t *testing.T) {
 	const receivers = 2
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	u := NewProvider(nil, clk, phoneAddr, ZeroCosts(), 2).OpenUDP()
+	u := NewProvider(nil, clk, phoneAddr, CostModel{}, 2).OpenUDP()
 	errs := make(chan error, receivers)
 	for i := 0; i < receivers; i++ {
 		go func() {
@@ -378,7 +378,7 @@ func TestUDPCloseReleasesEveryReceiver(t *testing.T) {
 // otherwise idle process a sub-ms sleep rounds up to about 1 ms.
 func TestUDPRecvWakesOnDelivery(t *testing.T) {
 	vclk := clock.NewVirtual(time.Unix(0, 0))
-	vp := NewProvider(nil, vclk, phoneAddr, ZeroCosts(), 2)
+	vp := NewProvider(nil, vclk, phoneAddr, CostModel{}, 2)
 	var respond func([]byte)
 	vp.SetUDPTransport(func(_, _ netip.AddrPort, _ []byte, deliver func([]byte)) { respond = deliver })
 	vu := vp.OpenUDP()
@@ -402,7 +402,7 @@ func TestUDPRecvWakesOnDelivery(t *testing.T) {
 		t.Fatal("virtual clock: Recv did not wake on the datagram while the clock stood still")
 	}
 
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	clk := p.Clk
 	var delivered atomic.Int64
 	p.SetUDPTransport(func(_, _ netip.AddrPort, payload []byte, deliver func([]byte)) {
@@ -428,7 +428,7 @@ func TestUDPRecvWakesOnDelivery(t *testing.T) {
 }
 
 func TestEphemeralPortsUnique(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	seen := make(map[uint16]bool)
 	for i := 0; i < 1000; i++ {
 		port := p.EphemeralPort()
@@ -440,7 +440,7 @@ func TestEphemeralPortsUnique(t *testing.T) {
 }
 
 func TestChannelCloseCancelsKey(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	defer sel.Close()
 	ch := p.Open()
@@ -481,7 +481,7 @@ func TestEOFSurfacesThroughChannel(t *testing.T) {
 	net := netsim.New(clk, netsim.LinkParams{Delay: time.Millisecond}, 1)
 	defer net.Close()
 	net.HandleTCP(serverAP, netsim.SourceHandler(4))
-	p := NewProvider(net, clk, phoneAddr, ZeroCosts(), 2)
+	p := NewProvider(net, clk, phoneAddr, CostModel{}, 2)
 	ch := p.Open()
 	defer ch.Close()
 	if err := ch.Connect(serverAP); err != nil {
@@ -512,7 +512,7 @@ func TestEOFSurfacesThroughChannel(t *testing.T) {
 }
 
 func TestWriteAfterClose(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	ch := p.Open()
 	if err := ch.Connect(serverAP); err != nil {
 		t.Fatal(err)
@@ -524,7 +524,7 @@ func TestWriteAfterClose(t *testing.T) {
 }
 
 func TestConnectAfterClose(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	ch := p.Open()
 	ch.Close()
 	if err := ch.Connect(serverAP); !errors.Is(err, ErrClosedChannel) {
@@ -533,7 +533,7 @@ func TestConnectAfterClose(t *testing.T) {
 }
 
 func TestResetAbortsPeer(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	ch := p.Open()
 	if err := ch.Connect(serverAP); err != nil {
 		t.Fatal(err)
@@ -547,7 +547,7 @@ func TestResetAbortsPeer(t *testing.T) {
 }
 
 func TestSelectorCloseUnblocksSelect(t *testing.T) {
-	p, _ := newProvider(t, ZeroCosts())
+	p, _ := newProvider(t, CostModel{})
 	sel := p.NewSelector()
 	done := make(chan struct{})
 	go func() { sel.Select(); close(done) }()

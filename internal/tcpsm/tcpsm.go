@@ -170,11 +170,19 @@ func (m *Machine) sendLocked(flags uint8, seq, ack uint32, options, payload []by
 // establishing the external connection can MopEye complete the handshake
 // with the app"), which is what makes the app-observed connect time
 // track the true path RTT.
-func (m *Machine) CompleteHandshake() error {
+//
+// Each onEstablished hook runs under the machine's lock once the state
+// check has passed and before the SYN-ACK leaves, so whatever it
+// counts is visible to an app whose connect has returned, and it never
+// runs for a handshake that fails with ErrBadState.
+func (m *Machine) CompleteHandshake(onEstablished ...func()) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.state != StateSynReceived {
 		return ErrBadState
+	}
+	for _, f := range onEstablished {
+		f()
 	}
 	m.sendLocked(packet.FlagSYN|packet.FlagACK, m.sndNxt, m.rcvNxt,
 		synAckOptions, nil)

@@ -78,11 +78,16 @@ func TestHandshakeEmitsSYNACKWithMSS(t *testing.T) {
 	if m.State() != StateSynReceived {
 		t.Fatalf("state: %v", m.State())
 	}
-	if err := m.CompleteHandshake(); err != nil {
+	// The onEstablished hook runs once, before the SYN-ACK leaves.
+	var sentAtHook []int
+	if err := m.CompleteHandshake(func() { sentAtHook = append(sentAtHook, len(c.pkts)) }); err != nil {
 		t.Fatal(err)
 	}
 	if m.State() != StateEstablished {
 		t.Fatalf("state: %v", m.State())
+	}
+	if len(sentAtHook) != 1 || sentAtHook[0] != 0 {
+		t.Errorf("packets sent when the hook ran: %v, want [0]", sentAtHook)
 	}
 	sa := c.last()
 	if sa == nil || !sa.TCP.Has(packet.FlagSYN|packet.FlagACK) {
@@ -109,8 +114,12 @@ func TestHandshakeEmitsSYNACKWithMSS(t *testing.T) {
 
 func TestDoubleHandshakeRejected(t *testing.T) {
 	m, _ := established(t)
-	if err := m.CompleteHandshake(); !errors.Is(err, ErrBadState) {
+	ran := false
+	if err := m.CompleteHandshake(func() { ran = true }); !errors.Is(err, ErrBadState) {
 		t.Errorf("got %v", err)
+	}
+	if ran {
+		t.Error("onEstablished ran for a rejected handshake")
 	}
 }
 

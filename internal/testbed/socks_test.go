@@ -16,9 +16,8 @@ import (
 	"repro/internal/upstream"
 )
 
-// startPump advances a virtual clock continuously (the
-// fleet_clock_test pattern): 1 ms of simulated time per 100 µs of wall
-// time, so virtual timeouts expire ~10x faster than wall ones. Returns
+// startPump advances a virtual clock continuously: 1 ms of simulated
+// time per 100 µs of wall time, so virtual timeouts expire ~10x faster than wall ones. Returns
 // a stop func that must run after bed.Close — teardown sleeps on the
 // virtual clock too.
 func startPump(vclk *clock.Virtual) (stop func()) {

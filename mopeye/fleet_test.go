@@ -2,11 +2,10 @@ package mopeye
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,29 +13,35 @@ import (
 	"repro/internal/measure"
 )
 
-// fleetRoster builds a deliberately heterogeneous 8-phone fleet: every
-// phone has its own RTT profile, app mix, seed, worker count and
-// workload size, so the e2e test exercises the scenario layer rather
+// fleetPhone is one phone of a test fleet: its device stamp, its
+// options, the apps to install and the traffic it runs.
+type fleetPhone struct {
+	device string
+	opts   Options
+	apps   map[int]string
+	work   func(p *Phone) error
+}
+
+// fleetRoster builds a deliberately heterogeneous fleet: every phone
+// has its own RTT profile, app mix, seed, worker count and workload
+// size, so the e2e test exercises the paper's deployment shape rather
 // than 8 clones.
-func fleetRoster(t *testing.T, phones int) []FleetPhone {
-	t.Helper()
-	out := make([]FleetPhone, phones)
-	for i := 0; i < phones; i++ {
-		i := i
+func fleetRoster(phones int) []fleetPhone {
+	out := make([]fleetPhone, phones)
+	for i := range out {
 		addr := fmt.Sprintf("198.51.100.%d:443", 100+i)
 		uid := 40001 + i
-		pkg := fmt.Sprintf("com.fleet.app%d", i%3) // app mixes overlap across phones
 		conns := 2 + i%3
-		out[i] = FleetPhone{
-			Device: fmt.Sprintf("phone-%02d", i+1),
-			Options: Options{
+		out[i] = fleetPhone{
+			device: fmt.Sprintf("phone-%02d", i+1),
+			opts: Options{
 				Servers:          []Server{{Domain: fmt.Sprintf("svc%d.example", i), Addr: addr, RTTMillis: float64(5 + 7*i)}},
 				DefaultRTTMillis: float64(10 + i),
 				Workers:          1 + i%2,
 				Seed:             int64(100 + i),
 			},
-			Apps: map[int]string{uid: pkg},
-			Workload: func(ctx context.Context, p *Phone) error {
+			apps: map[int]string{uid: fmt.Sprintf("com.fleet.app%d", i%3)}, // app mixes overlap across phones
+			work: func(p *Phone) error {
 				for c := 0; c < conns; c++ {
 					conn, err := p.Connect(uid, addr)
 					if err != nil {
@@ -60,6 +65,63 @@ func fleetRoster(t *testing.T, phones int) []FleetPhone {
 	return out
 }
 
+// runFleet runs every phone of the roster concurrently, each with its
+// own Collector uploading through the one shared transport — the
+// paper's fan-in. It returns the phones' own measurements, stamped
+// with their devices, in canonical order (what a lossless upload
+// delivers), and the number of batches their collectors shipped.
+func runFleet(t *testing.T, roster []fleetPhone, tr Transport, batchSize int) ([]Measurement, int) {
+	t.Helper()
+	recs := make([][]Measurement, len(roster))
+	uploads := make([]int, len(roster))
+	var wg sync.WaitGroup
+	for i, fp := range roster {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := New(fp.opts)
+			if err != nil {
+				t.Errorf("phone %s: %v", fp.device, err)
+				return
+			}
+			col := NewCollector(CollectorOptions{Device: fp.device, Transport: tr, BatchSize: batchSize})
+			att, err := p.Attach(col)
+			if err != nil {
+				p.Close()
+				t.Errorf("phone %s: %v", fp.device, err)
+				return
+			}
+			for uid, pkg := range fp.apps {
+				p.InstallApp(uid, pkg)
+			}
+			werr := fp.work(p)
+			p.Close() // flushes the collector's final batch
+			if werr != nil {
+				t.Errorf("phone %s: %v", fp.device, werr)
+			}
+			if err := att.Err(); err != nil {
+				t.Errorf("phone %s collector: %v", fp.device, err)
+			}
+			recs[i] = p.Measurements()
+			for j := range recs[i] {
+				if recs[i][j].Device == "" {
+					recs[i][j].Device = fp.device
+				}
+			}
+			uploads[i] = col.Uploads()
+		}()
+	}
+	wg.Wait()
+	var all []Measurement
+	total := 0
+	for i := range roster {
+		all = append(all, recs[i]...)
+		total += uploads[i]
+	}
+	measure.SortCanonical(all)
+	return all, total
+}
+
 // jsonlBytes canonicalises and serialises records for byte-level
 // comparison.
 func jsonlBytes(t *testing.T, recs []Measurement) []byte {
@@ -73,9 +135,10 @@ func jsonlBytes(t *testing.T, recs []Measurement) []byte {
 	return buf.Bytes()
 }
 
-// The acceptance e2e: 8 phones → HTTPTransport → collector server →
-// Study() is record-identical to in-process crowd.Ingest over the
-// phones' own device-stamped measurements — under injected 503s, a
+// The acceptance e2e: 8 phones, one Collector each → one shared
+// HTTPTransport → collector server; the §4.2 analysis over what the
+// server received is record-identical to in-process crowd.Ingest over
+// the phones' own device-stamped measurements — under injected 503s, a
 // stall, and commit-then-fail duplicate deliveries. Exactly-once after
 // dedup, and no record lost between a phone's store and its uploads.
 func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
@@ -99,27 +162,16 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 		BackoffMax:  8 * time.Millisecond,
 	})
 
-	fleet, err := NewFleet(FleetOptions{
-		Phones:    fleetRoster(t, 8),
-		Transport: transport,
-		Collector: CollectorOptions{BatchSize: 3}, // small batches: many wire trips
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.Run(context.Background()); err != nil {
-		t.Fatalf("fleet run: %v", err)
-	}
+	// Small batches: many wire trips.
+	local, uploads := runFleet(t, fleetRoster(8), transport, 3)
 	if err := transport.Close(); err != nil {
 		t.Fatalf("transport close: %v", err)
 	}
-
-	st := fleet.Stats()
-	if st.Failed != 0 || st.Phones != 8 {
-		t.Fatalf("fleet stats: %+v (statuses %+v)", st, fleet.PhoneStatuses())
+	if t.Failed() {
+		t.FailNow()
 	}
-	if st.Records == 0 || st.Uploads < 8 {
-		t.Fatalf("fleet produced too little: %+v", st)
+	if len(local) == 0 || uploads < 8 {
+		t.Fatalf("fleet produced too little: %d records, %d uploads", len(local), uploads)
 	}
 	tstats := transport.Stats()
 	if tstats.Dropped != 0 || tstats.Failed != 0 {
@@ -135,22 +187,21 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 
 	// Exactly-once: the server's dataset is byte-identical to the
 	// phones' merged measurements under canonical order.
-	local := fleet.Records()
 	remote := srv.Records()
 	if len(remote) != len(local) {
 		t.Fatalf("server holds %d records, the phones recorded %d", len(remote), len(local))
 	}
-	lb, rb := jsonlBytes(t, local), jsonlBytes(t, remote)
-	if !bytes.Equal(lb, rb) {
-		t.Fatal("server dataset diverges from the fleet's records")
+	if !bytes.Equal(jsonlBytes(t, local), jsonlBytes(t, remote)) {
+		t.Fatal("server dataset diverges from the phones' records")
 	}
 
-	// And the study pipelines agree: Study() over the wire-delivered
-	// dataset ≡ in-process crowd.Ingest over the phones' records.
+	// And the study pipelines agree: the analysis over the
+	// wire-delivered dataset ≡ in-process crowd.Ingest over the phones'
+	// records.
 	sorted := append([]measure.Record(nil), remote...)
 	measure.SortCanonical(sorted)
 	viaWire := NewStudyFrom(sorted).ReportAll()
-	inProc := (&Study{}).reportFromIngest(crowd.Ingest(fleet.Records()))
+	inProc := (&Study{ds: crowd.Ingest(local)}).ReportAll()
 	if viaWire != inProc {
 		t.Error("§4.2 analysis diverges between wire-delivered and in-process datasets")
 	}
@@ -162,60 +213,6 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 		if ds.DeviceByID(id) == nil {
 			t.Errorf("device %s missing from ingested dataset", id)
 		}
-	}
-}
-
-// reportFromIngest runs ReportAll over an already-built dataset.
-func (s *Study) reportFromIngest(ds *crowd.Dataset) string {
-	return (&Study{ds: ds}).ReportAll()
-}
-
-// Fleet validation and error surfacing: a failing phone is reported by
-// device, the rest of the fleet completes.
-func TestFleetPerPhoneErrorSurfacing(t *testing.T) {
-	if _, err := NewFleet(FleetOptions{}); err == nil {
-		t.Error("empty fleet accepted")
-	}
-	if _, err := NewFleet(FleetOptions{Phones: []FleetPhone{{Device: "x"}}}); err == nil {
-		t.Error("workload-less phone accepted")
-	}
-	if _, err := NewFleet(FleetOptions{Phones: []FleetPhone{{
-		Workload: func(context.Context, *Phone) error { return nil },
-	}}}); err == nil {
-		t.Error("stampless phone accepted")
-	}
-
-	boom := errors.New("boom")
-	ok := func(ctx context.Context, p *Phone) error { return nil }
-	fleet, err := NewFleet(FleetOptions{
-		Phones: []FleetPhone{
-			{Device: "good-1", Options: Options{Loopback: true}, Workload: ok},
-			{Device: "bad", Options: Options{Loopback: true},
-				Workload: func(ctx context.Context, p *Phone) error { return boom }},
-			{Device: "good-2", Options: Options{Loopback: true}, Workload: ok},
-		},
-		Concurrency: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = fleet.Run(context.Background())
-	if !errors.Is(err, boom) {
-		t.Fatalf("fleet error: %v", err)
-	}
-	st := fleet.Stats()
-	if st.Failed != 1 {
-		t.Errorf("failed phones: %d", st.Failed)
-	}
-	for _, ps := range fleet.PhoneStatuses() {
-		wantErr := ps.Device == "bad"
-		if (ps.Err != nil) != wantErr {
-			t.Errorf("phone %s err = %v", ps.Device, ps.Err)
-		}
-	}
-	// Run is once-only.
-	if err := fleet.Run(context.Background()); err == nil {
-		t.Error("second Run accepted")
 	}
 }
 
@@ -232,16 +229,16 @@ func TestFleetDeviceStampCollision(t *testing.T) {
 	transport := NewHTTPTransport(ts.URL, HTTPTransportOptions{})
 
 	uid := 50001
-	mk := func(seed int64) FleetPhone {
-		addr := "198.51.100.200:443"
-		return FleetPhone{
-			Device: "shared-stamp",
-			Options: Options{
+	addr := "198.51.100.200:443"
+	mk := func(seed int64) fleetPhone {
+		return fleetPhone{
+			device: "shared-stamp",
+			opts: Options{
 				Servers: []Server{{Domain: "col.example", Addr: addr, RTTMillis: 8}},
 				Seed:    seed,
 			},
-			Apps: map[int]string{uid: "com.fleet.shared"},
-			Workload: func(ctx context.Context, p *Phone) error {
+			apps: map[int]string{uid: "com.fleet.shared"},
+			work: func(p *Phone) error {
 				for c := 0; c < 3; c++ {
 					conn, err := p.Connect(uid, addr)
 					if err != nil {
@@ -253,25 +250,17 @@ func TestFleetDeviceStampCollision(t *testing.T) {
 			},
 		}
 	}
-	fleet, err := NewFleet(FleetOptions{
-		Phones:    []FleetPhone{mk(1), mk(2)},
-		Transport: transport,
-		Collector: CollectorOptions{BatchSize: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	local, _ := runFleet(t, []fleetPhone{mk(1), mk(2)}, transport, 2)
 	if err := transport.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 	ss := srv.Stats()
 	if ss.Duplicates != 0 {
 		t.Errorf("colliding stamps caused false dedup: %+v", ss)
 	}
-	local := fleet.Records()
 	if ss.Records != len(local) {
 		t.Errorf("server %d records, phones %d", ss.Records, len(local))
 	}
@@ -279,79 +268,5 @@ func TestFleetDeviceStampCollision(t *testing.T) {
 	d := ds.DeviceByID("shared-stamp")
 	if d == nil || d.Activity != len(local) {
 		t.Errorf("shared device not merged: %+v", d)
-	}
-}
-
-// Fleet.Study feeds the phones' merged records into the analysis
-// pipeline.
-func TestFleetStudySmoke(t *testing.T) {
-	fleet, err := NewFleet(FleetOptions{Phones: fleetRoster(t, 2), Collector: CollectorOptions{BatchSize: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.Run(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	st := fleet.Study()
-	// fleetRoster gives phone i 2+i%3 connections, one TCP RTT each.
-	if got := len(st.Dataset().Records); got != 5 {
-		t.Fatalf("study records: %d", got)
-	}
-	if len(st.Dataset().Devices) != 2 {
-		t.Errorf("study devices: %d", len(st.Dataset().Devices))
-	}
-	if st.Summary() == "" {
-		t.Error("empty summary")
-	}
-}
-
-// Without a Transport the fleet attaches no Collector and uploads
-// nothing; its records are the phones' own measurements, each stamped
-// with its phone's Device.
-func TestFleetWithoutTransport(t *testing.T) {
-	roster := fleetRoster(t, 3)
-	phones := make([]*Phone, len(roster))
-	for i := range roster {
-		workload := roster[i].Workload
-		roster[i].Workload = func(ctx context.Context, p *Phone) error {
-			phones[i] = p
-			return workload(ctx, p)
-		}
-	}
-	fleet, err := NewFleet(FleetOptions{Phones: roster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.Run(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	st := fleet.Stats()
-	if st.Uploads != 0 {
-		t.Errorf("uploads without a transport: %d", st.Uploads)
-	}
-	want := 0
-	for i, ps := range fleet.PhoneStatuses() {
-		n := len(phones[i].Measurements())
-		if ps.Records != n {
-			t.Errorf("phone %s: status %d records, phone %d", ps.Device, ps.Records, n)
-		}
-		if n == 0 {
-			t.Errorf("phone %s recorded nothing", ps.Device)
-		}
-		want += n
-	}
-	recs := fleet.Records()
-	if len(recs) != want || st.Records != want {
-		t.Errorf("fleet records %d, stats %d; the phones hold %d", len(recs), st.Records, want)
-	}
-	perDevice := map[string]int{}
-	for _, r := range recs {
-		perDevice[r.Device]++
-	}
-	for i, ps := range fleet.PhoneStatuses() {
-		if perDevice[ps.Device] != len(phones[i].Measurements()) {
-			t.Errorf("device %s: %d stamped records, phone holds %d",
-				ps.Device, perDevice[ps.Device], len(phones[i].Measurements()))
-		}
 	}
 }

@@ -3,7 +3,6 @@ package mopeye
 import (
 	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/measure"
 	"repro/internal/metrics"
@@ -106,81 +105,3 @@ func (p *core) WriteMetrics(w io.Writer) error {
 // MetricsHandler serves the phone's metrics over HTTP — GET /metrics
 // for a live phone, the same exposition WriteMetrics renders.
 func (p *core) MetricsHandler() http.Handler { return p.metricsRegistry().Handler() }
-
-// metricsRegistry builds (once) the fleet's registry: aggregate
-// counters plus per-phone status labeled by device stamp. Meaningful
-// once Run has completed; scraped mid-run it reports the phones
-// finished so far.
-func (f *Fleet) metricsRegistry() *metrics.Registry {
-	f.metricsOnce.Do(func() {
-		r := metrics.NewRegistry()
-		r.GaugeFunc("mopeye_fleet_phones",
-			"Phones in the fleet roster.",
-			func() float64 { return float64(f.Stats().Phones) })
-		r.GaugeFunc("mopeye_fleet_failed",
-			"Phones whose construction, workload, or sink failed.",
-			func() float64 { return float64(f.Stats().Failed) })
-		r.CounterFunc("mopeye_fleet_records_total",
-			"Measurements the fleet's phones recorded.",
-			func() float64 { return float64(f.Stats().Records) })
-		r.CounterFunc("mopeye_fleet_uploads_total",
-			"Upload batches the fleet's collectors shipped (0 without a transport).",
-			func() float64 { return float64(f.Stats().Uploads) })
-		r.GaugeFunc("mopeye_fleet_phone_time_seconds",
-			"Longest per-phone workload duration on the phones' own clocks.",
-			func() float64 { return f.Stats().PhoneTime.Seconds() })
-		r.CollectGauges("mopeye_fleet_phone_up",
-			"Per-phone outcome: 1 succeeded, 0 failed.",
-			func() []metrics.Sample {
-				return f.phoneSamples(func(st FleetPhoneStatus) float64 {
-					if st.Err != nil {
-						return 0
-					}
-					return 1
-				})
-			})
-		r.CollectGauges("mopeye_fleet_phone_records",
-			"Measurements recorded per phone.",
-			func() []metrics.Sample {
-				return f.phoneSamples(func(st FleetPhoneStatus) float64 { return float64(st.Records) })
-			})
-		r.CollectGauges("mopeye_fleet_phone_elapsed_seconds",
-			"Per-phone workload duration on the phone's own clock.",
-			func() []metrics.Sample {
-				return f.phoneSamples(func(st FleetPhoneStatus) float64 { return st.Elapsed.Seconds() })
-			})
-		f.metricsReg = r
-	})
-	return f.metricsReg
-}
-
-// phoneSamples maps the per-phone statuses to labeled samples. Two
-// FleetPhones may share a device stamp (a reinstalled device), so the
-// label carries the roster index as well.
-func (f *Fleet) phoneSamples(value func(FleetPhoneStatus) float64) []metrics.Sample {
-	sts := f.PhoneStatuses()
-	out := make([]metrics.Sample, 0, len(sts))
-	for i, st := range sts {
-		if st.Device == "" {
-			continue // not yet run
-		}
-		out = append(out, metrics.Sample{
-			Labels: []metrics.Label{
-				metrics.L("device", st.Device),
-				metrics.L("phone", strconv.Itoa(i)),
-			},
-			Value: value(st),
-		})
-	}
-	return out
-}
-
-// Metrics snapshots the fleet's aggregate and per-phone observability
-// state.
-func (f *Fleet) Metrics() metrics.Snapshot { return f.metricsRegistry().Gather() }
-
-// WriteMetrics renders the fleet's metrics in Prometheus text
-// exposition format.
-func (f *Fleet) WriteMetrics(w io.Writer) error {
-	return f.metricsRegistry().WritePrometheus(w)
-}

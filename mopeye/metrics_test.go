@@ -2,7 +2,6 @@ package mopeye
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -127,41 +126,5 @@ func TestPhoneMetricsAfterClose(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `mopeye_phone_rtt_ms_count{kind="tcp"} 0`) {
 		t.Errorf("closed phone should expose empty summaries:\n%s", buf.String())
-	}
-}
-
-// Fleet metrics: aggregate families plus one labeled sample per phone.
-func TestFleetMetrics(t *testing.T) {
-	fleet, err := NewFleet(FleetOptions{
-		Phones:    fleetRoster(t, 3),
-		Collector: CollectorOptions{BatchSize: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap := fleet.Metrics()
-	if v, ok := snap.Get("mopeye_fleet_phones"); !ok || v != 3 {
-		t.Fatalf("fleet phones gauge = %v, %v", v, ok)
-	}
-	if v, ok := snap.Get("mopeye_fleet_records_total"); !ok || int(v) != fleet.Stats().Records {
-		t.Errorf("fleet records counter = %v, %v; want %d", v, ok, fleet.Stats().Records)
-	}
-	for i := 1; i <= 3; i++ {
-		dev := fmt.Sprintf("phone-%02d", i)
-		v, ok := snap.Get("mopeye_fleet_phone_up",
-			metrics.L("device", dev), metrics.L("phone", fmt.Sprint(i-1)))
-		if !ok || v != 1 {
-			t.Errorf("phone_up{device=%q} = %v, %v", dev, v, ok)
-		}
-	}
-	var buf bytes.Buffer
-	if err := fleet.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `mopeye_fleet_phone_records{device="phone-01",phone="0"}`) {
-		t.Errorf("fleet exposition missing per-phone samples:\n%s", buf.String())
 	}
 }

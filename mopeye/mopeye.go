@@ -34,8 +34,8 @@
 // (cmd/collectord) with retry and a bounded in-flight queue, and the
 // server's dedup makes delivery exactly-once; TransportFunc hands batches
 // to in-process consumers, such as NewStudyFrom for the §4.2 analysis.
-// Fleet (fleet.go) runs N heterogeneous phones fanning their uploads into
-// one Transport — the paper's deployment shape as an API.
+// Several phones are one Collector per phone sharing one Transport — the
+// paper's deployment shape; examples/fleet runs it.
 package mopeye
 
 import (
@@ -45,7 +45,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/engine"
 	"repro/internal/measure"
 	"repro/internal/netsim"
@@ -114,11 +113,6 @@ type Options struct {
 	Loopback bool
 	// Seed drives all randomness.
 	Seed int64
-
-	// clk injects the phone's time source (network, TUN, stack, engine);
-	// nil means the wall clock. Unexported: only fleet_clock_test.go sets
-	// it, to run phones on simulated time.
-	clk clock.Clock
 }
 
 // Measurement is one opportunistic RTT measurement.
@@ -159,7 +153,6 @@ func New(o Options) (*Phone, error) {
 		Seed:     o.Seed,
 		Sniff:    true,
 		Loopback: o.Loopback,
-		Clock:    o.clk,
 	}
 	if o.RealisticCosts {
 		opts.SocketCosts = sockets.AndroidCosts()

@@ -34,8 +34,8 @@ type Batch = measure.Batch
 // Transport ships one batch toward a collector. Upload must not
 // block on the network: shipped implementations either enqueue
 // (HTTPTransport) or run in-process (TransportFunc). Upload may be
-// called concurrently by independent collectors (a Fleet shares one
-// transport across all phones); retries of a batch reuse its Key, and
+// called concurrently by independent collectors (several phones'
+// Collectors may share one transport); retries of a batch reuse its Key, and
 // a receiver deduplicating on Key sees each batch's records exactly
 // once no matter how delivery misbehaves.
 type Transport interface {
