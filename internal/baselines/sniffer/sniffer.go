@@ -2,6 +2,10 @@
 // network at the phone's interface and derives ground-truth RTTs by
 // pairing each connection's SYN with its SYN-ACK, exactly how the paper
 // validates MopEye's accuracy (§4.1.1, Table 2).
+//
+// It keeps handshakes only: the SYNs still awaiting their SYN-ACK, and
+// per remote the RTTs of completed handshakes in completion order, 8 B
+// each. It keeps no packet trace.
 package sniffer
 
 import (
@@ -11,14 +15,6 @@ import (
 
 	"repro/internal/netsim"
 )
-
-// Sample is one ground-truth handshake RTT.
-type Sample struct {
-	Local  netip.AddrPort
-	Remote netip.AddrPort
-	SYNAt  int64
-	RTT    time.Duration
-}
 
 // flowKey identifies one handshake in flight. Keying pending SYNs by
 // the (local, remote) pair — not local alone — keeps two overlapping
@@ -30,32 +26,23 @@ type flowKey struct {
 	remote netip.AddrPort
 }
 
-// Sniffer records wire events and pairs handshakes.
+// Sniffer pairs handshakes seen on the wire.
 type Sniffer struct {
 	mu      sync.Mutex
-	pending map[flowKey]int64 // flow -> SYN time (latest attempt)
-	samples []Sample
-	events  []netsim.WireEvent
-	keepAll bool
+	pending map[flowKey]int64                  // flow -> SYN time (latest attempt)
+	rtts    map[netip.AddrPort][]time.Duration // remote -> handshake RTTs
 }
 
 // New creates a sniffer and attaches it to the network.
 func New(n *netsim.Network) *Sniffer {
-	s := &Sniffer{pending: make(map[flowKey]int64)}
+	s := &Sniffer{pending: make(map[flowKey]int64), rtts: make(map[netip.AddrPort][]time.Duration)}
 	n.AddSniffer(s.observe)
 	return s
 }
 
-// KeepEvents retains the full event trace (like writing a pcap), not
-// just handshake samples.
-func (s *Sniffer) KeepEvents() { s.mu.Lock(); s.keepAll = true; s.mu.Unlock() }
-
 func (s *Sniffer) observe(ev netsim.WireEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.keepAll {
-		s.events = append(s.events, ev)
-	}
 	key := flowKey{local: ev.Local, remote: ev.Remote}
 	switch ev.Kind {
 	case netsim.EventSYN:
@@ -65,43 +52,21 @@ func (s *Sniffer) observe(ev netsim.WireEvent) {
 	case netsim.EventSYNACK:
 		if at, ok := s.pending[key]; ok {
 			delete(s.pending, key)
-			s.samples = append(s.samples, Sample{
-				Local:  ev.Local,
-				Remote: ev.Remote,
-				SYNAt:  at,
-				RTT:    time.Duration(ev.At - at),
-			})
+			s.rtts[ev.Remote] = append(s.rtts[ev.Remote], time.Duration(ev.At-at))
 		}
 	case netsim.EventRST:
 		delete(s.pending, key)
 	}
 }
 
-// Samples returns all handshake RTTs observed so far.
-func (s *Sniffer) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Sample(nil), s.samples...)
-}
-
 // RTTsTo returns the RTTs of handshakes to one destination, in
-// milliseconds.
+// milliseconds, in the order the handshakes completed.
 func (s *Sniffer) RTTsTo(remote netip.AddrPort) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []float64
-	for _, smp := range s.samples {
-		if smp.Remote == remote {
-			out = append(out, smp.RTT.Seconds()*1000)
-		}
+	for _, rtt := range s.rtts[remote] {
+		out = append(out, rtt.Seconds()*1000)
 	}
 	return out
-}
-
-// Events returns the retained trace (empty unless KeepEvents was
-// called).
-func (s *Sniffer) Events() []netsim.WireEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]netsim.WireEvent(nil), s.events...)
 }

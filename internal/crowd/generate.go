@@ -276,7 +276,9 @@ func (ds *Dataset) DeviceByID(id string) *Device {
 	return nil
 }
 
-// Summary describes the dataset the way §4.2.1 does.
+// Summary describes the dataset the way §4.2.1 does. A record or
+// device that carries no domain, country or model adds none: the empty
+// string is not a value.
 func (ds *Dataset) Summary() string {
 	tcp, dns := 0, 0
 	ips := make(map[netip.Addr]struct{})
@@ -288,7 +290,7 @@ func (ds *Dataset) Summary() string {
 			tcp++
 			ips[r.Dst.Addr()] = struct{}{}
 			ports[r.Dst.Port()] = struct{}{}
-			domains[r.Domain] = struct{}{}
+			addKnown(domains, r.Domain)
 		} else {
 			dns++
 			servers[r.Dst] = struct{}{}
@@ -298,8 +300,8 @@ func (ds *Dataset) Summary() string {
 	models := make(map[string]struct{})
 	locations := 0
 	for _, d := range ds.Devices {
-		countries[d.Country] = struct{}{}
-		models[d.Model] = struct{}{}
+		addKnown(countries, d.Country)
+		addKnown(models, d.Model)
 		locations += len(d.Locations)
 	}
 	return fmt.Sprintf(
@@ -307,4 +309,11 @@ func (ds *Dataset) Summary() string {
 			"%d countries, %d locations; %d dst IPs, %d domains, %d ports, %d DNS servers (scale %.2f)",
 		len(ds.Records), tcp, dns, len(ds.Devices), len(models),
 		len(countries), locations, len(ips), len(domains), len(ports), len(servers), ds.Scale)
+}
+
+// addKnown adds v to set unless v is empty.
+func addKnown(set map[string]struct{}, v string) {
+	if v != "" {
+		set[v] = struct{}{}
+	}
 }

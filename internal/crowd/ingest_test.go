@@ -80,6 +80,22 @@ func TestIngestFeedsAnalysis(t *testing.T) {
 	}
 }
 
+// Records that name no domain and no country — an app that connects
+// to a literal IP on a phone that stamps no country — summarise as 0
+// domains and 0 countries, not 1 each for the empty string.
+func TestSummaryCountsNoEmptyValues(t *testing.T) {
+	var recs []measure.Record
+	for i := 0; i < 3; i++ {
+		recs = append(recs, ingestRec(measure.KindTCP, "com.app.ip", "phone-1", "WiFi", "", "", 20))
+	}
+	sum := Ingest(recs).Summary()
+	for _, want := range []string{"0 countries", "0 domains"} {
+		if !strings.Contains(sum, want) {
+			t.Errorf("summary lacks %q: %s", want, sum)
+		}
+	}
+}
+
 // Ingest must be deterministic: same records, same dataset, regardless
 // of internal map iteration.
 func TestIngestDeterministic(t *testing.T) {

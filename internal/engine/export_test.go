@@ -21,6 +21,13 @@ func SetUDPPoolSize(t testing.TB, n int) { setForTest(t, &udpPoolSize, n) }
 // during t.
 func SetUDPSessionIdle(t testing.TB, d time.Duration) { setForTest(t, &udpSessionIdle, d) }
 
+// MaxUDPSessions returns the NAT table's cap.
+func MaxUDPSessions() int { return maxUDPSessions }
+
+// SetMaxUDPSessions sets the NAT table's cap for engines built during
+// t.
+func SetMaxUDPSessions(t testing.TB, n int) { setForTest(t, &maxUDPSessions, n) }
+
 // setForTest writes v to *p and restores the old value when t ends.
 // Engine tests do not run in parallel, so nothing else reads *p
 // meanwhile.

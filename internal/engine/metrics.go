@@ -34,6 +34,7 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	ctr("tun_write_errors_total", "Tunnel writes refused by the device; each loses one packet toward the app.", &e.ctr.tunWriteErrors)
 	ctr("udp_relayed_total", "Non-DNS UDP transactions relayed with a response.", &e.ctr.udpRelayed)
 	ctr("udp_dropped_total", "UDP datagrams shed without a delivery attempt.", &e.ctr.udpDropped)
+	ctr("udp_evicted_total", "NAT sessions evicted, idlest first, to admit a new flow into a full table.", &e.ctr.udpEvicted)
 	ctr("udp_no_response_total", "Relayed UDP requests whose receive window closed empty.", &e.ctr.udpNoResponse)
 	ctr("udp_late_relayed_total", "Late UDP responses forwarded by a stale drain.", &e.ctr.udpLate)
 	ctr("udp_bytes_up_total", "UDP payload bytes relayed app->server.", &e.ctr.udpBytesUp)

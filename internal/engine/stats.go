@@ -37,9 +37,15 @@ type Stats struct {
 	// failure is still worth surfacing).
 	DNSTimeouts int
 	// UDPDropped counts datagrams the relay shed without attempting
-	// delivery: pooled job-queue overflow, NAT-table exhaustion, or the
-	// DNS inflight cap — UDP's contract under flood.
+	// delivery: pooled job-queue overflow, a full NAT table whose every
+	// session is mid-transaction, or the DNS inflight cap — UDP's
+	// contract under flood.
 	UDPDropped int
+	// UDPEvicted counts NAT sessions evicted, idlest first, to admit a
+	// new flow into a full table (maxUDPSessions). The newcomer's
+	// datagram is relayed; the evicted flow gets a fresh session and
+	// socket on its next datagram.
+	UDPEvicted int
 	// UDPNoResponse counts relayed non-DNS requests whose receive
 	// window (Config.UDPTimeout) closed with nothing back. The request
 	// went out and is gone as far as this transaction is concerned;
@@ -94,6 +100,7 @@ type counters struct {
 	tunWriteErrors  atomic.Int64
 	dnsTimeouts     atomic.Int64
 	udpDropped      atomic.Int64
+	udpEvicted      atomic.Int64
 	udpNoResponse   atomic.Int64
 	udpLate         atomic.Int64
 	udpBytesUp      atomic.Int64
@@ -124,6 +131,7 @@ func (e *Engine) Stats() Stats {
 		TunWriteErrors:  int(e.ctr.tunWriteErrors.Load()),
 		DNSTimeouts:     int(e.ctr.dnsTimeouts.Load()),
 		UDPDropped:      int(e.ctr.udpDropped.Load()),
+		UDPEvicted:      int(e.ctr.udpEvicted.Load()),
 		UDPNoResponse:   int(e.ctr.udpNoResponse.Load()),
 		UDPLateRelayed:  int(e.ctr.udpLate.Load()),
 		UDPBytesUp:      e.ctr.udpBytesUp.Load(),

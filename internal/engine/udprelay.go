@@ -23,8 +23,12 @@ import (
 //
 //   - a NAT-style session table (flowtable.Table keyed by the flow key)
 //     maps each app flow to one external socket, created on first
-//     datagram, reused for every subsequent one, and expired after
-//     udpSessionIdle without traffic;
+//     datagram. A DNS session ends with its transaction, answered or
+//     timed out: the last worker out removes it and closes its socket,
+//     so each query has its own socket, as in the paper. Other UDP
+//     reuses the session for every later datagram and expires after
+//     udpSessionIdle without traffic. At maxUDPSessions the idlest
+//     session is evicted (Stats.UDPEvicted) to admit the newcomer;
 //   - a bounded worker pool (udpPoolSize goroutines) performs
 //     the blocking relay work, fed by a bounded queue. When the queue
 //     is full the datagram is dropped — UDP's contract — and counted.
@@ -37,6 +41,12 @@ import (
 // occasionally (every idle/2) schedules a sweep instead of a dedicated
 // janitor goroutine, keeping the subsystem's goroutine count exactly
 // udpPoolSize.
+//
+// Every removal — a DNS transaction's end, the idle sweep, an eviction
+// — first moves the session's inflight count to retired with a
+// compare-and-swap, so a session is never closed under a worker
+// mid-transaction, and then deletes it from the table only if the
+// table still maps its flow to it.
 
 // The pool and the session lifetime. Variables only so a test can
 // shorten them; nothing else writes them.
@@ -45,21 +55,25 @@ var (
 	// transactions without approaching goroutine-per-datagram under
 	// flood.
 	udpPoolSize = 8
-	// udpSessionIdle expires NAT sessions after a minute without
-	// traffic, the magnitude home-router UDP conntrack entries use.
+	// udpSessionIdle expires non-DNS NAT sessions after a minute
+	// without traffic, the magnitude home-router UDP conntrack entries
+	// use.
 	udpSessionIdle = time.Minute
+	// maxUDPSessions caps the NAT table: a distinct-flow datagram
+	// flood must not create sockets without limit. At the cap a new
+	// flow evicts the idlest session that no worker is using
+	// (NAT-table exhaustion pays a scan, like a real conntrack table
+	// under pressure).
+	maxUDPSessions = 4096
 )
 
 // udpJobQueueDepth bounds datagrams waiting for a pool worker; beyond
 // it the relay drops, as a full NIC ring would.
 const udpJobQueueDepth = 1024
 
-// maxUDPSessions caps the NAT table: a distinct-flow datagram flood
-// must not create sockets without limit. At the cap the relay first
-// tries an inline sweep (NAT-table exhaustion pays a scan, like a real
-// conntrack table under pressure); if nothing was reclaimable the
-// datagram is dropped and counted.
-const maxUDPSessions = 4096
+// retired is a udpSession's inflight value once it has left the table:
+// no worker may start a transaction on it, and its socket is closed.
+const retired = -1
 
 // udpSession is one NAT-style mapping: app flow -> external socket.
 type udpSession struct {
@@ -68,11 +82,11 @@ type udpSession struct {
 	dns       bool
 	createdAt int64
 	lastUsed  atomic.Int64
-	// inflight counts pool workers mid-transaction on sock. A flow's
-	// datagrams can occupy several workers at once, and only the first
-	// may drain stale responses: to a second, the first's in-flight
-	// response looks stale, and stealing it leaves the first to time
-	// out on a datagram that was in fact answered.
+	// inflight counts pool workers mid-transaction on sock, or is
+	// retired. A flow's datagrams can occupy several workers at once,
+	// and only the first may drain stale responses: to a second, the
+	// first's in-flight response looks stale, and stealing it leaves
+	// the first to time out on a datagram that was in fact answered.
 	inflight atomic.Int32
 
 	// initOnce runs on a pool worker before the first relay: the
@@ -81,6 +95,20 @@ type udpSession struct {
 	// pays them (§3.3, §3.5.2).
 	initOnce sync.Once
 	app      string
+}
+
+// acquire starts a transaction on s. ok is false once s is retired;
+// first reports that no other worker is mid-transaction on it.
+func (s *udpSession) acquire() (first, ok bool) {
+	for {
+		n := s.inflight.Load()
+		if n == retired {
+			return false, false
+		}
+		if s.inflight.CompareAndSwap(n, n+1) {
+			return n == 0, true
+		}
+	}
 }
 
 // init pays the one-time session costs on the calling pool worker.
@@ -117,6 +145,10 @@ type udpRelay struct {
 	// in UDPDropped.
 	dnsLimit int
 	dnsStuck atomic.Int64
+
+	// createMu serialises session creation, so the cap check and the
+	// insert that follows it cannot interleave with another creator's.
+	createMu sync.Mutex
 
 	jobs      chan udpJob
 	stopOnce  sync.Once
@@ -177,43 +209,90 @@ func (r *udpRelay) relay(flow packet.FlowKey, payload []byte) {
 }
 
 // session returns the flow's live session, creating one if needed. A
-// nil return means the NAT table is exhausted and the datagram must be
-// dropped.
+// nil return means every session in a full NAT table is mid-transaction
+// and the datagram must be dropped.
 func (r *udpRelay) session(flow packet.FlowKey, now int64) *udpSession {
-	sess, ok := r.sessions.Get(flow)
-	if ok && sess.sock.Closed() {
-		// Lost a race with the idle sweeper: the entry is gone from the
-		// table (the sweeper deletes before closing), so make a new one.
-		ok = false
+	if sess, ok := r.sessions.Get(flow); ok {
+		if sess.inflight.Load() != retired {
+			sess.lastUsed.Store(now)
+			return sess
+		}
+		// Retired but not yet deleted by whoever retired it: delete it
+		// here so the new session can take its place.
+		flowtable.CompareAndDelete(r.sessions, flow, sess)
 	}
-	if !ok {
-		if r.sessions.Len() >= maxUDPSessions {
-			// NAT-table exhaustion: reclaim idle sessions inline; if the
-			// flood is all live flows, shed this datagram.
-			r.sweep()
-			if r.sessions.Len() >= maxUDPSessions {
-				return nil
+	r.createMu.Lock()
+	defer r.createMu.Unlock()
+	for r.sessions.Len() >= maxUDPSessions {
+		if !r.evictIdlest() {
+			return nil
+		}
+	}
+	fresh := &udpSession{
+		flow:      flow,
+		sock:      r.e.prov.OpenUDP(),
+		dns:       flow.Dst.Port() == 53,
+		createdAt: now,
+	}
+	// Stamp before publishing: a session entering the table with a
+	// zero lastUsed would look idle-since-epoch to a concurrently
+	// running sweep and be expired before its first datagram.
+	fresh.lastUsed.Store(now)
+	winner, stored := r.sessions.PutIfAbsent(flow, fresh)
+	if !stored {
+		fresh.sock.Close()
+		winner.lastUsed.Store(now)
+	}
+	return winner
+}
+
+// evictIdlest retires the least recently used session that no worker
+// is using, reporting whether it found one.
+func (r *udpRelay) evictIdlest() bool {
+	for {
+		var idlest *udpSession
+		r.sessions.Range(func(_ packet.FlowKey, s *udpSession) bool {
+			if s.inflight.Load() == 0 && (idlest == nil || s.lastUsed.Load() < idlest.lastUsed.Load()) {
+				idlest = s
 			}
+			return true
+		})
+		if idlest == nil {
+			return false
 		}
-		fresh := &udpSession{
-			flow:      flow,
-			sock:      r.e.prov.OpenUDP(),
-			dns:       flow.Dst.Port() == 53,
-			createdAt: now,
-		}
-		// Stamp before publishing: a session entering the table with a
-		// zero lastUsed would look idle-since-epoch to a concurrently
-		// running sweep and be expired before its first datagram.
-		fresh.lastUsed.Store(now)
-		if winner, stored := r.sessions.PutIfAbsent(flow, fresh); stored {
-			sess = fresh
-		} else {
-			fresh.sock.Close()
-			sess = winner
+		// A worker may have picked it up since the scan; then look again.
+		if idlest.inflight.CompareAndSwap(0, retired) {
+			r.remove(idlest)
+			r.e.ctr.udpEvicted.Add(1)
+			return true
 		}
 	}
-	sess.lastUsed.Store(now)
-	return sess
+}
+
+// remove deletes a retired session from the table, if the table still
+// maps its flow to it, and closes its socket.
+func (r *udpRelay) remove(s *udpSession) {
+	flowtable.CompareAndDelete(r.sessions, s.flow, s)
+	s.sock.Close()
+}
+
+// release ends a transaction on s. The last worker out of a DNS
+// session retires and removes it: the query has had its answer or its
+// timeout.
+func (r *udpRelay) release(s *udpSession) {
+	for {
+		n := s.inflight.Load()
+		next := n - 1
+		if next == 0 && s.dns {
+			next = retired
+		}
+		if s.inflight.CompareAndSwap(n, next) {
+			if next == retired {
+				r.remove(s)
+			}
+			return
+		}
+	}
 }
 
 // enqueue hands a job to the pool without ever blocking the caller,
@@ -245,12 +324,13 @@ func (r *udpRelay) maybeSweep(now int64) {
 	}
 }
 
-// sweep expires sessions idle past the deadline: delete from the table
-// first (so the packet path creates replacements), then close.
+// sweep expires sessions idle past the deadline that no worker is
+// using: delete from the table first (so the packet path creates
+// replacements), then close.
 func (r *udpRelay) sweep() {
 	cutoff := r.e.clk.Nanos() - int64(r.idle)
 	removed := r.sessions.DeleteFunc(func(_ packet.FlowKey, s *udpSession) bool {
-		return s.lastUsed.Load() < cutoff
+		return s.lastUsed.Load() < cutoff && s.inflight.CompareAndSwap(0, retired)
 	})
 	for _, s := range removed {
 		s.sock.Close()
@@ -272,10 +352,11 @@ func (r *udpRelay) worker() {
 // process performs one datagram's blocking relay on the pool worker.
 func (r *udpRelay) process(j udpJob) {
 	s := j.sess
-	if s.sock.Closed() {
-		// The idle sweeper expired the session between enqueue and now.
-		// Replace it transparently (unless the whole relay is shutting
-		// down, where closed sockets mean teardown, not expiry).
+	first, ok := s.acquire()
+	for !ok {
+		// The session was retired between enqueue and now: its DNS
+		// transaction ended, or it expired or was evicted. Replace it
+		// transparently (unless the whole relay is shutting down).
 		if r.stopping.Load() {
 			return
 		}
@@ -283,12 +364,16 @@ func (r *udpRelay) process(j udpJob) {
 			r.e.ctr.udpDropped.Add(1)
 			return
 		}
+		first, ok = s.acquire()
+	}
+	defer r.release(s)
+	if s.sock.Closed() {
+		return // stop closed every socket: teardown, not a transaction
 	}
 	s.init(r.e)
-	if s.inflight.Add(1) == 1 {
+	if first {
 		r.drainStale(s)
 	}
-	defer s.inflight.Add(-1)
 	if s.dns {
 		if r.dnsStuck.Load() >= int64(r.dnsLimit) {
 			// dnsLimit workers already wait on a resolver that does not
@@ -353,7 +438,9 @@ func (r *udpRelay) drainStale(s *udpSession) {
 	}
 }
 
-// ActiveUDPSessions reports the live NAT-style UDP session count.
+// ActiveUDPSessions reports the live NAT-style UDP session count: the
+// non-DNS flows seen within udpSessionIdle plus the DNS queries still
+// awaiting their answer or timeout.
 func (e *Engine) ActiveUDPSessions() int {
 	return e.udp.sessions.Len()
 }

@@ -493,3 +493,86 @@ func TestUDPNoResponseAndLateRelayCounted(t *testing.T) {
 		t.Errorf("accounting: measured+timeouts+relayed+noresponse+dropped = %d, phone sent %d", got, sent)
 	}
 }
+
+// Each DNS query has its own NAT session, closed once the answer is
+// relayed, so a phone that resolves more names within udpSessionIdle
+// than the table holds is never shed. While sessions outlived their
+// query, lookup maxUDPSessions+1 found the table full of answered
+// queries and was dropped.
+func TestDNSLookupsBeyondNATCapNotShed(t *testing.T) {
+	tb := newTestbed(t, engine.Default())
+	tb.net.SetLoopback(true)
+	lookups := 2 * engine.MaxUDPSessions()
+	for i := 0; i < lookups; i++ {
+		if _, err := tb.phone.Resolve(uidApp, tb.dns, "example.com", time.Second); err != nil {
+			st := tb.eng.Stats()
+			t.Fatalf("lookup %d of %d: %v (%d shed, %d live NAT sessions)", i+1, lookups, err, st.UDPDropped, tb.eng.ActiveUDPSessions())
+		}
+	}
+	waitFor(t, 3*time.Second, func() bool { return tb.eng.Stats().DNSMeasurements == lookups }, "a DNS measurement per lookup")
+	st := tb.eng.Stats()
+	if st.UDPDropped != 0 || st.DNSTimeouts != 0 || st.UDPEvicted != 0 {
+		t.Errorf("%d sequential lookups: %d shed, %d timed out, %d evicted, want 0, 0 and 0", lookups, st.UDPDropped, st.DNSTimeouts, st.UDPEvicted)
+	}
+	waitFor(t, 3*time.Second, func() bool { return tb.eng.ActiveUDPSessions() == 0 }, "every answered query's session closed")
+}
+
+// A flood of distinct non-DNS flows, twice what the NAT table holds,
+// never takes the table past its cap: each newcomer evicts the idlest
+// session instead of being shed, every eviction is counted, and every
+// datagram still lands in exactly one counter.
+func TestUDPFloodNeverExceedsNATCap(t *testing.T) {
+	const maxSessions = 256 // the default's scan per eviction is slow under -race
+	engine.SetMaxUDPSessions(t, maxSessions)
+	cfg := engine.Default()
+	cfg.UDPTimeout = time.Millisecond // nothing answers; keep the pool moving
+	tb := newTestbed(t, cfg)
+	tb.net.SetLoopback(true)
+	u, err := tb.phone.OpenUDP(uidApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+
+	const flows = 2 * maxSessions
+	peak := 0
+	sample := func() {
+		if n := tb.eng.ActiveUDPSessions(); n > peak {
+			peak = n
+		}
+	}
+	base := netip.MustParseAddr("203.0.113.99")
+	for i := 0; i < flows; i++ {
+		// Distinct destination ports make distinct flows; no service
+		// listens there, so each datagram waits out UDPTimeout.
+		if err := u.SendTo(netip.AddrPortFrom(base, uint16(10000+i)), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if i%64 == 63 {
+			// Let the engine catch up so the TUN queue never overflows.
+			waitFor(t, 5*time.Second, func() bool {
+				sample()
+				return int64(tb.eng.Stats().PacketsFromTun) > int64(i)
+			}, "engine to read the flood")
+		}
+	}
+	sent := tb.phone.UDPDatagramsSent()
+	waitFor(t, 10*time.Second, func() bool {
+		sample()
+		st := tb.eng.Stats()
+		return int64(st.UDPNoResponse+st.UDPDropped) == sent
+	}, "every datagram accounted")
+	sample()
+	st := tb.eng.Stats()
+	if peak > maxSessions {
+		t.Errorf("NAT table peaked at %d sessions, cap %d", peak, maxSessions)
+	}
+	if st.UDPEvicted < flows-maxSessions {
+		t.Errorf("%d distinct flows into a %d-session table evicted %d, want at least %d",
+			flows, maxSessions, st.UDPEvicted, flows-maxSessions)
+	}
+	if st.UDPRelayed+st.UDPLateRelayed != 0 {
+		t.Errorf("nothing answers, yet %d relayed and %d late-relayed", st.UDPRelayed, st.UDPLateRelayed)
+	}
+	t.Logf("peak %d sessions, %d evicted, %d no response, %d dropped", peak, st.UDPEvicted, st.UDPNoResponse, st.UDPDropped)
+}

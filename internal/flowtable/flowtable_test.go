@@ -371,3 +371,52 @@ func TestDeleteFunc(t *testing.T) {
 		t.Fatalf("no-op DeleteFunc removed %d", len(got))
 	}
 }
+
+// CompareAndDelete removes an entry only while it holds the given
+// value: a stale owner cannot delete the value that replaced it.
+func TestCompareAndDelete(t *testing.T) {
+	type v struct{ n int }
+	tb := New[*v](4)
+	old, fresh := &v{1}, &v{2}
+	tb.Put(key(1), old)
+	tb.Put(key(1), fresh)
+	if CompareAndDelete(tb, key(1), old) {
+		t.Fatal("stale value deleted its successor")
+	}
+	if got, ok := tb.Get(key(1)); !ok || got != fresh || tb.Len() != 1 {
+		t.Fatalf("after stale delete: %v %v len %d", got, ok, tb.Len())
+	}
+	if !CompareAndDelete(tb, key(1), fresh) {
+		t.Fatal("current value not deleted")
+	}
+	if _, ok := tb.Get(key(1)); ok || tb.Len() != 0 {
+		t.Fatalf("entry survived: len %d", tb.Len())
+	}
+	if CompareAndDelete(tb, key(1), fresh) {
+		t.Fatal("deleted an absent key")
+	}
+}
+
+// Range visits every entry once and stops when fn returns false.
+func TestRangeVisitsAndStops(t *testing.T) {
+	tb := New[int](8)
+	for i := 0; i < 100; i++ {
+		tb.Put(key(i), i)
+	}
+	seen := map[int]bool{}
+	tb.Range(func(_ packet.FlowKey, v int) bool {
+		seen[v] = true
+		return true
+	})
+	if len(seen) != 100 {
+		t.Fatalf("visited %d of 100", len(seen))
+	}
+	calls := 0
+	tb.Range(func(packet.FlowKey, int) bool {
+		calls++
+		return calls < 3
+	})
+	if calls != 3 {
+		t.Fatalf("Range called fn %d times after it returned false on the 3rd", calls)
+	}
+}

@@ -439,9 +439,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, nil
 	}
-	if c.clientSide {
-		c.net.emit(WireEvent{At: c.net.clk.Nanos(), Kind: EventDataOut, Local: c.local, Remote: c.remote, Bytes: len(b)})
-	}
 	// Segment at a fraction of the receive buffer so no single chunk
 	// can exceed the peer's window — a write larger than the buffer
 	// must trickle through flow control, not wedge behind it.
@@ -454,9 +451,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if err := c.tx.send(b[off:end]); err != nil {
 			return off, err
 		}
-	}
-	if !c.clientSide {
-		c.net.emit(WireEvent{At: c.net.clk.Nanos(), Kind: EventDataIn, Local: c.remote, Remote: c.local, Bytes: len(b)})
 	}
 	return len(b), nil
 }
@@ -494,9 +488,6 @@ func (c *Conn) CloseWrite() error {
 	}
 	c.writeClosed = true
 	c.mu.Unlock()
-	if c.clientSide {
-		c.net.emit(WireEvent{At: c.net.clk.Nanos(), Kind: EventFINOut, Local: c.local, Remote: c.remote, Bytes: 40})
-	}
 	c.tx.closeWithEOF()
 	return nil
 }
@@ -529,7 +520,7 @@ func (c *Conn) Reset() error {
 	c.writeClosed = true
 	c.mu.Unlock()
 	if c.clientSide {
-		c.net.emit(WireEvent{At: c.net.clk.Nanos(), Kind: EventRST, Local: c.local, Remote: c.remote, Bytes: 40})
+		c.net.emit(WireEvent{At: c.net.clk.Nanos(), Kind: EventRST, Local: c.local, Remote: c.remote})
 	}
 	c.tx.abort()
 	c.rx.close()

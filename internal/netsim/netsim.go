@@ -11,8 +11,9 @@
 // do). That is exactly the behaviour the throughput experiment (Table 3)
 // and the accuracy experiment (Table 2) depend on.
 //
-// A wire sniffer hook observes packets at the phone's network interface,
-// playing the role tcpdump plays in the paper as ground truth.
+// A wire sniffer hook observes the handshake packets (SYN, SYN-ACK,
+// RST) at the phone's network interface, playing the role tcpdump
+// plays in the paper as ground truth.
 package netsim
 
 import (
@@ -124,7 +125,11 @@ func (ls *linkState) reserve(now int64, size int, down bool) time.Duration {
 	return time.Duration(*free - now)
 }
 
-// WireEventKind classifies sniffer events.
+// WireEventKind classifies sniffer events. The tap reports what a
+// handshake-RTT sniffer needs and nothing else: a SYN leaving, the
+// SYN-ACK or RST answering it, and a reset from the phone's side. Data,
+// FIN and UDP packets are not reported, so relayed traffic pays no
+// network lock, clock read or sniffer call per write.
 type WireEventKind int
 
 // Wire event kinds, named after what tcpdump would show.
@@ -132,12 +137,6 @@ const (
 	EventSYN WireEventKind = iota
 	EventSYNACK
 	EventRST
-	EventDataOut
-	EventDataIn
-	EventFINOut
-	EventFINIn
-	EventUDPOut
-	EventUDPIn
 )
 
 func (k WireEventKind) String() string {
@@ -148,18 +147,6 @@ func (k WireEventKind) String() string {
 		return "SYN-ACK"
 	case EventRST:
 		return "RST"
-	case EventDataOut:
-		return "DATA>"
-	case EventDataIn:
-		return "DATA<"
-	case EventFINOut:
-		return "FIN>"
-	case EventFINIn:
-		return "FIN<"
-	case EventUDPOut:
-		return "UDP>"
-	case EventUDPIn:
-		return "UDP<"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -171,7 +158,6 @@ type WireEvent struct {
 	Kind   WireEventKind
 	Local  netip.AddrPort
 	Remote netip.AddrPort
-	Bytes  int
 }
 
 // Sniffer receives wire events. Must be fast; called inline.
@@ -449,7 +435,7 @@ func (n *Network) Dial(src, dst netip.AddrPort) (*Conn, error) {
 		// Re-read per attempt: a timeline step may have shifted the link
 		// while this dial was waiting out an RTO.
 		link := ls.params()
-		n.emit(WireEvent{At: n.clk.Nanos(), Kind: EventSYN, Local: src, Remote: dst, Bytes: 40})
+		n.emit(WireEvent{At: n.clk.Nanos(), Kind: EventSYN, Local: src, Remote: dst})
 		if !loopback && n.drop(link.Loss) {
 			n.clk.Sleep(rto)
 			continue
@@ -470,11 +456,11 @@ func (n *Network) Dial(src, dst netip.AddrPort) (*Conn, error) {
 		if !ok {
 			// RST arrives after a full round trip.
 			n.clk.Sleep(rtt)
-			n.emit(WireEvent{At: n.clk.Nanos(), Kind: EventRST, Local: src, Remote: dst, Bytes: 40})
+			n.emit(WireEvent{At: n.clk.Nanos(), Kind: EventRST, Local: src, Remote: dst})
 			return nil, ErrRefused
 		}
 		n.clk.Sleep(rtt)
-		n.emit(WireEvent{At: n.clk.Nanos(), Kind: EventSYNACK, Local: src, Remote: dst, Bytes: 40})
+		n.emit(WireEvent{At: n.clk.Nanos(), Kind: EventSYNACK, Local: src, Remote: dst})
 		client, server := n.newConnPair(src, dst, ls)
 		go handler(server)
 		return client, nil

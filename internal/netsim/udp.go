@@ -24,7 +24,6 @@ func (n *Network) SendUDP(src, dst netip.AddrPort, payload []byte, deliver func(
 	if n.isClosed() {
 		return
 	}
-	n.emit(WireEvent{At: n.clk.Nanos(), Kind: EventUDPOut, Local: src, Remote: dst, Bytes: len(payload)})
 	ls := n.linkFor(dst.Addr())
 	link := ls.params()
 	if n.drop(link.Loss) {
@@ -43,7 +42,6 @@ func (n *Network) SendUDP(src, dst netip.AddrPort, payload []byte, deliver func(
 		if resp == nil {
 			return
 		}
-		n.emit(WireEvent{At: n.clk.Nanos(), Kind: EventUDPIn, Local: src, Remote: dst, Bytes: len(resp)})
 		deliver(resp)
 		return
 	}
@@ -74,7 +72,6 @@ func (n *Network) SendUDP(src, dst netip.AddrPort, payload []byte, deliver func(
 		if n.isClosed() {
 			return
 		}
-		n.emit(WireEvent{At: n.clk.Nanos(), Kind: EventUDPIn, Local: src, Remote: dst, Bytes: len(resp)})
 		deliver(resp)
 	}()
 }
