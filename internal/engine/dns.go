@@ -21,10 +21,9 @@ func newMachine(syn *packet.Packet, iss uint32, emit func(*packet.Packet)) (*tcp
 // The paper ran each transaction in a temporary thread so an
 // application-layer protocol never blocks the VpnService main thread
 // (§2.4). The pooled relay (udprelay.go) keeps that property — this
-// call is a session lookup plus a non-blocking enqueue — while bounding
-// goroutines and sockets under flood: the blocking send/receive now
-// runs on one of udpPoolSize pooled workers against the flow's
-// NAT-style session socket.
+// call is one non-blocking channel send — while bounding goroutines and
+// sockets under flood: a pool worker finds or creates the flow's
+// NAT-style session and runs the blocking send/receive on its socket.
 func (e *Engine) handleTunnelUDP(pkt *packet.Packet) {
 	// pkt.Payload aliases raw, which the device gets back when this
 	// returns, so the pool worker gets a copy of its own.

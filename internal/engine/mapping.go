@@ -157,11 +157,17 @@ type mapper struct {
 	// byRemote is the MapCache-mode cache keyed by remote endpoint.
 	byRemote map[netip.AddrPort]appInfo
 
-	parses   int             // parses performed
-	avoided  int             // resolutions that needed no parse of their own
-	misses   int             // resolutions that found no app
-	overhead []time.Duration // per-resolution mapping work (Figure 5)
+	resolutions int             // resolutions performed
+	parses      int             // parses performed
+	avoided     int             // resolutions that needed no parse of their own
+	misses      int             // resolutions that found no app
+	overhead    []time.Duration // the newest overheadSamples resolutions' mapping work (Figure 5), a ring
 }
+
+// overheadSamples bounds the mapping-overhead history: Figure 5 plots a
+// few hundred resolutions, and a phone that runs for days must not keep
+// one sample per flow it ever saw.
+const overheadSamples = 4096
 
 func newMapper(reader *procnet.Reader, pm *procnet.PackageManager, mode MappingMode, clk interface{ Nanos() int64 }) *mapper {
 	return &mapper{
@@ -219,7 +225,12 @@ func (m *mapper) resolve(local netip.AddrPort, remote netip.AddrPort, synAt int6
 	if m.mode == MapCache {
 		m.byRemote[remote] = info
 	}
-	m.overhead = append(m.overhead, d)
+	if len(m.overhead) < overheadSamples {
+		m.overhead = append(m.overhead, d)
+	} else {
+		m.overhead[m.resolutions%overheadSamples] = d
+	}
+	m.resolutions++
 	if info == unknownApp {
 		m.misses++
 	}
@@ -256,7 +267,8 @@ func (m *mapper) find(local netip.AddrPort, p *procParse) appInfo {
 
 // MappingStats summarises mapper behaviour for §3.3's evaluation: total
 // resolutions, how many performed a parse, how many were avoided, and
-// the per-resolution overhead samples for the Figure 5 CDFs.
+// the per-resolution overhead samples for the Figure 5 CDFs — the
+// newest 4,096, oldest first.
 type MappingStats struct {
 	Resolutions int
 	Parses      int
@@ -277,11 +289,15 @@ func (s MappingStats) MitigationRate() float64 {
 func (m *mapper) stats() MappingStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// Once the ring is full, the oldest sample is the next to be
+	// overwritten; before, next is len(m.overhead) and the tail empty.
+	next := m.resolutions % overheadSamples
+	overheads := make([]time.Duration, 0, len(m.overhead))
 	return MappingStats{
-		Resolutions: len(m.overhead),
+		Resolutions: m.resolutions,
 		Parses:      m.parses,
 		Avoided:     m.avoided,
 		Misses:      m.misses,
-		Overheads:   append([]time.Duration(nil), m.overhead...),
+		Overheads:   append(append(overheads, m.overhead[next:]...), m.overhead[:next]...),
 	}
 }

@@ -282,3 +282,34 @@ func TestLazyResolveAllocs(t *testing.T) {
 		t.Errorf("%d parses for %d resolutions: each resolution must run its own", st.Parses, st.Resolutions)
 	}
 }
+
+// rampClock advances by step on every reading, so a resolution's
+// overhead — two readings apart — is step.
+type rampClock struct{ t, step int64 }
+
+func (c *rampClock) Nanos() int64 { c.t += c.step; return c.t }
+
+// The mapper keeps only the newest overheadSamples overheads, oldest
+// first, however many resolutions it has made, while Resolutions counts
+// every one.
+func TestMappingOverheadsKeepNewestSamples(t *testing.T) {
+	clk := &rampClock{}
+	m := newMapper(procnet.NewReader(procnet.NewTable(), clock.NewReal(), procnet.ZeroParseCost(), 1), procnet.NewPackageManager(), MapOff, clk)
+	const n = overheadSamples + 100
+	for i := 1; i <= n; i++ {
+		clk.step = int64(i)
+		m.resolve(mapLocal, mapRemote, 0)
+	}
+	st := m.stats()
+	if st.Resolutions != n {
+		t.Errorf("Resolutions = %d, want %d", st.Resolutions, n)
+	}
+	if len(st.Overheads) != overheadSamples {
+		t.Fatalf("%d overhead samples after %d resolutions, want %d", len(st.Overheads), n, overheadSamples)
+	}
+	for i, d := range st.Overheads {
+		if want := time.Duration(n - overheadSamples + 1 + i); d != want {
+			t.Fatalf("Overheads[%d] = %v, want %v: not the newest samples, oldest first", i, d, want)
+		}
+	}
+}

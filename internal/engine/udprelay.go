@@ -33,14 +33,17 @@ import (
 //     the blocking relay work, fed by a bounded queue. When the queue
 //     is full the datagram is dropped — UDP's contract — and counted.
 //
-// The packet path (MainWorker or a pinned worker) only does a table hit
-// and a non-blocking enqueue, so an application-layer protocol can
-// never block it (§2.4's requirement, kept under flood).
+// The packet path (MainWorker or a pinned worker) only hands the
+// datagram to the queue with a non-blocking send, so an
+// application-layer protocol can never block it (§2.4's requirement,
+// kept under flood). The pool worker owns the table: it finds or
+// creates the flow's session and starts its transaction in one step,
+// so no session is retired between lookup and use.
 //
-// Idle expiry runs as an ordinary pool job: the enqueue path
-// occasionally (every idle/2) schedules a sweep instead of a dedicated
-// janitor goroutine, keeping the subsystem's goroutine count exactly
-// udpPoolSize.
+// Idle expiry runs on a pool worker too: before its datagram, a worker
+// sweeps if idle/2 of clock time has passed since the last sweep, so
+// no janitor goroutine is needed and the subsystem's goroutine count
+// stays exactly udpPoolSize.
 //
 // Every removal — a DNS transaction's end, the idle sweep, an eviction
 // — first moves the session's inflight count to retired with a
@@ -123,10 +126,10 @@ func (s *udpSession) init(e *Engine) {
 	})
 }
 
-// udpJob is one datagram awaiting a pool worker; a nil session marks a
-// sweep request.
+// udpJob is one datagram awaiting a pool worker. The queue holds
+// pointers: as values its 1,024 slots would pin 96 KB per engine.
 type udpJob struct {
-	sess    *udpSession
+	flow    packet.FlowKey
 	payload []byte
 }
 
@@ -148,11 +151,12 @@ type udpRelay struct {
 
 	// createMu serialises session creation, so the cap check and the
 	// insert that follows it cannot interleave with another creator's.
+	// It also guards stopping: once stop sets it, nothing is inserted.
 	createMu sync.Mutex
+	stopping bool
 
-	jobs      chan udpJob
+	jobs      chan *udpJob
 	stopOnce  sync.Once
-	stopping  atomic.Bool
 	wg        sync.WaitGroup
 	lastSweep atomic.Int64
 }
@@ -164,7 +168,7 @@ func newUDPRelay(e *Engine) *udpRelay {
 		idle:     udpSessionIdle,
 		pool:     udpPoolSize,
 		dnsLimit: max(1, udpPoolSize/2),
-		jobs:     make(chan udpJob, udpJobQueueDepth),
+		jobs:     make(chan *udpJob, udpJobQueueDepth),
 	}
 }
 
@@ -177,13 +181,16 @@ func (r *udpRelay) start() {
 
 // stop closes the pool. The packet-processing threads have already
 // exited (the engine waits for them first), so no new jobs can arrive
-// and closing the channel cannot race an enqueue; closing every
-// session socket releases any worker still blocked in a receive, and
-// the queue drains fast against closed sockets.
+// and closing the channel cannot race a relay. Once stopping is set no
+// session is created, so the drain leaves the table empty for good;
+// closing every drained socket releases any worker still blocked in a
+// receive, and the queued jobs then end at once.
 func (r *udpRelay) stop() {
 	r.stopOnce.Do(func() {
-		r.stopping.Store(true)
 		close(r.jobs)
+		r.createMu.Lock()
+		r.stopping = true
+		r.createMu.Unlock()
 		for _, s := range r.sessions.Drain() {
 			s.sock.Close()
 		}
@@ -191,59 +198,68 @@ func (r *udpRelay) stop() {
 	})
 }
 
-// relay is the packet-path entry: session lookup/create plus a
-// non-blocking enqueue. Called from MainWorker or a pinned worker, so
-// per-flow it is serial; the PutIfAbsent guards the polled single-
-// worker loop's interleavings all the same.
+// relay is the packet-path entry: a non-blocking hand-off to the pool.
+// A full queue drops the datagram.
 func (r *udpRelay) relay(flow packet.FlowKey, payload []byte) {
-	now := r.e.clk.Nanos()
-	sess := r.session(flow, now)
-	if sess == nil {
-		r.e.ctr.udpDropped.Add(1)
-		return
-	}
-	if !r.enqueue(udpJob{sess: sess, payload: payload}) {
+	select {
+	case r.jobs <- &udpJob{flow: flow, payload: payload}:
+	default:
 		r.e.ctr.udpDropped.Add(1)
 	}
-	r.maybeSweep(now)
 }
 
-// session returns the flow's live session, creating one if needed. A
-// nil return means every session in a full NAT table is mid-transaction
-// and the datagram must be dropped.
-func (r *udpRelay) session(flow packet.FlowKey, now int64) *udpSession {
-	if sess, ok := r.sessions.Get(flow); ok {
-		if sess.inflight.Load() != retired {
-			sess.lastUsed.Store(now)
-			return sess
-		}
-		// Retired but not yet deleted by whoever retired it: delete it
-		// here so the new session can take its place.
-		flowtable.CompareAndDelete(r.sessions, flow, sess)
+// session starts a transaction on the flow's live session, creating
+// the session if needed; first reports that no other worker is
+// mid-transaction on it. A nil session means the relay is stopping, or
+// every session in a full NAT table is mid-transaction and the datagram
+// was dropped.
+func (r *udpRelay) session(flow packet.FlowKey, now int64) (s *udpSession, first bool) {
+	if s, first, ok := r.lookup(flow, now); ok {
+		return s, first
 	}
 	r.createMu.Lock()
 	defer r.createMu.Unlock()
+	if r.stopping {
+		return nil, false
+	}
+	// Another worker may have created it while this one waited.
+	if s, first, ok := r.lookup(flow, now); ok {
+		return s, first
+	}
 	for r.sessions.Len() >= maxUDPSessions {
 		if !r.evictIdlest() {
-			return nil
+			r.e.ctr.udpDropped.Add(1)
+			return nil, false
 		}
 	}
-	fresh := &udpSession{
+	s = &udpSession{
 		flow:      flow,
 		sock:      r.e.prov.OpenUDP(),
 		dns:       flow.Dst.Port() == 53,
 		createdAt: now,
 	}
-	// Stamp before publishing: a session entering the table with a
-	// zero lastUsed would look idle-since-epoch to a concurrently
-	// running sweep and be expired before its first datagram.
-	fresh.lastUsed.Store(now)
-	winner, stored := r.sessions.PutIfAbsent(flow, fresh)
-	if !stored {
-		fresh.sock.Close()
-		winner.lastUsed.Store(now)
+	// Published mid-transaction and stamped: no sweep or eviction can
+	// retire it before this worker is done with it.
+	s.inflight.Store(1)
+	s.lastUsed.Store(now)
+	r.sessions.Put(flow, s)
+	return s, true
+}
+
+// lookup starts a transaction on the flow's session in the table, if it
+// is live. A retired one is deleted, so a new session can take its
+// place.
+func (r *udpRelay) lookup(flow packet.FlowKey, now int64) (s *udpSession, first, ok bool) {
+	s, ok = r.sessions.Get(flow)
+	if !ok {
+		return nil, false, false
 	}
-	return winner
+	if first, ok = s.acquire(); !ok {
+		flowtable.CompareAndDelete(r.sessions, flow, s)
+		return nil, false, false
+	}
+	s.lastUsed.Store(now)
+	return s, first, true
 }
 
 // evictIdlest retires the least recently used session that no worker
@@ -295,40 +311,20 @@ func (r *udpRelay) release(s *udpSession) {
 	}
 }
 
-// enqueue hands a job to the pool without ever blocking the caller,
-// reporting whether it was accepted (false means queue overflow).
-// Lock-free by the lifecycle invariant stop() documents: every
-// enqueuer is a packet-processing thread the engine joins before the
-// channel closes, so a send can never race the close.
-func (r *udpRelay) enqueue(j udpJob) bool {
-	select {
-	case r.jobs <- j:
-		return true
-	default:
-		return false
-	}
-}
-
-// maybeSweep schedules an idle sweep every idle/2 of clock time. A
-// sweep is never lost to queue overflow — under exactly that pressure
-// reclaiming sessions matters most — so on overflow it runs inline.
+// maybeSweep runs an idle sweep every idle/2 of clock time; of the
+// workers that see it due, one sweeps.
 func (r *udpRelay) maybeSweep(now int64) {
 	last := r.lastSweep.Load()
-	if now-last < int64(r.idle/2) {
-		return
-	}
-	if r.lastSweep.CompareAndSwap(last, now) {
-		if !r.enqueue(udpJob{}) {
-			r.sweep()
-		}
+	if now-last >= int64(r.idle/2) && r.lastSweep.CompareAndSwap(last, now) {
+		r.sweep(now)
 	}
 }
 
 // sweep expires sessions idle past the deadline that no worker is
-// using: delete from the table first (so the packet path creates
-// replacements), then close.
-func (r *udpRelay) sweep() {
-	cutoff := r.e.clk.Nanos() - int64(r.idle)
+// using: delete from the table first (so a later datagram creates a
+// replacement), then close.
+func (r *udpRelay) sweep(now int64) {
+	cutoff := now - int64(r.idle)
 	removed := r.sessions.DeleteFunc(func(_ packet.FlowKey, s *udpSession) bool {
 		return s.lastUsed.Load() < cutoff && s.inflight.CompareAndSwap(0, retired)
 	})
@@ -341,30 +337,17 @@ func (r *udpRelay) sweep() {
 func (r *udpRelay) worker() {
 	defer r.wg.Done()
 	for j := range r.jobs {
-		if j.sess == nil {
-			r.sweep()
-			continue
-		}
 		r.process(j)
 	}
 }
 
 // process performs one datagram's blocking relay on the pool worker.
-func (r *udpRelay) process(j udpJob) {
-	s := j.sess
-	first, ok := s.acquire()
-	for !ok {
-		// The session was retired between enqueue and now: its DNS
-		// transaction ended, or it expired or was evicted. Replace it
-		// transparently (unless the whole relay is shutting down).
-		if r.stopping.Load() {
-			return
-		}
-		if s = r.session(s.flow, r.e.clk.Nanos()); s == nil {
-			r.e.ctr.udpDropped.Add(1)
-			return
-		}
-		first, ok = s.acquire()
+func (r *udpRelay) process(j *udpJob) {
+	now := r.e.clk.Nanos()
+	r.maybeSweep(now)
+	s, first := r.session(j.flow, now)
+	if s == nil {
+		return
 	}
 	defer r.release(s)
 	if s.sock.Closed() {

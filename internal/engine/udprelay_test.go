@@ -112,7 +112,7 @@ func TestUDPSessionReuseAndExpiry(t *testing.T) {
 	}
 
 	// Let the session go idle past the deadline, then poke the relay
-	// from a different flow so the enqueue path schedules a sweep.
+	// from a different flow so a pool worker runs a sweep.
 	time.Sleep(2 * idle)
 	u2, err := tb.phone.OpenUDP(uidApp)
 	if err != nil {
@@ -519,8 +519,8 @@ func TestDNSLookupsBeyondNATCapNotShed(t *testing.T) {
 
 // A flood of distinct non-DNS flows, twice what the NAT table holds,
 // never takes the table past its cap: each newcomer evicts the idlest
-// session instead of being shed, every eviction is counted, and every
-// datagram still lands in exactly one counter.
+// session instead of being shed, exactly one eviction per flow past the
+// cap is counted, and every datagram still lands in exactly one counter.
 func TestUDPFloodNeverExceedsNATCap(t *testing.T) {
 	const maxSessions = 256 // the default's scan per eviction is slow under -race
 	engine.SetMaxUDPSessions(t, maxSessions)
@@ -567,12 +567,54 @@ func TestUDPFloodNeverExceedsNATCap(t *testing.T) {
 	if peak > maxSessions {
 		t.Errorf("NAT table peaked at %d sessions, cap %d", peak, maxSessions)
 	}
-	if st.UDPEvicted < flows-maxSessions {
-		t.Errorf("%d distinct flows into a %d-session table evicted %d, want at least %d",
+	// One eviction per flow past the cap: a queued datagram never loses
+	// its session and evicts another to replace it.
+	if st.UDPEvicted != flows-maxSessions {
+		t.Errorf("%d distinct flows into a %d-session table evicted %d, want %d",
 			flows, maxSessions, st.UDPEvicted, flows-maxSessions)
+	}
+	if st.UDPDropped != 0 {
+		t.Errorf("%d datagrams dropped, want 0: the queue holds the flood and every newcomer can evict",
+			st.UDPDropped)
 	}
 	if st.UDPRelayed+st.UDPLateRelayed != 0 {
 		t.Errorf("nothing answers, yet %d relayed and %d late-relayed", st.UDPRelayed, st.UDPLateRelayed)
 	}
 	t.Logf("peak %d sessions, %d evicted, %d no response, %d dropped", peak, st.UDPEvicted, st.UDPNoResponse, st.UDPDropped)
+}
+
+// Stopping an engine whose UDP queue still holds datagrams leaves no
+// NAT session behind and waits for no receive window: the queued jobs
+// end at once instead of creating sessions after the table was drained.
+func TestStopWithQueuedUDPJobsLeavesNoSessions(t *testing.T) {
+	engine.SetUDPPoolSize(t, 1)
+	cfg := engine.Default()
+	cfg.UDPTimeout = 2 * time.Second // nothing answers: the one worker blocks
+	tb := newTestbed(t, cfg)
+	tb.net.SetLoopback(true)
+	u, err := tb.phone.OpenUDP(uidApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+
+	const flows = 16
+	base := netip.MustParseAddr("203.0.113.99")
+	for i := 0; i < flows; i++ {
+		if err := u.SendTo(netip.AddrPortFrom(base, uint16(20000+i)), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return int64(tb.eng.Stats().PacketsFromTun) >= flows
+	}, "the engine to queue every datagram")
+
+	start := time.Now()
+	tb.eng.Stop()
+	if elapsed := time.Since(start); elapsed > cfg.UDPTimeout/10 {
+		t.Errorf("Stop took %v with UDP jobs queued, want well under the %v receive window", elapsed, cfg.UDPTimeout)
+	}
+	if n := tb.eng.ActiveUDPSessions(); n != 0 {
+		t.Errorf("%d NAT sessions left after Stop, want 0", n)
+	}
 }

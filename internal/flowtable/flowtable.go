@@ -130,20 +130,6 @@ func (t *Table[V]) Put(k packet.FlowKey, v V) {
 	}
 }
 
-// PutIfAbsent stores v under k unless a value already exists; it
-// returns the value now in the table and whether the store happened.
-func (t *Table[V]) PutIfAbsent(k packet.FlowKey, v V) (V, bool) {
-	s := &t.shards[t.Shard(k)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.flows[k]; ok {
-		return old, false
-	}
-	s.flows[k] = v
-	t.size.Add(1)
-	return v, true
-}
-
 // Delete removes k. It reports whether a value was present.
 func (t *Table[V]) Delete(k packet.FlowKey) bool {
 	s := &t.shards[t.Shard(k)]

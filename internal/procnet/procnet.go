@@ -461,7 +461,6 @@ type Reader struct {
 	rng    *rand.Rand
 	parses int
 	spent  time.Duration
-	costs  []time.Duration
 }
 
 // NewReader creates a reader over a table.
@@ -494,7 +493,6 @@ func (r *Reader) AppendParse(dst []Entry, p Proto) ([]Entry, error) {
 	r.mu.Lock()
 	r.parses++
 	r.spent += cost
-	r.costs = append(r.costs, cost)
 	r.mu.Unlock()
 	return dst, nil
 }
@@ -541,12 +539,11 @@ func (r *Reader) drawCost(entries int) time.Duration {
 	return c
 }
 
-// Stats reports parses performed, total simulated time charged, and the
-// per-parse cost samples (for the Figure 5 CDFs).
-func (r *Reader) Stats() (parses int, spent time.Duration, samples []time.Duration) {
+// Stats reports parses performed and total simulated time charged.
+func (r *Reader) Stats() (parses int, spent time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.parses, r.spent, append([]time.Duration(nil), r.costs...)
+	return r.parses, r.spent
 }
 
 // PackageManager maps UIDs to app package names, the role Android's

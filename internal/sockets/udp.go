@@ -73,8 +73,8 @@ func (u *UDPSocket) Recv(timeout time.Duration) ([]byte, error) {
 func (u *UDPSocket) TryRecv() ([]byte, bool) { return u.inbox.TryRecv() }
 
 // Closed reports whether the socket has been released. The pooled UDP
-// relay checks this after a session-table hit so a session the idle
-// sweeper just expired is replaced instead of reused.
+// relay checks this before a transaction, so a worker whose session
+// socket the relay's shutdown closed sends nothing on it.
 func (u *UDPSocket) Closed() bool { return u.inbox.Closed() }
 
 // Close releases the socket, waking every receiver.
