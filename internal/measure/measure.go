@@ -73,8 +73,8 @@ func (r Record) NetKey() string {
 // live subscriptions (broadcast.go). The snapshot accessors and the
 // subscription stream observe the same records in the same order; the
 // stream is the push view, the snapshot the pull view. Records are
-// held as pointer-free rows over interning tables (rows.go), so At
-// reads back as At.Round(0).
+// held as 32-byte pointer-free rows over interned sources, domains and
+// destinations (rows.go), so At reads back as At.Round(0).
 type Store struct {
 	mu   sync.Mutex
 	recs []row
@@ -113,10 +113,10 @@ func (s *Store) Len() int {
 	return len(s.recs)
 }
 
-// InternedValues returns the number of distinct non-empty strings,
-// non-zero destinations and network contexts the store's rows refer
-// to: the part of its memory that grows with distinct values, not with
-// records.
+// InternedValues returns the number of distinct non-empty domains,
+// non-zero destinations and sources (app, UID, network and zone) the
+// store's rows refer to: the part of its memory that grows with
+// distinct values, not with records.
 func (s *Store) InternedValues() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,29 +9,29 @@ import (
 // measurement it makes, one per flow, for as long as it runs, so the
 // log is the largest structure it retains. Each record is stored as a
 // row: a fixed-size value without pointers, so the GC never scans the
-// log, whose strings, destination and clock zone are ids into
-// interning tables that grow only with distinct values.
+// log, whose source, domain and destination are ids into interning
+// tables that grow only with distinct values.
 //
 // Every field reads back unchanged except At, which reads back as
 // At.Round(0): the same instant and Location, without the monotonic
 // clock reading. A zero At reads back as time.Time{}.
 
-// row is one stored record: 48 bytes, no pointers.
+// row is one stored record: 32 bytes, no pointers, no padding.
 type row struct {
-	uid  int64
 	rtt  int64
 	sec  int64 // At.Unix()
 	nsec int32 // At.Nanosecond(); -1 for a zero At
-	app  uint32
+	src  uint32
 	dom  uint32
 	dst  uint32
-	ctx  uint32
 }
 
-// recContext holds the fields that change only with the network or the
-// clock's zone, so a run stores a handful of them.
-type recContext struct {
+// source holds the fields that change only with the app, the network
+// or the clock's zone, so a run stores a handful of them.
+type source struct {
 	kind    Kind
+	uid     int
+	app     string
 	netType string
 	isp     string
 	country string
@@ -40,7 +40,7 @@ type recContext struct {
 }
 
 // interner assigns ids to distinct values in first-seen order. Id 0 is
-// the zero value, which needs no entry; a context always carries a
+// the zero value, which needs no entry; a source always carries a
 // Location, so it never has id 0.
 type interner[T comparable] struct {
 	vals []T
@@ -75,23 +75,22 @@ func (in *interner[T]) value(id uint32) T {
 
 // tables are a Store's interning tables, guarded by Store.mu.
 type tables struct {
-	strs interner[string]
+	doms interner[string]
 	dsts interner[netip.AddrPort]
-	ctxs interner[recContext]
+	srcs interner[source]
 }
 
 // row interns r's values and returns the row that holds it.
 func (t *tables) row(r Record) row {
 	w := row{
-		uid:  int64(r.UID),
 		rtt:  int64(r.RTT),
 		nsec: -1,
-		app:  t.strs.id(r.App),
-		dom:  t.strs.id(r.Domain),
+		dom:  t.doms.id(r.Domain),
 		dst:  t.dsts.id(r.Dst),
 	}
-	w.ctx = t.ctxs.id(recContext{
-		kind: r.Kind, netType: r.NetType, isp: r.ISP, country: r.Country, device: r.Device,
+	w.src = t.srcs.id(source{
+		kind: r.Kind, uid: r.UID, app: r.App,
+		netType: r.NetType, isp: r.ISP, country: r.Country, device: r.Device,
 		loc: r.At.Location(),
 	})
 	if !r.At.IsZero() {
@@ -103,13 +102,13 @@ func (t *tables) row(r Record) row {
 // record rebuilds the Record a row holds. It allocates nothing: the
 // strings and the Location are the tables' own.
 func (t *tables) record(w row) Record {
-	c := t.ctxs.value(w.ctx)
+	c := t.srcs.value(w.src)
 	r := Record{
 		Kind:    c.kind,
-		App:     t.strs.value(w.app),
-		UID:     int(w.uid),
+		App:     c.app,
+		UID:     c.uid,
 		Dst:     t.dsts.value(w.dst),
-		Domain:  t.strs.value(w.dom),
+		Domain:  t.doms.value(w.dom),
 		RTT:     time.Duration(w.rtt),
 		NetType: c.netType,
 		ISP:     c.isp,
@@ -124,5 +123,5 @@ func (t *tables) record(w row) Record {
 
 // interned reports how many distinct non-zero values the tables hold.
 func (t *tables) interned() int {
-	return len(t.strs.ids) + len(t.dsts.ids) + len(t.ctxs.ids)
+	return len(t.doms.ids) + len(t.dsts.ids) + len(t.srcs.ids)
 }

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,11 @@ func roundTripCases() []Record {
 		{Kind: Kind(-3), App: "", UID: math.MinInt64, Dst: netip.MustParseAddrPort("0.0.0.0:0"),
 			At: time.Unix(253_402_300_799, 999_999_999).UTC()},
 		{App: "zero instant in a zone", At: time.Time{}.In(time.FixedZone("Z", 3600))},
+		// One app under a second UID and on a second network: each is
+		// its own source, so none may read back another's fields.
+		{Kind: KindTCP, App: "com.example.app", UID: 10043, Dst: netip.MustParseAddrPort("203.0.113.7:443"),
+			Domain: "api.example.com", RTT: 32 * time.Millisecond, At: time.Unix(1_500_000_002, 5).UTC(),
+			NetType: "LTE", ISP: "Carrier", Country: "MY", Device: "d1"},
 	}
 }
 
@@ -100,7 +106,7 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // The log is never scanned by the GC: a row holds no pointers, and it
-// stays within 48 bytes.
+// stays within 32 bytes.
 func TestStoreRowIsPointerFree(t *testing.T) {
 	var check func(reflect.Type, string)
 	check = func(typ reflect.Type, path string) {
@@ -121,14 +127,14 @@ func TestStoreRowIsPointerFree(t *testing.T) {
 	}
 	typ := reflect.TypeFor[row]()
 	check(typ, "row")
-	if typ.Size() > 48 {
-		t.Errorf("row is %d bytes, want at most 48", typ.Size())
+	if typ.Size() > 32 {
+		t.Errorf("row is %d bytes, want at most 32", typ.Size())
 	}
 }
 
 // A record costs its row and the log's append slack; the tables grow
-// with distinct values only. A Record-per-record log reads 176 B plus
-// slack here.
+// with distinct values only: here 12 apps on 2 networks are 24
+// sources. A Record-per-record log reads 176 B plus slack here.
 func TestStoreBytesPerRecord(t *testing.T) {
 	const n = 100_000
 	apps := make([]string, 12)
@@ -164,10 +170,49 @@ func TestStoreBytesPerRecord(t *testing.T) {
 
 	perRecord := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
 	t.Logf("%.1f B per record, %d interned values", perRecord, s.InternedValues())
-	if perRecord > 64 {
-		t.Errorf("store holds %.1f B per record, want at most 64", perRecord)
+	if perRecord > 40 {
+		t.Errorf("store holds %.1f B per record, want at most 40", perRecord)
 	}
-	if got, want := s.InternedValues(), len(apps)+len(domains)+len(dsts)+len(nets); got != want {
+	if got, want := s.InternedValues(), len(domains)+len(dsts)+len(apps)*len(nets); got != want {
+		t.Errorf("%d interned values, want %d", got, want)
+	}
+}
+
+// The worst case for the tables: every DNS record names a new domain,
+// so each costs its row, its string and its map entry.
+func TestStoreBytesPerDistinctDomain(t *testing.T) {
+	const n = 100_000
+	domains := make([]string, n)
+	for i := range domains {
+		domains[i] = "host" + strconv.Itoa(i) + ".example"
+	}
+	resolver := netip.MustParseAddrPort("10.0.0.53:53")
+	base := time.Unix(1_500_000_000, 0).UTC()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewStore()
+	for i, d := range domains {
+		s.Add(Record{
+			Kind: KindDNS, App: "system.dns", Dst: resolver, Domain: d,
+			RTT: time.Duration(i) * time.Microsecond, At: base.Add(time.Duration(i) * time.Millisecond),
+			NetType: "WiFi", ISP: "ISP", Country: "SG", Device: "d1",
+		})
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+
+	// The domain strings were live before the store took them.
+	perRecord := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("%.1f B per record, %d interned values", perRecord, s.InternedValues())
+	if perRecord > 80 {
+		t.Errorf("store holds %.1f B per record, want at most 80", perRecord)
+	}
+	if got, want := s.InternedValues(), n+2; got != want {
 		t.Errorf("%d interned values, want %d", got, want)
 	}
 }

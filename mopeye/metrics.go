@@ -34,7 +34,7 @@ func registerStoreMetrics(r *metrics.Registry, st *measure.Store) {
 		"Measurements held in the store.",
 		func() float64 { return float64(st.Len()) })
 	r.GaugeFunc("mopeye_store_interned_values",
-		"Distinct strings, destinations and network contexts the stored measurements refer to.",
+		"Distinct domains, destinations and sources the stored measurements refer to.",
 		func() float64 { return float64(st.InternedValues()) })
 }
 

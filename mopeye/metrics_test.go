@@ -63,29 +63,28 @@ func TestPhoneMetricsExposition(t *testing.T) {
 }
 
 // distinctValues counts what a store's interning tables hold for recs:
-// the distinct non-empty App and Domain strings, the distinct non-zero
-// destinations, and the distinct network and zone contexts.
+// the distinct non-empty domains, the distinct non-zero destinations,
+// and the distinct sources (app, UID, network and zone).
 func distinctValues(recs []Measurement) int {
-	type netContext struct {
-		kind                          measure.Kind
-		netType, isp, country, device string
-		loc                           *time.Location
+	type source struct {
+		kind                               measure.Kind
+		uid                                int
+		app, netType, isp, country, device string
+		loc                                *time.Location
 	}
-	strs := map[string]bool{}
+	doms := map[string]bool{}
 	dsts := map[netip.AddrPort]bool{}
-	ctxs := map[netContext]bool{}
+	srcs := map[source]bool{}
 	for _, r := range recs {
-		for _, v := range []string{r.App, r.Domain} {
-			if v != "" {
-				strs[v] = true
-			}
+		if r.Domain != "" {
+			doms[r.Domain] = true
 		}
 		if r.Dst != (netip.AddrPort{}) {
 			dsts[r.Dst] = true
 		}
-		ctxs[netContext{r.Kind, r.NetType, r.ISP, r.Country, r.Device, r.At.Location()}] = true
+		srcs[source{r.Kind, r.UID, r.App, r.NetType, r.ISP, r.Country, r.Device, r.At.Location()}] = true
 	}
-	return len(strs) + len(dsts) + len(ctxs)
+	return len(doms) + len(dsts) + len(srcs)
 }
 
 func TestPhoneMetricsHandler(t *testing.T) {
