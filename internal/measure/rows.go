@@ -102,21 +102,21 @@ func (t *tables) row(r Record) row {
 // record rebuilds the Record a row holds. It allocates nothing: the
 // strings and the Location are the tables' own.
 func (t *tables) record(w row) Record {
-	c := t.srcs.value(w.src)
+	src := t.srcs.value(w.src)
 	r := Record{
-		Kind:    c.kind,
-		App:     c.app,
-		UID:     c.uid,
+		Kind:    src.kind,
+		App:     src.app,
+		UID:     src.uid,
 		Dst:     t.dsts.value(w.dst),
 		Domain:  t.doms.value(w.dom),
 		RTT:     time.Duration(w.rtt),
-		NetType: c.netType,
-		ISP:     c.isp,
-		Country: c.country,
-		Device:  c.device,
+		NetType: src.netType,
+		ISP:     src.isp,
+		Country: src.country,
+		Device:  src.device,
 	}
 	if w.nsec >= 0 {
-		r.At = time.Unix(w.sec, int64(w.nsec)).In(c.loc)
+		r.At = time.Unix(w.sec, int64(w.nsec)).In(src.loc)
 	}
 	return r
 }
