@@ -139,11 +139,11 @@ type ingestShard struct {
 	recCount atomic.Int64
 }
 
-// hashDevice returns a stable 64-bit hash of a device stamp (FNV-1a
-// with a murmur-style avalanche finisher — the same construction as
-// flowtable.Hash, for the same reason: device stamps are structured
-// strings like "phone-07", and plain FNV's low bits are too regular on
-// such inputs to spread shards evenly).
+// hashDevice returns a stable 64-bit hash of a device stamp: FNV-1a
+// over its bytes, then a murmur-style avalanche finisher. Device stamps
+// are structured strings like "phone-07", and plain FNV's low bits are
+// too regular on such inputs to spread shards evenly; the finisher
+// carries every input bit into the low bits the shard index uses.
 func hashDevice(device string) uint64 {
 	const (
 		offset64 = 14695981039346656037

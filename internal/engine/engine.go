@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -59,8 +60,10 @@ type Engine struct {
 	histMu    sync.Mutex
 	writeHist stats.DelayHistogram
 
-	mu      sync.Mutex // lifecycle state only
-	running bool
+	mu sync.Mutex // lifecycle transitions and admitConnect
+	// running is written under mu; the TunReader reads it after every
+	// tunnel read without the lock.
+	running atomic.Bool
 	wg      sync.WaitGroup
 	connect sync.WaitGroup // socket-connect threads Stop waits for
 }

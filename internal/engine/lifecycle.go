@@ -8,11 +8,11 @@ package engine
 // is best invoked during the initialization of MopEye").
 func (e *Engine) Start() {
 	e.mu.Lock()
-	if e.running {
+	if e.running.Load() {
 		e.mu.Unlock()
 		return
 	}
-	e.running = true
+	e.running.Store(true)
 	e.mu.Unlock()
 
 	if e.cfg.Protect == ProtectDisallowed {
@@ -44,11 +44,11 @@ func (e *Engine) Start() {
 // closing the flows below closes its channel.
 func (e *Engine) Stop() {
 	e.mu.Lock()
-	if !e.running {
+	if !e.running.Load() {
 		e.mu.Unlock()
 		return
 	}
-	e.running = false
+	e.running.Store(false)
 	e.mu.Unlock()
 
 	// Release a TunReader blocked in read() by injecting a dummy packet
@@ -83,14 +83,9 @@ func (e *Engine) Stop() {
 func (e *Engine) admitConnect() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.running {
+	if e.running.Load() {
 		e.connect.Add(1)
+		return true
 	}
-	return e.running
-}
-
-func (e *Engine) isRunning() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.running
+	return false
 }

@@ -79,9 +79,19 @@ func newPacketQueue(clk clock.Clock, newPut bool, seed int64) *packetQueue {
 // the put histogram (the oldPut/newPut columns of Table 1). Ownership
 // of raw moves to the queue and then to TunWriter; a closed queue
 // releases it (tun.ReleaseBuffer).
+//
+// The histogram's resolution is 1 ms, so put reads the clock only
+// where a span can reach it: when it has to wait for the lock, when
+// the writer is waiting (the parkAfter check), and when it charges a
+// handoff. An uncontended put that charges none has no wait in its
+// span and records 0, inside the one hold of q.mu that enqueued it.
 func (q *packetQueue) put(raw []byte) {
-	start := q.clk.Nanos()
-	q.mu.Lock()
+	var start int64
+	contended := !q.mu.TryLock()
+	if contended {
+		start = q.clk.Nanos()
+		q.mu.Lock()
+	}
 	if q.closed {
 		q.mu.Unlock()
 		tun.ReleaseBuffer(raw)
@@ -91,14 +101,24 @@ func (q *packetQueue) put(raw []byte) {
 	var handoff time.Duration
 	if q.waiting {
 		q.cond.Signal()
+		if !contended {
+			start = q.clk.Nanos()
+		}
 		if !q.newPut || start-q.idleSince >= int64(parkAfter) {
 			handoff = notifyHandoff(q.rng)
 		}
 	}
-	q.mu.Unlock()
-	if handoff > 0 {
-		q.clk.SleepFine(handoff)
+	if handoff == 0 {
+		var d time.Duration
+		if contended {
+			d = time.Duration(q.clk.Nanos() - start)
+		}
+		q.putHist.Add(d)
+		q.mu.Unlock()
+		return
 	}
+	q.mu.Unlock()
+	q.clk.SleepFine(handoff)
 	d := time.Duration(q.clk.Nanos() - start)
 	q.mu.Lock()
 	q.putHist.Add(d)
@@ -106,20 +126,23 @@ func (q *packetQueue) put(raw []byte) {
 }
 
 // take dequeues the next packet for TunWriter, blocking while the queue
-// is empty. ok is false when the queue is closed and empty.
-func (q *packetQueue) take() (raw []byte, ok bool) {
+// is empty. ok is false when the queue is closed and empty; waited
+// reports that take blocked before it found the packet.
+func (q *packetQueue) take() (raw []byte, waited, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.items.Len() == 0 {
 		if q.closed {
-			return nil, false
+			return nil, waited, false
 		}
+		waited = true
 		q.waiting = true
 		q.idleSince = q.clk.Nanos()
 		q.cond.Wait()
 		q.waiting = false
 	}
-	return q.items.Pop()
+	raw, ok = q.items.Pop()
+	return raw, waited, ok
 }
 
 func (q *packetQueue) close() {

@@ -21,7 +21,7 @@ func TestNewPutWriterIdleCPU(t *testing.T) {
 	go func() {
 		defer close(done)
 		for {
-			if _, ok := q.take(); !ok {
+			if _, _, ok := q.take(); !ok {
 				return
 			}
 		}

@@ -26,7 +26,7 @@ func TestPacketQueueSteadyStateAllocFree(t *testing.T) {
 		q := newPacketQueue(clock.NewReal(), newPut, 1)
 		if allocs := testing.AllocsPerRun(1000, func() {
 			q.put(raw)
-			if _, ok := q.take(); !ok {
+			if _, _, ok := q.take(); !ok {
 				t.Fatal("take missed")
 			}
 		}); allocs != 0 {
@@ -56,7 +56,7 @@ func TestPutHandoffRule(t *testing.T) {
 			q := newPacketQueue(clk, c.newPut, 1)
 			taken := make(chan struct{})
 			go func() {
-				if _, ok := q.take(); ok {
+				if _, _, ok := q.take(); ok {
 					close(taken)
 				}
 			}()
@@ -94,6 +94,63 @@ func TestPutHandoffRule(t *testing.T) {
 				t.Errorf("put histogram holds %d samples, want 1", h.Total)
 			}
 		})
+	}
+}
+
+// costlyWrites is a TUN device whose i-th write costs costs[i] of
+// virtual time: the write advances the clock before it lands.
+type costlyWrites struct {
+	*tun.Device
+	clk   *clock.Virtual
+	costs []time.Duration
+	n     int
+}
+
+func (d *costlyWrites) Write(pkt []byte) error {
+	if d.n < len(d.costs) {
+		d.clk.Advance(d.costs[d.n])
+	}
+	d.n++
+	return d.Device.Write(pkt)
+}
+
+// TestTunWriterTimesEachWrite pins the TunWriter's chained write
+// timing on the virtual clock: a 2 ms write, a free write straight
+// after it (whose span starts where the 2 ms write ended), then a free
+// write after take has waited 10 ms. Every write is counted; only the
+// first lands above 1 ms, so a chained start carries neither the
+// previous write's cost nor take's wait.
+func TestTunWriterTimesEachWrite(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	dev := &costlyWrites{Device: tun.New(clk, 8), clk: clk, costs: []time.Duration{2 * time.Millisecond}}
+	defer dev.Close()
+	e := &Engine{clk: clk, dev: dev, writeQ: newPacketQueue(clk, true, 1)}
+	e.writeQ.put([]byte{1})
+	e.writeQ.put([]byte{2})
+	e.wg.Add(1)
+	go e.tunWriter()
+
+	for waiting := false; !waiting; runtime.Gosched() {
+		e.writeQ.mu.Lock()
+		waiting = e.writeQ.waiting
+		e.writeQ.mu.Unlock()
+	}
+	clk.Advance(10 * time.Millisecond) // under parkAfter: put charges no handoff
+	e.writeQ.put([]byte{3})
+	for e.ctr.packetsToTun.Load() < 3 {
+		runtime.Gosched()
+	}
+	e.writeQ.close()
+	e.wg.Wait()
+
+	e.histMu.Lock()
+	h := e.writeHist
+	e.histMu.Unlock()
+	if h.Total != 3 {
+		t.Errorf("write histogram holds %d samples, want 3 (one per write)", h.Total)
+	}
+	if want := [5]int{2, 0, 1, 0, 0}; h.Counts != want {
+		t.Errorf("write histogram buckets %v, want %v: the 2 ms write in 2~5ms, both free writes in 0~1ms", h.Counts, want)
 	}
 }
 
@@ -142,7 +199,7 @@ func TestEmitCopiesBorrowedPayload(t *testing.T) {
 
 	var got []byte
 	for i := 0; i < 5; i++ { // the SYN-ACK, then four segments
-		raw, ok := e.writeQ.take()
+		raw, _, ok := e.writeQ.take()
 		if !ok {
 			t.Fatal("write queue closed")
 		}

@@ -113,7 +113,7 @@ func (e *Engine) tunReader() {
 	policy := newPollPolicy(adaptiveShortPoll, e.readSleep(), adaptiveBurstPolls)
 	for {
 		raw, err := e.dev.Read()
-		if !e.isRunning() {
+		if !e.running.Load() {
 			return
 		}
 		if err != nil {

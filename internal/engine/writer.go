@@ -19,15 +19,22 @@ import (
 // whole chain, one row per hop from the TUN read to the TUN write.
 
 // tunWriter drains the write queue into the tunnel (§3.5.1), one
-// tunnel write per packet, at every worker count.
+// tunnel write per packet, at every worker count. While writes run
+// back to back the end of one is the start of the next, so each costs
+// one clock read; after take has waited, the next write starts from a
+// fresh read, so its span never holds the wait.
 func (e *Engine) tunWriter() {
 	defer e.wg.Done()
+	last := e.clk.Nanos()
 	for {
-		raw, ok := e.writeQ.take()
+		raw, waited, ok := e.writeQ.take()
 		if !ok {
 			return
 		}
-		e.writeTun(raw)
+		if waited {
+			last = e.clk.Nanos()
+		}
+		last = e.writeTun(last, raw)
 	}
 }
 
@@ -49,20 +56,20 @@ func (e *Engine) emit(p *packet.Packet) {
 	}
 	// directWrite: pay the tunnel write (and its contention) here, on
 	// the producing thread.
-	e.writeTun(raw)
+	e.writeTun(e.clk.Nanos(), raw)
 }
 
 // writeTun writes one encoded packet to the tunnel, releases its
-// buffer (the device has copied it), and folds the write into the
-// delay histogram and the packet or write-error counter. A write to a
+// buffer (the device has copied it), and folds the write, timed from
+// start, into the delay histogram and the packet or write-error
+// counter. It returns the clock at the write's end. A write to a
 // closed device is shutdown, not an error.
-func (e *Engine) writeTun(raw []byte) {
-	start := e.clk.Nanos()
+func (e *Engine) writeTun(start int64, raw []byte) (end int64) {
 	err := e.dev.Write(raw)
-	d := time.Duration(e.clk.Nanos() - start)
+	end = e.clk.Nanos()
 	tun.ReleaseBuffer(raw)
 	e.histMu.Lock()
-	e.writeHist.Add(d)
+	e.writeHist.Add(time.Duration(end - start))
 	e.histMu.Unlock()
 	switch {
 	case err == nil:
@@ -70,4 +77,5 @@ func (e *Engine) writeTun(raw []byte) {
 	case !errors.Is(err, tun.ErrClosed):
 		e.ctr.tunWriteErrors.Add(1)
 	}
+	return end
 }

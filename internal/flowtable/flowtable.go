@@ -14,6 +14,7 @@
 package flowtable
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -25,47 +26,38 @@ import (
 // worker assignment spreads evenly.
 const DefaultShards = 32
 
-// Hash returns a stable 64-bit hash of a flow key (FNV-1a over the
-// protocol, addresses, and ports, with an avalanche finisher). The same
-// key always lands in the same shard, across tables of any size.
+// Hash returns a stable 64-bit hash of a flow key. It mixes five
+// words — the protocol and both ports, then each address's two 8-byte
+// halves (IPv4 as its IPv4-mapped IPv6 form) — with one multiply and
+// shift per word, and ends with a Murmur3-style avalanche so every
+// input bit reaches every output bit, the low ones included. There is
+// no per-process seed: the same key always lands in the same shard,
+// across tables of any size and across runs, so worker pinning is
+// reproducible.
 //
-// The finisher matters: plain FNV-1a's low bit is the XOR parity of the
-// input bytes (multiplying by an odd prime preserves bit 0), and flow
-// keys are structured enough — a source port counting in step with a
-// source address — for that parity to be constant, which would leave
-// half the shards empty.
+// The avalanche matters: flow keys are structured — a source port
+// counting in step with a source address — and the shard index is the
+// hash's low bits, which a multiply alone leaves depending on the
+// input's low bits only.
 func Hash(k packet.FlowKey) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	mix(k.Proto)
-	for _, ap := range [2]struct {
-		a [16]byte
-		p uint16
-	}{
-		{k.Src.Addr().As16(), k.Src.Port()},
-		{k.Dst.Addr().As16(), k.Dst.Port()},
-	} {
-		for _, b := range ap.a {
-			mix(b)
-		}
-		mix(byte(ap.p))
-		mix(byte(ap.p >> 8))
-	}
-	// Murmur3-style avalanche so every input bit reaches every output
-	// bit, the low ones included.
+	src, dst := k.Src.Addr().As16(), k.Dst.Addr().As16()
+	h := uint64(k.Proto)<<32 | uint64(k.Src.Port())<<16 | uint64(k.Dst.Port())
+	h = mix(h, binary.LittleEndian.Uint64(src[:8]))
+	h = mix(h, binary.LittleEndian.Uint64(src[8:]))
+	h = mix(h, binary.LittleEndian.Uint64(dst[:8]))
+	h = mix(h, binary.LittleEndian.Uint64(dst[8:]))
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
+}
+
+// mix folds one word into h.
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 1099511628211
+	return h ^ h>>32
 }
 
 // shard is one lock domain: a mutex and the flows hashed to it.

@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -62,19 +63,59 @@ func TestHashIsStableAndShardInRange(t *testing.T) {
 	}
 }
 
+// TestShardsSpreadFlows checks that the shard index — the hash's low
+// bits — spreads three key shapes: the address and port counting
+// together, the engine's common case of one IPv4 app address opening
+// consecutive source ports to one server, and IPv6 keys that differ
+// only in the low 64 bits of the source address.
 func TestShardsSpreadFlows(t *testing.T) {
-	tb := New[int](16)
-	counts := make([]int, tb.Shards())
-	const n = 4096
-	for i := 0; i < n; i++ {
-		counts[tb.Shard(key(i))]++
-	}
-	for s, c := range counts {
-		// Perfectly even would be n/16 = 256; allow a wide band, we
-		// only care that no shard is starved or hot.
-		if c < n/64 || c > n/4 {
-			t.Errorf("shard %d holds %d of %d flows", s, c, n)
+	app4 := netip.MustParseAddr("10.0.0.2")
+	server4 := netip.AddrPortFrom(netip.MustParseAddr("93.184.216.34"), 443)
+	server6 := netip.AddrPortFrom(netip.MustParseAddr("2606:2800:220:1::248"), 443)
+	for _, shape := range []struct {
+		name string
+		key  func(i int) packet.FlowKey
+	}{
+		{"address and port", key},
+		{"one app, consecutive ports", func(i int) packet.FlowKey {
+			return packet.FlowKey{Proto: packet.ProtoTCP, Src: netip.AddrPortFrom(app4, uint16(40000+i)), Dst: server4}
+		}},
+		{"IPv6, low 64 bits", func(i int) packet.FlowKey {
+			a := [16]byte{0xfd, 0, 0, 0, 0, 0, 0, 1}
+			binary.BigEndian.PutUint64(a[8:], uint64(i))
+			return packet.FlowKey{Proto: packet.ProtoTCP, Src: netip.AddrPortFrom(netip.AddrFrom16(a), 40000), Dst: server6}
+		}},
+	} {
+		tb := New[int](16)
+		counts := make([]int, tb.Shards())
+		const n = 4096
+		for i := 0; i < n; i++ {
+			counts[tb.Shard(shape.key(i))]++
 		}
+		for s, c := range counts {
+			// Perfectly even would be n/16 = 256; allow a wide band, we
+			// only care that no shard is starved or hot.
+			if c < n/64 || c > n/4 {
+				t.Errorf("%s: shard %d holds %d of %d flows", shape.name, s, c, n)
+			}
+		}
+	}
+}
+
+var hashSink uint64
+
+func BenchmarkHash(b *testing.B) {
+	keys := []packet.FlowKey{key(7), {
+		Proto: packet.ProtoTCP,
+		Src:   netip.MustParseAddrPort("[fd00::1:2]:40000"),
+		Dst:   netip.MustParseAddrPort("[2606:2800:220:1::248]:443"),
+	}}
+	for _, k := range keys {
+		b.Run(fmt.Sprintf("v4=%v", k.Src.Addr().Is4()), func(b *testing.B) {
+			for b.Loop() {
+				hashSink = Hash(k)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
@@ -96,6 +97,11 @@ func TestTransportChecksumMatchesOracle(t *testing.T) {
 		checkChecksum(t, false, addrs, buf[:n])
 		checkChecksum(t, true, addrs, buf[:n])
 	}
+	// The widest sum an IP length field can describe: 65,535 bytes of
+	// ones, the most any accumulator in onesSum ever holds.
+	wide := bytes.Repeat([]byte{0xff}, 65535)
+	checkChecksum(t, false, addrs, wide)
+	checkChecksum(t, true, addrs, wide)
 }
 
 func FuzzChecksum(f *testing.F) {

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -540,28 +541,34 @@ func addrSum(sum uint64, a netip.Addr) uint64 {
 	return onesSum(sum, b[:])
 }
 
-// onesSum adds b to sum as big-endian 16-bit words (RFC 1071). Since
-// 2^16 ≡ 1 mod 0xffff, a big-endian 32-bit word contributes the same as
-// its two halves, so the loop takes 32-bit words, 32 bytes per
-// iteration; a uint64 cannot overflow on any segment an IP length field
-// can describe. A trailing odd byte is the high byte of a zero-padded
-// word.
+// onesSum adds b to sum as big-endian 16-bit words (RFC 1071). The
+// one's-complement sum does not depend on byte order up to one final
+// swap (RFC 1071 §2(B)), so the loop adds little-endian 32-bit words —
+// one plain load each on a little-endian CPU — into an accumulator of
+// their own, 32 bytes per iteration, and folds and byte-swaps it once. Since
+// 2^16 ≡ 1 mod 0xffff, a 32-bit word contributes the same as its two
+// halves. An IP length field describes at most 65,535 bytes, 16,383
+// words of under 2^32 each, so neither uint64 can overflow. The 2- and
+// 1-byte tail is added big-endian; a trailing odd byte is the high
+// byte of a zero-padded word.
 func onesSum(sum uint64, b []byte) uint64 {
+	var le uint64
 	for len(b) >= 32 {
-		sum += uint64(binary.BigEndian.Uint32(b[0:4])) +
-			uint64(binary.BigEndian.Uint32(b[4:8])) +
-			uint64(binary.BigEndian.Uint32(b[8:12])) +
-			uint64(binary.BigEndian.Uint32(b[12:16])) +
-			uint64(binary.BigEndian.Uint32(b[16:20])) +
-			uint64(binary.BigEndian.Uint32(b[20:24])) +
-			uint64(binary.BigEndian.Uint32(b[24:28])) +
-			uint64(binary.BigEndian.Uint32(b[28:32]))
+		le += uint64(binary.LittleEndian.Uint32(b[0:4])) +
+			uint64(binary.LittleEndian.Uint32(b[4:8])) +
+			uint64(binary.LittleEndian.Uint32(b[8:12])) +
+			uint64(binary.LittleEndian.Uint32(b[12:16])) +
+			uint64(binary.LittleEndian.Uint32(b[16:20])) +
+			uint64(binary.LittleEndian.Uint32(b[20:24])) +
+			uint64(binary.LittleEndian.Uint32(b[24:28])) +
+			uint64(binary.LittleEndian.Uint32(b[28:32]))
 		b = b[32:]
 	}
 	for len(b) >= 4 {
-		sum += uint64(binary.BigEndian.Uint32(b))
+		le += uint64(binary.LittleEndian.Uint32(b))
 		b = b[4:]
 	}
+	sum += uint64(bits.ReverseBytes16(fold(le)))
 	if len(b) >= 2 {
 		sum += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]

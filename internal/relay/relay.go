@@ -8,6 +8,7 @@ package relay
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/packet"
 	"repro/internal/sockets"
@@ -24,11 +25,11 @@ type TCPClient struct {
 	// ch is the external socket channel, nil until the socket-connect
 	// thread creates it; key is the selector registration, nil until
 	// registered. Both are written by the temporary socket-connect
-	// thread while the engine's packet/teardown paths read them, so
-	// access goes through Ch/SetCh and Key/SetKey under the client
-	// mutex.
-	ch  *sockets.Channel
-	key *sockets.SelectionKey
+	// thread while the engine's packet/teardown paths read them on
+	// every packet, so they are atomic pointers, read through Ch and
+	// Key without the client mutex.
+	ch  atomic.Pointer[sockets.Channel]
+	key atomic.Pointer[sockets.SelectionKey]
 
 	// App attribution, filled by the packet-to-app mapping (§3.3).
 	// Written by the socket-connect thread and read by the engine's
@@ -51,11 +52,12 @@ type TCPClient struct {
 	// routed without rehashing the flow key.
 	Shard int
 
-	mu        sync.Mutex
-	writeBuf  []Write
-	bufBytes  int
-	halfClose bool // app FIN received: flush writes, then CloseWrite
-	removed   bool
+	halfClose atomic.Bool // app FIN received: flush writes, then CloseWrite
+	removed   atomic.Bool
+
+	mu       sync.Mutex
+	writeBuf []Write
+	bufBytes int
 }
 
 // Write is one queued socket write: Data, and Buf, the tunnel buffer
@@ -73,32 +75,16 @@ func NewTCPClient(flow packet.FlowKey, sm *tcpsm.Machine, synAt int64) *TCPClien
 
 // Ch returns the external socket channel (nil before the
 // socket-connect thread creates it).
-func (c *TCPClient) Ch() *sockets.Channel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ch
-}
+func (c *TCPClient) Ch() *sockets.Channel { return c.ch.Load() }
 
 // SetCh installs the external socket channel.
-func (c *TCPClient) SetCh(ch *sockets.Channel) {
-	c.mu.Lock()
-	c.ch = ch
-	c.mu.Unlock()
-}
+func (c *TCPClient) SetCh(ch *sockets.Channel) { c.ch.Store(ch) }
 
 // Key returns the selector registration (nil before registration).
-func (c *TCPClient) Key() *sockets.SelectionKey {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.key
-}
+func (c *TCPClient) Key() *sockets.SelectionKey { return c.key.Load() }
 
 // SetKey installs the selector registration.
-func (c *TCPClient) SetKey(k *sockets.SelectionKey) {
-	c.mu.Lock()
-	c.key = k
-	c.mu.Unlock()
-}
+func (c *TCPClient) SetKey(k *sockets.SelectionKey) { c.key.Store(k) }
 
 // SetApp records the resolved attribution (§3.3). Called from the
 // socket-connect thread once the mapping completes. It reports whether
@@ -186,37 +172,24 @@ func (c *TCPClient) BufferedBytes() int {
 // RequestHalfClose marks that the app sent FIN; once the write buffer is
 // flushed the engine half-closes the external connection (§2.3 TCP FIN
 // "triggers a half-close write event").
-func (c *TCPClient) RequestHalfClose() {
-	c.mu.Lock()
-	c.halfClose = true
-	c.mu.Unlock()
-}
+func (c *TCPClient) RequestHalfClose() { c.halfClose.Store(true) }
 
 // HalfCloseRequested reports whether a half close is pending.
-func (c *TCPClient) HalfCloseRequested() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.halfClose
-}
+func (c *TCPClient) HalfCloseRequested() bool { return c.halfClose.Load() }
 
 // MarkRemoved flags the client as removed from the cached client list;
 // returns false if it already was (§2.3 TCP RST: "removes the
 // corresponding TCP client object from the cached TCP client list").
 func (c *TCPClient) MarkRemoved() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.removed {
+	if !c.removed.CompareAndSwap(false, true) {
 		return false
 	}
-	c.removed = true
 	// Nothing flushes a removed client, so it keeps no buffer either.
+	c.mu.Lock()
 	c.writeBuf, c.bufBytes = nil, 0
+	c.mu.Unlock()
 	return true
 }
 
 // Removed reports whether the client was removed.
-func (c *TCPClient) Removed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.removed
-}
+func (c *TCPClient) Removed() bool { return c.removed.Load() }

@@ -15,6 +15,7 @@ package resource
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -44,19 +45,22 @@ func DefaultCosts() CostConstants {
 	}
 }
 
-// Meter accumulates work counters.
+// Meter accumulates work counters. The engine bumps them on every
+// packet, so they are atomics; only the buffer-memory total, a float,
+// is kept under mu.
 type Meter struct {
-	costs CostConstants
-
-	mu        sync.Mutex
-	wakeups   int64
-	packets   int64
-	bytes     int64
-	inspected int64
+	costs     CostConstants
 	baseMemMB float64
-	bufMemMB  float64
 	perConnKB float64
-	maxConns  int64
+
+	wakeups   atomic.Int64
+	packets   atomic.Int64
+	bytes     atomic.Int64
+	inspected atomic.Int64
+	maxConns  atomic.Int64
+
+	mu       sync.Mutex
+	bufMemMB float64
 }
 
 // NewMeter creates a meter with the given cost constants and baseline
@@ -66,26 +70,16 @@ func NewMeter(costs CostConstants, baseMemMB float64) *Meter {
 }
 
 // AddWakeups records n futile poll wakeups.
-func (m *Meter) AddWakeups(n int64) {
-	m.mu.Lock()
-	m.wakeups += n
-	m.mu.Unlock()
-}
+func (m *Meter) AddWakeups(n int64) { m.wakeups.Add(n) }
 
 // AddPackets records n relayed packets carrying total bytes.
 func (m *Meter) AddPackets(n, bytes int64) {
-	m.mu.Lock()
-	m.packets += n
-	m.bytes += bytes
-	m.mu.Unlock()
+	m.packets.Add(n)
+	m.bytes.Add(bytes)
 }
 
 // AddInspected records n packets subjected to content inspection.
-func (m *Meter) AddInspected(n int64) {
-	m.mu.Lock()
-	m.inspected += n
-	m.mu.Unlock()
-}
+func (m *Meter) AddInspected(n int64) { m.inspected.Add(n) }
 
 // AddBufferMemMB records retained buffer memory beyond the baseline.
 func (m *Meter) AddBufferMemMB(mb float64) {
@@ -97,11 +91,12 @@ func (m *Meter) AddBufferMemMB(mb float64) {
 // ObserveConns tracks the high-water mark of concurrent connections for
 // memory accounting.
 func (m *Meter) ObserveConns(n int) {
-	m.mu.Lock()
-	if int64(n) > m.maxConns {
-		m.maxConns = int64(n)
+	for {
+		old := m.maxConns.Load()
+		if int64(n) <= old || m.maxConns.CompareAndSwap(old, int64(n)) {
+			return
+		}
 	}
-	m.mu.Unlock()
 }
 
 // Usage is the resource report of one run.
@@ -117,24 +112,24 @@ type Usage struct {
 // full core costs ~20% battery per hour on the reference device, so
 // drain = CPU-seconds / 3600 * 20.
 func (m *Meter) Report(run time.Duration) Usage {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cpu := float64(m.wakeups)*m.costs.PerWakeup.Seconds() +
-		float64(m.packets)*m.costs.PerPacket.Seconds() +
-		float64(m.bytes)/1024*m.costs.PerKByte.Seconds() +
-		float64(m.inspected)*m.costs.PerInspectedPacket.Seconds()
+	wakeups, packets, bytes, inspected := m.Counters()
+	cpu := float64(wakeups)*m.costs.PerWakeup.Seconds() +
+		float64(packets)*m.costs.PerPacket.Seconds() +
+		float64(bytes)/1024*m.costs.PerKByte.Seconds() +
+		float64(inspected)*m.costs.PerInspectedPacket.Seconds()
 	u := Usage{CPUSeconds: cpu}
 	if run > 0 {
 		u.CPUPercent = cpu / run.Seconds() * 100
 	}
 	u.BatteryPct = cpu / 3600 * 20
-	u.MemoryMB = m.baseMemMB + m.bufMemMB + float64(m.maxConns)*m.perConnKB/1024
+	m.mu.Lock()
+	bufMemMB := m.bufMemMB
+	m.mu.Unlock()
+	u.MemoryMB = m.baseMemMB + bufMemMB + float64(m.maxConns.Load())*m.perConnKB/1024
 	return u
 }
 
 // Counters returns the raw counted work, for tests.
 func (m *Meter) Counters() (wakeups, packets, bytes, inspected int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wakeups, m.packets, m.bytes, m.inspected
+	return m.wakeups.Load(), m.packets.Load(), m.bytes.Load(), m.inspected.Load()
 }
