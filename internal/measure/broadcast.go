@@ -3,97 +3,94 @@ package measure
 import (
 	"context"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 )
 
 // This file is the store's broadcast layer: the push half of the
-// streaming measurement pipeline. Every record is published exactly
-// once, at Add time, to each live Subscription over a bounded
-// single-producer/single-consumer ring — the same ring discipline as
-// the engine's per-worker queues (internal/engine/ringq.go), with one
-// deliberate difference: the engine's producer blocks when a ring
-// fills (backpressure toward the TUN queue), while the measurement
-// producer NEVER blocks. The record path runs on the engine's packet
-// workers, so a slow subscriber must not be able to stall the relay;
-// instead the record is dropped for that subscriber only and counted
-// on its drop counter. Bounded fan-out, bounded loss, unbounded
-// neither.
+// streaming measurement pipeline. A record lives in one place, the
+// store's row log; a Subscription is a cursor into that log, so it
+// holds no copy of any record and no memory that grows with its size.
+// The record path runs on the engine's packet workers, so the producer
+// NEVER blocks on a reader: a reader may lag at most size rows behind
+// the log's end, and when it falls further behind, Add moves its
+// cursor past the oldest unread row and counts that row as the
+// reader's drop. Bounded lag, bounded loss, unbounded neither.
 //
 // Producer-side cost:
 //   - zero subscribers: one len check under the mutex Add already
 //     holds — no allocation, no atomics, nothing (pinned by a
 //     0-allocs test).
-//   - N subscribers: per subscriber, an optional predicate call and
-//     either a ring-slot copy + two atomic ops or a drop-counter
-//     increment. Still allocation-free.
+//   - N subscribers: per subscriber, a lag check and a non-blocking
+//     wake; a reader that lags also costs a cursor step, and on a
+//     filtered subscription the skipped row is read back to ask the
+//     filter whether it counts as a drop. Still allocation-free.
 //
-// The SPSC invariant holds because publishes happen under Store.mu
-// (Add is already serialised there), so the producer side is a single
-// logical producer; each Subscription has exactly one consumer by
+// Cursors and their ends are guarded by Store.mu, which already
+// serialises Add; each Subscription has exactly one consumer by
 // contract.
 
-// defaultSubscriberRing is the ring capacity when Subscribe is given
-// size <= 0: deep enough that a consumer scheduling hiccup does not
-// drop records at measurement rates (connections, not packets), small
-// enough that an abandoned-but-open subscription bounds its memory.
-const defaultSubscriberRing = 1024
+// defaultSubscriberLag is how many rows a reader may lag when
+// Subscribe is given size <= 0: deep enough that a consumer scheduling
+// hiccup does not drop records at measurement rates (connections, not
+// packets).
+const defaultSubscriberLag = 1024
 
 // Subscription is one bounded tap on a Store's record stream. It
-// observes every record added after Subscribe, in Add order, minus any
-// records dropped while its ring was full. A Subscription has a single
-// consumer: Next/Seq must not be called concurrently with themselves
-// or each other.
+// observes every record added after Subscribe, in Add order, minus the
+// oldest unread records it lost while lagging more than its size. A
+// Subscription has a single consumer: Next/Seq must not be called
+// concurrently with themselves or each other.
 type Subscription struct {
 	st   *Store
 	keep func(Record) bool // nil accepts every record
+	size int               // rows the reader may lag
 
-	// SPSC ring. head is owned by the consumer, tail by the producer
-	// (serialised under Store.mu).
-	buf  []Record
-	mask uint64
-	head atomic.Uint64
-	tail atomic.Uint64
+	// next is the index of the next row to read; the stream ends at
+	// end, which is math.MaxInt while the subscription is live. Both
+	// guarded by Store.mu.
+	next, end int
 
-	// dropped counts records this subscriber lost to a full ring.
+	// dropped counts the records this subscriber lost to lag.
 	dropped atomic.Uint64
 
 	// notify is the consumer wakeup: capacity 1, non-blocking send
-	// after every push, so a parked consumer observes "ring became
-	// non-empty" without the producer ever waiting.
+	// after every Add, so a parked consumer observes "a row arrived"
+	// without the producer ever waiting.
 	notify chan struct{}
 	// done is closed when the subscription is closed (by the consumer
-	// or by the store shutting down). The ring may still hold records;
-	// Next drains them before reporting the end of the stream.
+	// or by the store shutting down). Rows before end may still be
+	// unread; Next delivers them before reporting the end of the
+	// stream.
 	done      chan struct{}
 	closeOnce sync.Once
 }
 
 // Subscribe registers a tap on the stream. Records added after the
-// call are pushed into a bounded ring of the given capacity (rounded
-// up to a power of two; size <= 0 means the 1024 default). keep, when
-// non-nil, filters producer-side: records it rejects are neither
-// delivered nor counted as drops. On a store whose subscribers have
-// been shut down (CloseSubscribers), the returned Subscription is
-// already closed and yields nothing.
+// call are delivered as long as the reader lags no more than size rows
+// of any kind behind the newest (size <= 0 means the 1024 default);
+// past that, its oldest unread record is dropped and counted. keep,
+// when non-nil, filters: records it rejects are neither delivered nor
+// counted as drops. On a store whose subscribers have been shut down
+// (CloseSubscribers), the returned Subscription is already closed and
+// yields nothing.
 func (s *Store) Subscribe(size int, keep func(Record) bool) *Subscription {
 	if size <= 0 {
-		size = defaultSubscriberRing
-	}
-	n := 1
-	for n < size {
-		n <<= 1
+		size = defaultSubscriberLag
 	}
 	sub := &Subscription{
 		st:     s,
 		keep:   keep,
-		buf:    make([]Record, n),
-		mask:   uint64(n - 1),
+		size:   size,
+		end:    math.MaxInt,
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
 	s.mu.Lock()
+	sub.next = len(s.recs)
 	if s.subsClosed {
+		sub.end = sub.next
 		s.mu.Unlock()
 		sub.closeOnce.Do(func() { close(sub.done) })
 		return sub
@@ -103,69 +100,63 @@ func (s *Store) Subscribe(size int, keep func(Record) bool) *Subscription {
 	return sub
 }
 
-// publish fans one record out to every live subscriber. Caller holds
-// s.mu, which serialises producers and excludes subscribe/unsubscribe.
-func (s *Store) publish(r Record) {
+// publish runs after Add appends a row: it moves every cursor that now
+// lags more than its size past its oldest unread row, counting that
+// row as a drop if the subscriber would have kept it, and wakes every
+// reader. Caller holds s.mu.
+func (s *Store) publish() {
+	n := len(s.recs)
 	for _, sub := range s.subs {
-		sub.push(r)
+		if n-sub.next > sub.size {
+			w := s.recs[sub.next]
+			sub.next++
+			if sub.keep == nil || sub.keep(s.tabs.record(w)) {
+				sub.dropped.Add(1)
+				s.dropped.Add(1)
+			}
+		}
+		select {
+		case sub.notify <- struct{}{}:
+		default:
+		}
 	}
 }
 
-// push offers one record to the subscriber's ring, dropping (and
-// counting) when full. Runs under Store.mu — single producer.
-func (sub *Subscription) push(r Record) {
-	if sub.keep != nil && !sub.keep(r) {
-		return
+// read returns the next record the subscriber keeps without blocking.
+// Consumer side only.
+func (sub *Subscription) read() (Record, bool) {
+	s := sub.st
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for sub.next < len(s.recs) && sub.next < sub.end {
+		r := s.tabs.record(s.recs[sub.next])
+		sub.next++
+		if sub.keep == nil || sub.keep(r) {
+			return r, true
+		}
 	}
-	t := sub.tail.Load()
-	if t-sub.head.Load() >= uint64(len(sub.buf)) {
-		sub.dropped.Add(1)
-		sub.st.dropped.Add(1)
-		return
-	}
-	sub.buf[t&sub.mask] = r
-	sub.tail.Store(t + 1)
-	select {
-	case sub.notify <- struct{}{}:
-	default:
-	}
-}
-
-// pop dequeues one record without blocking. Consumer side only.
-func (sub *Subscription) pop() (Record, bool) {
-	h := sub.head.Load()
-	if h == sub.tail.Load() {
-		return Record{}, false
-	}
-	r := sub.buf[h&sub.mask]
-	sub.buf[h&sub.mask] = Record{} // release the strings to the GC
-	sub.head.Store(h + 1)
-	return r, true
+	return Record{}, false
 }
 
 // Next blocks for the next record. ok is false once the subscription
-// is closed and its ring drained, or when ctx is cancelled (a nil ctx
-// never cancels). Records already in the ring at close time are still
-// delivered — closing the store ends the stream, it does not truncate
-// it.
+// is closed and every record added before the close is read, or when
+// ctx is cancelled (a nil ctx never cancels). Closing the store ends
+// the stream, it does not truncate it.
 func (sub *Subscription) Next(ctx context.Context) (r Record, ok bool) {
 	var cancel <-chan struct{}
 	if ctx != nil {
 		cancel = ctx.Done()
 	}
 	for {
-		if r, ok := sub.pop(); ok {
+		if r, ok := sub.read(); ok {
 			return r, true
 		}
 		select {
 		case <-sub.notify:
 		case <-sub.done:
-			// Closed: the producer is gone (or ignoring us), so
-			// whatever pop sees now is the complete remainder.
-			if r, ok := sub.pop(); ok {
-				return r, true
-			}
-			return Record{}, false
+			// Closed: end is fixed, so whatever read sees now is the
+			// complete remainder.
+			return sub.read()
 		case <-cancel:
 			return Record{}, false
 		}
@@ -189,14 +180,13 @@ func (sub *Subscription) Seq(ctx context.Context) iter.Seq[Record] {
 	}
 }
 
-// Dropped reports how many records this subscriber lost to a full
-// ring.
+// Dropped reports how many records this subscriber lost to lag.
 func (sub *Subscription) Dropped() uint64 { return sub.dropped.Load() }
 
 // Close detaches the subscription from the store. Idempotent and safe
-// to call concurrently with publishes and with CloseSubscribers. A
-// consumer blocked in Next is released; records still in the ring
-// remain drainable.
+// to call concurrently with Add and with CloseSubscribers. A consumer
+// blocked in Next is released; records added before the close remain
+// readable, records added after it are not delivered.
 func (sub *Subscription) Close() {
 	sub.closeOnce.Do(func() {
 		sub.st.unsubscribe(sub)
@@ -204,10 +194,13 @@ func (sub *Subscription) Close() {
 	})
 }
 
+// unsubscribe ends a live subscription at the log's length. One that
+// CloseSubscribers already removed keeps the end it set there.
 func (s *Store) unsubscribe(sub *Subscription) {
 	s.mu.Lock()
 	for i, x := range s.subs {
 		if x == sub {
+			sub.end = len(s.recs)
 			s.subs = append(s.subs[:i], s.subs[i+1:]...)
 			break
 		}
@@ -217,13 +210,16 @@ func (s *Store) unsubscribe(sub *Subscription) {
 
 // CloseSubscribers ends every live subscription and marks the store so
 // later Subscribe calls return already-closed subscriptions. Records
-// already ringed are still delivered to their consumers. The store
-// itself keeps accepting Add calls (they simply have no audience);
-// this is the teardown hook the owner of the store calls once the
-// producers are stopped.
+// added before the call are still delivered to their consumers. The
+// store itself keeps accepting Add calls (they simply have no
+// audience); this is the teardown hook the owner of the store calls
+// once the producers are stopped.
 func (s *Store) CloseSubscribers() {
 	s.mu.Lock()
 	subs := s.subs
+	for _, sub := range subs {
+		sub.end = len(s.recs)
+	}
 	s.subs = nil
 	s.subsClosed = true
 	s.mu.Unlock()
@@ -241,5 +237,5 @@ func (s *Store) Subscribers() int {
 
 // DroppedRecords reports the total records dropped across all
 // subscribers, past and present — the observability half of the
-// bounded-drop contract.
+// bounded-lag contract.
 func (s *Store) DroppedRecords() uint64 { return s.dropped.Load() }

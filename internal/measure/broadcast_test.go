@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -66,8 +67,8 @@ func TestSubscriptionFilter(t *testing.T) {
 	}
 }
 
-// A full ring drops (and counts) instead of blocking the producer —
-// the bounded-drop contract.
+// A lagging reader drops (and counts) instead of blocking the
+// producer — the bounded-lag contract.
 func TestSubscriptionBoundedDrop(t *testing.T) {
 	s := NewStore()
 	sub := s.Subscribe(4, nil)
@@ -81,12 +82,13 @@ func TestSubscriptionBoundedDrop(t *testing.T) {
 	if d := s.DroppedRecords(); d != 6 {
 		t.Fatalf("store-wide drops %d, want 6", d)
 	}
-	// The survivors are the OLDEST records: drops happen at the tail,
-	// so what got through is a prefix, not a random sample.
-	for i := 0; i < 4; i++ {
+	// The survivors are the NEWEST records: a lagging cursor skips its
+	// oldest unread rows, so what got through is a suffix, not a
+	// random sample.
+	for i := 6; i < 10; i++ {
 		r, ok := sub.Next(context.Background())
 		if !ok {
-			t.Fatalf("ring ended at %d", i)
+			t.Fatalf("stream ended at %d", i)
 		}
 		if want := brec(i); r != want {
 			t.Fatalf("slot %d: got %+v want %+v", i, r, want)
@@ -191,10 +193,9 @@ func TestSubscriptionSeq(t *testing.T) {
 // zero allocations.
 func TestPublishZeroSubscribersAllocFree(t *testing.T) {
 	s := NewStore()
-	r := brec(1)
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.mu.Lock()
-		s.publish(r)
+		s.publish()
 		s.mu.Unlock()
 	})
 	if allocs != 0 {
@@ -202,18 +203,21 @@ func TestPublishZeroSubscribersAllocFree(t *testing.T) {
 	}
 }
 
-// With subscribers attached, both the delivery and the ring-full drop
-// paths stay allocation-free.
+// With subscribers attached, both the wake and the lag-drop paths
+// stay allocation-free.
 func TestPublishWithSubscribersAllocFree(t *testing.T) {
 	s := NewStore()
 	sub := s.Subscribe(8, nil)
 	defer sub.Close()
 	filtered := s.Subscribe(8, func(Record) bool { return false })
 	defer filtered.Close()
-	r := brec(1)
+	// Room for every row the runs append, so only publish is priced.
+	w := s.tabs.row(brec(1))
+	s.recs = make([]row, 0, 2048)
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.mu.Lock()
-		s.publish(r) // ring fills after 8, then exercises the drop path
+		s.recs = append(s.recs, w)
+		s.publish() // lag passes 8 after 8 rows, then exercises the drop path
 		s.mu.Unlock()
 	})
 	if allocs != 0 {
@@ -334,5 +338,123 @@ func TestBroadcastConcurrency(t *testing.T) {
 	}
 	if s.Len() != total {
 		t.Errorf("store kept %d of %d", s.Len(), total)
+	}
+}
+
+// A reader that never reads loses exactly the rows the log moved past
+// it, oldest first, and then reads the newest size rows in order.
+func TestSubscriptionStalledReaderDropsOldest(t *testing.T) {
+	s := NewStore()
+	sub := s.Subscribe(8, nil)
+	for i := 0; i < 100; i++ {
+		s.Add(brec(i))
+	}
+	if d := sub.Dropped(); d != 92 {
+		t.Fatalf("dropped %d, want 92", d)
+	}
+	if d := s.DroppedRecords(); d != 92 {
+		t.Fatalf("store-wide drops %d, want 92", d)
+	}
+	sub.Close()
+	for i := 92; i < 100; i++ {
+		r, ok := sub.Next(context.Background())
+		if !ok {
+			t.Fatalf("stream ended at %d", i)
+		}
+		if want := brec(i); r != want {
+			t.Fatalf("record %d: got %+v want %+v", i, r, want)
+		}
+	}
+	if r, ok := sub.Next(context.Background()); ok {
+		t.Fatalf("record past the close: %+v", r)
+	}
+}
+
+// The lag bound counts rows of every kind, but only rows the filter
+// keeps count as drops: drops plus deliveries are exactly the kept
+// records added.
+func TestSubscriptionFilteredLagCountsOnlyKept(t *testing.T) {
+	s := NewStore()
+	sub := s.Subscribe(8, func(r Record) bool { return r.App == "app.1" })
+	const n = 30
+	want := 0
+	for i := 0; i < n; i++ {
+		if brec(i).App == "app.1" {
+			want++
+		}
+		s.Add(brec(i))
+	}
+	// Rows 0..21 were skipped; 7 of them are app.1.
+	if d := sub.Dropped(); d != 7 {
+		t.Fatalf("dropped %d, want 7, the app.1 rows among the 22 skipped", d)
+	}
+	s.CloseSubscribers()
+	delivered := 0
+	for {
+		r, ok := sub.Next(context.Background())
+		if !ok {
+			break
+		}
+		if r.App != "app.1" {
+			t.Fatalf("filter leaked %q", r.App)
+		}
+		delivered++
+	}
+	if got := delivered + int(sub.Dropped()); got != want {
+		t.Errorf("delivered %d + dropped %d = %d, want %d kept records",
+			delivered, sub.Dropped(), got, want)
+	}
+	if d := s.DroppedRecords(); d != sub.Dropped() {
+		t.Errorf("store-wide drops %d != subscriber drops %d", d, sub.Dropped())
+	}
+}
+
+// A closed stream delivers every record added before the close and
+// none added after it, whether the consumer or the store closed it.
+func TestSubscriptionEndsAtClose(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		close func(*Store, *Subscription)
+	}{
+		{"Close", func(_ *Store, sub *Subscription) { sub.Close() }},
+		{"CloseSubscribers", func(s *Store, _ *Subscription) { s.CloseSubscribers() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore()
+			sub := s.Subscribe(64, nil)
+			for i := 0; i < 5; i++ {
+				s.Add(brec(i))
+			}
+			tc.close(s, sub)
+			for i := 5; i < 10; i++ {
+				s.Add(brec(i))
+			}
+			for i := 0; i < 5; i++ {
+				r, ok := sub.Next(context.Background())
+				if !ok {
+					t.Fatalf("stream ended at %d of 5", i)
+				}
+				if want := brec(i); r != want {
+					t.Fatalf("record %d: got %+v want %+v", i, r, want)
+				}
+			}
+			if r, ok := sub.Next(context.Background()); ok {
+				t.Fatalf("record added after the close delivered: %+v", r)
+			}
+		})
+	}
+}
+
+// A subscription holds a cursor, not a copy: its size bounds lag and
+// costs no memory.
+func TestSubscriptionSizeCostsNoMemory(t *testing.T) {
+	s := NewStore()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sub := s.Subscribe(1<<20, nil)
+	sub.Close()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("Subscribe(1<<20) then Close allocated %d B, want < 64 KiB", grew)
 	}
 }

@@ -69,10 +69,10 @@ func (r Record) NetKey() string {
 	return r.Kind.String() + "/" + nt
 }
 
-// Store collects records and broadcasts each one, at Add time, to any
-// live subscriptions (broadcast.go). The snapshot accessors and the
-// subscription stream observe the same records in the same order; the
-// stream is the push view, the snapshot the pull view. Records are
+// Store collects records in one row log that its snapshot accessors
+// and its subscriptions (broadcast.go), cursors into the log, both
+// read. They observe the same records in the same order; the stream is
+// the push view, the snapshot the pull view. Records are
 // held as 32-byte pointer-free rows over interned sources, domains and
 // destinations (rows.go), so At reads back as At.Round(0).
 type Store struct {
@@ -84,24 +84,23 @@ type Store struct {
 	// layer shut down (CloseSubscribers). Both guarded by mu.
 	subs       []*Subscription
 	subsClosed bool
-	// dropped totals ring-full drops across all subscribers ever.
+	// dropped totals lag drops across all subscribers ever.
 	dropped atomic.Uint64
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store { return &Store{} }
 
-// Add appends one record and publishes it to every subscriber. With no
+// Add appends one record and wakes every subscriber. With no
 // subscribers the publish step is a len check — the engine's record
-// path pays nothing for the broadcast layer it isn't using. What is
-// published is the record as stored, read back from its row, so the
-// stream and the snapshot agree record for record.
+// path pays nothing for the broadcast layer it isn't using.
+// Subscribers read the record back from its row, as Snapshot does, so
+// the stream and the snapshot agree record for record.
 func (s *Store) Add(r Record) {
 	s.mu.Lock()
-	w := s.tabs.row(r)
-	s.recs = append(s.recs, w)
+	s.recs = append(s.recs, s.tabs.row(r))
 	if len(s.subs) > 0 {
-		s.publish(s.tabs.record(w))
+		s.publish()
 	}
 	s.mu.Unlock()
 }

@@ -122,7 +122,7 @@ func (p *core) Close() {
 
 		// Stop the engine first: after that no worker can record, so
 		// ending the subscriptions cannot truncate the stream —
-		// subscribers drain what is already ringed, then see the end.
+		// subscribers read what is already recorded, then see the end.
 		p.eng.Stop()
 		p.store.CloseSubscribers()
 		p.sinkWG.Wait()

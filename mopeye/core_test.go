@@ -78,7 +78,7 @@ func TestCoreCloseJoinsMetricsDrain(t *testing.T) {
 	if err := c.WriteMetrics(io.Discard); err != nil { // arm the feed
 		t.Fatal(err)
 	}
-	const n = 1000 // under the subscriber ring, so nothing may drop
+	const n = 1000 // under the subscriber lag bound, so nothing may drop
 	for i := 0; i < n; i++ {
 		store.Add(testRecord(i))
 	}

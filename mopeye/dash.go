@@ -22,7 +22,7 @@ import (
 // This file is the live dashboard behind `mopeye -dash`: the paper's
 // Figure 1a all-app view as a terminal (and optionally HTTP) surface
 // that refreshes while the engine runs. The dashboard is an ordinary
-// measurement subscriber — it rides Phone.Subscribe's bounded ring, so
+// measurement subscriber — it rides Phone.Subscribe's bounded lag, so
 // a stalled terminal can never stall a relay worker — and its refresh
 // is paced by the phone's own clock, so a phone running simulated time
 // renders one frame per simulated interval, not per wall interval.
@@ -37,7 +37,7 @@ type DashPhone interface {
 	Subscribe(ctx context.Context, f Filter) iter.Seq[Measurement]
 	// EngineStats reads the engine's counters for the header gauges.
 	EngineStats() engine.Stats
-	// StreamDrops reports records lost to full subscriber rings.
+	// StreamDrops reports records lost by subscribers that lagged too far.
 	StreamDrops() uint64
 	// WriteMetrics renders the phone's Prometheus exposition (the
 	// dashboard's HTTP mode serves it at /metrics).
@@ -165,7 +165,7 @@ func (d *Dash) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			cancel()
-			<-streamDone // drain what is ringed before the final frame
+			<-streamDone // let the reader stop before the final frame
 			d.render()
 			return nil
 		case <-streamDone:

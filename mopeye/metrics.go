@@ -15,7 +15,7 @@ import (
 // RTT quantiles. Every engine instrument is a scrape-time read over
 // atomics the hot path already maintains; the only active piece is the
 // RTT quantile feed, which rides the same store subscription machinery
-// as any other subscriber — bounded ring, drops counted, never
+// as any other subscriber — bounded lag, drops counted, never
 // stalling a relay worker.
 //
 // The registry is built lazily on first use, so phones that never
@@ -25,7 +25,7 @@ import (
 // registerStoreMetrics adds the streaming pipeline's instruments.
 func registerStoreMetrics(r *metrics.Registry, st *measure.Store) {
 	r.CounterFunc("mopeye_stream_dropped_total",
-		"Measurements dropped across subscriber rings (bounded-drop contract; zero when healthy).",
+		"Measurements dropped by subscribers that lagged too far (bounded-lag contract; zero when healthy).",
 		func() float64 { return float64(st.DroppedRecords()) })
 	r.GaugeFunc("mopeye_stream_subscribers",
 		"Live measurement subscriptions.",
@@ -63,28 +63,13 @@ func (p *core) metricsRegistry() *metrics.Registry {
 		observe := rttQuantileFeed(r)
 		p.metricsReg = r
 
-		// The quantile feed is an ordinary subscriber: on a closed phone
-		// it is skipped (the instruments stay empty), otherwise its drain
-		// joins sinkWG so Close waits for the final observation exactly
-		// as it does for attached sinks.
+		// The quantile feed is an ordinary drain: on a closed phone it
+		// is skipped (the instruments stay empty), otherwise Close waits
+		// for the final observation exactly as it does for attached
+		// sinks.
 		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		sub := p.store.Subscribe(0, nil)
-		p.sinkWG.Add(1)
+		p.drain(func(rec measure.Record) bool { observe(rec); return true })
 		p.mu.Unlock()
-		go func() {
-			defer p.sinkWG.Done()
-			for {
-				rec, ok := sub.Next(nil)
-				if !ok {
-					return
-				}
-				observe(rec)
-			}
-		}()
 	})
 	return p.metricsReg
 }

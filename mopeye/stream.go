@@ -15,10 +15,11 @@ import (
 // natural consumption model is a subscription, not a poll. Subscribe
 // yields a context-cancellable iterator over live measurements;
 // Attach hands the stream to a Sink for the engine's lifetime. Both
-// ride the store's broadcast layer: bounded per-subscriber rings that
-// drop (and count) rather than ever stalling the relay workers. See
-// DESIGN.md "Streaming measurement pipeline" for the bounded-drop
-// contract.
+// ride the store's broadcast layer: each subscription is a cursor into
+// the store's one record log, and a reader that lags too far loses its
+// oldest unread records (counted) rather than ever stalling the relay
+// workers. See DESIGN.md "Streaming measurement pipeline" for the
+// bounded-lag contract.
 
 // KindFilter selects which measurement kinds a subscription observes.
 type KindFilter int
@@ -34,9 +35,8 @@ const (
 )
 
 // Filter narrows a subscription. The zero value matches every
-// measurement; each set field must match. Filtering happens on the
-// producer side, so records a filter rejects neither occupy ring
-// space nor count as drops.
+// measurement; each set field must match. Records a filter rejects
+// are neither delivered nor counted as drops.
 type Filter struct {
 	// Kind restricts to one measurement kind.
 	Kind KindFilter
@@ -86,9 +86,9 @@ func (f Filter) predicate() func(measure.Record) bool {
 //
 // The iterator is single-use: it drains this one subscription, and
 // ending the range (break, cancel, close) ends the subscription. The
-// subscription's ring is bounded; if the consumer falls behind at
-// sustained measurement rates, records are dropped for that
-// subscriber only (never blocking the engine) and counted in
+// subscription's lag is bounded; if the consumer falls behind at
+// sustained measurement rates, its oldest unread records are dropped
+// for that subscriber only (never blocking the engine) and counted in
 // StreamDrops.
 //
 //	ctx, cancel := context.WithCancel(context.Background())
@@ -101,17 +101,17 @@ func (p *core) Subscribe(ctx context.Context, f Filter) iter.Seq[Measurement] {
 	if ctx != nil {
 		// Detach on cancellation even if the iterator is never ranged
 		// (or abandoned between Subscribe and range): an un-ranged
-		// subscription must not keep filling its ring — and inflating
-		// the drop counters — for the phone's lifetime.
+		// subscription must not keep lagging — and inflating the drop
+		// counters — for the phone's lifetime.
 		context.AfterFunc(ctx, sub.Close)
 	}
 	return sub.Seq(ctx)
 }
 
 // StreamDrops reports the total measurements dropped across all
-// subscribers (live and closed) because a ring was full — the
-// observable half of the pipeline's bounded-drop contract. Zero in
-// any healthy deployment.
+// subscribers (live and closed) because a reader lagged too far — the
+// observable half of the pipeline's bounded-lag contract. Zero in any
+// healthy deployment.
 func (p *core) StreamDrops() uint64 { return p.store.DroppedRecords() }
 
 // attachedSink is one engine-lifetime sink with its drain state.
@@ -147,32 +147,43 @@ func (as *attachedSink) finish() {
 // an error the sink stops receiving; the error is reported by the
 // returned handle's Err after close.
 func (p *core) Attach(sink Sink) (*Attached, error) {
+	as := &attachedSink{sink: sink}
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	defer p.mu.Unlock()
+	if !p.drain(func(r measure.Record) bool {
+		if err := sink.Accept(r); err != nil {
+			as.setErr(err)
+			return false
+		}
+		return true
+	}) {
 		return nil, fmt.Errorf("mopeye: Attach on a closed phone")
 	}
-	sub := p.store.Subscribe(0, nil)
-	as := &attachedSink{sink: sink}
 	p.sinks = append(p.sinks, as)
-	p.sinkWG.Add(1)
-	p.mu.Unlock()
+	return &Attached{as: as}, nil
+}
 
+// drain feeds every measurement recorded from now on to f, on a
+// goroutine that Close waits for, until f returns false or the phone
+// closes. On a closed phone it starts nothing and reports false. The
+// caller holds p.mu.
+func (p *core) drain(f func(measure.Record) bool) bool {
+	if p.closed {
+		return false
+	}
+	sub := p.store.Subscribe(0, nil)
+	p.sinkWG.Add(1)
 	go func() {
 		defer p.sinkWG.Done()
+		defer sub.Close()
 		for {
 			r, ok := sub.Next(nil)
-			if !ok {
-				return
-			}
-			if err := sink.Accept(r); err != nil {
-				as.setErr(err)
-				sub.Close()
+			if !ok || !f(r) {
 				return
 			}
 		}
 	}()
-	return &Attached{as: as}, nil
+	return true
 }
 
 // Attached is the handle Attach returns.

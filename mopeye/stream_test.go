@@ -129,7 +129,7 @@ func TestSubscribeContextCancel(t *testing.T) {
 
 // A subscription whose context is cancelled before (or without) the
 // iterator ever being ranged must still detach — an abandoned Seq may
-// not keep filling its ring and inflating the drop counters.
+// not keep lagging and inflating the drop counters.
 func TestSubscribeCancelWithoutRangeDetaches(t *testing.T) {
 	p := newPhone(t)
 	ctx, cancel := context.WithCancel(context.Background())

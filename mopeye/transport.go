@@ -24,8 +24,8 @@ import (
 // HTTPTransport is the real wire — JSONL-over-HTTP POST with
 // exponential-backoff retry, per-batch idempotency keys, and a bounded
 // in-flight queue so a dead collector can never block or OOM the
-// phone (overflow drops are counted, the same contract as the
-// subscriber rings).
+// phone (overflow drops are counted, the same contract as a lagging
+// subscriber's).
 
 // Batch is the unit of upload: one device's records under an
 // idempotency key. See measure.Batch for the wire encoding.
