@@ -4,7 +4,6 @@ import (
 	"context"
 	"iter"
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -13,19 +12,21 @@ import (
 // store's row log; a Subscription is a cursor into that log, so it
 // holds no copy of any record and no memory that grows with its size.
 // The record path runs on the engine's packet workers, so the producer
-// NEVER blocks on a reader: a reader may lag at most size rows behind
-// the log's end, and when it falls further behind, Add moves its
-// cursor past the oldest unread row and counts that row as the
-// reader's drop. Bounded lag, bounded loss, unbounded neither.
+// never waits for a reader to catch up: a reader may lag at most size
+// rows behind the log's end, and when it falls further behind, Add
+// moves its cursor past the oldest unread row and counts that row as
+// the reader's drop. Bounded lag, bounded loss, unbounded neither.
 //
-// Producer-side cost:
-//   - zero subscribers: one len check under the mutex Add already
-//     holds — no allocation, no atomics, nothing (pinned by a
-//     0-allocs test).
-//   - N subscribers: per subscriber, a lag check and a non-blocking
-//     wake; a reader that lags also costs a cursor step, and on a
-//     filtered subscription the skipped row is read back to ask the
-//     filter whether it counts as a drop. Still allocation-free.
+// Producer-side cost: with no subscribers, one len check under the
+// mutex Add already holds (pinned by a 0-allocs test); per subscriber,
+// a lag check and a non-blocking wake, plus a cursor step for a reader
+// that lags, whose skipped row is read back only to ask a filter
+// whether it counts as a drop. Still allocation-free.
+//
+// Reader-side cost: a reader holds Store.mu only to claim its next
+// rows, in constant time, so Add can wait for that step but never for
+// a reader's rebuild or filter. The wake is not filtered: a filtered
+// reader also wakes, and claims, for rows it rejects.
 //
 // Cursors and their ends are guarded by Store.mu, which already
 // serialises Add; each Subscription has exactly one consumer by
@@ -37,6 +38,10 @@ import (
 // packets).
 const defaultSubscriberLag = 1024
 
+// readChunk caps the rows a reader claims at a time. Claimed rows are
+// the reader's and never count as lag.
+const readChunk = 64
+
 // Subscription is one bounded tap on a Store's record stream. It
 // observes every record added after Subscribe, in Add order, minus the
 // oldest unread records it lost while lagging more than its size. A
@@ -47,31 +52,30 @@ type Subscription struct {
 	keep func(Record) bool // nil accepts every record
 	size int               // rows the reader may lag
 
-	// next is the index of the next row to read; the stream ends at
+	// next is the index of the next row to claim; the stream ends at
 	// end, which is math.MaxInt while the subscription is live. Both
 	// guarded by Store.mu.
 	next, end int
 
+	// rows are the claimed rows not yet read back, and tabs a copy of
+	// the store's tables taken with them. Consumer side only.
+	rows []row
+	tabs tables
+
 	// dropped counts the records this subscriber lost to lag.
 	dropped atomic.Uint64
 
-	// notify is the consumer wakeup: capacity 1, non-blocking send
-	// after every Add, so a parked consumer observes "a row arrived"
-	// without the producer ever waiting.
+	// notify is the consumer wakeup: capacity 1, sent without blocking
+	// after every Add and at the close.
 	notify chan struct{}
-	// done is closed when the subscription is closed (by the consumer
-	// or by the store shutting down). Rows before end may still be
-	// unread; Next delivers them before reporting the end of the
-	// stream.
-	done      chan struct{}
-	closeOnce sync.Once
 }
 
 // Subscribe registers a tap on the stream. Records added after the
 // call are delivered as long as the reader lags no more than size rows
-// of any kind behind the newest (size <= 0 means the 1024 default);
-// past that, its oldest unread record is dropped and counted. keep,
-// when non-nil, filters: records it rejects are neither delivered nor
+// of any kind behind the newest, not counting the at most readChunk
+// rows it has claimed (size <= 0 means the 1024 default); past that,
+// its oldest unclaimed record is dropped and counted. keep, when
+// non-nil, filters: records it rejects are neither delivered nor
 // counted as drops. On a store whose subscribers have been shut down
 // (CloseSubscribers), the returned Subscription is already closed and
 // yields nothing.
@@ -85,18 +89,15 @@ func (s *Store) Subscribe(size int, keep func(Record) bool) *Subscription {
 		size:   size,
 		end:    math.MaxInt,
 		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	sub.next = len(s.recs)
 	if s.subsClosed {
 		sub.end = sub.next
-		s.mu.Unlock()
-		sub.closeOnce.Do(func() { close(sub.done) })
-		return sub
+	} else {
+		s.subs = append(s.subs, sub)
 	}
-	s.subs = append(s.subs, sub)
-	s.mu.Unlock()
 	return sub
 }
 
@@ -115,27 +116,44 @@ func (s *Store) publish() {
 				s.dropped.Add(1)
 			}
 		}
-		select {
-		case sub.notify <- struct{}{}:
-		default:
-		}
+		sub.wake()
 	}
 }
 
-// read returns the next record the subscriber keeps without blocking.
-// Consumer side only.
-func (sub *Subscription) read() (Record, bool) {
-	s := sub.st
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for sub.next < len(s.recs) && sub.next < sub.end {
-		r := s.tabs.record(s.recs[sub.next])
-		sub.next++
-		if sub.keep == nil || sub.keep(r) {
-			return r, true
+func (sub *Subscription) wake() {
+	select {
+	case sub.notify <- struct{}{}:
+	default:
+	}
+}
+
+// read sets *r to the next record the subscriber keeps, without
+// blocking. ended reports a closed subscription with every row before
+// its end read. Consumer side only.
+func (sub *Subscription) read(r *Record) (ok, ended bool) {
+	for {
+		for len(sub.rows) > 0 {
+			*r = sub.tabs.record(sub.rows[0])
+			sub.rows = sub.rows[1:]
+			if sub.keep == nil || sub.keep(*r) {
+				return true, false
+			}
+		}
+		// Claim the next rows and the tables they refer to. The log
+		// and the tables only grow by append, so both stay valid and
+		// unchanged after the mutex is released.
+		s := sub.st
+		s.mu.Lock()
+		end := min(len(s.recs), sub.end, sub.next+readChunk)
+		sub.rows, sub.tabs = s.recs[sub.next:end:end], s.tabs
+		sub.next = end
+		ended = end == sub.end
+		s.mu.Unlock()
+		if len(sub.rows) == 0 {
+			sub.rows, sub.tabs, *r = nil, tables{}, Record{}
+			return false, ended
 		}
 	}
-	return Record{}, false
 }
 
 // Next blocks for the next record. ok is false once the subscription
@@ -148,15 +166,12 @@ func (sub *Subscription) Next(ctx context.Context) (r Record, ok bool) {
 		cancel = ctx.Done()
 	}
 	for {
-		if r, ok := sub.read(); ok {
-			return r, true
+		ok, ended := sub.read(&r)
+		if ok || ended {
+			return r, ok
 		}
 		select {
 		case <-sub.notify:
-		case <-sub.done:
-			// Closed: end is fixed, so whatever read sees now is the
-			// complete remainder.
-			return sub.read()
 		case <-cancel:
 			return Record{}, false
 		}
@@ -188,24 +203,17 @@ func (sub *Subscription) Dropped() uint64 { return sub.dropped.Load() }
 // blocked in Next is released; records added before the close remain
 // readable, records added after it are not delivered.
 func (sub *Subscription) Close() {
-	sub.closeOnce.Do(func() {
-		sub.st.unsubscribe(sub)
-		close(sub.done)
-	})
-}
-
-// unsubscribe ends a live subscription at the log's length. One that
-// CloseSubscribers already removed keeps the end it set there.
-func (s *Store) unsubscribe(sub *Subscription) {
+	s := sub.st
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i, x := range s.subs {
 		if x == sub {
 			sub.end = len(s.recs)
 			s.subs = append(s.subs[:i], s.subs[i+1:]...)
+			sub.wake()
 			break
 		}
 	}
-	s.mu.Unlock()
 }
 
 // CloseSubscribers ends every live subscription and marks the store so
@@ -216,16 +224,13 @@ func (s *Store) unsubscribe(sub *Subscription) {
 // once the producers are stopped.
 func (s *Store) CloseSubscribers() {
 	s.mu.Lock()
-	subs := s.subs
-	for _, sub := range subs {
+	defer s.mu.Unlock()
+	for _, sub := range s.subs {
 		sub.end = len(s.recs)
+		sub.wake()
 	}
 	s.subs = nil
 	s.subsClosed = true
-	s.mu.Unlock()
-	for _, sub := range subs {
-		sub.closeOnce.Do(func() { close(sub.done) })
-	}
 }
 
 // Subscribers reports the number of live subscriptions.

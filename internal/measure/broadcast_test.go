@@ -289,7 +289,7 @@ func TestSubscriptionSlowConsumerExactAccounting(t *testing.T) {
 				i, delivered[i].At, delivered[i-1].At)
 		}
 	}
-	// The store itself missed nothing: drops are a subscriber-ring
+	// The store itself missed nothing: drops are a lagging-cursor
 	// phenomenon, never data loss.
 	if s.Len() != total {
 		t.Errorf("store kept %d of %d", s.Len(), total)
