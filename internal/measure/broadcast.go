@@ -26,7 +26,8 @@ import (
 // Reader-side cost: a reader holds Store.mu only to claim its next
 // rows, in constant time, so Add can wait for that step but never for
 // a reader's rebuild or filter. The wake is not filtered: a filtered
-// reader also wakes, and claims, for rows it rejects.
+// reader also wakes, and claims, for rows it rejects. Snapshot and
+// Kind read the same way, through a cursor Add never sees (span).
 //
 // Cursors and their ends are guarded by Store.mu, which already
 // serialises Add; each Subscription has exactly one consumer by

@@ -69,12 +69,15 @@ func (r Record) NetKey() string {
 	return r.Kind.String() + "/" + nt
 }
 
-// Store collects records in one row log that its snapshot accessors
-// and its subscriptions (broadcast.go), cursors into the log, both
-// read. They observe the same records in the same order; the stream is
-// the push view, the snapshot the pull view. Records are
-// held as 32-byte pointer-free rows over interned sources, domains and
-// destinations (rows.go), so At reads back as At.Round(0).
+// Store collects records in one row log. Every reader is a cursor into
+// it that claims at most 64 rows at a time under the store's mutex and
+// rebuilds them outside it (broadcast.go): a subscription, the push
+// view, follows the log as it grows, and Snapshot and Kind, the pull
+// view, read it up to its length when called. Both observe the same
+// records in the same order, and no reader holds up an Add for longer
+// than one claim. Records are held as 32-byte pointer-free rows over
+// interned sources, domains and destinations (rows.go), so At reads
+// back as At.Round(0).
 type Store struct {
 	mu   sync.Mutex
 	recs []row
@@ -123,35 +126,33 @@ func (s *Store) InternedValues() int {
 }
 
 // Snapshot copies all records out.
-func (s *Store) Snapshot() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.recs) == 0 {
-		return nil
-	}
-	out := make([]Record, len(s.recs))
-	for i, w := range s.recs {
-		out[i] = s.tabs.record(w)
-	}
-	return out
-}
-
-// Filter returns the records satisfying keep.
-func (s *Store) Filter(keep func(Record) bool) []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Record
-	for _, w := range s.recs {
-		if r := s.tabs.record(w); keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+func (s *Store) Snapshot() []Record { return s.span(nil) }
 
 // Kind returns records of one kind.
 func (s *Store) Kind(k Kind) []Record {
-	return s.Filter(func(r Record) bool { return r.Kind == k })
+	return s.span(func(r Record) bool { return r.Kind == k })
+}
+
+// span returns the records in the log when it is called that keep
+// accepts (nil accepts all). It reads them through a Subscription that
+// is never registered, so no Add moves its cursor: it drops nothing,
+// holds s.mu only for each constant-time claim and rebuilds and
+// filters outside it, and keep may call back into the store.
+func (s *Store) span(keep func(Record) bool) []Record {
+	s.mu.Lock()
+	sub := Subscription{st: s, keep: keep, end: len(s.recs)}
+	s.mu.Unlock()
+	var out []Record
+	if keep == nil && sub.end > 0 {
+		out = make([]Record, 0, sub.end)
+	}
+	for {
+		var r Record
+		if ok, _ := sub.read(&r); !ok {
+			return out
+		}
+		out = append(out, r)
+	}
 }
 
 // RTTMillis extracts RTTs in milliseconds from a record set.

@@ -121,12 +121,105 @@ func TestConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
+// A reader rebuilds and filters outside the store's mutex, so its
+// filter may add to the store: the read still returns, with exactly
+// the records added before it began, and the store keeps the rest.
+func TestReaderFilterMayAdd(t *testing.T) {
 	s := NewStore()
-	s.Add(rec(KindTCP, "a", "", "WiFi", "", 10))
-	s.Add(rec(KindTCP, "a", "", "LTE", "", 10))
-	got := s.Filter(func(r Record) bool { return r.NetType == "WiFi" })
-	if len(got) != 1 {
-		t.Errorf("filter: %d", len(got))
+	n := readChunk*2 + readChunk/2 // three claims
+	for i := 0; i < n; i++ {
+		s.Add(brec(i))
 	}
+	got := make(chan []Record, 1)
+	go func() {
+		got <- s.span(func(r Record) bool {
+			s.Add(brec(n))
+			return true
+		})
+	}()
+	select {
+	case recs := <-got:
+		if len(recs) != n {
+			t.Fatalf("read %d records, want the %d added before it", len(recs), n)
+		}
+		for i, r := range recs {
+			checkStored(t, "span", r, brec(i))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a read whose filter adds to the store did not return")
+	}
+	if got := s.Len(); got != 2*n {
+		t.Fatalf("Len = %d, want %d: %d before the read, one per filtered record", got, 2*n, n)
+	}
+}
+
+// Snapshot and Kind run while two writers add: each result is an
+// in-order prefix of the next, and so of the final Snapshot, or of its
+// TCP records.
+func TestSnapshotAndKindUnderLiveWriters(t *testing.T) {
+	const perWriter = 3000
+	s := NewStore()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				r := brec(w*perWriter + i)
+				if i%3 == 0 {
+					r.Kind = KindDNS
+				}
+				s.Add(r)
+			}
+		}(w)
+	}
+	written := make(chan struct{})
+	go func() { wg.Wait(); close(written) }()
+
+	isPrefix := func(p, of []Record) bool {
+		if len(p) > len(of) {
+			return false
+		}
+		for i := range p {
+			if p[i] != of[i] {
+				return false
+			}
+		}
+		return true
+	}
+	var snap, tcp []Record
+	reads := 0
+	for done := false; !done; reads++ {
+		select {
+		case <-written:
+			done = true
+		default:
+		}
+		next, nextTCP := s.Snapshot(), s.Kind(KindTCP)
+		if !isPrefix(snap, next) {
+			t.Fatalf("read %d: Snapshot of %d records is not a prefix of the next, of %d", reads, len(snap), len(next))
+		}
+		if !isPrefix(tcp, nextTCP) {
+			t.Fatalf("read %d: Kind(KindTCP) of %d records is not a prefix of the next, of %d", reads, len(tcp), len(nextTCP))
+		}
+		for _, r := range nextTCP {
+			if r.Kind != KindTCP {
+				t.Fatalf("read %d: Kind(KindTCP) returned a %v record", reads, r.Kind)
+			}
+		}
+		snap, tcp = next, nextTCP
+	}
+	if len(snap) != 2*perWriter {
+		t.Fatalf("final Snapshot holds %d records, want %d", len(snap), 2*perWriter)
+	}
+	var wantTCP []Record
+	for _, r := range snap {
+		if r.Kind == KindTCP {
+			wantTCP = append(wantTCP, r)
+		}
+	}
+	if len(tcp) != len(wantTCP) || !isPrefix(tcp, wantTCP) {
+		t.Fatalf("final Kind(KindTCP) holds %d records, want the final Snapshot's %d", len(tcp), len(wantTCP))
+	}
+	t.Logf("%d reads of each while the writers ran", reads)
 }

@@ -6,13 +6,13 @@
 //
 // Two design decisions keep the hot paths honest:
 //
-//   - Instrumentation is pull-based wherever a value already exists.
-//     The engine, collector, and fleet all keep their hot counters as
-//     atomics; CounterFunc/GaugeFunc/Collect* register a scrape-time
-//     read over those atomics instead of adding a second write to the
-//     packet path. Enabling metrics therefore costs nothing until
-//     something scrapes, and a scrape costs O(instruments), not
-//     O(traffic).
+//   - Counters and gauges are pull-based only. The engine, collector,
+//     and fleet all keep their hot counters as atomics;
+//     CounterFunc/GaugeFunc/Collect* register a scrape-time read over
+//     those atomics, and the registry has no counter or gauge of its
+//     own to add a second write to the packet path. Enabling metrics
+//     therefore costs nothing until something scrapes, and a scrape
+//     costs O(instruments), not O(traffic).
 //
 //   - Quantile instruments wrap internal/sketch (the DDSketch-style
 //     mergeable sketch the collector already aggregates with), so the
@@ -26,10 +26,8 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sketch"
 )
@@ -65,43 +63,6 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing instrument. Safe for
-// concurrent use.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable instrument. Safe for concurrent use (float bits
-// behind one atomic word).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Quantile is a streaming quantile instrument: a mutex around the
 // mergeable internal/sketch, so the p50/p95/p99 it exposes carry the
 // sketch's relative-error guarantee and snapshots merge exactly.
@@ -135,8 +96,6 @@ func (q *Quantile) snapshot() *sketch.Sketch {
 type instrument struct {
 	labels []Label
 
-	ctr *Counter
-	gge *Gauge
 	qtl *Quantile
 	fn  func() float64 // CounterFunc/GaugeFunc
 }
@@ -197,22 +156,6 @@ func (f *family) static(labels []Label, make func() *instrument) *instrument {
 	in := make()
 	f.insts[sig] = in
 	return in
-}
-
-// Counter registers (idempotently) a counter.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	in := r.familyFor(name, help, KindCounter).static(labels, func() *instrument {
-		return &instrument{labels: copyLabels(labels), ctr: &Counter{}}
-	})
-	return in.ctr
-}
-
-// Gauge registers (idempotently) a gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	in := r.familyFor(name, help, KindGauge).static(labels, func() *instrument {
-		return &instrument{labels: copyLabels(labels), gge: &Gauge{}}
-	})
-	return in.gge
 }
 
 // Quantile registers (idempotently) a quantile summary with the given
@@ -286,10 +229,6 @@ func (r *Registry) Gather() Snapshot {
 		for _, in := range f.insts {
 			s := Sample{Labels: copyLabels(in.labels)}
 			switch {
-			case in.ctr != nil:
-				s.Value = float64(in.ctr.Value())
-			case in.gge != nil:
-				s.Value = in.gge.Value()
 			case in.qtl != nil:
 				s.Sketch = in.qtl.snapshot()
 			case in.fn != nil:

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sketch"
@@ -19,11 +20,13 @@ import (
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 
-	g := r.Gauge("test_active_flows", "Open flows.")
-	g.Set(7)
-	c := r.Counter("test_packets_total", "Packets seen.", L("dir", "up"))
-	c.Add(1500)
-	r.Counter("test_packets_total", "Packets seen.", L("dir", "down")).Add(42)
+	var flows, up, down atomic.Uint64
+	r.GaugeFunc("test_active_flows", "Open flows.", func() float64 { return float64(flows.Load()) })
+	r.CounterFunc("test_packets_total", "Packets seen.", func() float64 { return float64(up.Load()) }, L("dir", "up"))
+	r.CounterFunc("test_packets_total", "Packets seen.", func() float64 { return float64(down.Load()) }, L("dir", "down"))
+	flows.Store(7)
+	up.Add(1500)
+	down.Add(42)
 	q := r.Quantile("test_rtt_ms", "Per-connection RTT.", 0, L("app", "web"))
 	for i := 1; i <= 100; i++ {
 		q.Observe(float64(i))
@@ -97,7 +100,7 @@ func firstLineValue(t *testing.T, expo, prefix string) string {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("esc_total", "", L("path", "a\\b\"c\nd")).Inc()
+	r.CounterFunc("esc_total", "", func() float64 { return 1 }, L("path", "a\\b\"c\nd"))
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -110,14 +113,17 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestRegistrationIdempotentAndConflicts(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("same_total", "h", L("k", "v"))
-	b := r.Counter("same_total", "h", L("k", "v"))
-	if a != b {
-		t.Fatal("identical registration returned distinct counters")
-	}
+	var a, b atomic.Uint64
+	r.CounterFunc("same_total", "h", func() float64 { return float64(a.Load()) }, L("k", "v"))
+	r.CounterFunc("same_total", "h", func() float64 { return float64(b.Load()) }, L("k", "v"))
 	a.Add(3)
-	if b.Value() != 3 {
-		t.Fatalf("value = %d, want 3", b.Value())
+	b.Add(5)
+	snap := r.Gather()
+	if len(snap) != 1 || len(snap[0].Samples) != 1 {
+		t.Fatalf("identical registration made %v, want one family with one sample", snap)
+	}
+	if v, _ := snap.Get("same_total", L("k", "v")); v != 3 {
+		t.Fatalf("value = %v, want 3: the first registration's reading", v)
 	}
 
 	defer func() {
@@ -125,40 +131,23 @@ func TestRegistrationIdempotentAndConflicts(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("same_total", "h")
-}
-
-func TestGaugeAddConcurrent(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("g", "")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				g.Add(1)
-				g.Add(-0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := g.Value(); got != 4000 {
-		t.Fatalf("gauge = %v, want 4000", got)
-	}
+	r.GaugeFunc("same_total", "h", func() float64 { return 0 })
 }
 
 // TestScrapeUnderConcurrentWrites is the -race half of the coverage:
-// every instrument type written from many goroutines while scrapes,
-// gathers, and late registrations run concurrently.
+// the atomics behind every counter and gauge source, and a Quantile,
+// written from many goroutines while scrapes, gathers, and late
+// registrations run concurrently.
 func TestScrapeUnderConcurrentWrites(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("rc_total", "")
-	g := r.Gauge("rc_gauge", "")
+	var c, g atomic.Uint64
+	var late [4]atomic.Uint64
+	r.CounterFunc("rc_total", "", func() float64 { return float64(c.Load()) })
+	r.GaugeFunc("rc_gauge", "", func() float64 { return float64(g.Load()) })
 	q := r.Quantile("rc_rtt", "", 0)
-	r.CounterFunc("rc_func_total", "", func() float64 { return float64(c.Value()) })
+	r.CounterFunc("rc_func_total", "", func() float64 { return float64(c.Load()) })
 	r.CollectGauges("rc_dyn", "", func() []Sample {
-		return []Sample{{Labels: []Label{L("w", "0")}, Value: g.Value()}}
+		return []Sample{{Labels: []Label{L("w", "0")}, Value: float64(g.Load())}}
 	})
 
 	const perWriter = 2000
@@ -168,12 +157,14 @@ func TestScrapeUnderConcurrentWrites(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for n := 0; n < perWriter; n++ {
-				c.Inc()
-				g.Set(float64(n))
+				c.Add(1)
+				g.Store(uint64(n))
 				q.Observe(float64(n%100 + 1))
 				if n%64 == 0 {
 					// Late registration racing the scrape loop.
-					r.Counter("rc_late_total", "", L("id", string(rune('a'+id)))).Inc()
+					late[id].Add(1)
+					r.CounterFunc("rc_late_total", "", func() float64 { return float64(late[id].Load()) },
+						L("id", string(rune('a'+id))))
 				}
 			}
 		}(i)
@@ -269,7 +260,7 @@ func TestQuantileCount(t *testing.T) {
 // content type and body.
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_hits_total", "Hits.").Add(5)
+	r.CounterFunc("test_hits_total", "Hits.", func() float64 { return 5 })
 
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()

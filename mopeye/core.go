@@ -69,7 +69,10 @@ func engineConfig(base *engine.Config, workers int) engine.Config {
 // Measurements returns every opportunistic measurement collected so
 // far — the pull-style snapshot of the same stream Subscribe delivers
 // push-style, in the same order. Copies the whole store on every
-// call; continuous consumers should prefer Subscribe or Attach.
+// call, so continuous consumers should prefer Subscribe or Attach; it
+// reads the store the way a subscription does, 64 records per hold of
+// the store's lock, so even a large copy never holds up the relay's
+// workers as they record.
 func (p *core) Measurements() []Measurement { return p.store.Snapshot() }
 
 // TCPMeasurements returns a snapshot of the per-app TCP RTTs — the
