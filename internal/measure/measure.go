@@ -69,15 +69,13 @@ func (r Record) NetKey() string {
 	return r.Kind.String() + "/" + nt
 }
 
-// Store collects records in one row log. Every reader is a cursor into
-// it that claims at most 64 rows at a time under the store's mutex and
-// rebuilds them outside it (broadcast.go): a subscription, the push
-// view, follows the log as it grows, and Snapshot and Kind, the pull
-// view, read it up to its length when called. Both observe the same
-// records in the same order, and no reader holds up an Add for longer
-// than one claim. Records are held as 32-byte pointer-free rows over
-// interned sources, domains and destinations (rows.go), so At reads
-// back as At.Round(0).
+// Store collects records in one row log, and every reader is a cursor
+// into it (broadcast.go): a subscription follows the log as it grows,
+// Snapshot and Kind read it up to its length at the call. Both observe
+// the same records in the same order, and neither holds the mutex Add
+// takes for longer than one 64-row claim. Records are held as 32-byte
+// pointer-free rows over interned sources, domains and destinations
+// (rows.go), so At reads back as At.Round(0).
 type Store struct {
 	mu   sync.Mutex
 	recs []row
@@ -133,11 +131,9 @@ func (s *Store) Kind(k Kind) []Record {
 	return s.span(func(r Record) bool { return r.Kind == k })
 }
 
-// span returns the records in the log when it is called that keep
-// accepts (nil accepts all). It reads them through a Subscription that
-// is never registered, so no Add moves its cursor: it drops nothing,
-// holds s.mu only for each constant-time claim and rebuilds and
-// filters outside it, and keep may call back into the store.
+// span reads the records keep accepts (nil: all) from the rows in the
+// log at the call, through a Subscription no Add ever moves: it drops
+// nothing, and keep runs outside s.mu, so it may add to the store.
 func (s *Store) span(keep func(Record) bool) []Record {
 	s.mu.Lock()
 	sub := Subscription{st: s, keep: keep, end: len(s.recs)}
