@@ -64,13 +64,14 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 				}
 				return out
 			})
-		// Per-network RTT summaries straight off the aggregation
-		// sketches: mergedAgg builds fresh sketches, so the samples own
-		// their state and the quantiles carry the sketch's ±alpha bound.
+		// Per-network RTT summaries off the aggregation sketches:
+		// aggCopy clones them under aggMu, so the samples own their
+		// state, render outside the lock, and carry the sketch's ±alpha
+		// bound.
 		r.CollectSummaries("mopeye_collector_rtt_ms",
 			"Measured RTTs (ms) by network key, sketched.",
 			func() []metrics.Sample {
-				a := s.mergedAgg()
+				a := s.aggCopy()
 				out := make([]metrics.Sample, 0, len(a.perNet))
 				for key, sk := range a.perNet {
 					out = append(out, metrics.Sample{

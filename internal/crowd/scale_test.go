@@ -3,15 +3,19 @@ package crowd
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/measure"
+	"repro/internal/sketch"
 )
 
 // --- retention modes and sketched aggregates ---
@@ -296,4 +300,119 @@ func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
 	if st := s.Stats(); st.Duplicates != 1 || st.Batches != 6 {
 		t.Errorf("redelivery after merge not absorbed: %+v", st)
 	}
+}
+
+// The server's one aggregation equals sketches fed the same records one
+// by one, bit for bit, however its 16 shards interleave the commits: 64
+// devices (hashing across every shard) upload concurrently while
+// Summary and WriteMetrics read in between.
+func TestSummaryEqualsSequentialSketch(t *testing.T) {
+	const devices, batches, perBatch = 64, 6, 12
+	s, err := NewServer(ServerOptions{RetainRecords: RetainOff, ExposeMetrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := []string{"com.a", "com.b", "com.c", "com.d", "com.e"}
+	nets := []string{"WiFi", "LTE", "3G"}
+	shardsHit := make(map[uint64]bool)
+	bodies := make([][][]byte, devices)
+	perApp := make(map[string]*sketch.Sketch)
+	perNet := make(map[string]*sketch.Sketch)
+	feed := func(m map[string]*sketch.Sketch, key string, ms float64) {
+		if m[key] == nil {
+			m[key] = sketch.New(sketchAlpha)
+		}
+		m[key].Add(ms)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for d := range devices {
+		dev := fmt.Sprintf("phone-%02d", d)
+		shardsHit[hashDevice(dev)%ingestShards] = true
+		for k := range batches {
+			b := srvBatch(dev, fmt.Sprintf("%s/k%d", dev, k), k)
+			for range perBatch {
+				r := srvRec(dev, apps[rng.Intn(len(apps))], 0.05*math.Exp(rng.Float64()*12))
+				r.NetType = nets[rng.Intn(len(nets))]
+				if rng.Intn(4) == 0 {
+					r.Kind, r.App = measure.KindDNS, "system.dns"
+				}
+				b.Records = append(b.Records, r)
+			}
+			body := measure.AppendBatch(nil, b)
+			bodies[d] = append(bodies[d], body)
+			// The reference reads the records as the server decodes them.
+			dec, err := measure.DecodeBatchBytes(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range dec.Records {
+				if r.Kind == measure.KindTCP {
+					feed(perApp, r.App, r.Millis())
+				}
+				feed(perNet, r.NetKey(), r.Millis())
+			}
+		}
+	}
+	if len(shardsHit) != ingestShards {
+		t.Fatalf("devices hash to %d of %d shards", len(shardsHit), ingestShards)
+	}
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			_ = s.Summary()
+			if err := s.WriteMetrics(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var uploads sync.WaitGroup
+	for d := range devices {
+		uploads.Add(1)
+		go func() {
+			defer uploads.Done()
+			dev := fmt.Sprintf("phone-%02d", d)
+			for _, body := range bodies[d] {
+				req := httptest.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(body))
+				req.Header.Set(DeviceHeader, dev)
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					t.Errorf("%s: %d %s", dev, w.Code, w.Body)
+				}
+			}
+		}()
+	}
+	uploads.Wait()
+	close(done)
+	readers.Wait()
+
+	sum := s.Summary()
+	if sum.Stats.Records != devices*batches*perBatch {
+		t.Fatalf("records %d, want %d", sum.Stats.Records, devices*batches*perBatch)
+	}
+	same := func(kind string, got map[string]QuantileSummary, want map[string]*sketch.Sketch) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d keys, want %d", kind, len(got), len(want))
+		}
+		for key, sk := range want {
+			g, w := got[key], quantileSummary(sk)
+			g.MeanMS, w.MeanMS = 0, 0 // float sums reassociate with commit order
+			if g != w {
+				t.Errorf("%s %s: summary %+v, sequential %+v", kind, key, g, w)
+			}
+		}
+	}
+	same("per-app", sum.PerApp, perApp)
+	same("per-net", sum.PerNet, perNet)
 }

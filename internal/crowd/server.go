@@ -30,11 +30,15 @@ import (
 //
 // Ingest state is sharded by device-stamp hash (the flowtable
 // discipline applied to the collector): each internal shard owns its
-// dedup keys, sketch state, and optional raw records behind its own
-// mutex, so uploads from different devices never serialize on one
-// lock. A batch's device decides its shard, and a batch's idempotency
-// key is only ever checked against its own device's shard — consistent
-// because retries of a batch carry the same device stamp.
+// dedup keys and optional raw records behind its own mutex, so the
+// dedup check and spool append of different devices never serialize on
+// one lock. A batch's device decides its shard, and a batch's
+// idempotency key is only ever checked against its own device's shard —
+// consistent because retries of a batch carry the same device stamp.
+// The sketches are not sharded: the server keeps one per app and one
+// per network key behind aggMu, which a commit takes inside its shard
+// lock (lock order: shard, then aggMu) for the length of its observe
+// loop.
 
 // Upload protocol headers.
 const (
@@ -125,13 +129,12 @@ func (c *serverCounters) snapshot() ServerStats {
 }
 
 // ingestShard is one lock domain of the server's ingest state: the
-// dedup keys, sketches, and (when retained) raw records of the devices
-// hashing here.
+// dedup keys and (when retained) raw records of the devices hashing
+// here.
 type ingestShard struct {
 	mu   sync.Mutex
 	keys map[string]struct{}
 	recs []measure.Record
-	agg  *agg
 
 	// recCount counts records committed to this shard over its lifetime
 	// (independent of retention, unlike len(recs)). Atomic so the
@@ -170,6 +173,11 @@ type Server struct {
 	shards [ingestShards]ingestShard
 	c      serverCounters
 
+	// aggMu guards agg, the one set of sketches every shard's commits
+	// feed. Taken after a shard's mu, never before it.
+	aggMu sync.Mutex
+	agg   *agg
+
 	// spool is immutable after construction (nil when memory-only); it
 	// carries its own lock, and Close makes later Appends fail cleanly.
 	spool *Spool
@@ -183,10 +191,9 @@ type Server struct {
 // NewServer builds a collector server, replaying the spool when one is
 // configured.
 func NewServer(o ServerOptions) (*Server, error) {
-	s := &Server{o: o}
+	s := &Server{o: o, agg: newAgg()}
 	for i := range s.shards {
 		s.shards[i].keys = make(map[string]struct{})
-		s.shards[i].agg = newAgg()
 	}
 	if o.SpoolDir != "" {
 		spool, replay, err := OpenSpool(o.SpoolDir)
@@ -224,9 +231,11 @@ func (s *Server) commit(sh *ingestShard, b measure.Batch) {
 	// The sketches do not look at the device stamp, so the records are
 	// observed as decoded; only a retaining server pays for stamped
 	// copies.
+	s.aggMu.Lock()
 	for i := range b.Records {
-		sh.agg.observe(&b.Records[i])
+		s.agg.observe(&b.Records[i])
 	}
+	s.aggMu.Unlock()
 	if s.o.retain() {
 		sh.recs = append(sh.recs, stampRecords(b)...)
 	}
@@ -441,23 +450,18 @@ func (s *Server) Stats() ServerStats {
 	return s.c.snapshot()
 }
 
-// mergedAgg folds every shard's aggregation state into one, shard
-// locks taken one at a time. O(shards × apps × sketch bins).
-func (s *Server) mergedAgg() *agg {
-	dst := newAgg()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		dst.merge(sh.agg)
-		sh.mu.Unlock()
-	}
-	return dst
+// aggCopy copies the aggregation state under aggMu, so that rendering
+// it holds up no commit. O(keys × bins).
+func (s *Server) aggCopy() *agg {
+	s.aggMu.Lock()
+	defer s.aggMu.Unlock()
+	return s.agg.clone()
 }
 
 // Summary assembles the sketched /v1/stats document. Cost is
 // independent of dataset size.
 func (s *Server) Summary() Summary {
-	a := s.mergedAgg()
+	a := s.aggCopy()
 	perApp, perNet := a.render()
 	return Summary{
 		Stats:            s.Stats(),

@@ -9,12 +9,10 @@ import (
 // per-app and per-network-type quantile sketches (plus counters) that
 // are maintained incrementally on each accepted batch, so that
 // /v1/stats and per-app median queries are O(sketch) instead of
-// O(dataset). Sketches merge exactly (bin-wise), which is what lets
-// the per-shard states inside one Server fan into a single truthful
-// Summary.
+// O(dataset). There is one sketch per key for the whole server, at
+// most 16 KB each however many shards commit into it.
 
-// agg is one ingest shard's aggregation state. It is guarded by the
-// owning shard's mutex; merging reads it without mutating.
+// agg is the server's aggregation state, guarded by Server.aggMu.
 type agg struct {
 	tcp uint64
 	dns uint64
@@ -46,7 +44,7 @@ func newAgg() *agg {
 	}
 }
 
-// observe folds one accepted record into the shard's sketches.
+// observe folds one accepted record into the sketches.
 func (a *agg) observe(r *measure.Record) {
 	ms := r.Millis()
 	if r.Kind == measure.KindTCP {
@@ -69,26 +67,21 @@ func (a *agg) observe(r *measure.Record) {
 	sk.Add(ms)
 }
 
-// merge folds o into a without mutating o (sketch.Merge copies bins).
-func (a *agg) merge(o *agg) {
-	a.tcp += o.tcp
-	a.dns += o.dns
-	for app, sk := range o.perApp {
-		dst := a.perApp[app]
-		if dst == nil {
-			dst = sketch.New(sketchAlpha)
-			a.perApp[app] = dst
-		}
-		dst.Merge(sk)
+// clone returns an independent copy.
+func (a *agg) clone() *agg {
+	c := &agg{
+		tcp:    a.tcp,
+		dns:    a.dns,
+		perApp: make(map[string]*sketch.Sketch, len(a.perApp)),
+		perNet: make(map[netKey]*sketch.Sketch, len(a.perNet)),
 	}
-	for key, sk := range o.perNet {
-		dst := a.perNet[key]
-		if dst == nil {
-			dst = sketch.New(sketchAlpha)
-			a.perNet[key] = dst
-		}
-		dst.Merge(sk)
+	for app, sk := range a.perApp {
+		c.perApp[app] = sk.Clone()
 	}
+	for key, sk := range a.perNet {
+		c.perNet[key] = sk.Clone()
+	}
+	return c
 }
 
 // QuantileSummary is one sketch rendered for the stats document.
@@ -116,8 +109,8 @@ func quantileSummary(sk *sketch.Sketch) QuantileSummary {
 
 // Summary is the `GET /v1/stats` document: the server counters plus
 // the sketched per-app and per-network aggregates. Assembling it costs
-// O(shards × apps × sketch bins) — independent of how many records
-// ever streamed through the collector.
+// O(keys × sketch bins) — independent of how many records ever
+// streamed through the collector.
 type Summary struct {
 	Stats ServerStats `json:"stats"`
 	// TCPRecords and DNSRecords split Stats.Records by kind.
@@ -138,7 +131,7 @@ type Summary struct {
 	PerNet map[string]QuantileSummary `json:"per_net,omitempty"`
 }
 
-// render converts the merged aggregation state into the wire form.
+// render converts the aggregation state into the wire form.
 func (a *agg) render() (perApp, perNet map[string]QuantileSummary) {
 	perApp = make(map[string]QuantileSummary, len(a.perApp))
 	for app, sk := range a.perApp {

@@ -7,79 +7,98 @@
 // back with bounded *relative* error — the right guarantee for RTTs,
 // where a 1 ms error means something different at 5 ms than at 500 ms.
 //
-// Two properties matter to the collector:
+// The bins are one dense slice of counters indexed from an offset key,
+// so a quantile is a prefix walk over them. Two properties matter:
 //
-//   - Merge is exact bin-wise addition, so it is associative and
-//     commutative to the bit: per-shard sketches fanned into a central
-//     view give the same answers regardless of shard count or merge
-//     order. This is what lets crowd.Server split ingest across lock
-//     shards and still serve one truthful /v1/stats.
+//   - Memory is capped at maxBins (2,048) counters, 16 KB, whatever
+//     streams through. At alpha = 1 % they span a ratio of 6×10¹⁷
+//     (1 ns to about 20 years in ms); when the keys seen span more,
+//     the lowest collapse into the lowest kept bin (DDSketch's
+//     collapsing-lowest store). A collapsed sample still counts, at a
+//     coarser value; quantiles whose rank lies above the collapsed
+//     mass keep the ±alpha bound.
 //
-//   - Memory is O(log(max/min)/alpha) bins regardless of how many
-//     values stream through — a sketch of a million RTTs and a sketch
-//     of sixteen occupy the same few hundred bins.
+//   - The store is a function of the multiset of samples alone, so
+//     Merge is exact: associative and commutative to the bit, and a
+//     merge of two sketches equals one sketch fed both streams.
 package sketch
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DefaultAlpha is the default relative accuracy: quantile estimates are
 // within ±1% of an exact value at the same rank.
 const DefaultAlpha = 0.01
 
-// Sketch is a quantile sketch over positive float64 samples with
-// relative accuracy alpha. Non-positive samples are counted in a zero
-// bin (they contribute rank but estimate as 0). The zero value is not
-// usable; construct with New. A Sketch is not safe for concurrent use;
-// callers shard or lock around it.
+const (
+	// maxBins caps the store: 2,048 counters of 8 bytes.
+	maxBins = 2048
+	// minAlpha is the finest accuracy New accepts. At it the keys of
+	// the whole float64 range stay within ±4×10⁸, so key arithmetic
+	// never overflows.
+	minAlpha = 1e-6
+)
+
+// Sketch is a quantile sketch over float64 samples with relative
+// accuracy alpha. Non-positive samples are counted in a zero bin (they
+// contribute rank but estimate as 0); NaN and -0 are recorded as 0, and
+// +Inf lands in the bin of math.MaxFloat64. The zero value is not usable;
+// construct with New. A Sketch is not safe for concurrent use; callers
+// lock around it.
 type Sketch struct {
 	alpha   float64
 	gamma   float64
 	lnGamma float64
 
-	bins  map[int32]uint64
-	zero  uint64 // samples <= 0
-	count uint64
-	sum   float64
-	min   float64
-	max   float64
+	// counts[i] holds the samples of key offset+i, and counts[0] also
+	// those of every collapsed key below offset. Both ends are
+	// non-zero, and len(counts) <= maxBins.
+	offset int
+	counts []uint64
+	zero   uint64 // samples <= 0
+	count  uint64
+	sum    float64
+	min    float64
+	max    float64
 }
 
 // New creates an empty sketch with the given relative accuracy
-// (0 < alpha < 1); alpha <= 0 selects DefaultAlpha.
+// (0 < alpha < 1); alpha <= 0 or NaN selects DefaultAlpha, alpha >= 1
+// selects 0.5, and alpha below 1e-6 selects 1e-6.
 func New(alpha float64) *Sketch {
-	if alpha <= 0 {
+	switch {
+	case !(alpha > 0):
 		alpha = DefaultAlpha
-	}
-	if alpha >= 1 {
+	case alpha >= 1:
 		alpha = 0.5
+	case alpha < minAlpha:
+		alpha = minAlpha
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	return &Sketch{
 		alpha:   alpha,
 		gamma:   gamma,
 		lnGamma: math.Log(gamma),
-		bins:    make(map[int32]uint64),
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}
 }
 
-// RelativeAccuracy returns the sketch's alpha.
-func (s *Sketch) RelativeAccuracy() float64 { return s.alpha }
-
-// key returns the bin index of a positive value.
-func (s *Sketch) key(x float64) int32 {
-	return int32(math.Ceil(math.Log(x) / s.lnGamma))
+// key returns the bin index of a positive value; +Inf takes the key of
+// math.MaxFloat64.
+func (s *Sketch) key(x float64) int {
+	return int(math.Ceil(math.Log(min(x, math.MaxFloat64)) / s.lnGamma))
 }
 
-// estimate returns the midpoint value of a bin: within (1±alpha) of
-// every value the bin holds.
-func (s *Sketch) estimate(k int32) float64 {
-	return 2 * math.Pow(s.gamma, float64(k)) / (1 + s.gamma)
+// estimate returns the midpoint value of a bin, 2·gamma^k/(1+gamma):
+// within (1±alpha) of every value the bin holds. It scales the bin's
+// lower bound, which is finite for every key, so only the top bin's
+// estimate can overflow, and the clamp to Max catches that.
+func (s *Sketch) estimate(k int) float64 {
+	return math.Pow(s.gamma, float64(k-1)) * (2 * s.gamma / (1 + s.gamma))
 }
 
 // Add records one sample.
@@ -89,6 +108,9 @@ func (s *Sketch) Add(x float64) { s.AddN(x, 1) }
 func (s *Sketch) AddN(x float64, n uint64) {
 	if n == 0 {
 		return
+	}
+	if x == 0 || math.IsNaN(x) {
+		x = 0 // one zero, so Min and Max do not hang on the order ±0 came in
 	}
 	s.count += n
 	s.sum += x * float64(n)
@@ -102,7 +124,34 @@ func (s *Sketch) AddN(x float64, n uint64) {
 		s.zero += n
 		return
 	}
-	s.bins[s.key(x)] += n
+	k := s.key(x)
+	if len(s.counts) == 0 {
+		s.offset, s.counts = k, []uint64{n}
+		return
+	}
+	if top := s.top(); k < s.offset || k > top {
+		s.cover(min(k, s.offset), max(k, top))
+	}
+	s.counts[max(k, s.offset)-s.offset] += n
+}
+
+// top returns the highest key the store holds; the store is not empty.
+func (s *Sketch) top() int { return s.offset + len(s.counts) - 1 }
+
+// cover re-lays a non-empty store over keys lo..hi, a range that
+// contains its own. Past maxBins keys the lowest are collapsed: lo is
+// raised to hi-maxBins+1 and every count below it is folded into the
+// new lowest bin.
+func (s *Sketch) cover(lo, hi int) {
+	lo = max(lo, hi-maxBins+1)
+	if lo == s.offset && hi == s.top() {
+		return
+	}
+	c := make([]uint64, hi-lo+1)
+	for i, n := range s.counts {
+		c[max(s.offset+i, lo)-lo] += n
+	}
+	s.offset, s.counts = lo, c
 }
 
 // Count returns the number of samples recorded.
@@ -135,9 +184,17 @@ func (s *Sketch) Max() float64 {
 	return s.max
 }
 
-// Bins returns the number of occupied bins — the sketch's memory
-// footprint in units of (int32, uint64) pairs.
-func (s *Sketch) Bins() int { return len(s.bins) }
+// Bins returns the number of occupied bins. The store itself holds
+// between Bins and maxBins counters.
+func (s *Sketch) Bins() int {
+	occupied := 0
+	for _, n := range s.counts {
+		if n != 0 {
+			occupied++
+		}
+	}
+	return occupied
+}
 
 // Quantile returns the q-quantile estimate (0 <= q <= 1). The estimate
 // is within relative error alpha of the exact sample at the same
@@ -158,17 +215,14 @@ func (s *Sketch) Quantile(q float64) float64 {
 		return clamp(0, s.min, s.max)
 	}
 	seen := s.zero
-	for _, k := range s.sortedKeys() {
-		seen += s.bins[k]
+	for i, n := range s.counts {
+		seen += n
 		if rank < seen {
-			return clamp(s.estimate(k), s.min, s.max)
+			return clamp(s.estimate(s.offset+i), s.min, s.max)
 		}
 	}
 	return s.max
 }
-
-// Median returns the 0.5-quantile estimate.
-func (s *Sketch) Median() float64 { return s.Quantile(0.5) }
 
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -178,17 +232,6 @@ func clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// sortedKeys returns the occupied bin indexes in ascending order.
-// O(bins log bins) per quantile query — independent of sample count.
-func (s *Sketch) sortedKeys() []int32 {
-	keys := make([]int32, 0, len(s.bins))
-	for k := range s.bins {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // Merge folds o into s. Only sketches of equal alpha merge (their bin
@@ -201,8 +244,13 @@ func (s *Sketch) Merge(o *Sketch) error {
 	if o.alpha != s.alpha {
 		return fmt.Errorf("sketch: merging alpha %v into %v", o.alpha, s.alpha)
 	}
-	for k, n := range o.bins {
-		s.bins[k] += n
+	if len(s.counts) == 0 {
+		s.offset, s.counts = o.offset, slices.Clone(o.counts)
+	} else if len(o.counts) > 0 {
+		s.cover(min(s.offset, o.offset), max(s.top(), o.top()))
+		for i, n := range o.counts {
+			s.counts[max(o.offset+i, s.offset)-s.offset] += n
+		}
 	}
 	s.zero += o.zero
 	s.count += o.count
@@ -219,9 +267,6 @@ func (s *Sketch) Merge(o *Sketch) error {
 // Clone returns an independent copy.
 func (s *Sketch) Clone() *Sketch {
 	c := *s
-	c.bins = make(map[int32]uint64, len(s.bins))
-	for k, n := range s.bins {
-		c.bins[k] = n
-	}
+	c.counts = slices.Clone(s.counts)
 	return &c
 }

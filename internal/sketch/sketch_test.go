@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -85,7 +87,7 @@ func TestQuantileErrorBound(t *testing.T) {
 			// Median agreement against the exact internal/stats pipeline on
 			// odd-length input (odd length makes the interpolated median a
 			// real sample, so the relative bound applies to it too).
-			if got, want := s.Median(), stats.Median(xs); relErr(got, want) > alpha+1e-9 {
+			if got, want := s.Quantile(0.5), stats.Median(xs); relErr(got, want) > alpha+1e-9 {
 				t.Errorf("%s alpha=%v: median %v vs stats.Median %v", name, alpha, got, want)
 			}
 			if s.Count() != uint64(len(xs)) {
@@ -113,20 +115,11 @@ func TestConstantExact(t *testing.T) {
 }
 
 // sketchEqual asserts two sketches answer identically: same counts,
-// same bins, same quantiles.
+// same store (offset and every counter), same quantiles.
 func sketchEqual(t *testing.T, label string, a, b *Sketch) {
 	t.Helper()
-	if a.Count() != b.Count() || a.zero != b.zero || a.Min() != b.Min() || a.Max() != b.Max() {
-		t.Fatalf("%s: counters diverge: (%d,%d,%v,%v) vs (%d,%d,%v,%v)",
-			label, a.Count(), a.zero, a.Min(), a.Max(), b.Count(), b.zero, b.Min(), b.Max())
-	}
-	if len(a.bins) != len(b.bins) {
-		t.Fatalf("%s: bin sets diverge: %d vs %d", label, len(a.bins), len(b.bins))
-	}
-	for k, n := range a.bins {
-		if b.bins[k] != n {
-			t.Fatalf("%s: bin %d: %d vs %d", label, k, n, b.bins[k])
-		}
+	if err := storeDiff(a, b); err != "" {
+		t.Fatalf("%s: %s", label, err)
 	}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
 		if a.Quantile(q) != b.Quantile(q) {
@@ -141,8 +134,8 @@ func sketchEqual(t *testing.T, label string, a, b *Sketch) {
 }
 
 // Merge is commutative and associative: any shard/merge topology over
-// the same samples yields identical bins and quantiles. This is the
-// property the sharded collector's fan-in relies on.
+// the same samples yields identical bins and quantiles, equal to the
+// one sketch fed the whole stream.
 func TestMergeCommutativeAssociative(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for name, xs := range distributions(r, 3000) {
@@ -215,7 +208,7 @@ func TestZeroAndNegative(t *testing.T) {
 	if got := s.Quantile(0); got != -5 {
 		t.Errorf("q0: %v", got)
 	}
-	if got := s.Median(); relErr(got, 100) > 0.01 {
+	if got := s.Quantile(0.5); relErr(got, 100) > 0.01 {
 		t.Errorf("median: %v", got)
 	}
 }
@@ -242,12 +235,182 @@ func TestBoundedBinsAndClone(t *testing.T) {
 
 func TestEmptySketch(t *testing.T) {
 	s := New(0)
-	if s.RelativeAccuracy() != DefaultAlpha {
-		t.Errorf("default alpha: %v", s.RelativeAccuracy())
+	if s.alpha != DefaultAlpha {
+		t.Errorf("default alpha: %v", s.alpha)
 	}
 	if s.Quantile(0.5) != 0 || s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 {
 		t.Error("empty sketch answers non-zero")
 	}
+}
+
+// storeDiff describes the first difference between two sketches'
+// counters — count, zero bin, min, max (bit for bit), offset and every
+// store counter — or returns "" when there is none. Sum is left out:
+// its float additions reassociate with the order samples came in.
+func storeDiff(a, b *Sketch) string {
+	if a.count != b.count || a.zero != b.zero ||
+		math.Float64bits(a.min) != math.Float64bits(b.min) ||
+		math.Float64bits(a.max) != math.Float64bits(b.max) {
+		return fmt.Sprintf("counters diverge: (%d,%d,%v,%v) vs (%d,%d,%v,%v)",
+			a.count, a.zero, a.min, a.max, b.count, b.zero, b.min, b.max)
+	}
+	if a.offset != b.offset || len(a.counts) != len(b.counts) {
+		return fmt.Sprintf("stores diverge: offset %d len %d vs offset %d len %d",
+			a.offset, len(a.counts), b.offset, len(b.counts))
+	}
+	for i, n := range a.counts {
+		if b.counts[i] != n {
+			return fmt.Sprintf("bin %d: %d vs %d", a.offset+i, n, b.counts[i])
+		}
+	}
+	return ""
+}
+
+// positiveRange returns n samples spread evenly in exponent over the
+// whole positive float64 range, subnormals and the extremes included.
+func positiveRange(r *rand.Rand, n int) []float64 {
+	xs := []float64{math.SmallestNonzeroFloat64, math.MaxFloat64}
+	for len(xs) < n {
+		exp := r.Intn(2098) - 1074 // -1074 .. 1023
+		xs = append(xs, math.Ldexp(1+r.Float64(), exp))
+	}
+	return xs
+}
+
+// The store never holds more than maxBins counters, whatever the
+// samples span. Samples over the whole positive float64 range keep
+// their count and exact extremes, and every quantile whose rank lies
+// above the collapsed mass (the lowest kept bin) stays within alpha.
+func TestSketchStoreBound(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	xs := positiveRange(r, 200_000)
+	s := New(0.01)
+	for _, x := range xs {
+		s.Add(x)
+		if len(s.counts) > maxBins {
+			t.Fatalf("store holds %d counters, cap %d", len(s.counts), maxBins)
+		}
+	}
+	if s.Count() != uint64(len(xs)) || s.Min() != math.SmallestNonzeroFloat64 || s.Max() != math.MaxFloat64 {
+		t.Fatalf("count %d min %v max %v", s.Count(), s.Min(), s.Max())
+	}
+	if len(s.counts) != maxBins || s.top() != s.key(math.MaxFloat64) {
+		t.Fatalf("store spans keys %d..%d (%d counters), want the top %d keys to %d",
+			s.offset, s.top(), len(s.counts), maxBins, s.key(math.MaxFloat64))
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	collapsed := s.zero + s.counts[0]
+	checked := 0
+	for q := 0.0; q < 1; q += 0.0001 {
+		if uint64(q*float64(len(xs)-1)) < collapsed {
+			continue
+		}
+		checked++
+		got, want := s.Quantile(q), exactNearestRank(sorted, q)
+		if re := relErr(got, want); re > s.alpha+1e-9 {
+			t.Errorf("q=%v: got %v want %v (rel err %.4f)", q, got, want, re)
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d quantiles lie above the collapsed mass", checked)
+	}
+
+	// At the finest accuracy New accepts, and below it, the cap holds.
+	for _, alpha := range []float64{minAlpha, 1e-300} {
+		fine := New(alpha)
+		for _, x := range xs[:5000] {
+			fine.Add(x)
+		}
+		if len(fine.counts) > maxBins || fine.Count() != 5000 {
+			t.Errorf("alpha %v: %d counters, count %d", alpha, len(fine.counts), fine.Count())
+		}
+	}
+}
+
+// The non-finite policy: NaN is recorded as 0 — it takes rank in the
+// zero bin and adds nothing to Sum — and +Inf lands in the top key,
+// the bin of math.MaxFloat64, while Max reports it exactly.
+func TestSketchNonFinite(t *testing.T) {
+	s := New(0.01)
+	s.Add(math.NaN())
+	s.Add(5)
+	if s.Count() != 2 || s.zero != 1 || s.Sum() != 5 || s.Min() != 0 || s.Quantile(0) != 0 {
+		t.Errorf("NaN: count %d zero %d sum %v min %v", s.Count(), s.zero, s.Sum(), s.Min())
+	}
+	s.Add(math.Inf(1))
+	if s.top() != s.key(math.MaxFloat64) || !math.IsInf(s.Max(), 1) || !math.IsInf(s.Quantile(1), 1) {
+		t.Errorf("+Inf: top key %d want %d, max %v", s.top(), s.key(math.MaxFloat64), s.Max())
+	}
+	if len(s.counts) > maxBins || s.Count() != 3 {
+		t.Errorf("+Inf: %d counters, count %d", len(s.counts), s.Count())
+	}
+}
+
+// FuzzSketch feeds any bytes, read as float64 samples (NaN, ±Inf, ±0,
+// subnormals and MaxFloat64 all reachable), split between two sketches
+// by the first byte's bits. The store stays within maxBins, Count
+// counts every sample, both merge orders equal one sketch fed the whole
+// stream bit for bit, and Quantile is monotone in q.
+func FuzzSketch(f *testing.F) {
+	enc := func(xs ...float64) []byte {
+		b := []byte{0x5a}
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(0.01, enc(1, 2, 3, 1000, 0.5))
+	f.Add(0.01, enc(math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 5e-324, math.MaxFloat64, -1))
+	f.Add(0.001, enc(math.SmallestNonzeroFloat64, 1e-300, 1e-100, 1, 1e100, 1e300))
+	f.Add(1e-9, enc(1e-200, 1e200, 7, 7, 7))
+	f.Fuzz(func(t *testing.T, alpha float64, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		split, data := data[0], data[1:]
+		a, b, whole := New(alpha), New(alpha), New(alpha)
+		var n uint64
+		for i := 0; i+8 <= len(data); i += 8 {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))
+			dst := a
+			if split>>(n%8)&1 == 1 {
+				dst = b
+			}
+			dst.Add(x)
+			whole.Add(x)
+			n++
+			for _, s := range []*Sketch{dst, whole} {
+				if len(s.counts) > maxBins {
+					t.Fatalf("alpha %v: store holds %d counters", s.alpha, len(s.counts))
+				}
+			}
+		}
+		if whole.Count() != n || a.Count()+b.Count() != n {
+			t.Fatalf("count %d (parts %d+%d), want %d", whole.Count(), a.Count(), b.Count(), n)
+		}
+		ab, ba := a.Clone(), b.Clone()
+		if err := ab.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := ba.Merge(a); err != nil {
+			t.Fatal(err)
+		}
+		if d := storeDiff(ab, whole); d != "" {
+			t.Fatalf("a+b vs whole: %s", d)
+		}
+		if d := storeDiff(ba, whole); d != "" {
+			t.Fatalf("b+a vs whole: %s", d)
+		}
+		prev := math.Inf(-1)
+		for _, q := range []float64{0, 1e-6, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999999, 1} {
+			v := whole.Quantile(q)
+			if v < prev || math.IsNaN(v) {
+				t.Fatalf("q=%v: %v after %v", q, v, prev)
+			}
+			prev = v
+		}
+	})
 }
 
 func BenchmarkAdd(b *testing.B) {
