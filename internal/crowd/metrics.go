@@ -64,19 +64,20 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 				}
 				return out
 			})
-		// Per-network RTT summaries off the aggregation sketches:
-		// aggCopy clones them under aggMu, so the samples own their
-		// state, render outside the lock, and carry the sketch's ±alpha
-		// bound.
+		// Per-network RTT summaries off the aggregation sketches. Only
+		// those are cloned under aggMu, not the one-per-app ones, so the
+		// samples own their state, render outside the lock, and carry
+		// the sketch's ±alpha bound.
 		r.CollectSummaries("mopeye_collector_rtt_ms",
 			"Measured RTTs (ms) by network key, sketched.",
 			func() []metrics.Sample {
-				a := s.aggCopy()
-				out := make([]metrics.Sample, 0, len(a.perNet))
-				for key, sk := range a.perNet {
+				s.aggMu.Lock()
+				defer s.aggMu.Unlock()
+				out := make([]metrics.Sample, 0, len(s.agg.perNet))
+				for key, sk := range s.agg.perNet {
 					out = append(out, metrics.Sample{
 						Labels: []metrics.Label{metrics.L("net", key.String())},
-						Sketch: sk,
+						Sketch: sk.Clone(),
 					})
 				}
 				return out

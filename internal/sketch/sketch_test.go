@@ -281,6 +281,7 @@ func positiveRange(r *rand.Rand, n int) []float64 {
 // samples span. Samples over the whole positive float64 range keep
 // their count and exact extremes, and every quantile whose rank lies
 // above the collapsed mass (the lowest kept bin) stays within alpha.
+// NaN and +Inf follow the stated policy.
 func TestSketchStoreBound(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	xs := positiveRange(r, 200_000)
@@ -326,24 +327,23 @@ func TestSketchStoreBound(t *testing.T) {
 			t.Errorf("alpha %v: %d counters, count %d", alpha, len(fine.counts), fine.Count())
 		}
 	}
-}
 
-// The non-finite policy: NaN is recorded as 0 — it takes rank in the
-// zero bin and adds nothing to Sum — and +Inf lands in the top key,
-// the bin of math.MaxFloat64, while Max reports it exactly.
-func TestSketchNonFinite(t *testing.T) {
-	s := New(0.01)
-	s.Add(math.NaN())
-	s.Add(5)
-	if s.Count() != 2 || s.zero != 1 || s.Sum() != 5 || s.Min() != 0 || s.Quantile(0) != 0 {
-		t.Errorf("NaN: count %d zero %d sum %v min %v", s.Count(), s.zero, s.Sum(), s.Min())
+	// The non-finite policy: NaN is recorded as 0 — it takes rank in
+	// the zero bin and adds nothing to Sum — and +Inf lands in the top
+	// key, the bin of math.MaxFloat64, while Max reports it exactly.
+	nf := New(0.01)
+	nf.Add(math.NaN())
+	nf.Add(5)
+	if nf.Count() != 2 || nf.zero != 1 || nf.Sum() != 5 || nf.Min() != 0 || nf.Quantile(0) != 0 {
+		t.Errorf("NaN: count %d zero %d sum %v min %v", nf.Count(), nf.zero, nf.Sum(), nf.Min())
 	}
-	s.Add(math.Inf(1))
-	if s.top() != s.key(math.MaxFloat64) || !math.IsInf(s.Max(), 1) || !math.IsInf(s.Quantile(1), 1) {
-		t.Errorf("+Inf: top key %d want %d, max %v", s.top(), s.key(math.MaxFloat64), s.Max())
+	nf.Add(math.Inf(1))
+	if nf.top() != nf.key(math.MaxFloat64) || !math.IsInf(nf.Max(), 1) || !math.IsInf(nf.Quantile(1), 1) {
+		t.Errorf("+Inf: top key %d want %d, max %v", nf.top(), nf.key(math.MaxFloat64), nf.Max())
 	}
-	if len(s.counts) > maxBins || s.Count() != 3 {
-		t.Errorf("+Inf: %d counters, count %d", len(s.counts), s.Count())
+	// 5 and +Inf span more than maxBins keys: 5 is kept, collapsed.
+	if len(nf.counts) != maxBins || nf.counts[0] != 1 || nf.Count() != 3 {
+		t.Errorf("+Inf: %d counters, lowest %d, count %d", len(nf.counts), nf.counts[0], nf.Count())
 	}
 }
 
