@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/resource"
 )
 
 // PollInterval is Haystack's effective sleep between empty tunnel
@@ -61,9 +60,4 @@ func Config() engine.Config {
 	c.DeferRegister = false
 	c.PerPacketCost = InspectionCostPerPacket
 	return c
-}
-
-// Meter returns a resource meter with Haystack's memory baseline.
-func Meter() *resource.Meter {
-	return resource.NewMeter(resource.DefaultCosts(), BaseMemoryMB)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/resource"
 )
 
 func TestConfigIsThePollBasedAblation(t *testing.T) {
@@ -29,8 +30,7 @@ func TestConfigIsThePollBasedAblation(t *testing.T) {
 }
 
 func TestMeterMemoryBaseline(t *testing.T) {
-	m := Meter()
-	u := m.Report(1)
+	u := resource.NewMeter(resource.DefaultCosts(), BaseMemoryMB).Report(1)
 	if u.MemoryMB < 100 {
 		t.Errorf("Haystack baseline memory %.0f MB, Table 4 reports 148", u.MemoryMB)
 	}

@@ -181,7 +181,17 @@ func TestFig10DNSMedians(t *testing.T) {
 		t.Errorf("P(DNS<=100ms) = %.2f, paper ~0.80", p)
 	}
 	// ~80% of cellular DNS from 4G.
-	lteShare := float64(f.LTE.N()) / float64(f.Cellular.N())
+	var lte, cell int
+	for _, r := range testDS.DNS() {
+		switch r.NetType {
+		case "LTE":
+			lte++
+			cell++
+		case "3G", "2G":
+			cell++
+		}
+	}
+	lteShare := float64(lte) / float64(cell)
 	if lteShare < 0.6 || lteShare > 0.92 {
 		t.Errorf("4G share of cellular DNS = %.2f, paper ~0.80", lteShare)
 	}
@@ -189,9 +199,15 @@ func TestFig10DNSMedians(t *testing.T) {
 
 func TestFig11FourISPs(t *testing.T) {
 	cdfs := Fig11(testDS, Fig11Defaults)
+	cellDNS := map[string]int{}
+	for _, r := range testDS.DNS() {
+		if r.NetType != "WiFi" {
+			cellDNS[r.ISP]++
+		}
+	}
 	for _, isp := range Fig11Defaults {
-		if cdfs[isp] == nil || cdfs[isp].N() < 50 {
-			t.Fatalf("ISP %s missing or thin (%v)", isp, cdfs[isp])
+		if cdfs[isp] == nil || cellDNS[isp] < 50 {
+			t.Fatalf("ISP %s missing or thin (%d cellular DNS records)", isp, cellDNS[isp])
 		}
 	}
 	// Singtel: ~14.7% under 10 ms; Verizon <1%.

@@ -266,16 +266,6 @@ func (ds *Dataset) ScaledThreshold(fullScale int) int {
 	return t
 }
 
-// DeviceByID finds a device.
-func (ds *Dataset) DeviceByID(id string) *Device {
-	for _, d := range ds.Devices {
-		if d.ID == id {
-			return d
-		}
-	}
-	return nil
-}
-
 // Summary describes the dataset the way §4.2.1 does. A record or
 // device that carries no domain, country or model adds none: the empty
 // string is not a value.

@@ -33,7 +33,7 @@ func TestIngestReconstructsDevices(t *testing.T) {
 	if len(ds.Devices) != 3 {
 		t.Fatalf("devices: %d (%+v)", len(ds.Devices), ds.Devices)
 	}
-	d1 := ds.DeviceByID("phone-1")
+	d1 := deviceByID(ds, "phone-1")
 	if d1 == nil {
 		t.Fatal("phone-1 missing")
 	}
@@ -46,11 +46,11 @@ func TestIngestReconstructsDevices(t *testing.T) {
 	if want := 1.0 / 3.0; d1.WiFiShare < want-0.01 || d1.WiFiShare > want+0.01 {
 		t.Errorf("phone-1 wifi share: %f", d1.WiFiShare)
 	}
-	d2 := ds.DeviceByID("phone-2")
+	d2 := deviceByID(ds, "phone-2")
 	if d2 == nil || d2.Gen != "3G" || d2.CellISP != "Cricket" {
 		t.Errorf("phone-2 metadata: %+v", d2)
 	}
-	if ds.DeviceByID(anonDeviceID) == nil {
+	if deviceByID(ds, anonDeviceID) == nil {
 		t.Error("anonymous records got no device")
 	}
 }
@@ -116,4 +116,14 @@ func TestIngestDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// deviceByID finds a device in ds, or nil.
+func deviceByID(ds *Dataset, id string) *Device {
+	for _, d := range ds.Devices {
+		if d.ID == id {
+			return d
+		}
+	}
+	return nil
 }

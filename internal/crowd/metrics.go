@@ -1,8 +1,6 @@
 package crowd
 
 import (
-	"io"
-	"net/http"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -85,22 +83,4 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 		s.metricsReg = r
 	})
 	return s.metricsReg
-}
-
-// Metrics snapshots the server's observability state.
-func (s *Server) Metrics() metrics.Snapshot {
-	return s.metricsRegistry().Gather()
-}
-
-// WriteMetrics renders the server's /metrics document.
-func (s *Server) WriteMetrics(w io.Writer) error {
-	return s.metricsRegistry().WritePrometheus(w)
-}
-
-// MetricsHandler serves the server's metrics in exposition format.
-func (s *Server) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", metrics.ContentType)
-		_ = s.WriteMetrics(w)
-	})
 }

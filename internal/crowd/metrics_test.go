@@ -66,7 +66,7 @@ func TestServerMetricsExposition(t *testing.T) {
 	}
 
 	// Per-shard skew: the shard_records samples sum to records_total.
-	snap := s.Metrics()
+	snap := s.metricsRegistry().Gather()
 	sum := 0.0
 	for _, f := range snap {
 		if f.Name != "mopeye_collector_shard_records" {
@@ -136,12 +136,12 @@ func TestMetricsScrapeDuringUploads(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		var sb strings.Builder
-		if err := s.WriteMetrics(&sb); err != nil {
+		if err := s.metricsRegistry().WritePrometheus(&sb); err != nil {
 			t.Fatalf("scrape %d: %v", i, err)
 		}
 	}
 	wg.Wait()
-	if v, ok := s.Metrics().Get("mopeye_collector_records_total"); !ok || v != 100 {
+	if v, ok := s.metricsRegistry().Gather().Get("mopeye_collector_records_total"); !ok || v != 100 {
 		t.Fatalf("records_total = %v ok=%v, want 100", v, ok)
 	}
 }

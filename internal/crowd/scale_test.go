@@ -88,8 +88,10 @@ func TestServerSummaryVsExact(t *testing.T) {
 		}
 	}
 	exact := measure.AppMedians(s.Records(), 1)
-	sum := s.Summary()
-	sketched := sum.AppMedians(1)
+	sketched := map[string]float64{}
+	for app, qs := range s.Summary().PerApp {
+		sketched[app] = qs.P50MS
+	}
 	if len(sketched) != len(exact) {
 		t.Fatalf("app sets differ: sketched %v exact %v", sketched, exact)
 	}
@@ -305,7 +307,7 @@ func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
 // The server's one aggregation equals sketches fed the same records one
 // by one, bit for bit, however its 16 shards interleave the commits: 64
 // devices (hashing across every shard) upload concurrently while
-// Summary and WriteMetrics read in between.
+// Summary and the /metrics document read in between.
 func TestSummaryEqualsSequentialSketch(t *testing.T) {
 	const devices, batches, perBatch = 64, 6, 12
 	s, err := NewServer(ServerOptions{RetainRecords: RetainOff, ExposeMetrics: true})
@@ -369,7 +371,7 @@ func TestSummaryEqualsSequentialSketch(t *testing.T) {
 			default:
 			}
 			_ = s.Summary()
-			if err := s.WriteMetrics(io.Discard); err != nil {
+			if err := s.metricsRegistry().WritePrometheus(io.Discard); err != nil {
 				t.Error(err)
 				return
 			}

@@ -63,11 +63,12 @@ const (
 type RetainMode int
 
 const (
-	// RetainDefault keeps raw records (the seed behaviour): /v1/records,
-	// Records() and Ingest() serve the full dataset.
+	// RetainDefault keeps raw records (the seed behaviour): /v1/records
+	// and Records() serve the full dataset.
 	RetainDefault RetainMode = iota
-	// RetainOff drops raw records after they feed the sketches: memory
-	// stays O(devices + apps) at any ingest volume, /v1/records answers
+	// RetainOff drops raw records after they feed the sketches: the
+	// sketches stay O(apps + networks) at any ingest volume (the dedup
+	// keys still grow by one per accepted batch), /v1/records answers
 	// 404, and only the sketched aggregates remain queryable. The load
 	// harness and fleet-scale deployments run here.
 	RetainOff
@@ -213,7 +214,7 @@ func NewServer(o ServerOptions) (*Server, error) {
 		fmt.Fprintln(w, "ok")
 	})
 	if o.ExposeMetrics {
-		mux.Handle("GET /metrics", s.MetricsHandler())
+		mux.Handle("GET /metrics", s.metricsRegistry().Handler())
 	}
 	s.mux = mux
 	return s, nil
@@ -436,13 +437,6 @@ func (s *Server) Records() []measure.Record {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// Ingest assembles the accepted dataset for the §4.2 analysis
-// pipeline — what `crowdstudy -serve` runs against a live collector.
-// With retention off the dataset is empty; use Summary instead.
-func (s *Server) Ingest() *Dataset {
-	return Ingest(s.Records())
 }
 
 // Stats snapshots the server counters.

@@ -83,7 +83,7 @@ func TestServerAcceptAndDedup(t *testing.T) {
 			t.Errorf("server did not stamp device: %+v", r)
 		}
 	}
-	if ds := s.Ingest(); ds.DeviceByID("p1") == nil {
+	if deviceByID(Ingest(s.Records()), "p1") == nil {
 		t.Error("ingest lost the device")
 	}
 }

@@ -143,16 +143,3 @@ func (a *agg) render() (perApp, perNet map[string]QuantileSummary) {
 	}
 	return perApp, perNet
 }
-
-// AppMedians extracts each app's sketched median from a summary —
-// the O(sketch) counterpart of measure.AppMedians over raw records —
-// for apps with at least minN measurements.
-func (s Summary) AppMedians(minN int) map[string]float64 {
-	out := make(map[string]float64)
-	for app, qs := range s.PerApp {
-		if qs.N >= uint64(minN) {
-			out[app] = qs.P50MS
-		}
-	}
-	return out
-}

@@ -136,8 +136,5 @@ func (e *Engine) selectorFor(shard int) *sockets.Selector {
 // Store returns the measurement store.
 func (e *Engine) Store() *measure.Store { return e.store }
 
-// Meter returns the resource meter.
-func (e *Engine) Meter() *resource.Meter { return e.meter }
-
 // timeDuration converts clock-nano deltas.
 func timeDuration(nanos int64) time.Duration { return time.Duration(nanos) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -556,6 +557,21 @@ func TestMalformedTunnelPacketCountedOnce(t *testing.T) {
 	}
 }
 
+// shrunkTun is a TUN backend whose writes, once shrunk is set, refuse
+// every packet over 576 bytes, the way a device whose MTU dropped
+// mid-flow does.
+type shrunkTun struct {
+	*tun.Device
+	shrunk atomic.Bool
+}
+
+func (d *shrunkTun) Write(pkt []byte) error {
+	if d.shrunk.Load() && len(pkt) > 576 {
+		return tun.ErrTooBig
+	}
+	return d.Device.Write(pkt)
+}
+
 // eioTun is a TUN backend whose reads fail the way a broken descriptor
 // does.
 type eioTun struct{ *tun.Device }
@@ -589,13 +605,18 @@ func TestTunReadErrorIsCounted(t *testing.T) {
 // TestTunWriteErrorIsCounted: a tunnel write the device refuses loses
 // a packet toward the app, which must be visible from the outside. The
 // flow opens at the default MTU, so both ends agree on a 1,460-byte
-// MSS; the MTU then drops to 576, and the app sends 1,400 bytes in
-// segments that fit it. The server echoes them in one write, so the
-// engine reads them in one piece and emits one 1,440-byte segment,
-// which the device refuses with ErrTooBig.
+// MSS; the engine's view of the device then refuses packets over 576
+// bytes, and the app sends 1,400 bytes in segments that fit them. The
+// server echoes them in one write, so the engine reads them in one
+// piece and emits one 1,440-byte segment, which the device refuses
+// with ErrTooBig.
 func TestTunWriteErrorIsCounted(t *testing.T) {
 	const size = 1400
-	tb := newTestbed(t, engine.Default())
+	var dev *shrunkTun
+	tb := newTestbedOn(t, engine.Default(), func(d *tun.Device) tun.Interface {
+		dev = &shrunkTun{Device: d}
+		return dev
+	})
 	r := metrics.NewRegistry()
 	tb.eng.RegisterMetrics(r)
 	server := netip.MustParseAddrPort("93.184.216.35:80")
@@ -616,7 +637,7 @@ func TestTunWriteErrorIsCounted(t *testing.T) {
 		t.Fatalf("connect: %v", err)
 	}
 	defer conn.Close()
-	tb.dev.SetMTU(576)
+	dev.shrunk.Store(true)
 	msg := make([]byte, size)
 	for off := 0; off < size; off += 500 {
 		if _, err := conn.Write(msg[off:min(off+500, size)]); err != nil {

@@ -144,7 +144,7 @@ func (d *handTun) Write(raw []byte) error {
 func (d *handTun) finWithData(tb *testbed, head, tail []byte) error {
 	app := netip.AddrPortFrom(phoneVPNAddr, d.port)
 	inject := func(flags uint8, seq, ack uint32, opts, payload []byte) error {
-		raw, err := packet.TCPPacket(app, tb.server, flags, seq, ack, 65535, opts, payload).Encode()
+		raw, err := packet.TCPPacket(app, tb.server, flags, seq, ack, 65535, opts, payload).AppendEncode(nil)
 		if err != nil {
 			return err
 		}

@@ -92,9 +92,6 @@ func New[V any](n int) *Table[V] {
 	return t
 }
 
-// Shards returns the shard count.
-func (t *Table[V]) Shards() int { return len(t.shards) }
-
 // Shard returns the shard index a key hashes to. The engine pins each
 // flow to worker Shard(key) % workers.
 func (t *Table[V]) Shard(k packet.FlowKey) int {

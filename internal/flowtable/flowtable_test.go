@@ -22,8 +22,8 @@ func TestNewRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, DefaultShards}, {-5, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		if got := New[int](tc.in).Shards(); got != tc.want {
-			t.Errorf("New(%d).Shards() = %d, want %d", tc.in, got, tc.want)
+		if got := len(New[int](tc.in).shards); got != tc.want {
+			t.Errorf("len(New(%d).shards) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -54,7 +54,7 @@ func TestHashIsStableAndShardInRange(t *testing.T) {
 			t.Fatal("hash not stable")
 		}
 		s := tb.Shard(k)
-		if s < 0 || s >= tb.Shards() {
+		if s < 0 || s >= len(tb.shards) {
 			t.Fatalf("shard %d out of range", s)
 		}
 		if s != tb.Shard(k) {
@@ -87,7 +87,7 @@ func TestShardsSpreadFlows(t *testing.T) {
 		}},
 	} {
 		tb := New[int](16)
-		counts := make([]int, tb.Shards())
+		counts := make([]int, len(tb.shards))
 		const n = 4096
 		for i := 0; i < n; i++ {
 			counts[tb.Shard(shape.key(i))]++

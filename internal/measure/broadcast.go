@@ -196,9 +196,6 @@ func (sub *Subscription) Seq(ctx context.Context) iter.Seq[Record] {
 	}
 }
 
-// Dropped reports how many records this subscriber lost to lag.
-func (sub *Subscription) Dropped() uint64 { return sub.dropped.Load() }
-
 // Close detaches the subscription from the store. Idempotent and safe
 // to call concurrently with Add and with CloseSubscribers. A consumer
 // blocked in Next is released; records added before the close remain

@@ -108,11 +108,11 @@ func benchDrainingSubscribers(b *testing.B, subs int, paced bool) {
 		if sub.keep != nil {
 			want = kept
 		}
-		if got := delivered[i] + int(sub.Dropped()); got != want {
+		if got := delivered[i] + int(sub.dropped.Load()); got != want {
 			b.Fatalf("reader %d: delivered %d + dropped %d != %d records it keeps",
-				i, delivered[i], sub.Dropped(), want)
+				i, delivered[i], sub.dropped.Load(), want)
 		}
-		drops += sub.Dropped()
+		drops += sub.dropped.Load()
 	}
 	b.ReportMetric(float64(drops)/float64(b.N), "drops/op")
 	b.ReportMetric(float64(drain.Nanoseconds())/float64(b.N), "drain-ns/op")

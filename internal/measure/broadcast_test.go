@@ -39,7 +39,7 @@ func TestSubscriptionSeesAddsInOrder(t *testing.T) {
 			t.Fatalf("record %d: stream %+v != snapshot %+v", i, r, snap[i])
 		}
 	}
-	if d := sub.Dropped(); d != 0 {
+	if d := sub.dropped.Load(); d != 0 {
 		t.Errorf("drops on an underfull ring: %d", d)
 	}
 }
@@ -62,7 +62,7 @@ func TestSubscriptionFilter(t *testing.T) {
 	}
 	// Filtered-out records are not drops: the subscriber never wanted
 	// them.
-	if d := sub.Dropped(); d != 0 {
+	if d := sub.dropped.Load(); d != 0 {
 		t.Errorf("filtered records counted as drops: %d", d)
 	}
 }
@@ -76,7 +76,7 @@ func TestSubscriptionBoundedDrop(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Add(brec(i)) // no consumer draining: 4 land, 6 drop
 	}
-	if d := sub.Dropped(); d != 6 {
+	if d := sub.dropped.Load(); d != 6 {
 		t.Fatalf("dropped %d, want 6", d)
 	}
 	if d := s.DroppedRecords(); d != 6 {
@@ -269,7 +269,7 @@ func TestSubscriptionSlowConsumerExactAccounting(t *testing.T) {
 	s.CloseSubscribers()
 	<-consDone
 
-	drops := int(sub.Dropped())
+	drops := int(sub.dropped.Load())
 	if len(delivered)+drops != total {
 		t.Fatalf("exact accounting: delivered %d + dropped %d = %d, want %d",
 			len(delivered), drops, len(delivered)+drops, total)
@@ -332,9 +332,9 @@ func TestBroadcastConcurrency(t *testing.T) {
 	<-consumerDone
 
 	total := producers * perProducer
-	if got := consumed + int(sub.Dropped()); got != total {
+	if got := consumed + int(sub.dropped.Load()); got != total {
 		t.Errorf("conservation: consumed %d + dropped %d = %d, want %d",
-			consumed, sub.Dropped(), got, total)
+			consumed, sub.dropped.Load(), got, total)
 	}
 	if s.Len() != total {
 		t.Errorf("store kept %d of %d", s.Len(), total)
@@ -349,7 +349,7 @@ func TestSubscriptionStalledReaderDropsOldest(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Add(brec(i))
 	}
-	if d := sub.Dropped(); d != 92 {
+	if d := sub.dropped.Load(); d != 92 {
 		t.Fatalf("dropped %d, want 92", d)
 	}
 	if d := s.DroppedRecords(); d != 92 {
@@ -385,7 +385,7 @@ func TestSubscriptionFilteredLagCountsOnlyKept(t *testing.T) {
 		s.Add(brec(i))
 	}
 	// Rows 0..21 were skipped; 7 of them are app.1.
-	if d := sub.Dropped(); d != 7 {
+	if d := sub.dropped.Load(); d != 7 {
 		t.Fatalf("dropped %d, want 7, the app.1 rows among the 22 skipped", d)
 	}
 	s.CloseSubscribers()
@@ -400,12 +400,12 @@ func TestSubscriptionFilteredLagCountsOnlyKept(t *testing.T) {
 		}
 		delivered++
 	}
-	if got := delivered + int(sub.Dropped()); got != want {
+	if got := delivered + int(sub.dropped.Load()); got != want {
 		t.Errorf("delivered %d + dropped %d = %d, want %d kept records",
-			delivered, sub.Dropped(), got, want)
+			delivered, sub.dropped.Load(), got, want)
 	}
-	if d := s.DroppedRecords(); d != sub.Dropped() {
-		t.Errorf("store-wide drops %d != subscriber drops %d", d, sub.Dropped())
+	if d := s.DroppedRecords(); d != sub.dropped.Load() {
+		t.Errorf("store-wide drops %d != subscriber drops %d", d, sub.dropped.Load())
 	}
 }
 

@@ -40,7 +40,7 @@ type Record struct {
 	App     string // package name; "system.dns" for DNS (system-wide, §2.2)
 	UID     int
 	Dst     netip.AddrPort
-	Domain  string // server domain when known (DNS always; TCP via prior DNS)
+	Domain  string // server domain: always on DNS records; none on the engine's TCP records, which it does not yet match to a DNS answer
 	RTT     time.Duration
 	At      time.Time
 	NetType string // "WiFi", "LTE", "3G", "2G"

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -253,48 +252,4 @@ func (d *BatchDecoder) only() (Batch, error) {
 	// Wrapped, so a caller can tell its own reader's failure (a body
 	// cap hit in the tail) from garbage.
 	return Batch{}, fmt.Errorf("measure: trailing content after batch %q: %w", b.Key, err)
-}
-
-// SortCanonical orders records deterministically by (device, time,
-// kind, app, ...). Crowdsourced records arrive in whatever order the
-// contributing phones' uploads interleave; canonical order is what
-// makes two independently-assembled copies of the same dataset
-// comparable byte for byte (and keeps crowd.Ingest's first-appearance
-// device numbering stable).
-func SortCanonical(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return canonicalLess(recs[i], recs[j]) })
-}
-
-func canonicalLess(a, b Record) bool {
-	if a.Device != b.Device {
-		return a.Device < b.Device
-	}
-	if !a.At.Equal(b.At) {
-		return a.At.Before(b.At)
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.App != b.App {
-		return a.App < b.App
-	}
-	if a.UID != b.UID {
-		return a.UID < b.UID
-	}
-	if c := a.Dst.Compare(b.Dst); c != 0 {
-		return c < 0
-	}
-	if a.Domain != b.Domain {
-		return a.Domain < b.Domain
-	}
-	if a.RTT != b.RTT {
-		return a.RTT < b.RTT
-	}
-	if a.NetType != b.NetType {
-		return a.NetType < b.NetType
-	}
-	if a.ISP != b.ISP {
-		return a.ISP < b.ISP
-	}
-	return a.Country < b.Country
 }

@@ -111,23 +111,3 @@ func TestDecodeBatchRejects(t *testing.T) {
 		}
 	}
 }
-
-func TestSortCanonicalDeterministic(t *testing.T) {
-	a := []Record{
-		wireRec("p2", "app", 10, 50),
-		wireRec("p1", "app", 10, 90),
-		wireRec("p1", "app", 10, 10),
-		wireRec("p1", "zapp", 10, 10),
-	}
-	b := []Record{a[3], a[0], a[2], a[1]} // a shuffled copy
-	SortCanonical(a)
-	SortCanonical(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("order depends on input permutation at %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	if a[0].Device != "p1" || !a[0].At.Equal(time.Unix(10, 0).UTC()) || a[0].App != "app" {
-		t.Errorf("unexpected head: %+v", a[0])
-	}
-}

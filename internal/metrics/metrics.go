@@ -78,13 +78,6 @@ func (q *Quantile) Observe(v float64) {
 	q.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (q *Quantile) Count() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.sk.Count()
-}
-
 // snapshot clones the underlying sketch.
 func (q *Quantile) snapshot() *sketch.Sketch {
 	q.mu.Lock()

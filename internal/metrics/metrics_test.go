@@ -245,14 +245,14 @@ func TestDynamicCollectors(t *testing.T) {
 func TestQuantileCount(t *testing.T) {
 	r := NewRegistry()
 	q := r.Quantile("test_lat_ms", "Latency.", 0)
-	if q.Count() != 0 {
-		t.Fatalf("fresh quantile count = %d, want 0", q.Count())
+	if q.snapshot().Count() != 0 {
+		t.Fatalf("fresh quantile count = %d, want 0", q.snapshot().Count())
 	}
 	for i := 0; i < 17; i++ {
 		q.Observe(float64(i))
 	}
-	if q.Count() != 17 {
-		t.Fatalf("quantile count = %d, want 17", q.Count())
+	if q.snapshot().Count() != 17 {
+		t.Fatalf("quantile count = %d, want 17", q.snapshot().Count())
 	}
 }
 

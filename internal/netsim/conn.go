@@ -338,18 +338,6 @@ func (s *scheduler) abort() {
 	}
 }
 
-// stop ends the run loop without signalling the peer (used when the
-// peer initiated the close).
-func (s *scheduler) stop() {
-	s.mu.Lock()
-	s.closed = true
-	sync := s.sync
-	s.mu.Unlock()
-	if !sync {
-		s.wake()
-	}
-}
-
 func (s *scheduler) wake() {
 	select {
 	case s.ctrl <- struct{}{}:
@@ -416,17 +404,6 @@ type Conn struct {
 	writeClosed bool
 	closed      bool
 }
-
-// LocalAddr returns this endpoint's address.
-func (c *Conn) LocalAddr() netip.AddrPort { return c.local }
-
-// RemoteAddr returns the peer's address.
-func (c *Conn) RemoteAddr() netip.AddrPort { return c.remote }
-
-// Link returns the path parameters the connection currently
-// experiences. It reads live state: after a mid-flow SetLink it
-// reports the post-handover link.
-func (c *Conn) Link() LinkParams { return c.ls.params() }
 
 // Write sends len(b) bytes toward the peer, blocking on flow control.
 func (c *Conn) Write(b []byte) (int, error) {

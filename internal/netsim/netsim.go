@@ -279,17 +279,6 @@ func (n *Network) SetLink(dst netip.Addr, p LinkParams) {
 	n.linkFor(dst).setParams(p)
 }
 
-// Link returns the path parameters currently used for a destination.
-func (n *Network) Link(dst netip.Addr) LinkParams {
-	n.mu.Lock()
-	ls, ok := n.links[dst]
-	n.mu.Unlock()
-	if ok {
-		return ls.params()
-	}
-	return n.defLink
-}
-
 // SetSYNRetry configures SYN loss recovery.
 func (n *Network) SetSYNRetry(rto time.Duration, attempts int) {
 	n.mu.Lock()

@@ -53,8 +53,8 @@ func TestSetLinkAffectsEstablishedConn(t *testing.T) {
 	if after < 70*time.Millisecond {
 		t.Errorf("post-handover echo RTT %v on the established conn, want >= 70ms (new link RTT 80ms)", after)
 	}
-	if got := c.Link().Delay; got != 40*time.Millisecond {
-		t.Errorf("Conn.Link().Delay = %v after SetLink, want live 40ms", got)
+	if got := c.ls.params().Delay; got != 40*time.Millisecond {
+		t.Errorf("the connection's link delay = %v after SetLink, want live 40ms", got)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestBufferbloatInflatesHandshake(t *testing.T) {
 	link := LinkParams{Delay: 2 * time.Millisecond, Up: Mbps(1), Down: Mbps(4), SharedQueue: true}
 	n := New(clock.NewReal(), link, 1)
 	defer n.Close()
-	n.HandleTCP(serverAP, SinkHandler())
+	n.HandleTCP(serverAP, CountingSinkHandler(new(atomic.Int64)))
 
 	start := time.Now()
 	c, err := n.Dial(clientAP, serverAP)
@@ -183,7 +183,7 @@ func TestStartTimelineFiresAndStops(t *testing.T) {
 	waitForDelay := func(want time.Duration) bool {
 		deadline := time.Now().Add(2 * time.Second)
 		for time.Now().Before(deadline) {
-			if n.Link(dst).Delay == want {
+			if n.linkFor(dst).params().Delay == want {
 				return true
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -191,10 +191,10 @@ func TestStartTimelineFiresAndStops(t *testing.T) {
 		return false
 	}
 	if !waitForDelay(7 * time.Millisecond) {
-		t.Fatalf("first step never applied; delay = %v", n.Link(dst).Delay)
+		t.Fatalf("first step never applied; delay = %v", n.linkFor(dst).params().Delay)
 	}
 	if !waitForDelay(9 * time.Millisecond) {
-		t.Fatalf("second step never applied; delay = %v", n.Link(dst).Delay)
+		t.Fatalf("second step never applied; delay = %v", n.linkFor(dst).params().Delay)
 	}
 
 	stop2 := n.StartTimeline([]netip.Addr{dst}, []TimelineStep{
@@ -202,7 +202,7 @@ func TestStartTimelineFiresAndStops(t *testing.T) {
 	})
 	stop2()
 	time.Sleep(80 * time.Millisecond)
-	if got := n.Link(dst).Delay; got == 99*time.Millisecond {
+	if got := n.linkFor(dst).params().Delay; got == 99*time.Millisecond {
 		t.Error("cancelled timeline step still fired")
 	}
 }
@@ -215,10 +215,10 @@ func TestApplyProfileInstallsLinks(t *testing.T) {
 	p := ProfileDNSFlaky()
 	stop := ApplyProfile(n, p, []netip.Addr{serverAP.Addr()}, dnsAP.Addr())
 	defer stop()
-	if got := n.Link(serverAP.Addr()); got != p.Link {
+	if got := n.linkFor(serverAP.Addr()).params(); got != p.Link {
 		t.Errorf("app link = %+v, want %+v", got, p.Link)
 	}
-	if got := n.Link(dnsAP.Addr()); got != *p.DNS {
+	if got := n.linkFor(dnsAP.Addr()).params(); got != *p.DNS {
 		t.Errorf("dns link = %+v, want %+v", got, *p.DNS)
 	}
 }

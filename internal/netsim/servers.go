@@ -45,20 +45,6 @@ func EchoUDPHandler() UDPHandler {
 	return func(req []byte, _ netip.AddrPort) []byte { return req }
 }
 
-// SinkHandler consumes and discards all uploaded bytes, acknowledging
-// nothing — the upload half of a speedtest server.
-func SinkHandler() TCPHandler {
-	return func(c *Conn) {
-		defer c.Close()
-		buf := make([]byte, 32*1024)
-		for {
-			if _, err := c.Read(buf); err != nil {
-				return
-			}
-		}
-	}
-}
-
 // CountingSinkHandler consumes uploaded bytes and adds them to the
 // counter, so a speedtest can measure delivered (not merely buffered)
 // upload throughput at the server.

@@ -128,7 +128,7 @@ func TestVerifyRejectsEveryByteFlip(t *testing.T) {
 		{"tcp", TCPPacket(src, dst, FlagACK|FlagPSH, 1, 2, 65535, nil, payload)},
 		{"udp", UDPPacket(src, dst, payload[:100])},
 	} {
-		raw, err := tc.pkt.Encode()
+		raw, err := tc.pkt.AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", tc.name, err)
 		}

@@ -16,7 +16,7 @@ var (
 // mustEncode encodes a packet the test built itself.
 func mustEncode(t testing.TB, p *Packet) []byte {
 	t.Helper()
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		encoded, err := p.Encode()
+		encoded, err := p.AppendEncode(nil)
 		if err != nil {
 			// The one thing Decode accepts and Encode refuses.
 			if p.IPv6 != nil && (p.IPv6.Src.Is4In6() || p.IPv6.Dst.Is4In6()) {

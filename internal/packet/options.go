@@ -142,11 +142,6 @@ func Flow(p *Packet) FlowKey {
 	return k
 }
 
-// Reverse returns the key of the opposite direction.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{Proto: k.Proto, Src: k.Dst, Dst: k.Src}
-}
-
 // String renders the flow like "tcp 10.0.0.2:4312->93.184.216.34:443".
 func (k FlowKey) String() string {
 	proto := "?"

@@ -56,9 +56,6 @@ type IPv4Header struct {
 	Options  []byte
 }
 
-// HeaderLen returns the encoded header length in bytes.
-func (h *IPv4Header) HeaderLen() int { return 20 + len(h.Options) }
-
 // IPv6Header is a decoded IPv6 fixed header. Extension headers are not
 // relayed by MopEye and are treated as payload-opaque.
 type IPv6Header struct {
@@ -81,9 +78,6 @@ type TCPHeader struct {
 	Urgent  uint16
 	Options []byte // raw options, already padded to 4-byte multiple
 }
-
-// HeaderLen returns the encoded header length in bytes.
-func (h *TCPHeader) HeaderLen() int { return 20 + len(h.Options) }
 
 // Has reports whether all given flag bits are set.
 func (h *TCPHeader) Has(flags uint8) bool { return h.Flags&flags == flags }
@@ -350,12 +344,6 @@ func (p *Packet) decodeTransport(proto uint8, seg []byte) error {
 		p.Payload = seg
 	}
 	return nil
-}
-
-// Encode serialises the packet to raw bytes with correct lengths and
-// checksums. The inverse of Decode.
-func (p *Packet) Encode() ([]byte, error) {
-	return p.AppendEncode(nil)
 }
 
 // AppendEncode serialises the packet onto dst and returns the extended

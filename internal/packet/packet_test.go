@@ -19,7 +19,7 @@ func TestTCPRoundTripIPv4(t *testing.T) {
 	src := netip.AddrPortFrom(v4a, 40001)
 	dst := netip.AddrPortFrom(v4b, 443)
 	p := TCPPacket(src, dst, FlagSYN, 1000, 0, 65535, MSSOption(1460), nil)
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestTCPRoundTripIPv6(t *testing.T) {
 	dst := netip.AddrPortFrom(v6b, 443)
 	payload := []byte("ipv6 payload")
 	p := TCPPacket(src, dst, FlagACK|FlagPSH, 7, 9, 1024, nil, payload)
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	src := netip.AddrPortFrom(v4a, 5353)
 	dst := netip.AddrPortFrom(v4b, 53)
 	p := UDPPacket(src, dst, []byte{0xde, 0xad})
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestDecodeBadIHL(t *testing.T) {
 func TestDecodeTotalLenBeyondBuffer(t *testing.T) {
 	src := netip.AddrPortFrom(v4a, 1)
 	dst := netip.AddrPortFrom(v4b, 2)
-	raw, _ := TCPPacket(src, dst, FlagSYN, 0, 0, 0, nil, nil).Encode()
+	raw, _ := TCPPacket(src, dst, FlagSYN, 0, 0, 0, nil, nil).AppendEncode(nil)
 	raw[2], raw[3] = 0xff, 0xff // total length lies
 	if _, err := Decode(raw); !errors.Is(err, ErrBadHeader) {
 		t.Errorf("got %v want ErrBadHeader", err)
@@ -130,12 +130,12 @@ func TestDecodeTotalLenBeyondBuffer(t *testing.T) {
 func TestChecksumCorruptionDetected(t *testing.T) {
 	src := netip.AddrPortFrom(v4a, 40001)
 	dst := netip.AddrPortFrom(v4b, 80)
-	raw, _ := TCPPacket(src, dst, FlagACK, 5, 6, 100, nil, []byte("x")).Encode()
+	raw, _ := TCPPacket(src, dst, FlagACK, 5, 6, 100, nil, []byte("x")).AppendEncode(nil)
 	raw[len(raw)-1] ^= 0xff
 	if err := VerifyChecksums(raw); !errors.Is(err, ErrBadChecksum) {
 		t.Errorf("corrupted payload: got %v want ErrBadChecksum", err)
 	}
-	raw2, _ := TCPPacket(src, dst, FlagACK, 5, 6, 100, nil, []byte("x")).Encode()
+	raw2, _ := TCPPacket(src, dst, FlagACK, 5, 6, 100, nil, []byte("x")).AppendEncode(nil)
 	raw2[12] ^= 0x01 // corrupt src IP
 	if err := VerifyChecksums(raw2); !errors.Is(err, ErrBadChecksum) {
 		t.Errorf("corrupted header: got %v want ErrBadChecksum", err)
@@ -183,20 +183,13 @@ func TestPadOptions(t *testing.T) {
 	}
 }
 
-func TestFlowKeyReverse(t *testing.T) {
+func TestFlowKeyOfTCPPacket(t *testing.T) {
 	src := netip.AddrPortFrom(v4a, 40001)
 	dst := netip.AddrPortFrom(v4b, 80)
 	p := TCPPacket(src, dst, FlagSYN, 0, 0, 0, nil, nil)
 	k := Flow(p)
 	if k.Proto != ProtoTCP || k.Src != src || k.Dst != dst {
 		t.Errorf("flow: %v", k)
-	}
-	r := k.Reverse()
-	if r.Src != dst || r.Dst != src {
-		t.Errorf("reverse: %v", r)
-	}
-	if r.Reverse() != k {
-		t.Error("double reverse is not identity")
 	}
 }
 
@@ -210,7 +203,7 @@ func TestQuickTCPRoundTrip(t *testing.T) {
 			payload = payload[:1400]
 		}
 		p := TCPPacket(src, dst, flags&0x3f, seq, ack, window, nil, payload)
-		raw, err := p.Encode()
+		raw, err := p.AppendEncode(nil)
 		if err != nil {
 			return false
 		}
@@ -247,7 +240,7 @@ func TestQuickUDPRoundTrip(t *testing.T) {
 			payload = payload[:1400]
 		}
 		p := UDPPacket(src, dst, payload)
-		raw, err := p.Encode()
+		raw, err := p.AppendEncode(nil)
 		if err != nil {
 			return false
 		}
@@ -290,7 +283,7 @@ func TestEncodeRejectsMismatchedFamilies(t *testing.T) {
 		IPv4: &IPv4Header{Src: v6a, Dst: v4b, TTL: 64},
 		TCP:  &TCPHeader{},
 	}
-	if _, err := p.Encode(); err == nil {
+	if _, err := p.AppendEncode(nil); err == nil {
 		t.Error("IPv4 header with IPv6 address encoded without error")
 	}
 }
@@ -302,7 +295,7 @@ func TestEncodeRejectsUnpaddedOptions(t *testing.T) {
 		IPv4: &IPv4Header{Src: src.Addr(), Dst: dst.Addr(), TTL: 64},
 		TCP:  &TCPHeader{SrcPort: 1, DstPort: 2, Options: []byte{2, 4, 5}},
 	}
-	if _, err := p.Encode(); err == nil {
+	if _, err := p.AppendEncode(nil); err == nil {
 		t.Error("unpadded TCP options encoded without error")
 	}
 }
@@ -314,7 +307,7 @@ func TestUDPZeroChecksumRule(t *testing.T) {
 	// checksum field (checksum disabled).
 	src := netip.AddrPortFrom(v4a, 9)
 	dst := netip.AddrPortFrom(v4b, 10)
-	raw, _ := UDPPacket(src, dst, []byte("abc")).Encode()
+	raw, _ := UDPPacket(src, dst, []byte("abc")).AppendEncode(nil)
 	// Zero the UDP checksum field: IPv4 header is 20 bytes; UDP csum at
 	// offset 20+6. Then fix nothing else: verifier must treat as "no
 	// checksum".

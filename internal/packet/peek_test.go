@@ -50,7 +50,7 @@ func randomValidPacket(rng *rand.Rand) []byte {
 	} else {
 		p = UDPPacket(src, dst, payload)
 	}
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -90,7 +90,7 @@ func TestPeekFlowKeyNonTransport(t *testing.T) {
 		IPv4:    &IPv4Header{TTL: 64, Protocol: ProtoICMP, Src: src, Dst: dst},
 		Payload: []byte{8, 0, 0, 0},
 	}
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestPeekFlowKeyZeroAllocs(t *testing.T) {
 	v4, _ := TCPPacket(
 		netip.MustParseAddrPort("10.0.0.2:4312"),
 		netip.MustParseAddrPort("93.184.216.34:443"),
-		FlagSYN, 1, 0, 65535, MSSOption(1460), nil).Encode()
+		FlagSYN, 1, 0, 65535, MSSOption(1460), nil).AppendEncode(nil)
 	v6, _ := UDPPacket(
 		netip.MustParseAddrPort("[fd00::2]:5353"),
 		netip.MustParseAddrPort("[2606:2800:220:1::1]:53"),
-		[]byte("query")).Encode()
+		[]byte("query")).AppendEncode(nil)
 	for name, raw := range map[string][]byte{"ipv4-tcp": v4, "ipv6-udp": v6} {
 		raw := raw
 		allocs := testing.AllocsPerRun(1000, func() {
@@ -158,7 +158,7 @@ func BenchmarkPeekFlowKey(b *testing.B) {
 	raw, _ := TCPPacket(
 		netip.MustParseAddrPort("10.0.0.2:4312"),
 		netip.MustParseAddrPort("93.184.216.34:443"),
-		FlagACK, 7, 9, 65535, nil, make([]byte, 1200)).Encode()
+		FlagACK, 7, 9, 65535, nil, make([]byte, 1200)).AppendEncode(nil)
 	b.Run("peek", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -101,9 +101,6 @@ func New(clk clock.Clock, dev *tun.Device, addr netip.Addr, table *procnet.Table
 	return p
 }
 
-// Addr returns the phone's VPN-assigned address.
-func (p *Phone) Addr() netip.Addr { return p.addr }
-
 // Close stops the demultiplexer. The TUN device must be closed by its
 // owner; Close here only stops consuming from it.
 func (p *Phone) Close() {
@@ -254,7 +251,6 @@ func (p *Phone) injectEncoded(s *txScratch, pkt *packet.Packet) error {
 // Conn is an app-side TCP connection.
 type Conn struct {
 	phone  *Phone
-	uid    int
 	local  netip.AddrPort
 	remote netip.AddrPort
 	inode  uint64
@@ -302,7 +298,6 @@ func (p *Phone) Connect(uid int, dst netip.AddrPort, timeout time.Duration) (*Co
 	port := p.allocPort()
 	c := &Conn{
 		phone:  p,
-		uid:    uid,
 		local:  netip.AddrPortFrom(p.addr, port),
 		remote: dst,
 		state:  stateSynSent,
@@ -406,15 +401,6 @@ func (c *Conn) unregister() {
 	c.phone.mu.Unlock()
 	c.phone.table.Remove(c.inode)
 }
-
-// LocalAddr returns the connection's local address.
-func (c *Conn) LocalAddr() netip.AddrPort { return c.local }
-
-// RemoteAddr returns the destination the app dialed.
-func (c *Conn) RemoteAddr() netip.AddrPort { return c.remote }
-
-// UID returns the owning app's UID.
-func (c *Conn) UID() int { return c.uid }
 
 // handleSegment processes one engine-written TCP packet, whose device
 // buffer is raw. It reports whether it queued the payload, and with it

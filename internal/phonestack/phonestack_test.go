@@ -51,7 +51,7 @@ func startFakeEngine(dev *tun.Device, handle func(*packet.Packet, *fakeEngine)) 
 }
 
 func (fe *fakeEngine) send(p *packet.Packet) {
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -128,11 +128,8 @@ func TestConnectHandshake(t *testing.T) {
 		t.Fatalf("connect: %v", err)
 	}
 	defer c.Close()
-	if c.LocalAddr().Addr() != phoneAddr {
-		t.Errorf("local addr: %v", c.LocalAddr())
-	}
-	if c.UID() != 10001 {
-		t.Errorf("uid: %d", c.UID())
+	if c.local.Addr() != phoneAddr {
+		t.Errorf("local addr: %v", c.local)
 	}
 	// The proc table must show the connection as established under the
 	// right UID — that is what MopEye's mapping reads.
@@ -335,7 +332,7 @@ func TestCloseRemovesProcEntry(t *testing.T) {
 	if len(entries) != 1 || entries[0].UID != 10001 || entries[0].State != procnet.StateFinWait1 {
 		t.Fatalf("proc entries after close: %+v, want one FIN_WAIT entry for uid 10001", entries)
 	}
-	fe.send(packet.TCPPacket(serverAP, c.LocalAddr(), packet.FlagFIN|packet.FlagACK, 9001, 0, 65535, nil, nil))
+	fe.send(packet.TCPPacket(serverAP, c.local, packet.FlagFIN|packet.FlagACK, 9001, 0, 65535, nil, nil))
 	deadline := time.Now().Add(2 * time.Second)
 	for table.Len() != 0 {
 		if time.Now().After(deadline) {
@@ -448,7 +445,7 @@ func TestUDPRecvWakesOnDelivery(t *testing.T) {
 	for vclk.Pending() == 0 { // Recv has armed its timeout and is waiting
 		runtime.Gosched()
 	}
-	vu.deliver(packet.UDPPacket(dnsServer, vu.LocalAddr(), []byte("ok")))
+	vu.deliver(packet.UDPPacket(dnsServer, vu.local, []byte("ok")))
 	select {
 	case err := <-got:
 		if err != nil {
@@ -464,7 +461,7 @@ func TestUDPRecvWakesOnDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer u.Close()
-	resp := packet.UDPPacket(dnsServer, u.LocalAddr(), []byte("ok"))
+	resp := packet.UDPPacket(dnsServer, u.local, []byte("ok"))
 	var delivered atomic.Int64
 	lags := make([]float64, 0, 50)
 	for i := 0; i < cap(lags); i++ {
@@ -522,7 +519,7 @@ func TestConcurrentConnectionsDistinctPorts(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("conn %d: %v", i, errs[i])
 		}
-		port := conns[i].LocalAddr().Port()
+		port := conns[i].local.Port()
 		if seen[port] {
 			t.Fatalf("duplicate local port %d", port)
 		}
@@ -555,7 +552,7 @@ func TestWriteSegmentAllocs(t *testing.T) {
 			return
 		}
 		synAck, _ := packet.TCPPacket(syn.Dst(), syn.Src(), packet.FlagSYN|packet.FlagACK,
-			9000, syn.TCP.Seq+1, 65535, packet.MSSOption(1460), nil).Encode()
+			9000, syn.TCP.Seq+1, 65535, packet.MSSOption(1460), nil).AppendEncode(nil)
 		_ = dev.Write(synAck)
 	}()
 	c, err := p.Connect(10001, serverAP, 5*time.Second)

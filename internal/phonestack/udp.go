@@ -45,9 +45,6 @@ func procUDPProto(a netip.Addr) procnet.Proto {
 	return procnet.UDP6
 }
 
-// LocalAddr returns the socket's local address.
-func (u *UDPConn) LocalAddr() netip.AddrPort { return u.local }
-
 // SendTo injects one datagram into the TUN.
 func (u *UDPConn) SendTo(dst netip.AddrPort, payload []byte) error {
 	if u.inbox.Closed() {

@@ -457,10 +457,8 @@ type Reader struct {
 	textMu sync.Mutex
 	text   []byte // kept at its peak size
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	parses int
-	spent  time.Duration
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
 // NewReader creates a reader over a table.
@@ -486,14 +484,9 @@ func (r *Reader) AppendParse(dst []Entry, p Proto) ([]Entry, error) {
 	if err != nil {
 		return dst, err
 	}
-	cost := r.drawCost(len(dst) - n0)
-	if cost > 0 {
+	if cost := r.drawCost(len(dst) - n0); cost > 0 {
 		r.clk.Sleep(cost)
 	}
-	r.mu.Lock()
-	r.parses++
-	r.spent += cost
-	r.mu.Unlock()
 	return dst, nil
 }
 
@@ -518,9 +511,6 @@ func (r *Reader) appendPair(dst []Entry, v4, v6 Proto) ([]Entry, error) {
 	return dst, nil
 }
 
-// Parse reads one proc file into a new slice.
-func (r *Reader) Parse(p Proto) ([]Entry, error) { return r.AppendParse(nil, p) }
-
 // ParseAll reads tcp and tcp6 into a new slice.
 func (r *Reader) ParseAll() ([]Entry, error) { return r.AppendAll(nil) }
 
@@ -537,13 +527,6 @@ func (r *Reader) drawCost(entries int) time.Duration {
 		c += extra
 	}
 	return c
-}
-
-// Stats reports parses performed and total simulated time charged.
-func (r *Reader) Stats() (parses int, spent time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.parses, r.spent
 }
 
 // PackageManager maps UIDs to app package names, the role Android's

@@ -103,27 +103,35 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// chargeClock is a wall clock whose Sleep waits for nothing and only
+// adds up the cost a Reader charges.
+type chargeClock struct {
+	clock.Real
+	sleeps int
+	slept  time.Duration
+}
+
+func (c *chargeClock) Sleep(d time.Duration) {
+	c.sleeps++
+	c.slept += d
+}
+
 func TestReaderChargesCost(t *testing.T) {
 	tbl := NewTable()
 	for i := 0; i < 10; i++ {
 		tbl.Add(Entry{Proto: TCP, Local: ap("10.0.0.2:1"), Remote: ap("1.1.1.1:1"), UID: i})
 	}
-	clk := clock.NewReal()
+	clk := &chargeClock{}
 	r := NewReader(tbl, clk, CostModel{Base: 5 * time.Millisecond, PerEntry: 100 * time.Microsecond}, 1)
-	start := time.Now()
-	entries, err := r.Parse(TCP)
+	entries, err := r.AppendParse(nil, TCP)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if len(entries) != 10 {
 		t.Fatalf("entries: %d", len(entries))
 	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Error("parse cost not charged")
-	}
-	parses, spent := r.Stats()
-	if parses != 1 || spent < 5*time.Millisecond {
-		t.Errorf("stats: %d %v", parses, spent)
+	if want := 6 * time.Millisecond; clk.sleeps != 1 || clk.slept != want {
+		t.Errorf("charged %d sleeps of %v in all, want one of %v", clk.sleeps, clk.slept, want)
 	}
 }
 
@@ -133,12 +141,10 @@ func TestCostGrowsWithEntries(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tbl.Add(Entry{Proto: TCP, Local: ap("10.0.0.2:1"), Remote: ap("1.1.1.1:1"), UID: i})
 		}
-		r := NewReader(tbl, clock.NewReal(), CostModel{PerEntry: 50 * time.Microsecond}, 1)
-		_, _ = r.Parse(TCP)
-		// The charged cost, not the wall time: a sleep on a loaded host
-		// can overshoot a 250 µs charge many times over.
-		_, spent := r.Stats()
-		return spent
+		clk := &chargeClock{}
+		r := NewReader(tbl, clk, CostModel{PerEntry: 50 * time.Microsecond}, 1)
+		_, _ = r.AppendParse(nil, TCP)
+		return clk.slept
 	}
 	small, large := mk(5), mk(200)
 	if large < 2*small {

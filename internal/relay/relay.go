@@ -57,7 +57,6 @@ type TCPClient struct {
 
 	mu       sync.Mutex
 	writeBuf []Write
-	bufBytes int
 }
 
 // Write is one queued socket write: Data, and Buf, the tunnel buffer
@@ -125,7 +124,6 @@ func (c *TCPClient) AppInfo() (uid int, app string) {
 func (c *TCPClient) EnqueueWrite(data, buf []byte) {
 	c.mu.Lock()
 	c.writeBuf = append(c.writeBuf, Write{Data: data, Buf: buf})
-	c.bufBytes += len(data)
 	c.mu.Unlock()
 }
 
@@ -136,7 +134,6 @@ func (c *TCPClient) TakeWrites() []Write {
 	c.mu.Lock()
 	bufs := c.writeBuf
 	c.writeBuf = nil
-	c.bufBytes = 0
 	c.mu.Unlock()
 	return bufs
 }
@@ -162,13 +159,6 @@ func (c *TCPClient) PendingWrites() bool {
 	return len(c.writeBuf) > 0
 }
 
-// BufferedBytes returns the write-buffer occupancy.
-func (c *TCPClient) BufferedBytes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bufBytes
-}
-
 // RequestHalfClose marks that the app sent FIN; once the write buffer is
 // flushed the engine half-closes the external connection (§2.3 TCP FIN
 // "triggers a half-close write event").
@@ -186,7 +176,7 @@ func (c *TCPClient) MarkRemoved() bool {
 	}
 	// Nothing flushes a removed client, so it keeps no buffer either.
 	c.mu.Lock()
-	c.writeBuf, c.bufBytes = nil, 0
+	c.writeBuf = nil
 	c.mu.Unlock()
 	return true
 }

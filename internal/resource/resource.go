@@ -14,7 +14,6 @@
 package resource
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -46,8 +45,7 @@ func DefaultCosts() CostConstants {
 }
 
 // Meter accumulates work counters. The engine bumps them on every
-// packet, so they are atomics; only the buffer-memory total, a float,
-// is kept under mu.
+// packet, so they are atomics.
 type Meter struct {
 	costs     CostConstants
 	baseMemMB float64
@@ -58,9 +56,6 @@ type Meter struct {
 	bytes     atomic.Int64
 	inspected atomic.Int64
 	maxConns  atomic.Int64
-
-	mu       sync.Mutex
-	bufMemMB float64
 }
 
 // NewMeter creates a meter with the given cost constants and baseline
@@ -80,13 +75,6 @@ func (m *Meter) AddPackets(n, bytes int64) {
 
 // AddInspected records n packets subjected to content inspection.
 func (m *Meter) AddInspected(n int64) { m.inspected.Add(n) }
-
-// AddBufferMemMB records retained buffer memory beyond the baseline.
-func (m *Meter) AddBufferMemMB(mb float64) {
-	m.mu.Lock()
-	m.bufMemMB += mb
-	m.mu.Unlock()
-}
 
 // ObserveConns tracks the high-water mark of concurrent connections for
 // memory accounting.
@@ -122,10 +110,7 @@ func (m *Meter) Report(run time.Duration) Usage {
 		u.CPUPercent = cpu / run.Seconds() * 100
 	}
 	u.BatteryPct = cpu / 3600 * 20
-	m.mu.Lock()
-	bufMemMB := m.bufMemMB
-	m.mu.Unlock()
-	u.MemoryMB = m.baseMemMB + bufMemMB + float64(m.maxConns.Load())*m.perConnKB/1024
+	u.MemoryMB = m.baseMemMB + float64(m.maxConns.Load())*m.perConnKB/1024
 	return u
 }
 

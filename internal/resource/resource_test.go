@@ -43,11 +43,10 @@ func TestMemoryModel(t *testing.T) {
 	if u.MemoryMB != 12 {
 		t.Errorf("baseline memory: %v", u.MemoryMB)
 	}
-	m.AddBufferMemMB(100)
 	m.ObserveConns(8)
 	u = m.Report(time.Second)
-	if u.MemoryMB <= 112 {
-		t.Errorf("memory after buffers+conns: %v", u.MemoryMB)
+	if want := 12 + 8*130.0/1024; u.MemoryMB != want {
+		t.Errorf("memory after 8 conns: %v, want %v", u.MemoryMB, want)
 	}
 }
 

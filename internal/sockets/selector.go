@@ -111,11 +111,6 @@ func (k *SelectionKey) cancel() {
 	}
 }
 
-// Canceled reports whether the key was canceled.
-func (k *SelectionKey) Canceled() bool {
-	return k.canceled.Load()
-}
-
 // Selector multiplexes channel readiness, mirroring
 // java.nio.channels.Selector including Wakeup — which MopEye's TunReader
 // uses to make a packet-processing thread monitor its tunnel packet
@@ -295,13 +290,6 @@ func (s *Selector) Close() {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-// KeyCount returns the number of registered keys.
-func (s *Selector) KeyCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.keys
 }
 
 // SelectorStats is a consistent point-in-time view of one selector,

@@ -136,7 +136,7 @@ func TestCancelWhileQueuedDropped(t *testing.T) {
 	key := sel.Register(ch, OpRead, nil)
 	key.markReady(OpRead)
 	ch.Close() // cancels the key while it sits in the ready queue
-	if !key.Canceled() {
+	if !key.canceled.Load() {
 		t.Fatal("close did not cancel the key")
 	}
 	if keys := sel.SelectNow(); len(keys) != 0 {

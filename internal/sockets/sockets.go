@@ -126,7 +126,6 @@ type Provider struct {
 	rng        *rand.Rand
 	nextPort   uint16
 	disallowed bool // addDisallowedApplication(mopeye) has been called
-	protects   int  // number of per-socket protect() calls made
 }
 
 // UDPTransport transmits one relay datagram and arranges for any
@@ -204,13 +203,6 @@ func (p *Provider) ChargeThreadSpawn() {
 	}
 }
 
-// ProtectCalls reports how many per-socket protect() calls were paid.
-func (p *Provider) ProtectCalls() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.protects
-}
-
 // Channel is a connectable socket channel, non-blocking by default like
 // java.nio's SocketChannel once configureBlocking(false) is called.
 type Channel struct {
@@ -218,7 +210,6 @@ type Channel struct {
 
 	mu         sync.Mutex
 	local      netip.AddrPort
-	remote     netip.AddrPort
 	conn       upstream.Conn
 	connErr    error
 	connecting bool
@@ -235,36 +226,21 @@ func (p *Provider) Open() *Channel {
 	}
 }
 
-// LocalAddr returns the channel's local address.
-func (ch *Channel) LocalAddr() netip.AddrPort {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.local
-}
-
-// RemoteAddr returns the connected peer, or the zero AddrPort.
-func (ch *Channel) RemoteAddr() netip.AddrPort {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.remote
-}
-
 // Protect marks the socket as VPN-exempt, paying the per-socket cost
 // unless the application-wide exemption is active. MopEye must do one or
 // the other before connecting or its own packets would loop back into
 // the tunnel (§3.5.2).
-func (ch *Channel) Protect() {
-	ch.p.mu.Lock()
-	exempt := ch.p.disallowed
-	if !exempt {
-		ch.p.protects++
-	}
-	ch.p.mu.Unlock()
+func (ch *Channel) Protect() { ch.p.protect() }
+
+func (p *Provider) protect() {
+	p.mu.Lock()
+	exempt := p.disallowed
+	p.mu.Unlock()
 	if exempt {
 		return
 	}
-	if c := drawCost(ch.p.Costs.Protect, ch.p.rng, &ch.p.mu); c > 0 {
-		ch.p.Clk.SleepFine(c)
+	if c := drawCost(p.Costs.Protect, p.rng, &p.mu); c > 0 {
+		p.Clk.SleepFine(c)
 	}
 }
 
@@ -301,7 +277,6 @@ func (ch *Channel) Connect(dst netip.AddrPort) error {
 		return err
 	}
 	ch.conn = conn
-	ch.remote = dst
 	ch.connected = true
 	if ch.key != nil {
 		ch.attachReadiness()
@@ -342,7 +317,6 @@ func (ch *Channel) ConnectNonBlocking(dst netip.AddrPort) error {
 			ch.connErr = err
 		} else {
 			ch.conn = conn
-			ch.remote = dst
 			ch.connected = true
 			if ch.key != nil {
 				ch.attachReadiness()

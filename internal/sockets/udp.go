@@ -21,25 +21,9 @@ func (p *Provider) OpenUDP() *UDPSocket {
 	return &UDPSocket{p: p, local: netip.AddrPortFrom(p.phoneAddr, p.EphemeralPort())}
 }
 
-// LocalAddr returns the socket's local address.
-func (u *UDPSocket) LocalAddr() netip.AddrPort { return u.local }
-
 // Protect marks the socket VPN-exempt, same semantics as
 // Channel.Protect.
-func (u *UDPSocket) Protect() {
-	u.p.mu.Lock()
-	exempt := u.p.disallowed
-	if !exempt {
-		u.p.protects++
-	}
-	u.p.mu.Unlock()
-	if exempt {
-		return
-	}
-	if c := drawCost(u.p.Costs.Protect, u.p.rng, &u.p.mu); c > 0 {
-		u.p.Clk.SleepFine(c)
-	}
-}
+func (u *UDPSocket) Protect() { u.p.protect() }
 
 // SendTo transmits one datagram through whichever UDP exit is
 // installed. Responses from the network are queued for Recv.

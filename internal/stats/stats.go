@@ -82,34 +82,6 @@ func MeanCI95(xs []float64) (mean, halfWidth float64) {
 	return mean, halfWidth
 }
 
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // CDF is an empirical cumulative distribution function over float64
 // samples.
 type CDF struct {
@@ -122,9 +94,6 @@ func NewCDF(xs []float64) *CDF {
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
-
-// N returns the number of samples.
-func (c *CDF) N() int { return len(c.sorted) }
 
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -63,16 +64,6 @@ func TestMeanCI95(t *testing.T) {
 	// 95% CI half width for sigma=1, n=400 is about 1.96/20 ~ 0.098.
 	if hw < 0.05 || hw > 0.2 {
 		t.Errorf("half width: %v", hw)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("min/max: %v %v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty min/max should be 0")
 	}
 }
 
@@ -160,7 +151,7 @@ func TestQuickQuantileMonotone(t *testing.T) {
 			q1, q2 = q2, q1
 		}
 		v1, v2 := Quantile(xs, q1), Quantile(xs, q2)
-		return v1 <= v2 && v1 >= Min(xs) && v2 <= Max(xs)
+		return v1 <= v2 && v1 >= slices.Min(xs) && v2 <= slices.Max(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -211,7 +202,7 @@ func TestQuickMedian(t *testing.T) {
 			return true
 		}
 		m := Median(xs)
-		if m < Min(xs) || m > Max(xs) {
+		if m < slices.Min(xs) || m > slices.Max(xs) {
 			return false
 		}
 		if len(xs)%2 == 1 {

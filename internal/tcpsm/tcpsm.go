@@ -132,12 +132,6 @@ func (m *Machine) State() State {
 	return m.state
 }
 
-// App returns the app-side endpoint of the internal connection.
-func (m *Machine) App() netip.AddrPort { return m.app }
-
-// Server returns the destination endpoint.
-func (m *Machine) Server() netip.AddrPort { return m.server }
-
 // Stats returns a snapshot of activity counters.
 func (m *Machine) Stats() Stats {
 	m.mu.Lock()

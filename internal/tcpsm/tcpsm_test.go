@@ -20,7 +20,7 @@ var (
 type collector struct{ pkts []*packet.Packet }
 
 func (c *collector) emit(p *packet.Packet) {
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		panic(err)
 	}

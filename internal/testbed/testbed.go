@@ -6,10 +6,8 @@ package testbed
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net/netip"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/baselines/sniffer"
@@ -22,7 +20,6 @@ import (
 	"repro/internal/resource"
 	"repro/internal/sockets"
 	"repro/internal/tun"
-	"repro/internal/upstream"
 )
 
 // Default addresses of the fixture.
@@ -149,45 +146,6 @@ func New(o Options) (*Bed, error) {
 
 // InstallApp registers an app package under a UID.
 func (b *Bed) InstallApp(uid int, name string) { b.PM.Install(uid, name) }
-
-// SOCKSAddr is where InstallSOCKS5 listens inside the emulated network.
-var SOCKSAddr = netip.AddrPortFrom(netip.MustParseAddr("100.64.0.80"), 1080)
-
-// InstallSOCKS5 runs the in-process SOCKS5 proxy inside the bed's
-// network at SOCKSAddr and returns its address. The proxy's own link is
-// zero-delay (loopback-adjacent middlebox), so a flow relayed through
-// it pays exactly the destination link's cost — the property the
-// byte-identical direct-vs-SOCKS e2e pins. cfg's fault-injection knobs
-// (auth, refusal, hang) pass through; the backend dial is wired into
-// the emulated network unless the caller overrides it.
-func (b *Bed) InstallSOCKS5(cfg upstream.ServerConfig) netip.AddrPort {
-	if cfg.Dial == nil {
-		var backendPort atomic.Uint32
-		backendPort.Store(41000)
-		cfg.Dial = func(dst netip.AddrPort) (io.ReadWriteCloser, error) {
-			local := netip.AddrPortFrom(SOCKSAddr.Addr(), uint16(backendPort.Add(1)))
-			return b.Net.Dial(local, dst)
-		}
-	}
-	b.Net.SetLink(SOCKSAddr.Addr(), netsim.LinkParams{})
-	b.Net.HandleTCP(SOCKSAddr, func(c *netsim.Conn) { _ = upstream.ServeConn(c, cfg) })
-	return SOCKSAddr
-}
-
-// UseSOCKS5 points the relay's upstream exit at a SOCKS5 proxy inside
-// the emulated network. Call before traffic flows. Username/password
-// may be empty for an anonymous proxy; timeout zero selects the
-// dialer's default.
-func (b *Bed) UseSOCKS5(proxy netip.AddrPort, username, password string, timeout time.Duration) {
-	b.Prov.SetDialer(&upstream.SOCKS5{
-		Proxy:    proxy,
-		Username: username,
-		Password: password,
-		Timeout:  timeout,
-		Forward:  upstream.Netsim{Net: b.Net},
-		Clk:      b.Clk,
-	})
-}
 
 // Close tears the bed down in dependency order. The engine stops
 // first, so by the time the store's subscribers are shut down no

@@ -55,13 +55,15 @@ func TestNewWiresEverything(t *testing.T) {
 	}
 }
 
-// The resolver sits on its own, shorter path. Nothing here depends on
-// how fast the host runs: the bed installed the DNS link, the lookup
-// took at least its round trip, and the engine measured it.
+// The resolver sits on its own path, here slower than the default one,
+// so a lookup that took at least the DNS link's round trip shows that
+// the bed installed that link. Nothing here depends on how fast the
+// host runs: the lookup took at least its round trip, and the engine
+// measured it.
 func TestDNSPathThroughBed(t *testing.T) {
-	dnsLink := netsim.LinkParams{Delay: time.Millisecond}
+	dnsLink := netsim.LinkParams{Delay: 5 * time.Millisecond}
 	bed, err := New(Options{
-		Link:    netsim.LinkParams{Delay: 5 * time.Millisecond},
+		Link:    netsim.LinkParams{Delay: time.Millisecond},
 		DNSLink: &dnsLink,
 		Servers: []netsim.ServerSpec{EchoServer("named.example", "203.0.113.3:443", 30*time.Millisecond)},
 	})
@@ -69,9 +71,6 @@ func TestDNSPathThroughBed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bed.Close()
-	if got := bed.Net.Link(DNSAddr.Addr()); got != dnsLink {
-		t.Errorf("DNS path %+v, want %+v", got, dnsLink)
-	}
 	res, err := bed.Phone.Resolve(100, DNSAddr, "named.example", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)

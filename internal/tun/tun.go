@@ -26,8 +26,9 @@ import (
 	"repro/internal/fifoq"
 )
 
-// DefaultMTU is the MTU a device starts with when the backend has no
-// interface to query. MopEye sends 1500-byte IP packets to apps (§3.4).
+// DefaultMTU is the emulated device's MTU, and the real backend's when
+// it has no interface to query. MopEye sends 1500-byte IP packets to
+// apps (§3.4).
 const DefaultMTU = 1500
 
 // Errors.
@@ -189,12 +190,6 @@ func (f *fifo) takeBatch(dst [][]byte, block bool) (int, error) {
 	return n, nil
 }
 
-func (f *fifo) len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.items.Len()
-}
-
 func (f *fifo) close() {
 	f.mu.Lock()
 	f.closed = true
@@ -215,15 +210,6 @@ type Stats struct {
 	ReadDelaySum time.Duration
 }
 
-// MeanReadDelay returns the average time packets sat in the outbound
-// queue before the engine retrieved them.
-func (s Stats) MeanReadDelay() time.Duration {
-	if s.PacketsOut == 0 {
-		return 0
-	}
-	return s.ReadDelaySum / time.Duration(s.PacketsOut)
-}
-
 // Device is the emulated TUN interface.
 type Device struct {
 	clk clock.Clock
@@ -231,10 +217,9 @@ type Device struct {
 	outbound *fifo // phone -> engine
 	inbound  *fifo // engine -> phone
 
-	// blocking and mtu are read on every Read, Write and
-	// InjectOutbound, so they are atomics rather than fields under mu.
+	// blocking is read on every Read, so it is an atomic rather than a
+	// field under mu.
 	blocking atomic.Bool
-	mtu      atomic.Int64
 
 	mu     sync.Mutex
 	closed bool
@@ -257,28 +242,16 @@ func New(clk clock.Clock, queueCap int) *Device {
 	if queueCap <= 0 {
 		queueCap = 1024
 	}
-	d := &Device{
+	return &Device{
 		clk:      clk,
 		outbound: newFIFO(queueCap, clk),
 		inbound:  newFIFO(queueCap, nil),
 	}
-	d.mtu.Store(DefaultMTU)
-	return d
 }
 
-// MTU reports the device MTU. Writes larger than this fail with
-// ErrTooBig.
-func (d *Device) MTU() int { return int(d.mtu.Load()) }
-
-// SetMTU overrides the device MTU (DefaultMTU at construction). It
-// emulates configuring the interface before bringing the tunnel up —
-// call it before traffic flows, not mid-run.
-func (d *Device) SetMTU(mtu int) {
-	if mtu <= 0 {
-		return
-	}
-	d.mtu.Store(int64(mtu))
-}
+// MTU reports the device MTU, DefaultMTU. Writes larger than this fail
+// with ErrTooBig.
+func (d *Device) MTU() int { return DefaultMTU }
 
 // SetBlocking switches the read mode of the descriptor, the equivalent of
 // fcntl(F_SETFL) at native level or the hidden
@@ -350,7 +323,7 @@ func AndroidWriteCost() func(*rand.Rand) time.Duration {
 // mInterface's output stream. Writes are serialised and charge the
 // configured write cost, so concurrent writers observe queueing delay.
 func (d *Device) Write(pkt []byte) error {
-	if len(pkt) > d.MTU() {
+	if len(pkt) > DefaultMTU {
 		return ErrTooBig
 	}
 	d.writeMu.Lock()
@@ -387,12 +360,11 @@ func (d *Device) WriteBatch(pkts [][]byte) (int, error) {
 	if len(pkts) == 0 {
 		return 0, nil
 	}
-	mtu := d.MTU()
 	d.writeMu.Lock()
 	staged := d.wbScratch[:0]
 	var ferr error
 	for _, pkt := range pkts {
-		if len(pkt) > mtu {
+		if len(pkt) > DefaultMTU {
 			if ferr == nil {
 				ferr = ErrTooBig
 			}
@@ -422,7 +394,7 @@ func (d *Device) WriteBatch(pkts [][]byte) (int, error) {
 // trick §3.1 describes (self-sent pre-5.0, DownloadManager-triggered on
 // 5.0+).
 func (d *Device) InjectOutbound(pkt []byte) error {
-	if len(pkt) > d.MTU() {
+	if len(pkt) > DefaultMTU {
 		return ErrTooBig
 	}
 	return d.outbound.put(copyPacket(pkt))
@@ -434,12 +406,6 @@ func (d *Device) InjectOutbound(pkt []byte) error {
 func (d *Device) ReadInbound() ([]byte, error) {
 	return d.inbound.take(true)
 }
-
-// OutboundLen reports how many app packets are waiting for the engine.
-func (d *Device) OutboundLen() int { return d.outbound.len() }
-
-// InboundLen reports how many engine packets are waiting for the phone.
-func (d *Device) InboundLen() int { return d.inbound.len() }
 
 // Stats returns a snapshot of the device counters, one direction's
 // under one lock.
@@ -469,11 +435,4 @@ func (d *Device) Close() {
 	d.mu.Unlock()
 	d.outbound.close()
 	d.inbound.close()
-}
-
-// Closed reports whether Close has been called.
-func (d *Device) Closed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.closed
 }

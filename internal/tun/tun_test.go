@@ -121,21 +121,11 @@ func TestPerDeviceMTU(t *testing.T) {
 	if got := d.MTU(); got != DefaultMTU {
 		t.Fatalf("MTU = %d, want %d", got, DefaultMTU)
 	}
-	d.SetMTU(9000)
-	if got := d.MTU(); got != 9000 {
-		t.Fatalf("MTU after SetMTU = %d, want 9000", got)
+	if err := d.Write(make([]byte, DefaultMTU)); err != nil {
+		t.Errorf("write at the MTU: %v", err)
 	}
-	// A packet over the old default but under the new MTU must pass.
-	jumbo := make([]byte, DefaultMTU+1)
-	if err := d.Write(jumbo); err != nil {
-		t.Errorf("write under raised MTU: %v", err)
-	}
-	if err := d.Write(make([]byte, 9001)); !errors.Is(err, ErrTooBig) {
-		t.Errorf("write over raised MTU: %v", err)
-	}
-	d.SetMTU(0) // ignored
-	if got := d.MTU(); got != 9000 {
-		t.Errorf("MTU after SetMTU(0) = %d, want 9000", got)
+	if err := d.Write(make([]byte, DefaultMTU+1)); !errors.Is(err, ErrTooBig) {
+		t.Errorf("write over the MTU: %v", err)
 	}
 	// The interface seam: both backends satisfy it.
 	var _ Interface = d
@@ -147,8 +137,14 @@ func TestQueueOverflowDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		_ = d.InjectOutbound([]byte{byte(i)})
 	}
-	if d.OutboundLen() != 4 {
-		t.Errorf("queue len = %d, want 4", d.OutboundLen())
+	// The queue kept the first four packets and dropped the rest.
+	for i := 0; i < 4; i++ {
+		if pkt, err := d.Read(); err != nil || pkt[0] != byte(i) {
+			t.Fatalf("read %d: %v, %v", i, pkt, err)
+		}
+	}
+	if _, err := d.Read(); !errors.Is(err, ErrWouldBlock) {
+		t.Errorf("read past the queued four: %v, want ErrWouldBlock", err)
 	}
 	if d.Stats().Drops != 6 {
 		t.Errorf("drops = %d, want 6", d.Stats().Drops)
@@ -174,20 +170,17 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestReadDelayAccounting(t *testing.T) {
-	d := newDev()
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	d := New(clk, 16)
 	defer d.Close()
 	_ = d.InjectOutbound([]byte{1})
-	time.Sleep(5 * time.Millisecond)
-	d.SetBlocking(true)
+	clk.Advance(5 * time.Millisecond)
 	if _, err := d.Read(); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	s := d.Stats()
-	if s.MeanReadDelay() < 4*time.Millisecond {
-		t.Errorf("mean read delay %v, packet sat 5ms", s.MeanReadDelay())
-	}
-	if s.ReadDelayMax < s.MeanReadDelay() {
-		t.Error("max < mean")
+	if s.PacketsOut != 1 || s.ReadDelaySum != 5*time.Millisecond || s.ReadDelayMax != 5*time.Millisecond {
+		t.Errorf("packets %d, read delay sum %v, max %v; want 1, 5ms, 5ms", s.PacketsOut, s.ReadDelaySum, s.ReadDelayMax)
 	}
 }
 
@@ -391,11 +384,19 @@ func TestWriteBatchOverflowDrops(t *testing.T) {
 	if _, err := d.WriteBatch(pkts); err != nil {
 		t.Fatalf("write batch: %v", err)
 	}
-	if d.InboundLen() != 2 {
-		t.Errorf("inbound len = %d, want 2", d.InboundLen())
-	}
 	if d.Stats().Drops != 3 {
 		t.Errorf("drops = %d, want 3", d.Stats().Drops)
+	}
+	// The queue kept the first two packets: after them a closed device
+	// has nothing left to deliver.
+	for i := 0; i < 2; i++ {
+		if pkt, err := d.ReadInbound(); err != nil || pkt[0] != byte(i) {
+			t.Fatalf("inbound read %d: %v, %v", i, pkt, err)
+		}
+	}
+	d.Close()
+	if _, err := d.ReadInbound(); !errors.Is(err, ErrClosed) {
+		t.Errorf("inbound read past the queued two: %v, want ErrClosed", err)
 	}
 }
 

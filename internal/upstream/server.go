@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/netip"
 )
 
@@ -195,17 +194,4 @@ func relay(a, b io.ReadWriteCloser) {
 	<-done
 	_ = a.Close()
 	_ = b.Close()
-}
-
-// Serve accepts connections from a real listener and serves each in its
-// own goroutine until the listener closes — the shape the root-gated
-// smoke uses to run a loopback exit proxy next to the relay.
-func Serve(l net.Listener, cfg ServerConfig) {
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go func() { _ = ServeConn(c, cfg) }()
-	}
 }

@@ -66,12 +66,6 @@ type Dialer interface {
 	Dial(local, dst netip.AddrPort) (Conn, error)
 }
 
-// DialerFunc adapts a function to the Dialer interface.
-type DialerFunc func(local, dst netip.AddrPort) (Conn, error)
-
-// Dial implements Dialer.
-func (f DialerFunc) Dial(local, dst netip.AddrPort) (Conn, error) { return f(local, dst) }
-
 // Error is a typed upstream dial failure. Terminal errors are
 // configuration or policy failures (bad credentials, proxy refuses the
 // command) that retrying the same dial cannot fix; non-terminal errors
@@ -99,13 +93,6 @@ func (e *Error) Error() string {
 
 // Unwrap exposes the cause.
 func (e *Error) Unwrap() error { return e.Err }
-
-// Terminal reports whether err is a terminal upstream failure —
-// one the flow teardown path should not schedule a retry for.
-func Terminal(err error) bool {
-	var ue *Error
-	return errors.As(err, &ue) && ue.IsTerminal
-}
 
 // ErrTimeout is the cause inside an *Error when the dial or handshake
 // exceeded its deadline.

@@ -81,7 +81,15 @@ func socksListener(t *testing.T, cfg ServerConfig) netip.AddrPort {
 		t.Fatalf("listen: %v", err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go Serve(l, cfg)
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _ = ServeConn(c, cfg) }()
+		}
+	}()
 	return netip.MustParseAddrPort(l.Addr().String())
 }
 
@@ -158,7 +166,7 @@ func TestDirectDialRefusedIsRetryable(t *testing.T) {
 	if !errors.As(err, &ue) {
 		t.Fatalf("err %T, want *Error", err)
 	}
-	if Terminal(err) {
+	if terminal(err) {
 		t.Fatalf("refused TCP connect classified terminal: %v", err)
 	}
 }
@@ -198,14 +206,14 @@ func TestSOCKS5Auth(t *testing.T) {
 	if !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("bad password err = %v, want ErrAuthFailed", err)
 	}
-	if !Terminal(err) {
+	if !terminal(err) {
 		t.Fatalf("auth failure must be terminal: %v", err)
 	}
 
 	// No credentials offered at all: the server rejects the method set.
 	anon := &SOCKS5{Proxy: proxy, Forward: Direct{}}
 	_, err = anon.Dial(netip.AddrPort{}, dst)
-	if !errors.Is(err, ErrAuthFailed) || !Terminal(err) {
+	if !errors.Is(err, ErrAuthFailed) || !terminal(err) {
 		t.Fatalf("anon against auth proxy err = %v, want terminal ErrAuthFailed", err)
 	}
 }
@@ -219,14 +227,14 @@ func TestSOCKS5RefusedConnect(t *testing.T) {
 	if !errors.As(err, &ue) || ue.ReplyCode != replyConnRefused {
 		t.Fatalf("err = %v, want *Error with reply 0x05", err)
 	}
-	if Terminal(err) {
+	if terminal(err) {
 		t.Fatalf("connection-refused reply must be retryable: %v", err)
 	}
 
 	// Terminal refusal (ruleset).
 	proxy2 := socksListener(t, ServerConfig{RejectConnect: replyNotAllowed})
 	_, err = (&SOCKS5{Proxy: proxy2, Forward: Direct{}}).Dial(netip.AddrPort{}, dst)
-	if !Terminal(err) {
+	if !terminal(err) {
 		t.Fatalf("ruleset refusal must be terminal: %v", err)
 	}
 }
@@ -243,7 +251,7 @@ func TestSOCKS5HangTimesOut(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout cause", err)
 	}
-	if Terminal(err) {
+	if terminal(err) {
 		t.Fatalf("timeout must be retryable: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -262,7 +270,13 @@ func TestSOCKS5ForwardDialFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("dial succeeded with dead proxy")
 	}
-	if Terminal(err) {
+	if terminal(err) {
 		t.Fatalf("dead proxy must be retryable: %v", err)
 	}
+}
+
+// terminal reports whether err is an *Error that retrying cannot fix.
+func terminal(err error) bool {
+	var ue *Error
+	return errors.As(err, &ue) && ue.IsTerminal
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -118,8 +119,31 @@ func runFleet(t *testing.T, roster []fleetPhone, tr Transport, batchSize int) ([
 		all = append(all, recs[i]...)
 		total += uploads[i]
 	}
-	measure.SortCanonical(all)
+	sortCanonical(t, all)
 	return all, total
+}
+
+// sortCanonical orders records by their JSON Lines encoding, which
+// carries every field, so two permutations of the same records come
+// out in one order (and crowd.Ingest numbers their devices alike).
+func sortCanonical(t *testing.T, recs []measure.Record) {
+	t.Helper()
+	type keyed struct {
+		line string
+		r    measure.Record
+	}
+	ks := make([]keyed, len(recs))
+	for i, r := range recs {
+		var b bytes.Buffer
+		if err := measure.WriteJSONL(&b, []measure.Record{r}); err != nil {
+			t.Fatal(err)
+		}
+		ks[i] = keyed{b.String(), r}
+	}
+	sort.SliceStable(ks, func(i, j int) bool { return ks[i].line < ks[j].line })
+	for i := range ks {
+		recs[i] = ks[i].r
+	}
 }
 
 // jsonlBytes canonicalises and serialises records for byte-level
@@ -127,7 +151,7 @@ func runFleet(t *testing.T, roster []fleetPhone, tr Transport, batchSize int) ([
 func jsonlBytes(t *testing.T, recs []Measurement) []byte {
 	t.Helper()
 	sorted := append([]measure.Record(nil), recs...)
-	measure.SortCanonical(sorted)
+	sortCanonical(t, sorted)
 	var buf bytes.Buffer
 	if err := measure.WriteJSONL(&buf, sorted); err != nil {
 		t.Fatal(err)
@@ -199,7 +223,7 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 	// wire-delivered dataset ≡ in-process crowd.Ingest over the phones'
 	// records.
 	sorted := append([]measure.Record(nil), remote...)
-	measure.SortCanonical(sorted)
+	sortCanonical(t, sorted)
 	viaWire := NewStudyFrom(sorted).ReportAll()
 	inProc := (&Study{ds: crowd.Ingest(local)}).ReportAll()
 	if viaWire != inProc {
@@ -207,10 +231,10 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 	}
 
 	// Every device contributed and is visible to the analysis.
-	ds := srv.Ingest()
+	ds := crowd.Ingest(srv.Records())
 	for i := 1; i <= 8; i++ {
 		id := fmt.Sprintf("phone-%02d", i)
-		if ds.DeviceByID(id) == nil {
+		if deviceByID(ds, id) == nil {
 			t.Errorf("device %s missing from ingested dataset", id)
 		}
 	}
@@ -264,9 +288,19 @@ func TestFleetDeviceStampCollision(t *testing.T) {
 	if ss.Records != len(local) {
 		t.Errorf("server %d records, phones %d", ss.Records, len(local))
 	}
-	ds := srv.Ingest()
-	d := ds.DeviceByID("shared-stamp")
+	ds := crowd.Ingest(srv.Records())
+	d := deviceByID(ds, "shared-stamp")
 	if d == nil || d.Activity != len(local) {
 		t.Errorf("shared device not merged: %+v", d)
 	}
+}
+
+// deviceByID finds a device in ds, or nil.
+func deviceByID(ds *crowd.Dataset, id string) *crowd.Device {
+	for _, d := range ds.Devices {
+		if d.ID == id {
+			return d
+		}
+	}
+	return nil
 }

@@ -302,7 +302,7 @@ func TestCollectorRoundTripThroughJSONL(t *testing.T) {
 	if got := len(st.Dataset().Records); got != 5 {
 		t.Fatalf("round-tripped study records: %d", got)
 	}
-	if d := st.Dataset().DeviceByID("device-rt"); d == nil || d.Activity != 5 {
+	if d := deviceByID(st.Dataset(), "device-rt"); d == nil || d.Activity != 5 {
 		t.Errorf("device lost in round trip: %+v", d)
 	}
 }

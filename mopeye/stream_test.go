@@ -331,7 +331,7 @@ func TestCollectorStreamsIntoStudy(t *testing.T) {
 	if len(ds.Records) != len(recs) {
 		t.Errorf("study ingested %d of %d", len(ds.Records), len(recs))
 	}
-	if d := ds.DeviceByID("device-e2e"); d == nil {
+	if d := deviceByID(ds, "device-e2e"); d == nil {
 		t.Error("contributing phone missing from study devices")
 	}
 	if st.ReportContributions() == "" {
