@@ -30,7 +30,7 @@ func TestConfigIsThePollBasedAblation(t *testing.T) {
 }
 
 func TestMeterMemoryBaseline(t *testing.T) {
-	u := resource.NewMeter(resource.DefaultCosts(), BaseMemoryMB).Report(1)
+	u := resource.NewMeter(BaseMemoryMB).Report(1)
 	if u.MemoryMB < 100 {
 		t.Errorf("Haystack baseline memory %.0f MB, Table 4 reports 148", u.MemoryMB)
 	}

@@ -300,7 +300,8 @@ func TestSpoolReopenKeepsOneBatchPerLine(t *testing.T) {
 	}
 }
 
-// FuzzSpoolReplay replays an arbitrary spool file. It must not panic,
+// FuzzSpoolReplay replays an arbitrary spool file, the collector's
+// restart path. It must not panic,
 // the durable prefix it reports must lie inside the file, replaying
 // just that prefix (what OpenSpool heals the file to) must return the
 // same batches and the same offset, and a complete batch batchAfter

@@ -251,8 +251,9 @@ func TestFlagsRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDNSDecode feeds Decode the bytes an app can put in a DNS query
-// through the tunnel. It must not panic, every error must be one of
+// FuzzDNSDecode feeds Decode, which the engine runs on every query an
+// app sends, the bytes an app can put in a DNS query through the
+// tunnel. It must not panic, every error must be one of
 // the package's sentinels, and every name it returns must fit the
 // 255-octet wire limit (253 dotted characters) however many
 // compression pointers built it. The committed corpus

@@ -161,24 +161,6 @@ func TestPerSocketProtectPenalisesSYN(t *testing.T) {
 	}
 }
 
-// TestMapOffLabelsUnknown verifies attribution can be disabled without
-// breaking relaying.
-func TestMapOffLabelsUnknown(t *testing.T) {
-	cfg := engine.Default()
-	cfg.Mapping = engine.MapOff
-	tb := newAblationBed(t, cfg, sockets.CostModel{}, procnet.ZeroParseCost())
-	conn, err := tb.phone.Connect(uidApp, tb.server, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	waitFor(t, 3*time.Second, func() bool { return tb.eng.Store().Len() >= 1 }, "record")
-	r := tb.eng.Store().Snapshot()[0]
-	if r.App != "unknown" {
-		t.Errorf("app: %q", r.App)
-	}
-}
-
 // TestHaystackConfigRelaysCorrectly runs the poll-based baseline end to
 // end: slower, but correct.
 func TestHaystackConfigRelaysCorrectly(t *testing.T) {

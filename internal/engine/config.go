@@ -25,10 +25,6 @@ const (
 	// ReadPoll is the ToyVpn/PrivacyGuard paradigm: non-blocking reads
 	// with a fixed sleep between empty polls.
 	ReadPoll
-	// ReadPollAdaptive is ToyVpn's "intelligent sleeping": the sleep
-	// pauses while consecutive reads succeed (Haystack adopts a similar
-	// idea).
-	ReadPollAdaptive
 )
 
 // WriteScheme selects how packets reach the tunnel (§3.5.1, Table 1).
@@ -60,8 +56,6 @@ const (
 	// MapCache caches by remote endpoint, Haystack-style — fast but
 	// wrong when two apps share a server endpoint (§3.3).
 	MapCache
-	// MapOff disables attribution (packets relay, records say unknown).
-	MapOff
 )
 
 // ProtectMode selects how sockets are exempted from the VPN (§3.5.2).
@@ -83,7 +77,7 @@ const (
 // Config selects the engine variant.
 type Config struct {
 	ReadMode     ReadMode
-	PollInterval time.Duration // sleep between empty polls for ReadPoll*
+	PollInterval time.Duration // sleep between empty polls for ReadPoll
 
 	// Workers selects how many packet-processing workers run. Every
 	// worker owns its own selector and its own SPSC packet ring, each
@@ -131,11 +125,6 @@ type Config struct {
 	// UDPTimeout bounds generic (non-DNS) UDP associations.
 	UDPTimeout time.Duration
 
-	// Record tagging for the crowd dataset dimensions.
-	NetType string
-	ISP     string
-	Country string
-
 	// Seed makes the engine's random choices reproducible.
 	Seed int64
 }
@@ -153,9 +142,6 @@ func Default() Config {
 		DeferRegister:          true,
 		DNSTimeout:             5 * time.Second,
 		UDPTimeout:             2 * time.Second,
-		NetType:                "WiFi",
-		ISP:                    "SimNet",
-		Country:                "SG",
 		Seed:                   1,
 	}
 }

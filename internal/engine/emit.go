@@ -7,6 +7,14 @@ import (
 	"repro/internal/measure"
 )
 
+// The network tags every engine record carries: the crowd dataset's
+// dimensions (§4), fixed for the simulated phone's one network.
+const (
+	recordNetType = "WiFi"
+	recordISP     = "SimNet"
+	recordCountry = "SG"
+)
+
 // record is the engine's single measurement emit point: every
 // opportunistic RTT — TCP connect() RTTs from the relay workers
 // (tcp.go) and DNS transaction RTTs from the pooled UDP relay
@@ -26,8 +34,8 @@ func (e *Engine) record(kind measure.Kind, app string, uid int, dst netip.AddrPo
 		Domain:  domain,
 		RTT:     rtt,
 		At:      e.clk.Now(),
-		NetType: e.cfg.NetType,
-		ISP:     e.cfg.ISP,
-		Country: e.cfg.Country,
+		NetType: recordNetType,
+		ISP:     recordISP,
+		Country: recordCountry,
 	})
 }

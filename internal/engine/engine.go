@@ -98,7 +98,7 @@ func New(cfg Config, d Deps) *Engine {
 		d.Store = measure.NewStore()
 	}
 	if d.Meter == nil {
-		d.Meter = resource.NewMeter(resource.DefaultCosts(), 12)
+		d.Meter = resource.NewMeter(12)
 	}
 	e := &Engine{
 		cfg:     cfg,

@@ -148,6 +148,10 @@ func TestRelayProducesPerAppMeasurement(t *testing.T) {
 	if r.Dst != tb.server {
 		t.Errorf("record dst = %v, want %v", r.Dst, tb.server)
 	}
+	// Every engine record carries the simulated phone's network tags.
+	if r.NetType != "WiFi" || r.ISP != "SimNet" || r.Country != "SG" {
+		t.Errorf("record network = %q/%q/%q, want WiFi/SimNet/SG", r.NetType, r.ISP, r.Country)
+	}
 	// The measured RTT must track the configured path RTT: the blocking
 	// connect is timestamped immediately around the call. The upper
 	// bound is generous because a loaded test machine inflates real

@@ -188,7 +188,7 @@ func newMapper(reader *procnet.Reader, pm *procnet.PackageManager, mode MappingM
 func (m *mapper) resolve(local netip.AddrPort, remote netip.AddrPort, synAt int64) (appInfo, time.Duration) {
 	start := m.clk.Nanos()
 	info, cached := unknownApp, false
-	var p *procParse // the parse that answers; nil for MapOff and cache hits
+	var p *procParse // the parse that answers; nil for cache hits
 	parsed := true
 	switch m.mode {
 	case MapLazy:
@@ -216,7 +216,7 @@ func (m *mapper) resolve(local netip.AddrPort, remote netip.AddrPort, synAt int6
 	switch {
 	case cached:
 		m.avoided++
-	case p == nil || !p.ok: // MapOff, or a failed parse
+	case !p.ok: // a failed parse
 	case parsed:
 		m.parses++
 	default:
@@ -245,9 +245,6 @@ func (m *mapper) resolve(local netip.AddrPort, remote netip.AddrPort, synAt int6
 // socket. It deliberately leaves the §3.3 lazy-mapping stats untouched;
 // those feed Figure 5, which measures the TCP SYN path.
 func (m *mapper) resolveUDP(local netip.AddrPort, at int64) appInfo {
-	if m.mode == MapOff {
-		return unknownApp
-	}
 	p, _ := m.udp.since(at)
 	return m.find(local, p)
 }

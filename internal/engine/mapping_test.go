@@ -294,7 +294,10 @@ func (c *rampClock) Nanos() int64 { c.t += c.step; return c.t }
 // every one.
 func TestMappingOverheadsKeepNewestSamples(t *testing.T) {
 	clk := &rampClock{}
-	m := newMapper(procnet.NewReader(procnet.NewTable(), clock.NewReal(), procnet.ZeroParseCost(), 1), procnet.NewPackageManager(), MapOff, clk)
+	m := newMapper(procnet.NewReader(procnet.NewTable(), clock.NewReal(), procnet.ZeroParseCost(), 1), procnet.NewPackageManager(), MapCache, clk)
+	// A primed cache answers every resolution without a parse, so each
+	// one reads the clock exactly twice.
+	m.byRemote[mapRemote] = unknownApp
 	const n = overheadSamples + 100
 	for i := 1; i <= n; i++ {
 		clk.step = int64(i)

@@ -230,27 +230,3 @@ func TestWorkersEventDrivenConnect(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, func() bool { return tb.eng.Store().Len() >= n }, "records")
 }
-
-// TestAdaptivePollRelaysEndToEnd drives ReadPollAdaptive through a real
-// connection: after the fix the burst window must not break relaying,
-// and the engine still measures.
-func TestAdaptivePollRelaysEndToEnd(t *testing.T) {
-	cfg := engine.Default()
-	cfg.ReadMode = engine.ReadPollAdaptive
-	cfg.PollInterval = 50 * time.Millisecond
-	tb := newTestbed(t, cfg)
-	conn, err := tb.phone.Connect(uidApp, tb.server, 10*time.Second)
-	if err != nil {
-		t.Fatalf("connect through adaptive poller: %v", err)
-	}
-	defer conn.Close()
-	msg := []byte("adaptive burst")
-	if _, err := conn.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(msg))
-	if err := conn.ReadFull(buf); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 3*time.Second, func() bool { return tb.eng.Store().Len() >= 1 }, "record")
-}

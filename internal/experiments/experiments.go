@@ -7,13 +7,12 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"net/netip"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/netsim"
-	"repro/internal/phonestack"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
@@ -99,14 +98,14 @@ func histColumn(h stats.DelayHistogram) []string {
 	return out
 }
 
-// drainDownload reads from a relayed connection for the duration and
-// returns the bytes received.
-func drainDownload(conn *phonestack.Conn, d time.Duration) int64 {
+// drain reads from a connection (relayed or direct) for the duration
+// and returns the bytes received.
+func drain(r io.Reader, d time.Duration) int64 {
 	deadline := time.Now().Add(d)
 	buf := make([]byte, 64*1024)
 	var total int64
 	for time.Now().Before(deadline) {
-		n, err := conn.Read(buf)
+		n, err := r.Read(buf)
 		total += int64(n)
 		if err != nil {
 			break
@@ -115,14 +114,15 @@ func drainDownload(conn *phonestack.Conn, d time.Duration) int64 {
 	return total
 }
 
-// pushUpload writes into a relayed connection for the duration and
-// returns the bytes accepted (window-clocked by the relay's ACKs).
-func pushUpload(conn *phonestack.Conn, d time.Duration) int64 {
+// push writes into a connection (relayed or direct) for the duration
+// and returns the bytes accepted — through a relay, window-clocked by
+// its ACKs.
+func push(w io.Writer, d time.Duration) int64 {
 	deadline := time.Now().Add(d)
 	chunk := make([]byte, 16*1024)
 	var total int64
 	for time.Now().Before(deadline) {
-		n, err := conn.Write(chunk)
+		n, err := w.Write(chunk)
 		total += int64(n)
 		if err != nil {
 			break
@@ -137,34 +137,4 @@ func mbps(bytes int64, d time.Duration) float64 {
 		return 0
 	}
 	return float64(bytes) * 8 / 1e6 / d.Seconds()
-}
-
-// netsimDrain reads from a raw netsim connection for the duration.
-func netsimDrain(c *netsim.Conn, d time.Duration) int64 {
-	deadline := time.Now().Add(d)
-	buf := make([]byte, 64*1024)
-	var total int64
-	for time.Now().Before(deadline) {
-		n, err := c.Read(buf)
-		total += int64(n)
-		if err != nil {
-			break
-		}
-	}
-	return total
-}
-
-// netsimPush writes into a raw netsim connection for the duration.
-func netsimPush(c *netsim.Conn, d time.Duration) int64 {
-	deadline := time.Now().Add(d)
-	chunk := make([]byte, 16*1024)
-	var total int64
-	for time.Now().Before(deadline) {
-		n, err := c.Write(chunk)
-		total += int64(n)
-		if err != nil {
-			break
-		}
-	}
-	return total
 }

@@ -30,31 +30,32 @@ type Table2Row struct {
 	DeltaMobiPerf float64
 }
 
-// Table2Destination describes one probe target.
-type Table2Destination struct {
+// table2Destination describes one probe target.
+type table2Destination struct {
 	Name  string
 	Addr  netip.AddrPort
 	Delay time.Duration // one-way
 }
 
+// table2Destinations are the paper's three destinations at their
+// reported RTT scales (Google ~4 ms, Facebook ~37 ms, Dropbox ~300 ms).
+var table2Destinations = [...]table2Destination{
+	{Name: "Google", Addr: netip.MustParseAddrPort("216.58.221.132:80"), Delay: 2200 * time.Microsecond},
+	{Name: "Facebook", Addr: netip.MustParseAddrPort("31.13.79.251:80"), Delay: 18300 * time.Microsecond},
+	{Name: "Dropbox", Addr: netip.MustParseAddrPort("108.160.166.126:80"), Delay: 145 * time.Millisecond},
+}
+
 // Table2Options configures the accuracy experiment.
 type Table2Options struct {
-	Destinations []Table2Destination
 	RunsPerDest  int
 	ProbesPerRun int
 	Seed         int64
 }
 
-// DefaultTable2Options uses the paper's three destinations at their
-// reported RTT scales (Google ~4 ms, Facebook ~37 ms, Dropbox ~300 ms),
-// three runs each, ten probes per run.
+// DefaultTable2Options probes each of the paper's destinations in
+// three runs of ten probes.
 func DefaultTable2Options() Table2Options {
 	return Table2Options{
-		Destinations: []Table2Destination{
-			{Name: "Google", Addr: netip.MustParseAddrPort("216.58.221.132:80"), Delay: 2200 * time.Microsecond},
-			{Name: "Facebook", Addr: netip.MustParseAddrPort("31.13.79.251:80"), Delay: 18300 * time.Microsecond},
-			{Name: "Dropbox", Addr: netip.MustParseAddrPort("108.160.166.126:80"), Delay: 145 * time.Millisecond},
-		},
 		RunsPerDest:  3,
 		ProbesPerRun: 10,
 		Seed:         7,
@@ -66,7 +67,7 @@ func DefaultTable2Options() Table2Options {
 // small per-run drift, as the paper's three rows per destination show.
 func RunTable2(o Table2Options) ([]Table2Row, error) {
 	var rows []Table2Row
-	for di, dst := range o.Destinations {
+	for di, dst := range table2Destinations {
 		for run := 0; run < o.RunsPerDest; run++ {
 			seed := o.Seed + int64(di*100+run)
 			// Per-run drift: runs in the paper differ by up to ~80%
@@ -100,7 +101,7 @@ func RunTable2(o Table2Options) ([]Table2Row, error) {
 // runMopEyeAccuracy measures one destination with the real engine,
 // returning (tcpdump mean, MopEye mean) in ms. MopEye's values are
 // rounded to ms as the paper's footnote describes.
-func runMopEyeAccuracy(dst Table2Destination, delay time.Duration, probes int, seed int64) (truth, mean float64, err error) {
+func runMopEyeAccuracy(dst table2Destination, delay time.Duration, probes int, seed int64) (truth, mean float64, err error) {
 	bed, err := testbed.New(testbed.Options{
 		Link: netsim.LinkParams{Delay: delay, Jitter: delay / 50},
 		Servers: []netsim.ServerSpec{{
@@ -143,7 +144,7 @@ func runMopEyeAccuracy(dst Table2Destination, delay time.Duration, probes int, s
 
 // runMobiPerfAccuracy measures one destination with the MobiPerf
 // baseline over an identical link, with its own tcpdump reference.
-func runMobiPerfAccuracy(dst Table2Destination, delay time.Duration, probes int, seed int64) (truth, mean float64, err error) {
+func runMobiPerfAccuracy(dst table2Destination, delay time.Duration, probes int, seed int64) (truth, mean float64, err error) {
 	clk := clock.NewReal()
 	net := netsim.New(clk, netsim.LinkParams{Delay: delay, Jitter: delay / 50}, seed)
 	defer net.Close()

@@ -28,11 +28,12 @@ func (r *Table3Result) DeltaMopEyeUp() float64     { return r.BaselineUp - r.Mop
 func (r *Table3Result) DeltaHaystackDown() float64 { return r.BaselineDown - r.HaystackDown }
 func (r *Table3Result) DeltaHaystackUp() float64   { return r.BaselineUp - r.HaystackUp }
 
+// speedtestMbps is the dedicated WiFi's rate: the paper's network held
+// ~25 Mbps both ways.
+const speedtestMbps = 25
+
 // Table3Options configures the speedtest.
 type Table3Options struct {
-	// LinkMbps is the dedicated WiFi's rate (the paper's network held
-	// ~25 Mbps both ways).
-	LinkMbps float64
 	// Delay is the one-way propagation delay to the speedtest server.
 	Delay time.Duration
 	// Duration is how long each direction runs.
@@ -42,7 +43,7 @@ type Table3Options struct {
 
 // DefaultTable3Options mirrors the paper's dedicated 25 Mbps WiFi.
 func DefaultTable3Options() Table3Options {
-	return Table3Options{LinkMbps: 25, Delay: 10 * time.Millisecond, Duration: 2 * time.Second, Seed: 3}
+	return Table3Options{Delay: 10 * time.Millisecond, Duration: 2 * time.Second, Seed: 3}
 }
 
 var speedtestAddr = netip.MustParseAddrPort("151.101.2.219:8080")
@@ -50,8 +51,8 @@ var speedtestAddr = netip.MustParseAddrPort("151.101.2.219:8080")
 func speedtestLink(o Table3Options) netsim.LinkParams {
 	return netsim.LinkParams{
 		Delay: o.Delay,
-		Down:  netsim.Mbps(o.LinkMbps),
-		Up:    netsim.Mbps(o.LinkMbps),
+		Down:  netsim.Mbps(speedtestMbps),
+		Up:    netsim.Mbps(speedtestMbps),
 	}
 }
 
@@ -74,7 +75,7 @@ func RunTable3(o Table3Options) (*Table3Result, error) {
 			net.Close()
 			return nil, fmt.Errorf("baseline dial: %w", err)
 		}
-		res.BaselineDown = mbps(netsimDrain(c, o.Duration), o.Duration)
+		res.BaselineDown = mbps(drain(c, o.Duration), o.Duration)
 		c.Close()
 
 		var delivered atomic.Int64
@@ -84,7 +85,7 @@ func RunTable3(o Table3Options) (*Table3Result, error) {
 			net.Close()
 			return nil, fmt.Errorf("baseline upload dial: %w", err)
 		}
-		_ = netsimPush(c2, o.Duration)
+		_ = push(c2, o.Duration)
 		res.BaselineUp = mbps(delivered.Load(), o.Duration)
 		c2.Close()
 		net.Close()
@@ -118,7 +119,7 @@ func RunTable3(o Table3Options) (*Table3Result, error) {
 			bed.Close()
 			return 0, 0, fmt.Errorf("relay dial: %w", err)
 		}
-		down = mbps(drainDownload(conn, o.Duration), o.Duration)
+		down = mbps(drain(conn, o.Duration), o.Duration)
 		conn.Close()
 		bed.Close()
 
@@ -132,7 +133,7 @@ func RunTable3(o Table3Options) (*Table3Result, error) {
 			bed.Close()
 			return 0, 0, fmt.Errorf("relay upload dial: %w", err)
 		}
-		_ = pushUpload(conn, o.Duration)
+		_ = push(conn, o.Duration)
 		up = mbps(delivered.Load(), o.Duration)
 		conn.Close()
 		bed.Close()

@@ -23,10 +23,11 @@ type Table4Result struct {
 	HaystackBattery58m float64
 }
 
+// videoMbps is the video bitrate: a 1080p stream runs ~5 Mbps.
+const videoMbps = 5
+
 // Table4Options configures the video run.
 type Table4Options struct {
-	// StreamMbps is the video bitrate (a 1080p stream runs ~5 Mbps).
-	StreamMbps float64
 	// Duration is the measured slice of the session; resource rates are
 	// extrapolated to the paper's 58 minutes.
 	Duration time.Duration
@@ -35,7 +36,7 @@ type Table4Options struct {
 
 // DefaultTable4Options uses a 5 Mbps stream observed for 3 seconds.
 func DefaultTable4Options() Table4Options {
-	return Table4Options{StreamMbps: 5, Duration: 3 * time.Second, Seed: 9}
+	return Table4Options{Duration: 3 * time.Second, Seed: 9}
 }
 
 var videoAddr = netip.MustParseAddrPort("142.250.4.91:443")
@@ -46,8 +47,8 @@ func RunTable4(o Table4Options) (*Table4Result, error) {
 	run := func(cfg engine.Config, baseMB float64, seed int64) (resource.Usage, error) {
 		link := netsim.LinkParams{
 			Delay: 15 * time.Millisecond,
-			Down:  netsim.Mbps(o.StreamMbps),
-			Up:    netsim.Mbps(o.StreamMbps),
+			Down:  netsim.Mbps(videoMbps),
+			Up:    netsim.Mbps(videoMbps),
 		}
 		bed, err := testbed.New(testbed.Options{
 			Engine: &cfg,
@@ -68,7 +69,7 @@ func RunTable4(o Table4Options) (*Table4Result, error) {
 		if err != nil {
 			return resource.Usage{}, fmt.Errorf("video dial: %w", err)
 		}
-		_ = drainDownload(conn, o.Duration)
+		_ = drain(conn, o.Duration)
 		conn.Close()
 		return bed.Meter.Report(o.Duration), nil
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"iter"
 	"math"
-	"sync/atomic"
 )
 
 // This file is the store's broadcast layer: the push half of the
@@ -14,8 +13,9 @@ import (
 // The record path runs on the engine's packet workers, so the producer
 // never waits for a reader to catch up: a reader may lag at most size
 // rows behind the log's end, and when it falls further behind, Add
-// moves its cursor past the oldest unread row and counts that row as
-// the reader's drop. Bounded lag, bounded loss, unbounded neither.
+// moves its cursor past the oldest unread row and counts that row in
+// the store's one drop counter (DroppedRecords). Bounded lag, bounded
+// loss, unbounded neither.
 //
 // Producer-side cost: with no subscribers, one len check under the
 // mutex Add already holds (pinned by a 0-allocs test); per subscriber,
@@ -62,9 +62,6 @@ type Subscription struct {
 	// the store's tables taken with them. Consumer side only.
 	rows []row
 	tabs tables
-
-	// dropped counts the records this subscriber lost to lag.
-	dropped atomic.Uint64
 
 	// notify is the consumer wakeup: capacity 1, sent without blocking
 	// after every Add and at the close.
@@ -113,7 +110,6 @@ func (s *Store) publish() {
 			w := s.recs[sub.next]
 			sub.next++
 			if sub.keep == nil || sub.keep(s.tabs.record(w)) {
-				sub.dropped.Add(1)
 				s.dropped.Add(1)
 			}
 		}

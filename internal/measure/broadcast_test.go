@@ -39,8 +39,10 @@ func TestSubscriptionSeesAddsInOrder(t *testing.T) {
 			t.Fatalf("record %d: stream %+v != snapshot %+v", i, r, snap[i])
 		}
 	}
-	if d := sub.dropped.Load(); d != 0 {
-		t.Errorf("drops on an underfull ring: %d", d)
+	// Delivered exactly n: nothing dropped under the lag bound.
+	sub.Close()
+	if r, ok := sub.Next(context.Background()); ok {
+		t.Errorf("record beyond the %d added: %+v", n, r)
 	}
 }
 
@@ -60,9 +62,13 @@ func TestSubscriptionFilter(t *testing.T) {
 			t.Fatalf("filter leaked %q", r.App)
 		}
 	}
-	// Filtered-out records are not drops: the subscriber never wanted
-	// them.
-	if d := sub.dropped.Load(); d != 0 {
+	// Delivered exactly the 10 kept records, and filtered-out records
+	// are not drops: the subscriber never wanted them.
+	sub.Close()
+	if r, ok := sub.Next(context.Background()); ok {
+		t.Errorf("record beyond the 10 kept: %+v", r)
+	}
+	if d := s.DroppedRecords(); d != 0 {
 		t.Errorf("filtered records counted as drops: %d", d)
 	}
 }
@@ -76,15 +82,12 @@ func TestSubscriptionBoundedDrop(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Add(brec(i)) // no consumer draining: 4 land, 6 drop
 	}
-	if d := sub.dropped.Load(); d != 6 {
-		t.Fatalf("dropped %d, want 6", d)
-	}
 	if d := s.DroppedRecords(); d != 6 {
 		t.Fatalf("store-wide drops %d, want 6", d)
 	}
 	// The survivors are the NEWEST records: a lagging cursor skips its
 	// oldest unread rows, so what got through is a suffix, not a
-	// random sample.
+	// random sample. Exactly 4 are delivered, 10 added less 6 dropped.
 	for i := 6; i < 10; i++ {
 		r, ok := sub.Next(context.Background())
 		if !ok {
@@ -93,6 +96,10 @@ func TestSubscriptionBoundedDrop(t *testing.T) {
 		if want := brec(i); r != want {
 			t.Fatalf("slot %d: got %+v want %+v", i, r, want)
 		}
+	}
+	sub.Close()
+	if r, ok := sub.Next(context.Background()); ok {
+		t.Fatalf("record beyond the 4 survivors: %+v", r)
 	}
 }
 
@@ -269,16 +276,13 @@ func TestSubscriptionSlowConsumerExactAccounting(t *testing.T) {
 	s.CloseSubscribers()
 	<-consDone
 
-	drops := int(sub.dropped.Load())
-	if len(delivered)+drops != total {
-		t.Fatalf("exact accounting: delivered %d + dropped %d = %d, want %d",
-			len(delivered), drops, len(delivered)+drops, total)
+	drops := int(s.DroppedRecords())
+	if len(delivered) != total-drops {
+		t.Fatalf("exact accounting: delivered %d, want %d added - %d dropped = %d",
+			len(delivered), total, drops, total-drops)
 	}
 	if drops == 0 {
 		t.Fatal("consumer was never behind: the test exercised nothing")
-	}
-	if got := int(s.DroppedRecords()); got != drops {
-		t.Errorf("store-wide drops %d != subscriber drops %d", got, drops)
 	}
 	// Delivered records are an ordered subsequence of the Add sequence:
 	// brec stamps At = Unix(0, i), so order and uniqueness reduce to
@@ -332,9 +336,9 @@ func TestBroadcastConcurrency(t *testing.T) {
 	<-consumerDone
 
 	total := producers * perProducer
-	if got := consumed + int(sub.dropped.Load()); got != total {
-		t.Errorf("conservation: consumed %d + dropped %d = %d, want %d",
-			consumed, sub.dropped.Load(), got, total)
+	if drops := int(s.DroppedRecords()); consumed != total-drops {
+		t.Errorf("conservation: consumed %d, want %d added - %d dropped = %d",
+			consumed, total, drops, total-drops)
 	}
 	if s.Len() != total {
 		t.Errorf("store kept %d of %d", s.Len(), total)
@@ -348,9 +352,6 @@ func TestSubscriptionStalledReaderDropsOldest(t *testing.T) {
 	sub := s.Subscribe(8, nil)
 	for i := 0; i < 100; i++ {
 		s.Add(brec(i))
-	}
-	if d := sub.dropped.Load(); d != 92 {
-		t.Fatalf("dropped %d, want 92", d)
 	}
 	if d := s.DroppedRecords(); d != 92 {
 		t.Fatalf("store-wide drops %d, want 92", d)
@@ -385,7 +386,7 @@ func TestSubscriptionFilteredLagCountsOnlyKept(t *testing.T) {
 		s.Add(brec(i))
 	}
 	// Rows 0..21 were skipped; 7 of them are app.1.
-	if d := sub.dropped.Load(); d != 7 {
+	if d := s.DroppedRecords(); d != 7 {
 		t.Fatalf("dropped %d, want 7, the app.1 rows among the 22 skipped", d)
 	}
 	s.CloseSubscribers()
@@ -400,12 +401,9 @@ func TestSubscriptionFilteredLagCountsOnlyKept(t *testing.T) {
 		}
 		delivered++
 	}
-	if got := delivered + int(sub.dropped.Load()); got != want {
-		t.Errorf("delivered %d + dropped %d = %d, want %d kept records",
-			delivered, sub.dropped.Load(), got, want)
-	}
-	if d := s.DroppedRecords(); d != sub.dropped.Load() {
-		t.Errorf("store-wide drops %d != subscriber drops %d", d, sub.dropped.Load())
+	if delivered != want-7 {
+		t.Errorf("delivered %d, want %d kept records - 7 dropped = %d",
+			delivered, want, want-7)
 	}
 }
 

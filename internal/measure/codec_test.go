@@ -333,6 +333,10 @@ func benchBatch(sameApp bool) Batch {
 	return b
 }
 
+// FuzzDecodeBatch fuzzes the parser that reads every byte a phone
+// uploads: the fast scanner agrees with encoding/json on batches,
+// offsets and error text, and the hand-rolled encoder with
+// json.Encoder.
 func FuzzDecodeBatch(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzDecodeBatch: the
 	// benchmark's batch, reordered keys, escapes, everything

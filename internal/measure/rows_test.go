@@ -242,6 +242,9 @@ func fuzzRecord(kind int, uid, rtt int64, app, domain string, ip []byte, zone st
 	return r
 }
 
+// FuzzStoreRoundTrip fuzzes the store's record rows: any record, added
+// to a store, reads back from the snapshot and from a subscription with
+// every field unchanged but At's monotonic reading.
 func FuzzStoreRoundTrip(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzStoreRoundTrip) holds
 	// roundTripCases, one file each.

@@ -104,6 +104,9 @@ func TestTransportChecksumMatchesOracle(t *testing.T) {
 	checkChecksum(t, true, addrs, wide)
 }
 
+// FuzzChecksum fuzzes the checksum kernel every encoded packet runs:
+// the unrolled 32-bit sum agrees with the 16-bit oracle loop, and a
+// segment carrying its own checksum verifies in place.
 func FuzzChecksum(f *testing.F) {
 	f.Add(false, []byte{10, 0, 0, 2, 93, 184, 216, 34}, []byte("odd-length segment"))
 	f.Add(true, []byte{0xfd, 1, 2, 3}, make([]byte, 64))

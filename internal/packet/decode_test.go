@@ -158,7 +158,8 @@ func TestConstructorAllocs(t *testing.T) {
 	_ = sink
 }
 
-// FuzzDecode fuzzes the decoder's three contracts over arbitrary
+// FuzzDecode fuzzes the decoder, the parser that reads every byte the
+// tunnel hands the engine, for its three contracts over arbitrary
 // bytes: a reused Packet decodes like a fresh one, PeekFlowKey accepts
 // what Decode accepts and yields Flow's key, and an accepted packet
 // survives Encode and a second Decode unchanged. The seed corpus is in

@@ -127,7 +127,9 @@ func TestPeekFlowKeyZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzPeekFlowKey fuzzes the agreement property over arbitrary bytes.
+// FuzzPeekFlowKey fuzzes the agreement property over arbitrary bytes:
+// the header peek the reader routes every packet by above one worker
+// accepts what Decode accepts and yields the decoded Flow's key.
 func FuzzPeekFlowKey(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 16; i++ {

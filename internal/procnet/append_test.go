@@ -188,6 +188,8 @@ func TestAppendRenderMatchesOracle(t *testing.T) {
 	}
 }
 
+// FuzzParseProcNet fuzzes the /proc/net parser every lazy mapping
+// runs, whose input on the real data plane is the kernel's text:
 // AppendParse accepts and rejects exactly the inputs the
 // strings.Fields parser did, and returns the same entries. The corpus
 // holds IPv4 and IPv6 rows, a header-only file, the garbage rows of

@@ -18,38 +18,27 @@ import (
 	"time"
 )
 
-// CostConstants convert counted work into CPU time.
-type CostConstants struct {
-	// PerWakeup is the cost of one futile poll wakeup (syscall +
+// The cost model: constants representative of a mid-2010s phone SoC.
+const (
+	// perWakeup is the cost of one futile poll wakeup (syscall +
 	// scheduler round trip).
-	PerWakeup time.Duration
-	// PerPacket is the per-packet relay processing cost (parse, map
+	perWakeup = 60 * time.Microsecond
+	// perPacket is the per-packet relay processing cost (parse, map
 	// lookup, enqueue, state machine).
-	PerPacket time.Duration
-	// PerKByte is the copy cost per kilobyte moved.
-	PerKByte time.Duration
-	// PerInspectedPacket is extra work for traffic-content inspection
+	perPacket = 25 * time.Microsecond
+	// perKByte is the copy cost per kilobyte moved.
+	perKByte = 2 * time.Microsecond
+	// perInspectedPacket is extra work for traffic-content inspection
 	// (zero for MopEye, which deliberately performs none — §5).
-	PerInspectedPacket time.Duration
-}
-
-// DefaultCosts returns constants representative of a mid-2010s phone
-// SoC.
-func DefaultCosts() CostConstants {
-	return CostConstants{
-		PerWakeup:          60 * time.Microsecond,
-		PerPacket:          25 * time.Microsecond,
-		PerKByte:           2 * time.Microsecond,
-		PerInspectedPacket: 75 * time.Microsecond,
-	}
-}
+	perInspectedPacket = 75 * time.Microsecond
+	// perConnKB is the memory each concurrent connection retains.
+	perConnKB = 130
+)
 
 // Meter accumulates work counters. The engine bumps them on every
 // packet, so they are atomics.
 type Meter struct {
-	costs     CostConstants
 	baseMemMB float64
-	perConnKB float64
 
 	wakeups   atomic.Int64
 	packets   atomic.Int64
@@ -58,10 +47,10 @@ type Meter struct {
 	maxConns  atomic.Int64
 }
 
-// NewMeter creates a meter with the given cost constants and baseline
-// memory footprint in MiB.
-func NewMeter(costs CostConstants, baseMemMB float64) *Meter {
-	return &Meter{costs: costs, baseMemMB: baseMemMB, perConnKB: 130}
+// NewMeter creates a meter with the given baseline memory footprint in
+// MiB.
+func NewMeter(baseMemMB float64) *Meter {
+	return &Meter{baseMemMB: baseMemMB}
 }
 
 // AddWakeups records n futile poll wakeups.
@@ -101,16 +90,16 @@ type Usage struct {
 // drain = CPU-seconds / 3600 * 20.
 func (m *Meter) Report(run time.Duration) Usage {
 	wakeups, packets, bytes, inspected := m.Counters()
-	cpu := float64(wakeups)*m.costs.PerWakeup.Seconds() +
-		float64(packets)*m.costs.PerPacket.Seconds() +
-		float64(bytes)/1024*m.costs.PerKByte.Seconds() +
-		float64(inspected)*m.costs.PerInspectedPacket.Seconds()
+	cpu := float64(wakeups)*perWakeup.Seconds() +
+		float64(packets)*perPacket.Seconds() +
+		float64(bytes)/1024*perKByte.Seconds() +
+		float64(inspected)*perInspectedPacket.Seconds()
 	u := Usage{CPUSeconds: cpu}
 	if run > 0 {
 		u.CPUPercent = cpu / run.Seconds() * 100
 	}
 	u.BatteryPct = cpu / 3600 * 20
-	u.MemoryMB = m.baseMemMB + float64(m.maxConns.Load())*m.perConnKB/1024
+	u.MemoryMB = m.baseMemMB + float64(m.maxConns.Load())*perConnKB/1024
 	return u
 }
 

@@ -8,8 +8,8 @@ import (
 func TestWakeupsDominatePollingRelay(t *testing.T) {
 	// The Table 4 mechanism: a poll-based relay accumulates empty
 	// wakeups that a blocking-read relay never pays.
-	polling := NewMeter(DefaultCosts(), 10)
-	blocking := NewMeter(DefaultCosts(), 10)
+	polling := NewMeter(10)
+	blocking := NewMeter(10)
 	// Same traffic.
 	polling.AddPackets(10000, 10000*1460)
 	blocking.AddPackets(10000, 10000*1460)
@@ -26,8 +26,8 @@ func TestWakeupsDominatePollingRelay(t *testing.T) {
 }
 
 func TestInspectionCost(t *testing.T) {
-	inspecting := NewMeter(DefaultCosts(), 10)
-	plain := NewMeter(DefaultCosts(), 10)
+	inspecting := NewMeter(10)
+	plain := NewMeter(10)
 	inspecting.AddPackets(1000, 1000*1460)
 	plain.AddPackets(1000, 1000*1460)
 	inspecting.AddInspected(1000)
@@ -38,7 +38,7 @@ func TestInspectionCost(t *testing.T) {
 }
 
 func TestMemoryModel(t *testing.T) {
-	m := NewMeter(DefaultCosts(), 12)
+	m := NewMeter(12)
 	u := m.Report(time.Second)
 	if u.MemoryMB != 12 {
 		t.Errorf("baseline memory: %v", u.MemoryMB)
@@ -51,12 +51,12 @@ func TestMemoryModel(t *testing.T) {
 }
 
 func TestConnHighWaterMark(t *testing.T) {
-	m := NewMeter(DefaultCosts(), 0)
+	m := NewMeter(0)
 	m.ObserveConns(5)
 	m.ObserveConns(20)
 	m.ObserveConns(3)
 	u20 := m.Report(time.Second).MemoryMB
-	m2 := NewMeter(DefaultCosts(), 0)
+	m2 := NewMeter(0)
 	m2.ObserveConns(3)
 	if m2.Report(time.Second).MemoryMB >= u20 {
 		t.Error("high-water mark not kept")
@@ -64,7 +64,7 @@ func TestConnHighWaterMark(t *testing.T) {
 }
 
 func TestZeroRunDuration(t *testing.T) {
-	m := NewMeter(DefaultCosts(), 5)
+	m := NewMeter(5)
 	m.AddPackets(100, 100)
 	u := m.Report(0)
 	if u.CPUPercent != 0 {
@@ -76,7 +76,7 @@ func TestZeroRunDuration(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	m := NewMeter(DefaultCosts(), 0)
+	m := NewMeter(0)
 	m.AddWakeups(3)
 	m.AddPackets(4, 500)
 	m.AddInspected(2)
@@ -87,8 +87,8 @@ func TestCounters(t *testing.T) {
 }
 
 func TestCPUScalesLinearly(t *testing.T) {
-	m1 := NewMeter(DefaultCosts(), 0)
-	m2 := NewMeter(DefaultCosts(), 0)
+	m1 := NewMeter(0)
+	m2 := NewMeter(0)
 	m1.AddPackets(1000, 0)
 	m2.AddPackets(2000, 0)
 	r1 := m1.Report(time.Second).CPUSeconds

@@ -347,7 +347,8 @@ func TestSketchStoreBound(t *testing.T) {
 	}
 }
 
-// FuzzSketch feeds any bytes, read as float64 samples (NaN, ±Inf, ±0,
+// FuzzSketch fuzzes the collector's quantile sketch, whose samples are
+// RTTs that phones upload. It feeds any bytes, read as float64 samples (NaN, ±Inf, ±0,
 // subnormals and MaxFloat64 all reachable), split between two sketches
 // by the first byte's bits. The store stays within maxBins, Count
 // counts every sample, both merge orders equal one sketch fed the whole

@@ -403,28 +403,15 @@ func (ch *Channel) CloseWrite() error {
 }
 
 // Close closes the channel and cancels its registration.
-func (ch *Channel) Close() error {
-	ch.mu.Lock()
-	if ch.closed {
-		ch.mu.Unlock()
-		return nil
-	}
-	ch.closed = true
-	conn := ch.conn
-	key := ch.key
-	ch.key = nil
-	ch.mu.Unlock()
-	if key != nil {
-		key.cancel()
-	}
-	if conn != nil {
-		return conn.Close()
-	}
-	return nil
-}
+func (ch *Channel) Close() error { return ch.shut(upstream.Conn.Close) }
 
 // Reset aborts the external connection (relaying an app RST, §2.3).
-func (ch *Channel) Reset() error {
+func (ch *Channel) Reset() error { return ch.shut(upstream.Conn.Reset) }
+
+// shut is Close and Reset: the first call marks the channel closed,
+// cancels its registration and ends the connection, if any, with end.
+// Later calls do nothing.
+func (ch *Channel) shut(end func(upstream.Conn) error) error {
 	ch.mu.Lock()
 	if ch.closed {
 		ch.mu.Unlock()
@@ -439,7 +426,7 @@ func (ch *Channel) Reset() error {
 		key.cancel()
 	}
 	if conn != nil {
-		return conn.Reset()
+		return end(conn)
 	}
 	return nil
 }

@@ -119,7 +119,7 @@ func New(o Options) (*Bed, error) {
 	prov := sockets.NewProvider(net, clk, PhoneWANAddr, o.SocketCosts, o.Seed+30)
 	reader := procnet.NewReader(table, clk, o.ParseCost, o.Seed+40)
 	store := measure.NewStore()
-	meter := resource.NewMeter(resource.DefaultCosts(), o.MeterBaseMB)
+	meter := resource.NewMeter(o.MeterBaseMB)
 
 	var snf *sniffer.Sniffer
 	if o.Sniff {

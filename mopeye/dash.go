@@ -59,15 +59,14 @@ type DashOptions struct {
 	// phone's Prometheus exposition. Use "127.0.0.1:0" for an
 	// ephemeral port (see Dash.Addr).
 	Addr string
-	// Apps caps the per-app rows, busiest first. Default 12.
-	Apps int
-	// Width is the RTT sparkline window (one cell per measurement,
-	// newest right). Default 32.
-	Width int
-	// Plain suppresses the ANSI home-and-clear between frames —
-	// for pipes, logs, and tests.
-	Plain bool
 }
+
+// Frame layout: the per-app rows, busiest first, and each row's RTT
+// sparkline window (one cell per measurement, newest right).
+const (
+	dashApps  = 12
+	dashWidth = 32
+)
 
 // Dash is a live per-app RTT dashboard attached to one phone.
 // Construct with NewDash, drive with Run; Addr reports the HTTP
@@ -87,7 +86,7 @@ type dashApp struct {
 	tcp    int       // TCP measurements seen
 	dns    int       // DNS measurements seen
 	last   float64   // most recent RTT (ms)
-	window []float64 // last Width RTTs, oldest first
+	window []float64 // last dashWidth RTTs, oldest first
 }
 
 // NewDash validates the options and, when Addr is set, binds the HTTP
@@ -98,12 +97,6 @@ func NewDash(p DashPhone, o DashOptions) (*Dash, error) {
 	}
 	if o.Out == nil {
 		o.Out = os.Stdout
-	}
-	if o.Apps <= 0 {
-		o.Apps = 12
-	}
-	if o.Width <= 0 {
-		o.Width = 32
 	}
 	d := &Dash{p: p, o: o, apps: make(map[string]*dashApp)}
 	if o.Addr != "" {
@@ -197,14 +190,15 @@ func (d *Dash) observe(m Measurement) {
 	}
 	a.last = m.Millis()
 	a.window = append(a.window, a.last)
-	if len(a.window) > d.o.Width {
-		a.window = a.window[len(a.window)-d.o.Width:]
+	if len(a.window) > dashWidth {
+		a.window = a.window[len(a.window)-dashWidth:]
 	}
 }
 
-// render writes one frame to Out.
+// render writes one frame to Out, homing the cursor and clearing the
+// terminal first.
 func (d *Dash) render() {
-	fmt.Fprint(d.o.Out, d.frame(d.o.Plain))
+	fmt.Fprint(d.o.Out, d.frame(false))
 }
 
 // frame renders the current state; plain frames carry no ANSI codes.
@@ -236,8 +230,8 @@ func (d *Dash) frame(plain bool) string {
 		}
 		return names[i] < names[j]
 	})
-	if len(names) > d.o.Apps {
-		names = names[:d.o.Apps]
+	if len(names) > dashApps {
+		names = names[:dashApps]
 	}
 	for _, n := range names {
 		a := d.apps[n]

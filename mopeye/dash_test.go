@@ -13,16 +13,15 @@ import (
 	"repro/internal/metrics"
 )
 
-// A plain dashboard over a short workload: frames land in the buffer,
-// the busiest app gets a row, and its sparkline carries bar runes. The
-// phone closing ends the stream, which ends Run.
+// A dashboard over a short workload: frames land in the buffer, each
+// after a home-and-clear, the busiest app gets a row, and its sparkline
+// carries bar runes. The phone closing ends the stream, which ends Run.
 func TestDashRendersFrames(t *testing.T) {
 	p := newPhone(t)
 	var buf syncBuffer
 	d, err := NewDash(p, DashOptions{
 		Interval: 10 * time.Millisecond,
 		Out:      &buf,
-		Plain:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +44,12 @@ func TestDashRendersFrames(t *testing.T) {
 		t.Fatalf("dash run: %v", err)
 	}
 
-	out := buf.String()
+	const homeClear = "\x1b[H\x1b[2J"
+	raw := buf.String()
+	if !strings.HasPrefix(raw, homeClear) {
+		t.Fatalf("first frame does not home and clear:\n%q", raw)
+	}
+	out := strings.ReplaceAll(raw, homeClear, "")
 	if !strings.Contains(out, "mopeye dash · frame") {
 		t.Fatalf("no frames rendered:\n%s", out)
 	}
@@ -56,7 +60,7 @@ func TestDashRendersFrames(t *testing.T) {
 		t.Errorf("no sparkline in frames:\n%s", out)
 	}
 	if strings.Contains(out, "\x1b[") {
-		t.Error("plain frames must carry no ANSI codes")
+		t.Error("frames carry ANSI codes beyond the home-and-clear")
 	}
 }
 
@@ -69,7 +73,6 @@ func TestDashHTTP(t *testing.T) {
 		Interval: 10 * time.Millisecond,
 		Out:      io.Discard,
 		Addr:     "127.0.0.1:0",
-		Plain:    true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -80,8 +80,6 @@ const (
 	// Chatty answers 4-byte big-endian length requests with that many
 	// bytes — a generic API server.
 	Chatty
-	// HTTPPing answers HTTP requests with 204 No Content.
-	HTTPPing
 )
 
 // Options configures a simulated phone.
@@ -89,11 +87,9 @@ type Options struct {
 	// Servers to install. At least one is usually wanted.
 	Servers []Server
 	// DefaultRTTMillis is the path RTT to addresses not covered by any
-	// server entry (default 30 ms).
+	// server entry (default 30 ms). The system resolver sits at half of
+	// it: resolvers sit in the ISP.
 	DefaultRTTMillis float64
-	// DNSRTTMillis is the path RTT to the system resolver (default:
-	// half the default RTT — resolvers sit in the ISP).
-	DNSRTTMillis float64
 	// Engine overrides the engine configuration; nil means the paper's
 	// shipped configuration with every §3 optimisation on.
 	Engine *engine.Config
@@ -139,17 +135,15 @@ func New(o Options) (*Phone, error) {
 	if o.DefaultRTTMillis <= 0 {
 		o.DefaultRTTMillis = 30
 	}
-	if o.DNSRTTMillis <= 0 {
-		o.DNSRTTMillis = o.DefaultRTTMillis / 2
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	cfg := engineConfig(o.Engine, o.Workers)
+	dnsRTTMillis := o.DefaultRTTMillis / 2
 	opts := testbed.Options{
 		Engine:   &cfg,
 		Link:     netsim.LinkParams{Delay: msToDelay(o.DefaultRTTMillis) / 2},
-		DNSLink:  &netsim.LinkParams{Delay: msToDelay(o.DNSRTTMillis) / 2},
+		DNSLink:  &netsim.LinkParams{Delay: msToDelay(dnsRTTMillis) / 2},
 		Seed:     o.Seed,
 		Sniff:    true,
 		Loopback: o.Loopback,
@@ -197,8 +191,6 @@ func serverSpec(s Server, idx int) (netsim.ServerSpec, error) {
 	switch s.Behaviour {
 	case Chatty:
 		h = netsim.ChattyHandler()
-	case HTTPPing:
-		h = netsim.HTTPPingHandler()
 	default:
 		h = netsim.EchoHandler()
 	}

@@ -34,8 +34,6 @@ type RealOptions struct {
 	// for plain kernel sockets, "socks5://[user:pass@]host:port" to
 	// relay through a SOCKS5 proxy.
 	Upstream string
-	// DialTimeout bounds each upstream connect (default 10s).
-	DialTimeout time.Duration
 	// UDPTimeout bounds each relayed datagram's response wait
 	// (default 5s).
 	UDPTimeout time.Duration
@@ -44,9 +42,6 @@ type RealOptions struct {
 	Engine *engine.Config
 	// Workers mirrors Options: the packet-processing worker count.
 	Workers int
-	// ProcRoot is the proc mount to attribute flows from; empty means
-	// "/proc".
-	ProcRoot string
 }
 
 // RealPhone is MopEye attached to a real TUN device. The measurement
@@ -66,13 +61,11 @@ func NewReal(o RealOptions) (*RealPhone, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 10 * time.Second
-	}
 	if o.UDPTimeout <= 0 {
 		o.UDPTimeout = 5 * time.Second
 	}
-	dialer, err := spec.Dialer(o.DialTimeout)
+	// A zero timeout is upstream's default: 10 s per connect.
+	dialer, err := spec.Dialer(0)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +76,7 @@ func NewReal(o RealOptions) (*RealPhone, error) {
 	}
 
 	clk := clock.NewReal()
-	reader := procnet.NewReaderFrom(procnet.ProcFS{Root: o.ProcRoot}, clk, procnet.ZeroParseCost(), 1)
+	reader := procnet.NewReaderFrom(procnet.ProcFS{}, clk, procnet.ZeroParseCost(), 1)
 	pm := procnet.NewPackageManager()
 	pm.SetFallback(userName)
 
