@@ -1,8 +1,8 @@
 // Command collectord is the crowdsourcing collector server: the wire
 // endpoint MopEye phones upload their measurement batches to (§4
 // deployment shape). It authenticates device stamps (and a shared
-// token when configured), deduplicates batches on their idempotency
-// keys, appends accepted batches to a durable spool (one append-only
+// token when configured), deduplicates batches on their (device,
+// epoch, seq) in a bounded window per device, appends accepted batches to a durable spool (one append-only
 // file, DIR/batches.jsonl), maintains streaming per-app/per-network
 // quantile sketches, and serves the assembled dataset back as JSONL.
 //
@@ -10,7 +10,7 @@
 // (JSONL dump; 404 with -retain-records=false), GET /v1/stats
 // (sketched aggregates, O(1) in dataset size), GET /healthz, and —
 // with -metrics — GET /metrics (Prometheus text exposition: upload
-// counters, dedup hits, spool bytes, per-shard record skew, sketched
+// counters, dedup hits and evictions, spool bytes, per-shard record skew, sketched
 // per-network RTT summaries).
 //
 // Usage:
@@ -95,8 +95,8 @@ func (c config) serverOptions() crowd.ServerOptions {
 }
 
 // drainTimeout bounds the graceful-shutdown drain; connections still
-// alive after it are cut (their senders retry with the same
-// idempotency key, so nothing is lost).
+// alive after it are cut (their senders retry the same batch, so
+// nothing is lost).
 const drainTimeout = 5 * time.Second
 
 // Connection timeouts. Variables only so a test can shorten them;

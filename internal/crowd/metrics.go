@@ -21,7 +21,7 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 			"Measurement records accepted.",
 			func() float64 { return float64(s.c.records.Load()) })
 		r.CounterFunc("mopeye_collector_dedup_hits_total",
-			"Redelivered batches absorbed by idempotency-key dedup.",
+			"Redelivered batches absorbed by the (device, epoch, seq) dedup windows.",
 			func() float64 { return float64(s.c.duplicates.Load()) })
 		r.CounterFunc("mopeye_collector_auth_failures_total",
 			"Uploads rejected for bad tokens or device-stamp mismatches.",
@@ -29,8 +29,11 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 		r.CounterFunc("mopeye_collector_bad_requests_total",
 			"Malformed uploads rejected.",
 			func() float64 { return float64(s.c.badRequests.Load()) })
+		r.CounterFunc("mopeye_collector_dedup_evictions_total",
+			"Dedup windows evicted, least recently seen first, at the table's cap.",
+			func() float64 { return float64(s.c.evictions.Load()) })
 		r.GaugeFunc("mopeye_collector_dedup_keys",
-			"Idempotency keys held (dedup-map footprint).",
+			"Dedup windows held, one per recent (device, epoch) pair (at most the cap).",
 			func() float64 { return float64(s.DedupKeys()) })
 		r.GaugeFunc("mopeye_collector_retain_records",
 			"1 when raw records are retained in memory, 0 under RetainOff.",

@@ -290,8 +290,8 @@ func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
 	if st := s.Stats(); st.Batches != 6 || st.Records != 6 {
 		t.Errorf("replay after merge: %+v", st)
 	}
-	if got := s.DedupKeys(); got != 6 {
-		t.Errorf("dedup keys after merge: %d, want 6", got)
+	if got := s.DedupKeys(); got != 2 {
+		t.Errorf("dedup windows after merge: %d, want 2 (one per device)", got)
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()

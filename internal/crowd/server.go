@@ -22,19 +22,20 @@ import (
 // the net/http handler behind `cmd/collectord`. Phones POST batches
 // (measure wire encoding) to /v1/upload; the server authenticates the
 // device stamp (and the shared token, when configured), deduplicates
-// on the batch idempotency key, appends accepted batches to a durable
-// spool, and maintains streaming per-app/per-network quantile sketches
-// so /v1/stats answers in O(sketch) regardless of dataset size.
+// on the batch's (device, epoch, seq) in a bounded per-pair window
+// (dedup.go), appends accepted batches to a durable spool, and
+// maintains streaming per-app/per-network quantile sketches so
+// /v1/stats answers in O(sketch) regardless of dataset size.
 // Exactly-once records from at-least-once delivery: the upload
-// transport retries freely, the key dedup makes redelivery harmless.
+// transport retries freely, the window makes redelivery harmless.
 //
 // Ingest state is sharded by device-stamp hash (the flowtable
 // discipline applied to the collector): each internal shard owns its
-// dedup keys and optional raw records behind its own mutex, so the
+// dedup windows and optional raw records behind its own mutex, so the
 // dedup check and spool append of different devices never serialize on
-// one lock. A batch's device decides its shard, and a batch's
-// idempotency key is only ever checked against its own device's shard —
-// consistent because retries of a batch carry the same device stamp.
+// one lock. A batch's device decides its shard, and a batch is only
+// ever checked against its own device's windows — consistent because
+// retries of a batch carry the same device stamp.
 // The sketches are not sharded: the server keeps one per app and one
 // per network key behind aggMu, which a commit takes inside its shard
 // lock (lock order: shard, then aggMu) for the length of its observe
@@ -67,10 +68,10 @@ const (
 	// and Records() serve the full dataset.
 	RetainDefault RetainMode = iota
 	// RetainOff drops raw records after they feed the sketches: the
-	// sketches stay O(apps + networks) at any ingest volume (the dedup
-	// keys still grow by one per accepted batch), /v1/records answers
-	// 404, and only the sketched aggregates remain queryable. The load
-	// harness and fleet-scale deployments run here.
+	// sketches stay O(apps + networks) and the dedup windows at most
+	// dedupPairs at any ingest volume, /v1/records answers 404, and
+	// only the sketched aggregates remain queryable. The load harness
+	// and fleet-scale deployments run here.
 	RetainOff
 )
 
@@ -78,8 +79,10 @@ const (
 type ServerOptions struct {
 	// SpoolDir, when non-empty, is the durable spool directory: every
 	// accepted batch is appended there, and an existing spool is
-	// replayed at construction (records and dedup keys both survive a
-	// restart). Empty keeps the dataset memory-only.
+	// replayed at construction, deduplicated by idempotency key, and
+	// marked into the dedup windows (records and each device's recent
+	// seqs both survive a restart). Empty keeps the dataset
+	// memory-only.
 	SpoolDir string
 	// Token, when non-empty, is the shared bearer token every request
 	// must present ("Authorization: Bearer <token>").
@@ -101,7 +104,7 @@ type ServerStats struct {
 	// Batches accepted (excluding duplicates), and Records within them.
 	Batches int
 	Records int
-	// Duplicates is redelivered batches absorbed by key dedup.
+	// Duplicates is redelivered batches absorbed by the dedup windows.
 	Duplicates int
 	// AuthFailures counts rejected tokens and device-stamp mismatches.
 	AuthFailures int
@@ -117,6 +120,9 @@ type serverCounters struct {
 	duplicates   atomic.Int64
 	authFailures atomic.Int64
 	badRequests  atomic.Int64
+	// evictions counts dedup windows dropped at the table's cap; it is
+	// a metric only, not part of ServerStats.
+	evictions atomic.Int64
 }
 
 func (c *serverCounters) snapshot() ServerStats {
@@ -130,12 +136,12 @@ func (c *serverCounters) snapshot() ServerStats {
 }
 
 // ingestShard is one lock domain of the server's ingest state: the
-// dedup keys and (when retained) raw records of the devices hashing
+// dedup windows and (when retained) raw records of the devices hashing
 // here.
 type ingestShard struct {
-	mu   sync.Mutex
-	keys map[string]struct{}
-	recs []measure.Record
+	mu      sync.Mutex
+	windows windowTable
+	recs    []measure.Record
 
 	// recCount counts records committed to this shard over its lifetime
 	// (independent of retention, unlike len(recs)). Atomic so the
@@ -194,7 +200,7 @@ type Server struct {
 func NewServer(o ServerOptions) (*Server, error) {
 	s := &Server{o: o, agg: newAgg()}
 	for i := range s.shards {
-		s.shards[i].keys = make(map[string]struct{})
+		s.shards[i].windows = newWindowTable()
 	}
 	if o.SpoolDir != "" {
 		spool, replay, err := OpenSpool(o.SpoolDir)
@@ -202,6 +208,10 @@ func NewServer(o ServerOptions) (*Server, error) {
 			return nil, err
 		}
 		s.spool = spool
+		// Replay keeps its exact dedup by key, so a spool written before
+		// the windows (or holding two keys under one seq) replays as it
+		// always did; commit marks the windows, so a redelivery after the
+		// restart is a duplicate.
 		for _, b := range replay.Batches {
 			s.commit(s.shard(b.Device), b)
 		}
@@ -225,10 +235,14 @@ func (s *Server) shard(device string) *ingestShard {
 	return &s.shards[hashDevice(device)%ingestShards]
 }
 
-// commit folds one accepted batch into a shard's state. The caller
-// holds sh.mu (or, during construction, has exclusive access).
+// commit folds one accepted batch into a shard's state: its seq into
+// its pair's dedup window (counting an eviction), its records into the
+// sketches. The caller holds sh.mu (or, during construction, has
+// exclusive access).
 func (s *Server) commit(sh *ingestShard, b measure.Batch) {
-	sh.keys[b.Key] = struct{}{}
+	if sh.windows.mark(pairKey{b.Device, b.Epoch}, b.Seq) {
+		s.c.evictions.Add(1)
+	}
 	// The sketches do not look at the device stamp, so the records are
 	// observed as decoded; only a retaining server pays for stamped
 	// copies.
@@ -243,6 +257,35 @@ func (s *Server) commit(sh *ingestShard, b measure.Batch) {
 	sh.recCount.Add(int64(len(b.Records)))
 	s.c.batches.Add(1)
 	s.c.records.Add(int64(len(b.Records)))
+}
+
+// ingest is the upload path after decoding and authentication: the
+// dedup verdict, the spool append and the commit, under the device's
+// shard lock. It reports whether the batch was new; an error is a
+// failed spool append, which leaves the batch unseen so that the
+// phone's retry gets another chance at durability.
+func (s *Server) ingest(b measure.Batch) (accepted bool, err error) {
+	// Only this device's shard locks: uploads from devices hashing to
+	// other shards proceed concurrently, including through their own
+	// spool appends (the spool serializes the file write itself, not
+	// the dedup-and-commit of independent shards).
+	sh := s.shard(b.Device)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.windows.seen(pairKey{b.Device, b.Epoch}, b.Seq) {
+		s.c.duplicates.Add(1)
+		return false, nil
+	}
+	// Spool first, then commit. The shard lock is held across
+	// the append to keep spool order and commit order identical per
+	// device — the replay-equals-live invariant.
+	if s.spool != nil {
+		if err := s.spool.Append(b); err != nil {
+			return false, err
+		}
+	}
+	s.commit(sh, b)
+	return true, nil
 }
 
 // ServeHTTP dispatches the collector API. The health probe is exempt
@@ -338,33 +381,15 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "device stamp mismatch", http.StatusForbidden)
 		return
 	}
-
-	// Only this device's shard locks: uploads from devices hashing to
-	// other shards proceed concurrently, including through their own
-	// spool appends (the spool serializes the file write itself, not
-	// the dedup-and-commit of independent shards).
-	sh := s.shard(b.Device)
-	sh.mu.Lock()
-	if _, dup := sh.keys[b.Key]; dup {
-		sh.mu.Unlock()
-		s.c.duplicates.Add(1)
+	accepted, err := s.ingest(b)
+	switch {
+	case err != nil:
+		http.Error(w, "spool: "+err.Error(), http.StatusInternalServerError)
+	case !accepted:
 		writeUploadReply(w, "duplicate", 0)
-		return
+	default:
+		writeUploadReply(w, "accepted", len(b.Records))
 	}
-	// Spool first, then commit: a failed append leaves the key unseen,
-	// so the phone's retry gets another chance at durability. The shard
-	// lock is held across the append to keep spool order and commit
-	// order identical per device — the replay-equals-live invariant.
-	if s.spool != nil {
-		if err := s.spool.Append(b); err != nil {
-			sh.mu.Unlock()
-			http.Error(w, "spool: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	s.commit(sh, b)
-	sh.mu.Unlock()
-	writeUploadReply(w, "accepted", len(b.Records))
 }
 
 // writeUploadReply answers /v1/upload with
@@ -469,14 +494,16 @@ func (s *Server) Summary() Summary {
 	}
 }
 
-// DedupKeys reports how many idempotency keys the server holds — the
-// dedup-map footprint the load harness tracks.
+// DedupKeys reports how many dedup windows the server holds, one per
+// (device, epoch) pair it has seen lately and at most dedupPairs — the
+// dedup footprint the load harness tracks. The name predates the
+// windows, when it counted one idempotency key per accepted batch.
 func (s *Server) DedupKeys() int {
 	total := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		total += len(sh.keys)
+		total += len(sh.windows.idx)
 		sh.mu.Unlock()
 	}
 	return total

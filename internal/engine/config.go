@@ -76,8 +76,10 @@ const (
 
 // Config selects the engine variant.
 type Config struct {
-	ReadMode     ReadMode
-	PollInterval time.Duration // sleep between empty polls for ReadPoll
+	ReadMode ReadMode
+	// PollInterval is the sleep between empty polls. ReadPoll requires
+	// a positive value; ReadBlocking never polls.
+	PollInterval time.Duration
 
 	// Workers selects how many packet-processing workers run. Every
 	// worker owns its own selector and its own SPSC packet ring, each

@@ -8,14 +8,6 @@ import (
 	"repro/internal/tun"
 )
 
-// readSleep resolves the configured poll interval.
-func (e *Engine) readSleep() time.Duration {
-	if e.cfg.PollInterval > 0 {
-		return e.cfg.PollInterval
-	}
-	return 100 * time.Millisecond
-}
-
 // readFailed handles a tunnel read that returned an error: an empty
 // poll sleeps out the poll interval (§3.1), a closed device ends the
 // reader quietly, and anything else ends it loudly — counted in
@@ -66,7 +58,7 @@ func (e *Engine) tunReader() {
 	defer e.wg.Done()
 	defer e.closeLanes()
 	w := e.workers[0]
-	sleep := e.readSleep()
+	sleep := e.cfg.PollInterval
 	for {
 		raw, err := e.dev.Read()
 		if !e.running.Load() {

@@ -40,7 +40,7 @@ func toJSONRecord(r Record) jsonRecord {
 
 func oracleEncodeBatch(w io.Writer, b Batch) error {
 	enc := json.NewEncoder(w)
-	h := batchHeader{V: wireVersion, Device: b.Device, Key: b.Key, Seq: b.Seq, N: len(b.Records)}
+	h := batchHeader{V: wireVersion, Device: b.Device, Key: b.Key, Epoch: b.Epoch, Seq: b.Seq, N: len(b.Records)}
 	if err := enc.Encode(h); err != nil {
 		return err
 	}
@@ -75,7 +75,7 @@ func (d *oracleDecoder) Next() (Batch, error) {
 	if preAlloc > 1024 {
 		preAlloc = 1024
 	}
-	b := Batch{Device: h.Device, Key: h.Key, Seq: h.Seq, Records: make([]Record, 0, preAlloc)}
+	b := Batch{Device: h.Device, Key: h.Key, Epoch: h.Epoch, Seq: h.Seq, Records: make([]Record, 0, preAlloc)}
 	for i := 0; i < h.N; i++ {
 		var j jsonRecord
 		if err := d.dec.Decode(&j); err != nil {
@@ -250,6 +250,9 @@ func (g *gen) batch() Batch {
 		}
 		b.Records = append(b.Records, r)
 	}
+	// Drawn last, so the corpus entries written before batches had an
+	// epoch still make the batches they made then.
+	b.Epoch = g.str()
 	return b
 }
 
@@ -258,7 +261,7 @@ func (g *gen) batch() Batch {
 // says.
 func asDecoded(b Batch) Batch {
 	valid := func(s string) string { return string([]rune(s)) }
-	out := Batch{Device: valid(b.Device), Key: valid(b.Key), Seq: b.Seq, Records: make([]Record, len(b.Records))}
+	out := Batch{Device: valid(b.Device), Key: valid(b.Key), Epoch: valid(b.Epoch), Seq: b.Seq, Records: make([]Record, len(b.Records))}
 	for i, r := range b.Records {
 		r.App, r.Domain, r.NetType = valid(r.App), valid(r.Domain), valid(r.NetType)
 		r.ISP, r.Country, r.Device = valid(r.ISP), valid(r.Country), valid(r.Device)
@@ -363,7 +366,7 @@ func TestAppendBatchMatchesOracle(t *testing.T) {
 		netip.AddrPortFrom(netip.MustParseAddr("fe80::1").WithZone(`z"<\`), 1)}
 	times := []time.Time{{}, time.Unix(0, 0).UTC(), time.Unix(0, -1), time.Unix(1700000000, 123456789)}
 	for i, s := range nasty {
-		b := Batch{Device: s, Key: "k" + s, Seq: -i}
+		b := Batch{Device: s, Key: "k" + s, Epoch: s, Seq: -i}
 		for j, dst := range dsts {
 			b.Records = append(b.Records, Record{
 				Kind: Kind(j % 2), App: s, UID: (j - 2) * 1000, Dst: dst, Domain: nasty[(i+j)%len(nasty)],

@@ -323,6 +323,9 @@ func (s *scanner) header(h *batchHeader) bool {
 			h.Seq, ok = s.intVal(1 << 3)
 		case "n":
 			h.N, ok = s.intVal(1 << 4)
+		case "epoch":
+			val, ok = s.strVal(1 << 5)
+			h.Epoch = string(val)
 		default:
 			ok = s.fail(declineGrammar)
 		}

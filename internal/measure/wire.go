@@ -32,6 +32,13 @@ type Batch struct {
 	// across retries of the same batch, so at-least-once delivery plus
 	// receiver-side dedup yields exactly-once records.
 	Key string
+	// Epoch names the count Seq belongs to: a sender that starts its
+	// count again (a new collector on the same device) starts a new
+	// epoch, so a receiver deduplicating on (Device, Epoch, Seq) never
+	// mistakes its fresh batches for old ones. Optional: a batch
+	// without one is in the epoch "", and its header carries no epoch
+	// member, so it encodes exactly as before the field existed.
+	Epoch string
 	// Seq is the device's upload sequence number, 1-based.
 	Seq int
 	// Records are the measurements in upload order.
@@ -43,6 +50,7 @@ type batchHeader struct {
 	V      int    `json:"mopeye_batch"`
 	Device string `json:"device"`
 	Key    string `json:"key"`
+	Epoch  string `json:"epoch,omitempty"`
 	Seq    int    `json:"seq"`
 	N      int    `json:"n"`
 }
@@ -59,6 +67,10 @@ func AppendBatch(dst []byte, b Batch) []byte {
 	dst = appendString(dst, b.Device)
 	dst = append(dst, `,"key":`...)
 	dst = appendString(dst, b.Key)
+	if b.Epoch != "" {
+		dst = append(dst, `,"epoch":`...)
+		dst = appendString(dst, b.Epoch)
+	}
 	dst = append(dst, `,"seq":`...)
 	dst = strconv.AppendInt(dst, int64(b.Seq), 10)
 	dst = append(dst, `,"n":`...)
@@ -74,7 +86,7 @@ func AppendBatch(dst []byte, b Batch) []byte {
 func EncodeBatch(w io.Writer, b Batch) error {
 	// Sized for escape-free strings so the usual batch is one
 	// allocation; anything longer just grows.
-	size := 96 + len(b.Device) + len(b.Key)
+	size := 96 + len(b.Device) + len(b.Key) + len(b.Epoch)
 	for i := range b.Records {
 		r := &b.Records[i]
 		size += 176 + len(r.App) + len(r.Domain) + len(r.NetType) + len(r.ISP) + len(r.Country) + len(r.Device)
@@ -183,7 +195,7 @@ func (d *BatchDecoder) scan(s *scanner, b *Batch) bool {
 			return false
 		}
 	}
-	*b = Batch{Device: h.Device, Key: h.Key, Seq: h.Seq, Records: recs}
+	*b = Batch{Device: h.Device, Key: h.Key, Epoch: h.Epoch, Seq: h.Seq, Records: recs}
 	d.recs = nil // the caller's now
 	return true
 }
@@ -201,7 +213,7 @@ func (d *BatchDecoder) decode(dec *json.Decoder) (Batch, error) {
 	if err := checkHeader(h); err != nil {
 		return Batch{}, err
 	}
-	b := Batch{Device: h.Device, Key: h.Key, Seq: h.Seq, Records: d.records(h.N)}
+	b := Batch{Device: h.Device, Key: h.Key, Epoch: h.Epoch, Seq: h.Seq, Records: d.records(h.N)}
 	d.recs = nil
 	for i := 0; i < h.N; i++ {
 		var j jsonRecord

@@ -6,16 +6,16 @@ import (
 	"time"
 )
 
+// kernelUDPTimeout bounds each relayed datagram's response wait.
+const kernelUDPTimeout = 5 * time.Second
+
 // KernelUDP returns a UDP exit over real kernel sockets, shaped for
 // sockets.Provider.SetUDPTransport. Each datagram gets its own
 // connected socket — the relay's UDP traffic is DNS-transaction shaped
 // (§2.4: one query, one response, temporary thread), so per-exchange
-// sockets keep the exit stateless. A response arriving within timeout
-// is handed to deliver; then the socket closes.
-func KernelUDP(timeout time.Duration) func(local, dst netip.AddrPort, payload []byte, deliver func([]byte)) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
+// sockets keep the exit stateless. A response arriving within
+// kernelUDPTimeout is handed to deliver; then the socket closes.
+func KernelUDP() func(local, dst netip.AddrPort, payload []byte, deliver func([]byte)) {
 	return func(_, dst netip.AddrPort, payload []byte, deliver func([]byte)) {
 		c, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(dst))
 		if err != nil {
@@ -27,7 +27,7 @@ func KernelUDP(timeout time.Duration) func(local, dst netip.AddrPort, payload []
 		}
 		go func() {
 			defer c.Close()
-			_ = c.SetReadDeadline(time.Now().Add(timeout))
+			_ = c.SetReadDeadline(time.Now().Add(kernelUDPTimeout))
 			buf := make([]byte, 64*1024)
 			n, err := c.Read(buf)
 			if err != nil || n == 0 {

@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"os/user"
 	"strconv"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/engine"
@@ -34,9 +33,6 @@ type RealOptions struct {
 	// for plain kernel sockets, "socks5://[user:pass@]host:port" to
 	// relay through a SOCKS5 proxy.
 	Upstream string
-	// UDPTimeout bounds each relayed datagram's response wait
-	// (default 5s).
-	UDPTimeout time.Duration
 	// Engine overrides the engine configuration; nil means the paper's
 	// shipped configuration.
 	Engine *engine.Config
@@ -61,9 +57,6 @@ func NewReal(o RealOptions) (*RealPhone, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.UDPTimeout <= 0 {
-		o.UDPTimeout = 5 * time.Second
-	}
 	// A zero timeout is upstream's default: 10 s per connect.
 	dialer, err := spec.Dialer(0)
 	if err != nil {
@@ -84,7 +77,7 @@ func NewReal(o RealOptions) (*RealPhone, error) {
 	// the upstream dialer (TCP) and the kernel UDP transport.
 	prov := sockets.NewProvider(nil, clk, netip.IPv4Unspecified(), sockets.CostModel{}, 1)
 	prov.SetDialer(dialer)
-	prov.SetUDPTransport(upstream.KernelUDP(o.UDPTimeout))
+	prov.SetUDPTransport(upstream.KernelUDP())
 
 	eng := engine.New(engineConfig(o.Engine, o.Workers), engine.Deps{
 		Clock:    clk,

@@ -86,8 +86,9 @@ type CollectorOptions struct {
 	// Transport ships every batch toward a collector server —
 	// HTTPTransport for the wire, TransportFunc for in-process
 	// consumers. Each batch carries the device stamp, a 1-based
-	// sequence number, and an idempotency key unique to this
-	// collector, so redelivered batches dedup server-side. Upload is
+	// sequence number counted in an epoch unique to this collector,
+	// and an idempotency key, so redelivered batches dedup
+	// server-side. Upload is
 	// called with the collector's lock held and must not block on the
 	// network (HTTPTransport enqueues) or call back into the
 	// collector. nil discards each batch once it is counted: the
@@ -117,7 +118,8 @@ type Collector struct {
 	uploads    int
 	lastUpload time.Time
 	// nonce makes this collector's idempotency keys unique even when
-	// two phones share a device stamp.
+	// two phones share a device stamp, and is the epoch its batches'
+	// seqs count in, so the server keeps one window per collector.
 	nonce string
 }
 
@@ -194,6 +196,7 @@ func (c *Collector) upload() error {
 	c.pending = c.pending[:0]
 	b := Batch{
 		Device:  c.o.Device,
+		Epoch:   c.nonce,
 		Seq:     c.uploads,
 		Key:     fmt.Sprintf("%s/%s/%06d", c.o.Device, c.nonce, c.uploads),
 		Records: stamped,

@@ -35,8 +35,9 @@ type Batch = measure.Batch
 // block on the network: shipped implementations either enqueue
 // (HTTPTransport) or run in-process (TransportFunc). Upload may be
 // called concurrently by independent collectors (several phones'
-// Collectors may share one transport); retries of a batch reuse its Key, and
-// a receiver deduplicating on Key sees each batch's records exactly
+// Collectors may share one transport); retries of a batch reuse its
+// Device, Epoch, Seq and Key, and a receiver deduplicating on (Device,
+// Epoch, Seq), as crowd.Server does, sees each batch's records exactly
 // once no matter how delivery misbehaves.
 type Transport interface {
 	Upload(ctx context.Context, b Batch) error
@@ -103,9 +104,11 @@ type HTTPTransportStats struct {
 // cmd/collectord) as HTTP POSTs of the batch wire encoding. Upload
 // enqueues and returns; a single uploader goroutine drains the queue
 // in order, retrying each batch with exponential backoff on 5xx and
-// network errors. Retries reuse the batch's idempotency key, so the
-// server's dedup converts the transport's at-least-once delivery into
-// exactly-once records. Close delivers everything already queued
+// network errors. Retries resend the batch as it was, and one batch is
+// retried before the next is sent, so a redelivery reaches the server
+// close behind the batch it repeats: the server's windowed dedup
+// converts the transport's at-least-once delivery into exactly-once
+// records. Close delivers everything already queued
 // (with retries), then returns the first terminal error, if any.
 type HTTPTransport struct {
 	url string
