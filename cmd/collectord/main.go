@@ -2,16 +2,17 @@
 // endpoint MopEye phones upload their measurement batches to (§4
 // deployment shape). It authenticates device stamps (and a shared
 // token when configured), deduplicates batches on their (device,
-// epoch, seq) in a bounded window per device, appends accepted batches to a durable spool (one append-only
-// file, DIR/batches.jsonl), maintains streaming per-app/per-network
-// quantile sketches, and serves the assembled dataset back as JSONL.
+// epoch, seq) in a bounded window per device, appends accepted batches
+// to a durable spool (one append-only file, DIR/batches.jsonl),
+// maintains streaming per-app/per-network quantile sketches, and
+// serves the assembled dataset back as JSONL.
 //
 // Endpoints: POST /v1/upload (batch wire encoding), GET /v1/records
 // (JSONL dump; 404 with -retain-records=false), GET /v1/stats
 // (sketched aggregates, O(1) in dataset size), GET /healthz, and —
 // with -metrics — GET /metrics (Prometheus text exposition: upload
-// counters, dedup hits and evictions, spool bytes, per-shard record skew, sketched
-// per-network RTT summaries).
+// counters, dedup hits and evictions, spool bytes, per-shard record
+// skew, sketched per-network RTT summaries).
 //
 // Usage:
 //

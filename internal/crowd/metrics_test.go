@@ -47,11 +47,12 @@ func TestServerMetricsExposition(t *testing.T) {
 	expo := string(raw)
 
 	for line, why := range map[string]string{
-		"mopeye_collector_uploads_total 2":    "two accepted batches",
-		"mopeye_collector_records_total 3":    "three records",
-		"mopeye_collector_dedup_hits_total 1": "one absorbed redelivery",
-		"mopeye_collector_dedup_keys 2":       "two idempotency keys",
-		"mopeye_collector_retain_records 1":   "retention defaults on",
+		"mopeye_collector_uploads_total 2":         "two accepted batches",
+		"mopeye_collector_records_total 3":         "three records",
+		"mopeye_collector_dedup_hits_total 1":      "one absorbed redelivery",
+		"mopeye_collector_dedup_keys 2":            "two dedup windows, one per device",
+		"mopeye_collector_dedup_evictions_total 0": "no eviction under the cap",
+		"mopeye_collector_retain_records 1":        "retention defaults on",
 	} {
 		if !strings.Contains(expo, line+"\n") {
 			t.Errorf("missing %q (%s) in:\n%s", line, why, expo)

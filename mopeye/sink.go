@@ -88,10 +88,9 @@ type CollectorOptions struct {
 	// consumers. Each batch carries the device stamp, a 1-based
 	// sequence number counted in an epoch unique to this collector,
 	// and an idempotency key, so redelivered batches dedup
-	// server-side. Upload is
-	// called with the collector's lock held and must not block on the
-	// network (HTTPTransport enqueues) or call back into the
-	// collector. nil discards each batch once it is counted: the
+	// server-side. Upload is called with the collector's lock held
+	// and must not block on the network (HTTPTransport enqueues) or
+	// call back into the collector. nil discards each batch once it is counted: the
 	// collector keeps no copy of what it uploaded (the phone's own
 	// Measurements are the local record). The collector never closes
 	// the transport — the owner does, after every phone sharing it has
