@@ -124,7 +124,11 @@ type Config struct {
 
 	// DNSTimeout bounds each relayed DNS transaction (§2.4).
 	DNSTimeout time.Duration
-	// UDPTimeout bounds generic (non-DNS) UDP associations.
+	// UDPTimeout bounds one relayed non-DNS datagram's wait for its
+	// response; a response later than that is forwarded by the flow's
+	// next datagram. It does not bound the association: a non-DNS NAT
+	// session lives until udpSessionIdle (1 min) passes without
+	// traffic.
 	UDPTimeout time.Duration
 
 	// Seed makes the engine's random choices reproducible.

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/flowtable"
 	"repro/internal/packet"
 	"repro/internal/sockets"
 )
@@ -21,14 +20,14 @@ import (
 // DNS measurement still timestamps immediately around the blocking
 // send/receive pair) while bounding both resources:
 //
-//   - a NAT-style session table (flowtable.Table keyed by the flow key)
-//     maps each app flow to one external socket, created on first
-//     datagram. A DNS session ends with its transaction, answered or
-//     timed out: the last worker out removes it and closes its socket,
-//     so each query has its own socket, as in the paper. Other UDP
-//     reuses the session for every later datagram and expires after
-//     udpSessionIdle without traffic. At maxUDPSessions the idlest
-//     session is evicted (Stats.UDPEvicted) to admit the newcomer;
+//   - a NAT-style session table (a map keyed by the flow key) maps each
+//     app flow to one external socket, created on first datagram. A DNS
+//     session ends with its transaction, answered or timed out: the
+//     last worker out removes it and closes its socket, so each query
+//     has its own socket, as in the paper. Other UDP reuses the session
+//     for every later datagram and expires after udpSessionIdle without
+//     traffic. At maxUDPSessions the idlest session is evicted
+//     (Stats.UDPEvicted) to admit the newcomer;
 //   - a bounded worker pool (udpPoolSize goroutines) performs
 //     the blocking relay work, fed by a bounded queue. When the queue
 //     is full the datagram is dropped — UDP's contract — and counted.
@@ -36,20 +35,17 @@ import (
 // The packet path (MainWorker or a pinned worker) only hands the
 // datagram to the queue with a non-blocking send, so an
 // application-layer protocol can never block it (§2.4's requirement,
-// kept under flood). The pool worker owns the table: it finds or
-// creates the flow's session and starts its transaction in one step,
-// so no session is retired between lookup and use.
+// kept under flood). Only the pool workers touch the table, and each
+// holds its one mutex twice per datagram: acquire finds or creates the
+// flow's session and starts its transaction on it, release ends the
+// transaction. A session mid-transaction is never swept or evicted, so
+// no socket is closed under a worker; a removed session's socket is
+// closed after the lock is dropped.
 //
-// Idle expiry runs on a pool worker too: before its datagram, a worker
-// sweeps if idle/2 of clock time has passed since the last sweep, so
-// no janitor goroutine is needed and the subsystem's goroutine count
-// stays exactly udpPoolSize.
-//
-// Every removal — a DNS transaction's end, the idle sweep, an eviction
-// — first moves the session's inflight count to retired with a
-// compare-and-swap, so a session is never closed under a worker
-// mid-transaction, and then deletes it from the table only if the
-// table still maps its flow to it.
+// Idle expiry runs on a pool worker too: acquire sweeps if idle/2 of
+// clock time has passed since the last sweep, so no janitor goroutine
+// is needed and the subsystem's goroutine count stays exactly
+// udpPoolSize.
 
 // The pool and the session lifetime. Variables only so a test can
 // shorten them; nothing else writes them.
@@ -74,23 +70,21 @@ var (
 // it the relay drops, as a full NIC ring would.
 const udpJobQueueDepth = 1024
 
-// retired is a udpSession's inflight value once it has left the table:
-// no worker may start a transaction on it, and its socket is closed.
-const retired = -1
-
 // udpSession is one NAT-style mapping: app flow -> external socket.
 type udpSession struct {
 	flow      packet.FlowKey
 	sock      *sockets.UDPSocket
 	dns       bool
 	createdAt int64
-	lastUsed  atomic.Int64
-	// inflight counts pool workers mid-transaction on sock, or is
-	// retired. A flow's datagrams can occupy several workers at once,
-	// and only the first may drain stale responses: to a second, the
-	// first's in-flight response looks stale, and stealing it leaves
-	// the first to time out on a datagram that was in fact answered.
-	inflight atomic.Int32
+
+	// lastUsed and inflight are guarded by udpRelay.mu. inflight
+	// counts pool workers mid-transaction on sock. A flow's datagrams
+	// can occupy several workers at once, and only the first may drain
+	// stale responses: to a second, the first's in-flight response
+	// looks stale, and stealing it leaves the first to time out on a
+	// datagram that was in fact answered.
+	lastUsed int64
+	inflight int
 
 	// initOnce runs on a pool worker before the first relay: the
 	// per-socket protect cost (when configured) and the app attribution
@@ -98,20 +92,6 @@ type udpSession struct {
 	// pays them (§3.3, §3.5.2).
 	initOnce sync.Once
 	app      string
-}
-
-// acquire starts a transaction on s. ok is false once s is retired;
-// first reports that no other worker is mid-transaction on it.
-func (s *udpSession) acquire() (first, ok bool) {
-	for {
-		n := s.inflight.Load()
-		if n == retired {
-			return false, false
-		}
-		if s.inflight.CompareAndSwap(n, n+1) {
-			return n == 0, true
-		}
-	}
 }
 
 // init pays the one-time session costs on the calling pool worker.
@@ -135,10 +115,9 @@ type udpJob struct {
 
 // udpRelay owns the session table and the worker pool.
 type udpRelay struct {
-	e        *Engine
-	sessions *flowtable.Table[*udpSession]
-	idle     time.Duration
-	pool     int
+	e    *Engine
+	idle time.Duration
+	pool int
 
 	// dnsLimit, max(1, pool/2), caps the workers stuck in a blocking
 	// DNS receive, those that have waited past DNSTimeout/dnsStuckFraction:
@@ -149,25 +128,26 @@ type udpRelay struct {
 	dnsLimit int
 	dnsStuck atomic.Int64
 
-	// createMu serialises session creation, so the cap check and the
-	// insert that follows it cannot interleave with another creator's.
-	// It also guards stopping: once stop sets it, nothing is inserted.
-	createMu sync.Mutex
-	stopping bool
+	// mu guards the table, every session's inflight and lastUsed,
+	// lastSweep and stopping. Once stop sets stopping, nothing is
+	// inserted.
+	mu        sync.Mutex
+	sessions  map[packet.FlowKey]*udpSession
+	lastSweep int64
+	stopping  bool
 
-	jobs      chan *udpJob
-	stopOnce  sync.Once
-	wg        sync.WaitGroup
-	lastSweep atomic.Int64
+	jobs     chan *udpJob
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 }
 
 func newUDPRelay(e *Engine) *udpRelay {
 	return &udpRelay{
 		e:        e,
-		sessions: flowtable.New[*udpSession](0),
 		idle:     udpSessionIdle,
 		pool:     udpPoolSize,
 		dnsLimit: max(1, udpPoolSize/2),
+		sessions: make(map[packet.FlowKey]*udpSession),
 		jobs:     make(chan *udpJob, udpJobQueueDepth),
 	}
 }
@@ -182,16 +162,18 @@ func (r *udpRelay) start() {
 // stop closes the pool. The packet-processing threads have already
 // exited (the engine waits for them first), so no new jobs can arrive
 // and closing the channel cannot race a relay. Once stopping is set no
-// session is created, so the drain leaves the table empty for good;
-// closing every drained socket releases any worker still blocked in a
-// receive, and the queued jobs then end at once.
+// session is created, so taking the table empties it for good; closing
+// every taken socket releases any worker still blocked in a receive,
+// and the queued jobs then end at once.
 func (r *udpRelay) stop() {
 	r.stopOnce.Do(func() {
 		close(r.jobs)
-		r.createMu.Lock()
+		r.mu.Lock()
 		r.stopping = true
-		r.createMu.Unlock()
-		for _, s := range r.sessions.Drain() {
+		sessions := r.sessions
+		r.sessions = nil
+		r.mu.Unlock()
+		for _, s := range sessions {
 			s.sock.Close()
 		}
 		r.wg.Wait()
@@ -208,129 +190,86 @@ func (r *udpRelay) relay(flow packet.FlowKey, payload []byte) {
 	}
 }
 
-// session starts a transaction on the flow's live session, creating
-// the session if needed; first reports that no other worker is
+// acquire starts a transaction on the flow's session, creating the
+// session if needed; first reports that no other worker is
 // mid-transaction on it. A nil session means the relay is stopping, or
 // every session in a full NAT table is mid-transaction and the datagram
-// was dropped.
-func (r *udpRelay) session(flow packet.FlowKey, now int64) (s *udpSession, first bool) {
-	if s, first, ok := r.lookup(flow, now); ok {
-		return s, first
-	}
-	r.createMu.Lock()
-	defer r.createMu.Unlock()
+// was dropped. expired holds the sessions the idle sweep or an eviction
+// removed: the caller closes their sockets.
+func (r *udpRelay) acquire(flow packet.FlowKey, now int64) (s *udpSession, first bool, expired []*udpSession) {
+	r.mu.Lock()
 	if r.stopping {
-		return nil, false
+		r.mu.Unlock()
+		return nil, false, nil
 	}
-	// Another worker may have created it while this one waited.
-	if s, first, ok := r.lookup(flow, now); ok {
-		return s, first
-	}
-	for r.sessions.Len() >= maxUDPSessions {
-		if !r.evictIdlest() {
-			r.e.ctr.udpDropped.Add(1)
-			return nil, false
-		}
-	}
-	s = &udpSession{
-		flow:      flow,
-		sock:      r.e.prov.OpenUDP(),
-		dns:       flow.Dst.Port() == 53,
-		createdAt: now,
-	}
-	// Published mid-transaction and stamped: no sweep or eviction can
-	// retire it before this worker is done with it.
-	s.inflight.Store(1)
-	s.lastUsed.Store(now)
-	r.sessions.Put(flow, s)
-	return s, true
-}
-
-// lookup starts a transaction on the flow's session in the table, if it
-// is live. A retired one is deleted, so a new session can take its
-// place.
-func (r *udpRelay) lookup(flow packet.FlowKey, now int64) (s *udpSession, first, ok bool) {
-	s, ok = r.sessions.Get(flow)
-	if !ok {
-		return nil, false, false
-	}
-	if first, ok = s.acquire(); !ok {
-		flowtable.CompareAndDelete(r.sessions, flow, s)
-		return nil, false, false
-	}
-	s.lastUsed.Store(now)
-	return s, first, true
-}
-
-// evictIdlest retires the least recently used session that no worker
-// is using, reporting whether it found one.
-func (r *udpRelay) evictIdlest() bool {
-	for {
-		var idlest *udpSession
-		r.sessions.Range(func(_ packet.FlowKey, s *udpSession) bool {
-			if s.inflight.Load() == 0 && (idlest == nil || s.lastUsed.Load() < idlest.lastUsed.Load()) {
-				idlest = s
+	if now-r.lastSweep >= int64(r.idle/2) {
+		// The idle sweep: expire what no worker is using and nothing
+		// has touched within the deadline.
+		r.lastSweep = now
+		cutoff := now - int64(r.idle)
+		for k, x := range r.sessions {
+			if x.inflight == 0 && x.lastUsed < cutoff {
+				delete(r.sessions, k)
+				expired = append(expired, x)
 			}
-			return true
-		})
-		if idlest == nil {
-			return false
-		}
-		// A worker may have picked it up since the scan; then look again.
-		if idlest.inflight.CompareAndSwap(0, retired) {
-			r.remove(idlest)
-			r.e.ctr.udpEvicted.Add(1)
-			return true
 		}
 	}
-}
-
-// remove deletes a retired session from the table, if the table still
-// maps its flow to it, and closes its socket.
-func (r *udpRelay) remove(s *udpSession) {
-	flowtable.CompareAndDelete(r.sessions, s.flow, s)
-	s.sock.Close()
+	s = r.sessions[flow]
+	if s == nil {
+		if len(r.sessions) >= maxUDPSessions {
+			idlest := r.idlest()
+			if idlest == nil {
+				r.mu.Unlock()
+				r.e.ctr.udpDropped.Add(1)
+				return nil, false, expired
+			}
+			delete(r.sessions, idlest.flow)
+			expired = append(expired, idlest)
+			r.e.ctr.udpEvicted.Add(1)
+		}
+		s = &udpSession{
+			flow:      flow,
+			sock:      r.e.prov.OpenUDP(),
+			dns:       flow.Dst.Port() == 53,
+			createdAt: now,
+		}
+		r.sessions[flow] = s
+	}
+	first = s.inflight == 0
+	s.inflight++
+	s.lastUsed = now
+	r.mu.Unlock()
+	return s, first, expired
 }
 
 // release ends a transaction on s. The last worker out of a DNS
-// session retires and removes it: the query has had its answer or its
-// timeout.
-func (r *udpRelay) release(s *udpSession) {
-	for {
-		n := s.inflight.Load()
-		next := n - 1
-		if next == 0 && s.dns {
-			next = retired
-		}
-		if s.inflight.CompareAndSwap(n, next) {
-			if next == retired {
-				r.remove(s)
-			}
-			return
-		}
+// session removes it, if the table still holds it, and closes its
+// socket: the query has had its answer or its timeout.
+func (r *udpRelay) release(s *udpSession, now int64) {
+	r.mu.Lock()
+	s.inflight--
+	s.lastUsed = now
+	done := s.dns && s.inflight == 0 && r.sessions[s.flow] == s
+	if done {
+		delete(r.sessions, s.flow)
 	}
-}
-
-// maybeSweep runs an idle sweep every idle/2 of clock time; of the
-// workers that see it due, one sweeps.
-func (r *udpRelay) maybeSweep(now int64) {
-	last := r.lastSweep.Load()
-	if now-last >= int64(r.idle/2) && r.lastSweep.CompareAndSwap(last, now) {
-		r.sweep(now)
-	}
-}
-
-// sweep expires sessions idle past the deadline that no worker is
-// using: delete from the table first (so a later datagram creates a
-// replacement), then close.
-func (r *udpRelay) sweep(now int64) {
-	cutoff := now - int64(r.idle)
-	removed := r.sessions.DeleteFunc(func(_ packet.FlowKey, s *udpSession) bool {
-		return s.lastUsed.Load() < cutoff && s.inflight.CompareAndSwap(0, retired)
-	})
-	for _, s := range removed {
+	r.mu.Unlock()
+	if done {
 		s.sock.Close()
 	}
+}
+
+// idlest returns the least recently used session that no worker is
+// using, or nil if every session is mid-transaction. The caller holds
+// r.mu.
+func (r *udpRelay) idlest() *udpSession {
+	var idlest *udpSession
+	for _, s := range r.sessions {
+		if s.inflight == 0 && (idlest == nil || s.lastUsed < idlest.lastUsed) {
+			idlest = s
+		}
+	}
+	return idlest
 }
 
 // worker is one pooled relay thread.
@@ -343,13 +282,19 @@ func (r *udpRelay) worker() {
 
 // process performs one datagram's blocking relay on the pool worker.
 func (r *udpRelay) process(j *udpJob) {
-	now := r.e.clk.Nanos()
-	r.maybeSweep(now)
-	s, first := r.session(j.flow, now)
+	s, first, expired := r.acquire(j.flow, r.e.clk.Nanos())
+	for _, x := range expired {
+		x.sock.Close()
+	}
 	if s == nil {
 		return
 	}
-	defer r.release(s)
+	r.transact(s, first, j.payload)
+	r.release(s, r.e.clk.Nanos())
+}
+
+// transact relays one datagram on s, which the calling worker holds.
+func (r *udpRelay) transact(s *udpSession, first bool, payload []byte) {
 	if s.sock.Closed() {
 		return // stop closed every socket: teardown, not a transaction
 	}
@@ -365,11 +310,10 @@ func (r *udpRelay) process(j *udpJob) {
 			r.e.ctr.udpDropped.Add(1)
 			return
 		}
-		r.e.dnsTransaction(s, j.payload)
+		r.e.dnsTransaction(s, payload)
 	} else {
-		r.e.udpForward(s, j.payload)
+		r.e.udpForward(s, payload)
 	}
-	s.lastUsed.Store(r.e.clk.Nanos())
 }
 
 // dnsStuckFraction sets when a DNS receive counts as stuck: after
@@ -421,9 +365,12 @@ func (r *udpRelay) drainStale(s *udpSession) {
 	}
 }
 
-// ActiveUDPSessions reports the live NAT-style UDP session count: the
-// non-DNS flows seen within udpSessionIdle plus the DNS queries still
-// awaiting their answer or timeout.
+// ActiveUDPSessions reports the live NAT-style UDP session count, the
+// table's length read under the relay's lock: the non-DNS flows seen
+// within udpSessionIdle plus the DNS queries still awaiting their
+// answer or timeout.
 func (e *Engine) ActiveUDPSessions() int {
-	return e.udp.sessions.Len()
+	e.udp.mu.Lock()
+	defer e.udp.mu.Unlock()
+	return len(e.udp.sessions)
 }

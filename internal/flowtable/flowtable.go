@@ -132,25 +132,6 @@ func (t *Table[V]) Delete(k packet.FlowKey) bool {
 	return ok
 }
 
-// CompareAndDelete removes k only while it still maps to v, and
-// reports whether it did. An owner that outlives its entry — a UDP
-// session retired after the table already holds its successor — can
-// then never delete the successor.
-func CompareAndDelete[V comparable](t *Table[V], k packet.FlowKey, v V) bool {
-	s := &t.shards[t.Shard(k)]
-	s.mu.Lock()
-	cur, ok := s.flows[k]
-	ok = ok && cur == v
-	if ok {
-		delete(s.flows, k)
-	}
-	s.mu.Unlock()
-	if ok {
-		t.size.Add(-1)
-	}
-	return ok
-}
-
 // Len returns the stored flow count, maintained as an atomic so the
 // engine can report connection counts on the SYN hot path without
 // touching any shard lock.
@@ -178,46 +159,6 @@ func (t *Table[V]) ForEach(fn func(k packet.FlowKey, v V)) {
 			fn(e.k, e.v)
 		}
 	}
-}
-
-// Range calls fn for every stored flow, one shard at a time, until fn
-// returns false. fn runs under the shard lock and nothing is copied,
-// so, like DeleteFunc's pred, it must be fast and must not call back
-// into the table.
-func (t *Table[V]) Range(fn func(k packet.FlowKey, v V) bool) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for k, v := range s.flows {
-			if !fn(k, v) {
-				s.mu.Unlock()
-				return
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-// DeleteFunc removes every flow for which pred returns true, one shard
-// at a time, and returns the removed values. pred runs under the shard
-// lock, so it must be fast and must not call back into the table — the
-// UDP session table uses it for idle expiry, where pred is a single
-// atomic timestamp comparison.
-func (t *Table[V]) DeleteFunc(pred func(k packet.FlowKey, v V) bool) []V {
-	var out []V
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for k, v := range s.flows {
-			if pred(k, v) {
-				out = append(out, v)
-				delete(s.flows, k)
-			}
-		}
-		s.mu.Unlock()
-	}
-	t.size.Add(int64(-len(out)))
-	return out
 }
 
 // Drain removes every flow and returns the removed values — the
