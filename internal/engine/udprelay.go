@@ -35,7 +35,7 @@ import (
 // The packet path (MainWorker or a pinned worker) only hands the
 // datagram to the queue with a non-blocking send, so an
 // application-layer protocol can never block it (§2.4's requirement,
-// kept under flood). Only the pool workers touch the table, and each
+// kept under flood). Only the pool workers change the table, and each
 // holds its one mutex twice per datagram: acquire finds or creates the
 // flow's session and starts its transaction on it, release ends the
 // transaction. A session mid-transaction is never swept or evicted, so
