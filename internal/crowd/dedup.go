@@ -57,12 +57,24 @@ func (w *window) mark(seq int) {
 	}
 }
 
+// idxSize is the entries of a shard's index: twice the pairs a shard
+// holds, and a power of two, so a probe masks instead of dividing.
+const idxSize = 2 * dedupPairs / ingestShards
+
 // windowTable is one shard's windows, at most dedupPairs/ingestShards
 // of them, kept in least-recently-seen order by a doubly linked list
 // threaded through slots (indices, -1 for none; head is the newest).
 // Its owner's lock guards it.
+//
+// idx finds a pair's slot: open addressing with linear probing, each
+// entry a slot number plus one (0 is empty), starting at the pair's
+// cached hash. An eviction deletes by backward shift (Knuth's
+// Algorithm R), so the index never holds a tombstone and its size is
+// fixed whatever the table has evicted. Device stamps are not trusted,
+// but the index is at most half full, so a probe, even over crafted
+// collisions, passes at most 256 occupied entries before an empty one.
 type windowTable struct {
-	idx        map[pairKey]int32
+	idx        [idxSize]int32
 	slots      []windowSlot
 	head, tail int32
 }
@@ -70,18 +82,72 @@ type windowTable struct {
 type windowSlot struct {
 	key        pairKey
 	w          window
+	hash       uint32
 	prev, next int32
 }
 
 func newWindowTable() windowTable {
-	return windowTable{idx: make(map[pairKey]int32), head: -1, tail: -1}
+	return windowTable{head: -1, tail: -1}
+}
+
+// pairHash hashes a pair for the index from its device's and its
+// epoch's hashDevice, keeping the high 32 bits. The shard is
+// hashDevice(device)'s low bits, shared by every pair in a shard; the
+// epoch and the other bits keep them from piling into one probe run.
+func pairHash(k pairKey) uint32 {
+	return uint32((hashDevice(k.device) ^ hashDevice(k.epoch)*0x9e3779b97f4a7c15) >> 32)
+}
+
+// len reports the pairs the table holds: its slots are never freed,
+// only reused by an eviction.
+func (t *windowTable) len() int { return len(t.slots) }
+
+// find returns k's slot, or -1 when the table holds no window for it.
+func (t *windowTable) find(k pairKey, h uint32) int32 {
+	for p := h & (idxSize - 1); ; p = (p + 1) & (idxSize - 1) {
+		e := t.idx[p]
+		if e == 0 {
+			return -1
+		}
+		if s := &t.slots[e-1]; s.hash == h && s.key == k {
+			return e - 1
+		}
+	}
+}
+
+// index enters slot i under its hash at the first empty entry of its
+// probe run.
+func (t *windowTable) index(i int32) {
+	p := t.slots[i].hash & (idxSize - 1)
+	for t.idx[p] != 0 {
+		p = (p + 1) & (idxSize - 1)
+	}
+	t.idx[p] = i + 1
+}
+
+// unindex removes slot i's entry and closes the gap: each later entry
+// of the run whose home is not between the gap and itself moves back
+// into the gap, which moves on to where that entry was.
+func (t *windowTable) unindex(i int32) {
+	gap := t.slots[i].hash & (idxSize - 1)
+	for t.idx[gap] != i+1 {
+		gap = (gap + 1) & (idxSize - 1)
+	}
+	for p := (gap + 1) & (idxSize - 1); t.idx[p] != 0; p = (p + 1) & (idxSize - 1) {
+		home := t.slots[t.idx[p]-1].hash & (idxSize - 1)
+		if (p-home)&(idxSize-1) >= (p-gap)&(idxSize-1) {
+			t.idx[gap] = t.idx[p]
+			gap = p
+		}
+	}
+	t.idx[gap] = 0
 }
 
 // seen reports whether seq is a duplicate in k's window; a pair with no
 // window has seen nothing. A pair it finds becomes the newest.
 func (t *windowTable) seen(k pairKey, seq int) bool {
-	i, ok := t.idx[k]
-	if !ok {
+	i := t.find(k, pairHash(k))
+	if i < 0 {
 		return false
 	}
 	t.touch(i)
@@ -92,7 +158,8 @@ func (t *windowTable) seen(k pairKey, seq int) bool {
 // newest. A pair without a window gets one, evicting the least recently
 // seen pair when the table is full; mark reports whether it did.
 func (t *windowTable) mark(k pairKey, seq int) (evicted bool) {
-	if i, ok := t.idx[k]; ok {
+	h := pairHash(k)
+	if i := t.find(k, h); i >= 0 {
 		t.touch(i)
 		t.slots[i].w.mark(seq)
 		return false
@@ -104,11 +171,12 @@ func (t *windowTable) mark(k pairKey, seq int) (evicted bool) {
 	} else {
 		i = t.tail
 		t.unlink(i)
-		delete(t.idx, t.slots[i].key)
+		t.unindex(i)
 		evicted = true
 	}
-	t.slots[i].key, t.slots[i].w = k, window{top: seq, bits: 1}
-	t.idx[k] = i
+	s := &t.slots[i]
+	s.key, s.w, s.hash = k, window{top: seq, bits: 1}, h
+	t.index(i)
 	t.pushFront(i)
 	return evicted
 }

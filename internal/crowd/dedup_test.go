@@ -1,14 +1,17 @@
 package crowd
 
 import (
+	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/measure"
@@ -144,6 +147,92 @@ func TestDedupWindowsEvictAtCap(t *testing.T) {
 	}
 }
 
+// The windows' heap stays flat once the table evicts: the post-GC heap
+// of a retain-off server after 802,000 distinct devices is within 1.05×
+// of its heap after 4,096, and at most 128 B a window. An eviction
+// leaves nothing behind in the index, a fixed array the table owns.
+func TestDedupWindowHeapAtCap(t *testing.T) {
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	s, err := NewServer(ServerOptions{RetainRecords: RetainOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(from, to int) {
+		for d := from; d < to; d++ {
+			if ok, err := s.ingest(measure.Batch{Device: fmt.Sprintf("dev-%07d", d), Seq: 1}); !ok || err != nil {
+				t.Fatalf("device %d: accepted %v, %v", d, ok, err)
+			}
+		}
+	}
+	ingest(0, dedupPairs)
+	first := heap() - before
+	ingest(dedupPairs, 802_000)
+	second := heap() - before
+	held := s.DedupKeys()
+	runtime.KeepAlive(s)
+
+	perWindow := float64(second) / float64(held)
+	t.Logf("%d B after %d devices, %d B after 802,000 (%.2f×): %.1f B a window, %d held",
+		first, dedupPairs, second, float64(second)/float64(first), perWindow, held)
+	if float64(second) > 1.05*float64(first) {
+		t.Errorf("heap grew %.2f× from %d to 802,000 devices, want at most 1.05×", float64(second)/float64(first), dedupPairs)
+	}
+	if perWindow > 128 {
+		t.Errorf("%.1f B a window, want at most 128", perWindow)
+	}
+}
+
+// Four goroutines upload distinct devices, three times the cap in all,
+// and each redelivers every batch right after sending it. They run in
+// rounds of 64 devices each, so between a batch and its redelivery the
+// other three add at most 192 pairs, fewer than a shard's 256: the
+// batch's pair, the newest in its shard, is still held. So every
+// redelivery is a duplicate, and the counts are exact.
+func TestDedupConcurrentEvictionCountsExact(t *testing.T) {
+	s, err := NewServer(ServerOptions{RetainRecords: RetainOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, round, rounds = 4, 64, 3 * dedupPairs / (4 * 64)
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := r * round; i < (r+1)*round; i++ {
+					b := measure.Batch{Device: fmt.Sprintf("dev-%d-%05d", g, i), Epoch: "e", Seq: 1}
+					for copy := range 2 {
+						if ok, err := s.ingest(b); err != nil || ok != (copy == 0) {
+							t.Errorf("%s copy %d: accepted %v, %v", b.Device, copy, ok, err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	const distinct = goroutines * round * rounds
+	held := s.DedupKeys()
+	if st := s.Stats(); st.Batches != distinct || st.Duplicates != distinct {
+		t.Errorf("stats %+v, want %d batches and %d duplicates (one per redelivery)", st, distinct, distinct)
+	}
+	if held > dedupPairs {
+		t.Errorf("%d windows held, want at most %d", held, dedupPairs)
+	}
+	if ev := s.c.evictions.Load(); ev != int64(distinct-held) {
+		t.Errorf("%d evictions, want distinct − held = %d", ev, distinct-held)
+	}
+}
+
 // metricsText is the server's /metrics document.
 func metricsText(s *Server) string {
 	rec := httptest.NewRecorder()
@@ -252,8 +341,112 @@ func FuzzDedupWindow(f *testing.F) {
 			o.set[seq] = true
 			o.top = max(o.top, seq)
 		}
-		if len(tab.idx) != len(exact) {
-			t.Fatalf("%d windows for %d pairs", len(tab.idx), len(exact))
+		if tab.len() != len(exact) {
+			t.Fatalf("%d windows for %d pairs", tab.len(), len(exact))
+		}
+	})
+}
+
+// FuzzDedupWindowEviction drives more pairs than a shard holds through
+// one table against an exact oracle: each held pair's set of accepted
+// seqs, and the held pairs in least-recently-seen order. Each verdict
+// must match the oracle, and each eviction must drop the oracle's least
+// recently seen pair; after every op at most 256 pairs are held, and
+// every held pair is still found through the index with the oracle's
+// top, which a broken backward shift would lose. Each op is 3 bytes a,
+// x, y, with y a seq relative to the pair's top (an int8; a new pair
+// starts at y). a's top two bits pick the pair: 0 or 1, pair
+// ((a&0x3f)<<8|x) mod 1024 of a fixed set of devices and epochs; 2, x+1
+// pairs never seen before, each at seq 1, which takes a short input
+// past the cap; 3, the held pair at rank x from the least recently
+// seen.
+func FuzzDedupWindowEviction(f *testing.F) {
+	f.Add([]byte{0x80, 255, 0, 0x80, 40, 0, 0, 5, 3, 0xc0, 0, 1, 0xc0, 3, 0, 0x80, 200, 0, 0x40, 7, 0xff, 0xc0, 0, 0x90})
+	f.Add([]byte{0x80, 250, 0, 0xc0, 0, 0, 0x80, 10, 0, 0xc0, 1, 64, 0x3f, 0xff, 0x81, 0x80, 255, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const shardPairs = dedupPairs / ingestShards
+		type oracle struct {
+			key pairKey
+			top int
+			set map[int]bool
+		}
+		held := map[pairKey]*list.Element{} // each an *oracle in age
+		age := list.New()                   // front is the least recently seen
+		tab := newWindowTable()
+		fresh := 0
+		step := func(k pairKey, seq int) {
+			e := held[k]
+			var o *oracle
+			if e != nil {
+				o = e.Value.(*oracle)
+				age.MoveToBack(e)
+			}
+			dup := o != nil && (o.set[seq] || seq < o.top-63)
+			if got := tab.seen(k, seq); got != dup {
+				t.Fatalf("%v seq %d: window says duplicate=%v, oracle %v", k, seq, got, dup)
+			}
+			if dup {
+				return
+			}
+			full := o == nil && len(held) == shardPairs
+			if got := tab.mark(k, seq); got != full {
+				t.Fatalf("%v seq %d: mark evicted=%v with %d pairs held", k, seq, got, len(held))
+			}
+			if full {
+				oldest := age.Remove(age.Front()).(*oracle).key
+				delete(held, oldest)
+				if tab.find(oldest, pairHash(oldest)) >= 0 {
+					t.Fatalf("%v, the least recently seen, still held after an eviction", oldest)
+				}
+			}
+			if o == nil {
+				o = &oracle{key: k, top: seq, set: map[int]bool{}}
+				held[k] = age.PushBack(o)
+			}
+			o.set[seq] = true
+			o.top = max(o.top, seq)
+		}
+		relative := func(k pairKey, y byte) int {
+			if e := held[k]; e != nil {
+				return e.Value.(*oracle).top + int(int8(y))
+			}
+			return int(int8(y))
+		}
+		for ; len(data) >= 3; data = data[3:] {
+			a, x, y := data[0], data[1], data[2]
+			switch a >> 6 {
+			case 0, 1:
+				id := (int(a&0x3f)<<8 | int(x)) % 1024
+				k := pairKey{fmt.Sprint("dev-", id/3), fmt.Sprint("e", id%3)}
+				step(k, relative(k, y))
+			case 2:
+				for range int(x) + 1 {
+					fresh++
+					step(pairKey{fmt.Sprint("fresh-", fresh), ""}, 1)
+				}
+			case 3:
+				if len(held) > 0 {
+					e := age.Front()
+					for range int(x) % len(held) {
+						e = e.Next()
+					}
+					k := e.Value.(*oracle).key
+					step(k, relative(k, y))
+				}
+			}
+			if tab.len() != len(held) || len(held) > shardPairs {
+				t.Fatalf("%d windows held for %d pairs (cap %d)", tab.len(), len(held), shardPairs)
+			}
+			for e := age.Front(); e != nil; e = e.Next() {
+				o := e.Value.(*oracle)
+				i := tab.find(o.key, pairHash(o.key))
+				if i < 0 {
+					t.Fatalf("%v held but not found through the index", o.key)
+				}
+				if top := tab.slots[i].w.top; top != o.top {
+					t.Fatalf("%v found with top %d, want %d", o.key, top, o.top)
+				}
+			}
 		}
 	})
 }

@@ -503,7 +503,7 @@ func (s *Server) DedupKeys() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		total += len(sh.windows.idx)
+		total += sh.windows.len()
 		sh.mu.Unlock()
 	}
 	return total
