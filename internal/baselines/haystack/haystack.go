@@ -57,7 +57,6 @@ func Config() engine.Config {
 	c.Mapping = engine.MapCache
 	c.Protect = engine.ProtectPerSocket
 	c.BlockingConnectMeasure = true // it relays fine; it just doesn't measure
-	c.DeferRegister = false
 	c.PerPacketCost = InspectionCostPerPacket
 	return c
 }

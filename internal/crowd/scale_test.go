@@ -154,13 +154,13 @@ func TestSpoolLegacyLayout(t *testing.T) {
 		}
 	}
 	writeFile(spoolFile, 0, 3)
-	sp, rep, err := OpenSpool(dir)
+	sp, replay, err := collectSpool(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp.Close()
-	if len(rep.Batches) != 3 {
-		t.Errorf("single-file replay: %d batches", len(rep.Batches))
+	if len(replay) != 3 {
+		t.Errorf("single-file replay: %d batches", len(replay))
 	}
 
 	// Segments 1 and 2 beside segment 0, as the rotation left them.
@@ -195,15 +195,15 @@ func TestSpoolLegacyLayout(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, spoolFile), all, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sp, rep, err = OpenSpool(dir)
+	sp, replay, err = collectSpool(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp.Close()
-	if len(rep.Batches) != 6 {
-		t.Fatalf("replay after merge: %d batches, want 6", len(rep.Batches))
+	if len(replay) != 6 {
+		t.Fatalf("replay after merge: %d batches, want 6", len(replay))
 	}
-	for i, b := range rep.Batches {
+	for i, b := range replay {
 		if b.Key != fmt.Sprintf("k%d", i) {
 			t.Fatalf("replay order after merge broken at %d: %q", i, b.Key)
 		}

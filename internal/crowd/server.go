@@ -79,10 +79,10 @@ const (
 type ServerOptions struct {
 	// SpoolDir, when non-empty, is the durable spool directory: every
 	// accepted batch is appended there, and an existing spool is
-	// replayed at construction, deduplicated by idempotency key, and
-	// marked into the dedup windows (records and each device's recent
-	// seqs both survive a restart). Empty keeps the dataset
-	// memory-only.
+	// replayed at construction, each batch committed again in file
+	// order and marked into the dedup windows (records and each
+	// device's recent seqs both survive a restart). Empty keeps the
+	// dataset memory-only.
 	SpoolDir string
 	// Token, when non-empty, is the shared bearer token every request
 	// must present ("Authorization: Bearer <token>").
@@ -203,18 +203,11 @@ func NewServer(o ServerOptions) (*Server, error) {
 		s.shards[i].windows = newWindowTable()
 	}
 	if o.SpoolDir != "" {
-		spool, replay, err := OpenSpool(o.SpoolDir)
+		spool, err := openSpool(o.SpoolDir, func(b measure.Batch) { s.commit(s.shard(b.Device), b) })
 		if err != nil {
 			return nil, err
 		}
 		s.spool = spool
-		// Replay keeps its exact dedup by key, so a spool written before
-		// the windows (or holding two keys under one seq) replays as it
-		// always did; commit marks the windows, so a redelivery after the
-		// restart is a duplicate.
-		for _, b := range replay.Batches {
-			s.commit(s.shard(b.Device), b)
-		}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/upload", s.handleUpload)
@@ -252,7 +245,7 @@ func (s *Server) commit(sh *ingestShard, b measure.Batch) {
 	}
 	s.aggMu.Unlock()
 	if s.o.retain() {
-		sh.recs = append(sh.recs, stampRecords(b)...)
+		sh.recs = appendStamped(sh.recs, b)
 	}
 	sh.recCount.Add(int64(len(b.Records)))
 	s.c.batches.Add(1)

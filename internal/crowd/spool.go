@@ -16,24 +16,27 @@ import (
 // The spool is the collector server's durable store: every accepted
 // batch is appended in the batch wire format (measure.AppendBatch) to
 // one file, DIR/batches.jsonl, so the log is simultaneously the dedup
-// journal (keys replay with the batches) and the dataset (records
-// replay in arrival order).
+// journal (replay marks each batch into its window) and the dataset
+// (records replay in arrival order).
 //
 // A crash can tear only the tail: replay stops at the last complete
 // batch, truncates the rest, and the sender's retry (same idempotency
 // key) redelivers what was lost. Bad bytes with a complete batch after
 // them are not a torn tail but a fault in the middle of the file;
 // truncating there would drop acknowledged batches, so the spool
-// refuses to open instead and leaves the file as it is. Delivery is
-// at-least-once; the spool is exactly-once after replay dedup.
+// refuses to open instead and leaves the file as it is.
+//
+// Replay decides nothing: the server appends a batch only after its
+// dedup window accepted it, so every batch in the file was accepted
+// exactly once, live, and replay re-commits them in file order, one at
+// a time, holding none after its callback returns.
 
 const spoolFile = "batches.jsonl"
 
 // SpoolReplay is what OpenSpool recovered from disk.
 type SpoolReplay struct {
-	// Batches are every complete batch in append order, deduplicated
-	// by idempotency key.
-	Batches []measure.Batch
+	// Batches counts the complete batches replayed.
+	Batches int
 }
 
 // appendFile is what Append needs of the spool file. *os.File is the
@@ -63,7 +66,7 @@ type Spool struct {
 
 // checkLayout refuses a directory in a layout that only removed code
 // wrote. Opening one as a flat spool would start empty or partial and
-// forget dedup keys, so each refusal names the fix instead.
+// forget accepted batches, so each refusal names the fix instead.
 func checkLayout(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -102,23 +105,32 @@ func checkLayout(dir string) error {
 }
 
 // OpenSpool opens (creating if needed) the spool in dir and replays
-// it: every complete batch, in append order, deduplicated by
-// idempotency key. A torn tail — the residue of a crashed append — is
-// truncated away so later appends produce a clean log; undecodable
-// bytes with a complete batch after them are an error that names the
-// file and the offset, and the file is left untouched.
+// it, counting its complete batches; see openSpool.
 func OpenSpool(dir string) (*Spool, SpoolReplay, error) {
+	var rep SpoolReplay
+	sp, err := openSpool(dir, func(measure.Batch) { rep.Batches++ })
+	return sp, rep, err
+}
+
+// openSpool opens (creating if needed) the spool in dir and hands each
+// complete batch to each, in append order. A torn tail — the residue
+// of a crashed append — is truncated away so later appends produce a
+// clean log; undecodable bytes with a complete batch after them are an
+// error that names the file and the offset, and the file is left
+// untouched. each may already have seen the batches before such a
+// fault: the caller discards what it built from them.
+func openSpool(dir string, each func(measure.Batch)) (*Spool, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, SpoolReplay{}, fmt.Errorf("crowd: spool dir: %w", err)
+		return nil, fmt.Errorf("crowd: spool dir: %w", err)
 	}
 	if err := checkLayout(dir); err != nil {
-		return nil, SpoolReplay{}, fmt.Errorf("crowd: spool open: %w", err)
+		return nil, fmt.Errorf("crowd: spool open: %w", err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, spoolFile), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, SpoolReplay{}, fmt.Errorf("crowd: spool open: %w", err)
+		return nil, fmt.Errorf("crowd: spool open: %w", err)
 	}
-	batches, good, err := replayFile(f, make(map[string]struct{}))
+	good, err := replayFile(f, each)
 	if err == nil {
 		err = f.Truncate(good)
 	}
@@ -127,50 +139,45 @@ func OpenSpool(dir string) (*Spool, SpoolReplay, error) {
 	}
 	if err != nil {
 		f.Close()
-		return nil, SpoolReplay{}, fmt.Errorf("crowd: spool open: %w", err)
+		return nil, fmt.Errorf("crowd: spool open: %w", err)
 	}
-	return &Spool{f: f, fsize: good, sep: good > 0}, SpoolReplay{Batches: batches}, nil
+	return &Spool{f: f, fsize: good, sep: good > 0}, nil
 }
 
 // replayFile replays a whole spool file (see replaySpool) and tells a
 // torn tail from a fault in the middle: if a complete batch decodes on
 // a line after the durable prefix, truncating to that prefix would drop
 // acknowledged batches, so it is an error instead.
-func replayFile(f *os.File, seen map[string]struct{}) ([]measure.Batch, int64, error) {
-	batches, good := replaySpool(f, seen)
+func replayFile(f *os.File, each func(measure.Batch)) (int64, error) {
+	good := replaySpool(f, each)
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if at := batchAfter(f, good, fi.Size()); at >= 0 {
-		return nil, 0, fmt.Errorf("%s: bytes at offset %d do not decode, but a complete batch starts at offset %d after them; "+
+		return 0, fmt.Errorf("%s: bytes at offset %d do not decode, but a complete batch starts at offset %d after them; "+
 			"refusing to truncate acknowledged batches", f.Name(), good, at)
 	}
-	return batches, good, nil
+	return good, nil
 }
 
-// replaySpool reads complete batches from a spool file, skipping keys
-// already in seen (and adding new ones to it), and reports the byte
-// offset of the durable prefix: the end of the last complete batch,
-// its closing brace. A decode error ends the replay rather than
-// failing it; batchAfter decides whether what follows is a torn tail.
-func replaySpool(r io.Reader, seen map[string]struct{}) ([]measure.Batch, int64) {
+// replaySpool hands each complete batch of a spool file to each, in
+// file order, and reports the byte offset of the durable prefix: the
+// end of the last complete batch, its closing brace. A decode error
+// ends the replay rather than failing it; batchAfter decides whether
+// what follows is a torn tail.
+func replaySpool(r io.Reader, each func(measure.Batch)) int64 {
 	dec := measure.NewBatchDecoder(r)
-	var batches []measure.Batch
 	var off int64
 	for {
 		b, err := dec.Next()
 		if err != nil {
 			// io.EOF is the clean end; anything else is bad bytes —
 			// keep the durable prefix either way.
-			return batches, off
+			return off
 		}
 		off = dec.InputOffset()
-		if _, dup := seen[b.Key]; dup {
-			continue
-		}
-		seen[b.Key] = struct{}{}
-		batches = append(batches, b)
+		each(b)
 	}
 }
 
@@ -271,12 +278,12 @@ func (s *Spool) Close() error {
 	return err
 }
 
-// ReadSpool loads the deduplicated records from a spool directory
-// without opening it for writing — the `crowdstudy -spool` path for
-// analysing a collectord's dataset offline. Records keep arrival order;
-// a torn tail is skipped, and a directory OpenSpool would refuse is an
-// error here too. Empty-device records are stamped with their batch's
-// device, mirroring what the server did (or would have done) at accept
+// ReadSpool loads the records of every spooled batch from a spool
+// directory without opening it for writing — the `crowdstudy -spool`
+// path for analysing a collectord's dataset offline. Records keep
+// arrival order; a torn tail is skipped, and a directory OpenSpool
+// would refuse is an error here too. Empty-device records are stamped
+// with their batch's device, mirroring what the server did at accept
 // time.
 func ReadSpool(dir string) ([]measure.Record, error) {
 	if err := checkLayout(dir); err != nil {
@@ -287,26 +294,21 @@ func ReadSpool(dir string) ([]measure.Record, error) {
 		return nil, fmt.Errorf("crowd: spool read: %w", err)
 	}
 	defer f.Close()
-	batches, _, err := replayFile(f, make(map[string]struct{}))
-	if err != nil {
-		return nil, fmt.Errorf("crowd: spool read: %w", err)
-	}
 	var recs []measure.Record
-	for _, b := range batches {
-		recs = append(recs, stampRecords(b)...)
+	if _, err := replayFile(f, func(b measure.Batch) { recs = appendStamped(recs, b) }); err != nil {
+		return nil, fmt.Errorf("crowd: spool read: %w", err)
 	}
 	return recs, nil
 }
 
-// stampRecords applies the batch's device attribution to records that
-// arrived without one, returning a copy.
-func stampRecords(b measure.Batch) []measure.Record {
-	out := make([]measure.Record, len(b.Records))
-	for i, r := range b.Records {
+// appendStamped appends the batch's records to dst, applying the
+// batch's device attribution to records that arrived without one.
+func appendStamped(dst []measure.Record, b measure.Batch) []measure.Record {
+	for _, r := range b.Records {
 		if r.Device == "" {
 			r.Device = b.Device
 		}
-		out[i] = r
+		dst = append(dst, r)
 	}
-	return out
+	return dst
 }

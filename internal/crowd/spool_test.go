@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/measure"
 )
@@ -75,12 +77,12 @@ func TestSpoolUnhealedAppendRefusesLaterAppends(t *testing.T) {
 			}
 			sp.Close()
 
-			_, rep, err := OpenSpool(dir)
+			_, replay, err := collectSpool(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			replayed := map[string]bool{}
-			for _, b := range rep.Batches {
+			for _, b := range replay {
 				replayed[b.Key] = true
 			}
 			for _, b := range acked {
@@ -90,6 +92,25 @@ func TestSpoolUnhealedAppendRefusesLaterAppends(t *testing.T) {
 			}
 		})
 	}
+}
+
+// collectSpool opens the spool in dir and returns every batch its
+// replay hands over, in order.
+func collectSpool(dir string) (*Spool, []measure.Batch, error) {
+	var batches []measure.Batch
+	sp, err := openSpool(dir, func(b measure.Batch) { batches = append(batches, b) })
+	if err != nil {
+		return nil, nil, err
+	}
+	return sp, batches, nil
+}
+
+// replayBytes replays a spool file's bytes, returning every batch
+// replay hands over and the durable prefix.
+func replayBytes(log []byte) ([]measure.Batch, int64) {
+	var batches []measure.Batch
+	good := replaySpool(bytes.NewReader(log), func(b measure.Batch) { batches = append(batches, b) })
+	return batches, good
 }
 
 // redeliver uploads b to s in process and returns the reply's status
@@ -181,12 +202,12 @@ func TestSpoolTruncatedAtEveryByte(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := OpenSpool(cdir)
+		_, replay, err := collectSpool(cdir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.Batches) != len(batches) {
-			t.Fatalf("cut %d: %d batches replay after redelivery, want %d", cut, len(rep.Batches), len(batches))
+		if len(replay) != len(batches) {
+			t.Fatalf("cut %d: %d batches replay after redelivery, want %d", cut, len(replay), len(batches))
 		}
 	}
 }
@@ -214,7 +235,7 @@ func TestSpoolMidFileFaultIsRefused(t *testing.T) {
 		if err := os.WriteFile(path, flipped, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sp, rep, err := OpenSpool(dir)
+		sp, replay, err := collectSpool(dir)
 		if err != nil {
 			refused++
 			if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "at offset ") {
@@ -230,11 +251,11 @@ func TestSpoolMidFileFaultIsRefused(t *testing.T) {
 		}
 		sp.Close()
 		keys := map[string]bool{}
-		for _, b := range rep.Batches {
+		for _, b := range replay {
 			keys[b.Key] = true
 		}
 		if !keys["k2"] || !keys["k3"] {
-			t.Fatalf("flip at %d: acknowledged batches lost, replayed %d", at, len(rep.Batches))
+			t.Fatalf("flip at %d: acknowledged batches lost, replayed %d", at, len(replay))
 		}
 	}
 	if refused == 0 {
@@ -282,14 +303,14 @@ func TestSpoolReopenKeepsOneBatchPerLine(t *testing.T) {
 		t.Fatalf("spool after an idle reopen (%v):\n got %q\nwant %q", err, got, want)
 	}
 
-	_, rep, err := OpenSpool(dir)
+	_, replay, err := collectSpool(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Batches) != len(batches) {
-		t.Fatalf("replayed %d batches, want %d", len(rep.Batches), len(batches))
+	if len(replay) != len(batches) {
+		t.Fatalf("replayed %d batches, want %d", len(replay), len(batches))
 	}
-	for i, b := range rep.Batches {
+	for i, b := range replay {
 		if b.Key != batches[i].Key {
 			t.Fatalf("replay order broken at %d: %q", i, b.Key)
 		}
@@ -318,11 +339,11 @@ func FuzzSpoolReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("\n\n{}\n"))
 	f.Fuzz(func(t *testing.T, log []byte) {
-		batches, good := replaySpool(bytes.NewReader(log), map[string]struct{}{})
+		batches, good := replayBytes(log)
 		if good < 0 || good > int64(len(log)) {
 			t.Fatalf("good offset %d outside [0, %d]", good, len(log))
 		}
-		healed, good2 := replaySpool(bytes.NewReader(log[:good]), map[string]struct{}{})
+		healed, good2 := replayBytes(log[:good])
 		if good2 != good {
 			t.Fatalf("healed prefix replays to offset %d, the file to %d", good2, good)
 		}
@@ -333,4 +354,138 @@ func FuzzSpoolReplay(f *testing.F) {
 			t.Fatalf("batch after the prefix at %d, outside (%d, %d)", at, good, len(log))
 		}
 	})
+}
+
+// Past the dedup cap a redelivery counts twice live: 257 devices of one
+// shard upload seq 1, the 257th evicts the first device's pair, and
+// that device's redelivery is accepted and spooled a second time.
+// Replay re-commits the spool as it was accepted, so a restart changes
+// no count and no sketch: replay equals live past the cap too.
+func TestRestartPastDedupCapEqualsLive(t *testing.T) {
+	const perShard = dedupPairs / ingestShards
+	var devices []string
+	for i := 0; len(devices) < perShard+1; i++ {
+		if d := fmt.Sprintf("dev-%d", i); hashDevice(d)%ingestShards == 0 {
+			devices = append(devices, d)
+		}
+	}
+	batch := func(i int) measure.Batch {
+		d := devices[i]
+		tcp := srvRec("", fmt.Sprintf("com.app%d", i%5), float64(10+i))
+		tcp.NetType = []string{"WiFi", "LTE"}[i%2]
+		dns := measure.Record{Kind: measure.KindDNS, App: "system.dns", RTT: time.Duration(i+1) * time.Millisecond, NetType: "WiFi"}
+		return measure.Batch{Device: d, Epoch: "e1", Key: d + "/e1/1", Seq: 1, Records: []measure.Record{tcp, dns}}
+	}
+
+	dir := t.TempDir()
+	live, err := NewServer(ServerOptions{SpoolDir: dir, RetainRecords: RetainOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range devices {
+		if got := redeliver(t, live, batch(i)); got != "accepted" {
+			t.Fatalf("first upload from %s: %s", devices[i], got)
+		}
+	}
+	if got := redeliver(t, live, batch(0)); got != "accepted" {
+		t.Fatalf("redelivery from %s, evicted past the cap: %s, want accepted", devices[0], got)
+	}
+	before := live.Summary()
+	if before.Stats.Batches != perShard+2 {
+		t.Fatalf("%d batches live, want %d", before.Stats.Batches, perShard+2)
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := NewServer(ServerOptions{SpoolDir: dir, RetainRecords: RetainOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	after := restarted.Summary()
+	if after.Stats.Batches != before.Stats.Batches || after.Stats.Records != before.Stats.Records {
+		t.Errorf("after restart %d batches and %d records, live %d and %d",
+			after.Stats.Batches, after.Stats.Records, before.Stats.Batches, before.Stats.Records)
+	}
+	if after.TCPRecords != before.TCPRecords {
+		t.Errorf("after restart %d TCP records, live %d", after.TCPRecords, before.TCPRecords)
+	}
+	if !reflect.DeepEqual(after.PerApp, before.PerApp) || !reflect.DeepEqual(after.PerNet, before.PerNet) {
+		t.Errorf("sketches after restart differ from live:\n per app %v\n    live %v\n per net %v\n    live %v",
+			after.PerApp, before.PerApp, after.PerNet, before.PerNet)
+	}
+}
+
+// A restart holds one decoder and the server's bounded state, not the
+// spool: at its last batch, replaying 10,000 batches has added no more
+// heap than replaying 1,000 (within 1.1× plus 256 KiB), and a
+// retain-off server on the larger spool still commits every batch. The
+// heap is read after a GC, against its size before the open, so the
+// test binary's own fixtures do not widen the bound.
+func TestSpoolReplayHeapFlat(t *testing.T) {
+	spool := func(n int) string {
+		t.Helper()
+		dir := t.TempDir()
+		sp, _, err := OpenSpool(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			device := fmt.Sprintf("dev-%d", i%64)
+			b := measure.Batch{Device: device, Epoch: "e1", Key: fmt.Sprintf("%s/e1/%d", device, i/64+1), Seq: i/64 + 1}
+			for j := range 16 {
+				b.Records = append(b.Records, srvRec("", fmt.Sprintf("com.app%d", j), float64(1+(i+j)%200)))
+			}
+			if err := sp.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	heapNow := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	heapAtLast := func(dir string, n int) int64 {
+		t.Helper()
+		var seen int
+		var heap int64
+		base := heapNow()
+		sp, err := openSpool(dir, func(measure.Batch) {
+			if seen++; seen == n {
+				heap = heapNow() - base
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if seen != n {
+			t.Fatalf("replayed %d batches, want %d", seen, n)
+		}
+		return heap
+	}
+	small, large := spool(1_000), spool(10_000)
+	hSmall, hLarge := heapAtLast(small, 1_000), heapAtLast(large, 10_000)
+	t.Logf("heap added at the last replayed batch: %d B after 1,000 batches, %d B after 10,000", hSmall, hLarge)
+	if float64(hLarge) > 1.1*float64(max(hSmall, 0))+256<<10 {
+		t.Errorf("replaying 10,000 batches added %d B of heap, 1,000 added %d B: the replay keeps what it replayed", hLarge, hSmall)
+	}
+
+	s, err := NewServer(ServerOptions{SpoolDir: large, RetainRecords: RetainOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Batches != 10_000 || st.Records != 16*10_000 {
+		t.Errorf("retain-off restart on 10,000 batches: %+v", st)
+	}
 }

@@ -89,15 +89,17 @@ func TestSpoolCompatibleWithJSONEncodedSegments(t *testing.T) {
 		t.Fatalf("appends are no longer byte-identical to a 322fcc5 segment:\n got %q\nwant %q", now, old)
 	}
 
-	// Replay of the old segment: the redelivered key is dropped, the
-	// invalid byte came back as U+FFFD and the zero time as what its
-	// UnixNano says; everything else is as written.
-	want := batches[:3:3]
+	// Replay of the old segment: every batch comes back, the repeated
+	// key too, since replay re-commits what the spool holds; the invalid
+	// byte as U+FFFD and the zero time as what its UnixNano says;
+	// everything else as written. The first and last batch share their
+	// records, so fixing the first's times fixes both.
+	want := batches[:4:4]
 	want[1].Records[1].Domain = "a\x00b\ufffdc"
 	for i := range want[0].Records {
 		want[0].Records[i].At = time.Unix(0, time.Time{}.UnixNano()).UTC()
 	}
-	replayed, _ := replaySpool(bytes.NewReader(old), map[string]struct{}{})
+	replayed, _ := replayBytes(old)
 	if len(replayed) != len(want) {
 		t.Fatalf("replayed %d batches, want %d", len(replayed), len(want))
 	}
@@ -113,7 +115,7 @@ func TestSpoolCompatibleWithJSONEncodedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 10 || recs[0].Device != "sim-0000007" || recs[9].Device != "phone-é\"1" {
+	if len(recs) != 18 || recs[0].Device != "sim-0000007" || recs[9].Device != "phone-é\"1" || recs[17].Device != "sim-0000007" {
 		t.Errorf("ReadSpool of the old segment: %d records, first %+v", len(recs), recs[:min(1, len(recs))])
 	}
 }

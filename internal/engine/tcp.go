@@ -199,11 +199,12 @@ func (e *Engine) socketConnectBlocking(cl *relay.TCPClient) {
 		return
 	}
 
-	// DeferRegister or not, registration happens here in blocking mode;
-	// the §3.4 cost model is identical either way. The key lands on the
-	// selector of the worker that owns this flow's shard (the shared
-	// selector at Workers=1), pinning readiness delivery to the thread
-	// that relays the flow.
+	// Registration happens here, in the socket-connect thread and in
+	// blocking mode, in every configuration: §3.4's main-thread
+	// register() cost is not modelled. The key lands on the selector of
+	// the worker that owns this flow's shard (the shared selector at
+	// Workers=1), pinning readiness delivery to the thread that relays
+	// the flow.
 	key := e.selectorFor(cl.Shard).Register(ch, sockets.OpRead, cl)
 	cl.SetKey(key)
 	if cl.PendingWrites() || cl.HalfCloseRequested() {
