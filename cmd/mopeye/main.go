@@ -222,7 +222,7 @@ func monitor(cfg config, phone livePhone, stdout, out io.Writer, work func()) er
 	if cfg.follow {
 		// Subscribe registers before returning, so every measurement
 		// recorded from here on is observed — no startup race.
-		stream := phone.Subscribe(context.Background(), mopeye.Filter{})
+		stream := phone.Subscribe(context.Background())
 		printers.Add(1)
 		go func() {
 			defer printers.Done()

@@ -53,7 +53,7 @@ func main() {
 	// phone closes. Subscribe registers before returning, so nothing
 	// the workload below produces is missed; cancel the context to
 	// detach early instead.
-	stream := phone.Subscribe(context.Background(), mopeye.Filter{})
+	stream := phone.Subscribe(context.Background())
 	var tail sync.WaitGroup
 	tail.Add(1)
 	go func() {

@@ -245,7 +245,6 @@ var Fig11Defaults = []string{"Verizon", "Singtel", "Cricket", "U.S. Cellular"}
 type Table5Row struct {
 	Category string
 	Label    string
-	Package  string
 	N        int
 	MedianMS float64
 }
@@ -259,7 +258,6 @@ func Table5(ds *Dataset) []Table5Row {
 		rows = append(rows, Table5Row{
 			Category: s.Category,
 			Label:    s.Label,
-			Package:  s.Package,
 			N:        len(rs),
 			MedianMS: measure.MedianRTT(rs),
 		})

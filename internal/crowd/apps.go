@@ -8,9 +8,7 @@ import (
 
 // appModel is one generated app with its traffic calibration.
 type appModel struct {
-	Package  string
-	Label    string
-	Category string
+	Package string
 	// Weight is the app's share of TCP measurements (its target count
 	// at full scale).
 	Weight float64
@@ -57,11 +55,9 @@ func buildApps(rng *rand.Rand) []*appModel {
 	apps := make([]*appModel, 0, PaperApps)
 	for _, s := range repApps {
 		a := &appModel{
-			Package:  s.Package,
-			Label:    s.Label,
-			Category: s.Category,
-			Weight:   float64(s.PaperN),
-			BaseMS:   s.MedianMS / appBaseDivisor,
+			Package: s.Package,
+			Weight:  float64(s.PaperN),
+			BaseMS:  s.MedianMS / appBaseDivisor,
 		}
 		if s.Package == "com.whatsapp" {
 			a.Domains = whatsappDomainModels()
@@ -89,11 +85,9 @@ func buildApps(rng *rand.Rand) []*appModel {
 			// 9(b) shows above 200 ms.
 			base := 70 * math.Exp(rng.NormFloat64()*0.85)
 			a := &appModel{
-				Package:  fmt.Sprintf("app.tail%04d.android", idx),
-				Label:    fmt.Sprintf("TailApp %d", idx),
-				Category: "Other",
-				Weight:   count,
-				BaseMS:   base,
+				Package: fmt.Sprintf("app.tail%04d.android", idx),
+				Weight:  count,
+				BaseMS:  base,
 			}
 			nd := 1 + rng.Intn(8)
 			for d := 0; d < nd; d++ {

@@ -3,13 +3,16 @@ package crowd
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/measure"
 )
 
-// testDataset is generated once; analyses are read-only.
-var testDS = Generate(Config{Scale: 0.05, Seed: 42})
+// testDS is the dataset the analysis tests share, generated on first
+// use so that a run of other tests never builds it; analyses are
+// read-only.
+var testDS = sync.OnceValue(func() *Dataset { return Generate(Config{Scale: 0.05, Seed: 42}) })
 
 func within(t *testing.T, name string, got, want, relTol float64) {
 	t.Helper()
@@ -26,11 +29,11 @@ func within(t *testing.T, name string, got, want, relTol float64) {
 
 func TestDatasetScaleAndSplit(t *testing.T) {
 	wantTotal := float64(PaperTotalMeasurements) * 0.05
-	within(t, "total records", float64(len(testDS.Records)), wantTotal, 0.01)
-	tcp, dns := len(testDS.TCP()), len(testDS.DNS())
-	within(t, "TCP share", float64(tcp)/float64(len(testDS.Records)),
+	within(t, "total records", float64(len(testDS().Records)), wantTotal, 0.01)
+	tcp, dns := len(testDS().TCP()), len(testDS().DNS())
+	within(t, "TCP share", float64(tcp)/float64(len(testDS().Records)),
 		float64(PaperTCPMeasurements)/float64(PaperTotalMeasurements), 0.02)
-	if tcp+dns != len(testDS.Records) {
+	if tcp+dns != len(testDS().Records) {
 		t.Error("kind split does not partition the dataset")
 	}
 }
@@ -49,9 +52,9 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestDevicePopulation(t *testing.T) {
-	within(t, "devices", float64(len(testDS.Devices)), PaperDevices*0.05, 0.05)
+	within(t, "devices", float64(len(testDS().Devices)), PaperDevices*0.05, 0.05)
 	countries := make(map[string]bool)
-	for _, d := range testDS.Devices {
+	for _, d := range testDS().Devices {
 		countries[d.Country] = true
 		if d.CellISP == "" {
 			t.Fatalf("device %s without cellular ISP", d.ID)
@@ -66,7 +69,7 @@ func TestDevicePopulation(t *testing.T) {
 }
 
 func TestFig6aShape(t *testing.T) {
-	b := Fig6aUsers(testDS)
+	b := Fig6aUsers(testDS())
 	// Paper: 575 / 288 / 70 / 104 at full scale. The generator assigns
 	// devices to those buckets directly; at 5% scale counts shrink
 	// ~20x. Shape: the 100–1K bar dominates, and the >10K bar exceeds
@@ -80,14 +83,14 @@ func TestFig6aShape(t *testing.T) {
 }
 
 func TestFig6bShape(t *testing.T) {
-	b := Fig6bApps(testDS)
+	b := Fig6bApps(testDS())
 	if b.H100to1K <= b.K1to5 || b.K1to5 <= b.K5to10 {
 		t.Errorf("bucket ordering wrong: %+v", b)
 	}
 }
 
 func TestFig7TopCountries(t *testing.T) {
-	top := Fig7TopCountries(testDS, 20)
+	top := Fig7TopCountries(testDS(), 20)
 	if len(top) != 20 {
 		t.Fatalf("got %d countries", len(top))
 	}
@@ -110,9 +113,9 @@ func TestFig7TopCountries(t *testing.T) {
 }
 
 func TestFig8Locations(t *testing.T) {
-	locs := Fig8Locations(testDS)
+	locs := Fig8Locations(testDS())
 	// ~3 locations per device (6,987 over 2,351 devices).
-	perDevice := float64(len(locs)) / float64(len(testDS.Devices))
+	perDevice := float64(len(locs)) / float64(len(testDS().Devices))
 	if perDevice < 1.5 || perDevice > 5 {
 		t.Errorf("locations per device %.1f", perDevice)
 	}
@@ -124,7 +127,7 @@ func TestFig8Locations(t *testing.T) {
 }
 
 func TestFig9Medians(t *testing.T) {
-	f := Fig9(testDS)
+	f := Fig9(testDS())
 	// Paper: overall 65 ms, WiFi 58 ms, cellular 84 ms, LTE 76 ms.
 	within(t, "overall app median", f.All.Median(), 65, 0.25)
 	within(t, "WiFi app median", f.WiFi.Median(), 58, 0.25)
@@ -136,7 +139,7 @@ func TestFig9Medians(t *testing.T) {
 }
 
 func TestFig9aDistributionShape(t *testing.T) {
-	f := Fig9(testDS)
+	f := Fig9(testDS())
 	// Paper: ~40% below 50 ms, ~60% below 100 ms, ~20% above 200 ms,
 	// ~10% above 400 ms.
 	if p := f.All.At(50); p < 0.25 || p > 0.55 {
@@ -154,7 +157,7 @@ func TestFig9aDistributionShape(t *testing.T) {
 }
 
 func TestFig9bPerAppMedians(t *testing.T) {
-	f := Fig9(testDS)
+	f := Fig9(testDS())
 	if f.AppsInB < 100 {
 		t.Fatalf("only %d apps above the scaled 1K cutoff (paper: 424)", f.AppsInB)
 	}
@@ -168,7 +171,7 @@ func TestFig9bPerAppMedians(t *testing.T) {
 }
 
 func TestFig10DNSMedians(t *testing.T) {
-	f := Fig10(testDS)
+	f := Fig10(testDS())
 	// Paper: all 42, WiFi 33, cellular 61; 4G 56, 3G 105, 2G 755.
 	within(t, "DNS all median", f.All.Median(), 42, 0.25)
 	within(t, "DNS WiFi median", f.WiFi.Median(), 33, 0.25)
@@ -182,7 +185,7 @@ func TestFig10DNSMedians(t *testing.T) {
 	}
 	// ~80% of cellular DNS from 4G.
 	var lte, cell int
-	for _, r := range testDS.DNS() {
+	for _, r := range testDS().DNS() {
 		switch r.NetType {
 		case "LTE":
 			lte++
@@ -198,9 +201,9 @@ func TestFig10DNSMedians(t *testing.T) {
 }
 
 func TestFig11FourISPs(t *testing.T) {
-	cdfs := Fig11(testDS, Fig11Defaults)
+	cdfs := Fig11(testDS(), Fig11Defaults)
 	cellDNS := map[string]int{}
-	for _, r := range testDS.DNS() {
+	for _, r := range testDS().DNS() {
 		if r.NetType != "WiFi" {
 			cellDNS[r.ISP]++
 		}
@@ -231,7 +234,7 @@ func TestFig11FourISPs(t *testing.T) {
 }
 
 func TestTable5RepresentativeApps(t *testing.T) {
-	rows := Table5(testDS)
+	rows := Table5(testDS())
 	if len(rows) != 16 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -265,7 +268,7 @@ func TestTable5RepresentativeApps(t *testing.T) {
 }
 
 func TestTable6ISPs(t *testing.T) {
-	rows := Table6(testDS, 15)
+	rows := Table6(testDS(), 15)
 	if len(rows) != 15 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -293,7 +296,7 @@ func TestTable6ISPs(t *testing.T) {
 }
 
 func TestWhatsappCase(t *testing.T) {
-	c := AnalyzeWhatsapp(testDS)
+	c := AnalyzeWhatsapp(testDS())
 	if c.TotalDomains < 250 {
 		t.Fatalf("only %d whatsapp.net domains (paper: 334)", c.TotalDomains)
 	}
@@ -316,7 +319,7 @@ func TestWhatsappCase(t *testing.T) {
 }
 
 func TestJioCase(t *testing.T) {
-	c := AnalyzeJio(testDS)
+	c := AnalyzeJio(testDS())
 	within(t, "Jio app median", c.AppMedian, 281, 0.25)
 	within(t, "Jio DNS median", c.DNSMedian, 59, 0.25)
 	if c.AppMedian < 3*c.DNSMedian {
@@ -341,14 +344,14 @@ func TestJioCase(t *testing.T) {
 }
 
 func TestSummaryMentionsScale(t *testing.T) {
-	s := testDS.Summary()
+	s := testDS().Summary()
 	if s == "" {
 		t.Fatal("empty summary")
 	}
 }
 
 func TestRecordFieldsPopulated(t *testing.T) {
-	for i, r := range testDS.Records[:1000] {
+	for i, r := range testDS().Records[:1000] {
 		if r.Device == "" || r.Country == "" || r.ISP == "" || r.NetType == "" {
 			t.Fatalf("record %d missing dims: %+v", i, r)
 		}
@@ -367,7 +370,7 @@ func TestRecordFieldsPopulated(t *testing.T) {
 func TestDNSBeatsAppTraffic(t *testing.T) {
 	// §4.2.3: DNS RTTs are much better than per-app RTTs (80% of DNS
 	// under 100 ms vs 80% of app RTTs under 200 ms).
-	f9, f10 := Fig9(testDS), Fig10(testDS)
+	f9, f10 := Fig9(testDS()), Fig10(testDS())
 	if f10.All.Median() >= f9.All.Median() {
 		t.Errorf("DNS median %.0f not below app median %.0f", f10.All.Median(), f9.All.Median())
 	}
@@ -394,7 +397,7 @@ func TestAnalysisPipelineOnReloadedJSONL(t *testing.T) {
 			t.Fatalf("record %d differs after reload:\n got %+v\nwant %+v", i, recs[i], small.Records[i])
 		}
 	}
-	reloaded := &Dataset{Records: recs, Devices: small.Devices, Scale: small.Scale, apps: small.apps}
+	reloaded := &Dataset{Records: recs, Devices: small.Devices, Scale: small.Scale}
 	f1, f2 := Fig9(small), Fig9(reloaded)
 	if f1.All.Median() != f2.All.Median() {
 		t.Errorf("median differs after reload: %v vs %v", f1.All.Median(), f2.All.Median())

@@ -26,8 +26,6 @@ type Dataset struct {
 	Records []measure.Record
 	Devices []*Device
 	Scale   float64
-
-	apps []*appModel
 }
 
 // Generate builds a dataset calibrated to the paper's published
@@ -40,7 +38,7 @@ func Generate(cfg Config) *Dataset {
 	devices := generateDevices(rng, cfg.Scale)
 	apps := buildApps(rng)
 
-	ds := &Dataset{Devices: devices, Scale: cfg.Scale, apps: apps}
+	ds := &Dataset{Devices: devices, Scale: cfg.Scale}
 
 	// Cumulative weights for device (by activity) and app (by volume)
 	// sampling.

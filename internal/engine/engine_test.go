@@ -94,6 +94,20 @@ func newTestbedOn(t *testing.T, cfg engine.Config, wrap func(*tun.Device) tun.In
 	return tb
 }
 
+// counter reads an engine counter the way an operator does, from a
+// gather of the metrics registry: counter(t, e, "udp_evicted") is
+// mopeye_engine_udp_evicted_total.
+func counter(t *testing.T, e *engine.Engine, name string) int {
+	t.Helper()
+	r := metrics.NewRegistry()
+	e.RegisterMetrics(r)
+	v, ok := r.Gather().Get("mopeye_engine_" + name + "_total")
+	if !ok {
+		t.Fatalf("no metric mopeye_engine_%s_total", name)
+	}
+	return int(v)
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Helper()
@@ -591,7 +605,7 @@ func TestTunReadErrorIsCounted(t *testing.T) {
 			cfg := engine.Default()
 			cfg.Workers = workers
 			tb := newTestbedOn(t, cfg, func(d *tun.Device) tun.Interface { return eioTun{d} })
-			waitFor(t, 5*time.Second, func() bool { return tb.eng.Stats().TunReadErrors == 1 }, "the read error to be counted")
+			waitFor(t, 5*time.Second, func() bool { return counter(t, tb.eng, "tun_read_errors") == 1 }, "the read error to be counted")
 			stopped := make(chan struct{})
 			go func() {
 				tb.eng.Stop()
@@ -648,7 +662,7 @@ func TestTunWriteErrorIsCounted(t *testing.T) {
 			t.Fatalf("write at %d: %v", off, err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { return tb.eng.Stats().TunWriteErrors > 0 }, "the refused write to be counted")
+	waitFor(t, 5*time.Second, func() bool { return counter(t, tb.eng, "tun_write_errors") > 0 }, "the refused write to be counted")
 	if v, ok := r.Gather().Get("mopeye_engine_tun_write_errors_total"); !ok || v == 0 {
 		t.Errorf("tun_write_errors_total = %v ok=%v, want nonzero", v, ok)
 	}

@@ -11,9 +11,9 @@ import (
 // readFailed handles a tunnel read that returned an error: an empty
 // poll sleeps out the poll interval (§3.1), a closed device ends the
 // reader quietly, and anything else ends it loudly — counted in
-// TunReadErrors, because the lanes close behind the reader and the
-// engine relays nothing from then on. It reports whether the reader
-// should read again.
+// mopeye_engine_tun_read_errors_total, because the lanes close behind
+// the reader and the engine relays nothing from then on. It reports
+// whether the reader should read again.
 func (e *Engine) readFailed(err error, sleep time.Duration) bool {
 	if errors.Is(err, tun.ErrWouldBlock) {
 		e.meter.AddWakeups(1)

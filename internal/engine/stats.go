@@ -21,17 +21,6 @@ type Stats struct {
 	UDPRelayed      int
 	DecodeErrors    int
 
-	// TunReadErrors counts tunnel reads that failed with anything other
-	// than would-block or closed. The reader exits on the first one and
-	// the workers follow, so a nonzero value on a running engine means
-	// it has stopped relaying.
-	TunReadErrors int
-	// TunWriteErrors counts tunnel writes that failed with anything
-	// other than closed — an oversized packet (tun.ErrTooBig), or an
-	// I/O error on a real device. The packet is lost to the app; the
-	// relay carries on.
-	TunWriteErrors int
-
 	// DNSTimeouts counts relayed DNS transactions whose blocking
 	// receive expired (§2.4 leaves retries to the app's resolver; the
 	// failure is still worth surfacing).
@@ -41,28 +30,12 @@ type Stats struct {
 	// session is mid-transaction, or the DNS inflight cap — UDP's
 	// contract under flood.
 	UDPDropped int
-	// UDPEvicted counts NAT sessions evicted, idlest first, to admit a
-	// new flow into a full table (maxUDPSessions). The newcomer's
-	// datagram is relayed; the evicted flow gets a fresh session and
-	// socket on its next datagram.
-	UDPEvicted int
 	// UDPNoResponse counts relayed non-DNS requests whose receive
 	// window (Config.UDPTimeout) closed with nothing back. The request
 	// went out and is gone as far as this transaction is concerned;
 	// nothing is silent — every relayed datagram lands in exactly one
 	// of UDPRelayed or UDPNoResponse.
 	UDPNoResponse int
-	// UDPLateRelayed counts responses forwarded by a later datagram's
-	// stale drain after their own transaction had already been counted
-	// in UDPNoResponse (a NAT forwards late responses for as long as
-	// the mapping lives). Kept separate from UDPRelayed so the
-	// per-datagram accounting identity stays exact:
-	// UDPLateRelayed ≤ UDPNoResponse always.
-	UDPLateRelayed int
-	// UDPBytesUp/UDPBytesDown are relayed non-DNS UDP payload volumes
-	// (app->server / server->app).
-	UDPBytesUp   int64
-	UDPBytesDown int64
 
 	// ReadBatches and BatchedPackets are always zero: the engine reads
 	// the tunnel one packet at a time at every worker count. They
@@ -96,15 +69,26 @@ type counters struct {
 	pureACKs        atomic.Int64
 	udpRelayed      atomic.Int64
 	decodeErrors    atomic.Int64
-	tunReadErrors   atomic.Int64
-	tunWriteErrors  atomic.Int64
 	dnsTimeouts     atomic.Int64
 	udpDropped      atomic.Int64
-	udpEvicted      atomic.Int64
 	udpNoResponse   atomic.Int64
-	udpLate         atomic.Int64
-	udpBytesUp      atomic.Int64
-	udpBytesDown    atomic.Int64
+
+	// These have no Stats field; RegisterMetrics is their one reader.
+	// tunReadErrors counts failed tunnel reads other than would-block
+	// or closed: the reader exits on the first, so nonzero means the
+	// relay has stopped. tunWriteErrors counts refused tunnel writes,
+	// each a packet lost to the app. udpEvicted counts NAT sessions
+	// evicted, idlest first, to admit a newcomer into a full table.
+	// udpLate counts responses a later datagram's stale drain forwarded
+	// after their own transaction was counted in udpNoResponse, so
+	// udpLate <= udpNoResponse always. udpBytesUp and udpBytesDown are
+	// relayed non-DNS UDP payload bytes.
+	tunReadErrors  atomic.Int64
+	tunWriteErrors atomic.Int64
+	udpEvicted     atomic.Int64
+	udpLate        atomic.Int64
+	udpBytesUp     atomic.Int64
+	udpBytesDown   atomic.Int64
 }
 
 // Stats snapshots the engine counters, folding in mapper and queue
@@ -127,15 +111,9 @@ func (e *Engine) Stats() Stats {
 		PureACKs:        int(e.ctr.pureACKs.Load()),
 		UDPRelayed:      int(e.ctr.udpRelayed.Load()),
 		DecodeErrors:    int(e.ctr.decodeErrors.Load()),
-		TunReadErrors:   int(e.ctr.tunReadErrors.Load()),
-		TunWriteErrors:  int(e.ctr.tunWriteErrors.Load()),
 		DNSTimeouts:     int(e.ctr.dnsTimeouts.Load()),
 		UDPDropped:      int(e.ctr.udpDropped.Load()),
-		UDPEvicted:      int(e.ctr.udpEvicted.Load()),
 		UDPNoResponse:   int(e.ctr.udpNoResponse.Load()),
-		UDPLateRelayed:  int(e.ctr.udpLate.Load()),
-		UDPBytesUp:      e.ctr.udpBytesUp.Load(),
-		UDPBytesDown:    e.ctr.udpBytesDown.Load(),
 	}
 	e.histMu.Lock()
 	s.WriteHist = e.writeHist

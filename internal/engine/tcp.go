@@ -107,9 +107,6 @@ func (e *Engine) handleTunnelTCP(pkt *packet.Packet, raw []byte) (kept bool) {
 
 	default:
 		// Pure ACK: discarded, nothing to relay (§2.3).
-		if cl != nil {
-			cl.SM.OnPureACK()
-		}
 		e.ctr.pureACKs.Add(1)
 	}
 	return kept

@@ -27,7 +27,7 @@ import (
 //     has its own socket, as in the paper. Other UDP reuses the session
 //     for every later datagram and expires after udpSessionIdle without
 //     traffic. At maxUDPSessions the idlest session is evicted
-//     (Stats.UDPEvicted) to admit the newcomer;
+//     (mopeye_engine_udp_evicted_total) to admit the newcomer;
 //   - a bounded worker pool (udpPoolSize goroutines) performs
 //     the blocking relay work, fed by a bounded queue. When the queue
 //     is full the datagram is dropped — UDP's contract — and counted.
@@ -347,7 +347,7 @@ func (r *udpRelay) dnsRecv(sock *sockets.UDPSocket) ([]byte, error) {
 // after an earlier datagram's receive window closed — a NAT forwards
 // late responses for as long as the mapping lives. They bypass the DNS
 // measurement (their transaction already timed out and was counted),
-// and they count as UDPLateRelayed rather than UDPRelayed: their
+// and they count as late-relayed (udpLate) rather than UDPRelayed: their
 // originating request was already accounted under UDPNoResponse, so
 // folding them into UDPRelayed would double-book the datagram.
 func (r *udpRelay) drainStale(s *udpSession) {

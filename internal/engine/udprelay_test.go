@@ -76,8 +76,8 @@ func TestUDPTrafficAttribution(t *testing.T) {
 		return false
 	}, "per-app UDP byte attribution")
 	st := tb.eng.Stats()
-	if st.UDPBytesUp < 4 || st.UDPBytesDown < 9 {
-		t.Errorf("UDP byte counters: up %d down %d", st.UDPBytesUp, st.UDPBytesDown)
+	if up, down := counter(t, tb.eng, "udp_bytes_up"), counter(t, tb.eng, "udp_bytes_down"); up < 4 || down < 9 {
+		t.Errorf("UDP byte counters: up %d down %d", up, down)
 	}
 	if st.UDPRelayed < 1 {
 		t.Errorf("UDPRelayed = %d", st.UDPRelayed)
@@ -478,15 +478,15 @@ func TestUDPNoResponseAndLateRelayCounted(t *testing.T) {
 		t.Errorf("late-relayed payload = %q, want the first request's echo", payload)
 	}
 	waitFor(t, 3*time.Second, func() bool {
-		st := tb.eng.Stats()
-		return st.UDPNoResponse >= 2 && st.UDPLateRelayed >= 1
+		return tb.eng.Stats().UDPNoResponse >= 2 && counter(t, tb.eng, "udp_late_relayed") >= 1
 	}, "second window timeout + late relay counted")
+	late := counter(t, tb.eng, "udp_late_relayed")
 	st := tb.eng.Stats()
 	if st.UDPRelayed != 0 {
 		t.Errorf("UDPRelayed = %d; late responses must count as UDPLateRelayed, not UDPRelayed", st.UDPRelayed)
 	}
-	if st.UDPLateRelayed > st.UDPNoResponse {
-		t.Errorf("UDPLateRelayed %d > UDPNoResponse %d violates the accounting identity", st.UDPLateRelayed, st.UDPNoResponse)
+	if late > st.UDPNoResponse {
+		t.Errorf("UDPLateRelayed %d > UDPNoResponse %d violates the accounting identity", late, st.UDPNoResponse)
 	}
 	sent := tb.phone.UDPDatagramsSent()
 	if got := int64(st.DNSMeasurements + st.DNSTimeouts + st.UDPRelayed + st.UDPNoResponse + st.UDPDropped); got != sent {
@@ -511,8 +511,8 @@ func TestDNSLookupsBeyondNATCapNotShed(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, func() bool { return tb.eng.Stats().DNSMeasurements == lookups }, "a DNS measurement per lookup")
 	st := tb.eng.Stats()
-	if st.UDPDropped != 0 || st.DNSTimeouts != 0 || st.UDPEvicted != 0 {
-		t.Errorf("%d sequential lookups: %d shed, %d timed out, %d evicted, want 0, 0 and 0", lookups, st.UDPDropped, st.DNSTimeouts, st.UDPEvicted)
+	if evicted := counter(t, tb.eng, "udp_evicted"); st.UDPDropped != 0 || st.DNSTimeouts != 0 || evicted != 0 {
+		t.Errorf("%d sequential lookups: %d shed, %d timed out, %d evicted, want 0, 0 and 0", lookups, st.UDPDropped, st.DNSTimeouts, evicted)
 	}
 	waitFor(t, 3*time.Second, func() bool { return tb.eng.ActiveUDPSessions() == 0 }, "every answered query's session closed")
 }
@@ -564,23 +564,24 @@ func TestUDPFloodNeverExceedsNATCap(t *testing.T) {
 	}, "every datagram accounted")
 	sample()
 	st := tb.eng.Stats()
+	evicted, late := counter(t, tb.eng, "udp_evicted"), counter(t, tb.eng, "udp_late_relayed")
 	if peak > maxSessions {
 		t.Errorf("NAT table peaked at %d sessions, cap %d", peak, maxSessions)
 	}
 	// One eviction per flow past the cap: a queued datagram never loses
 	// its session and evicts another to replace it.
-	if st.UDPEvicted != flows-maxSessions {
+	if evicted != flows-maxSessions {
 		t.Errorf("%d distinct flows into a %d-session table evicted %d, want %d",
-			flows, maxSessions, st.UDPEvicted, flows-maxSessions)
+			flows, maxSessions, evicted, flows-maxSessions)
 	}
 	if st.UDPDropped != 0 {
 		t.Errorf("%d datagrams dropped, want 0: the queue holds the flood and every newcomer can evict",
 			st.UDPDropped)
 	}
-	if st.UDPRelayed+st.UDPLateRelayed != 0 {
-		t.Errorf("nothing answers, yet %d relayed and %d late-relayed", st.UDPRelayed, st.UDPLateRelayed)
+	if st.UDPRelayed+late != 0 {
+		t.Errorf("nothing answers, yet %d relayed and %d late-relayed", st.UDPRelayed, late)
 	}
-	t.Logf("peak %d sessions, %d evicted, %d no response, %d dropped", peak, st.UDPEvicted, st.UDPNoResponse, st.UDPDropped)
+	t.Logf("peak %d sessions, %d evicted, %d no response, %d dropped", peak, evicted, st.UDPNoResponse, st.UDPDropped)
 }
 
 // Stopping an engine whose UDP queue still holds datagrams leaves no

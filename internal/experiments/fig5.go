@@ -17,8 +17,7 @@ import (
 // optimisation, plus the mitigation statistics the paper reports
 // (155/481 threads parsing, 67.8% avoided).
 type Fig5Result struct {
-	Eager engine.MappingStats
-	Lazy  engine.MappingStats
+	Lazy engine.MappingStats
 	// EagerCDF/LazyCDF are the per-resolution overheads in ms.
 	EagerCDF *stats.CDF
 	LazyCDF  *stats.CDF
@@ -71,7 +70,6 @@ func RunFig5(o Fig5Options) (*Fig5Result, error) {
 		return nil, err
 	}
 	return &Fig5Result{
-		Eager:    eager,
 		Lazy:     lazy,
 		EagerCDF: stats.NewCDF(stats.DurationsToMillis(eager.Overheads)),
 		LazyCDF:  stats.NewCDF(stats.DurationsToMillis(lazy.Overheads)),

@@ -94,7 +94,6 @@ func (o ScenarioMatrixOptions) withDefaults() (ScenarioMatrixOptions, error) {
 type ScenarioCell struct {
 	Profile  string
 	Workload string
-	Phones   int
 	Records  int
 
 	// Planted-phone truth: measured medians against the profile's
@@ -112,13 +111,9 @@ type ScenarioCell struct {
 	// counters. Truthful means equal.
 	DatagramsSent      int64
 	DatagramsAccounted int64
-	DNSTimeouts        int
-	UDPDropped         int
 
-	// PlantedISP is the crowd-metadata stamp of the adverse phone;
-	// RankedSlowest reports whether the §4.2 per-ISP ranking put it
-	// last (only meaningful when Ranked).
-	PlantedISP    string
+	// RankedSlowest reports whether the §4.2 per-ISP ranking put the
+	// adverse phone's ISP last (only meaningful when Ranked).
 	Ranked        bool
 	RankedSlowest bool
 
@@ -302,14 +297,12 @@ func runScenarioCell(ctx context.Context, o ScenarioMatrixOptions, pname, wname 
 	clean := netsim.ProfileWiFi()
 
 	cell := ScenarioCell{
-		Profile:    pname,
-		Workload:   wname,
-		Phones:     o.PhonesPerCell,
-		PlantedISP: spec.isp,
-		TCPLoMS:    durMS(adverse.RTTLo),
-		TCPHiMS:    durMS(adverse.RTTHi),
-		DNSLoMS:    durMS(adverse.DNSLo),
-		DNSHiMS:    durMS(adverse.DNSHi),
+		Profile:  pname,
+		Workload: wname,
+		TCPLoMS:  durMS(adverse.RTTLo),
+		TCPHiMS:  durMS(adverse.RTTHi),
+		DNSLoMS:  durMS(adverse.DNSLo),
+		DNSHiMS:  durMS(adverse.DNSHi),
 	}
 	fail := func(format string, args ...any) {
 		cell.Failures = append(cell.Failures, fmt.Sprintf(format, args...))
@@ -366,8 +359,6 @@ func runScenarioCell(ctx context.Context, o ScenarioMatrixOptions, pname, wname 
 	cell.DNSMedianMS = measure.MedianRTT(planted.dns)
 	cell.DatagramsSent = planted.sent
 	cell.DatagramsAccounted = accounted(st)
-	cell.DNSTimeouts = st.DNSTimeouts
-	cell.UDPDropped = st.UDPDropped
 
 	minTCP := spec.minTCP
 	if minTCP == 0 {

@@ -61,9 +61,6 @@ func TestScenarioMatrixTruthfulness(t *testing.T) {
 	if bh.DNSSamples != 0 {
 		t.Errorf("blackhole cell has %d DNS samples, want 0", bh.DNSSamples)
 	}
-	if bh.DNSTimeouts+bh.UDPDropped == 0 {
-		t.Error("blackhole cell counted no timeouts/drops")
-	}
 	if bh.TCPSamples == 0 {
 		t.Error("blackhole cell has no TCP samples: TCP did not survive the dead resolver")
 	}

@@ -391,10 +391,8 @@ func (s *scheduler) deliverAt(c chunk) {
 // writes with flow control, half-close, and reset.
 type Conn struct {
 	net        *Network
-	peer       *Conn
 	local      netip.AddrPort
 	remote     netip.AddrPort
-	ls         *linkState
 	clientSide bool
 
 	rx *mailbox

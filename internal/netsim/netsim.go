@@ -462,9 +462,8 @@ func (n *Network) Dial(src, dst netip.AddrPort) (*Conn, error) {
 // SetLink after establishment reshapes the delay, jitter and bandwidth
 // every subsequent chunk experiences.
 func (n *Network) newConnPair(src, dst netip.AddrPort, ls *linkState) (client, server *Conn) {
-	client = &Conn{net: n, local: src, remote: dst, ls: ls, clientSide: true}
-	server = &Conn{net: n, local: dst, remote: src, ls: ls}
-	client.peer, server.peer = server, client
+	client = &Conn{net: n, local: src, remote: dst, clientSide: true}
+	server = &Conn{net: n, local: dst, remote: src}
 	client.rx = newMailbox(DefaultRecvBuffer)
 	server.rx = newMailbox(DefaultRecvBuffer)
 	n.mu.Lock()

@@ -374,8 +374,8 @@ func TestInstall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
-	if zone.Len() != 2 {
-		t.Errorf("zone size: %d", zone.Len())
+	if len(zone.records) != 2 {
+		t.Errorf("zone size: %d", len(zone.records))
 	}
 	if _, ok := zone.Lookup("a.example"); !ok {
 		t.Error("a.example missing")

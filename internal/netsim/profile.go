@@ -29,7 +29,6 @@ type TimelineStep struct {
 // (experiments.RunScenarioMatrix, run by `paperbench -exp scenarios`)
 // asserts measured medians land inside them.
 type ConditionProfile struct {
-	Name string
 	// Link shapes every phone <-> app-server path in the scenario.
 	Link LinkParams
 	// DNS optionally shapes the resolver path; nil means the resolver
@@ -71,7 +70,7 @@ const measurementSlack = 75 * time.Millisecond
 func ProfileWiFi() ConditionProfile {
 	link := LinkParams{Delay: 10 * time.Millisecond, Jitter: 2 * time.Millisecond}
 	lo, hi := envelope(link, measurementSlack)
-	return ConditionProfile{Name: "clean-wifi", Link: link, RTTLo: lo, RTTHi: hi}
+	return ConditionProfile{Link: link, RTTLo: lo, RTTHi: hi}
 }
 
 // ProfileLossyCellular is a marginal cellular link: high base RTT, wide
@@ -85,7 +84,7 @@ func ProfileLossyCellular() ConditionProfile {
 		Loss:   0.02,
 	}
 	lo, hi := envelope(link, measurementSlack)
-	return ConditionProfile{Name: "lossy-cellular", Link: link, RTTLo: lo, RTTHi: hi}
+	return ConditionProfile{Link: link, RTTLo: lo, RTTHi: hi}
 }
 
 // ProfileBufferbloat is a deep-buffered bottleneck: moderate base RTT
@@ -102,7 +101,7 @@ func ProfileBufferbloat() ConditionProfile {
 		SharedQueue: true,
 	}
 	lo, hi := envelope(link, measurementSlack)
-	return ConditionProfile{Name: "bufferbloat", Link: link, RTTLo: lo, RTTHi: hi + 2*time.Second}
+	return ConditionProfile{Link: link, RTTLo: lo, RTTHi: hi + 2*time.Second}
 }
 
 // ProfileAsymmetricUplink is an ADSL-shaped path: plenty of downlink,
@@ -117,7 +116,7 @@ func ProfileAsymmetricUplink() ConditionProfile {
 		SharedQueue: true,
 	}
 	lo, hi := envelope(link, measurementSlack)
-	return ConditionProfile{Name: "asym-uplink", Link: link, RTTLo: lo, RTTHi: hi + 2*time.Second}
+	return ConditionProfile{Link: link, RTTLo: lo, RTTHi: hi + 2*time.Second}
 }
 
 // ProfileHandover starts on a fast LTE-like link and degrades mid-run
@@ -131,7 +130,6 @@ func ProfileHandover() ConditionProfile {
 	lo, _ := envelope(before, measurementSlack)
 	_, hi := envelope(after, measurementSlack)
 	return ConditionProfile{
-		Name:     "handover",
 		Link:     before,
 		Timeline: []TimelineStep{{At: 500 * time.Millisecond, Link: after}},
 		RTTLo:    lo,
@@ -149,7 +147,6 @@ func ProfileDNSFlaky() ConditionProfile {
 	lo, hi := envelope(link, measurementSlack)
 	dlo, dhi := envelope(dns, measurementSlack)
 	return ConditionProfile{
-		Name:  "dns-flaky",
 		Link:  link,
 		DNS:   &dns,
 		RTTLo: lo, RTTHi: hi,
@@ -167,7 +164,6 @@ func ProfileDNSBlackhole() ConditionProfile {
 	dns := LinkParams{Delay: 15 * time.Millisecond, Loss: 1.0}
 	lo, hi := envelope(link, measurementSlack)
 	return ConditionProfile{
-		Name:  "dns-blackhole",
 		Link:  link,
 		DNS:   &dns,
 		RTTLo: lo, RTTHi: hi,

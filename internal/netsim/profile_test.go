@@ -53,9 +53,6 @@ func TestSetLinkAffectsEstablishedConn(t *testing.T) {
 	if after < 70*time.Millisecond {
 		t.Errorf("post-handover echo RTT %v on the established conn, want >= 70ms (new link RTT 80ms)", after)
 	}
-	if got := c.ls.params().Delay; got != 40*time.Millisecond {
-		t.Errorf("the connection's link delay = %v after SetLink, want live 40ms", got)
-	}
 }
 
 // A datagram already at the server when the link changes must come back

@@ -167,9 +167,6 @@ func (z *Zone) Lookup(name string) (netip.Addr, bool) {
 	return a, ok
 }
 
-// Len returns the number of records.
-func (z *Zone) Len() int { return len(z.records) }
-
 func normalizeName(name string) string {
 	return strings.ToLower(strings.TrimSuffix(name, "."))
 }

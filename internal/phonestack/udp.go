@@ -14,7 +14,6 @@ import (
 // UDPConn is an app-side UDP socket over the TUN.
 type UDPConn struct {
 	phone *Phone
-	uid   int
 	local netip.AddrPort
 	inode uint64
 	inbox fifoq.Inbox[*packet.Packet]
@@ -26,7 +25,7 @@ func (p *Phone) OpenUDP(uid int) (*UDPConn, error) {
 		return nil, ErrPhoneDown
 	}
 	port := p.allocPort()
-	u := &UDPConn{phone: p, uid: uid, local: netip.AddrPortFrom(p.addr, port)}
+	u := &UDPConn{phone: p, local: netip.AddrPortFrom(p.addr, port)}
 	p.mu.Lock()
 	p.udp[port] = u
 	p.mu.Unlock()
@@ -83,11 +82,9 @@ func (u *UDPConn) Close() {
 	u.phone.table.Remove(u.inode)
 }
 
-// ResolveResult reports one DNS transaction as the app experienced it.
+// ResolveResult is what one DNS lookup returned to the app.
 type ResolveResult struct {
-	Addr    netip.Addr
-	Elapsed time.Duration
-	RCode   uint8
+	Addr netip.Addr
 }
 
 // Resolve performs a DNS A lookup through the TUN: build query, send to
@@ -107,7 +104,6 @@ func (p *Phone) Resolve(uid int, server netip.AddrPort, name string, timeout tim
 	if err != nil {
 		return ResolveResult{}, err
 	}
-	start := p.clk.Nanos()
 	if err := u.SendTo(server, raw); err != nil {
 		return ResolveResult{}, err
 	}
@@ -125,20 +121,15 @@ func (p *Phone) Resolve(uid int, server netip.AddrPort, name string, timeout tim
 		if err != nil || m.ID != id || !m.Response {
 			continue // stray datagram; keep waiting
 		}
-		res := ResolveResult{
-			Elapsed: time.Duration(p.clk.Nanos() - start),
-			RCode:   m.RCode,
-		}
 		if m.RCode != dnsmsg.RCodeOK {
-			return res, ErrNXDomain
+			return ResolveResult{}, ErrNXDomain
 		}
 		for _, ans := range m.Answers {
 			if a, ok := ans.Addr(); ok {
-				res.Addr = a
-				return res, nil
+				return ResolveResult{Addr: a}, nil
 			}
 		}
-		return res, ErrNoAddress
+		return ResolveResult{}, ErrNoAddress
 	}
 }
 

@@ -34,7 +34,7 @@ func fixtureRoot(t *testing.T) string {
 }
 
 func TestProcFSParsesFixtureTables(t *testing.T) {
-	src := ProcFS{Root: fixtureRoot(t)}
+	src := ProcFS{root: fixtureRoot(t)}
 	got, err := AppendParse(nil, src.AppendRender([]byte("stale"), TCP)[len("stale"):], TCP)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("tcp: %d rows, %v", len(got), err)
@@ -60,7 +60,7 @@ func TestProcFSParsesFixtureTables(t *testing.T) {
 // A table the mount lacks renders as the header alone: no rows, no
 // error.
 func TestProcFSMissingFileRendersHeader(t *testing.T) {
-	src := ProcFS{Root: fixtureRoot(t)}
+	src := ProcFS{root: fixtureRoot(t)}
 	text := src.AppendRender([]byte("kept"), UDP)
 	if string(text) != "kept"+tableHeader {
 		t.Fatalf("missing udp rendered %q", text)

@@ -415,13 +415,14 @@ type Source interface {
 // treats a socket it cannot find as unattributable, which is the right
 // degradation when a table is briefly unavailable.
 type ProcFS struct {
-	// Root is the proc mount point; empty means "/proc".
-	Root string
+	// root is the proc mount point; empty means "/proc". The tests
+	// point it at fixture files.
+	root string
 }
 
 // AppendRender reads /proc/net/<proto> straight into dst.
 func (f ProcFS) AppendRender(dst []byte, p Proto) []byte {
-	root := f.Root
+	root := f.root
 	if root == "" {
 		root = "/proc"
 	}

@@ -78,27 +78,22 @@ func (m *Meter) ObserveConns(n int) {
 
 // Usage is the resource report of one run.
 type Usage struct {
-	CPUSeconds float64
 	CPUPercent float64 // over the run duration
-	BatteryPct float64 // drain attributed to the relay over the run
 	MemoryMB   float64
 }
 
 // Report converts the counters into a Usage over a run of the given
-// wall-clock duration. Battery uses a simple linear model: a sustained
-// full core costs ~20% battery per hour on the reference device, so
-// drain = CPU-seconds / 3600 * 20.
+// wall-clock duration. Table 4 extrapolates battery from CPUPercent.
 func (m *Meter) Report(run time.Duration) Usage {
 	wakeups, packets, bytes, inspected := m.Counters()
 	cpu := float64(wakeups)*perWakeup.Seconds() +
 		float64(packets)*perPacket.Seconds() +
 		float64(bytes)/1024*perKByte.Seconds() +
 		float64(inspected)*perInspectedPacket.Seconds()
-	u := Usage{CPUSeconds: cpu}
+	var u Usage
 	if run > 0 {
 		u.CPUPercent = cpu / run.Seconds() * 100
 	}
-	u.BatteryPct = cpu / 3600 * 20
 	u.MemoryMB = m.baseMemMB + float64(m.maxConns.Load())*perConnKB/1024
 	return u
 }

@@ -12,7 +12,8 @@
 //   - The advertised window is 65,535 bytes and never shrinks.
 //   - No congestion or flow control: the TUN link cannot lose or
 //     reorder, so data is forwarded to the app continuously without
-//     waiting for ACKs, and pure ACKs from the app are discarded.
+//     waiting for ACKs, and the engine discards the app's pure ACKs
+//     before they reach a machine.
 //
 // The machine emits packets through a caller-supplied function; the
 // engine points it at the TunWriter queue. The function borrows the
@@ -77,13 +78,11 @@ var (
 	ErrOutOfOrder = errors.New("tcpsm: out-of-order segment on lossless link")
 )
 
-// Stats counts machine activity for the engine's accounting.
+// Stats counts the payload bytes a machine relayed, for the engine's
+// per-app traffic accounting.
 type Stats struct {
-	SegmentsIn      int
-	SegmentsOut     int
-	BytesToApp      int64
-	BytesFromApp    int64
-	PureACKsDropped int
+	BytesToApp   int64
+	BytesFromApp int64
 }
 
 // Machine is one internal connection's state machine.
@@ -121,7 +120,6 @@ func New(syn *packet.Packet, iss uint32, emit func(*packet.Packet)) (*Machine, e
 		rcvNxt: syn.TCP.Seq + 1, // SYN consumes one sequence number
 		emit:   emit,
 	}
-	m.stats.SegmentsIn++
 	return m, nil
 }
 
@@ -153,7 +151,6 @@ var synAckOptions = packet.MSSOption(DefaultMSS)
 func (m *Machine) sendLocked(flags uint8, seq, ack uint32, options, payload []byte) {
 	p := segPool.Get().(*packet.Packet)
 	p.SetTCP(m.server, m.app, flags, seq, ack, m.window, options, payload)
-	m.stats.SegmentsOut++
 	m.emit(p)
 	p.Payload = nil // the pool must not pin the caller's buffer
 	segPool.Put(p)
@@ -205,7 +202,6 @@ func (m *Machine) Refuse() {
 func (m *Machine) OnData(p *packet.Packet) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.SegmentsIn++
 	if m.state != StateEstablished && m.state != StateNetClosed {
 		return nil, ErrBadState
 	}
@@ -241,15 +237,6 @@ func (m *Machine) AckApp() error {
 	return nil
 }
 
-// OnPureACK records (and drops) a dataless ACK from the app. MopEye
-// discards these because nothing needs relaying (§2.3 Pure ACK).
-func (m *Machine) OnPureACK() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats.SegmentsIn++
-	m.stats.PureACKsDropped++
-}
-
 // SendData forwards server bytes to the app, segmenting at the MSS. Per
 // §3.4 there is no window pacing: everything is emitted immediately.
 // Each segment's Payload is a slice of b, lent to emit for the call;
@@ -279,7 +266,6 @@ func (m *Machine) SendData(b []byte) error {
 func (m *Machine) OnFIN(p *packet.Packet) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.SegmentsIn++
 	var data []byte
 	if len(p.Payload) > 0 && p.TCP.Seq == m.rcvNxt {
 		data = p.Payload
@@ -335,7 +321,6 @@ func (m *Machine) SendRST() {
 func (m *Machine) OnRST() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.SegmentsIn++
 	m.state = StateClosed
 }
 

@@ -321,15 +321,6 @@ func TestOnRSTSilent(t *testing.T) {
 	}
 }
 
-func TestPureACKCounted(t *testing.T) {
-	m, _ := established(t)
-	m.OnPureACK()
-	m.OnPureACK()
-	if got := m.Stats().PureACKsDropped; got != 2 {
-		t.Errorf("PureACKsDropped: %d", got)
-	}
-}
-
 func TestDataBeforeHandshakeRejected(t *testing.T) {
 	m, _ := newSM(t)
 	d := packet.TCPPacket(appAP, serverAP, packet.FlagACK, 1001, 0, 65535, nil, []byte("early"))
@@ -438,7 +429,7 @@ func TestQuickRandomEventSequences(t *testing.T) {
 			case 6:
 				m.SendRST()
 			case 7:
-				m.OnPureACK()
+				m.OnRST()
 			}
 		}
 		switch m.State() {

@@ -68,16 +68,13 @@ type Bed struct {
 	Clk     clock.Clock
 	Net     *netsim.Network
 	Dev     *tun.Device
-	Table   *procnet.Table
 	PM      *procnet.PackageManager
 	Phone   *phonestack.Phone
 	Prov    *sockets.Provider
-	Reader  *procnet.Reader
 	Eng     *engine.Engine
 	Store   *measure.Store
 	Meter   *resource.Meter
 	Sniffer *sniffer.Sniffer
-	Zone    *netsim.Zone
 }
 
 // New builds and starts a bed.
@@ -104,7 +101,7 @@ func New(o Options) (*Bed, error) {
 	if o.DNSLink != nil {
 		dnsLink = *o.DNSLink
 	}
-	zone, err := netsim.Install(net, o.Servers, DNSAddr, dnsLink, 0)
+	_, err := netsim.Install(net, o.Servers, DNSAddr, dnsLink, 0)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
@@ -138,9 +135,8 @@ func New(o Options) (*Bed, error) {
 	eng.Start()
 
 	return &Bed{
-		Clk: clk, Net: net, Dev: dev, Table: table, PM: pm, Phone: phone,
-		Prov: prov, Reader: reader, Eng: eng, Store: store, Meter: meter,
-		Sniffer: snf, Zone: zone,
+		Clk: clk, Net: net, Dev: dev, PM: pm, Phone: phone,
+		Prov: prov, Eng: eng, Store: store, Meter: meter, Sniffer: snf,
 	}, nil
 }
 

@@ -25,9 +25,6 @@ func TestNewWiresEverything(t *testing.T) {
 	defer bed.Close()
 	bed.InstallApp(100, "test.app")
 
-	if _, ok := bed.Zone.Lookup("echo.example"); !ok {
-		t.Error("zone missing echo.example")
-	}
 	if bed.Sniffer == nil {
 		t.Error("sniffer not attached")
 	}
@@ -71,7 +68,9 @@ func TestDNSPathThroughBed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bed.Close()
+	start := time.Now()
 	res, err := bed.Phone.Resolve(100, DNSAddr, "named.example", 5*time.Second)
+	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +78,8 @@ func TestDNSPathThroughBed(t *testing.T) {
 		t.Errorf("resolved %v", res.Addr)
 	}
 	rtt := 2 * dnsLink.Delay
-	if res.Elapsed < rtt {
-		t.Errorf("DNS resolve took %v over a %v round trip", res.Elapsed, rtt)
+	if elapsed < rtt {
+		t.Errorf("DNS resolve took %v over a %v round trip", elapsed, rtt)
 	}
 	bed.Close() // every record is stored once the phone is closed
 	recs := bed.Store.Kind(measure.KindDNS)

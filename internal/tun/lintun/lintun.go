@@ -55,9 +55,6 @@ type TUN struct {
 
 	packetsOut atomic.Int64
 	packetsIn  atomic.Int64
-	bytesOut   atomic.Int64
-	bytesIn    atomic.Int64
-	emptyReads atomic.Int64
 }
 
 var _ tun.Interface = (*TUN)(nil)
@@ -165,9 +162,6 @@ func (t *TUN) Read() ([]byte, error) {
 		}
 	} else {
 		n, err = t.readNonblock(buf)
-		if errors.Is(err, tun.ErrWouldBlock) {
-			t.emptyReads.Add(1)
-		}
 	}
 	if err == nil && n <= 0 {
 		err = tun.ErrClosed
@@ -177,7 +171,6 @@ func (t *TUN) Read() ([]byte, error) {
 		return nil, err
 	}
 	t.packetsOut.Add(1)
-	t.bytesOut.Add(int64(n))
 	return buf[:n], nil
 }
 
@@ -234,7 +227,6 @@ func (t *TUN) Write(pkt []byte) error {
 		return t.writeErr(err)
 	}
 	t.packetsIn.Add(1)
-	t.bytesIn.Add(int64(len(pkt)))
 	return nil
 }
 
@@ -262,9 +254,6 @@ func (t *TUN) Stats() tun.Stats {
 	return tun.Stats{
 		PacketsOut: int(t.packetsOut.Load()),
 		PacketsIn:  int(t.packetsIn.Load()),
-		BytesOut:   t.bytesOut.Load(),
-		BytesIn:    t.bytesIn.Load(),
-		EmptyReads: int(t.emptyReads.Load()),
 	}
 }
 

@@ -61,12 +61,9 @@ type fifo struct {
 	closed bool
 	max    int
 
-	packets    int
-	bytes      int64
-	drops      int
-	emptyReads int
-	delaySum   time.Duration
-	delayMax   time.Duration
+	packets  int
+	drops    int
+	delaySum time.Duration
 }
 
 func newFIFO(max int, clk clock.Clock) *fifo {
@@ -80,7 +77,6 @@ func newFIFO(max int, clk clock.Clock) *fifo {
 func (f *fifo) pushLocked(data []byte) {
 	if f.clk == nil {
 		f.packets++
-		f.bytes += int64(len(data))
 	}
 	if f.items.Len() >= f.max {
 		f.drops++
@@ -129,7 +125,6 @@ func (f *fifo) waitLocked(block bool) error {
 			return ErrClosed
 		}
 		if !block {
-			f.emptyReads++
 			return ErrWouldBlock
 		}
 		f.cond.Wait()
@@ -141,12 +136,8 @@ func (f *fifo) waitLocked(block bool) error {
 // as of now.
 func (f *fifo) tookLocked(q queued, now int64) {
 	f.packets++
-	f.bytes += int64(len(q.data))
 	if delay := time.Duration(now - q.enqueued); delay >= 0 {
 		f.delaySum += delay
-		if delay > f.delayMax {
-			f.delayMax = delay
-		}
 	}
 }
 
@@ -197,16 +188,11 @@ func (f *fifo) close() {
 	f.mu.Unlock()
 }
 
-// Stats aggregates device counters. CPU accounting uses EmptyReads: each
-// failed non-blocking read is one futile wakeup of the polling thread.
+// Stats aggregates device counters.
 type Stats struct {
 	PacketsOut   int // app -> engine packets read
 	PacketsIn    int // engine -> app packets written
-	BytesOut     int64
-	BytesIn      int64
-	EmptyReads   int // non-blocking reads that returned ErrWouldBlock
 	Drops        int // packets dropped on queue overflow
-	ReadDelayMax time.Duration
 	ReadDelaySum time.Duration
 }
 
@@ -413,11 +399,10 @@ func (d *Device) Stats() Stats {
 	var s Stats
 	out, in := d.outbound, d.inbound
 	out.mu.Lock()
-	s.PacketsOut, s.BytesOut, s.Drops = out.packets, out.bytes, out.drops
-	s.EmptyReads, s.ReadDelaySum, s.ReadDelayMax = out.emptyReads, out.delaySum, out.delayMax
+	s.PacketsOut, s.Drops, s.ReadDelaySum = out.packets, out.drops, out.delaySum
 	out.mu.Unlock()
 	in.mu.Lock()
-	s.PacketsIn, s.BytesIn = in.packets, in.bytes
+	s.PacketsIn = in.packets
 	s.Drops += in.drops
 	in.mu.Unlock()
 	return s

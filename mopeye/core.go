@@ -75,14 +75,14 @@ func engineConfig(base *engine.Config, workers int) engine.Config {
 // workers as they record.
 func (p *core) Measurements() []Measurement { return p.store.Snapshot() }
 
-// TCPMeasurements returns a snapshot of the per-app TCP RTTs — the
-// pull form of Subscribe(ctx, Filter{Kind: TCPOnly}).
+// TCPMeasurements returns a snapshot of the per-app TCP RTTs: the
+// TCP records of Measurements, in the same order.
 func (p *core) TCPMeasurements() []Measurement {
 	return p.store.Kind(measure.KindTCP)
 }
 
-// DNSMeasurements returns a snapshot of the DNS RTTs — the pull form
-// of Subscribe(ctx, Filter{Kind: DNSOnly}).
+// DNSMeasurements returns a snapshot of the DNS RTTs: the DNS records
+// of Measurements, in the same order.
 func (p *core) DNSMeasurements() []Measurement {
 	return p.store.Kind(measure.KindDNS)
 }

@@ -133,7 +133,7 @@ func TestCoreConcurrentSubscribeAttachClose(t *testing.T) {
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			for range c.Subscribe(context.Background(), Filter{Kind: TCPOnly}) {
+			for range c.Subscribe(context.Background()) {
 			}
 		}()
 		go func() {
@@ -162,7 +162,7 @@ func TestCoreConcurrentSubscribeAttachClose(t *testing.T) {
 	if err := c.Run(context.Background()); err != nil {
 		t.Errorf("Run on a closed core = %v, want nil", err)
 	}
-	for range c.Subscribe(context.Background(), Filter{}) {
+	for range c.Subscribe(context.Background()) {
 		t.Error("Subscribe on a closed core yielded a record")
 	}
 	if got := torn.Load(); got != 1 {

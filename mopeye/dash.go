@@ -34,7 +34,7 @@ import (
 // from outside the package.
 type DashPhone interface {
 	// Subscribe taps the live measurement stream.
-	Subscribe(ctx context.Context, f Filter) iter.Seq[Measurement]
+	Subscribe(ctx context.Context) iter.Seq[Measurement]
 	// EngineStats reads the engine's counters for the header gauges.
 	EngineStats() engine.Stats
 	// StreamDrops reports records lost by subscribers that lagged too far.
@@ -144,7 +144,7 @@ func (d *Dash) Run(ctx context.Context) error {
 	// phone closes, which is also the dashboard's natural end.
 	subCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stream := d.p.Subscribe(subCtx, Filter{})
+	stream := d.p.Subscribe(subCtx)
 	streamDone := make(chan struct{})
 	go func() {
 		defer close(streamDone)

@@ -55,7 +55,7 @@ func TestGoldenStreamMatchesSnapshot(t *testing.T) {
 
 		// Subscribe registers synchronously: the tap observes every
 		// measurement the workload below produces.
-		tap := p.Subscribe(context.Background(), Filter{})
+		tap := p.Subscribe(context.Background())
 		streamed := make(chan []Measurement, 1)
 		go func() {
 			var got []Measurement

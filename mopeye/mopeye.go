@@ -64,8 +64,6 @@ type Server struct {
 	Addr string
 	// RTTMillis is the round-trip time from the phone to this server.
 	RTTMillis float64
-	// JitterMillis adds uniform per-packet jitter.
-	JitterMillis float64
 	// Behaviour selects the canned server behaviour; default Echo.
 	Behaviour ServerBehaviour
 }
@@ -198,8 +196,7 @@ func serverSpec(s Server, idx int) (netsim.ServerSpec, error) {
 		Domain: s.Domain,
 		Addr:   addr,
 		Link: netsim.LinkParams{
-			Delay:  msToDelay(s.RTTMillis) / 2,
-			Jitter: msToDelay(s.JitterMillis),
+			Delay: msToDelay(s.RTTMillis) / 2,
 		},
 		Handler: h,
 	}, nil

@@ -303,7 +303,7 @@ func TestLoopbackFlood(t *testing.T) {
 			var streamed atomic.Int64
 			var subWG sync.WaitGroup
 			for i := 0; i < subscribers; i++ {
-				stream := p.Subscribe(context.Background(), Filter{})
+				stream := p.Subscribe(context.Background())
 				subWG.Add(1)
 				go func() {
 					defer subWG.Done()

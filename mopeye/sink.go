@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/measure"
 )
@@ -73,12 +72,6 @@ type CollectorOptions struct {
 	// BatchSize uploads once this many measurements are pending.
 	// Default 256.
 	BatchSize int
-	// Interval additionally uploads a non-empty pending batch when
-	// this much time has passed since the last upload, checked as
-	// measurements arrive. Zero or negative disables interval uploads
-	// (the default: size-and-flush only, which keeps tests
-	// deterministic).
-	Interval time.Duration
 	// Device stamps uploaded records that carry no device attribution,
 	// identifying this phone in the crowdsourced dataset. Default
 	// "device-live".
@@ -97,25 +90,22 @@ type CollectorOptions struct {
 	// flushed.
 	Transport Transport
 
-	// now is the clock, overridable in tests.
-	now func() time.Time
 	// nonce overrides the random per-collector key component in tests.
 	nonce string
 }
 
 // Collector is the phone-side uploader: a Sink that batches a phone's
-// measurements by size/interval the way MopEye's uploader does, stamps
-// them with the device identity, and ships each batch through its
+// measurements by size the way MopEye's uploader does, stamps them
+// with the device identity, and ships each batch through its
 // Transport — HTTPTransport to a live collector server
 // (cmd/collectord), or an in-process TransportFunc. It holds only the
 // pending batch: once shipped, a record lives in the phone's store and
 // on the server, not here.
 type Collector struct {
-	mu         sync.Mutex
-	o          CollectorOptions
-	pending    []measure.Record
-	uploads    int
-	lastUpload time.Time
+	mu      sync.Mutex
+	o       CollectorOptions
+	pending []measure.Record
+	uploads int
 	// nonce makes this collector's idempotency keys unique even when
 	// two phones share a device stamp, and is the epoch its batches'
 	// seqs count in, so the server keeps one window per collector.
@@ -130,28 +120,24 @@ func NewCollector(o CollectorOptions) *Collector {
 	if o.Device == "" {
 		o.Device = "device-live"
 	}
-	if o.now == nil {
-		o.now = time.Now
-	}
 	nonce := o.nonce
 	if nonce == "" {
 		var raw [8]byte
 		rand.Read(raw[:]) // never fails (crypto/rand panics instead)
 		nonce = hex.EncodeToString(raw[:])
 	}
-	return &Collector{o: o, lastUpload: o.now(), nonce: nonce}
+	return &Collector{o: o, nonce: nonce}
 }
 
-// Accept queues one measurement, uploading when the batch-size or
-// interval policy fires. With no Transport it never returns an error;
-// with one, a synchronous transport error is returned (and detaches
-// an Attach-driven collector, like any failing sink).
+// Accept queues one measurement, uploading once BatchSize are pending.
+// With no Transport it never returns an error; with one, a synchronous
+// transport error is returned (and detaches an Attach-driven
+// collector, like any failing sink).
 func (c *Collector) Accept(m Measurement) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pending = append(c.pending, m)
-	if len(c.pending) >= c.o.BatchSize ||
-		(c.o.Interval > 0 && c.o.now().Sub(c.lastUpload) >= c.o.Interval) {
+	if len(c.pending) >= c.o.BatchSize {
 		return c.upload()
 	}
 	return nil
@@ -178,7 +164,6 @@ func (c *Collector) upload() error {
 		return nil
 	}
 	c.uploads++
-	c.lastUpload = c.o.now()
 	if c.o.Transport == nil {
 		c.pending = c.pending[:0]
 		return nil

@@ -93,27 +93,6 @@ func TestCollectorBatchSizePolicy(t *testing.T) {
 	}
 }
 
-func TestCollectorIntervalPolicy(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewCollector(CollectorOptions{
-		BatchSize: 1000,
-		Interval:  time.Minute,
-		now:       func() time.Time { return now },
-	})
-	c.Accept(sinkRec("a", 1))
-	if c.Uploads() != 0 {
-		t.Fatalf("uploaded before the interval: %d", c.Uploads())
-	}
-	now = now.Add(61 * time.Second)
-	c.Accept(sinkRec("a", 2))
-	if c.Uploads() != 1 {
-		t.Errorf("interval upload missing: %d", c.Uploads())
-	}
-	if c.Pending() != 0 {
-		t.Errorf("pending after interval upload: %d", c.Pending())
-	}
-}
-
 // Uploaded records carry the collector's device stamp, unless they
 // already carry one of their own.
 func TestCollectorDeviceStamp(t *testing.T) {
@@ -140,35 +119,6 @@ func TestCollectorDeviceStamp(t *testing.T) {
 	}
 	if got := recs[3].Device; got != "device-original" {
 		t.Errorf("pre-attributed device overwritten: %q", got)
-	}
-}
-
-// Zero and negative intervals both disable interval uploads entirely:
-// only the size policy and explicit flushes ship batches.
-func TestCollectorZeroAndNegativeInterval(t *testing.T) {
-	for _, interval := range []time.Duration{0, -time.Minute} {
-		now := time.Unix(1000, 0)
-		c := NewCollector(CollectorOptions{
-			BatchSize: 1000,
-			Interval:  interval,
-			now:       func() time.Time { return now },
-		})
-		for i := 0; i < 10; i++ {
-			now = now.Add(time.Hour) // hours pass between measurements
-			if err := c.Accept(sinkRec("a", 1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if c.Uploads() != 0 {
-			t.Errorf("interval %v: %d interval uploads fired", interval, c.Uploads())
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if c.Uploads() != 1 || c.Pending() != 0 {
-			t.Errorf("interval %v: close flush missing (uploads %d pending %d)",
-				interval, c.Uploads(), c.Pending())
-		}
 	}
 }
 

@@ -21,59 +21,6 @@ import (
 // workers. See DESIGN.md "Streaming measurement pipeline" for the
 // bounded-lag contract.
 
-// KindFilter selects which measurement kinds a subscription observes.
-type KindFilter int
-
-// Kind filters.
-const (
-	// AnyKind streams TCP and DNS measurements alike.
-	AnyKind KindFilter = iota
-	// TCPOnly streams per-app TCP connect() RTTs.
-	TCPOnly
-	// DNSOnly streams DNS transaction RTTs.
-	DNSOnly
-)
-
-// Filter narrows a subscription. The zero value matches every
-// measurement; each set field must match. Records a filter rejects
-// are neither delivered nor counted as drops.
-type Filter struct {
-	// Kind restricts to one measurement kind.
-	Kind KindFilter
-	// UID, when positive, restricts to one app UID. (DNS measurements
-	// carry UID 0 — the resolver is system-wide — so filter those with
-	// Kind instead.)
-	UID int
-	// App, when non-empty, restricts to one package name.
-	App string
-}
-
-// predicate compiles the filter; nil means match-all.
-func (f Filter) predicate() func(measure.Record) bool {
-	if f == (Filter{}) {
-		return nil
-	}
-	return func(r measure.Record) bool {
-		switch f.Kind {
-		case TCPOnly:
-			if r.Kind != measure.KindTCP {
-				return false
-			}
-		case DNSOnly:
-			if r.Kind != measure.KindDNS {
-				return false
-			}
-		}
-		if f.UID > 0 && r.UID != f.UID {
-			return false
-		}
-		if f.App != "" && r.App != f.App {
-			return false
-		}
-		return true
-	}
-}
-
 // Subscribe streams measurements as they are recorded. The
 // subscription registers before Subscribe returns: every measurement
 // recorded from this call onward is observed (earlier ones are not
@@ -93,11 +40,11 @@ func (f Filter) predicate() func(measure.Record) bool {
 //
 //	ctx, cancel := context.WithCancel(context.Background())
 //	defer cancel()
-//	for m := range phone.Subscribe(ctx, mopeye.Filter{Kind: mopeye.TCPOnly}) {
-//		fmt.Printf("%s -> %s: %v\n", m.App, m.Dst, m.RTT)
+//	for m := range phone.Subscribe(ctx) {
+//		fmt.Printf("%v %s -> %s: %v\n", m.Kind, m.App, m.Dst, m.RTT)
 //	}
-func (p *core) Subscribe(ctx context.Context, f Filter) iter.Seq[Measurement] {
-	sub := p.store.Subscribe(0, f.predicate())
+func (p *core) Subscribe(ctx context.Context) iter.Seq[Measurement] {
+	sub := p.store.Subscribe(0, nil)
 	if ctx != nil {
 		// Detach on cancellation even if the iterator is never ranged
 		// (or abandoned between Subscribe and range): an un-ranged

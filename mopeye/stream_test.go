@@ -14,10 +14,10 @@ import (
 // streamPhone builds a phone and a started subscription collector:
 // Subscribe registers before the drain goroutine starts, so
 // everything recorded after this returns is observed.
-func streamPhone(t *testing.T, f Filter) (*Phone, func() []Measurement) {
+func streamPhone(t *testing.T) (*Phone, func() []Measurement) {
 	t.Helper()
 	p := newPhone(t)
-	stream := p.Subscribe(context.Background(), f)
+	stream := p.Subscribe(context.Background())
 	var (
 		mu  sync.Mutex
 		got []Measurement
@@ -61,7 +61,7 @@ func runWorkload(t *testing.T, p *Phone, conns int) {
 // exactly what Measurements() snapshots, in the same order — the
 // pull and push views are the same pipeline.
 func TestSubscribeMatchesSnapshot(t *testing.T) {
-	p, drained := streamPhone(t, Filter{})
+	p, drained := streamPhone(t)
 	runWorkload(t, p, 3)
 	snap := p.Measurements()
 	got := drained()
@@ -78,33 +78,11 @@ func TestSubscribeMatchesSnapshot(t *testing.T) {
 	}
 }
 
-func TestSubscribeKindAndAppFilters(t *testing.T) {
-	p, drained := streamPhone(t, Filter{Kind: DNSOnly})
-	runWorkload(t, p, 2)
-	for _, m := range drained() {
-		if m.Kind != measure.KindDNS {
-			t.Errorf("DNSOnly leaked %v", m.Kind)
-		}
-	}
-
-	p2, drained2 := streamPhone(t, Filter{Kind: TCPOnly, App: "com.example.app", UID: 10001})
-	runWorkload(t, p2, 2)
-	got := drained2()
-	if len(got) != 2 {
-		t.Fatalf("filtered stream: %d records, want 2", len(got))
-	}
-	for _, m := range got {
-		if m.App != "com.example.app" || m.UID != 10001 || m.Kind != measure.KindTCP {
-			t.Errorf("filter leaked %+v", m)
-		}
-	}
-}
-
 // Cancelling the context ends the range without closing the phone.
 func TestSubscribeContextCancel(t *testing.T) {
 	p := newPhone(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	stream := p.Subscribe(ctx, Filter{})
+	stream := p.Subscribe(ctx)
 	done := make(chan int)
 	go func() {
 		n := 0
@@ -133,7 +111,7 @@ func TestSubscribeContextCancel(t *testing.T) {
 func TestSubscribeCancelWithoutRangeDetaches(t *testing.T) {
 	p := newPhone(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	stream := p.Subscribe(ctx, Filter{})
+	stream := p.Subscribe(ctx)
 	if n := p.bed.Store.Subscribers(); n != 1 {
 		t.Fatalf("subscribers after Subscribe: %d", n)
 	}
@@ -197,7 +175,7 @@ func TestAttachAfterCloseErrors(t *testing.T) {
 		t.Error("Attach on a closed phone succeeded")
 	}
 	// Subscribe on a closed phone is an empty stream, not a hang.
-	for range p.Subscribe(context.Background(), Filter{}) {
+	for range p.Subscribe(context.Background()) {
 		t.Error("subscription on a closed phone yielded a record")
 	}
 }
@@ -218,7 +196,7 @@ func TestRunClosesOnCancel(t *testing.T) {
 		t.Fatal("Run did not return after cancel")
 	}
 	// The phone is closed: new streams end immediately.
-	for range p.Subscribe(context.Background(), Filter{}) {
+	for range p.Subscribe(context.Background()) {
 		t.Error("closed phone streamed a record")
 	}
 
@@ -246,7 +224,7 @@ func TestConcurrentSubscribeAttachClose(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range p.Subscribe(context.Background(), Filter{}) {
+			for range p.Subscribe(context.Background()) {
 			}
 		}()
 	}
