@@ -3,12 +3,11 @@
 // deployment shape). It authenticates device stamps (and a shared
 // token when configured), deduplicates batches on their (device,
 // epoch, seq) in a bounded window per device, appends accepted batches
-// to a durable spool (one append-only file, DIR/batches.jsonl),
-// maintains streaming per-app/per-network quantile sketches, and
-// serves the assembled dataset back as JSONL.
+// to a durable spool (one append-only file, DIR/batches.jsonl), and
+// maintains streaming per-app/per-network quantile sketches. It keeps
+// no records in memory: the spool is the dataset.
 //
-// Endpoints: POST /v1/upload (batch wire encoding), GET /v1/records
-// (JSONL dump; 404 with -retain-records=false), GET /v1/stats
+// Endpoints: POST /v1/upload (batch wire encoding), GET /v1/stats
 // (sketched aggregates, O(1) in dataset size), GET /healthz, and —
 // with -metrics — GET /metrics (Prometheus text exposition: upload
 // counters, dedup hits and evictions, spool bytes, per-shard record
@@ -16,14 +15,13 @@
 //
 // Usage:
 //
-//	collectord [-addr 127.0.0.1:8477] [-spool DIR] [-token T]
-//	           [-retain-records=BOOL] [-metrics]
+//	collectord [-addr 127.0.0.1:8477] [-spool DIR] [-token T] [-metrics]
 //
 // It is one crowd.Server: ingest is sharded 16 ways by device-stamp
 // hash inside the process, over one spool. Feed it from a phone
 // (`mopeye -upload http://127.0.0.1:8477`) or a fleet, then analyse
-// with `crowdstudy -serve http://127.0.0.1:8477` (live) or
-// `crowdstudy -spool DIR` (offline). A DIR in a layout only removed
+// the records with `crowdstudy -spool DIR`, while the collector runs or
+// after it stopped. A DIR in a layout only removed
 // code wrote — shard-NNN/ subdirectories (`collectord -shards N`),
 // batches-NNNNNN.jsonl segments, or a compacted.keys file — is refused
 // with the fix in the error, never opened empty or partial. So is a
@@ -58,11 +56,10 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	addr          string
-	spool         string
-	token         string
-	retainRecords bool
-	metrics       bool
+	addr    string
+	spool   string
+	token   string
+	metrics bool
 }
 
 // parseFlags parses the command line (without running anything), so
@@ -71,9 +68,8 @@ func parseFlags(args []string) (config, error) {
 	var c config
 	fs := flag.NewFlagSet("collectord", flag.ContinueOnError)
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:8477", "listen address")
-	fs.StringVar(&c.spool, "spool", "", "durable spool directory (empty = memory only)")
+	fs.StringVar(&c.spool, "spool", "", "durable spool directory, the only copy of the records (empty = sketches only)")
 	fs.StringVar(&c.token, "token", "", "shared bearer token required on every request (empty = open)")
-	fs.BoolVar(&c.retainRecords, "retain-records", true, "keep raw records in memory and serve /v1/records (false = sketched aggregates only, bounded memory)")
 	fs.BoolVar(&c.metrics, "metrics", false, "serve GET /metrics (Prometheus text exposition; token-exempt like /healthz)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
@@ -83,14 +79,9 @@ func parseFlags(args []string) (config, error) {
 
 // serverOptions maps the command line onto crowd.ServerOptions.
 func (c config) serverOptions() crowd.ServerOptions {
-	retain := crowd.RetainDefault
-	if !c.retainRecords {
-		retain = crowd.RetainOff
-	}
 	return crowd.ServerOptions{
 		SpoolDir:      c.spool,
 		Token:         c.token,
-		RetainRecords: retain,
 		ExposeMetrics: c.metrics,
 	}
 }
@@ -122,8 +113,7 @@ func serve(ctx context.Context, c config, ln net.Listener, out io.Writer) error 
 	if st := srv.Stats(); st.Batches > 0 {
 		log.Printf("replayed spool: %d batches, %d records", st.Batches, st.Records)
 	}
-	log.Printf("collectord listening on http://%s (spool %q, retain-records %v, metrics %v)",
-		ln.Addr(), c.spool, c.retainRecords, c.metrics)
+	log.Printf("collectord listening on http://%s (spool %q, metrics %v)", ln.Addr(), c.spool, c.metrics)
 
 	hs := &http.Server{
 		Handler:           srv,

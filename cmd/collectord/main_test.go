@@ -22,11 +22,11 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.addr != "127.0.0.1:8477" || !c.retainRecords || c.metrics {
+	if c.addr != "127.0.0.1:8477" || c.metrics {
 		t.Errorf("defaults: %+v", c)
 	}
 	o := c.serverOptions()
-	if o.RetainRecords != crowd.RetainDefault || o.ExposeMetrics {
+	if o.ExposeMetrics {
 		t.Errorf("default options: %+v", o)
 	}
 }
@@ -36,7 +36,6 @@ func TestParseFlagsAll(t *testing.T) {
 		"-addr", "0.0.0.0:9999",
 		"-spool", "/tmp/spool",
 		"-token", "secret",
-		"-retain-records=false",
 		"-metrics",
 	})
 	if err != nil {
@@ -45,11 +44,11 @@ func TestParseFlagsAll(t *testing.T) {
 	if c.addr != "0.0.0.0:9999" || c.spool != "/tmp/spool" || c.token != "secret" {
 		t.Errorf("parsed: %+v", c)
 	}
-	if c.retainRecords || !c.metrics {
-		t.Errorf("parsed scale flags: %+v", c)
+	if !c.metrics {
+		t.Errorf("parsed -metrics: %+v", c)
 	}
 	o := c.serverOptions()
-	if o.RetainRecords != crowd.RetainOff || !o.ExposeMetrics ||
+	if !o.ExposeMetrics ||
 		o.SpoolDir != "/tmp/spool" || o.Token != "secret" {
 		t.Errorf("options: %+v", o)
 	}
@@ -59,6 +58,7 @@ func TestParseFlagsRejects(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shards", "4"},                    // the second sharding layer is gone: an unknown flag
 		{"-spool-segment-bytes", "1048576"}, // the spool is one file: an unknown flag
+		{"-retain-records=false"},           // no records are kept in memory: an unknown flag
 		{"-no-such-flag"},
 	} {
 		if _, err := parseFlags(args); err == nil {

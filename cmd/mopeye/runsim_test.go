@@ -91,10 +91,12 @@ func TestRunSimFollowJSONLUpload(t *testing.T) {
 // would, so everything uploaded is the final partial batch the closing
 // sequence flushed: uploaded records == JSONL lines == store length.
 func TestMonitorRealPlaneFlags(t *testing.T) {
-	srv, err := crowd.NewServer(crowd.ServerOptions{Token: "s3cret"})
+	spool := t.TempDir()
+	srv, err := crowd.NewServer(crowd.ServerOptions{SpoolDir: spool, Token: "s3cret"})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -146,7 +148,11 @@ func TestMonitorRealPlaneFlags(t *testing.T) {
 	if st.Batches != 1 {
 		t.Errorf("collector accepted %d batches, want the one final partial batch", st.Batches)
 	}
-	for _, r := range srv.Records() {
+	uploaded, err := crowd.ReadSpool(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range uploaded {
 		if r.Device != "real-phone" {
 			t.Fatalf("uploaded record stamped %q, want real-phone", r.Device)
 		}

@@ -3,7 +3,7 @@
 // serves), several phones with heterogeneous network profiles, each
 // with its own Collector uploading over one shared HTTP transport —
 // batched, idempotency-keyed, retried — and the §4.2 analysis run
-// against what the server actually received.
+// against what the server actually received, read back from its spool.
 package main
 
 import (
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"net/http/httptest"
+	"os"
 
 	"repro/internal/crowd"
 	"repro/mopeye"
@@ -21,11 +22,18 @@ func main() {
 	conns := flag.Int("conns", 6, "connections per phone")
 	flag.Parse()
 
-	// The collector side: cmd/collectord in miniature.
-	srv, err := crowd.NewServer(crowd.ServerOptions{})
+	// The collector side: cmd/collectord in miniature. The server keeps
+	// only sketches; the records live in its spool.
+	spool, err := os.MkdirTemp("", "fleet-spool-")
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer os.RemoveAll(spool)
+	srv, err := crowd.NewServer(crowd.ServerOptions{SpoolDir: spool})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	transport := mopeye.NewHTTPTransport(ts.URL, mopeye.HTTPTransportOptions{})
@@ -83,7 +91,11 @@ func main() {
 	fmt.Printf("collector server: %d records in %d batches (%d duplicates absorbed)\n\n",
 		ss.Records, ss.Batches, ss.Duplicates)
 	if ss.Records != records {
-		log.Fatalf("server holds %d records, the phones uploaded %d", ss.Records, records)
+		log.Fatalf("server accepted %d records, the phones uploaded %d", ss.Records, records)
 	}
-	fmt.Println(mopeye.NewStudyFrom(srv.Records()).Summary())
+	recs, err := crowd.ReadSpool(spool)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(mopeye.NewStudyFrom(recs).Summary())
 }

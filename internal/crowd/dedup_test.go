@@ -20,12 +20,14 @@ import (
 // Every batch of a run is delivered twice, in an order shuffled within
 // the window: each seq's two copies land anywhere in the next 32
 // positions of the run. Every batch is accepted once, the other copy
-// is a duplicate, and each record counts once.
+// is a duplicate, and each record counts once in the spool.
 func TestDedupShuffledRedeliveryCountsOnce(t *testing.T) {
-	s, err := NewServer(ServerOptions{})
+	dir := t.TempDir()
+	s, err := NewServer(ServerOptions{SpoolDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	const devices, run = 4, 300
 	rng := rand.New(rand.NewSource(1))
 	type delivery struct {
@@ -52,8 +54,12 @@ func TestDedupShuffledRedeliveryCountsOnce(t *testing.T) {
 	if st := s.Stats(); st.Batches != devices*run || st.Duplicates != devices*run || st.Records != devices*run {
 		t.Errorf("stats: %+v, want %d batches, duplicates and records", st, devices*run)
 	}
+	recs, err := ReadSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	counts := map[string]int{}
-	for _, r := range s.Records() {
+	for _, r := range recs {
 		counts[fmt.Sprintf("%s/%v", r.Device, r.RTT)]++
 	}
 	for k, n := range counts {
@@ -69,7 +75,7 @@ func TestDedupShuffledRedeliveryCountsOnce(t *testing.T) {
 // The windows grow with devices, not batches: a million batches from 8
 // devices, every tenth redelivered, leave 8 windows.
 func TestDedupWindowsBoundedByDevices(t *testing.T) {
-	s, err := NewServer(ServerOptions{RetainRecords: RetainOff})
+	s, err := NewServer(ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +114,7 @@ func TestDedupWindowsBoundedByDevices(t *testing.T) {
 // so are device 0's, whose redeliveries after every upload kept it
 // seen; device 1's counts again (the at-least-once case past the cap).
 func TestDedupWindowsEvictAtCap(t *testing.T) {
-	s, err := NewServer(ServerOptions{RetainRecords: RetainOff, ExposeMetrics: true})
+	s, err := NewServer(ServerOptions{ExposeMetrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +154,7 @@ func TestDedupWindowsEvictAtCap(t *testing.T) {
 }
 
 // The windows' heap stays flat once the table evicts: the post-GC heap
-// of a retain-off server after 802,000 distinct devices is within 1.05×
+// of a server after 802,000 distinct devices is within 1.05×
 // of its heap after 4,096, and at most 128 B a window. An eviction
 // leaves nothing behind in the index, a fixed array the table owns.
 func TestDedupWindowHeapAtCap(t *testing.T) {
@@ -160,7 +166,7 @@ func TestDedupWindowHeapAtCap(t *testing.T) {
 		return int64(m.HeapAlloc)
 	}
 	before := heap()
-	s, err := NewServer(ServerOptions{RetainRecords: RetainOff})
+	s, err := NewServer(ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +202,7 @@ func TestDedupWindowHeapAtCap(t *testing.T) {
 // batch's pair, the newest in its shard, is still held. So every
 // redelivery is a duplicate, and the counts are exact.
 func TestDedupConcurrentEvictionCountsExact(t *testing.T) {
-	s, err := NewServer(ServerOptions{RetainRecords: RetainOff})
+	s, err := NewServer(ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +251,7 @@ func metricsText(s *Server) string {
 // while its next batch and a batch of a new epoch are accepted.
 func TestDedupWindowsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewServer(ServerOptions{SpoolDir: dir, RetainRecords: RetainOff})
+	s1, err := NewServer(ServerOptions{SpoolDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +273,7 @@ func TestDedupWindowsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := NewServer(ServerOptions{SpoolDir: dir, RetainRecords: RetainOff})
+	s2, err := NewServer(ServerOptions{SpoolDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,6 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 		r.GaugeFunc("mopeye_collector_dedup_keys",
 			"Dedup windows held, one per recent (device, epoch) pair (at most the cap).",
 			func() float64 { return float64(s.DedupKeys()) })
-		r.GaugeFunc("mopeye_collector_retain_records",
-			"1 when raw records are retained in memory, 0 under RetainOff.",
-			func() float64 {
-				if s.o.retain() {
-					return 1
-				}
-				return 0
-			})
 		r.GaugeFunc("mopeye_collector_spool_bytes",
 			"Spool file bytes on disk (0 when memory-only).",
 			func() float64 {

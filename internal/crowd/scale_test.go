@@ -18,8 +18,10 @@ import (
 	"repro/internal/sketch"
 )
 
-// --- retention modes and sketched aggregates ---
+// --- sketched aggregates ---
 
+// A server given RetainOff, which the benchmark module still sets and
+// which changes nothing, serves every sketched aggregate.
 func TestServerRetainOff(t *testing.T) {
 	s, err := NewServer(ServerOptions{RetainRecords: RetainOff})
 	if err != nil {
@@ -34,22 +36,7 @@ func TestServerRetainOff(t *testing.T) {
 			t.Fatalf("upload %d: %s", i, resp.Status)
 		}
 	}
-	if recs := s.Records(); recs != nil {
-		t.Errorf("retain-off server kept %d records", len(recs))
-	}
-	resp, err := ts.Client().Get(ts.URL + "/v1/records")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("retain-off /v1/records: %s", resp.Status)
-	}
-	// The sketched aggregates are all still there.
 	sum := s.Summary()
-	if sum.RetainRecords {
-		t.Error("summary claims retention")
-	}
 	if sum.Shards != 16 {
 		t.Errorf("summary shards: %d, want 16", sum.Shards)
 	}
@@ -68,12 +55,15 @@ func TestServerRetainOff(t *testing.T) {
 }
 
 // The sketched per-app medians agree with the exact medians computed
-// from the very records the server accepted, within alpha.
+// from the very records the server accepted, read from its spool,
+// within alpha.
 func TestServerSummaryVsExact(t *testing.T) {
-	s, err := NewServer(ServerOptions{})
+	dir := t.TempDir()
+	s, err := NewServer(ServerOptions{SpoolDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	apps := []string{"com.a", "com.b", "com.c"}
@@ -87,7 +77,11 @@ func TestServerSummaryVsExact(t *testing.T) {
 			t.Fatalf("upload %d: %s", i, resp.Status)
 		}
 	}
-	exact := measure.AppMedians(s.Records(), 1)
+	recs, err := ReadSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := measure.AppMedians(recs, 1)
 	sketched := map[string]float64{}
 	for app, qs := range s.Summary().PerApp {
 		sketched[app] = qs.P50MS
@@ -310,7 +304,7 @@ func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
 // Summary and the /metrics document read in between.
 func TestSummaryEqualsSequentialSketch(t *testing.T) {
 	const devices, batches, perBatch = 64, 6, 12
-	s, err := NewServer(ServerOptions{RetainRecords: RetainOff, ExposeMetrics: true})
+	s, err := NewServer(ServerOptions{ExposeMetrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}

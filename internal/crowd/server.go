@@ -31,11 +31,11 @@ import (
 //
 // Ingest state is sharded by device-stamp hash (the flowtable
 // discipline applied to the collector): each internal shard owns its
-// dedup windows and optional raw records behind its own mutex, so the
-// dedup check and spool append of different devices never serialize on
-// one lock. A batch's device decides its shard, and a batch is only
-// ever checked against its own device's windows — consistent because
-// retries of a batch carry the same device stamp.
+// dedup windows behind its own mutex, so the dedup check and spool
+// append of different devices never serialize on one lock. A batch's
+// device decides its shard, and a batch is only ever checked against
+// its own device's windows — consistent because retries of a batch
+// carry the same device stamp.
 // The sketches are not sharded: the server keeps one per app and one
 // per network key behind aggMu, which a commit takes inside its shard
 // lock (lock order: shard, then aggMu) for the length of its observe
@@ -60,35 +60,30 @@ const (
 	sketchAlpha = sketch.DefaultAlpha
 )
 
-// RetainMode selects whether the server keeps raw records in memory.
+// RetainMode is ignored: the server keeps no raw records, only its
+// sketches and dedup windows, and the spool is the dataset (ReadSpool).
+// The type and RetainOff stay because the benchmark module sets
+// ServerOptions.RetainRecords to RetainOff.
 type RetainMode int
 
-const (
-	// RetainDefault keeps raw records (the seed behaviour): /v1/records
-	// and Records() serve the full dataset.
-	RetainDefault RetainMode = iota
-	// RetainOff drops raw records after they feed the sketches: the
-	// sketches stay O(apps + networks) and the dedup windows at most
-	// dedupPairs at any ingest volume, /v1/records answers 404, and
-	// only the sketched aggregates remain queryable. The load harness
-	// and fleet-scale deployments run here.
-	RetainOff
-)
+// RetainOff is the value the benchmark module sets; like every
+// RetainMode, it changes nothing.
+const RetainOff RetainMode = 1
 
 // ServerOptions configures a collector server.
 type ServerOptions struct {
 	// SpoolDir, when non-empty, is the durable spool directory: every
 	// accepted batch is appended there, and an existing spool is
 	// replayed at construction, each batch committed again in file
-	// order and marked into the dedup windows (records and each
-	// device's recent seqs both survive a restart). Empty keeps the
-	// dataset memory-only.
+	// order and marked into the dedup windows (the sketches and each
+	// device's recent seqs both survive a restart). The spool is the
+	// only copy of the records: ReadSpool reads them back. Empty keeps
+	// no records at all, only the sketches.
 	SpoolDir string
 	// Token, when non-empty, is the shared bearer token every request
 	// must present ("Authorization: Bearer <token>").
 	Token string
-	// RetainRecords controls raw-record retention; the default retains
-	// (see RetainMode).
+	// RetainRecords is ignored (see RetainMode).
 	RetainRecords RetainMode
 	// ExposeMetrics registers GET /metrics (Prometheus text exposition)
 	// on the server. The endpoint is exempt from the token gate, like
@@ -96,8 +91,6 @@ type ServerOptions struct {
 	// carries aggregates, not records.
 	ExposeMetrics bool
 }
-
-func (o *ServerOptions) retain() bool { return o.RetainRecords != RetainOff }
 
 // ServerStats counts what the server has seen.
 type ServerStats struct {
@@ -136,16 +129,14 @@ func (c *serverCounters) snapshot() ServerStats {
 }
 
 // ingestShard is one lock domain of the server's ingest state: the
-// dedup windows and (when retained) raw records of the devices hashing
-// here.
+// dedup windows of the devices hashing here.
 type ingestShard struct {
 	mu      sync.Mutex
 	windows windowTable
-	recs    []measure.Record
 
-	// recCount counts records committed to this shard over its lifetime
-	// (independent of retention, unlike len(recs)). Atomic so the
-	// metrics scrape can read per-shard skew without taking shard locks.
+	// recCount counts records committed to this shard over its
+	// lifetime. Atomic so the metrics scrape can read per-shard skew
+	// without taking shard locks.
 	recCount atomic.Int64
 }
 
@@ -211,7 +202,6 @@ func NewServer(o ServerOptions) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/upload", s.handleUpload)
-	mux.HandleFunc("GET /v1/records", s.handleRecords)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -237,16 +227,12 @@ func (s *Server) commit(sh *ingestShard, b measure.Batch) {
 		s.c.evictions.Add(1)
 	}
 	// The sketches do not look at the device stamp, so the records are
-	// observed as decoded; only a retaining server pays for stamped
-	// copies.
+	// observed as decoded.
 	s.aggMu.Lock()
 	for i := range b.Records {
 		s.agg.observe(&b.Records[i])
 	}
 	s.aggMu.Unlock()
-	if s.o.retain() {
-		sh.recs = appendStamped(sh.recs, b)
-	}
 	sh.recCount.Add(int64(len(b.Records)))
 	s.c.batches.Add(1)
 	s.c.records.Add(int64(len(b.Records)))
@@ -398,40 +384,6 @@ func writeUploadReply(w http.ResponseWriter, status string, records int) {
 	_, _ = w.Write(reply) // a failed write means the client went away
 }
 
-func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	if !s.o.retain() {
-		http.Error(w, "record retention disabled (RetainRecords=off); only /v1/stats aggregates exist", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/jsonl")
-	enc := measure.NewJSONLEncoder(w)
-	if err := s.streamRecords(enc); err != nil {
-		// Mid-stream failure; the status line is already gone.
-		return
-	}
-	enc.Flush()
-}
-
-// streamRecords writes every retained record, shard by shard, without
-// ever copying the dataset: each shard's slice is snapshotted under
-// its lock (records already appended are immutable, so the snapshot
-// stays valid while later uploads append beyond it) and encoded
-// outside the lock.
-func (s *Server) streamRecords(enc *measure.JSONLEncoder) error {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		snap := sh.recs[:len(sh.recs):len(sh.recs)]
-		sh.mu.Unlock()
-		for _, r := range snap {
-			if err := enc.Write(r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Summary())
 }
@@ -439,22 +391,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
-}
-
-// Records returns a copy of the accepted dataset, shard by shard (each
-// shard in arrival order), device-stamped. Nil when retention is off.
-func (s *Server) Records() []measure.Record {
-	if !s.o.retain() {
-		return nil
-	}
-	out := make([]measure.Record, 0, s.c.records.Load())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.recs...)
-		sh.mu.Unlock()
-	}
-	return out
 }
 
 // Stats snapshots the server counters.
@@ -481,7 +417,6 @@ func (s *Server) Summary() Summary {
 		DNSRecords:       a.dns,
 		RelativeAccuracy: sketchAlpha,
 		Shards:           len(s.shards),
-		RetainRecords:    s.o.retain(),
 		PerApp:           perApp,
 		PerNet:           perNet,
 	}
@@ -502,7 +437,7 @@ func (s *Server) DedupKeys() int {
 	return total
 }
 
-// Close releases the spool (accepted data stays readable in memory).
+// Close closes the spool; the sketches stay readable.
 func (s *Server) Close() error {
 	if s.spool == nil {
 		return nil

@@ -55,10 +55,12 @@ func postBatch(t *testing.T, ts *httptest.Server, token string, b measure.Batch,
 }
 
 func TestServerAcceptAndDedup(t *testing.T) {
-	s, err := NewServer(ServerOptions{})
+	dir := t.TempDir()
+	s, err := NewServer(ServerOptions{SpoolDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -74,7 +76,10 @@ func TestServerAcceptAndDedup(t *testing.T) {
 	if st.Batches != 1 || st.Duplicates != 1 || st.Records != 2 {
 		t.Errorf("stats: %+v", st)
 	}
-	recs := s.Records()
+	recs, err := ReadSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recs) != 2 {
 		t.Fatalf("records: %d", len(recs))
 	}
@@ -83,7 +88,7 @@ func TestServerAcceptAndDedup(t *testing.T) {
 			t.Errorf("server did not stamp device: %+v", r)
 		}
 	}
-	if deviceByID(Ingest(s.Records()), "p1") == nil {
+	if deviceByID(Ingest(recs), "p1") == nil {
 		t.Error("ingest lost the device")
 	}
 }
@@ -113,14 +118,14 @@ func TestServerAuth(t *testing.T) {
 	if st.AuthFailures != 3 || st.Batches != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-	// The records endpoint is behind the same token.
-	resp, err := ts.Client().Get(ts.URL + "/v1/records")
+	// The stats endpoint is behind the same token.
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnauthorized {
-		t.Errorf("unauthenticated records read: %s", resp.Status)
+		t.Errorf("unauthenticated stats read: %s", resp.Status)
 	}
 	// The health probe is exempt: liveness checkers carry no token.
 	authBefore := s.Stats().AuthFailures
@@ -213,37 +218,6 @@ func TestServerUploadBodyCap(t *testing.T) {
 	}
 	if st := s.Stats(); st.BadRequests != 1 || st.Batches != 1 {
 		t.Errorf("stats after at-cap upload: %+v", st)
-	}
-}
-
-// The records endpoint serves exactly the accepted dataset as JSONL.
-func TestServerRecordsEndpoint(t *testing.T) {
-	s, err := NewServer(ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	postBatch(t, ts, "", srvBatch("p1", "k1", 1, srvRec("", "a", 1)), "p1")
-	postBatch(t, ts, "", srvBatch("p2", "k2", 1, srvRec("", "b", 2)), "p2")
-
-	resp, err := ts.Client().Get(ts.URL + "/v1/records")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	got, err := measure.ReadJSONL(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s.Records()
-	if len(got) != len(want) {
-		t.Fatalf("served %d records, hold %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("record %d diverges: %+v vs %+v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -20,11 +20,11 @@ import (
 // (records replay in arrival order).
 //
 // A crash can tear only the tail: replay stops at the last complete
-// batch, truncates the rest, and the sender's retry (same idempotency
-// key) redelivers what was lost. Bad bytes with a complete batch after
-// them are not a torn tail but a fault in the middle of the file;
-// truncating there would drop acknowledged batches, so the spool
-// refuses to open instead and leaves the file as it is.
+// batch, truncates the rest, and the sender's retry (same device,
+// epoch and seq) redelivers what was lost. Bad bytes with a complete
+// batch after them are not a torn tail but a fault in the middle of
+// the file; truncating there would drop acknowledged batches, so the
+// spool refuses to open instead and leaves the file as it is.
 //
 // Replay decides nothing: the server appends a batch only after its
 // dedup window accepted it, so every batch in the file was accepted
@@ -144,17 +144,21 @@ func openSpool(dir string, each func(measure.Batch)) (*Spool, error) {
 	return &Spool{f: f, fsize: good, sep: good > 0}, nil
 }
 
-// replayFile replays a whole spool file (see replaySpool) and tells a
-// torn tail from a fault in the middle: if a complete batch decodes on
-// a line after the durable prefix, truncating to that prefix would drop
-// acknowledged batches, so it is an error instead.
+// replayFile replays a spool file (see replaySpool) up to the length
+// it has when the call begins, and tells a torn tail from a fault in
+// the middle: if a complete batch decodes on a line after the durable
+// prefix, truncating to that prefix would drop acknowledged batches,
+// so it is an error instead. Bytes a live server appends during the
+// call lie past that length: ReadSpool reads none of them, rather
+// than finding a batch completed after the replay stopped short of it.
 func replayFile(f *os.File, each func(measure.Batch)) (int64, error) {
-	good := replaySpool(f, each)
 	fi, err := f.Stat()
 	if err != nil {
 		return 0, err
 	}
-	if at := batchAfter(f, good, fi.Size()); at >= 0 {
+	size := fi.Size()
+	good := replaySpool(io.NewSectionReader(f, 0, size), each)
+	if at := batchAfter(f, good, size); at >= 0 {
 		return 0, fmt.Errorf("%s: bytes at offset %d do not decode, but a complete batch starts at offset %d after them; "+
 			"refusing to truncate acknowledged batches", f.Name(), good, at)
 	}
@@ -280,11 +284,11 @@ func (s *Spool) Close() error {
 
 // ReadSpool loads the records of every spooled batch from a spool
 // directory without opening it for writing — the `crowdstudy -spool`
-// path for analysing a collectord's dataset offline. Records keep
-// arrival order; a torn tail is skipped, and a directory OpenSpool
-// would refuse is an error here too. Empty-device records are stamped
-// with their batch's device, mirroring what the server did at accept
-// time.
+// path, and the only way to read a collectord's records, running or
+// stopped. Records keep arrival order; a torn tail is skipped, and so
+// are batches a running server appends after the read began; a
+// directory OpenSpool would refuse is an error here too. Records that
+// arrived without a device are stamped with their batch's device.
 func ReadSpool(dir string) ([]measure.Record, error) {
 	if err := checkLayout(dir); err != nil {
 		return nil, fmt.Errorf("crowd: spool read: %w", err)

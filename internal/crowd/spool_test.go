@@ -419,8 +419,8 @@ func TestRestartPastDedupCapEqualsLive(t *testing.T) {
 
 // A restart holds one decoder and the server's bounded state, not the
 // spool: at its last batch, replaying 10,000 batches has added no more
-// heap than replaying 1,000 (within 1.1× plus 256 KiB), and a
-// retain-off server on the larger spool still commits every batch. The
+// heap than replaying 1,000 (within 1.1× plus 256 KiB), and a server
+// on the larger spool still commits every batch. The
 // heap is read after a GC, against its size before the open, so the
 // test binary's own fixtures do not widen the bound.
 func TestSpoolReplayHeapFlat(t *testing.T) {
@@ -480,12 +480,73 @@ func TestSpoolReplayHeapFlat(t *testing.T) {
 		t.Errorf("replaying 10,000 batches added %d B of heap, 1,000 added %d B: the replay keeps what it replayed", hLarge, hSmall)
 	}
 
-	s, err := NewServer(ServerOptions{SpoolDir: large, RetainRecords: RetainOff})
+	s, err := NewServer(ServerOptions{SpoolDir: large})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	if st := s.Stats(); st.Batches != 10_000 || st.Records != 16*10_000 {
-		t.Errorf("retain-off restart on 10,000 batches: %+v", st)
+		t.Errorf("restart on 10,000 batches: %+v", st)
 	}
+}
+
+// ReadSpool on the spool of a server that is appending to it reads a
+// prefix of what the server accepted: a batch that lands while the
+// read is under way is read whole or not at all, and is never taken
+// for a complete batch after a fault in the middle of the file.
+func TestReadSpoolWhileServerAppends(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewServer(ServerOptions{SpoolDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const batches = 4000
+	var ingestErr error
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= batches; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.ingest(srvBatch("p1", fmt.Sprintf("p1/%d", i), i, srvRec("", "com.app", float64(i)))); err != nil {
+				ingestErr = err
+				return
+			}
+		}
+	}()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		close(stop)
+		<-done
+		t.Fatalf(format, args...)
+	}
+	reads, last := 0, 0
+	for finished := false; !finished; reads++ {
+		select {
+		case <-done:
+			finished = true // the ingest has stopped: this read sees all it spooled
+		default:
+		}
+		recs, err := ReadSpool(dir)
+		if err != nil {
+			fail("read %d, while the server appends: %v", reads, err)
+		}
+		for i, r := range recs {
+			if r.RTT != time.Duration(i+1)*time.Millisecond || r.Device != "p1" {
+				fail("read %d: record %d is %+v, want the record of batch %d", reads, i, r, i+1)
+			}
+		}
+		last = len(recs)
+	}
+	if ingestErr != nil {
+		t.Fatal(ingestErr)
+	}
+	if last != batches {
+		t.Fatalf("the read after the last append holds %d batches, want %d", last, batches)
+	}
+	t.Logf("%d reads while %d batches were appended", reads, batches)
 }

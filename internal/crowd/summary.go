@@ -122,9 +122,6 @@ type Summary struct {
 	// Shards is the ingest parallelism behind this summary: the
 	// server's internal lock shards.
 	Shards int `json:"shards"`
-	// RetainRecords reports whether /v1/records can serve the raw
-	// dataset, or only these aggregates exist.
-	RetainRecords bool `json:"retain_records"`
 	// PerApp holds TCP connect-RTT quantiles by app package.
 	PerApp map[string]QuantileSummary `json:"per_app,omitempty"`
 	// PerNet holds RTT quantiles by "<kind>/<nettype>" key.

@@ -131,7 +131,7 @@ func upload(s *Server, raw []byte, device string) *httptest.ResponseRecorder {
 
 // The reply bodies are the bytes json.NewEncoder used to write.
 func TestUploadReplyBytes(t *testing.T) {
-	s, err := NewServer(ServerOptions{RetainRecords: RetainOff})
+	s, err := NewServer(ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +152,12 @@ func TestUploadReplyBytes(t *testing.T) {
 }
 
 // One accepted upload — body read, decode, dedup, spool append, sketch
-// update, reply — with retention off allocates a bounded number of
+// update, reply — allocates a bounded number of
 // objects: the batch's own strings and records, the request plumbing,
 // no per-record copies and no encoder or decoder state. (108 at 322fcc5,
 // measured the same way.)
 func TestUploadAllocsBounded(t *testing.T) {
-	s, err := NewServer(ServerOptions{SpoolDir: t.TempDir(), RetainRecords: RetainOff})
+	s, err := NewServer(ServerOptions{SpoolDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestUploadAllocsBounded(t *testing.T) {
 // one request while another writes it, and exactly-once must hold.
 func TestConcurrentUploadersSharePooledBuffers(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewServer(ServerOptions{SpoolDir: dir, RetainRecords: RetainOff})
+	s, err := NewServer(ServerOptions{SpoolDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestConcurrentUploadersSharePooledBuffers(t *testing.T) {
 // Content-Length claims: the header sizes the buffer only up to a
 // pooled buffer's worth, the bytes that arrive do the rest.
 func TestUploadLargerThanPooledBuffer(t *testing.T) {
-	s, err := NewServer(ServerOptions{SpoolDir: t.TempDir(), RetainRecords: RetainOff})
+	s, err := NewServer(ServerOptions{SpoolDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 
 // JSON Lines is a record's one text format: one record per line,
 // self-describing fields, append-friendly. The live stream
-// (`mopeye -jsonl`), a snapshot export and GET /v1/records are plain
-// record lines, which ReadJSONL loads back; an upload batch, and so
-// the collector's spool, is the same lines after a header (wire.go).
+// (`mopeye -jsonl`) and a snapshot export (`crowdstudy -dump`) are
+// plain record lines, which ReadJSONL loads back; an upload batch, and
+// so the collector's spool, is the same lines after a header (wire.go).
 
 // jsonRecord is the wire form of one Record: the struct tags are the
 // definition of the format. appendRecord writes exactly what

@@ -161,15 +161,18 @@ func jsonlBytes(t *testing.T, recs []Measurement) []byte {
 
 // The acceptance e2e: 8 phones, one Collector each → one shared
 // HTTPTransport → collector server; the §4.2 analysis over what the
-// server received is record-identical to in-process crowd.Ingest over
-// the phones' own device-stamped measurements — under injected 503s, a
-// stall, and commit-then-fail duplicate deliveries. Exactly-once after
-// dedup, and no record lost between a phone's store and its uploads.
+// server's spool holds is record-identical to in-process crowd.Ingest
+// over the phones' own device-stamped measurements — under injected
+// 503s, a stall, and commit-then-fail duplicate deliveries. Exactly-once
+// after dedup, and no record lost between a phone's store and the
+// durable copy.
 func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
-	srv, err := crowd.NewServer(crowd.ServerOptions{Token: "fleet-secret"})
+	spool := t.TempDir()
+	srv, err := crowd.NewServer(crowd.ServerOptions{SpoolDir: spool, Token: "fleet-secret"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	// Fault injection: the first upload waves hit refusals, stalls and
 	// duplicate deliveries before the wire heals.
 	flaky := &flakyHandler{inner: srv, script: []string{
@@ -209,11 +212,14 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 		t.Error("fault injection never exercised dedup")
 	}
 
-	// Exactly-once: the server's dataset is byte-identical to the
+	// Exactly-once: the spooled dataset is byte-identical to the
 	// phones' merged measurements under canonical order.
-	remote := srv.Records()
+	remote, err := crowd.ReadSpool(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(remote) != len(local) {
-		t.Fatalf("server holds %d records, the phones recorded %d", len(remote), len(local))
+		t.Fatalf("spool holds %d records, the phones recorded %d", len(remote), len(local))
 	}
 	if !bytes.Equal(jsonlBytes(t, local), jsonlBytes(t, remote)) {
 		t.Fatal("server dataset diverges from the phones' records")
@@ -231,7 +237,7 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 	}
 
 	// Every device contributed and is visible to the analysis.
-	ds := crowd.Ingest(srv.Records())
+	ds := crowd.Ingest(remote)
 	for i := 1; i <= 8; i++ {
 		id := fmt.Sprintf("phone-%02d", i)
 		if deviceByID(ds, id) == nil {
@@ -244,10 +250,12 @@ func TestFleetE2EHTTPMatchesInProcess(t *testing.T) {
 // either phone's uploads: keys stay unique per collector, and the
 // analysis merges the records into one device.
 func TestFleetDeviceStampCollision(t *testing.T) {
-	srv, err := crowd.NewServer(crowd.ServerOptions{})
+	spool := t.TempDir()
+	srv, err := crowd.NewServer(crowd.ServerOptions{SpoolDir: spool})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	transport := NewHTTPTransport(ts.URL, HTTPTransportOptions{})
@@ -288,7 +296,11 @@ func TestFleetDeviceStampCollision(t *testing.T) {
 	if ss.Records != len(local) {
 		t.Errorf("server %d records, phones %d", ss.Records, len(local))
 	}
-	ds := crowd.Ingest(srv.Records())
+	remote, err := crowd.ReadSpool(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := crowd.Ingest(remote)
 	d := deviceByID(ds, "shared-stamp")
 	if d == nil || d.Activity != len(local) {
 		t.Errorf("shared device not merged: %+v", d)

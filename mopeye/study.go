@@ -25,8 +25,9 @@ func NewStudy(scale float64, seed int64) *Study {
 }
 
 // NewStudyFrom builds a Study over already-collected measurement
-// records — a Collector's uploads, or a JSON Lines export loaded back
-// with measure.ReadJSONL — instead of the statistical generator.
+// records — a phone's Measurements, a collector's spool read back with
+// crowd.ReadSpool, or a JSON Lines export loaded back with
+// measure.ReadJSONL — instead of the statistical generator.
 // Device metadata is reconstructed from the records; the analysis
 // pipeline is identical.
 func NewStudyFrom(records []Measurement) *Study {
