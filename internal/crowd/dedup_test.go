@@ -201,6 +201,11 @@ func TestDedupWindowHeapAtCap(t *testing.T) {
 // other three add at most 192 pairs, fewer than a shard's 256: the
 // batch's pair, the newest in its shard, is still held. So every
 // redelivery is a duplicate, and the counts are exact.
+//
+// The goroutines share the shards' dedup windows, so the test repeats
+// under the race detector.
+//
+//race:repeat 20
 func TestDedupConcurrentEvictionCountsExact(t *testing.T) {
 	s, err := NewServer(ServerOptions{})
 	if err != nil {

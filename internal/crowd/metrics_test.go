@@ -114,6 +114,12 @@ func TestMetricsTokenExemption(t *testing.T) {
 
 // TestMetricsScrapeDuringUploads hammers uploads while scraping — the
 // -race half of the /metrics coverage at the collector layer.
+//
+// The collector keeps one sketch per app and per network key for all
+// 16 ingest shards, behind one mutex taken inside the shard lock, so
+// the test repeats under the race detector.
+//
+//race:repeat 20
 func TestMetricsScrapeDuringUploads(t *testing.T) {
 	s, err := NewServer(ServerOptions{ExposeMetrics: true})
 	if err != nil {

@@ -302,6 +302,12 @@ func TestSpoolRefusesLegacyShardedLayout(t *testing.T) {
 // by one, bit for bit, however its 16 shards interleave the commits: 64
 // devices (hashing across every shard) upload concurrently while
 // Summary and the /metrics document read in between.
+//
+// The collector keeps one sketch per app and per network key for all
+// 16 ingest shards, behind one mutex taken inside the shard lock, so
+// the test repeats under the race detector.
+//
+//race:repeat 20
 func TestSummaryEqualsSequentialSketch(t *testing.T) {
 	const devices, batches, perBatch = 64, 6, 12
 	s, err := NewServer(ServerOptions{ExposeMetrics: true})

@@ -214,8 +214,14 @@ func batchAfter(r io.ReaderAt, off, size int64) int64 {
 // that heal fails, the file is closed and every later Append returns
 // an error, so no batch is acknowledged after torn bytes. Durability
 // is the OS page cache's (no fsync per batch — see DESIGN.md for the
-// crash window contract).
+// crash window contract). A batch without a key is refused before
+// anything is written: replay's decoder refuses it, so once written it
+// would never replay, and a keyed batch after it would make the spool
+// refuse to open as a mid-file fault.
 func (s *Spool) Append(b measure.Batch) error {
+	if b.Key == "" {
+		return fmt.Errorf("crowd: spool append: batch without idempotency key")
+	}
 	buf := getBuf()
 	defer putBuf(buf)
 	buf.WriteByte('\n') // the separator, written only when sep is set

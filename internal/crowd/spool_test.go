@@ -321,6 +321,42 @@ func TestSpoolReopenKeepsOneBatchPerLine(t *testing.T) {
 	}
 }
 
+// Append refuses a batch its own replay would refuse: a key-less batch
+// leaves the file as it was, and the keyed batch after it replays
+// alone, where a written key-less batch would be skipped on replay and
+// make the keyed one a mid-file fault.
+func TestSpoolAppendRefusesKeylessBatch(t *testing.T) {
+	dir := t.TempDir()
+	sp, _, err := OpenSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Append(srvBatch("p1", "", 1, srvRec("p1", "a", 1))); err == nil {
+		t.Fatal("Append took a batch without a key")
+	}
+	if got := sp.Stats().Bytes; got != 0 {
+		t.Fatalf("a refused append left %d bytes in the spool", got)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, spoolFile)); err != nil || fi.Size() != 0 {
+		t.Fatalf("spool file after a refused append: %v, err %v", fi, err)
+	}
+	keyed := srvBatch("p1", "k1", 2, srvRec("p1", "b", 2))
+	if err := sp.Append(keyed); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sp, replay, err := collectSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	if len(replay) != 1 || replay[0].Key != "k1" || len(replay[0].Records) != 1 {
+		t.Fatalf("replayed %+v, want the one keyed batch", replay)
+	}
+}
+
 // FuzzSpoolReplay replays an arbitrary spool file, the collector's
 // restart path. It must not panic,
 // the durable prefix it reports must lie inside the file, replaying
@@ -361,6 +397,12 @@ func FuzzSpoolReplay(f *testing.F) {
 // that device's redelivery is accepted and spooled a second time.
 // Replay re-commits the spool as it was accepted, so a restart changes
 // no count and no sketch: replay equals live past the cap too.
+//
+// It repeats under the race detector with the collector's aggregation
+// tests: a restart past the dedup cap must leave the counts and the
+// sketches as they were live.
+//
+//race:repeat 20
 func TestRestartPastDedupCapEqualsLive(t *testing.T) {
 	const perShard = dedupPairs / ingestShards
 	var devices []string
@@ -494,6 +536,11 @@ func TestSpoolReplayHeapFlat(t *testing.T) {
 // prefix of what the server accepted: a batch that lands while the
 // read is under way is read whole or not at all, and is never taken
 // for a complete batch after a fault in the middle of the file.
+//
+// The read races the server's appends, so the test repeats under the
+// race detector.
+//
+//race:repeat 20
 func TestReadSpoolWhileServerAppends(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewServer(ServerOptions{SpoolDir: dir})

@@ -95,6 +95,12 @@ func TestCacheMappingMisattributes(t *testing.T) {
 // TestPollReadDelaysRelay reproduces the §3.1 problem: a sleep-polled
 // tunnel read adds up to the poll interval to the app's connect
 // latency; MopEye's blocking read does not.
+//
+// The polled arm runs the same worker loop as MopEye's, so the test
+// repeats under the race detector with the relay pipeline's ordering
+// and stress tests.
+//
+//race:repeat 10
 func TestPollReadDelaysRelay(t *testing.T) {
 	cfg := engine.Default()
 	cfg.ReadMode = engine.ReadPoll
@@ -163,6 +169,12 @@ func TestPerSocketProtectPenalisesSYN(t *testing.T) {
 
 // TestHaystackConfigRelaysCorrectly runs the poll-based baseline end to
 // end: slower, but correct.
+//
+// The polled arm runs the same worker loop as MopEye's, so the test
+// repeats under the race detector with the relay pipeline's ordering
+// and stress tests.
+//
+//race:repeat 10
 func TestHaystackConfigRelaysCorrectly(t *testing.T) {
 	tb := newAblationBed(t, haystack.Config(), sockets.CostModel{}, procnet.ZeroParseCost())
 	conn, err := tb.phone.Connect(uidApp, tb.server, 15*time.Second)

@@ -317,6 +317,11 @@ func (d *rstProbeTun) Write(pkt []byte) error {
 // packet on the thread that completes or refuses, so the probe reads
 // the counter exactly when the packet leaves, for the blocking and the
 // event-driven connect alike.
+//
+// The app reads its outcome on its own goroutine, so the test repeats
+// under the race detector.
+//
+//race:repeat 20
 func TestConnectFailureCountedBeforeRST(t *testing.T) {
 	for _, blocking := range []bool{true, false} {
 		cfg := engine.Default()
@@ -541,6 +546,11 @@ func TestStopWithoutTrafficCountsNoDecodeError(t *testing.T) {
 // the worker's decode at Workers=1 and by the reader's flow-key peek
 // above that, never by both — and the flow behind it relays as if it
 // had not been there.
+//
+// The relay pipeline's interleavings differ run to run, so the test
+// repeats under the race detector at every worker count it covers.
+//
+//race:repeat 10
 func TestMalformedTunnelPacketCountedOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -20,6 +20,11 @@ import (
 // the paper-faithful core and the multi-worker pipeline; a ring smaller
 // than the in-flight packet count forces the reader's backpressure path
 // at both.
+//
+// The relay pipeline's interleavings differ run to run, so the test
+// repeats under the race detector at every worker count it covers.
+//
+//race:repeat 10
 func TestPerFlowOrderingAcrossConfigs(t *testing.T) {
 	configs := []struct {
 		name     string

@@ -15,6 +15,12 @@ import (
 // for parkAfter. The writer blocks on the queue between packets instead
 // of polling it, so the process spends well under a quarter of the wall
 // time on CPU; a writer that polls every 100 µs spins a whole core.
+//
+// The TunWriter runs beside the relay's workers, whose interleavings
+// differ run to run, so the test repeats under the race detector with
+// the pipeline's ordering and stress tests.
+//
+//race:repeat 10
 func TestNewPutWriterIdleCPU(t *testing.T) {
 	q := newPacketQueue(clock.NewReal(), true, 1)
 	done := make(chan struct{})

@@ -40,6 +40,12 @@ func TestPacketQueueSteadyStateAllocFree(t *testing.T) {
 // only once the writer has been idle for parkAfter. On the virtual
 // clock the handoff is a sleep that holds put until the clock moves, so
 // a charged put shows as a pending timer.
+//
+// The TunWriter runs beside the relay's workers, whose interleavings
+// differ run to run, so the test repeats under the race detector with
+// the pipeline's ordering and stress tests.
+//
+//race:repeat 10
 func TestPutHandoffRule(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -120,6 +126,12 @@ func (d *costlyWrites) Write(pkt []byte) error {
 // write after take has waited 10 ms. Every write is counted; only the
 // first lands above 1 ms, so a chained start carries neither the
 // previous write's cost nor take's wait.
+//
+// The TunWriter runs beside the relay's workers, whose interleavings
+// differ run to run, so the test repeats under the race detector with
+// the pipeline's ordering and stress tests.
+//
+//race:repeat 10
 func TestTunWriterTimesEachWrite(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	dev := &costlyWrites{Device: tun.New(clk, 8), clk: clk, costs: []time.Duration{2 * time.Millisecond}}

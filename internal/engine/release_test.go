@@ -24,6 +24,11 @@ import (
 // Thirty-two flows echo 1 B, 700 B, one MSS and 64 KiB of their own
 // byte pattern, DNS lookups run beside them, and one flow, driven by
 // hand, sends its last bytes on its FIN.
+//
+// That overwrite happens only under -race, so the test repeats under
+// the race detector.
+//
+//race:repeat 20
 func TestReleasedTunBuffersKeepContent(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -20,6 +20,11 @@ import (
 // drained ready queue (its backing array kept the last keys it held).
 // The barriers are events: the app reads the server's FIN, and Stop
 // joins every engine thread.
+//
+// A finished flow must leave nothing reachable however the engine's
+// threads interleave, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestFinishedFlowIsCollectable(t *testing.T) {
 	tb := newTestbed(t, engine.Default())
 	oneShot := netip.MustParseAddrPort("93.184.216.35:80")

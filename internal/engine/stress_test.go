@@ -18,13 +18,20 @@ import (
 // one worker and at two on a tiny ring — in-flight packets outnumber
 // its slots, so the per-packet reader parks on a full ring (the
 // wake-before-park backpressure path) and Stop can land while it is
-// parked — and at four workers on the default ring.
+// parked — and at four workers on the default ring. The pipeline's
+// interleavings differ run to run, so each of the three repeats under
+// the race detector.
 
+//race:repeat 10
 func TestEngineStressSingleWorker(t *testing.T) {
 	engine.SetRingSize(t, 8)
 	stressEngine(t, 1)
 }
+
+//race:repeat 10
 func TestEngineStressFourWorkers(t *testing.T) { stressEngine(t, 4) }
+
+//race:repeat 10
 func TestEngineStressTinyRing(t *testing.T) {
 	engine.SetRingSize(t, 8)
 	stressEngine(t, 2)

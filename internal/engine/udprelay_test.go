@@ -148,6 +148,11 @@ func TestUDPSessionReuseAndExpiry(t *testing.T) {
 // fills, and every further datagram must take the drop path; releasing
 // the gate drains the queue and every accepted datagram must then be
 // counted as relayed.
+//
+// It repeats under the race detector with the NAT table's other tests:
+// one flow's session is shared by concurrent pool workers.
+//
+//race:repeat 20
 func TestUDPRelaySameFlowDropAccountingExact(t *testing.T) {
 	const (
 		senders   = 4
@@ -230,15 +235,17 @@ func TestUDPRelaySameFlowDropAccountingExact(t *testing.T) {
 		}
 		return st.UDPRelayed+st.UDPDropped == total
 	}, "exact relayed+dropped accounting")
-	// Settle and re-check: a double count would keep drifting.
-	time.Sleep(100 * time.Millisecond)
-	st := eng.Stats()
-	if st.UDPRelayed+st.UDPDropped != total {
-		t.Errorf("accounting drifted after settling: relayed %d + dropped %d != sent %d",
-			st.UDPRelayed, st.UDPDropped, total)
-	}
+	// Stop closes the NAT sessions, so count them first. Stop then
+	// waits for the pool's workers: no job is left to count, and a
+	// double count would show in the re-check.
 	if got := eng.ActiveUDPSessions(); got != 1 {
 		t.Errorf("%d NAT sessions for one flow, want 1", got)
+	}
+	eng.Stop()
+	st := eng.Stats()
+	if st.UDPRelayed+st.UDPDropped != total {
+		t.Errorf("accounting drifted by Stop: relayed %d + dropped %d != sent %d",
+			st.UDPRelayed, st.UDPDropped, total)
 	}
 }
 
@@ -499,6 +506,12 @@ func TestUDPNoResponseAndLateRelayCounted(t *testing.T) {
 // than the table holds is never shed. While sessions outlived their
 // query, lookup maxUDPSessions+1 found the table full of answered
 // queries and was dropped.
+//
+// The UDP NAT table is one map behind one mutex, taken by concurrent
+// pool workers to start and to end each transaction, so the test
+// repeats under the race detector.
+//
+//race:repeat 20
 func TestDNSLookupsBeyondNATCapNotShed(t *testing.T) {
 	tb := newTestbed(t, engine.Default())
 	tb.net.SetLoopback(true)
@@ -521,6 +534,12 @@ func TestDNSLookupsBeyondNATCapNotShed(t *testing.T) {
 // never takes the table past its cap: each newcomer evicts the idlest
 // session instead of being shed, exactly one eviction per flow past the
 // cap is counted, and every datagram still lands in exactly one counter.
+//
+// The UDP NAT table is one map behind one mutex, taken by concurrent
+// pool workers to start and to end each transaction, so the test
+// repeats under the race detector.
+//
+//race:repeat 20
 func TestUDPFloodNeverExceedsNATCap(t *testing.T) {
 	const maxSessions = 256 // the default's scan per eviction is slow under -race
 	engine.SetMaxUDPSessions(t, maxSessions)
@@ -587,6 +606,12 @@ func TestUDPFloodNeverExceedsNATCap(t *testing.T) {
 // Stopping an engine whose UDP queue still holds datagrams leaves no
 // NAT session behind and waits for no receive window: the queued jobs
 // end at once instead of creating sessions after the table was drained.
+//
+// The UDP NAT table is one map behind one mutex, taken by concurrent
+// pool workers to start and to end each transaction, so the test
+// repeats under the race detector.
+//
+//race:repeat 20
 func TestStopWithQueuedUDPJobsLeavesNoSessions(t *testing.T) {
 	engine.SetUDPPoolSize(t, 1)
 	cfg := engine.Default()

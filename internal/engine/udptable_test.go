@@ -61,6 +61,12 @@ func use(t *testing.T, r *udpRelay, flow packet.FlowKey, at int64) *udpSession {
 // touched at the sweep instant, and a session mid-transaction is never
 // swept however stale. The swept sessions go back to the caller with
 // their sockets still open: it closes them after the lock is dropped.
+//
+// It repeats under the race detector with the NAT table's other tests:
+// the table is one map behind one mutex that concurrent pool workers
+// take.
+//
+//race:repeat 20
 func TestUDPTableIdleExpiryBoundaries(t *testing.T) {
 	const now = int64(1_000_000)
 	cases := []struct {
@@ -161,6 +167,12 @@ func TestUDPTableIdleExpiryBoundaries(t *testing.T) {
 // TestUDPTableSweepsEveryHalfIdle pins the sweep's cadence: acquire
 // sweeps once idle/2 has passed since the last sweep, and not before,
 // even with a session already idle past the window.
+//
+// It repeats under the race detector with the NAT table's other tests:
+// the table is one map behind one mutex that concurrent pool workers
+// take.
+//
+//race:repeat 20
 func TestUDPTableSweepsEveryHalfIdle(t *testing.T) {
 	const idle = 100
 	r := newTableRelay()
@@ -187,6 +199,12 @@ func TestUDPTableSweepsEveryHalfIdle(t *testing.T) {
 // using, counted in UDPEvicted, and is admitted; when every session is
 // mid-transaction the datagram is dropped, counted in UDPDropped, and
 // nothing is evicted.
+//
+// It repeats under the race detector with the NAT table's other tests:
+// the table is one map behind one mutex that concurrent pool workers
+// take.
+//
+//race:repeat 20
 func TestUDPTableEvictsIdlestIdleSession(t *testing.T) {
 	setForTest(t, &maxUDPSessions, 3)
 	r := newTableRelay()
@@ -239,6 +257,12 @@ func TestUDPTableEvictsIdlestIdleSession(t *testing.T) {
 // DNS session held by two workers stays in the table, its socket open,
 // until the second release, which removes it and closes its socket. A
 // non-DNS session outlives its last release.
+//
+// It repeats under the race detector with the NAT table's other tests:
+// the table is one map behind one mutex that concurrent pool workers
+// take.
+//
+//race:repeat 20
 func TestUDPTableDNSSessionLeavesAtLastRelease(t *testing.T) {
 	r := newTableRelay()
 	dns := udpFlow(0, 53)
@@ -268,6 +292,12 @@ func TestUDPTableDNSSessionLeavesAtLastRelease(t *testing.T) {
 // TestUDPTableRefusesAfterStop pins stop: it empties the table and
 // closes every socket, a held session's release afterwards leaves the
 // table empty, and acquire refuses without counting a drop.
+//
+// It repeats under the race detector with the NAT table's other tests:
+// the table is one map behind one mutex that concurrent pool workers
+// take.
+//
+//race:repeat 20
 func TestUDPTableRefusesAfterStop(t *testing.T) {
 	r := newTableRelay()
 	held := hold(t, r, udpFlow(0, 53), 1)

@@ -83,6 +83,12 @@ func TestPopEmpty(t *testing.T) {
 // TestInboxWakesEveryReceiver blocks several receivers on a virtual
 // clock that stands still, so only Push and Close can wake them: two
 // pushes must reach two receivers, and Close must release the rest.
+//
+// Both UDP Recvs, the engine's DNS relay and the phone's resolver,
+// block on an Inbox, not on a poll slice, so the test repeats under
+// the race detector: no wakeup may be lost.
+//
+//race:repeat 20
 func TestInboxWakesEveryReceiver(t *testing.T) {
 	const receivers = 4
 	clk := clock.NewVirtual(time.Unix(0, 0))

@@ -150,6 +150,11 @@ func TestSubscriptionContextCancel(t *testing.T) {
 
 // Closing the store's broadcast side ends the stream but does not
 // truncate it: records already ringed are still delivered.
+//
+// A subscription is a cursor into the store's row log, read while
+// writers add, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestCloseSubscribersDrainsRemainder(t *testing.T) {
 	s := NewStore()
 	sub := s.Subscribe(16, nil)
@@ -237,6 +242,11 @@ func TestPublishWithSubscribersAllocFree(t *testing.T) {
 // ever blocking on the subscriber, and the accounting must be exact —
 // every produced record is either delivered (in order, no duplicates)
 // or counted on the drop counters. Nothing vanishes, nothing doubles.
+//
+// A subscription is a cursor into the store's row log, read while
+// writers add, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestSubscriptionSlowConsumerExactAccounting(t *testing.T) {
 	s := NewStore()
 	sub := s.Subscribe(8, nil)
@@ -303,6 +313,11 @@ func TestSubscriptionSlowConsumerExactAccounting(t *testing.T) {
 // Concurrent adders, a draining consumer, and a racing Close: the
 // -race detector is the assertion, plus conservation — every record is
 // delivered or counted as dropped.
+//
+// A subscription is a cursor into the store's row log, read while
+// writers add, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestBroadcastConcurrency(t *testing.T) {
 	s := NewStore()
 	sub := s.Subscribe(32, nil)
@@ -347,6 +362,11 @@ func TestBroadcastConcurrency(t *testing.T) {
 
 // A reader that never reads loses exactly the rows the log moved past
 // it, oldest first, and then reads the newest size rows in order.
+//
+// A subscription is a cursor into the store's row log, read while
+// writers add, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestSubscriptionStalledReaderDropsOldest(t *testing.T) {
 	s := NewStore()
 	sub := s.Subscribe(8, nil)
@@ -374,6 +394,11 @@ func TestSubscriptionStalledReaderDropsOldest(t *testing.T) {
 // The lag bound counts rows of every kind, but only rows the filter
 // keeps count as drops: drops plus deliveries are exactly the kept
 // records added.
+//
+// A subscription is a cursor into the store's row log, read while
+// writers add, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestSubscriptionFilteredLagCountsOnlyKept(t *testing.T) {
 	s := NewStore()
 	sub := s.Subscribe(8, func(r Record) bool { return r.App == "app.1" })
@@ -409,6 +434,11 @@ func TestSubscriptionFilteredLagCountsOnlyKept(t *testing.T) {
 
 // A closed stream delivers every record added before the close and
 // none added after it, whether the consumer or the store closed it.
+//
+// A subscription is a cursor into the store's row log, read while
+// writers add, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestSubscriptionEndsAtClose(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -445,6 +475,11 @@ func TestSubscriptionEndsAtClose(t *testing.T) {
 
 // A subscription holds a cursor, not a copy: its size bounds lag and
 // costs no memory.
+//
+// A subscription is a cursor into the store's row log, read while
+// writers add, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestSubscriptionSizeCostsNoMemory(t *testing.T) {
 	s := NewStore()
 	var before, after runtime.MemStats

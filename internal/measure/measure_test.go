@@ -124,6 +124,11 @@ func TestConcurrentAdd(t *testing.T) {
 // A reader rebuilds and filters outside the store's mutex, so its
 // filter may add to the store: the read still returns, with exactly
 // the records added before it began, and the store keeps the rest.
+//
+// Snapshot and Kind read the row log through the same claim as a
+// subscription, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestReaderFilterMayAdd(t *testing.T) {
 	s := NewStore()
 	n := readChunk*2 + readChunk/2 // three claims
@@ -156,6 +161,11 @@ func TestReaderFilterMayAdd(t *testing.T) {
 // Snapshot and Kind run while two writers add: each result is an
 // in-order prefix of the next, and so of the final Snapshot, or of its
 // TCP records.
+//
+// Snapshot and Kind read the row log through the same claim as a
+// subscription, so the test repeats under the race detector.
+//
+//race:repeat 20
 func TestSnapshotAndKindUnderLiveWriters(t *testing.T) {
 	const perWriter = 3000
 	s := NewStore()

@@ -59,6 +59,12 @@ func TestLoopbackEchoAllocatesNothing(t *testing.T) {
 // behind a 10 s delay, so the prefix is empty: the RST overtakes it.
 // In loopback every byte is already in the receive buffer and stays
 // readable, as before.
+//
+// The receive buffer is one pooled run of bytes, refilled by
+// concurrent writers and scheduler goroutines, so the test repeats
+// under the race detector.
+//
+//race:repeat 20
 func TestMailboxMatchesBuffer(t *testing.T) {
 	for _, loopback := range []bool{true, false} {
 		for seed := int64(1); seed <= 4; seed++ {

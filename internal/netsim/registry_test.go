@@ -13,6 +13,12 @@ import (
 // empty once every pair is closed: a closed mailbox (and the selection
 // key its readability callback reaches) must not outlive its
 // connection.
+//
+// Every connection's goroutines share the registry, so the test
+// repeats under the race detector: a finished flow must leave nothing
+// reachable.
+//
+//race:repeat 20
 func TestRegistryHoldsOnlyLiveConns(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, loopback := range []bool{false, true} {
@@ -60,6 +66,11 @@ func TestRegistryHoldsOnlyLiveConns(t *testing.T) {
 // TestCloseReleasesBlockedReaderAndWriter checks what the registry is
 // for: Network.Close releases a reader blocked in Read on a live
 // connection and a writer blocked on a full receive window.
+//
+// Close races the blocked goroutines, so the test repeats under the
+// race detector.
+//
+//race:repeat 20
 func TestCloseReleasesBlockedReaderAndWriter(t *testing.T) {
 	for _, loopback := range []bool{false, true} {
 		n := newNet(0)

@@ -424,6 +424,12 @@ func TestUDPRecvTimeout(t *testing.T) {
 // On the real clock, with a goroutine delivering each response 1 ms
 // after SendTo, the median lag from delivery to Recv returning must
 // stay under 200 µs.
+//
+// The resolver's Recv blocks on the socket's fifoq.Inbox, not on a
+// poll slice, so the test repeats under the race detector: no wakeup
+// may be lost.
+//
+//race:repeat 20
 func TestUDPRecvWakesOnDelivery(t *testing.T) {
 	dnsServer := netip.MustParseAddrPort("8.8.8.8:53")
 	vclk := clock.NewVirtual(time.Unix(0, 0))

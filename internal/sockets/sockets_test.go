@@ -342,6 +342,11 @@ func TestUDPRecvTimeout(t *testing.T) {
 // several workers blocked in Recv on one session socket (an A and an
 // AAAA query from one port), and its stop relies on Close releasing
 // all of them. On a virtual clock that stands still only Close can.
+//
+// Recv blocks on the socket's fifoq.Inbox, so the test repeats under
+// the race detector: Close must release every blocked receiver.
+//
+//race:repeat 20
 func TestUDPCloseReleasesEveryReceiver(t *testing.T) {
 	const receivers = 2
 	clk := clock.NewVirtual(time.Unix(0, 0))
@@ -377,6 +382,11 @@ func TestUDPCloseReleasesEveryReceiver(t *testing.T) {
 // from delivery to Recv returning must stay under 200 µs. A Recv that
 // polls in 200 µs slices can lag by about 1 ms there, since on an
 // otherwise idle process a sub-ms sleep rounds up to about 1 ms.
+//
+// Recv blocks on the socket's fifoq.Inbox, not on a poll slice, so the
+// test repeats under the race detector: no wakeup may be lost.
+//
+//race:repeat 20
 func TestUDPRecvWakesOnDelivery(t *testing.T) {
 	vclk := clock.NewVirtual(time.Unix(0, 0))
 	vp := NewProvider(nil, vclk, phoneAddr, CostModel{}, 2)

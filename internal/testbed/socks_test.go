@@ -272,6 +272,12 @@ func TestSOCKS5RelayRTTMatchesPath(t *testing.T) {
 // tear the relay state down, and refuse the app's connection (RST
 // through the tunnel), not hang it. Fixing the credentials on the same
 // bed then succeeds, proving the failure was the auth step.
+//
+// The refusal crosses the connect thread, the writer and the app, so
+// the test repeats under the race detector: a refused connect is
+// counted before its RST leaves.
+//
+//race:repeat 20
 func TestSOCKS5AuthRejectTearsDownApp(t *testing.T) {
 	vclk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
 	stopPump := startPump(vclk)

@@ -37,6 +37,13 @@ func measurementTotals(recs []Measurement) string {
 // run the drained Subscribe stream must be record-for-record identical
 // to the Measurements() snapshot — the push pipeline may never drop,
 // duplicate, or reorder what the pull view reports.
+//
+// Records are complete once a phone closes: Stop joins the connect
+// threads, and a closed socket stays in /proc/net until the peer's
+// FIN. The test counts right after Close, so it repeats under the race
+// detector: it must never miss or lose a record.
+//
+//race:repeat 20
 func TestGoldenStreamMatchesSnapshot(t *testing.T) {
 	run := func(workers int) string {
 		t.Helper()

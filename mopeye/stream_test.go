@@ -60,6 +60,13 @@ func runWorkload(t *testing.T, p *Phone, conns int) {
 // Draining a subscription across the phone's lifetime must observe
 // exactly what Measurements() snapshots, in the same order — the
 // pull and push views are the same pipeline.
+//
+// Records are complete once a phone closes: Stop joins the connect
+// threads, and a closed socket stays in /proc/net until the peer's
+// FIN. The test counts right after Close, so it repeats under the race
+// detector: it must never miss or lose a record.
+//
+//race:repeat 20
 func TestSubscribeMatchesSnapshot(t *testing.T) {
 	p, drained := streamPhone(t)
 	runWorkload(t, p, 3)
@@ -132,6 +139,13 @@ func TestSubscribeCancelWithoutRangeDetaches(t *testing.T) {
 // An attached JSONL sink must capture the complete stream, parse
 // back, and match the snapshot record for record; a snapshot export
 // (Measurements fed to a JSONLSink) must write the same bytes.
+//
+// Records are complete once a phone closes: Stop joins the connect
+// threads, and a closed socket stays in /proc/net until the peer's
+// FIN. The test counts right after Close, so it repeats under the race
+// detector: it must never miss or lose a record.
+//
+//race:repeat 20
 func TestAttachSinksCaptureEverything(t *testing.T) {
 	p := newPhone(t)
 	var jsonlBuf bytes.Buffer
