@@ -20,8 +20,8 @@
 // With -upload the phone runs the paper's §4 crowdsourcing loop for
 // real: a Collector batches the measurements and ships them to a
 // collector server (cmd/collectord) over HTTP with retry and
-// idempotency-keyed dedup; the final partial batch is flushed when the
-// run ends, by -duration or ctrl-c alike.
+// idempotency-keyed dedup; the final partial batch is uploaded when
+// the run ends, by -duration or ctrl-c alike.
 //
 // With -dash the terminal becomes a live per-app dashboard — RTT
 // sparklines, DNS/UDP drop counters, engine gauges — refreshing on the
@@ -48,6 +48,7 @@ import (
 
 	"repro/internal/baselines/haystack"
 	"repro/internal/engine"
+	"repro/internal/measure"
 	"repro/internal/upstream"
 	"repro/mopeye"
 )
@@ -171,7 +172,7 @@ func main() {
 // the real-plane RealPhone alike.
 type livePhone interface {
 	mopeye.DashPhone
-	Attach(mopeye.Sink) (*mopeye.Attached, error)
+	Collect(mopeye.CollectorOptions) (*mopeye.Collector, error)
 	Close()
 }
 
@@ -185,22 +186,38 @@ func reportWriter(cfg config, stdout, stderr io.Writer) io.Writer {
 }
 
 // monitor is the one place the live surfaces are wired, whichever data
-// plane the phone runs on: -jsonl and -upload are attached sinks, -dash
-// and -follow ordinary subscribers. It then runs work — the simulated
+// plane the phone runs on: -jsonl, -dash and -follow are subscribers,
+// -upload the phone's Collector. It then runs work — the simulated
 // workload, or the real plane's wait for -duration or ctrl-c — and the
-// one closing sequence: close the phone (which drains the streams and
-// flushes the sinks, the collector's final partial batch included),
-// wait for the printers, drain the transport, report the uploads.
+// one closing sequence: close the phone (which ends the streams and
+// runs the collector's final partial upload), wait for the printers,
+// drain the transport, report the uploads.
 func monitor(cfg config, phone livePhone, stdout, out io.Writer, work func()) error {
-	if cfg.jsonl {
-		if _, err := phone.Attach(mopeye.NewJSONLSink(stdout)); err != nil {
-			return err
-		}
-	}
-
 	// printers are the subscriber goroutines; each ends when the phone
 	// closes, after delivering every measurement already recorded.
+	// Subscribe registers before returning, so every measurement
+	// recorded from here on is observed — no startup race.
 	var printers sync.WaitGroup
+	var jsonlErr error // written by the -jsonl printer, read after printers.Wait
+	if cfg.jsonl {
+		stream := phone.Subscribe(context.Background())
+		enc := measure.NewJSONLEncoder(stdout)
+		printers.Add(1)
+		go func() {
+			defer printers.Done()
+			for m := range stream {
+				// One flush per line, so a consumer tailing the stream
+				// (`mopeye -jsonl | jq`) sees each measurement as it
+				// happens rather than when a buffer fills.
+				if jsonlErr = enc.Write(m); jsonlErr == nil {
+					jsonlErr = enc.Flush()
+				}
+				if jsonlErr != nil {
+					return
+				}
+			}
+		}()
+	}
 	if cfg.dash {
 		d, err := mopeye.NewDash(phone, mopeye.DashOptions{
 			Interval: 500 * time.Millisecond,
@@ -220,8 +237,6 @@ func monitor(cfg config, phone livePhone, stdout, out io.Writer, work func()) er
 		}()
 	}
 	if cfg.follow {
-		// Subscribe registers before returning, so every measurement
-		// recorded from here on is observed — no startup race.
 		stream := phone.Subscribe(context.Background())
 		printers.Add(1)
 		go func() {
@@ -239,12 +254,11 @@ func monitor(cfg config, phone livePhone, stdout, out io.Writer, work func()) er
 	var transport *mopeye.HTTPTransport
 	if cfg.upload != "" {
 		transport = mopeye.NewHTTPTransport(cfg.upload, mopeye.HTTPTransportOptions{Token: cfg.token})
-		collector := mopeye.NewCollector(mopeye.CollectorOptions{
+		if _, err := phone.Collect(mopeye.CollectorOptions{
 			BatchSize: 64,
 			Device:    cfg.device,
 			Transport: transport,
-		})
-		if _, err := phone.Attach(collector); err != nil {
+		}); err != nil {
 			transport.Close()
 			return err
 		}
@@ -254,8 +268,11 @@ func monitor(cfg config, phone livePhone, stdout, out io.Writer, work func()) er
 
 	phone.Close()
 	printers.Wait()
+	if jsonlErr != nil {
+		fmt.Fprintf(out, "jsonl: %v\n", jsonlErr)
+	}
 	if transport != nil {
-		// Close drains the queued batches (the final flush included)
+		// Close drains the queued batches (the final upload included)
 		// before the stats are read.
 		if err := transport.Close(); err != nil {
 			fmt.Fprintf(out, "upload: %v\n", err)

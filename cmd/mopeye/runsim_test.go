@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/crowd"
+	"repro/internal/measure"
 	"repro/mopeye"
 )
 
@@ -163,6 +164,59 @@ func TestMonitorRealPlaneFlags(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "uploaded 1 batches") {
 		t.Errorf("stderr missing the upload report:\n%s", stderr.String())
+	}
+}
+
+// TestMonitorJSONLMatchesSnapshot pins the -jsonl stream of a run to
+// measure.WriteJSONL of the phone's snapshot, byte for byte: the
+// printer misses no record, reorders none, and writes the one JSON
+// Lines encoding.
+//
+// Records are complete once a phone closes: Stop joins the connect
+// threads, and a closed socket stays in /proc/net until the peer's
+// FIN. The test counts right after Close, so it repeats under the race
+// detector: it must never miss or lose a record.
+//
+//race:repeat 20
+func TestMonitorJSONLMatchesSnapshot(t *testing.T) {
+	cfg, err := parseFlags([]string{"-jsonl"})
+	if err != nil {
+		t.Fatalf("parseFlags: %v", err)
+	}
+	phone, err := mopeye.New(mopeye.Options{
+		Servers: []mopeye.Server{{Domain: "api.example.com", RTTMillis: 5}},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer phone.Close()
+	phone.InstallApp(10001, "com.example.app")
+
+	const conns = 3
+	var stdout, stderr syncWriter
+	err = monitor(cfg, phone, &stdout, reportWriter(cfg, &stdout, &stderr), func() {
+		for i := 0; i < conns; i++ {
+			conn, err := phone.Connect(10001, "api.example.com:443")
+			if err != nil {
+				t.Errorf("Connect: %v", err)
+				return
+			}
+			conn.Close()
+		}
+	})
+	if err != nil {
+		t.Fatalf("monitor: %v", err)
+	}
+	snap := phone.Measurements()
+	if len(snap) != 2*conns {
+		t.Fatalf("%d records after Close, want %d", len(snap), 2*conns)
+	}
+	var want bytes.Buffer
+	if err := measure.WriteJSONL(&want, snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := stdout.String(); got != want.String() {
+		t.Errorf("-jsonl stream differs from the snapshot's export:\n%s\nvs\n%s", got, want.String())
 	}
 }
 

@@ -55,12 +55,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		col := mopeye.NewCollector(mopeye.CollectorOptions{
+		col, err := phone.Collect(mopeye.CollectorOptions{
 			Device:    fmt.Sprintf("example-phone-%d", i+1),
 			Transport: transport,
 			BatchSize: 8,
 		})
-		attached, err := phone.Attach(col)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -73,9 +72,9 @@ func main() {
 			conn.Write([]byte("hello"))
 			conn.Close()
 		}
-		// Close flushes the collector's final batch.
+		// Close uploads the collector's final batch.
 		phone.Close()
-		if err := attached.Err(); err != nil {
+		if err := col.Err(); err != nil {
 			log.Fatal(err)
 		}
 		records += len(phone.Measurements())

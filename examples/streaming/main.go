@@ -1,11 +1,11 @@
 // Command streaming demonstrates the push half of the MopEye API: a
 // live Subscribe stream printing measurements as the engine records
-// them, and a crowdsourcing Collector attached as an engine-lifetime
-// sink — batching uploads the way the deployed app does, here into an
-// in-process TransportFunc standing in for the collector server, whose
-// dataset feeds straight into the §4.2 analysis pipeline. Measure
-// once, analyze with the same code that processes the paper's
-// 5.25M-record study.
+// them, and a crowdsourcing Collector reading its own subscription for
+// the engine's lifetime — batching uploads the way the deployed app
+// does, here into an in-process TransportFunc standing in for the
+// collector server, whose dataset feeds straight into the §4.2
+// analysis pipeline. Measure once, analyze with the same code that
+// processes the paper's 5.25M-record study.
 package main
 
 import (
@@ -34,10 +34,10 @@ func main() {
 	// The Collector batches the phone's measurements (here every 5
 	// records), stamps them with the device, and ships each batch
 	// through its Transport; this one stands in for the collector
-	// server by keeping what arrives. Attach ties the collector to the
-	// engine's lifetime — Close performs the final upload.
-	var uploaded []mopeye.Measurement // appended on the sink drain, read after Close
-	collector := mopeye.NewCollector(mopeye.CollectorOptions{
+	// server by keeping what arrives. The collector lives as long as
+	// the engine — Close performs the final upload.
+	var uploaded []mopeye.Measurement // appended on the collector's goroutine, read after Close
+	collector, err := phone.Collect(mopeye.CollectorOptions{
 		BatchSize: 5,
 		Device:    "device-demo",
 		Transport: mopeye.TransportFunc(func(_ context.Context, b mopeye.Batch) error {
@@ -45,7 +45,7 @@ func main() {
 			return nil
 		}),
 	})
-	if _, err := phone.Attach(collector); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -81,7 +81,7 @@ func main() {
 		conn.Close()
 	}
 
-	// Close flushes the collector's final batch and ends the stream
+	// Close uploads the collector's final batch and ends the stream
 	// after its last measurement — no sleep-and-hope draining.
 	phone.Close()
 	tail.Wait()

@@ -25,9 +25,13 @@ const anonDeviceID = "device-anon"
 // records it contributed. Scale is set proportionally to the paper's
 // dataset so the analysis thresholds (Figure 6 buckets, Table 5
 // cutoffs) scale the same way they do for generated datasets.
+//
+// The dataset keeps recs as its Records, not a copy: no analysis
+// writes to them, and a copy would hold the dataset in memory twice.
+// The caller must not modify recs afterwards.
 func Ingest(recs []measure.Record) *Dataset {
 	ds := &Dataset{
-		Records: append([]measure.Record(nil), recs...),
+		Records: recs,
 		Scale:   float64(len(recs)) / float64(PaperTotalMeasurements),
 	}
 

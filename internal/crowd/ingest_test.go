@@ -127,3 +127,16 @@ func deviceByID(ds *Dataset, id string) *Device {
 	}
 	return nil
 }
+
+// Ingest keeps the slice it is given as the dataset's records: a copy
+// would hold the dataset in memory twice.
+func TestIngestAliasesRecords(t *testing.T) {
+	recs := []measure.Record{
+		ingestRec(measure.KindTCP, "a", "p1", "LTE", "ispA", "X", 10),
+		ingestRec(measure.KindDNS, "", "p2", "WiFi", "w", "Y", 20),
+	}
+	ds := Ingest(recs)
+	if len(ds.Records) != len(recs) || &ds.Records[0] != &recs[0] {
+		t.Fatal("Ingest copied the records it was given")
+	}
+}

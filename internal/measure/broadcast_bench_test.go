@@ -9,8 +9,8 @@ import (
 
 // BenchmarkAddWithDrainingSubscribers prices Add on the path a watched
 // phone runs: two producers call Add while subs readers drain the
-// stream through Next at the same time, as the metrics feed, Attach
-// sinks, the dash and -follow do. Every other record is a DNS record;
+// stream through Next at the same time, as the metrics feed, a
+// Collector, the dash and -follow do. Every other record is a DNS record;
 // with more than one reader, the last keeps only TCP records, so it
 // passes a rejected row for every record it delivers. Each reader has
 // the default lag bound, as the phone's readers do.

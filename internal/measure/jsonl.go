@@ -191,7 +191,7 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 	return e.Flush()
 }
 
-// ReadJSONL loads records written by WriteJSONL (or a JSONLSink),
+// ReadJSONL loads records written by WriteJSONL (or `mopeye -jsonl`),
 // tolerating blank lines.
 func ReadJSONL(r io.Reader) ([]Record, error) {
 	w := wireBuf{r: r}

@@ -11,32 +11,33 @@ import (
 
 // core is the substrate-independent half of a phone: the engine, the
 // measurement store it records into (the phone's one local copy of
-// its records), the clock both run on, and the
-// attach/metrics bookkeeping hanging off the store. Phone and RealPhone
-// embed it, so the snapshot accessors here, Subscribe/Attach/Run
-// (stream.go) and the observability registry (metrics.go) are declared
-// once and behave identically on both data planes. A plane supplies
-// only how the engine was assembled and a teardown for what it opened.
+// its records), the clock both run on, and the drain/metrics
+// bookkeeping hanging off the store. Phone and RealPhone embed it, so
+// the snapshot accessors here, Subscribe/Run (stream.go), Collect
+// (collector.go) and the observability registry (metrics.go) are
+// declared once and behave identically on both data planes. A plane
+// supplies only how the engine was assembled and a teardown for what
+// it opened.
 type core struct {
 	eng   *engine.Engine
 	store *measure.Store
 	clk   clock.Clock
 	// teardown closes what the plane opened (device, emulated network).
-	// Close runs it last, once the sinks have flushed.
+	// Close runs it last, once the drains have ended.
 	teardown func()
 
 	// done is closed once Close has fully torn the phone down; Run
 	// waits on it.
 	done chan struct{}
 	// closeOnce makes Close idempotent and safe against concurrent
-	// Subscribe/Attach/Close callers.
+	// Subscribe/Collect/Close callers.
 	closeOnce sync.Once
 
-	// mu guards the attach bookkeeping below.
+	// mu guards closed against drain: a drain starts on an open phone
+	// or not at all, and Close waits for every drain that started.
 	mu     sync.Mutex
 	closed bool
-	sinks  []*attachedSink
-	sinkWG sync.WaitGroup
+	drains sync.WaitGroup
 
 	// metricsOnce builds the lazy observability registry; see
 	// metrics.go.
@@ -69,7 +70,7 @@ func engineConfig(base *engine.Config, workers int) engine.Config {
 // Measurements returns every opportunistic measurement collected so
 // far — the pull-style snapshot of the same stream Subscribe delivers
 // push-style, in the same order. Copies the whole store on every
-// call, so continuous consumers should prefer Subscribe or Attach; it
+// call, so continuous consumers should prefer Subscribe; it
 // reads the store the way a subscription does, 64 records per hold of
 // the store's lock, so even a large copy never holds up the relay's
 // workers as they record.
@@ -110,17 +111,16 @@ func (p *core) AppTraffic() []AppTraffic { return p.eng.AppTraffic() }
 // dashClock is the time source the dashboard paces its frames on.
 func (p *core) dashClock() clock.Clock { return p.clk }
 
-// Close stops the engine, ends every live Subscribe stream and
-// attached Sink (delivering the records already in flight, then
-// flushing and closing the sinks), and tears the data plane down.
-// Close is idempotent and safe to call concurrently with Subscribe,
-// Attach, and other Close calls; every call returns only after the
-// teardown has completed.
+// Close stops the engine, ends every live Subscribe stream and drain
+// (delivering the records already in flight, a Collector's final
+// partial batch included), and tears the data plane down. Close is
+// idempotent and safe to call concurrently with Subscribe, Collect,
+// and other Close calls; every call returns only after the teardown
+// has completed.
 func (p *core) Close() {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()
 		p.closed = true
-		sinks := p.sinks
 		p.mu.Unlock()
 
 		// Stop the engine first: after that no worker can record, so
@@ -128,10 +128,7 @@ func (p *core) Close() {
 		// subscribers read what is already recorded, then see the end.
 		p.eng.Stop()
 		p.store.CloseSubscribers()
-		p.sinkWG.Wait()
-		for _, as := range sinks {
-			as.finish()
-		}
+		p.drains.Wait()
 		p.teardown()
 		close(p.done)
 	})

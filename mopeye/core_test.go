@@ -51,17 +51,6 @@ func bareCore(t *testing.T) (*core, *measure.Store, *atomic.Int32) {
 	return c, store, &torn
 }
 
-// countSink counts what it accepts and remembers whether it was
-// flushed.
-type countSink struct {
-	accepted atomic.Int32
-	flushed  atomic.Bool
-}
-
-func (s *countSink) Accept(Measurement) error { s.accepted.Add(1); return nil }
-func (s *countSink) Flush() error             { s.flushed.Store(true); return nil }
-func (s *countSink) Close() error             { return nil }
-
 func testRecord(i int) measure.Record {
 	kind := measure.KindTCP
 	if i%4 == 0 {
@@ -105,18 +94,20 @@ func TestCoreCloseJoinsMetricsDrain(t *testing.T) {
 	}
 }
 
-// Close runs the plane's teardown last: the sinks have accepted every
-// record and been flushed by the time it is called.
+// Close runs the plane's teardown last: a collector has uploaded
+// every record, its final partial batch included, by the time it is
+// called.
 func TestCoreCloseFlushesSinksBeforeTeardown(t *testing.T) {
 	c, store, _ := bareCore(t)
-	var sink countSink
-	c.teardown = func() {
-		if got := sink.accepted.Load(); got != 3 || !sink.flushed.Load() {
-			t.Errorf("teardown ran with %d of 3 records accepted, flushed=%v", got, sink.flushed.Load())
-		}
-	}
-	if _, err := c.Attach(&sink); err != nil {
+	tr := &batchLog{}
+	col, err := c.Collect(CollectorOptions{BatchSize: 2, Transport: tr})
+	if err != nil {
 		t.Fatal(err)
+	}
+	c.teardown = func() {
+		if got := len(tr.records()); got != 3 || col.Uploads() != 2 {
+			t.Errorf("teardown ran with %d of 3 records uploaded in %d batches, want 2", got, col.Uploads())
+		}
 	}
 	for i := 0; i < 3; i++ {
 		store.Add(testRecord(i))
@@ -124,8 +115,8 @@ func TestCoreCloseFlushesSinksBeforeTeardown(t *testing.T) {
 	c.Close()
 }
 
-// Attach on a closed core errors, Run returns once it is closed, and
-// Subscribe/Attach/WriteMetrics racing Close are clean under -race.
+// Collect on a closed core errors, Run returns once it is closed, and
+// Subscribe/Collect/WriteMetrics racing Close are clean under -race.
 func TestCoreConcurrentSubscribeAttachClose(t *testing.T) {
 	c, store, torn := bareCore(t)
 	var wg sync.WaitGroup
@@ -138,10 +129,10 @@ func TestCoreConcurrentSubscribeAttachClose(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if a, err := c.Attach(new(countSink)); err == nil {
+			if col, err := c.Collect(CollectorOptions{}); err == nil {
 				c.Close()
-				if err := a.Err(); err != nil {
-					t.Errorf("attached sink: %v", err)
+				if err := col.Err(); err != nil {
+					t.Errorf("collector: %v", err)
 				}
 			}
 		}()
@@ -156,8 +147,8 @@ func TestCoreConcurrentSubscribeAttachClose(t *testing.T) {
 	}
 	wg.Wait()
 
-	if _, err := c.Attach(new(countSink)); err == nil {
-		t.Error("Attach on a closed core succeeded")
+	if _, err := c.Collect(CollectorOptions{}); err == nil {
+		t.Error("Collect on a closed core succeeded")
 	}
 	if err := c.Run(context.Background()); err != nil {
 		t.Errorf("Run on a closed core = %v, want nil", err)

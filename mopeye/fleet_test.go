@@ -85,8 +85,7 @@ func runFleet(t *testing.T, roster []fleetPhone, tr Transport, batchSize int) ([
 				t.Errorf("phone %s: %v", fp.device, err)
 				return
 			}
-			col := NewCollector(CollectorOptions{Device: fp.device, Transport: tr, BatchSize: batchSize})
-			att, err := p.Attach(col)
+			col, err := p.Collect(CollectorOptions{Device: fp.device, Transport: tr, BatchSize: batchSize})
 			if err != nil {
 				p.Close()
 				t.Errorf("phone %s: %v", fp.device, err)
@@ -96,11 +95,11 @@ func runFleet(t *testing.T, roster []fleetPhone, tr Transport, batchSize int) ([
 				p.InstallApp(uid, pkg)
 			}
 			werr := fp.work(p)
-			p.Close() // flushes the collector's final batch
+			p.Close() // uploads the collector's final batch
 			if werr != nil {
 				t.Errorf("phone %s: %v", fp.device, werr)
 			}
-			if err := att.Err(); err != nil {
+			if err := col.Err(); err != nil {
 				t.Errorf("phone %s collector: %v", fp.device, err)
 			}
 			recs[i] = p.Measurements()

@@ -65,11 +65,9 @@ func (p *core) metricsRegistry() *metrics.Registry {
 
 		// The quantile feed is an ordinary drain: on a closed phone it
 		// is skipped (the instruments stay empty), otherwise Close waits
-		// for the final observation exactly as it does for attached
-		// sinks.
-		p.mu.Lock()
-		p.drain(func(rec measure.Record) bool { observe(rec); return true })
-		p.mu.Unlock()
+		// for the final observation exactly as it does for a
+		// Collector's final upload.
+		p.drain(func(rec measure.Record) bool { observe(rec); return true }, nil)
 	})
 	return p.metricsReg
 }

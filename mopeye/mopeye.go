@@ -22,12 +22,13 @@
 //		fmt.Printf("%s -> %s: %v\n", m.App, m.Dst, m.RTT)
 //	}
 //
-// Because MopEye monitors continuously, the API is push-first: Phone.Subscribe
-// streams measurements live as a context-cancellable iterator, and Phone.Attach
-// drives a Sink — JSONLSink, or the crowdsourcing Collector, which batches and
-// uploads — for the engine's lifetime (stream.go, sink.go). The snapshot
-// accessors above remain as pull-style views over the phone's store, the one
-// local copy of its records.
+// Because MopEye monitors continuously, the API is push-first:
+// Phone.Subscribe streams measurements live as a context-cancellable
+// iterator (stream.go), and Phone.Collect starts the crowdsourcing
+// Collector, which reads its own subscription, batches and uploads for
+// the engine's lifetime (collector.go). The snapshot accessors above
+// remain as pull-style views over the phone's store, the one local copy
+// of its records; measure.WriteJSONL exports them as JSON Lines.
 //
 // The Collector's upload side is a pluggable Transport (transport.go):
 // HTTPTransport ships idempotency-keyed batches to a collector server
@@ -117,12 +118,10 @@ type Measurement = measure.Record
 // Beyond the pull-style snapshot accessors (Measurements,
 // AppMedians…), a Phone exposes the streaming pipeline: Subscribe
 // taps the live measurement stream as a range-over-func iterator, and
-// Attach registers a Sink — JSONLSink, or the crowdsourcing Collector
-// — that consumes every measurement for the rest of the engine's
-// lifetime. See stream.go and sink.go. JSON Lines is the one export
-// format: Attach(NewJSONLSink(w)) streams it, and Measurements fed to a
-// JSONLSink writes a snapshot. The phone's store is the only local
-// copy of its records: a Collector ships them and keeps none.
+// Collect starts a crowdsourcing Collector that uploads every
+// measurement for the rest of the engine's lifetime. See stream.go and
+// collector.go. The phone's store is the only local copy of its
+// records: a Collector ships them and keeps none.
 type Phone struct {
 	core
 	bed *testbed.Bed

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/measure"
 	"repro/internal/netsim"
 )
 
@@ -30,8 +31,30 @@ func newPhone(t *testing.T) *Phone {
 	return p
 }
 
+// awaitRecords subscribes to p, so call it before the workload. The
+// wait it returns reads that subscription until n records that keep
+// accepts (any record, when keep is nil) have arrived, or 3 s have
+// passed.
+func awaitRecords(p *Phone, n int, keep func(Measurement) bool) (wait func()) {
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	stream := p.Subscribe(ctx)
+	return func() {
+		defer cancel()
+		for m := range stream {
+			if keep == nil || keep(m) {
+				if n--; n == 0 {
+					return
+				}
+			}
+		}
+	}
+}
+
+func isTCP(m Measurement) bool { return m.Kind == measure.KindTCP }
+
 func TestConnectMeasureEcho(t *testing.T) {
 	p := newPhone(t)
+	wait := awaitRecords(p, 1, isTCP)
 	conn, err := p.Connect(10001, "api.example.com:443")
 	if err != nil {
 		t.Fatal(err)
@@ -48,10 +71,7 @@ func TestConnectMeasureEcho(t *testing.T) {
 	if string(buf) != string(msg) {
 		t.Fatalf("echo %q", buf)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for len(p.TCPMeasurements()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	wait()
 	tcp := p.TCPMeasurements()
 	if len(tcp) != 1 {
 		t.Fatalf("TCP measurements: %d", len(tcp))
@@ -96,6 +116,7 @@ func TestGroundTruthMatchesMeasurement(t *testing.T) {
 	}
 	defer p.Close()
 	p.InstallApp(7, "com.gt")
+	wait := awaitRecords(p, 5, isTCP)
 	for i := 0; i < 5; i++ {
 		conn, err := p.Connect(7, "203.0.113.9:443")
 		if err != nil {
@@ -103,10 +124,7 @@ func TestGroundTruthMatchesMeasurement(t *testing.T) {
 		}
 		conn.Close()
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for len(p.TCPMeasurements()) < 5 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	wait()
 	truth, err := p.GroundTruthRTTs("203.0.113.9:443")
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +143,7 @@ func TestGroundTruthMatchesMeasurement(t *testing.T) {
 
 func TestAppMedians(t *testing.T) {
 	p := newPhone(t)
+	wait := awaitRecords(p, 4, isTCP)
 	for i := 0; i < 4; i++ {
 		conn, err := p.Connect(10001, "api.example.com:443")
 		if err != nil {
@@ -132,10 +151,7 @@ func TestAppMedians(t *testing.T) {
 		}
 		conn.Close()
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for len(p.TCPMeasurements()) < 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	wait()
 	med := p.AppMedians(2)
 	m, ok := med["com.example.app"]
 	if !ok {
@@ -240,6 +256,7 @@ func TestChattyBehaviour(t *testing.T) {
 
 func TestAppTrafficViaFacade(t *testing.T) {
 	p := newPhone(t)
+	wait := awaitRecords(p, 1, isTCP)
 	conn, err := p.Connect(10001, "api.example.com:443")
 	if err != nil {
 		t.Fatal(err)
@@ -252,14 +269,14 @@ func TestAppTrafficViaFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, a := range p.AppTraffic() {
-			if a.App == "com.example.app" && a.BytesUp >= 5000 && a.BytesDown >= 5000 {
-				return
-			}
+	// The engine attributes the flow before it records the flow's RTT,
+	// and the echo has passed both ways through the relay: once the
+	// record is in, the volume is the app's.
+	wait()
+	for _, a := range p.AppTraffic() {
+		if a.App == "com.example.app" && a.BytesUp >= 5000 && a.BytesDown >= 5000 {
+			return
 		}
-		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("traffic not attributed: %+v", p.AppTraffic())
 }
@@ -312,6 +329,11 @@ func TestLoopbackFlood(t *testing.T) {
 					}
 				}()
 			}
+
+			// Literal destinations skip DNS, so each connection is one
+			// record — landed by its socket-connect thread after the lazy
+			// mapping, possibly later than the app's last echo.
+			wait := awaitRecords(p, conns, nil)
 
 			// Arm the registry before the flood, then scrape it until the
 			// flood is over.
@@ -393,15 +415,9 @@ func TestLoopbackFlood(t *testing.T) {
 				t.Errorf("udp relayed %d + dropped %d < sent %d", st.UDPRelayed, st.UDPDropped, sent)
 			}
 
-			// Literal destinations skip DNS, so each connection is one
-			// record — landed by its socket-connect thread after the lazy
-			// mapping, possibly later than the app's last echo. Close ends
-			// the streams after delivering what is ringed; only then are
-			// the stream counters complete.
-			deadline := time.Now().Add(3 * time.Second)
-			for len(p.Measurements()) < conns && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
+			// Close ends the streams after delivering what is recorded;
+			// only then are the stream counters complete.
+			wait()
 			p.Close()
 			subWG.Wait()
 			if n := len(p.Measurements()); n != conns {

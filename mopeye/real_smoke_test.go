@@ -3,7 +3,6 @@
 package mopeye
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -106,24 +105,27 @@ func TestRealTunSocksSmoke(t *testing.T) {
 	defer phone.Close()
 	phone.InstallApp(os.Getuid(), "smoketest")
 
-	// The streaming half of the one core, on the kernel plane: a JSONL
-	// sink and a Collector attached before the flow. The default batch
-	// size (256) is far above what the smoke records, so whatever the
-	// transport receives is the final flush Close performs.
-	var jsonl bytes.Buffer
-	var uploaded []Measurement // written on the sink drain, read after Close
-	jsonlSink, err := phone.Attach(NewJSONLSink(&jsonl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	collector := NewCollector(CollectorOptions{
+	// The streaming half of the one core, on the kernel plane: a
+	// subscription and a Collector started before the flow. The default
+	// batch size (256) is far above what the smoke records, so whatever
+	// the transport receives is the final upload Close performs.
+	stream := phone.Subscribe(context.Background())
+	var streamed []Measurement // written by the reader, read after it ends
+	streamDone := make(chan struct{})
+	go func() {
+		defer close(streamDone)
+		for m := range stream {
+			streamed = append(streamed, m)
+		}
+	}()
+	var uploaded []Measurement // written on the collector's goroutine, read after Close
+	collector, err := phone.Collect(CollectorOptions{
 		Device: "smoke-device",
 		Transport: TransportFunc(func(_ context.Context, b Batch) error {
 			uploaded = append(uploaded, b.Records...)
 			return nil
 		}),
 	})
-	collectorSink, err := phone.Attach(collector)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,22 +190,16 @@ func TestRealTunSocksSmoke(t *testing.T) {
 		t.Errorf("tun stats show no traffic: %+v", ts)
 	}
 
-	// Close drains both sinks and flushes them before the device goes
-	// away: each holds the smoke flow's record, the collector's only via
-	// that final flush.
+	// Close ends the stream and runs the collector's final upload
+	// before the device goes away: each holds the smoke flow's record,
+	// the collector's only via that final upload.
 	if collector.Uploads() != 0 {
-		t.Errorf("collector uploaded %d batches before Close; the flush assertion below needs 0", collector.Uploads())
+		t.Errorf("collector uploaded %d batches before Close; the final-upload assertion below needs 0", collector.Uploads())
 	}
 	phone.Close()
-	if err := jsonlSink.Err(); err != nil {
-		t.Errorf("JSONL sink: %v", err)
-	}
-	if err := collectorSink.Err(); err != nil {
-		t.Errorf("collector sink: %v", err)
-	}
-	lines, err := measure.ReadJSONL(&jsonl)
-	if err != nil {
-		t.Fatalf("JSONL sink output does not parse: %v", err)
+	<-streamDone
+	if err := collector.Err(); err != nil {
+		t.Errorf("collector: %v", err)
 	}
 	sawSmokeFlow := func(ms []Measurement) bool {
 		for _, m := range ms {
@@ -213,15 +209,15 @@ func TestRealTunSocksSmoke(t *testing.T) {
 		}
 		return false
 	}
-	if !sawSmokeFlow(lines) {
-		t.Errorf("JSONL sink missed the smoke flow's TCP record; got %d lines", len(lines))
+	if !sawSmokeFlow(streamed) {
+		t.Errorf("subscription missed the smoke flow's TCP record; got %d records", len(streamed))
 	}
-	if !sawSmokeFlow(uploaded) || collector.Pending() != 0 || collector.Uploads() != 1 {
-		t.Errorf("collector: %d records uploaded in %d batches, %d still pending; want the smoke flow's TCP record flushed in one",
-			len(uploaded), collector.Uploads(), collector.Pending())
+	if !sawSmokeFlow(uploaded) || collector.Uploads() != 1 {
+		t.Errorf("collector: %d records uploaded in %d batches; want the smoke flow's TCP record uploaded in one",
+			len(uploaded), collector.Uploads())
 	}
-	if n := len(phone.Measurements()); len(lines) != n || len(uploaded) != n {
-		t.Errorf("store holds %d records, JSONL sink %d, collector %d; want all equal", n, len(lines), len(uploaded))
+	if n := len(phone.Measurements()); len(streamed) != n || len(uploaded) != n {
+		t.Errorf("store holds %d records, subscription %d, collector %d; want all equal", n, len(streamed), len(uploaded))
 	}
 }
 

@@ -2,9 +2,7 @@ package mopeye
 
 import (
 	"context"
-	"fmt"
 	"iter"
-	"sync"
 
 	"repro/internal/measure"
 )
@@ -13,13 +11,14 @@ import (
 // measurement pipeline. MopEye is a continuous monitor — measurements
 // fall out of relaying as a side effect, indefinitely — so the
 // natural consumption model is a subscription, not a poll. Subscribe
-// yields a context-cancellable iterator over live measurements;
-// Attach hands the stream to a Sink for the engine's lifetime. Both
-// ride the store's broadcast layer: each subscription is a cursor into
-// the store's one record log, and a reader that lags too far loses its
-// oldest unread records (counted) rather than ever stalling the relay
-// workers. See DESIGN.md "Streaming measurement pipeline" for the
-// bounded-lag contract.
+// yields a context-cancellable iterator over live measurements, and it
+// is the phone's one stream API: the Collector (collector.go) and the
+// metrics feed read their own subscriptions through drain, on a
+// goroutine Close waits for. All ride the store's broadcast layer:
+// each subscription is a cursor into the store's one record log, and a
+// reader that lags too far loses its oldest unread records (counted)
+// rather than ever stalling the relay workers. See DESIGN.md
+// "Streaming measurement pipeline" for the bounded-lag contract.
 
 // Subscribe streams measurements as they are recorded. The
 // subscription registers before Subscribe returns: every measurement
@@ -61,89 +60,32 @@ func (p *core) Subscribe(ctx context.Context) iter.Seq[Measurement] {
 // healthy deployment.
 func (p *core) StreamDrops() uint64 { return p.store.DroppedRecords() }
 
-// attachedSink is one engine-lifetime sink with its drain state.
-type attachedSink struct {
-	sink Sink
-
-	mu  sync.Mutex
-	err error // first Accept/Flush/Close error, kept for Err
-}
-
-func (as *attachedSink) setErr(err error) {
-	as.mu.Lock()
-	if as.err == nil {
-		as.err = err
-	}
-	as.mu.Unlock()
-}
-
-// finish flushes and closes the sink at phone teardown.
-func (as *attachedSink) finish() {
-	if err := as.sink.Flush(); err != nil {
-		as.setErr(err)
-	}
-	if err := as.sink.Close(); err != nil {
-		as.setErr(err)
-	}
-}
-
-// Attach registers a Sink for the rest of the engine's lifetime:
-// every measurement recorded from now on is delivered to
-// sink.Accept on a dedicated drain goroutine, and Phone.Close flushes
-// and closes the sink after the final measurement. If Accept returns
-// an error the sink stops receiving; the error is reported by the
-// returned handle's Err after close.
-func (p *core) Attach(sink Sink) (*Attached, error) {
-	as := &attachedSink{sink: sink}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.drain(func(r measure.Record) bool {
-		if err := sink.Accept(r); err != nil {
-			as.setErr(err)
-			return false
-		}
-		return true
-	}) {
-		return nil, fmt.Errorf("mopeye: Attach on a closed phone")
-	}
-	p.sinks = append(p.sinks, as)
-	return &Attached{as: as}, nil
-}
-
 // drain feeds every measurement recorded from now on to f, on a
 // goroutine that Close waits for, until f returns false or the phone
-// closes. On a closed phone it starts nothing and reports false. The
-// caller holds p.mu.
-func (p *core) drain(f func(measure.Record) bool) bool {
+// closes; then it calls end, when end is non-nil. On a closed phone it
+// starts nothing and reports false.
+func (p *core) drain(f func(measure.Record) bool, end func()) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
 		return false
 	}
 	sub := p.store.Subscribe(0, nil)
-	p.sinkWG.Add(1)
+	p.drains.Add(1)
 	go func() {
-		defer p.sinkWG.Done()
+		defer p.drains.Done()
 		defer sub.Close()
 		for {
 			r, ok := sub.Next(nil)
 			if !ok || !f(r) {
-				return
+				break
 			}
+		}
+		if end != nil {
+			end()
 		}
 	}()
 	return true
-}
-
-// Attached is the handle Attach returns.
-type Attached struct {
-	as *attachedSink
-}
-
-// Err reports the first error the sink returned from Accept, Flush or
-// Close. Meaningful once the phone is closed.
-func (a *Attached) Err() error {
-	a.as.mu.Lock()
-	defer a.as.mu.Unlock()
-	return a.as.err
 }
 
 // Run blocks until ctx is cancelled or the phone is closed elsewhere,

@@ -1,14 +1,11 @@
 package mopeye
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/measure"
 )
 
 // streamPhone builds a phone and a started subscription collector:
@@ -136,57 +133,12 @@ func TestSubscribeCancelWithoutRangeDetaches(t *testing.T) {
 	}
 }
 
-// An attached JSONL sink must capture the complete stream, parse
-// back, and match the snapshot record for record; a snapshot export
-// (Measurements fed to a JSONLSink) must write the same bytes.
-//
-// Records are complete once a phone closes: Stop joins the connect
-// threads, and a closed socket stays in /proc/net until the peer's
-// FIN. The test counts right after Close, so it repeats under the race
-// detector: it must never miss or lose a record.
-//
-//race:repeat 20
-func TestAttachSinksCaptureEverything(t *testing.T) {
-	p := newPhone(t)
-	var jsonlBuf bytes.Buffer
-	if _, err := p.Attach(NewJSONLSink(&jsonlBuf)); err != nil {
-		t.Fatal(err)
-	}
-	runWorkload(t, p, 3)
-	snap := p.Measurements()
-	var snapBuf bytes.Buffer
-	snapSink := NewJSONLSink(&snapBuf)
-	for _, m := range snap {
-		if err := snapSink.Accept(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(snapBuf.Bytes(), jsonlBuf.Bytes()) {
-		t.Errorf("snapshot export differs from the attached stream:\n%s\nvs\n%s", snapBuf.Bytes(), jsonlBuf.Bytes())
-	}
-	got, err := measure.ReadJSONL(&jsonlBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(snap) {
-		t.Fatalf("JSONL sink captured %d of %d", len(got), len(snap))
-	}
-	for i := range snap {
-		// The wire format keeps wall-clock nanoseconds only: drop the
-		// live record's monotonic reading before comparing.
-		want := snap[i]
-		want.At = time.Unix(0, want.At.UnixNano()).UTC()
-		if got[i] != want {
-			t.Errorf("jsonl record %d:\n sink %+v\n want %+v", i, got[i], want)
-		}
-	}
-}
-
+// Collect on a closed phone errors; Subscribe is an empty stream.
 func TestAttachAfterCloseErrors(t *testing.T) {
 	p := newPhone(t)
 	p.Close()
-	if _, err := p.Attach(NewJSONLSink(&bytes.Buffer{})); err == nil {
-		t.Error("Attach on a closed phone succeeded")
+	if _, err := p.Collect(CollectorOptions{}); err == nil {
+		t.Error("Collect on a closed phone succeeded")
 	}
 	// Subscribe on a closed phone is an empty stream, not a hang.
 	for range p.Subscribe(context.Background()) {
@@ -220,9 +172,9 @@ func TestRunClosesOnCancel(t *testing.T) {
 	}
 }
 
-// The close-once satellite: concurrent Subscribe, Attach, workload and
-// multiple Close calls must be race-free (run under -race) and every
-// Close must block until teardown completed.
+// Concurrent Subscribe, Collect, workload and multiple Close calls
+// must be race-free (run under -race) and every Close must block until
+// teardown completed.
 func TestConcurrentSubscribeAttachClose(t *testing.T) {
 	p, err := New(Options{
 		Servers: []Server{{Domain: "race.example", Addr: "203.0.113.77:80", RTTMillis: 2}},
@@ -242,12 +194,12 @@ func TestConcurrentSubscribeAttachClose(t *testing.T) {
 			}
 		}()
 	}
-	// Attachers racing with close.
+	// Collectors racing with close.
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.Attach(NewJSONLSink(&bytes.Buffer{})); err != nil {
+			if _, err := p.Collect(CollectorOptions{}); err != nil {
 				return // closed first: acceptable
 			}
 		}()
@@ -278,19 +230,19 @@ func TestConcurrentSubscribeAttachClose(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("concurrent subscribe/attach/close deadlocked")
+		t.Fatal("concurrent subscribe/collect/close deadlocked")
 	}
 	p.Close() // idempotent
 }
 
-// The acceptance e2e: a live phone's stream feeds a Collector whose
-// uploads flow into the §4.2 Study pipeline — measure once, analyze
-// with the deployment-scale code.
+// A live phone's stream feeds a Collector whose uploads flow into the
+// §4.2 Study pipeline — measure once, analyze with the deployment-scale
+// code. The uploads equal the snapshot, so nothing was left pending.
 func TestCollectorStreamsIntoStudy(t *testing.T) {
 	p := newPhone(t)
 	tr := &batchLog{}
-	col := NewCollector(CollectorOptions{BatchSize: 4, Device: "device-e2e", Transport: tr})
-	if _, err := p.Attach(col); err != nil {
+	col, err := p.Collect(CollectorOptions{BatchSize: 4, Device: "device-e2e", Transport: tr})
+	if err != nil {
 		t.Fatal(err)
 	}
 	runWorkload(t, p, 6)
@@ -301,8 +253,8 @@ func TestCollectorStreamsIntoStudy(t *testing.T) {
 	if col.Uploads() < 2 {
 		t.Errorf("uploads: %d, want >= 2", col.Uploads())
 	}
-	if col.Pending() != 0 {
-		t.Errorf("pending after close: %d", col.Pending())
+	if err := col.Err(); err != nil {
+		t.Errorf("collector: %v", err)
 	}
 	recs := tr.records()
 	if len(recs) != len(snap) {

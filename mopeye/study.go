@@ -12,7 +12,8 @@ import (
 // Study is a crowdsourcing dataset (§4.2) with the analysis pipeline
 // attached: generated by NewStudy, standing in for the paper's
 // ten-month Google Play deployment (see DESIGN.md for the substitution
-// rationale), or built by NewStudyFrom over records actually collected.
+// rationale), or built by NewStudyFrom over records actually collected,
+// which it shares with the caller rather than copies.
 type Study struct {
 	ds *crowd.Dataset
 }
@@ -29,14 +30,15 @@ func NewStudy(scale float64, seed int64) *Study {
 // crowd.ReadSpool, or a JSON Lines export loaded back with
 // measure.ReadJSONL — instead of the statistical generator.
 // Device metadata is reconstructed from the records; the analysis
-// pipeline is identical.
+// pipeline is identical. The study keeps records as its dataset's
+// Records, not a copy, so the caller must not modify them afterwards.
 func NewStudyFrom(records []Measurement) *Study {
 	return &Study{ds: crowd.Ingest(records)}
 }
 
 // Dataset exposes the underlying dataset for custom analysis. Its
-// Records export as JSON Lines through a JSONLSink (or
-// measure.WriteJSONL, which `crowdstudy -dump` uses).
+// Records export as JSON Lines through measure.WriteJSONL, which
+// `crowdstudy -dump` uses.
 func (s *Study) Dataset() *crowd.Dataset { return s.ds }
 
 // Summary is the §4.2.1 dataset statistics line.

@@ -43,7 +43,10 @@ type Transport interface {
 	Upload(ctx context.Context, b Batch) error
 }
 
-// TransportFunc adapts a function to the Transport interface.
+// TransportFunc adapts a function to the Transport interface. Each
+// Collector calls it on its own goroutine, one batch at a time, so a
+// function shared by several phones' collectors must lock what it
+// writes. It may keep the batch: no collector reuses a batch's records.
 type TransportFunc func(context.Context, Batch) error
 
 // Upload calls f.

@@ -89,7 +89,7 @@ func flakyCollectord(t *testing.T, script []string, o HTTPTransportOptions) (*cr
 func uploadRecs(n int, app string) []Measurement {
 	out := make([]Measurement, n)
 	for i := range out {
-		out[i] = sinkRec(app, float64(i+1))
+		out[i] = appRec(app, float64(i+1))
 	}
 	return out
 }
@@ -222,11 +222,10 @@ func TestHTTPTransportClosed(t *testing.T) {
 }
 
 // Collector batches ship with unique, monotonically-sequenced
-// idempotency keys; an empty flush consumes neither a key nor a
-// transport call.
+// idempotency keys, the final partial batch at Close included.
 func TestCollectorBatchKeys(t *testing.T) {
 	var batches []Batch
-	c := NewCollector(CollectorOptions{
+	c, store, _ := bareCollector(t, CollectorOptions{
 		BatchSize: 2,
 		Device:    "keys",
 		Transport: TransportFunc(func(_ context.Context, b Batch) error {
@@ -234,11 +233,9 @@ func TestCollectorBatchKeys(t *testing.T) {
 			return nil
 		}),
 	})
-	for i := 0; i < 4; i++ {
-		c.Accept(sinkRec("a", 1))
+	for i := 0; i < 5; i++ {
+		store.Add(appRec("a", 1))
 	}
-	c.Flush() // empty: pending drained by the size policy already
-	c.Accept(sinkRec("a", 1))
 	c.Close()
 
 	if len(batches) != 3 {
@@ -258,14 +255,14 @@ func TestCollectorBatchKeys(t *testing.T) {
 		seen[b.Key] = true
 	}
 	// Two collectors sharing a device stamp never collide on keys.
-	c2 := NewCollector(CollectorOptions{BatchSize: 2, Device: "keys",
+	c2, store2, _ := bareCollector(t, CollectorOptions{BatchSize: 2, Device: "keys",
 		Transport: TransportFunc(func(_ context.Context, b Batch) error {
 			if seen[b.Key] {
 				t.Errorf("cross-collector key collision: %q", b.Key)
 			}
 			return nil
 		})})
-	c2.Accept(sinkRec("a", 1))
+	store2.Add(appRec("a", 1))
 	c2.Close()
 }
 
